@@ -4,6 +4,7 @@ validation that reports every violation with its path into the document."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -189,15 +190,12 @@ def parse_region(
     return HyperRegion.of(bounds)
 
 
-def region_to_doc(region: HyperRegion | None) -> dict | None:
-    if region is None:
-        return None
-    doc = {}
-    for name, iv in region:
-        if iv.is_full:
-            continue
-        doc[name] = [None if iv.lo is None else iv.lo.value, None if iv.hi is None else iv.hi.value]
-    return doc
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v: Any) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
 def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
@@ -216,7 +214,15 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
         errors.append("attributes: at least one indexed attribute is required")
     schema = {a.name: a.kind for a in attributes}
 
-    nodes = [NodeSpec(n["id"], float(n.get("capacity", 1.0))) for n in doc.get("nodes", []) if "id" in n]
+    nodes = []
+    for i, n in enumerate(doc.get("nodes", [])):
+        if "id" not in n:
+            continue
+        capacity = n.get("capacity", 1.0)
+        if not _is_number(capacity):
+            errors.append(f"nodes[{i}].capacity: must be a number, got {capacity!r}")
+            capacity = 1.0
+        nodes.append(NodeSpec(n["id"], float(capacity)))
     if len(nodes) != len(doc.get("nodes", [])):
         errors.append("nodes: every node needs an id")
 
@@ -354,21 +360,27 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
         if q.node not in node_ids:
             errors.append(f"{path}.node: unknown node {q.node!r}")
         p = q.params
+        timeout = p.get("timeout")
+        if timeout is not None and not (_is_int(timeout) and timeout > 0):
+            errors.append(f"{path}.timeout: must be a positive integer, got {timeout!r}")
         if q.cls == "ds":
             if p.get("dc") not in dc_ids:
                 errors.append(f"{path}.dc: a ds QPU must name its single data centre")
         if q.cls in ("index", "merge"):
-            region = parse_region(p.get("region"), schema, errors, f"{path}.region")
-            if region is not None and p.get("region") is not None:
-                pass  # bounds already validated by the parser
+            parse_region(p.get("region"), schema, errors, f"{path}.region")
         if q.cls == "cache":
             mode = p.get("mode", "response")
             if mode not in ("response", "replica"):
                 errors.append(f"{path}.mode: {mode!r} is not response/replica")
-            if int(p.get("capacity", 128)) < 1:
-                errors.append(f"{path}.capacity: must be at least 1")
-            if int(p.get("ttl", 10_000)) <= 0:
-                errors.append(f"{path}.ttl: must be positive")
+            capacity, ttl = p.get("capacity", 128), p.get("ttl", 10_000)
+            if not (_is_number(capacity) and capacity >= 1):
+                errors.append(f"{path}.capacity: must be a number >= 1, got {capacity!r}")
+            if not (_is_number(ttl) and ttl > 0):
+                errors.append(f"{path}.ttl: must be a positive number, got {ttl!r}")
+            pull = p.get("pull_interval")
+            if mode == "replica" and not (_is_int(pull) and pull > 0):
+                # without one it never pulls, or at 0 re-pulls at one instant forever
+                errors.append(f"{path}.pull_interval: a replica cache needs a positive integer, got {pull!r}")
         if q.cls == "filter":
             if p.get("dc") not in dc_ids:
                 errors.append(f"{path}.dc: a filter subscribes to exactly one DC log")
@@ -378,8 +390,11 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
                     errors.append(f"{path}.targets[{j}]: {tid!r} is not an indexing QPU")
                 elif isinstance(t, dict):
                     parse_region(t.get("region"), schema, errors, f"{path}.targets[{j}].region")
-            if int(p.get("batch_interval", 0)) < 0:
-                errors.append(f"{path}.batch_interval: must be >= 0")
+            interval, size = p.get("batch_interval", 0), p.get("batch_size")
+            if not (_is_number(interval) and interval >= 0):
+                errors.append(f"{path}.batch_interval: must be a number >= 0, got {interval!r}")
+            if size is not None and not (_is_int(size) and size >= 1):
+                errors.append(f"{path}.batch_size: must be an integer >= 1, got {size!r}")
         if q.cls in ("index", "merge", "federation", "cache"):
             rd = p.get("recheck_dc")
             if rd is not None and rd not in dc_ids:
@@ -395,7 +410,6 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
             if push is not None and push not in index_like:
                 errors.append(f"{path}.push_to: {push!r} is not an indexing QPU")
 
-    cache_modes = {q.id: q.params.get("mode", "response") for q in cfg.qpus if q.cls == "cache"}
     out_degree: dict[str, int] = {}
     for i, c in enumerate(cfg.connections):
         if c.src not in qpu_ids:
@@ -403,9 +417,9 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
         if c.dst not in qpu_ids:
             errors.append(f"connections[{i}].to: unknown QPU {c.dst!r}")
         out_degree[c.src] = out_degree.get(c.src, 0) + 1
-    for qid, mode in cache_modes.items():
-        if out_degree.get(qid, 0) != 1:
-            errors.append(f"qpus({qid}): a cache QPU needs exactly one downstream connection")
+    for q in cfg.qpus:
+        if q.cls == "cache" and out_degree.get(q.id, 0) != 1:
+            errors.append(f"qpus({q.id}): a cache QPU needs exactly one downstream connection")
 
     edges: dict[str, list[str]] = {q.id: [] for q in cfg.qpus}
     for c in cfg.connections:
@@ -449,6 +463,9 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
         frac = float(p.get("delete_fraction", 0.0))
         if not 0.0 <= frac <= 1.0:
             errors.append(f"{path}.delete_fraction: must be in [0, 1]")
+        limit = p.get("limit")
+        if limit is not None and not (_is_int(limit) and limit >= 0):
+            errors.append(f"{path}.limit: must be a non-negative integer, got {limit!r}")
         if int(p.get("key_space", 100)) < 1:
             errors.append(f"{path}.key_space: must be >= 1")
         if p.get("key_mode", "random") not in ("random", "sequential"):

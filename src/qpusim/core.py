@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -367,12 +367,45 @@ def eval_query(q: Query, obj: StoredObject) -> bool:
     return query_matches(q, obj.attrs)
 
 
-def _predicate_interval(p: Predicate) -> Interval:
+def _predicate_bounds(p: Predicate) -> tuple[AttrValue | None, AttrValue | None]:
+    """Closed-open bounds [lo, hi) holding exactly the values p accepts; None is
+    unbounded. The pair is empty (lo >= hi) when no value is accepted, as for
+    the integers strictly between 5 and 6."""
     lo = p.lower if p.lower is None or p.lower_inclusive else p.lower.successor()
     hi = None
     if p.upper is not None:
         hi = p.upper.successor() if p.upper_inclusive else p.upper
-    return Interval(lo, hi)
+    return lo, hi
+
+
+def _predicate_interval(p: Predicate) -> Interval:
+    return Interval(*_predicate_bounds(p))
+
+
+def query_matcher(q: Query) -> Callable[[AttrMap], bool]:
+    """Compiles q once into raw closed-open bounds per attribute. The returned
+    function answers as query_matches(q, attrs) does, raising KindMismatch on
+    the same inputs, but compares plain values instead of AttrValues."""
+    compiled = []
+    for p in q.predicates:
+        lo, hi = _predicate_bounds(p)
+        kind = (p.lower if p.lower is not None else p.upper).kind  # type: ignore[union-attr]
+        compiled.append((p.attr, kind, None if lo is None else lo.value, None if hi is None else hi.value))
+    bounds = tuple(compiled)
+
+    def matches(attrs: AttrMap) -> bool:
+        for attr, kind, lo, hi in bounds:
+            v = attrs.get(attr)
+            if v is None:
+                return False
+            if v.kind is not kind:
+                raise KindMismatch(f"attribute {attr!r}: object holds {v.kind.value}, predicate {kind.value}")
+            raw = v.value
+            if (lo is not None and raw < lo) or (hi is not None and raw >= hi):
+                return False
+        return True
+
+    return matches
 
 
 def query_to_region(q: Query, indexed_attrs: Iterable[str]) -> HyperRegion | None:

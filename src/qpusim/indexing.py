@@ -15,7 +15,7 @@ from .core import (
     HyperRegion,
     Query,
     Version,
-    query_matches,
+    query_matcher,
     query_to_region,
     region_to_query,
 )
@@ -201,10 +201,11 @@ class PostingIndex:
             candidates = set()
             for v in vals[best_span[0] : best_span[1]]:
                 candidates.update(self.postings[driver][v])
+        matches = query_matcher(q)
         out: list[Entry] = []
         for key in sorted(candidates):
             attrs, version = self.registry[key]
-            if query_matches(q, attrs):
+            if matches(attrs):
                 out.append((key, dict(attrs), version))
         return out, True
 

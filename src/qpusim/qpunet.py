@@ -12,7 +12,7 @@ from .core import (
     Query,
     Version,
     canonical_query,
-    query_matches,
+    query_matcher,
     query_to_region,
     region_to_query,
 )
@@ -120,10 +120,11 @@ def dedupe_entries(entries: Iterable[Entry]) -> list[Entry]:
 def recheck(entries: Iterable[Entry], q: Query, replica: DcReplica) -> list[Entry]:
     """Re-validate candidates against the replica's current objects; survivors
     carry the store's current attributes and version."""
+    matches = query_matcher(q)
     out: list[Entry] = []
     for key, _attrs, _ver in entries:
         obj = replica.get(key)
-        if obj is not None and query_matches(q, obj.attrs):
+        if obj is not None and matches(obj.attrs):
             out.append((key, dict(obj.attrs), obj.version))
     return out
 
@@ -136,9 +137,10 @@ def audit_response(
     recheck filter so disabling recheck makes stale results visible here."""
     violations: list[str] = []
     if replica is not None:
+        matches = query_matcher(q)
         for key, _attrs, _ver in entries:
             obj = replica.get(key)
-            if obj is None or not query_matches(q, obj.attrs):
+            if obj is None or not matches(obj.attrs):
                 violations.append(key)
     k.probes.record_audit(
         {
@@ -474,9 +476,10 @@ class CacheQpu(QpuBase):
         if self._snapshot is None:
             self.answer(k, m, [], complete=False)
             return
+        matches = query_matcher(m.query)
         entries: list[Entry] = []
         for key, attrs, version in self._snapshot.entries:
-            if attrs is not None and query_matches(m.query, attrs):
+            if attrs is not None and matches(attrs):
                 entries.append((key, dict(attrs), version))
         self.answer(k, m, entries)
 

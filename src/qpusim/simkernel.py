@@ -118,7 +118,7 @@ class Kernel:
         self._links: dict[tuple[str, str], _Link] = {}
         self._actors: dict[str, Actor] = {}
         self._hosts: dict[str, str] = {}
-        self._started: set[str] = set()
+        self._unstarted: list[str] = []
 
     # -- topology ---------------------------------------------------------
 
@@ -136,9 +136,6 @@ class Kernel:
                 raise SimError(f"link endpoints must be nodes: {src}->{dst}")
             self._links[(src, dst)] = _Link(base_latency, jitter, self.rng(f"link|{src}|{dst}"))
 
-    def node_capacity(self, node_id: str) -> float:
-        return self._nodes[node_id].capacity
-
     def nodes(self) -> list[str]:
         return sorted(self._nodes)
 
@@ -149,6 +146,7 @@ class Kernel:
             raise SimError(f"unknown node {node_id!r} for actor {actor.actor_id!r}")
         self._actors[actor.actor_id] = actor
         self._hosts[actor.actor_id] = node_id
+        self._unstarted.append(actor.actor_id)
 
     def rebind(self, actor_id: str, node_id: str) -> None:
         if actor_id not in self._actors:
@@ -162,9 +160,6 @@ class Kernel:
 
     def host_of(self, actor_id: str) -> str:
         return self._hosts[actor_id]
-
-    def actors_on(self, node_id: str) -> list[str]:
-        return sorted(a for a, n in self._hosts.items() if n == node_id)
 
     def rng(self, label: str) -> random.Random:
         """Independent stream derived from the master seed by a stable label."""
@@ -198,10 +193,24 @@ class Kernel:
     # -- execution --------------------------------------------------------
 
     def _start_pending(self) -> None:
-        for actor_id in list(self._actors):
-            if actor_id not in self._started:
-                self._started.add(actor_id)
+        """Starts actors in registration order. One registered by another's
+        on_start waits for the next call."""
+        if self._unstarted:
+            pending, self._unstarted = self._unstarted, []
+            for actor_id in pending:
                 self._actors[actor_id].on_start(self)
+
+    def _dispatch(self) -> None:
+        """Delivers the earliest event, then starts any actor it registered."""
+        at, seq, target, msg = heapq.heappop(self._heap)
+        self.now = at
+        actor = self._actors.get(target)
+        if actor is None:
+            raise SimError(f"message for unknown actor {target!r}")
+        if self.tracer is not None:
+            self.tracer(at, seq, target, msg)
+        actor.on_message(self, msg)
+        self._start_pending()
 
     def run_until(self, t_max: int | None = None) -> int:
         """Processes events until the queue empties or t_max is reached.
@@ -211,19 +220,10 @@ class Kernel:
         """
         self._start_pending()
         while self._heap:
-            at, seq, target, msg = self._heap[0]
-            if t_max is not None and at > t_max:
+            if t_max is not None and self._heap[0][0] > t_max:
                 self.now = t_max
                 return self.now
-            heapq.heappop(self._heap)
-            self.now = at
-            actor = self._actors.get(target)
-            if actor is None:
-                raise SimError(f"message for unknown actor {target!r}")
-            if self.tracer is not None:
-                self.tracer(at, seq, target, msg)
-            actor.on_message(self, msg)
-            self._start_pending()
+            self._dispatch()
         if t_max is not None and t_max > self.now:
             self.now = t_max
         return self.now
@@ -236,15 +236,7 @@ class Kernel:
         self._start_pending()
         if not self._heap:
             return False
-        at, seq, target, msg = heapq.heappop(self._heap)
-        self.now = at
-        actor = self._actors.get(target)
-        if actor is None:
-            raise SimError(f"message for unknown actor {target!r}")
-        if self.tracer is not None:
-            self.tracer(at, seq, target, msg)
-        actor.on_message(self, msg)
-        self._start_pending()
+        self._dispatch()
         return True
 
     def pending(self) -> int:

@@ -15,9 +15,9 @@ from .core import (
     StoredObject,
     Version,
     check_attrs,
-    query_matches,
+    query_matcher,
 )
-from .simkernel import Actor, Kernel
+from .simkernel import Actor, Kernel, SimError
 
 PUT = "put"
 DELETE = "delete"
@@ -180,7 +180,10 @@ class DcReplica(Actor):
         return self.objects.get(key)
 
     def scan(self, q: Query) -> list[StoredObject]:
-        return [self.objects[key] for key in sorted(self.objects) if query_matches(q, self.objects[key].attrs)]
+        """Matching objects in key order; only the matches are sorted."""
+        matches = query_matcher(q)
+        objects = self.objects
+        return [objects[key] for key in sorted(key for key, o in objects.items() if matches(o.attrs))]
 
     def state_fingerprint(self) -> tuple:
         """(objects, tombstones) content; equal fingerprints mean converged replicas."""
@@ -197,12 +200,7 @@ class DcReplica(Actor):
         """Delivers log entries from from_seq onward, then every future entry,
         in log order over the subscriber's link."""
         if from_seq > len(self.log):
-            raise SimErrorFromSeq(from_seq, len(self.log))
+            raise SimError(f"subscribe from_seq {from_seq} beyond log length {len(self.log)}")
         for entry in self.log[from_seq:]:
             k.send(self.dc_id, subscriber_id, entry)
         self._subscribers.append(subscriber_id)
-
-
-class SimErrorFromSeq(ValueError):
-    def __init__(self, from_seq: int, length: int) -> None:
-        super().__init__(f"subscribe from_seq {from_seq} beyond log length {length}")

@@ -1,11 +1,15 @@
 """Region algebra and predicate semantics, checked against brute-force oracles."""
 
+import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qpusim.core import (
+    INT64_MAX,
+    INT64_MIN,
     AttrValue,
     HyperRegion,
     IngestError,
@@ -21,6 +25,8 @@ from qpusim.core import (
     eval_predicate,
     eval_query,
     make_attrs,
+    query_matcher,
+    query_matches,
     query_to_region,
     region_to_query,
 )
@@ -140,6 +146,76 @@ class TestQuery:
         }
         got = {o.key for o in objects if eval_query(q, o)}
         assert got == expected
+
+
+# Raw values per kind, dense enough that bounds and values often coincide.
+RAW_VALUES = {
+    Kind.INT: st.one_of(
+        st.integers(-4, 4), st.sampled_from([INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX])
+    ),
+    Kind.FLOAT: st.one_of(
+        st.sampled_from([-0.0, 0.0, 5e-324, 1.0, math.nextafter(1.0, math.inf), sys.float_info.max, -sys.float_info.max]),
+        st.floats(-3, 3, allow_nan=False),
+    ),
+    Kind.TEXT: st.text(alphabet="ab\x00", max_size=3),
+}
+MATCH_ATTRS = ("a", "b", "c")
+
+
+@st.composite
+def predicates(draw, attr):
+    kind = draw(st.sampled_from(list(Kind)))
+    value = RAW_VALUES[kind].map(AttrValue.of)
+    if draw(st.booleans()):
+        return Predicate(attr, *[draw(value)] * 2)  # point predicate
+    lower = draw(st.one_of(st.none(), value))
+    upper = draw(st.one_of(st.none(), value))
+    try:
+        return Predicate(attr, lower, upper, draw(st.booleans()), draw(st.booleans()))
+    except RegionError:
+        assume(False)
+
+
+@st.composite
+def match_queries(draw):
+    attrs = draw(st.lists(st.sampled_from(MATCH_ATTRS), min_size=1, max_size=3, unique=True))
+    return Query.of([draw(predicates(a)) for a in attrs])
+
+
+@st.composite
+def attr_maps(draw):
+    """Attribute maps with missing attributes and values of any kind."""
+    out = {}
+    for name in draw(st.lists(st.sampled_from(MATCH_ATTRS), max_size=3, unique=True)):
+        kind = draw(st.sampled_from(list(Kind)))
+        out[name] = AttrValue.of(draw(RAW_VALUES[kind]))
+    return out
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except KindMismatch as exc:
+        return ("KindMismatch", str(exc))
+
+
+class TestCompiledMatcher:
+    @settings(max_examples=400, deadline=None)
+    @given(match_queries(), st.lists(attr_maps(), min_size=1, max_size=4))
+    def test_compiled_matcher_equals_reference(self, q, maps):
+        matches = query_matcher(q)
+        for attrs in maps:
+            assert _outcome(lambda: matches(attrs)) == _outcome(lambda: query_matches(q, attrs))
+
+    def test_predicate_with_no_integer_inside_matches_nothing(self):
+        p = Predicate("size", AttrValue.of(5), AttrValue.of(6), lower_inclusive=False, upper_inclusive=False)
+        matches = query_matcher(Query.of([p]))
+        assert not any(matches(make_attrs({"size": v})) for v in (4, 5, 6, 7))
+
+    def test_kind_mismatch_raised_with_reference_message(self):
+        q = Query.of([Predicate.between("size", 10, 20)])
+        with pytest.raises(KindMismatch, match="attribute 'size': object holds text, predicate int"):
+            query_matcher(q)(make_attrs({"size": "ten"}))
 
 
 class TestQueryToRegion:

@@ -1,6 +1,7 @@
 """Config validation, scenario runs, metrics determinism, oracle validation
 mode and its negative control, and the CLI contract."""
 
+import hashlib
 import json
 
 import pytest
@@ -125,6 +126,63 @@ class TestTopologyValidation:
         assert len(err.value.errors) >= 3
 
 
+def cache_topology(**cache_params):
+    """minimal_topology plus a cache in front of the index."""
+    doc = minimal_topology(connections=[{"from": "cq", "to": "iq"}])
+    doc["qpus"].append({"id": "cq", "class": "cache", "node": "n2", "recheck_dc": "dc1", **cache_params})
+    return doc
+
+
+class TestQpuParameterValidation:
+    """Parameters that would fail only at run time are rejected at parse time."""
+
+    def _rejected(self, doc, field):
+        with pytest.raises(ConfigError) as err:
+            parse_topology(doc)
+        assert field in str(err.value)
+
+    def test_valid_replica_and_response_caches_accepted(self):
+        parse_topology(cache_topology(mode="replica", pull_interval=400))
+        parse_topology(cache_topology(capacity=64, ttl=2.5, timeout=100))
+
+    def test_replica_cache_without_pull_interval_rejected(self):
+        self._rejected(cache_topology(mode="replica"), "pull_interval")
+
+    def test_replica_cache_zero_pull_interval_rejected(self):
+        # accepted, it would reschedule its pull at the same instant forever
+        self._rejected(cache_topology(mode="replica", pull_interval=0), "pull_interval")
+
+    def test_replica_cache_negative_pull_interval_rejected(self):
+        self._rejected(cache_topology(mode="replica", pull_interval=-5), "pull_interval")
+
+    def test_replica_cache_non_numeric_pull_interval_rejected(self):
+        self._rejected(cache_topology(mode="replica", pull_interval="400"), "pull_interval")
+
+    def test_non_numeric_cache_capacity_is_config_error(self):
+        self._rejected(cache_topology(capacity="big"), "capacity")
+
+    def test_non_numeric_cache_ttl_is_config_error(self):
+        self._rejected(cache_topology(ttl="long"), "ttl")
+
+    def test_non_numeric_node_capacity_is_config_error(self):
+        self._rejected(minimal_topology(nodes=[{"id": "n1", "capacity": "big"}, {"id": "n2"}]), "nodes[0].capacity")
+
+    @pytest.mark.parametrize("timeout", [0, -1, 2.5, "soon", True])
+    def test_timeout_must_be_positive_integer(self, timeout):
+        self._rejected(cache_topology(timeout=timeout), "timeout")
+
+    @pytest.mark.parametrize("size", [0, -3, 1.5, "many"])
+    def test_filter_batch_size_must_be_at_least_one(self, size):
+        doc = minimal_topology()
+        doc["qpus"][0]["batch_size"] = size
+        self._rejected(doc, "batch_size")
+
+    def test_non_numeric_filter_batch_interval_is_config_error(self):
+        doc = minimal_topology()
+        doc["qpus"][0]["batch_interval"] = "often"
+        self._rejected(doc, "batch_interval")
+
+
 class TestWorkloadValidation:
     def test_negative_rate_rejected(self):
         cfg = parse_topology(minimal_topology())
@@ -156,6 +214,17 @@ class TestWorkloadValidation:
             parse_workload(doc, cfg)
         assert "ghost" in str(err.value)
 
+    @pytest.mark.parametrize("limit", [-1, 2.5, "ten"])
+    def test_phase_limit_must_be_non_negative_integer(self, limit):
+        cfg = parse_topology(minimal_topology())
+        with pytest.raises(ConfigError) as err:
+            parse_workload({"phases": [{"duration": 100, "limit": limit}]}, cfg)
+        assert "phases[0].limit" in str(err.value)
+
+    def test_phase_limit_zero_accepted(self):
+        cfg = parse_topology(minimal_topology())
+        assert parse_workload({"phases": [{"duration": 100, "limit": 0}]}, cfg).phases[0].limit == 0
+
     def test_zipf_parameters_checked(self):
         cfg = parse_topology(minimal_topology())
         doc = {
@@ -168,6 +237,43 @@ class TestWorkloadValidation:
         }
         with pytest.raises(ConfigError):
             parse_workload(doc, cfg)
+
+
+# sha256 of run_scenario(...).sink.to_ndjson() for each bundled scenario at
+# GOLDEN_SEEDS. A change meant to alter behaviour updates these and says why;
+# any other change must leave them equal.
+GOLDEN_SEEDS = (0, 7, 505)
+GOLDEN_NDJSON_SHA256 = {
+    "single-index": (
+        "6a27922d32df1d8accc50cc36ffdda63da59f6f02b3ce51ab1897252aba85b34",
+        "902d106022051bfb1413fc07254cd5b1197fa2ac154fb633c7512e8dff0b78d9",
+        "7b410b05aaa90e31d53b164ef2bda502a0f6cb2a547ee153e1747dbea0702410",
+    ),
+    "cdn": (
+        "4b3050b8d9a297b1c4331e69c7a3c1ded2f31cf758b1adea3c032d30f1d1236d",
+        "7605b06550df355c516aa6405ed3cad6b7a9a149d16bf056259b6d1cda1a4907",
+        "584fba779793c52cf8e9ca99a012916911783868bda00e57f25757910a3a15a6",
+    ),
+    "client-cache": (
+        "9433ac9019bd844eddb1307edeea848d04394656124257158c53fb5484432af3",
+        "e4e64831ea994ac4bf883c19021cecae6780da7f2b54a982ae293b7d9ec6e84c",
+        "2cc94ccc3bd0daeb1f58d4e03f761c37eef0b750bad15b25343b081098c84be0",
+    ),
+    "adaptive-skew": (
+        "4354cc9032b69ab48391156a9be5db6c3a5ec1a8b1160e1630c8c4d018ba0d07",
+        "c50372718d4081345767b05318de77a11142f3f3e63e02291d7f9f8d1eb0a2e3",
+        "f07f7f899f5c0d8afcabd20ce532f18ccededb770be1726f4ec1bbd0902486c1",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed_index", range(len(GOLDEN_SEEDS)), ids=[f"seed{s}" for s in GOLDEN_SEEDS])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_metrics_stream_matches_golden_hash(name, seed_index):
+    t, w = scenario(name)
+    res = run_scenario(t, w, seed=GOLDEN_SEEDS[seed_index])
+    digest = hashlib.sha256(res.sink.to_ndjson().encode()).hexdigest()
+    assert digest == GOLDEN_NDJSON_SHA256[name][seed_index]
 
 
 class TestRunScenario:

@@ -38,6 +38,49 @@ def kernel_with(*actors, seed=0):
     return k
 
 
+class Starter(Actor):
+    """Logs its start; optionally registers another actor from on_start."""
+
+    def __init__(self, actor_id, log, spawn=None):
+        self.actor_id = actor_id
+        self.log = log
+        self.spawn = spawn
+
+    def on_start(self, k):
+        self.log.append(self.actor_id)
+        if self.spawn is not None:
+            k.register(self.spawn, "n1")
+
+    def on_message(self, k, msg):
+        pass
+
+
+class TestActorStart:
+    def test_actors_start_once_in_registration_order(self):
+        log = []
+        k = kernel_with(Starter("b", log), Starter("a", log))
+        k.run_until(0)
+        k.run_until(0)
+        assert log == ["b", "a"]
+
+    def test_actor_registered_in_on_start_starts_on_the_next_call(self):
+        log = []
+        k = kernel_with(Starter("a", log, spawn=Starter("child", log)), Starter("b", log))
+        k.run_until(0)
+        assert log == ["a", "b"]
+        k.run_until(0)
+        assert log == ["a", "b", "child"]
+
+    def test_actor_registered_by_a_handler_starts_after_that_event(self):
+        log = []
+        rec = Recorder("r")
+        k = kernel_with(rec)
+        rec.on_message = lambda kk, msg: kk.register(Starter("late", log), "n1")  # type: ignore[assignment]
+        k.schedule(1, "r", "go")
+        assert k.step()
+        assert log == ["late"]
+
+
 class TestScheduling:
     def test_equal_times_fire_in_insertion_order(self):
         rec = Recorder("r")

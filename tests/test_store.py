@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qpusim.core import IngestError, Kind, Predicate, Query, make_attrs
-from qpusim.simkernel import Actor, Kernel
+from qpusim.simkernel import Actor, Kernel, SimError
 from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, DELETE, PUT
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
@@ -241,6 +241,15 @@ class TestSubscribeLog:
             reps["dc1"].put(k, f"k{i}", make_attrs({"size": i}))
         k.run_until_empty()
         assert [e.seq for e in suffix.entries] == [e.seq for e in full.entries][2:]
+
+    def test_subscribe_beyond_log_length_is_sim_error(self):
+        k, reps = build()
+        k.register(_Sink("late"), "node-dc1")
+        for i in range(2):
+            reps["dc1"].put(k, f"k{i}", make_attrs({"size": i}))
+        reps["dc1"].subscribe(k, "late", 2)  # the log's end is a valid start
+        with pytest.raises(SimError, match="from_seq 3 beyond log length 2"):
+            reps["dc1"].subscribe(k, "late", 3)
 
 
 class TestPlacement:
