@@ -88,7 +88,7 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
     errors: list[str] = []
 
     for n in cfg.nodes:
-        k.add_node(n.id, n.capacity)
+        k.add_node(n.id)
     for l in cfg.links:
         k.add_link(l.src, l.dst, l.base_latency, l.jitter)
 

@@ -46,8 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
     scn.add_argument("name", choices=SCENARIOS)
     scn.add_argument("--out", default=None, help="directory to write the config files into")
 
-    chk = sub.add_parser("check-config", help="validate a topology file")
+    chk = sub.add_parser("check-config", help="validate a topology file, and a workload file against it")
     chk.add_argument("--topology", required=True)
+    chk.add_argument("--workload", default=None)
 
     return parser
 
@@ -80,7 +81,9 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"wrote {tpath}\nwrote {wpath}")
             return 0
         if args.command == "check-config":
-            load_topology(args.topology)
+            topology = load_topology(args.topology)
+            if args.workload is not None:
+                load_workload(args.workload, topology)
             print("configuration OK")
             return 0
     except ConfigError as exc:

@@ -198,6 +198,16 @@ def _is_number(v: Any) -> bool:
     return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
+def _convert(raw: Any, conv: type, errors: list[str], path: str, fallback: Any) -> Any:
+    """conv(raw), or an error line and `fallback` when conv rejects raw; the
+    fallback only lets parsing go on to collect the other errors."""
+    try:
+        return conv(raw)
+    except (TypeError, ValueError, OverflowError):
+        errors.append(f"{path}: must be {'an integer' if conv is int else 'a number'}, got {raw!r}")
+        return fallback
+
+
 def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
     errors: list[str] = []
     attributes = []
@@ -263,13 +273,17 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
         connections.append(ConnectionSpec(c["from"], c["to"], coverage))
 
     a = doc.get("adaptive", {}) or {}
+
+    def count(name: str, default: int) -> int:
+        return _convert(a.get(name, default), int, errors, f"adaptive.{name}", default)
+
     adaptive = AdaptiveSpec(
         enabled=bool(a.get("enabled", False)),
-        t_split=int(a.get("t_split", 100)),
-        t_merge=int(a.get("t_merge", 20)),
-        window_buckets=int(a.get("window_buckets", 20)),
-        bucket_ms=int(a.get("bucket_ms", 100)),
-        period_buckets=int(a.get("period_buckets", 10)),
+        t_split=count("t_split", 100),
+        t_merge=count("t_merge", 20),
+        window_buckets=count("window_buckets", 20),
+        bucket_ms=count("bucket_ms", 100),
+        period_buckets=count("period_buckets", 10),
         rebalance=bool(a.get("rebalance", False)),
         roots=tuple(a.get("roots", ())),
     )
@@ -454,19 +468,22 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
     qpu_ids = {q.id for q in topology.qpus} if topology else None
     for i, p in enumerate(doc.get("phases", [])):
         path = f"phases[{i}]"
-        duration = int(p.get("duration", 0))
+        duration = _convert(p.get("duration", 0), int, errors, f"{path}.duration", 1)
         if duration <= 0:
             errors.append(f"{path}.duration: must be positive")
-        for rate_key in ("write_rate", "query_rate"):
-            if float(p.get(rate_key, 0.0)) < 0:
+        write_rate = _convert(p.get("write_rate", 0.0), float, errors, f"{path}.write_rate", 0.0)
+        query_rate = _convert(p.get("query_rate", 0.0), float, errors, f"{path}.query_rate", 0.0)
+        for rate_key, rate in (("write_rate", write_rate), ("query_rate", query_rate)):
+            if rate < 0:
                 errors.append(f"{path}.{rate_key}: must be >= 0")
-        frac = float(p.get("delete_fraction", 0.0))
+        frac = _convert(p.get("delete_fraction", 0.0), float, errors, f"{path}.delete_fraction", 0.0)
         if not 0.0 <= frac <= 1.0:
             errors.append(f"{path}.delete_fraction: must be in [0, 1]")
         limit = p.get("limit")
         if limit is not None and not (_is_int(limit) and limit >= 0):
             errors.append(f"{path}.limit: must be a non-negative integer, got {limit!r}")
-        if int(p.get("key_space", 100)) < 1:
+        key_space = _convert(p.get("key_space", 100), int, errors, f"{path}.key_space", 1)
+        if key_space < 1:
             errors.append(f"{path}.key_space: must be >= 1")
         if p.get("key_mode", "random") not in ("random", "sequential"):
             errors.append(f"{path}.key_mode: must be random or sequential")
@@ -478,10 +495,13 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
                 continue
             kind = d.get("dist")
             if kind == "uniform":
-                if "lo" not in d or "hi" not in d or not d["lo"] < d["hi"]:
-                    errors.append(f"{dpath}: uniform needs lo < hi")
+                lo, hi = d.get("lo"), d.get("hi")
+                if not (_is_number(lo) and _is_number(hi) and lo < hi):
+                    errors.append(f"{dpath}: uniform needs numbers lo < hi, got {lo!r} and {hi!r}")
             elif kind == "zipf":
-                if float(d.get("s", 0)) <= 0 or int(d.get("n", 0)) < 1:
+                s_exp = _convert(d.get("s", 0), float, errors, f"{dpath}.s", 1.0)
+                n = _convert(d.get("n", 0), int, errors, f"{dpath}.n", 1)
+                if s_exp <= 0 or n < 1:
                     errors.append(f"{dpath}: zipf needs s > 0 and n >= 1")
             elif kind == "choice":
                 if not d.get("values"):
@@ -499,10 +519,10 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
             for a in attrs:
                 if a not in dists:
                     errors.append(f"{spath}.attrs: {a!r} has no value distribution in this phase")
-            sel = float(s.get("selectivity", 0.0))
+            sel = _convert(s.get("selectivity", 0.0), float, errors, f"{spath}.selectivity", 0.0)
             if not 0.0 <= sel <= 1.0:
                 errors.append(f"{spath}.selectivity: must be in [0, 1]")
-            weight = float(s.get("weight", 1.0))
+            weight = _convert(s.get("weight", 1.0), float, errors, f"{spath}.weight", 1.0)
             if weight <= 0:
                 errors.append(f"{spath}.weight: must be positive")
             shapes.append(QueryShape(attrs, sel, weight))
@@ -511,14 +531,14 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
         wo_dcs = tuple(wo.get("dcs", ()))
         if wo_mode not in ("fixed", "round_robin", "by_placement"):
             errors.append(f"{path}.write_origin.mode: {wo_mode!r} unknown")
-        if float(p.get("write_rate", 0.0)) > 0 and not wo_dcs:
+        if write_rate > 0 and not wo_dcs:
             errors.append(f"{path}.write_origin.dcs: required when writes flow")
         if dc_ids is not None:
             for dc in wo_dcs:
                 if dc not in dc_ids:
                     errors.append(f"{path}.write_origin.dcs: unknown DC {dc!r}")
         qo = tuple(p.get("query_origin", ()))
-        if float(p.get("query_rate", 0.0)) > 0:
+        if query_rate > 0:
             if not shapes:
                 errors.append(f"{path}.query_shapes: required when queries flow")
             if not qo:
@@ -530,10 +550,10 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
         phases.append(
             PhaseSpec(
                 duration=duration,
-                write_rate=float(p.get("write_rate", 0.0)),
-                query_rate=float(p.get("query_rate", 0.0)),
+                write_rate=write_rate,
+                query_rate=query_rate,
                 delete_fraction=frac,
-                key_space=int(p.get("key_space", 100)),
+                key_space=key_space,
                 key_mode=p.get("key_mode", "random"),
                 attributes=dists,
                 query_shapes=shapes,
@@ -545,10 +565,12 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
         )
     if not phases:
         errors.append("phases: at least one phase is required")
+    seed = doc.get("seed")
+    if seed is not None:
+        seed = _convert(seed, int, errors, "seed", None)
     if errors:
         raise ConfigError(errors)
-    seed = doc.get("seed")
-    return WorkloadSpec(phases, None if seed is None else int(seed))
+    return WorkloadSpec(phases, seed)
 
 
 def load_topology(path: str | Path) -> TopologyConfig:

@@ -93,6 +93,13 @@ class PostingIndex:
     structure and must always be rebuildable from it. Index-local tombstones
     keep late stale ops from resurrecting removed keys, which makes the state
     a pure function of the set of ops applied.
+
+    Every effective apply bumps `seq`. Once the index has answered a pull,
+    it also moves the applied key to the end of an insertion-ordered
+    key -> seq map, so the keys changed after any sequence number are a
+    suffix of that map; indexes nobody pulls from keep no map. Registry rows
+    hold the op's own attrs dict; nothing mutates one in place, so rows and
+    replies share them.
     """
 
     def __init__(self, region: HyperRegion) -> None:
@@ -103,6 +110,9 @@ class PostingIndex:
         self.highwater: dict[str, int] = {}
         self.postings: dict[str, dict[AttrValue, set[str]]] = {a: {} for a in self.attrs}
         self.sorted_values: dict[str, list[AttrValue]] = {a: [] for a in self.attrs}
+        self.seq = 0
+        self.floor = 0  # seq of the last clear(); older requesters need a full reply
+        self._changed: dict[str, int] | None = None  # built by the first changes_since
 
     # -- mutation -----------------------------------------------------------
 
@@ -159,12 +169,16 @@ class PostingIndex:
         if prev is not None:
             self._unpost(op.key, prev[0])
         if op.kind == PUT and op.new_attrs is not None and self.region.contains(op.new_attrs):
-            self.registry[op.key] = (dict(op.new_attrs), op.version)
+            self.registry[op.key] = (op.new_attrs, op.version)
             self.tombstones.pop(op.key, None)
             self._post(op.key, op.new_attrs)
         else:
             self.registry.pop(op.key, None)
             self.tombstones[op.key] = op.version
+        self.seq += 1
+        if self._changed is not None:
+            self._changed.pop(op.key, None)
+            self._changed[op.key] = self.seq
         return True
 
     # -- lookup ---------------------------------------------------------------
@@ -218,20 +232,46 @@ class PostingIndex:
             rows.append((key, dict(attrs), version))
         for key in sorted(self.tombstones):
             rows.append((key, None, self.tombstones[key]))
-        return IndexSnapshot(self.region, tuple(rows), dict(self.highwater))
+        return IndexSnapshot(self.region, tuple(rows), dict(self.highwater), self.seq)
 
-    def absorb_rows(self, rows: Iterable[tuple[str, dict | None, Version]]) -> None:
+    def changes_since(self, since: int) -> IndexSnapshot:
+        """Pull reply for a requester that holds this index's state as of
+        sequence `since`: the current rows of the keys changed after it,
+        newest first, with tombstones as attrs=None. Costs O(changed keys).
+        A `since` below the floor predates the last clear(), whose removals
+        left no tombstones, so the reply then carries every row and is
+        marked full: the requester replaces what it holds."""
+        registry, tombstones = self.registry, self.tombstones
+        if self._changed is None:
+            # every key present counts as changed at the current seq
+            self._changed = dict.fromkeys([*registry, *tombstones], self.seq)
+        full = since < self.floor
+        rows: list[tuple[str, dict | None, Version]] = []
+        for key, seq in reversed(self._changed.items()):
+            if seq <= since and not full:
+                break
+            entry = registry.get(key)
+            rows.append((key, entry[0], entry[1]) if entry else (key, None, tombstones[key]))
+        return IndexSnapshot(self.region, tuple(rows), dict(self.highwater), self.seq, full)
+
+    def absorb_rows(self, rows: Iterable[tuple[str, dict | None, Version]]) -> int:
         """Merges snapshot rows by replaying them as ops; LWW makes the result
-        independent of row order."""
+        independent of row order. Returns how many rows changed the index."""
+        changed = 0
         for key, attrs, version in sorted(rows, key=lambda r: (r[0], r[2])):
             kind = PUT if attrs is not None else DELETE
-            self.apply(WriteOp(key, kind, dict(attrs) if attrs else None, None, version, ""))
+            changed += self.apply(WriteOp(key, kind, attrs, None, version, ""))
+        return changed
 
     def clear(self) -> None:
         self.registry.clear()
         self.tombstones.clear()
         self.postings = {a: {} for a in self.attrs}
         self.sorted_values = {a: [] for a in self.attrs}
+        if self._changed is not None:
+            self._changed.clear()
+        self.seq += 1
+        self.floor = self.seq
 
     def rebuilt_postings(self) -> dict[str, dict[AttrValue, set[str]]]:
         """Posting maps recomputed from the registry alone (coherence oracle)."""
@@ -433,7 +473,7 @@ class IndexQpu(QpuBase):
         if isinstance(msg, IndexUpdate):
             self.handle_update(k, msg)
         elif isinstance(msg, SnapshotRequest):
-            k.send(self.qpu_id, msg.reply_to, self.index.snapshot())
+            k.send(self.qpu_id, msg.reply_to, self.index.changes_since(msg.since))
         elif isinstance(msg, SplitCmd):
             self._start_split(k, msg)
         elif isinstance(msg, Handoff):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from .core import (
     HyperRegion,
@@ -18,6 +18,9 @@ from .core import (
 )
 from .simkernel import Actor, Kernel, Tick
 from .store import DcReplica
+
+if TYPE_CHECKING:
+    from .indexing import PostingIndex
 
 # A result row: (key, attribute snapshot, version at snapshot time).
 Entry = tuple[str, dict, Version]
@@ -41,7 +44,8 @@ class ResponseMsg:
 
 @dataclass(frozen=True)
 class SnapshotRequest:
-    """Pull request for an index snapshot (cache replicas, merge absorption)."""
+    """Pull request from a replica cache: `since` is the index sequence
+    number of the last reply it installed (0 before the first)."""
 
     since: int
     reply_to: str
@@ -51,11 +55,18 @@ class SnapshotRequest:
 class IndexSnapshot:
     """Index state on the wire: region bounds, registry rows as
     (key, attrs, version) with attrs=None marking an index-local tombstone,
-    and per-source high-water marks."""
+    per-source high-water marks, and the index's change sequence `seq` when
+    it was taken. A full snapshot carries every row and replaces the
+    receiver's state (handoffs, retirement, a pull after the index was
+    cleared). A delta (`full=False`), the usual reply to a pull, carries only
+    the rows of keys changed after the request's `since`, for the receiver
+    to merge into what it holds."""
 
     region: HyperRegion
     entries: tuple[tuple[str, dict | None, Version], ...]
     highwater: dict
+    seq: int = 0
+    full: bool = True
 
 
 @dataclass(frozen=True)
@@ -133,8 +144,10 @@ def audit_response(
     k: Kernel, qpu_id: str, qid: str, q: Query, entries: list[Entry], complete: bool, replica: DcReplica | None
 ) -> None:
     """Records, for every response, which returned keys fail the query against
-    the recheck replica at this instant. The detector is independent of the
-    recheck filter so disabling recheck makes stale results visible here."""
+    `replica` at this instant. The detector is independent of the recheck
+    filter so disabling recheck makes stale results visible here. Callers
+    pass no replica when recheck just ran against it: those entries match
+    it at this instant by construction, so the record has no violations."""
     violations: list[str] = []
     if replica is not None:
         matches = query_matcher(q)
@@ -288,12 +301,14 @@ class QpuBase(Actor):
 
     def _finish(self, k: Kernel, pend: _Pending) -> None:
         entries = dedupe_entries(pend.entries)
-        if self.recheck_on_finalize and self.recheck_enabled and self.recheck_replica is not None:
+        rechecked = self.recheck_on_finalize and self.recheck_enabled and self.recheck_replica is not None
+        if rechecked:
             entries = recheck(entries, pend.query, self.recheck_replica)
         complete = pend.complete and not pend.missing
         if pend.query.limit is not None:
             entries = entries[: pend.query.limit]
-        audit_response(k, self.qpu_id, pend.qid, pend.query, entries, complete, self.recheck_replica)
+        audit = None if rechecked else self.recheck_replica
+        audit_response(k, self.qpu_id, pend.qid, pend.query, entries, complete, audit)
         chain = pend.chain + [self.qpu_id]
         self.respond(k, pend, entries, complete, chain)
 
@@ -364,7 +379,13 @@ class FederationQpu(QpuBase):
 
 class CacheQpu(QpuBase):
     """Response cache (LRU + TTL over canonical queries) or, in replica mode,
-    a passive index copy refreshed by periodic pulls from its upstream."""
+    a passive index copy refreshed by periodic pulls from its upstream.
+
+    A replica cache answers from its own `PostingIndex`. Each pull sends the
+    `seq` of the last installed reply, and the upstream answers with a delta
+    of the rows changed since, which is replayed into the index; a full
+    reply (the first, or one after the upstream was cleared by a split)
+    replaces it."""
 
     def __init__(
         self,
@@ -390,7 +411,8 @@ class CacheQpu(QpuBase):
         self.forwarded = 0
         self._cache: OrderedDict[tuple, tuple[int, QueryResponse]] = OrderedDict()
         self._fills: dict[str, tuple] = {}
-        self._snapshot: IndexSnapshot | None = None
+        self._index: PostingIndex | None = None
+        self._snapshot: IndexSnapshot | None = None  # last installed pull reply
         self.pulls = 0
 
     # -- shared -------------------------------------------------------------
@@ -464,26 +486,30 @@ class CacheQpu(QpuBase):
 
     def pull_now(self, k: Kernel) -> None:
         self.pulls += 1
-        since = len(self._snapshot.entries) if self._snapshot else 0
+        since = self._snapshot.seq if self._snapshot else 0
         k.send(self.qpu_id, self._downstream().to, SnapshotRequest(since, self.qpu_id))
 
     def _install(self, k: Kernel, snap: IndexSnapshot) -> None:
-        if self._snapshot is None or self._snapshot.entries != snap.entries:
+        """Merges a pull reply; progress ticks only if the cached rows changed."""
+        if self._index is None or snap.full:
+            from .indexing import PostingIndex  # indexing imports this module
+
+            prev, index = self._index, PostingIndex(snap.region)
+            index.absorb_rows(snap.entries)
+            changed = prev is None or (prev.registry, prev.tombstones) != (index.registry, index.tombstones)
+            self._index = index
+        else:
+            changed = self._index.absorb_rows(snap.entries) > 0
+        if changed:
             k.probes.progress_tick()
         self._snapshot = snap
 
     def _replica_query(self, k: Kernel, m: QueryMsg) -> None:
-        if self._snapshot is None:
+        if self._index is None:
             self.answer(k, m, [], complete=False)
             return
-        matches = query_matcher(m.query)
-        entries: list[Entry] = []
-        for key, attrs, version in self._snapshot.entries:
-            if attrs is not None and matches(attrs):
-                entries.append((key, dict(attrs), version))
+        entries, _in_region = self._index.lookup(m.query)
         self.answer(k, m, entries)
 
     def snapshot_keys(self) -> set[str]:
-        if self._snapshot is None:
-            return set()
-        return {key for key, attrs, _v in self._snapshot.entries if attrs is not None}
+        return set(self._index.registry) if self._index is not None else set()

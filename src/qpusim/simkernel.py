@@ -93,12 +93,6 @@ class _Link:
         return self.base
 
 
-@dataclass
-class _Node:
-    node_id: str
-    capacity: float = 1.0
-
-
 class Kernel:
     """Single-threaded event loop over virtual integer milliseconds.
 
@@ -114,7 +108,7 @@ class Kernel:
         self.tracer: Callable[[int, int, str, Any], None] | None = None
         self._seq = 0
         self._heap: list[tuple[int, int, str, Any]] = []
-        self._nodes: dict[str, _Node] = {}
+        self._nodes: set[str] = set()
         self._links: dict[tuple[str, str], _Link] = {}
         self._actors: dict[str, Actor] = {}
         self._hosts: dict[str, str] = {}
@@ -122,10 +116,10 @@ class Kernel:
 
     # -- topology ---------------------------------------------------------
 
-    def add_node(self, node_id: str, capacity: float = 1.0) -> None:
+    def add_node(self, node_id: str) -> None:
         if node_id in self._nodes:
             raise SimError(f"duplicate node {node_id!r}")
-        self._nodes[node_id] = _Node(node_id, capacity)
+        self._nodes.add(node_id)
 
     def add_link(self, a: str, b: str, base_latency: int, jitter: int = 0) -> None:
         """Registers both directions with independent seeded jitter streams."""

@@ -391,7 +391,7 @@ class TestRebalance:
 
     def test_controller_rebind_moves_actor(self):
         k, rep, root, ctl, tracker, cl = controller_net()
-        k.add_node("spare", capacity=100)
+        k.add_node("spare")
         k.add_link("n", "spare", 1)
         ctl.rebalance = True
         ctl.capacities = {"n": 10.0, "spare": 100.0}

@@ -41,6 +41,12 @@ def zero_rate_workload():
     }
 
 
+def shaped_workload():
+    doc = zero_rate_workload()
+    doc["phases"][0]["query_shapes"] = [{"attrs": ["size"], "selectivity": 0.1, "weight": 2}]
+    return doc
+
+
 class TestTopologyValidation:
     def test_bundled_scenarios_load_cleanly(self):
         for name in SCENARIOS:
@@ -224,6 +230,28 @@ class TestWorkloadValidation:
     def test_phase_limit_zero_accepted(self):
         cfg = parse_topology(minimal_topology())
         assert parse_workload({"phases": [{"duration": 100, "limit": 0}]}, cfg).phases[0].limit == 0
+
+    @pytest.mark.parametrize("bounds", [{"lo": "a", "hi": 5}, {"lo": "a", "hi": "b"}, {"lo": 5}, {"lo": 5, "hi": 5}])
+    def test_uniform_bounds_must_be_increasing_numbers(self, bounds):
+        cfg = parse_topology(minimal_topology())
+        doc = {"phases": [{"duration": 100, "attributes": {"size": {"dist": "uniform", **bounds}}}]}
+        with pytest.raises(ConfigError) as err:
+            parse_workload(doc, cfg)
+        assert "phases[0].attributes.size: uniform needs numbers lo < hi" in str(err.value)
+
+    @pytest.mark.parametrize("params", [{"s": "steep", "n": 5}, {"s": 1.2, "n": "many"}])
+    def test_non_numeric_zipf_parameters_are_config_errors(self, params):
+        cfg = parse_topology(minimal_topology())
+        doc = {"phases": [{"duration": 100, "attributes": {"size": {"dist": "zipf", **params}}}]}
+        with pytest.raises(ConfigError) as err:
+            parse_workload(doc, cfg)
+        assert "phases[0].attributes.size." in str(err.value) and "must be a" in str(err.value)
+
+    def test_non_integer_seed_is_config_error(self):
+        cfg = parse_topology(minimal_topology())
+        with pytest.raises(ConfigError) as err:
+            parse_workload({"phases": [{"duration": 100}], "seed": "lucky"}, cfg)
+        assert "seed: must be an integer, got 'lucky'" in str(err.value)
 
     def test_zipf_parameters_checked(self):
         cfg = parse_topology(minimal_topology())
@@ -419,6 +447,44 @@ class TestCli:
         path.write_text(json.dumps(bad))
         assert self.run_cli("check-config", "--topology", str(path)) == 1
         assert "config error" in capsys.readouterr().err
+
+    def _check_config(self, tmp_path, topology, workload=None):
+        argv = ["check-config", "--topology", str(tmp_path / "topology.json")]
+        (tmp_path / "topology.json").write_text(json.dumps(topology))
+        if workload is not None:
+            (tmp_path / "workload.json").write_text(json.dumps(workload))
+            argv += ["--workload", str(tmp_path / "workload.json")]
+        return self.run_cli(*argv)
+
+    @pytest.mark.parametrize("field", ["t_split", "t_merge", "window_buckets", "bucket_ms", "period_buckets"])
+    def test_non_numeric_adaptive_field_is_config_error(self, tmp_path, capsys, field):
+        doc = minimal_topology(adaptive={"enabled": True, field: "many"})
+        assert self._check_config(tmp_path, doc) == 1
+        assert f"config error: adaptive.{field}: must be an integer, got 'many'" in capsys.readouterr().err
+
+    def test_check_config_accepts_a_valid_workload(self, tmp_path, capsys):
+        assert self._check_config(tmp_path, minimal_topology(), shaped_workload()) == 0
+        assert "configuration OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "field,path",
+        [
+            ("duration", "phases[0].duration"),
+            ("key_space", "phases[0].key_space"),
+            ("write_rate", "phases[0].write_rate"),
+            ("query_rate", "phases[0].query_rate"),
+            ("delete_fraction", "phases[0].delete_fraction"),
+            ("selectivity", "phases[0].query_shapes[0].selectivity"),
+            ("weight", "phases[0].query_shapes[0].weight"),
+        ],
+    )
+    def test_non_numeric_workload_field_is_config_error(self, tmp_path, capsys, field, path):
+        doc = shaped_workload()
+        phase = doc["phases"][0]
+        (phase["query_shapes"][0] if "query_shapes" in path else phase)[field] = "long"
+        assert self._check_config(tmp_path, minimal_topology(), doc) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {path}: must be " in err and "got 'long'" in err
 
     def test_missing_file_exits_1(self, capsys):
         assert self.run_cli("check-config", "--topology", "/nonexistent.json") == 1

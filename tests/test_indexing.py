@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpusim.core import Kind, Predicate, Query, Version, make_attrs, query_matches
+from qpusim.core import AttrValue, Kind, Predicate, Query, Version, make_attrs, query_matches
 from qpusim.indexing import (
     FilterQpu,
     IndexQpu,
@@ -16,7 +16,7 @@ from qpusim.indexing import (
     StampedOp,
     filter_targets,
 )
-from qpusim.qpunet import QueryMsg, recheck
+from qpusim.qpunet import CacheQpu, Connection, QueryMsg, recheck
 from qpusim.simkernel import Kernel
 from qpusim.store import DELETE, PUT, ClientDelete, ClientWrite, DcReplica, WriteOp
 
@@ -249,6 +249,150 @@ class TestIndexQpuPipeline:
         iq.handle_update(k, u)
         iq.handle_update(k, u)
         assert registry_keys(iq.index) == {"a"}
+
+
+def pull_net(region=FULL):
+    """An index QPU and a replica cache pulling from it on one node."""
+    k = Kernel(seed=0)
+    k.add_node("n")
+    iq = IndexQpu("iq", region)
+    k.register(iq, "n")
+    cq = CacheQpu("cq", SCHEMA, mode="replica")
+    cq.connect(Connection("iq", region))
+    k.register(cq, "n")
+    return k, iq, cq
+
+
+def pull(k, cq):
+    """One pull, run to completion; returns the installed reply and whether
+    it ticked progress."""
+    before = k.probes.progress
+    cq.pull_now(k)
+    k.run_until_empty()
+    return cq._snapshot, k.probes.progress > before
+
+
+LOOKUPS = [
+    Query.of([Predicate.between("size", 0, 10)]),
+    Query.of([Predicate.between("size", 5, 60)]),
+    Query.of([Predicate.equals("genre", "a")]),
+    Query.of([Predicate.between("size", 20, 45), Predicate.equals("genre", "b")]),
+]
+
+PULL_ACTIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 7), st.integers(0, 99), st.sampled_from("ab")),
+        st.tuples(st.just("delete"), st.integers(0, 7)),
+        st.tuples(st.just("upgrade"), st.integers(0, 7), st.integers(0, 49), st.booleans()),
+        st.tuples(st.just("stale"), st.integers(0, 7)),
+        st.just(("clear",)),
+        st.just(("pull",)),
+    ),
+    max_size=60,
+)
+
+
+class TestIncrementalPulls:
+    @settings(max_examples=150, deadline=None)
+    @given(PULL_ACTIONS)
+    def test_delta_fed_cache_equals_upstream(self, actions):
+        """Puts, in-place updates, moves out of the region, deletes, stale
+        ops, equal-version tombstone->put upgrades and clears, with pulls
+        in between: after every pull the cache holds exactly the upstream's
+        rows and tombstones, answers lookups as a scan of its snapshot does,
+        got only the changed keys, and ticked iff the snapshot changed."""
+        k, iq, cq = pull_net(make_region(size=(0, 50), genre=(None, None)))
+        up = iq.index
+        ts = 0
+        changed: set[str] = set()
+        cleared = False
+        last_entries = None
+
+        def apply(op):
+            if up.apply(op):
+                changed.add(op.key)
+
+        def check_pull():
+            nonlocal changed, cleared, last_entries
+            reply, ticked = pull(k, cq)
+            keys = {row[0] for row in reply.entries}
+            if reply.full:
+                assert cleared
+                assert keys == set(up.registry) | set(up.tombstones)
+            else:
+                assert keys == changed
+            assert cq._index.registry_bytes() == up.registry_bytes()
+            assert cq._index.tombstones == up.tombstones
+            assert cq.snapshot_keys() == set(up.registry)
+            entries = up.snapshot().entries
+            assert ticked == (entries != last_entries)
+            for q in LOOKUPS:
+                scan = [(key, a, v) for key, a, v in entries if a is not None and query_matches(q, a)]
+                assert cq._index.lookup(q)[0] == scan
+            changed, cleared, last_entries = set(), False, entries
+
+        for action in actions:
+            if action[0] == "put":
+                _, n, size, genre = action
+                ts += 1
+                apply(put_op(f"k{n}", ts, size=size, genre=genre))
+            elif action[0] == "delete":
+                ts += 1
+                apply(del_op(f"k{action[1]}", ts))
+            elif action[0] == "upgrade":
+                _, n, size, pull_between = action
+                ts += 1
+                apply(del_op(f"k{n}", ts))
+                if pull_between:
+                    check_pull()
+                apply(put_op(f"k{n}", ts, size=size, genre="a"))
+            elif action[0] == "stale":
+                apply(put_op(f"k{action[1]}", 0, origin="dc0", size=1, genre="b"))
+            elif action[0] == "clear":
+                up.clear()
+                changed, cleared = set(up.registry), True
+            else:
+                check_pull()
+        check_pull()
+
+    def test_pull_without_writes_is_empty_and_does_not_tick(self):
+        k, iq, cq = pull_net()
+        iq.index.apply(put_op("k1", 1, size=5, genre="a"))
+        first, ticked = pull(k, cq)
+        assert ticked and [row[0] for row in first.entries] == ["k1"]
+        again, ticked = pull(k, cq)
+        assert again.entries == () and not again.full and not ticked
+        assert cq.snapshot_keys() == {"k1"}
+
+    def test_pull_after_clear_is_full_and_resets_the_cache(self):
+        k, iq, cq = pull_net()
+        iq.index.apply(put_op("k1", 1, size=5, genre="a"))
+        iq.index.apply(del_op("k2", 2))
+        pull(k, cq)
+        iq.index.clear()
+        reply, ticked = pull(k, cq)
+        assert reply.full and reply.entries == () and ticked
+        assert cq.snapshot_keys() == set() and cq._index.tombstones == {}
+        iq.index.apply(put_op("k3", 3, size=7, genre="b"))
+        reply, ticked = pull(k, cq)
+        assert not reply.full and [row[0] for row in reply.entries] == ["k3"] and ticked
+        assert cq.snapshot_keys() == {"k3"}
+
+    def test_mutating_a_written_dict_changes_neither_index_nor_cache(self):
+        k, rep, flt, iq, cl = single_index_net()
+        cq = CacheQpu("cq", SCHEMA, mode="replica")
+        cq.connect(Connection("iq", FULL))
+        k.register(cq, "n-idx")
+        attrs = make_attrs({"size": 5, "genre": "a"})
+        rep.put(k, "k1", attrs)
+        k.run_until_empty()
+        pull(k, cq)
+        attrs["size"] = AttrValue.of(90)
+        q = Query.of([Predicate.between("size", 0, 10)])
+        for idx in (iq.index, cq._index):
+            assert idx.registry["k1"][0]["size"] == AttrValue.of(5)
+            assert [e[0] for e in idx.lookup(q)[0]] == ["k1"]
+            assert idx.postings == idx.rebuilt_postings()
 
 
 class TestMergeIngest:
