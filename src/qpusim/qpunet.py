@@ -56,11 +56,11 @@ class IndexSnapshot:
     """Index state on the wire: region bounds, registry rows as
     (key, attrs, version) with attrs=None marking an index-local tombstone,
     per-source high-water marks, and the index's change sequence `seq` when
-    it was taken. A full snapshot carries every row and replaces the
-    receiver's state (handoffs, retirement, a pull after the index was
-    cleared). A delta (`full=False`), the usual reply to a pull, carries only
-    the rows of keys changed after the request's `since`, for the receiver
-    to merge into what it holds."""
+    it was taken. A full snapshot (the default) carries every row: handoffs,
+    retirement, and the reply to a pull that predates the index's last
+    clear(), whose receiver starts over from it. A delta (`full=False`), the
+    usual reply to a pull, carries only the rows of keys changed after the
+    request's `since`, for the receiver to merge into what it holds."""
 
     region: HyperRegion
     entries: tuple[tuple[str, dict | None, Version], ...]
