@@ -208,6 +208,16 @@ def _convert(raw: Any, conv: type, errors: list[str], path: str, fallback: Any) 
         return fallback
 
 
+def _flag(doc: Mapping[str, Any], name: str, default: bool, errors: list[str], path: str) -> bool:
+    """doc[name] when it is JSON true or false, `default` when absent; any
+    other value is an error line, since bool() would read "no" as true."""
+    raw = doc.get(name, default)
+    if isinstance(raw, bool):
+        return raw
+    errors.append(f"{path}: must be true or false, got {raw!r}")
+    return default
+
+
 def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
     errors: list[str] = []
     attributes = []
@@ -251,7 +261,8 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
         placement = None
         if d.get("placement") is not None:
             placement = parse_region(d["placement"], schema, errors, f"dcs[{i}].placement")
-        dcs.append(DcSpec(d["id"], d["node"], bool(d.get("full_replica", True)), placement))
+        full_replica = _flag(d, "full_replica", True, errors, f"dcs[{i}].full_replica")
+        dcs.append(DcSpec(d["id"], d["node"], full_replica, placement))
 
     qpus = []
     for i, q in enumerate(doc.get("qpus", [])):
@@ -278,13 +289,13 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
         return _convert(a.get(name, default), int, errors, f"adaptive.{name}", default)
 
     adaptive = AdaptiveSpec(
-        enabled=bool(a.get("enabled", False)),
+        enabled=_flag(a, "enabled", False, errors, "adaptive.enabled"),
         t_split=count("t_split", 100),
         t_merge=count("t_merge", 20),
         window_buckets=count("window_buckets", 20),
         bucket_ms=count("bucket_ms", 100),
         period_buckets=count("period_buckets", 10),
-        rebalance=bool(a.get("rebalance", False)),
+        rebalance=_flag(a, "rebalance", False, errors, "adaptive.rebalance"),
         roots=tuple(a.get("roots", ())),
     )
 
@@ -296,7 +307,7 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
         qpus=qpus,
         connections=connections,
         adaptive=adaptive,
-        disable_recheck=bool(doc.get("debug", {}).get("disable_recheck", False)),
+        disable_recheck=_flag(doc.get("debug", {}), "disable_recheck", False, errors, "debug.disable_recheck"),
     )
     errors.extend(validate_topology(cfg))
     if errors:

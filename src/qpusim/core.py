@@ -382,6 +382,12 @@ def _predicate_interval(p: Predicate) -> Interval:
     return Interval(*_predicate_bounds(p))
 
 
+def query_bounds(q: Query) -> list[tuple[str, AttrValue | None, AttrValue | None]]:
+    """(attr, lo, hi) per predicate: the closed-open bounds of
+    _predicate_bounds, which may be empty but never raise."""
+    return [(p.attr, *_predicate_bounds(p)) for p in q.predicates]
+
+
 def query_matcher(q: Query) -> Callable[[AttrMap], bool]:
     """Compiles q once into raw closed-open bounds per attribute. The returned
     function answers as query_matches(q, attrs) does, raising KindMismatch on

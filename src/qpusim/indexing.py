@@ -5,7 +5,6 @@ index from many ingest points, and the split/merge handoff protocol."""
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -15,7 +14,7 @@ from .core import (
     HyperRegion,
     Query,
     Version,
-    query_matcher,
+    query_bounds,
     query_to_region,
     region_to_query,
 )
@@ -29,7 +28,7 @@ from .qpunet import (
     decompose,
 )
 from .simkernel import Actor, Kernel, Tick
-from .store import DELETE, DcReplica, LogEntry, PUT, WriteOp
+from .store import DELETE, DcReplica, LogEntry, PostingSets, PUT, WriteOp
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,8 @@ class ControlDone:
     children: tuple[tuple[str, HyperRegion], ...] = ()
 
 
-class PostingIndex:
-    """Per-attribute sorted posting maps plus a key registry for one region.
+class PostingIndex(PostingSets):
+    """Per-attribute posting sets plus a key registry for one region.
 
     The registry is authoritative; posting sets are a derived acceleration
     structure and must always be rebuildable from it. Index-local tombstones
@@ -103,13 +102,11 @@ class PostingIndex:
     """
 
     def __init__(self, region: HyperRegion) -> None:
+        super().__init__(region.attrs)
         self.region = region
-        self.attrs = region.attrs
         self.registry: dict[str, tuple[dict, Version]] = {}
         self.tombstones: dict[str, Version] = {}
         self.highwater: dict[str, int] = {}
-        self.postings: dict[str, dict[AttrValue, set[str]]] = {a: {} for a in self.attrs}
-        self.sorted_values: dict[str, list[AttrValue]] = {a: [] for a in self.attrs}
         self.seq = 0
         self.floor = 0  # seq of the last clear(); older requesters need a full reply
         self._changed: dict[str, int] | None = None  # built by the first changes_since
@@ -121,31 +118,6 @@ class PostingIndex:
         reg_v = entry[1] if entry else Version(0, "")
         tomb_v = self.tombstones.get(key, Version(0, ""))
         return max(reg_v, tomb_v)
-
-    def _post(self, key: str, attrs: dict) -> None:
-        for a in self.attrs:
-            v = attrs.get(a)
-            if v is None:
-                continue
-            bucket = self.postings[a].get(v)
-            if bucket is None:
-                bucket = self.postings[a][v] = set()
-                insort(self.sorted_values[a], v)
-            bucket.add(key)
-
-    def _unpost(self, key: str, attrs: dict) -> None:
-        for a in self.attrs:
-            v = attrs.get(a)
-            if v is None:
-                continue
-            bucket = self.postings[a].get(v)
-            if bucket is None:
-                continue
-            bucket.discard(key)
-            if not bucket:
-                del self.postings[a][v]
-                vals = self.sorted_values[a]
-                vals.pop(bisect_left(vals, v))
 
     def apply(self, op: WriteOp) -> bool:
         """Idempotent last-writer-wins apply. Removal uses the previous registry
@@ -167,11 +139,11 @@ class PostingIndex:
                 return False
         prev = self.registry.get(op.key)
         if prev is not None:
-            self._unpost(op.key, prev[0])
+            self.unpost(op.key, prev[0])
         if op.kind == PUT and op.new_attrs is not None and self.region.contains(op.new_attrs):
             self.registry[op.key] = (op.new_attrs, op.version)
             self.tombstones.pop(op.key, None)
-            self._post(op.key, op.new_attrs)
+            self.post(op.key, op.new_attrs)
         else:
             self.registry.pop(op.key, None)
             self.tombstones[op.key] = op.version
@@ -183,44 +155,22 @@ class PostingIndex:
 
     # -- lookup ---------------------------------------------------------------
 
-    def _range_size(self, attr: str, lo: AttrValue | None, hi: AttrValue | None) -> tuple[int, int]:
-        vals = self.sorted_values[attr]
-        lo_i = 0 if lo is None else bisect_left(vals, lo)
-        hi_i = len(vals) if hi is None else bisect_left(vals, hi)
-        return lo_i, hi_i
-
     def lookup(self, q: Query) -> tuple[list[Entry], bool]:
-        """Range-walks the narrowest posting map (fewest distinct values in
-        range) and filters the candidates against the remaining predicates.
-        Returns (entries, in_region); in_region is False when the query region
-        misses this index's region entirely."""
+        """The registry rows matching q, in key order, from keys_in over the
+        query's own bounds. The result is exact without a per-row filter:
+        every registry row lies in this index's region. Returns (entries,
+        in_region); in_region is False when the query region misses this
+        index's region entirely."""
         region = query_to_region(q, self.attrs)
         if region is None:
             raise ValueError("query constrains attributes outside the indexed dimensions")
-        clipped = region.clip(self.region)
-        if clipped is None:
+        if region.clip(self.region) is None:
             return [], False
-        driver: str | None = None
-        best_span: tuple[int, int] | None = None
-        for name, iv in clipped:
-            if iv.is_full:
-                continue
-            span = self._range_size(name, iv.lo, iv.hi)
-            if best_span is None or (span[1] - span[0]) < (best_span[1] - best_span[0]):
-                driver, best_span = name, span
-        if driver is None or best_span is None:
-            candidates = set(self.registry)
-        else:
-            vals = self.sorted_values[driver]
-            candidates = set()
-            for v in vals[best_span[0] : best_span[1]]:
-                candidates.update(self.postings[driver][v])
-        matches = query_matcher(q)
+        registry = self.registry
         out: list[Entry] = []
-        for key in sorted(candidates):
-            attrs, version = self.registry[key]
-            if matches(attrs):
-                out.append((key, dict(attrs), version))
+        for key in sorted(self.keys_in(query_bounds(q))):
+            attrs, version = registry[key]
+            out.append((key, dict(attrs), version))
         return out, True
 
     # -- snapshots ---------------------------------------------------------------

@@ -408,7 +408,6 @@ class CacheQpu(QpuBase):
         self.active = True
         self.hits = 0
         self.misses = 0
-        self.forwarded = 0
         self._cache: OrderedDict[tuple, tuple[int, QueryResponse]] = OrderedDict()
         self._fills: dict[str, tuple] = {}
         self._index: PostingIndex | None = None
@@ -457,7 +456,6 @@ class CacheQpu(QpuBase):
         if hit is not None:
             del self._cache[ck]  # expired
         self.misses += 1
-        self.forwarded += 1
         k.probes.emit({"type": "cache", "qpu": self.qpu_id, "hit": False})
         conn = self._downstream()
         sub_qid = self._next_qid()

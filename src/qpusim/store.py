@@ -3,11 +3,13 @@ asynchronous last-writer-wins replication, and per-DC ordered update logs."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .core import (
     AttrMap,
+    AttrValue,
     HyperRegion,
     IngestError,
     Kind,
@@ -15,7 +17,7 @@ from .core import (
     StoredObject,
     Version,
     check_attrs,
-    query_matcher,
+    query_bounds,
 )
 from .simkernel import Actor, Kernel, SimError
 
@@ -60,6 +62,69 @@ class Replicate:
     op: WriteOp
 
 
+class PostingSets:
+    """Per-attribute posting sets: for each attribute, value -> keys holding
+    it, and the attribute's distinct values in sorted order. Keys are posted
+    and unposted with the attrs dict they are stored under; a key lacking an
+    attribute is in none of its sets."""
+
+    def __init__(self, attrs: Iterable[str]) -> None:
+        self.attrs = tuple(attrs)
+        self.postings: dict[str, dict[AttrValue, set[str]]] = {a: {} for a in self.attrs}
+        self.sorted_values: dict[str, list[AttrValue]] = {a: [] for a in self.attrs}
+
+    def post(self, key: str, attrs: AttrMap) -> None:
+        for a in self.attrs:
+            v = attrs.get(a)
+            if v is None:
+                continue
+            bucket = self.postings[a].get(v)
+            if bucket is None:
+                bucket = self.postings[a][v] = set()
+                insort(self.sorted_values[a], v)
+            bucket.add(key)
+
+    def unpost(self, key: str, attrs: AttrMap) -> None:
+        for a in self.attrs:
+            v = attrs.get(a)
+            if v is None:
+                continue
+            bucket = self.postings[a].get(v)
+            if bucket is None:
+                continue
+            bucket.discard(key)
+            if not bucket:
+                del self.postings[a][v]
+                vals = self.sorted_values[a]
+                vals.pop(bisect_left(vals, v))
+
+    def keys_in(self, bounds: Iterable[tuple[str, AttrValue | None, AttrValue | None]]) -> set[str]:
+        """Keys whose value of every bounded attribute lies in its closed-open
+        range [lo, hi), None being unbounded; no bounds match nothing.
+        Bisects every attribute's sorted values first, so a bound of another
+        kind than a non-empty value list raises KindMismatch. Then takes the
+        union of the posting sets in each range and intersects the unions,
+        fewest distinct values first, stopping once the result is empty. An
+        attribute without posting sets, or an empty range, matches nothing."""
+        spans = []
+        for attr, lo, hi in bounds:
+            vals = self.sorted_values.get(attr, [])
+            i = 0 if lo is None else bisect_left(vals, lo)
+            j = len(vals) if hi is None else bisect_left(vals, hi)
+            spans.append((j - i, attr, i, j))
+        spans.sort()
+        keys: set[str] | None = None
+        for width, attr, i, j in spans:
+            if width <= 0:
+                return set()
+            postings = self.postings[attr]
+            union = set().union(*[postings[v] for v in self.sorted_values[attr][i:j]])
+            keys = union if keys is None else keys & union
+            if not keys:
+                break
+        return keys or set()
+
+
 class DcReplica(Actor):
     """One data centre's replica.
 
@@ -90,6 +155,7 @@ class DcReplica(Actor):
         self.log: list[LogEntry] = []
         self.clock = 0
         self._subscribers: list[str] = []
+        self._postings: PostingSets | None = None  # built by the first scan
 
     # -- message plane ------------------------------------------------------
 
@@ -156,9 +222,14 @@ class DcReplica(Actor):
         return attrs is not None and self.placement.contains(attrs)
 
     def _apply_state(self, key: str, op: WriteOp) -> None:
+        postings = self._postings
+        if postings is not None and key in self.objects:
+            postings.unpost(key, self.objects[key].attrs)
         if op.kind == PUT and self._placed(op.new_attrs):
-            self.objects[key] = StoredObject(key, dict(op.new_attrs or {}), op.version)
+            obj = self.objects[key] = StoredObject(key, dict(op.new_attrs or {}), op.version)
             self.tombstones.pop(key, None)
+            if postings is not None:
+                postings.post(key, obj.attrs)
         else:
             self.objects.pop(key, None)
             self.tombstones[key] = op.version
@@ -180,10 +251,19 @@ class DcReplica(Actor):
         return self.objects.get(key)
 
     def scan(self, q: Query) -> list[StoredObject]:
-        """Matching objects in key order; only the matches are sorted."""
-        matches = query_matcher(q)
+        """Matching objects in key order, found with PostingSets.keys_in and
+        never by visiting every object. The posting sets are built from
+        `objects` at the first scan and kept current by every later write,
+        so a replica that is never scanned keeps none. A predicate on an
+        attribute outside the schema, or one no value satisfies, matches
+        nothing."""
+        postings = self._postings
+        if postings is None:
+            postings = self._postings = PostingSets(self.schema)
+            for key, obj in self.objects.items():
+                postings.post(key, obj.attrs)
         objects = self.objects
-        return [objects[key] for key in sorted(key for key, o in objects.items() if matches(o.attrs))]
+        return [objects[key] for key in sorted(postings.keys_in(query_bounds(q)))]
 
     def state_fingerprint(self) -> tuple:
         """(objects, tombstones) content; equal fingerprints mean converged replicas."""

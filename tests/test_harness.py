@@ -462,6 +462,25 @@ class TestCli:
         assert self._check_config(tmp_path, doc) == 1
         assert f"config error: adaptive.{field}: must be an integer, got 'many'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path,flags",
+        [
+            ("dcs[0].full_replica", {"dcs": [{"id": "dc1", "node": "n1", "full_replica": "false"}]}),
+            ("adaptive.enabled", {"adaptive": {"enabled": "no"}}),
+            ("adaptive.rebalance", {"adaptive": {"rebalance": 1}}),
+            ("debug.disable_recheck", {"debug": {"disable_recheck": "yes"}}),
+        ],
+    )
+    def test_non_boolean_flag_is_config_error(self, tmp_path, capsys, path, flags):
+        assert self._check_config(tmp_path, minimal_topology(**flags)) == 1
+        assert f"config error: {path}: must be true or false, got " in capsys.readouterr().err
+
+    def test_absent_flags_keep_their_defaults(self):
+        cfg = parse_topology(minimal_topology())
+        assert cfg.dcs[0].full_replica is True
+        assert cfg.adaptive.enabled is False and cfg.adaptive.rebalance is False
+        assert cfg.disable_recheck is False
+
     def test_check_config_accepts_a_valid_workload(self, tmp_path, capsys):
         assert self._check_config(tmp_path, minimal_topology(), shaped_workload()) == 0
         assert "configuration OK" in capsys.readouterr().out

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpusim.core import AttrValue, Kind, Predicate, Query, Version, make_attrs, query_matches
+from qpusim.core import AttrValue, Kind, Predicate, Query, Version, make_attrs, query_bounds, query_matches
 from qpusim.indexing import (
     FilterQpu,
     IndexQpu,
@@ -393,6 +393,124 @@ class TestIncrementalPulls:
             assert idx.registry["k1"][0]["size"] == AttrValue.of(5)
             assert [e[0] for e in idx.lookup(q)[0]] == ["k1"]
             assert idx.postings == idx.rebuilt_postings()
+
+
+MIXED_SCHEMA = {"size": Kind.INT, "weight": Kind.FLOAT, "genre": Kind.TEXT}
+MIXED_VALUES = {
+    "size": st.integers(0, 9),
+    "weight": st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0]),
+    "genre": st.sampled_from(["a", "ab", "b", "c"]),
+}
+
+
+@st.composite
+def mixed_predicate(draw, attr):
+    """Two-sided or one-sided, each bound inclusive or exclusive; two-sided
+    int predicates such as (5, 6) exclusive hold no value at all."""
+    lo, hi = sorted([draw(MIXED_VALUES[attr]), draw(MIXED_VALUES[attr])])
+    lo_inc, hi_inc = draw(st.booleans()), draw(st.booleans())
+    side = draw(st.sampled_from(["both", "lower", "upper"]))
+    if side == "lower":
+        return Predicate(attr, AttrValue.of(lo), None, lo_inc)
+    if side == "upper":
+        return Predicate(attr, None, AttrValue.of(hi), upper_inclusive=hi_inc)
+    if lo == hi:
+        lo_inc = hi_inc = True
+    return Predicate(attr, AttrValue.of(lo), AttrValue.of(hi), lo_inc, hi_inc)
+
+
+MIXED_QUERIES = st.lists(
+    st.lists(st.sampled_from(sorted(MIXED_SCHEMA)), min_size=1, max_size=3, unique=True).flatmap(
+        lambda attrs: st.tuples(*[mixed_predicate(a) for a in attrs]).map(Query.of)
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+EXACT_ACTIONS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.sampled_from(["dc1", "dc2"]),
+            st.integers(0, 7),
+            st.fixed_dictionaries({}, optional=MIXED_VALUES),
+        ),
+        st.tuples(st.just("delete"), st.sampled_from(["dc1", "dc2"]), st.integers(0, 7)),
+        st.just(("deliver",)),
+        st.just(("scan",)),
+    ),
+    max_size=50,
+)
+
+
+class TestExactPostingSets:
+    @settings(max_examples=200, deadline=None)
+    @given(EXACT_ACTIONS, MIXED_QUERIES)
+    def test_scans_and_lookups_equal_a_matching_loop(self, actions, queries):
+        """Puts (in place, with missing attributes, in and out of the edge
+        placement), deletes and replicated ops at two full replicas and an
+        edge replica. The first "scan" action builds each replica's posting
+        sets from the objects written so far; from then on the queries run
+        after every action, so every later write goes through posting
+        maintenance. Every scan, and every lookup of a full and a clipped
+        index fed by dc1's log, returns exactly the key-ordered rows a
+        query_matches loop selects."""
+        k = Kernel(seed=0)
+        for node in ("n1", "n2", "n3"):
+            k.add_node(node)
+        k.add_link("n1", "n2", 3)
+        k.add_link("n1", "n3", 2)
+        k.add_link("n2", "n3", 4)
+        placement = make_region(size=(0, 6), weight=(None, None), genre=(None, None))
+        reps = [
+            DcReplica("dc1", MIXED_SCHEMA, peers=("dc2", "edge")),
+            DcReplica("dc2", MIXED_SCHEMA, peers=("dc1", "edge")),
+            DcReplica("edge", MIXED_SCHEMA, full_replica=False, placement=placement),
+        ]
+        for rep, node in zip(reps, ("n1", "n2", "n3")):
+            k.register(rep, node)
+        by_id = {rep.dc_id: rep for rep in reps}
+        dc1 = by_id["dc1"]
+        indexes = [
+            PostingIndex(make_region(size=(None, None), weight=(None, None), genre=(None, None))),
+            PostingIndex(make_region(size=(2, 8), weight=(0.5, 3.0), genre=(None, None))),
+        ]
+        fed = 0
+
+        def check():
+            nonlocal fed
+            for entry in dc1.log[fed:]:
+                for idx in indexes:
+                    idx.apply(entry.op)
+            fed = len(dc1.log)
+            for q in queries:
+                for rep in reps:
+                    expected = [o for _key, o in sorted(rep.objects.items()) if query_matches(q, o.attrs)]
+                    assert rep.scan(q) == expected
+                if any(lo is not None and hi is not None and not lo < hi for _a, lo, hi in query_bounds(q)):
+                    continue  # lookup maps q to a region first, which rejects an empty predicate
+                for idx in indexes:
+                    expected = [
+                        (key, o.attrs, o.version)
+                        for key, o in sorted(dc1.objects.items())
+                        if idx.region.contains(o.attrs) and query_matches(q, o.attrs)
+                    ]
+                    assert idx.lookup(q)[0] == expected
+
+        built = False
+        for action in actions:
+            if action[0] == "put":
+                _, dc, n, raw = action
+                by_id[dc].put(k, f"k{n}", make_attrs(raw))
+            elif action[0] == "delete":
+                by_id[action[1]].delete(k, f"k{action[2]}")
+            elif action[0] == "deliver":
+                k.run_until_empty()
+            built = built or action[0] == "scan"
+            if built:
+                check()
+        k.run_until_empty()
+        check()
 
 
 class TestMergeIngest:

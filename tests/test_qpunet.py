@@ -304,9 +304,9 @@ class TestResponseCache:
         rep.put(k, "k1", make_attrs({"size": 5}))
         k.run_until_empty()
         run_query(k, cl, "cq", q_size(0, 10))
-        forwarded_before = cq.forwarded
+        misses_before = cq.misses
         resp = run_query(k, cl, "cq", q_size(0, 10))
-        assert cq.forwarded == forwarded_before  # zero forwarded sub-queries
+        assert cq.misses == misses_before  # zero forwarded sub-queries
         assert cq.hits == 1
         assert [e[0] for e in resp.entries] == ["k1"]
 

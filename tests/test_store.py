@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qpusim.core import IngestError, Kind, Predicate, Query, make_attrs
+from qpusim.core import AttrValue, IngestError, Kind, KindMismatch, Predicate, Query, make_attrs
 from qpusim.simkernel import Actor, Kernel, SimError
 from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, DELETE, PUT
 
@@ -145,6 +145,30 @@ class TestGetScan:
         reps["dc1"].put(k, "k2", make_attrs({"size": 500}))
         q = Query.of([Predicate.between("size", 0, 100)])
         assert [o.key for o in reps["dc1"].scan(q)] == ["k1"]
+
+    def test_scan_empty_predicate_matches_nothing(self):
+        k, reps = build()
+        for size in (5, 6):
+            reps["dc1"].put(k, f"k{size}", make_attrs({"size": size}))
+        # the integers strictly between 5 and 6
+        q = Query.of([Predicate("size", AttrValue.of(5), AttrValue.of(6), False, False)])
+        assert reps["dc1"].scan(q) == []
+        assert reps["dc1"].scan(q) == []  # once more, from the built posting sets
+
+    def test_scan_attribute_outside_schema_matches_nothing(self):
+        k, reps = build()
+        reps["dc1"].put(k, "k1", make_attrs({"size": 5}))
+        assert reps["dc1"].scan(Query.of([Predicate.between("colour", 0, 10)])) == []
+        q = Query.of([Predicate.between("colour", 0, 10), Predicate.between("size", 0, 10)])
+        assert reps["dc1"].scan(q) == []
+
+    def test_scan_predicate_of_another_kind_raises_once_values_exist(self):
+        k, reps = build()
+        q = Query.of([Predicate.between("size", "a", "z")])
+        assert reps["dc1"].scan(q) == []
+        reps["dc1"].put(k, "k1", make_attrs({"size": 5}))
+        with pytest.raises(KindMismatch):
+            reps["dc1"].scan(q)
 
     def test_scan_matches_independent_filter_loop(self):
         k, reps = build()
