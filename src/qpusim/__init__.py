@@ -11,8 +11,6 @@ from .core import (
     Query,
     StoredObject,
     Version,
-    eval_predicate,
-    eval_query,
     query_to_region,
     region_to_query,
 )
@@ -33,8 +31,6 @@ __all__ = [
     "StoredObject",
     "Version",
     "WriteOp",
-    "eval_predicate",
-    "eval_query",
     "query_to_region",
     "region_to_query",
     "__version__",

@@ -121,6 +121,11 @@ class Version:
 
 @dataclass(frozen=True)
 class StoredObject:
+    """An object as a replica holds it. `attrs` is the dict of the write that
+    set it, shared with that write's op, the replica logs, index registries
+    and every result row built from it; no code mutates one in place. The only
+    copy is taken where a client's dict enters the store (DcReplica.put)."""
+
     key: str
     attrs: dict[str, AttrValue]
     version: Version
@@ -162,9 +167,6 @@ class Interval:
         if lo is not None and hi is not None and not lo < hi:
             return None
         return Interval(lo, hi)
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.clip(other) is not None
 
     def covers(self, other: "Interval") -> bool:
         """True when every point of `other` lies in self."""
@@ -227,10 +229,6 @@ class HyperRegion:
             elif not iv.contains(v):
                 return False
         return True
-
-    def intersects(self, other: "HyperRegion") -> bool:
-        self._check(other)
-        return all(iv.intersects(other.interval(name)) for name, iv in self.dims)
 
     def clip(self, other: "HyperRegion") -> "HyperRegion | None":
         """Intersection box, or None when disjoint."""
@@ -355,16 +353,8 @@ def predicate_matches(p: Predicate, attrs: AttrMap) -> bool:
     return True
 
 
-def eval_predicate(p: Predicate, obj: StoredObject) -> bool:
-    return predicate_matches(p, obj.attrs)
-
-
 def query_matches(q: Query, attrs: AttrMap) -> bool:
     return all(predicate_matches(p, attrs) for p in q.predicates)
-
-
-def eval_query(q: Query, obj: StoredObject) -> bool:
-    return query_matches(q, obj.attrs)
 
 
 def _predicate_bounds(p: Predicate) -> tuple[AttrValue | None, AttrValue | None]:
@@ -380,6 +370,17 @@ def _predicate_bounds(p: Predicate) -> tuple[AttrValue | None, AttrValue | None]
 
 def _predicate_interval(p: Predicate) -> Interval:
     return Interval(*_predicate_bounds(p))
+
+
+def query_is_empty(q: Query) -> bool:
+    """True when some predicate accepts no value, as for the integers strictly
+    between 5 and 6; such a query matches nothing anywhere."""
+    for p in q.predicates:
+        if p.lower is not None and p.upper is not None and not (p.lower_inclusive and p.upper_inclusive):
+            lo, hi = _predicate_bounds(p)
+            if not lo < hi:  # type: ignore[operator]
+                return True
+    return False
 
 
 def query_bounds(q: Query) -> list[tuple[str, AttrValue | None, AttrValue | None]]:

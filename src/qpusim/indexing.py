@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .core import (
     AttrValue,
@@ -15,6 +15,7 @@ from .core import (
     Query,
     Version,
     query_bounds,
+    query_is_empty,
     query_to_region,
     region_to_query,
 )
@@ -26,6 +27,7 @@ from .qpunet import (
     QueryMsg,
     SnapshotRequest,
     decompose,
+    dedupe_entries,
 )
 from .simkernel import Actor, Kernel, Tick
 from .store import DELETE, DcReplica, LogEntry, PostingSets, PUT, WriteOp
@@ -96,9 +98,12 @@ class PostingIndex(PostingSets):
     Every effective apply bumps `seq`. Once the index has answered a pull,
     it also moves the applied key to the end of an insertion-ordered
     key -> seq map, so the keys changed after any sequence number are a
-    suffix of that map; indexes nobody pulls from keep no map. Registry rows
-    hold the op's own attrs dict; nothing mutates one in place, so rows and
-    replies share them.
+    suffix of that map; indexes nobody pulls from keep no map.
+
+    Registry rows hold the op's own attrs dict, the one the replicas store
+    (see core.StoredObject). Nothing mutates one in place, so `lookup`,
+    `snapshot` and `changes_since` emit it as it is, and the rows they
+    return share it with the registry.
     """
 
     def __init__(self, region: HyperRegion) -> None:
@@ -160,26 +165,23 @@ class PostingIndex(PostingSets):
         query's own bounds. The result is exact without a per-row filter:
         every registry row lies in this index's region. Returns (entries,
         in_region); in_region is False when the query region misses this
-        index's region entirely."""
+        index's region entirely. A query no value satisfies (query_is_empty)
+        has no region: it gets ([], True)."""
+        if query_is_empty(q):
+            return [], True
         region = query_to_region(q, self.attrs)
         if region is None:
             raise ValueError("query constrains attributes outside the indexed dimensions")
         if region.clip(self.region) is None:
             return [], False
         registry = self.registry
-        out: list[Entry] = []
-        for key in sorted(self.keys_in(query_bounds(q))):
-            attrs, version = registry[key]
-            out.append((key, dict(attrs), version))
-        return out, True
+        return [(key, *registry[key]) for key in sorted(self.keys_in(query_bounds(q)))], True
 
     # -- snapshots ---------------------------------------------------------------
 
     def snapshot(self) -> IndexSnapshot:
-        rows: list[tuple[str, dict | None, Version]] = []
-        for key in sorted(self.registry):
-            attrs, version = self.registry[key]
-            rows.append((key, dict(attrs), version))
+        registry = self.registry
+        rows: list[tuple[str, dict | None, Version]] = [(key, *registry[key]) for key in sorted(registry)]
         for key in sorted(self.tombstones):
             rows.append((key, None, self.tombstones[key]))
         return IndexSnapshot(self.region, tuple(rows), dict(self.highwater), self.seq)
@@ -319,9 +321,6 @@ class FilterQpu(Actor):
     def stop(self) -> None:
         self.active = False
 
-    def backlog(self) -> int:
-        return len(self._queue)
-
     def _forward(self, k: Kernel, entries: list[LogEntry]) -> None:
         per_target: dict[str, list[StampedOp]] = {}
         for entry in entries:
@@ -396,9 +395,9 @@ class IndexQpu(QpuBase):
             plan, leftover = decompose(region, self.connections)
             local, missing = self._answer_leftover(leftover)
             if plan:
-                self.fan_out(k, m, plan, local_entries=local, missing=missing)
+                self.fan_out(k, m, plan, local_parts=local, missing=missing)
             else:
-                self.answer(k, m, local, complete=not missing, missing=missing)
+                self.answer(k, m, dedupe_entries(local), complete=not missing, missing=missing)
             return
         entries, in_region = self.index.lookup(m.query)
         if not in_region:
@@ -406,14 +405,17 @@ class IndexQpu(QpuBase):
         missing = [piece for piece in region.subtract(self.region)]
         self.answer(k, m, entries, complete=not missing, missing=missing)
 
-    def _answer_leftover(self, leftover: list[HyperRegion]) -> tuple[list[Entry], list[HyperRegion]]:
-        local: list[Entry] = []
+    def _answer_leftover(self, leftover: list[HyperRegion]) -> tuple[list[Sequence[Entry]], list[HyperRegion]]:
+        """Looks up the parts of the leftover pieces inside this QPU's own
+        region, one key-sorted part per piece; the rest is missing."""
+        local: list[Sequence[Entry]] = []
         missing: list[HyperRegion] = []
         for piece in leftover:
             inside = piece.clip(self.region)
             if inside is not None:
                 found, _ = self.index.lookup(region_to_query(inside))
-                local.extend(found)
+                if found:
+                    local.append(found)
             missing.extend(piece.subtract(self.region))
         return local, missing
 
@@ -582,4 +584,8 @@ class IndexQpu(QpuBase):
 class MergeQpu(IndexQpu):
     """Builds one convergent index from several ingest streams (client or
     per-DC indexes pushing their deltas). Conflicts resolve last-writer-wins;
-    out-of-order batches wait in the per-source reorder buffer."""
+    out-of-order batches wait in the per-source reorder buffer.
+
+    It adds nothing to IndexQpu. The class stays so that merge units are
+    their own class: the benchmark's per-layer tracer reports the `merge`
+    QPU class by this name."""

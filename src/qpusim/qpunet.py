@@ -5,13 +5,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .core import (
     HyperRegion,
     Query,
     Version,
     canonical_query,
+    query_is_empty,
     query_matcher,
     query_to_region,
     region_to_query,
@@ -22,7 +23,9 @@ from .store import DcReplica
 if TYPE_CHECKING:
     from .indexing import PostingIndex
 
-# A result row: (key, attribute snapshot, version at snapshot time).
+# A result row: (key, attrs, version). attrs is the stored object's or the
+# index registry's own dict for that version, shared and never mutated (see
+# core.StoredObject), so rows are built and passed on without copying it.
 Entry = tuple[str, dict, Version]
 
 
@@ -118,25 +121,49 @@ def decompose(
     return plan, remaining
 
 
-def dedupe_entries(entries: Iterable[Entry]) -> list[Entry]:
-    """Collapse duplicate keys keeping the greatest version; key-sorted output."""
+def dedupe_entries(parts: list[Sequence[Entry]]) -> Sequence[Entry]:
+    """Joins parts that are each key-sorted with unique keys into one such
+    sequence, keeping the greatest version of a key found in several parts.
+    A single part is returned as it is. Several are joined through a dict
+    and one sort of its keys, which measured twice as fast as a
+    heapq.merge of the parts."""
+    if len(parts) == 1:
+        return parts[0]
     best: dict[str, Entry] = {}
-    for e in entries:
-        cur = best.get(e[0])
-        if cur is None or cur[2] < e[2]:
-            best[e[0]] = e
+    for part in parts:
+        for e in part:
+            cur = best.get(e[0])
+            if cur is None or cur[2] < e[2]:
+                best[e[0]] = e
     return [best[k] for k in sorted(best)]
 
 
-def recheck(entries: Iterable[Entry], q: Query, replica: DcReplica) -> list[Entry]:
-    """Re-validate candidates against the replica's current objects; survivors
-    carry the store's current attributes and version."""
+def recheck(entries: Sequence[Entry], q: Query, replica: DcReplica) -> list[Entry]:
+    """Re-validates candidates against the replica's current objects; a row
+    survives carrying the store's current attrs and version.
+
+    Every candidate matched, with the attrs it carries, a query whose region
+    lies inside q's: a decompose piece, q itself on the scan fallback, or a
+    canonically equal query on a response-cache hit. A Version names one
+    write, so when the replica holds the key at the row's version it holds
+    the same attrs, and the row is kept as it is without matching. The
+    matcher runs only on rows whose version differs; absent keys drop.
+    Those rows also skip the matcher's KindMismatch check. Each attribute
+    holds one kind, and a scan or lookup asked a query of another kind
+    raises or returns no rows, so no such row reaches a recheck."""
     matches = query_matcher(q)
+    objects = replica.objects
     out: list[Entry] = []
-    for key, _attrs, _ver in entries:
-        obj = replica.get(key)
-        if obj is not None and matches(obj.attrs):
-            out.append((key, dict(obj.attrs), obj.version))
+    for entry in entries:
+        obj = objects.get(entry[0])
+        if obj is None:
+            continue
+        version = obj.version
+        ver = entry[2]
+        if version is ver or version == ver:
+            out.append(entry)
+        elif matches(obj.attrs):
+            out.append((entry[0], obj.attrs, version))
     return out
 
 
@@ -169,11 +196,14 @@ def audit_response(
 
 @dataclass
 class _Pending:
+    """Join state of one query. `parts` holds the row sequences collected so
+    far, each key-sorted with unique keys (sub-responses, lookups, scans)."""
+
     qid: str
     reply_to: str
     query: Query
     outstanding: dict[str, HyperRegion]
-    entries: list[Entry]
+    parts: list[Sequence[Entry]]
     complete: bool = True
     missing: list[HyperRegion] = field(default_factory=list)
     chain: list[str] = field(default_factory=list)
@@ -215,7 +245,12 @@ class QpuBase(Actor):
 
     def on_message(self, k: Kernel, msg: Any) -> None:
         if isinstance(msg, QueryMsg):
-            self.handle_query(k, msg)
+            if query_is_empty(msg.query):
+                # matches nothing anywhere: a complete empty answer, with no
+                # region to route, record load for or look up
+                self._finish(k, _Pending(msg.qid, msg.reply_to, msg.query, {}, []))
+            else:
+                self.handle_query(k, msg)
         elif isinstance(msg, ResponseMsg):
             self._on_sub_response(k, msg)
         elif isinstance(msg, QueryTimeout):
@@ -241,7 +276,7 @@ class QpuBase(Actor):
         m: QueryMsg,
         plan: list[tuple[Connection, HyperRegion]],
         *,
-        local_entries: list[Entry] | None = None,
+        local_parts: list[Sequence[Entry]] | None = None,
         missing: list[HyperRegion] | None = None,
         forward_whole: bool = False,
     ) -> None:
@@ -253,7 +288,7 @@ class QpuBase(Actor):
             reply_to=m.reply_to,
             query=m.query,
             outstanding={},
-            entries=list(local_entries or []),
+            parts=list(local_parts or []),
             missing=list(missing or []),
         )
         for conn, piece in plan:
@@ -277,7 +312,8 @@ class QpuBase(Actor):
         if pend is None:
             return
         pend.outstanding.pop(r.qid, None)
-        pend.entries.extend(r.entries)
+        if r.entries:
+            pend.parts.append(r.entries)
         pend.complete = pend.complete and r.complete
         pend.missing.extend(r.missing)
         for s in r.source_chain:
@@ -300,7 +336,7 @@ class QpuBase(Actor):
     # -- finalize --------------------------------------------------------------
 
     def _finish(self, k: Kernel, pend: _Pending) -> None:
-        entries = dedupe_entries(pend.entries)
+        entries = dedupe_entries(pend.parts)
         rechecked = self.recheck_on_finalize and self.recheck_enabled and self.recheck_replica is not None
         if rechecked:
             entries = recheck(entries, pend.query, self.recheck_replica)
@@ -312,7 +348,7 @@ class QpuBase(Actor):
         chain = pend.chain + [self.qpu_id]
         self.respond(k, pend, entries, complete, chain)
 
-    def respond(self, k: Kernel, pend: _Pending, entries: list[Entry], complete: bool, chain: list[str]) -> None:
+    def respond(self, k: Kernel, pend: _Pending, entries: Sequence[Entry], complete: bool, chain: list[str]) -> None:
         k.send(
             self.qpu_id,
             pend.reply_to,
@@ -323,15 +359,16 @@ class QpuBase(Actor):
         self,
         k: Kernel,
         m: QueryMsg,
-        entries: list[Entry],
+        entries: Sequence[Entry],
         *,
         complete: bool = True,
         missing: list[HyperRegion] | None = None,
     ) -> None:
-        """Finalize a locally handled query; this is the point that counts
-        toward the QPU's query load window."""
+        """Finalize a locally handled query whose entries are key-sorted with
+        unique keys; this is the point that counts toward the QPU's query
+        load window."""
         k.probes.record_load(self.qpu_id, query_to_region(m.query, self.indexed_attrs), k.now)
-        pend = _Pending(m.qid, m.reply_to, m.query, {}, list(entries), complete, list(missing or []))
+        pend = _Pending(m.qid, m.reply_to, m.query, {}, [entries], complete, list(missing or []))
         self._finish(k, pend)
 
     def scan_fallback_connection(self) -> Connection | None:
@@ -346,7 +383,8 @@ class QpuBase(Actor):
 
 class DsQpu(QpuBase):
     """Scans its single data centre's replica. Scan output is authoritative at
-    that replica, so no recheck pass is applied."""
+    that replica, so no recheck pass is applied. Rows carry the stored
+    objects' own attrs dicts, uncopied."""
 
     recheck_on_finalize = False
 
@@ -355,7 +393,7 @@ class DsQpu(QpuBase):
         self.replica = replica
 
     def handle_query(self, k: Kernel, m: QueryMsg) -> None:
-        entries = [(o.key, dict(o.attrs), o.version) for o in self.replica.scan(m.query)]
+        entries = [(o.key, o.attrs, o.version) for o in self.replica.scan(m.query)]
         self.answer(k, m, entries)
 
 
@@ -451,7 +489,7 @@ class CacheQpu(QpuBase):
             self.hits += 1
             k.probes.emit({"type": "cache", "qpu": self.qpu_id, "hit": True})
             cached = hit[1]
-            self.answer(k, m, list(cached.entries), complete=cached.complete, missing=list(cached.missing))
+            self.answer(k, m, cached.entries, complete=cached.complete, missing=list(cached.missing))
             return
         if hit is not None:
             del self._cache[ck]  # expired

@@ -28,7 +28,9 @@ DELETE = "delete"
 @dataclass(frozen=True)
 class WriteOp:
     """A versioned put/delete carrying the old and new attribute coordinates,
-    so index maintenance never needs a read-back."""
+    so index maintenance never needs a read-back. Both are shared attrs
+    dicts (see StoredObject): `new_attrs` becomes the stored object's attrs,
+    and `old_attrs` is the overwritten object's."""
 
     key: str
     kind: str
@@ -181,7 +183,8 @@ class DcReplica(Actor):
         self.clock += 1
         version = Version(self.clock, self.dc_id)
         old = self.objects.get(key)
-        op = WriteOp(key, PUT, dict(attrs), dict(old.attrs) if old else None, version, self.dc_id)
+        # the one copy of a client's attrs: from here on the dict is shared
+        op = WriteOp(key, PUT, dict(attrs), old.attrs if old else None, version, self.dc_id)
         self._apply_state(key, op)
         self._append(k, op)
         self._replicate(k, op)
@@ -191,7 +194,7 @@ class DcReplica(Actor):
         self.clock += 1
         version = Version(self.clock, self.dc_id)
         old = self.objects.get(key)
-        op = WriteOp(key, DELETE, None, dict(old.attrs) if old else None, version, self.dc_id)
+        op = WriteOp(key, DELETE, None, old.attrs if old else None, version, self.dc_id)
         self._apply_state(key, op)
         self._append(k, op)
         self._replicate(k, op)
@@ -205,7 +208,7 @@ class DcReplica(Actor):
             return False
         self.clock = max(self.clock, op.version.ts)
         old = self.objects.get(op.key)
-        local_op = WriteOp(op.key, op.kind, op.new_attrs, dict(old.attrs) if old else None, op.version, op.origin_dc)
+        local_op = WriteOp(op.key, op.kind, op.new_attrs, old.attrs if old else None, op.version, op.origin_dc)
         self._apply_state(op.key, local_op)
         self._append(k, local_op)
         return True
@@ -226,7 +229,7 @@ class DcReplica(Actor):
         if postings is not None and key in self.objects:
             postings.unpost(key, self.objects[key].attrs)
         if op.kind == PUT and self._placed(op.new_attrs):
-            obj = self.objects[key] = StoredObject(key, dict(op.new_attrs or {}), op.version)
+            obj = self.objects[key] = StoredObject(key, op.new_attrs or {}, op.version)
             self.tombstones.pop(key, None)
             if postings is not None:
                 postings.post(key, obj.attrs)

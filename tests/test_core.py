@@ -22,9 +22,8 @@ from qpusim.core import (
     StoredObject,
     Version,
     canonical_query,
-    eval_predicate,
-    eval_query,
     make_attrs,
+    predicate_matches,
     query_matcher,
     query_matches,
     query_to_region,
@@ -91,27 +90,27 @@ class TestAttrValue:
 class TestPredicates:
     def test_point_predicate_matches_itself(self):
         p = Predicate.equals("size", 10)
-        assert eval_predicate(p, obj("k", size=10))
+        assert predicate_matches(p, obj("k", size=10).attrs)
 
     def test_out_of_range(self):
         p = Predicate.between("size", 10, 20)
-        assert not eval_predicate(p, obj("k", size=25))
+        assert not predicate_matches(p, obj("k", size=25).attrs)
 
     def test_missing_attribute_never_matches(self):
         p = Predicate.between("genre", "a", "m")
-        assert not eval_predicate(p, obj("k", size=5))
+        assert not predicate_matches(p, obj("k", size=5).attrs)
 
     def test_kind_mismatch_is_an_error(self):
         p = Predicate.between("size", 10, 20)
         with pytest.raises(KindMismatch):
-            eval_predicate(p, obj("k", size="ten"))
+            predicate_matches(p, obj("k", size="ten").attrs)
 
     def test_exclusive_bounds(self):
         p = Predicate.between("size", 10, 20)
         p = Predicate(p.attr, p.lower, p.upper, lower_inclusive=False, upper_inclusive=False)
-        assert not eval_predicate(p, obj("k", size=10))
-        assert not eval_predicate(p, obj("k", size=20))
-        assert eval_predicate(p, obj("k", size=11))
+        assert not predicate_matches(p, obj("k", size=10).attrs)
+        assert not predicate_matches(p, obj("k", size=20).attrs)
+        assert predicate_matches(p, obj("k", size=11).attrs)
 
     def test_invalid_predicates_rejected(self):
         with pytest.raises(RegionError):
@@ -125,8 +124,8 @@ class TestPredicates:
 class TestQuery:
     def test_conjunction(self):
         q = Query.of([Predicate.between("size", 10, 20), Predicate.equals("genre", "rock")])
-        assert eval_query(q, obj("k", size=15, genre="rock"))
-        assert not eval_query(q, obj("k", size=15, genre="jazz"))
+        assert query_matches(q, obj("k", size=15, genre="rock").attrs)
+        assert not query_matches(q, obj("k", size=15, genre="jazz").attrs)
 
     def test_duplicate_attrs_rejected(self):
         with pytest.raises(RegionError):
@@ -144,7 +143,7 @@ class TestQuery:
             for o in objects
             if 10 <= o.attrs["size"].value <= 60 and "c" <= o.attrs["genre"].value <= "p"
         }
-        got = {o.key for o in objects if eval_query(q, o)}
+        got = {o.key for o in objects if query_matches(q, o.attrs)}
         assert got == expected
 
 
@@ -254,7 +253,7 @@ class TestQueryToRegion:
         q = Query.of([Predicate.between("x", lo, lo + width)])
         r = query_to_region(q, ["x"])
         o = obj("k", x=probe)
-        assert eval_query(q, o) == r.contains(o.attrs)
+        assert query_matches(q, o.attrs) == r.contains(o.attrs)
 
     def test_inclusive_upper_boundary(self):
         q = Query.of([Predicate.between("x", 0, 7)])
@@ -268,8 +267,8 @@ class TestRegions:
         a = region(x=(0, 10))
         b = region(x=(5, 15))
         c = region(x=(10, 20))
-        assert a.intersects(b)
-        assert not a.intersects(c)  # closed-open adjacency is disjoint
+        assert a.clip(b) is not None
+        assert a.clip(c) is None  # closed-open adjacency is disjoint
 
     def test_full_region_contains_everything(self):
         r = HyperRegion.full(["x", "y"])
@@ -303,7 +302,7 @@ class TestRegions:
 
     def test_mismatched_attr_sets_rejected(self):
         with pytest.raises(RegionError):
-            region(x=(0, 10)).intersects(region(y=(0, 10)))
+            region(x=(0, 10)).clip(region(y=(0, 10)))
 
     def test_split(self):
         a = region(x=(0, 100))
@@ -351,10 +350,10 @@ class TestRegionFuzzOracle:
             a = random_region(rng, ["x", "y"])
             b = random_region(rng, ["x", "y"])
             expected = all(
-                a.interval(d).intersects(b.interval(d)) for d in ("x", "y")
+                a.interval(d).clip(b.interval(d)) is not None for d in ("x", "y")
             )
-            assert a.intersects(b) == expected
-            assert a.intersects(b) == b.intersects(a)
+            assert (a.clip(b) is not None) == expected
+            assert (b.clip(a) is not None) == expected
 
     def test_clip_and_subtract_partition_on_grid(self):
         rng = random.Random(13)

@@ -3,9 +3,13 @@ mode and its negative control, and the CLI contract."""
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qpusim.store as store
 from qpusim.cli import main as cli_main
 from qpusim.config import ConfigError, parse_topology, parse_workload
 from qpusim.metrics import parse_ndjson, summarize
@@ -302,6 +306,47 @@ def test_metrics_stream_matches_golden_hash(name, seed_index):
     res = run_scenario(t, w, seed=GOLDEN_SEEDS[seed_index])
     digest = hashlib.sha256(res.sink.to_ndjson().encode()).hexdigest()
     assert digest == GOLDEN_NDJSON_SHA256[name][seed_index]
+
+
+class FrozenAttrs(dict):
+    """An attrs dict that raises on any in-place change."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a shared attrs dict was mutated in place")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_shared_attrs_dicts_are_never_mutated(name, monkeypatch):
+    """Attrs dicts are shared, uncopied, from DcReplica.put's ingest copy to
+    every replica, log, index registry, snapshot and result row. With that
+    copy made a FrozenAttrs (by shadowing `dict` in qpusim.store, where put
+    makes it), each bundled scenario runs to the same metrics stream, and any
+    code that edits a shared attrs dict raises."""
+    monkeypatch.setattr(store, "dict", FrozenAttrs, raising=False)
+    t, w = scenario(name)
+    res = run_scenario(t, w, seed=GOLDEN_SEEDS[0])
+    stored = [o.attrs for rep in res.network.replicas.values() for o in rep.objects.values()]
+    assert stored and all(isinstance(attrs, FrozenAttrs) or not attrs for attrs in stored)
+    digest = hashlib.sha256(res.sink.to_ndjson().encode()).hexdigest()
+    assert digest == GOLDEN_NDJSON_SHA256[name][0]
+
+
+def test_benchmark_tracer_self_test_passes():
+    """The benchmark's per-layer tracer patches qpusim functions and methods by
+    name (qpunet.recheck, PostingIndex.lookup and snapshot, DcReplica.scan,
+    ...); its self-test fails when a refactor moves one of them."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "selftest.py")],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0 and "tracer self-test: PASS" in proc.stdout, proc.stdout + proc.stderr
 
 
 class TestRunScenario:

@@ -4,9 +4,21 @@ staleness measurement, each against an independent oracle."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qpusim.core import AttrValue, Kind, Predicate, Query, Version, make_attrs, query_bounds, query_matches
+from qpusim.core import (
+    AttrValue,
+    Kind,
+    KindMismatch,
+    Predicate,
+    Query,
+    Version,
+    make_attrs,
+    query_is_empty,
+    query_matches,
+    query_to_region,
+    region_to_query,
+)
 from qpusim.indexing import (
     FilterQpu,
     IndexQpu,
@@ -16,7 +28,7 @@ from qpusim.indexing import (
     StampedOp,
     filter_targets,
 )
-from qpusim.qpunet import CacheQpu, Connection, QueryMsg, recheck
+from qpusim.qpunet import CacheQpu, Connection, QueryMsg, decompose, dedupe_entries, recheck
 from qpusim.simkernel import Kernel
 from qpusim.store import DELETE, PUT, ClientDelete, ClientWrite, DcReplica, WriteOp
 
@@ -487,8 +499,6 @@ class TestExactPostingSets:
                 for rep in reps:
                     expected = [o for _key, o in sorted(rep.objects.items()) if query_matches(q, o.attrs)]
                     assert rep.scan(q) == expected
-                if any(lo is not None and hi is not None and not lo < hi for _a, lo, hi in query_bounds(q)):
-                    continue  # lookup maps q to a region first, which rejects an empty predicate
                 for idx in indexes:
                     expected = [
                         (key, o.attrs, o.version)
@@ -602,6 +612,104 @@ class TestRecheck:
             k.run_until(t + rng.randrange(0, 20))
         k.run_until_empty()
         assert k.probes.type2_violations() == []
+
+
+# (key number, ts, origin, attrs or None for a delete). Keys and timestamps
+# are few, so writes of one key at one ts from both origins are common:
+# versions that a comparison of `ts` alone cannot tell apart. Most writes set
+# every attribute, so that most rows match some query.
+RECHECK_WRITES = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.integers(1, 3),
+        st.sampled_from(["dc1", "dc2"]),
+        st.one_of(
+            st.none(),
+            st.fixed_dictionaries(MIXED_VALUES),
+            st.fixed_dictionaries({}, optional=MIXED_VALUES),
+        ),
+    ),
+    min_size=4,
+    max_size=24,
+)
+
+
+@st.composite
+def coverage(draw):
+    """Half of the space on one side of a cut through one attribute."""
+    attr = draw(st.sampled_from(sorted(MIXED_SCHEMA)))
+    cut = draw(MIXED_VALUES[attr])
+    bounds = {a: (None, None) for a in MIXED_SCHEMA}
+    bounds[attr] = (cut, None) if draw(st.booleans()) else (None, cut)
+    return make_region(**bounds)
+
+
+class TestRecheckFastPath:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        writes=RECHECK_WRITES,
+        q=MIXED_QUERIES.map(lambda qs: qs[0]),
+        coverages=st.lists(coverage(), max_size=3),
+        edge=st.booleans(),
+        data=st.data(),
+    )
+    def test_fast_path_equals_matcher_reference(self, writes, q, coverages, edge, data):
+        """Candidates come from a random decomposition of q's region (or q's
+        whole region, as on the scan fallback and on a cache hit): for each
+        piece, a key-sorted part of rows, each row one write of its key whose
+        attrs match the piece's sub-query. The recheck replica, full or an
+        edge placement, holds a random subset of the writes, so a row's
+        version may be the replica's, older, newer, or of a key it does not
+        hold. recheck must return, row by row, what matching every candidate
+        against the replica returns."""
+        assume(not query_is_empty(q))
+        history: dict[tuple[str, Version], dict | None] = {}
+        for n, ts, origin, raw in writes:
+            # a Version names one write of its key
+            history.setdefault((f"k{n}", Version(ts, origin)), None if raw is None else make_attrs(raw))
+        placement = make_region(size=(0, 6), weight=(None, None), genre=(None, None)) if edge else None
+        rep = DcReplica("dc1", MIXED_SCHEMA, full_replica=not edge, placement=placement)
+        k = Kernel(seed=0)
+        k.add_node("n")
+        k.register(rep, "n")
+        for (key, version), attrs in history.items():
+            if not data.draw(st.booleans(), label=f"replica misses {key}@{version}"):
+                rep.apply_replicated(k, WriteOp(key, DELETE if attrs is None else PUT, attrs, None, version, "x"))
+
+        region = query_to_region(q, MIXED_SCHEMA)
+        plan, _missing = decompose(region, [Connection(f"c{i}", c) for i, c in enumerate(coverages)])
+        pieces = [piece for _conn, piece in plan] or [region]
+        parts = []
+        for piece in pieces:
+            sub = region_to_query(piece)
+            by_key: dict[str, list] = {}
+            for (key, version), attrs in sorted(history.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+                if attrs is not None and query_matches(sub, attrs):
+                    by_key.setdefault(key, []).append((key, attrs, version))
+            part = [data.draw(st.sampled_from([*rows, None])) for _key, rows in sorted(by_key.items())]
+            part = [row for row in part if row is not None]
+            if part:
+                parts.append(part)
+        entries = dedupe_entries(parts)
+
+        expected = []
+        for key, _attrs, _version in entries:
+            obj = rep.objects.get(key)
+            if obj is not None and query_matches(q, obj.attrs):
+                expected.append((key, obj.attrs, obj.version))
+        assert recheck(entries, q, rep) == expected
+
+    def test_stale_row_of_another_kind_still_raises(self):
+        """The matcher, and with it KindMismatch, still runs on a row whose
+        version differs from the replica's."""
+        k = Kernel(seed=0)
+        k.add_node("n")
+        rep = DcReplica("dc1", SCHEMA)
+        k.register(rep, "n")
+        rep.put(k, "k1", make_attrs({"size": 5}))
+        q = Query.of([Predicate.between("size", "a", "z")])
+        with pytest.raises(KindMismatch):
+            recheck([("k1", make_attrs({"size": 5}), Version(0, "old"))], q, rep)
 
 
 class TestStaleness:

@@ -7,6 +7,7 @@ import pytest
 
 import qpusim.qpunet as qpunet
 from qpusim.core import (
+    AttrValue,
     Kind,
     Predicate,
     Query,
@@ -88,12 +89,12 @@ class TestDecompose:
 
 class TestDedupe:
     def test_max_version_survives(self):
-        entries = [
-            ("k", {"size": 1}, Version(3, "dc1")),
-            ("k", {"size": 2}, Version(5, "dc2")),
-            ("k", {"size": 0}, Version(4, "dc1")),
+        parts = [
+            [("k", {"size": 1}, Version(3, "dc1"))],
+            [("k", {"size": 2}, Version(5, "dc2"))],
+            [("k", {"size": 0}, Version(4, "dc1"))],
         ]
-        out = dedupe_entries(entries)
+        out = dedupe_entries(parts)
         assert out == [("k", {"size": 2}, Version(5, "dc2"))]
 
 
@@ -423,3 +424,55 @@ class TestReplicaCache:
         k.run_until_empty()
         assert cq.pulls >= 3
         assert k.pending() == 0
+
+
+def empty_size_query(*extra):
+    """Ints strictly between 5 and 6: a valid query that no value satisfies."""
+    five, six = AttrValue.of(5), AttrValue.of(6)
+    return Query.of([Predicate("size", five, six, lower_inclusive=False, upper_inclusive=False), *extra])
+
+
+class TestEmptyPredicate:
+    """Every QPU class answers a query no value satisfies with a complete
+    empty response, with objects on both sides of the empty range."""
+
+    @staticmethod
+    def write_both_sides(k, rep):
+        rep.put(k, "k5", make_attrs({"size": 5}))
+        rep.put(k, "k6", make_attrs({"size": 6}))
+        k.run_until_empty()
+
+    @staticmethod
+    def assert_empty_complete(resp):
+        assert resp.entries == () and resp.complete and resp.missing == ()
+
+    def test_lone_index_qpu(self):
+        k = Kernel(seed=0)
+        k.add_node("n1")
+        iq = IndexQpu("iq", FULL)
+        k.register(iq, "n1")
+        cl = Client()
+        k.register(cl, "n1")
+        for ts, size in ((1, 5), (2, 6)):
+            op = WriteOp(f"k{size}", PUT, make_attrs({"size": size}), None, Version(ts, "dc1"), "dc1")
+            iq.handle_update(k, IndexUpdate("src", ts, (StampedOp(op, 0),)))
+        assert iq.index.lookup(empty_size_query()) == ([], True)
+        self.assert_empty_complete(run_query(k, cl, "iq", empty_size_query()))
+
+    def test_federation_qpu(self):
+        k, rep, fq, cl = federation_net()
+        self.write_both_sides(k, rep)
+        self.assert_empty_complete(run_query(k, cl, "fq", empty_size_query()))
+        # also when another predicate is on an attribute no index covers
+        self.assert_empty_complete(run_query(k, cl, "fq", empty_size_query(Predicate.equals("color", "red"))))
+
+    def test_ds_and_cache_qpus(self):
+        k, rep, cq, cl = cache_net()
+        self.write_both_sides(k, rep)
+        self.assert_empty_complete(run_query(k, cl, "ds1", empty_size_query()))
+        self.assert_empty_complete(run_query(k, cl, "cq", empty_size_query()))
+        k, rep, iq, cq, cl = replica_cache_net()
+        self.write_both_sides(k, rep)
+        cq.pull_now(k)
+        k.run_until_empty()
+        self.assert_empty_complete(run_query(k, cl, "cq", empty_size_query()))
