@@ -674,7 +674,7 @@ class TestRecheckFastPath:
         k.register(rep, "n")
         for (key, version), attrs in history.items():
             if not data.draw(st.booleans(), label=f"replica misses {key}@{version}"):
-                rep.apply_replicated(k, WriteOp(key, DELETE if attrs is None else PUT, attrs, None, version, "x"))
+                rep.apply_replicated(k, WriteOp(key, DELETE if attrs is None else PUT, attrs, None, version, version.origin))
 
         region = query_to_region(q, MIXED_SCHEMA)
         plan, _missing = decompose(region, [Connection(f"c{i}", c) for i, c in enumerate(coverages)])
@@ -683,7 +683,7 @@ class TestRecheckFastPath:
         for piece in pieces:
             sub = region_to_query(piece)
             by_key: dict[str, list] = {}
-            for (key, version), attrs in sorted(history.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+            for (key, version), attrs in history.items():
                 if attrs is not None and query_matches(sub, attrs):
                     by_key.setdefault(key, []).append((key, attrs, version))
             part = [data.draw(st.sampled_from([*rows, None])) for _key, rows in sorted(by_key.items())]
