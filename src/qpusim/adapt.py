@@ -165,15 +165,16 @@ def choose_split(
     if load < t_split or leaf.mode != IndexQpu.LEAF:
         return None
     divisible: list[tuple[int, str]] = []
+    values_by_dim: dict[str, list[AttrValue]] = {}
     for dim in leaf.indexed_attrs:
-        values = leaf.index.distinct_values(dim)
+        values = values_by_dim[dim] = leaf.index.distinct_values(dim)
         if len(values) >= 2:
             spread = len(set(samples_by_dim.get(dim, ())))
             divisible.append((-spread, dim))
     if not divisible:
         return None
     _, dim = min(divisible)
-    eligible = leaf.index.distinct_values(dim)[1:]
+    eligible = values_by_dim[dim][1:]
     samples = sorted(samples_by_dim.get(dim, ()), key=lambda v: v.value)
     if samples:
         target = samples[len(samples) // 2]

@@ -4,9 +4,10 @@ and closed-open hyper-rectangles of the attribute space."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -89,6 +90,7 @@ class AttrValue:
 
 
 AttrMap = Mapping[str, AttrValue]
+RawValue = int | float | str  # AttrValue.value
 
 
 def make_attrs(raw: Mapping[str, int | float | str]) -> dict[str, AttrValue]:
@@ -111,12 +113,17 @@ def check_attrs(schema: Mapping[str, Kind], attrs: AttrMap) -> None:
             raise IngestError(f"attribute {name!r} expects {kind.value}, got {v.kind.value}")
 
 
-@dataclass(frozen=True, order=True)
-class Version:
-    """Logical write version: totally ordered by (ts, origin)."""
+class Version(NamedTuple):
+    """Logical write version: totally ordered by (ts, origin). A plain tuple,
+    so last-writer-wins comparisons, hashing and equality run in C; a Version
+    therefore also equals the bare tuple (ts, origin)."""
 
     ts: int
     origin: str
+
+
+# Older than every write: the version of a key nothing has written yet.
+ZERO_VERSION = Version(0, "")
 
 
 @dataclass(frozen=True)
@@ -218,15 +225,32 @@ class HyperRegion:
         if self.attrs != other.attrs:
             raise RegionError(f"regions over different attribute sets: {self.attrs} vs {other.attrs}")
 
+    @cached_property
+    def _membership(self) -> tuple[tuple[str, Kind, RawValue | None, RawValue | None], ...]:
+        """(attr, kind, lo, hi) with raw bounds, None unbounded, for every
+        dimension bounded on at least one side; full dimensions drop out."""
+        out = []
+        for name, iv in self.dims:
+            if iv.is_full:
+                continue
+            kind = (iv.lo if iv.lo is not None else iv.hi).kind  # type: ignore[union-attr]
+            out.append((name, kind, None if iv.lo is None else iv.lo.value, None if iv.hi is None else iv.hi.value))
+        return tuple(out)
+
     def contains(self, attrs: AttrMap) -> bool:
         """Point membership. A missing attribute is outside every bounded
-        dimension and inside every unbounded one."""
-        for name, iv in self.dims:
-            v = attrs.get(name)
+        dimension and inside every unbounded one. Answers as a per-dimension
+        Interval.contains would, raising KindMismatch on a value of another
+        kind than a bounded dimension, but compares raw values, compiled once
+        per region, the way query_matcher compiles a query."""
+        for attr, kind, lo, hi in self._membership:
+            v = attrs.get(attr)
             if v is None:
-                if not iv.is_full:
-                    return False
-            elif not iv.contains(v):
+                return False
+            if v.kind is not kind:
+                raise KindMismatch(f"cannot compare {v.kind.value} with {kind.value}")
+            raw = v.value
+            if (lo is not None and raw < lo) or (hi is not None and raw >= hi):
                 return False
         return True
 

@@ -10,9 +10,11 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from .core import (
+    ZERO_VERSION,
     AttrValue,
     HyperRegion,
     Query,
+    RawValue,
     Version,
     query_bounds,
     query_is_empty,
@@ -119,10 +121,11 @@ class PostingIndex(PostingSets):
     # -- mutation -----------------------------------------------------------
 
     def _current_version(self, key: str) -> Version:
+        # apply keeps a key in the registry or in tombstones, never in both
         entry = self.registry.get(key)
-        reg_v = entry[1] if entry else Version(0, "")
-        tomb_v = self.tombstones.get(key, Version(0, ""))
-        return max(reg_v, tomb_v)
+        if entry is not None:
+            return entry[1]
+        return self.tombstones.get(key, ZERO_VERSION)
 
     def apply(self, op: WriteOp) -> bool:
         """Idempotent last-writer-wins apply. Removal uses the previous registry
@@ -131,21 +134,18 @@ class PostingIndex(PostingSets):
         current = self._current_version(op.key)
         if op.version < current:
             return False
-        if op.version == current:
-            # One op can surface twice when region-disjoint indexes are
-            # combined: as a removal tombstone where the key left and as an
-            # entry where it landed. The entry is strictly more informative,
-            # so an in-region put upgrades a tombstone of the same version;
-            # everything else at an equal version is a duplicate.
-            lands_here = (
-                op.kind == PUT and op.new_attrs is not None and self.region.contains(op.new_attrs)
-            )
-            if not (lands_here and op.key in self.tombstones):
-                return False
+        lands_here = op.kind == PUT and op.new_attrs is not None and self.region.contains(op.new_attrs)
+        # One op can surface twice when region-disjoint indexes are combined:
+        # as a removal tombstone where the key left and as an entry where it
+        # landed. The entry is strictly more informative, so an in-region put
+        # upgrades a tombstone of the same version; everything else at an
+        # equal version is a duplicate.
+        if op.version == current and not (lands_here and op.key in self.tombstones):
+            return False
         prev = self.registry.get(op.key)
         if prev is not None:
             self.unpost(op.key, prev[0])
-        if op.kind == PUT and op.new_attrs is not None and self.region.contains(op.new_attrs):
+        if lands_here:
             self.registry[op.key] = (op.new_attrs, op.version)
             self.tombstones.pop(op.key, None)
             self.post(op.key, op.new_attrs)
@@ -220,23 +220,30 @@ class PostingIndex(PostingSets):
         self.tombstones.clear()
         self.postings = {a: {} for a in self.attrs}
         self.sorted_values = {a: [] for a in self.attrs}
+        self.kinds = {}
         if self._changed is not None:
             self._changed.clear()
         self.seq += 1
         self.floor = self.seq
 
-    def rebuilt_postings(self) -> dict[str, dict[AttrValue, set[str]]]:
+    def rebuilt_postings(self) -> dict[str, dict[RawValue, set[str]]]:
         """Posting maps recomputed from the registry alone (coherence oracle)."""
-        fresh: dict[str, dict[AttrValue, set[str]]] = {a: {} for a in self.attrs}
+        fresh: dict[str, dict[RawValue, set[str]]] = {a: {} for a in self.attrs}
         for key, (attrs, _v) in self.registry.items():
             for a in self.attrs:
                 v = attrs.get(a)
                 if v is not None:
-                    fresh[a].setdefault(v, set()).add(key)
+                    fresh[a].setdefault(v.value, set()).add(key)
         return fresh
 
     def distinct_values(self, attr: str) -> list[AttrValue]:
-        return list(self.sorted_values[attr])
+        """The attribute's distinct values in order, as AttrValues of the
+        kind the posting sets hold."""
+        vals = self.sorted_values[attr]
+        if not vals:
+            return []
+        kind = self.kinds[attr]
+        return [AttrValue(kind, v) for v in vals]
 
     def registry_bytes(self) -> bytes:
         """Canonical serialization of the registry for convergence comparison."""

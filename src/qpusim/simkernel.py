@@ -89,7 +89,7 @@ class _Link:
 
     def delay(self) -> int:
         if self.jitter:
-            return self.base + self.rng.randint(0, self.jitter)
+            return self.base + self.rng.randrange(self.jitter + 1)
         return self.base
 
 

@@ -8,12 +8,15 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import (
+    ZERO_VERSION,
     AttrMap,
     AttrValue,
     HyperRegion,
     IngestError,
     Kind,
+    KindMismatch,
     Query,
+    RawValue,
     StoredObject,
     Version,
     check_attrs,
@@ -65,25 +68,37 @@ class Replicate:
 
 
 class PostingSets:
-    """Per-attribute posting sets: for each attribute, value -> keys holding
-    it, and the attribute's distinct values in sorted order. Keys are posted
-    and unposted with the attrs dict they are stored under; a key lacking an
-    attribute is in none of its sets."""
+    """Per-attribute posting sets: for each attribute, raw value -> keys
+    holding it, and the attribute's distinct raw values in sorted order. Keys
+    are posted and unposted with the attrs dict they are stored under; a key
+    lacking an attribute is in none of its sets.
+
+    Sets are keyed by `AttrValue.value`, so the write path hashes and compares
+    plain ints, floats and strs. `kinds` records each attribute's kind once,
+    from the first value posted; a value of another kind raises KindMismatch,
+    so int 1 and float 1.0, equal and equally hashed as raw values, never
+    share a set."""
 
     def __init__(self, attrs: Iterable[str]) -> None:
         self.attrs = tuple(attrs)
-        self.postings: dict[str, dict[AttrValue, set[str]]] = {a: {} for a in self.attrs}
-        self.sorted_values: dict[str, list[AttrValue]] = {a: [] for a in self.attrs}
+        self.postings: dict[str, dict[RawValue, set[str]]] = {a: {} for a in self.attrs}
+        self.sorted_values: dict[str, list[RawValue]] = {a: [] for a in self.attrs}
+        self.kinds: dict[str, Kind] = {}
 
     def post(self, key: str, attrs: AttrMap) -> None:
+        kinds = self.kinds
         for a in self.attrs:
             v = attrs.get(a)
             if v is None:
                 continue
-            bucket = self.postings[a].get(v)
+            kind = kinds.setdefault(a, v.kind)
+            if v.kind is not kind:
+                raise KindMismatch(f"attribute {a!r}: posting sets hold {kind.value}, value is {v.kind.value}")
+            raw = v.value
+            bucket = self.postings[a].get(raw)
             if bucket is None:
-                bucket = self.postings[a][v] = set()
-                insort(self.sorted_values[a], v)
+                bucket = self.postings[a][raw] = set()
+                insort(self.sorted_values[a], raw)
             bucket.add(key)
 
     def unpost(self, key: str, attrs: AttrMap) -> None:
@@ -91,28 +106,35 @@ class PostingSets:
             v = attrs.get(a)
             if v is None:
                 continue
-            bucket = self.postings[a].get(v)
+            raw = v.value
+            bucket = self.postings[a].get(raw)
             if bucket is None:
                 continue
             bucket.discard(key)
             if not bucket:
-                del self.postings[a][v]
+                del self.postings[a][raw]
                 vals = self.sorted_values[a]
-                vals.pop(bisect_left(vals, v))
+                vals.pop(bisect_left(vals, raw))
 
     def keys_in(self, bounds: Iterable[tuple[str, AttrValue | None, AttrValue | None]]) -> set[str]:
         """Keys whose value of every bounded attribute lies in its closed-open
         range [lo, hi), None being unbounded; no bounds match nothing.
-        Bisects every attribute's sorted values first, so a bound of another
-        kind than a non-empty value list raises KindMismatch. Then takes the
-        union of the posting sets in each range and intersects the unions,
-        fewest distinct values first, stopping once the result is empty. An
-        attribute without posting sets, or an empty range, matches nothing."""
+        Checks every bound's kind against its attribute's first, where the
+        attribute holds values: a bound of another kind raises KindMismatch.
+        Then bisects the raw bounds, takes the union of the posting sets in
+        each range and intersects the unions, fewest distinct values first,
+        stopping once the result is empty. An attribute without posting sets,
+        or an empty range, matches nothing."""
         spans = []
         for attr, lo, hi in bounds:
             vals = self.sorted_values.get(attr, [])
-            i = 0 if lo is None else bisect_left(vals, lo)
-            j = len(vals) if hi is None else bisect_left(vals, hi)
+            if vals:
+                kind = self.kinds[attr]
+                for bound in (lo, hi):
+                    if bound is not None and bound.kind is not kind:
+                        raise KindMismatch(f"attribute {attr!r}: posting sets hold {kind.value}, bound is {bound.kind.value}")
+            i = 0 if lo is None else bisect_left(vals, lo.value)
+            j = len(vals) if hi is None else bisect_left(vals, hi.value)
             spans.append((j - i, attr, i, j))
         spans.sort()
         keys: set[str] | None = None
@@ -217,7 +239,7 @@ class DcReplica(Actor):
         obj = self.objects.get(key)
         if obj is not None:
             return obj.version
-        return self.tombstones.get(key, Version(0, ""))
+        return self.tombstones.get(key, ZERO_VERSION)
 
     def _placed(self, attrs: AttrMap | None) -> bool:
         if self.placement is None:

@@ -21,6 +21,7 @@ from qpusim.core import (
     RegionError,
     StoredObject,
     Version,
+    ZERO_VERSION,
     canonical_query,
     make_attrs,
     predicate_matches,
@@ -215,6 +216,69 @@ class TestCompiledMatcher:
         q = Query.of([Predicate.between("size", 10, 20)])
         with pytest.raises(KindMismatch, match="attribute 'size': object holds text, predicate int"):
             query_matcher(q)(make_attrs({"size": "ten"}))
+
+
+@st.composite
+def membership_regions(draw):
+    """Regions over MATCH_ATTRS whose dimensions are full, half-bounded or
+    bounded, each bounded dimension of a random kind."""
+    bounds = {}
+    for name in MATCH_ATTRS:
+        shape = draw(st.sampled_from(["full", "lo", "hi", "both"]))
+        values = RAW_VALUES[draw(st.sampled_from(list(Kind)))].map(AttrValue.of)
+        if shape == "full":
+            bounds[name] = Interval()
+        elif shape == "lo":
+            bounds[name] = Interval(draw(values), None)
+        elif shape == "hi":
+            bounds[name] = Interval(None, draw(values))
+        else:
+            lo, hi = draw(values), draw(values)
+            assume(lo.value != hi.value)
+            bounds[name] = Interval(min(lo, hi), max(lo, hi))
+    return HyperRegion.of(bounds)
+
+
+def reference_contains(r, attrs):
+    """Membership from per-dimension Interval.contains: a missing attribute is
+    inside a full dimension only."""
+    for name, dim in r:
+        v = attrs.get(name)
+        if v is None:
+            if not dim.is_full:
+                return False
+        elif not dim.contains(v):
+            return False
+    return True
+
+
+class TestCompiledMembership:
+    @settings(max_examples=400, deadline=None)
+    @given(membership_regions(), st.lists(attr_maps(), min_size=1, max_size=4))
+    def test_contains_equals_per_dimension_reference(self, r, maps):
+        for attrs in maps:
+            assert _outcome(lambda: r.contains(attrs)) == _outcome(lambda: reference_contains(r, attrs))
+
+    def test_other_kind_raises_in_a_bounded_dimension_only(self):
+        r = region(x=(0, 10), y=(None, None))
+        with pytest.raises(KindMismatch):
+            r.contains(make_attrs({"x": 1.0}))
+        with pytest.raises(KindMismatch):
+            region(x=(None, 10)).contains(make_attrs({"x": "a"}))
+        assert r.contains(make_attrs({"x": 1, "y": "anything"}))
+
+
+class TestVersion:
+    def test_orders_by_ts_then_origin(self):
+        versions = [Version(2, "dc2"), Version(1, "dc9"), Version(2, "dc1"), Version(2, "")]
+        assert sorted(versions) == [Version(1, "dc9"), Version(2, ""), Version(2, "dc1"), Version(2, "dc2")]
+        assert Version(2, "dc1") < Version(2, "dc2") < Version(3, "dc1")
+        assert max(Version(5, "a"), Version(5, "b")) == Version(5, "b")
+
+    def test_equals_and_hashes_as_a_plain_tuple(self):
+        assert Version(3, "dc1") == (3, "dc1") and hash(Version(3, "dc1")) == hash((3, "dc1"))
+        assert Version(3, "dc1") != Version(3, "dc2")
+        assert ZERO_VERSION == (0, "") and ZERO_VERSION < Version(1, "")
 
 
 class TestQueryToRegion:

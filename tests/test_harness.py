@@ -5,16 +5,20 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import qpusim.store as store
+from qpusim.build import build
 from qpusim.cli import main as cli_main
 from qpusim.config import ConfigError, parse_topology, parse_workload
+from qpusim.core import AttrValue
 from qpusim.metrics import parse_ndjson, summarize
 from qpusim.runner import run_scenario, validate_scenario
 from qpusim.scenarios import SCENARIOS, scenario, write_scenario
+from qpusim.workload import WorkloadDriver
 
 
 def minimal_topology(**overrides):
@@ -332,6 +336,42 @@ def test_shared_attrs_dicts_are_never_mutated(name, monkeypatch):
     assert stored and all(isinstance(attrs, FrozenAttrs) or not attrs for attrs in stored)
     digest = hashlib.sha256(res.sink.to_ndjson().encode()).hexdigest()
     assert digest == GOLDEN_NDJSON_SHA256[name][0]
+
+
+ATTR_VALUE_OPERATORS = ("__lt__", "__le__", "__gt__", "__ge__", "__hash__", "__eq__")
+
+
+def test_write_path_compares_raw_values(monkeypatch):
+    """Replication, placement, filter routing, index apply and replica-cache
+    pulls compare raw values, never AttrValues. The bundled client-cache
+    scenario at scale 1, its queries removed, calls no AttrValue comparison,
+    hash or equality operator while it runs."""
+    t, w = scenario("client-cache")
+    phases = [{k: v for k, v in p.items() if not k.startswith("query")} for p in w["phases"] if p.get("write_rate")]
+    cfg = parse_topology(t)
+    net = build(cfg, 0)
+    driver = WorkloadDriver(net, parse_workload({"phases": phases}, cfg), 0)
+    end = driver.schedule_all()
+    calls = Counter()
+
+    def counting(name):
+        op = AttrValue.__dict__[name]
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return op(self, *args)
+
+        return wrapper
+
+    for name in ATTR_VALUE_OPERATORS:
+        monkeypatch.setattr(AttrValue, name, counting(name))
+    net.kernel.run_until(end)
+    assert driver.journal.writes > 0 and not driver.journal.queries
+    assert net.qpus["mq"].index.registry and net.qpus["rc1"]._index.registry
+    assert calls == Counter()
+    # the counters see the operators they replaced
+    assert AttrValue.of(1) < AttrValue.of(2) and hash(AttrValue.of(1)) and AttrValue.of(1) == AttrValue.of(1)
+    assert calls == Counter(__lt__=1, __hash__=1, __eq__=1)
 
 
 def test_benchmark_tracer_self_test_passes():

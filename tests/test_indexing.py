@@ -83,8 +83,17 @@ class TestIndexApply:
         idx = PostingIndex(FULL)
         idx.apply(put_op("k1", 1, size=5))
         idx.apply(put_op("k1", 2, size=9, old={"size": 5}))
-        vals = {v.value for v in idx.sorted_values["size"]}
-        assert vals == {9}
+        assert idx.sorted_values["size"] == [9]
+
+    def test_distinct_values_are_attr_values_of_the_stored_kind(self):
+        idx = PostingIndex(make_region(size=(None, None), weight=(None, None)))
+        for ts, (size, weight) in enumerate([(9, 2.5), (5, 0.5), (9, 1.0)], start=1):
+            idx.apply(put_op(f"k{ts}", ts, size=size, weight=weight))
+        assert idx.distinct_values("size") == [AttrValue.of(5), AttrValue.of(9)]
+        assert idx.distinct_values("weight") == [AttrValue.of(0.5), AttrValue.of(1.0), AttrValue.of(2.5)]
+        assert [v.kind for v in idx.distinct_values("weight")] == [Kind.FLOAT] * 3
+        idx.clear()
+        assert idx.distinct_values("size") == []
 
     def test_shuffled_200_op_stream_converges(self):
         rng = random.Random(8)

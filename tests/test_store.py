@@ -7,7 +7,7 @@ import pytest
 
 from qpusim.core import AttrValue, IngestError, Kind, KindMismatch, Predicate, Query, make_attrs
 from qpusim.simkernel import Actor, Kernel, SimError
-from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, DELETE, PUT
+from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, PostingSets, DELETE, PUT
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 
@@ -310,3 +310,32 @@ class _Sink(Actor):
     def on_message(self, k, msg):
         assert isinstance(msg, LogEntry)
         self.entries.append(msg)
+
+
+class TestRawPostingSets:
+    """Posting sets key raw values and guard each attribute's kind."""
+
+    def test_value_of_another_kind_raises_on_post(self):
+        sets = PostingSets(["x"])
+        sets.post("a", make_attrs({"x": 1}))
+        # hash(1) == hash(1.0) and 1 == 1.0: without the guard, b would join a's set
+        with pytest.raises(KindMismatch):
+            sets.post("b", make_attrs({"x": 1.0}))
+        assert sets.postings["x"] == {1: {"a"}}
+        assert sets.kinds == {"x": Kind.INT}
+
+    def test_bound_of_another_kind_raises_when_values_present(self):
+        sets = PostingSets(["x"])
+        sets.post("a", make_attrs({"x": 1}))
+        for lo, hi in ((AttrValue.of(0.5), None), (None, AttrValue.of("z")), (AttrValue.of(0), AttrValue.of(2.0))):
+            with pytest.raises(KindMismatch):
+                sets.keys_in([("x", lo, hi)])
+        assert sets.keys_in([("x", AttrValue.of(0), AttrValue.of(2))]) == {"a"}
+
+    def test_bound_of_another_kind_matches_nothing_when_no_values(self):
+        sets = PostingSets(["x"])
+        assert sets.keys_in([("x", AttrValue.of(0.5), AttrValue.of(2.5))]) == set()
+        sets.post("a", make_attrs({"x": 1}))
+        sets.unpost("a", make_attrs({"x": 1}))
+        assert sets.keys_in([("x", AttrValue.of("a"), None)]) == set()
+        assert sets.keys_in([("y", AttrValue.of("a"), None)]) == set()
