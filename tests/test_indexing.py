@@ -91,7 +91,6 @@ class TestIndexApply:
             idx.apply(put_op(f"k{ts}", ts, size=size, weight=weight))
         assert idx.distinct_values("size") == [AttrValue.of(5), AttrValue.of(9)]
         assert idx.distinct_values("weight") == [AttrValue.of(0.5), AttrValue.of(1.0), AttrValue.of(2.5)]
-        assert [v.kind for v in idx.distinct_values("weight")] == [Kind.FLOAT] * 3
         idx.clear()
         assert idx.distinct_values("size") == []
 
