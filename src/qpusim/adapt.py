@@ -266,13 +266,12 @@ class AdaptiveController(Actor):
             if isinstance(plan, SplitPlan):
                 self._owner[plan.qpu_id] = root_id
                 k.probes.record_control(
-                    k.now,
-                    {"action": "split_requested", "qpu": plan.qpu_id, "dim": plan.dim, "plane": plan.plane.value},
+                    {"action": "split_requested", "qpu": plan.qpu_id, "dim": plan.dim, "plane": plan.plane.value}
                 )
                 k.send(self.actor_id, plan.qpu_id, SplitCmd(plan.qpu_id, (plan.dim, plan.plane)))
             else:
                 self._owner[plan.qpu_id] = root_id
-                k.probes.record_control(k.now, {"action": "merge_requested", "qpu": plan.qpu_id})
+                k.probes.record_control({"action": "merge_requested", "qpu": plan.qpu_id})
                 k.send(self.actor_id, plan.qpu_id, MergeCmd(plan.children))
         if self.rebalance:
             self._rebalance(k)
@@ -322,13 +321,11 @@ class AdaptiveController(Actor):
             return
         if msg.action == "split":
             node.children = [RegionNode(cid, region, parent=node) for cid, region in msg.children]
-            k.probes.record_control(
-                k.now, {"action": "split", "qpu": msg.qpu, "children": [cid for cid, _ in msg.children]}
-            )
+            k.probes.record_control({"action": "split", "qpu": msg.qpu, "children": [cid for cid, _ in msg.children]})
         elif msg.action == "merge":
             retired = [c.qpu_id for c in node.children]
             node.children = []
-            k.probes.record_control(k.now, {"action": "merge", "qpu": msg.qpu, "retired": retired})
+            k.probes.record_control({"action": "merge", "qpu": msg.qpu, "retired": retired})
 
     # -- placement ---------------------------------------------------------------
 
@@ -341,4 +338,4 @@ class AdaptiveController(Actor):
         for qpu, node in sorted(assignment.items()):
             if k.host_of(qpu) != node:
                 k.rebind(qpu, node)
-                k.probes.record_control(k.now, {"action": "rebind", "qpu": qpu, "node": node, "over_capacity": over})
+                k.probes.record_control({"action": "rebind", "qpu": qpu, "node": node, "over_capacity": over})

@@ -3,11 +3,11 @@ filters, load tracking, and the adaptive controller."""
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
 
 from .adapt import AdaptiveController, LoadTracker, RegionNode
-from .config import ConfigError, TopologyConfig, parse_region
+from .config import ConfigError, TopologyConfig, nearest_full_dc, parse_region
 from .core import HyperRegion
 from .indexing import FilterQpu, IndexQpu, MergeQpu
 from .qpunet import CacheQpu, Connection, DsQpu, FederationQpu, QpuBase
@@ -46,7 +46,8 @@ class Network:
             self.controller.stop()
 
     def max_cache_ttl(self) -> int:
-        return max((c.ttl for c in self.caches if c.mode == "response"), default=0)
+        """The longest response-cache TTL, rounded up to the integer clock."""
+        return math.ceil(max((c.ttl for c in self.caches if c.mode == "response"), default=0))
 
     def settle_horizon(self) -> int:
         """A conservative virtual-time chunk by which in-flight work makes
@@ -58,28 +59,6 @@ class Network:
         batches = max((f.batch_interval for f in self.filters), default=0)
         period = self.controller.period_ms if self.controller else 0
         return 2 * max_link * depth + 2 * (pulls + batches + period) + 100
-
-
-def _nearest_full_dc(cfg: TopologyConfig, node: str) -> str | None:
-    """Fewest-hops full replica from a node; ties break on DC id."""
-    adj: dict[str, set[str]] = {n.id: set() for n in cfg.nodes}
-    for l in cfg.links:
-        adj[l.src].add(l.dst)
-        adj[l.dst].add(l.src)
-    dist = {node: 0}
-    frontier = deque([node])
-    while frontier:
-        cur = frontier.popleft()
-        for nxt in sorted(adj[cur]):
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                frontier.append(nxt)
-    candidates = [
-        (dist[d.node], d.id) for d in cfg.dcs if d.full_replica and d.node in dist
-    ]
-    if not candidates:
-        return None
-    return min(candidates)[1]
 
 
 def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
@@ -100,12 +79,9 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
         replicas[d.id] = rep
         k.register(rep, d.node)
 
-    def recheck_replica(spec) -> DcReplica | None:
-        rd = spec.params.get("recheck_dc") or _nearest_full_dc(cfg, spec.node)
-        if rd is None:
-            errors.append(f"qpus({spec.id}): no reachable full replica to recheck against")
-            return None
-        return replicas[rd]
+    def recheck_replica(spec) -> DcReplica:
+        # validate_topology rejects a QPU with no recheck_dc and no reachable full replica
+        return replicas[spec.params.get("recheck_dc") or nearest_full_dc(cfg, spec.node)]
 
     qpus: dict[str, object] = {}
     filters: list[FilterQpu] = []
@@ -139,8 +115,8 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
                 spec.id,
                 schema,
                 mode=p.get("mode", "response"),
-                capacity=int(p.get("capacity", 128)),
-                ttl=int(p.get("ttl", 10_000)),
+                capacity=p.get("capacity", 128),
+                ttl=p.get("ttl", 10_000),
                 pull_interval=p.get("pull_interval"),
                 recheck_replica=recheck_replica(spec),
                 recheck_enabled=recheck_enabled,
@@ -152,7 +128,7 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
                 spec.id,
                 replicas[p["dc"]],
                 [],  # wired below once every target QPU exists
-                batch_interval=int(p.get("batch_interval", 0)),
+                batch_interval=p.get("batch_interval", 0),
                 batch_size=p.get("batch_size"),
             )
             filters.append(qpu)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -342,6 +343,25 @@ def _find_cycle(edges: dict[str, list[str]]) -> list[str] | None:
     return None
 
 
+def nearest_full_dc(cfg: TopologyConfig, node: str) -> str | None:
+    """Fewest-hops full replica from a node over the topology's links; ties
+    break on DC id. None when no full replica is reachable."""
+    adj: dict[str, set[str]] = {}
+    for l in cfg.links:
+        adj.setdefault(l.src, set()).add(l.dst)
+        adj.setdefault(l.dst, set()).add(l.src)
+    dist = {node: 0}
+    frontier = deque([node])
+    while frontier:
+        cur = frontier.popleft()
+        for nxt in adj.get(cur, ()):
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                frontier.append(nxt)
+    candidates = [(dist[d.node], d.id) for d in cfg.dcs if d.full_replica and d.node in dist]
+    return min(candidates)[1] if candidates else None
+
+
 def validate_topology(cfg: TopologyConfig) -> list[str]:
     errors: list[str] = []
     schema = cfg.schema
@@ -416,15 +436,19 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
                 elif isinstance(t, dict):
                     parse_region(t.get("region"), schema, errors, f"{path}.targets[{j}].region")
             interval, size = p.get("batch_interval", 0), p.get("batch_size")
-            if not (_is_number(interval) and interval >= 0):
-                errors.append(f"{path}.batch_interval: must be a number >= 0, got {interval!r}")
+            if not (_is_int(interval) and interval >= 0):
+                # flushes are scheduled on the integer clock
+                errors.append(f"{path}.batch_interval: must be an integer >= 0, got {interval!r}")
             if size is not None and not (_is_int(size) and size >= 1):
                 errors.append(f"{path}.batch_size: must be an integer >= 1, got {size!r}")
         if q.cls in ("index", "merge", "federation", "cache"):
             rd = p.get("recheck_dc")
-            if rd is not None and rd not in dc_ids:
+            if rd is None:
+                if q.node in node_ids and nearest_full_dc(cfg, q.node) is None:
+                    errors.append(f"{path}: no recheck_dc and no full replica reachable from node {q.node!r}")
+            elif rd not in dc_ids:
                 errors.append(f"{path}.recheck_dc: unknown DC {rd!r}")
-            elif rd is not None and rd not in full_dcs:
+            elif rd not in full_dcs:
                 # a partial replica can recheck only a region it fully holds
                 region = parse_region(p.get("region"), schema, [], f"{path}.region")
                 placement = by_dc[rd].placement

@@ -479,7 +479,7 @@ class IndexQpu(QpuBase):
         for stamped in u.ops:
             if self.index.apply(stamped.op):
                 k.probes.progress_tick()
-                k.probes.record_staleness(self.qpu_id, k.now - stamped.applied_at)
+                k.probes.emit({"type": "staleness", "qpu": self.qpu_id, "delta": k.now - stamped.applied_at})
                 pushed.append(stamped)
         if pushed and self.push_to is not None:
             self._restamp(k, self.push_to, pushed)

@@ -13,9 +13,12 @@ SCHEMA_VERSION = 1
 
 
 class MetricsSink:
-    """Collects metric records; each record is stamped with the virtual time
-    at emission. Serialization is canonical so identical runs are
-    byte-identical."""
+    """The run's one event log. Attaching a sink to a kernel makes it the
+    destination of everything the kernel's probes emit: queries, cache
+    lookups, loads, staleness samples, control actions and type-2 audit
+    findings. Each record is stamped with the virtual time at emission, and
+    every reported figure is derived from `records`. Serialization is
+    canonical so identical runs are byte-identical."""
 
     def __init__(self, kernel: Kernel, meta: dict[str, Any] | None = None) -> None:
         self._kernel = kernel
@@ -23,7 +26,7 @@ class MetricsSink:
         header = {"type": "meta", "schema": SCHEMA_VERSION}
         header.update(meta or {})
         self.records.append(header)
-        kernel.probes.metrics = self.emit
+        kernel.probes.metrics = self
 
     def emit(self, record: dict[str, Any]) -> None:
         self.records.append({"t": self._kernel.now, **record})

@@ -86,17 +86,6 @@ class Connection:
     coverage: HyperRegion
 
 
-@dataclass
-class QueryResponse:
-    entries: list[Entry]
-    complete: bool
-    missing: list[HyperRegion] = field(default_factory=list)
-    source_chain: list[str] = field(default_factory=list)
-
-    def keys(self) -> set[str]:
-        return {e[0] for e in self.entries}
-
-
 def decompose(
     region: HyperRegion, connections: Iterable[Connection]
 ) -> tuple[list[tuple[Connection, HyperRegion]], list[HyperRegion]]:
@@ -168,30 +157,32 @@ def recheck(entries: Sequence[Entry], q: Query, replica: DcReplica) -> list[Entr
 
 
 def audit_response(
-    k: Kernel, qpu_id: str, qid: str, q: Query, entries: list[Entry], complete: bool, replica: DcReplica | None
+    k: Kernel, qpu_id: str, qid: str, q: Query, entries: Sequence[Entry], complete: bool, replica: DcReplica | None
 ) -> None:
-    """Records, for every response, which returned keys fail the query against
-    `replica` at this instant. The detector is independent of the recheck
-    filter so disabling recheck makes stale results visible here. Callers
-    pass no replica when recheck just ran against it: those entries match
-    it at this instant by construction, so the record has no violations."""
-    violations: list[str] = []
-    if replica is not None:
-        matches = query_matcher(q)
-        for key, _attrs, _ver in entries:
-            obj = replica.get(key)
-            if obj is None or not matches(obj.attrs):
-                violations.append(key)
-    k.probes.record_audit(
-        {
-            "t": k.now,
-            "qpu": qpu_id,
-            "qid": qid,
-            "complete": complete,
-            "entries": len(entries),
-            "violations": tuple(violations),
-        }
-    )
+    """Emits a `type2` record naming the returned keys that fail the query
+    against `replica` at this instant, when there are any. The detector is
+    independent of the recheck filter so disabling recheck makes stale
+    results visible here. Callers pass no replica when recheck just ran
+    against it: those entries match it at this instant by construction."""
+    if replica is None:
+        return
+    matches = query_matcher(q)
+    violations = []
+    for key, _attrs, _ver in entries:
+        obj = replica.get(key)
+        if obj is None or not matches(obj.attrs):
+            violations.append(key)
+    if violations:
+        k.probes.emit(
+            {
+                "type": "type2",
+                "qpu": qpu_id,
+                "qid": qid,
+                "complete": complete,
+                "entries": len(entries),
+                "violations": violations,
+            }
+        )
 
 
 @dataclass
@@ -446,7 +437,7 @@ class CacheQpu(QpuBase):
         self.active = True
         self.hits = 0
         self.misses = 0
-        self._cache: OrderedDict[tuple, tuple[int, QueryResponse]] = OrderedDict()
+        self._cache: OrderedDict[tuple, tuple[int, ResponseMsg]] = OrderedDict()
         self._fills: dict[str, tuple] = {}
         self._index: PostingIndex | None = None
         self._snapshot: IndexSnapshot | None = None  # last installed pull reply
@@ -508,10 +499,10 @@ class CacheQpu(QpuBase):
     def _on_sub_response(self, k: Kernel, r: ResponseMsg) -> None:
         ck = self._fills.pop(r.qid, None)
         if ck is not None and r.complete:
-            self._store(k, ck, QueryResponse(list(r.entries), r.complete, list(r.missing)))
+            self._store(k, ck, r)
         super()._on_sub_response(k, r)
 
-    def _store(self, k: Kernel, ck: tuple, resp: QueryResponse) -> None:
+    def _store(self, k: Kernel, ck: tuple, resp: ResponseMsg) -> None:
         self._cache[ck] = (k.now, resp)
         self._cache.move_to_end(ck)
         while len(self._cache) > self.capacity:

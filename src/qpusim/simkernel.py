@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
+
+if TYPE_CHECKING:
+    from .metrics import MetricsSink
 
 
 class SimError(RuntimeError):
@@ -38,35 +41,26 @@ class Probes:
     `progress` counts state-changing applications (store writes, index applies,
     cache fills, control actions) and is what quiescence detection watches;
     periodic no-op traffic such as an unchanged replica pull does not advance it.
-    Every entry of `control_events` carries the virtual time `t` at which the
-    control action was recorded, as `response_audits` entries do.
+
+    The attached `MetricsSink` is the run's one log: staleness samples,
+    control actions and type-2 audit findings are emitted to it, stamped with
+    virtual time there, and read back from its records. Without a sink,
+    emitted records are dropped.
     """
 
     def __init__(self) -> None:
         self.progress = 0
-        self.staleness: list[tuple[str, int]] = []
-        self.response_audits: list[dict[str, Any]] = []
-        self.control_events: list[dict[str, Any]] = []
         self.load_hook: Callable[[str, Any, int], None] | None = None
-        self.metrics: Callable[[dict[str, Any]], None] | None = None
+        self.metrics: MetricsSink | None = None
 
     def progress_tick(self) -> None:
         self.progress += 1
 
-    def record_staleness(self, qpu_id: str, delta: int) -> None:
-        self.staleness.append((qpu_id, delta))
-        self.emit({"type": "staleness", "qpu": qpu_id, "delta": delta})
-
-    def record_control(self, now: int, event: dict[str, Any]) -> None:
-        """Store `event` stamped with virtual time `now` and emit the same
-        event plus `"type": "control"` as the metrics record."""
-        stamped = {"t": now, **event}
-        self.control_events.append(stamped)
+    def record_control(self, event: dict[str, Any]) -> None:
+        """A control action: counts as progress and is emitted as a
+        `"type": "control"` record."""
         self.progress_tick()
-        self.emit({"type": "control", **stamped})
-
-    def record_audit(self, record: dict[str, Any]) -> None:
-        self.response_audits.append(record)
+        self.emit({"type": "control", **event})
 
     def record_load(self, qpu_id: str, region: Any, now: int) -> None:
         if self.load_hook is not None:
@@ -74,10 +68,14 @@ class Probes:
 
     def emit(self, record: dict[str, Any]) -> None:
         if self.metrics is not None:
-            self.metrics(record)
+            self.metrics.emit(record)
 
     def type2_violations(self) -> list[dict[str, Any]]:
-        return [a for a in self.response_audits if a["violations"]]
+        """The `type2` records of the attached sink's log; a run without a
+        sink has no log to read, so asking is an error."""
+        if self.metrics is None:
+            raise SimError("no metrics sink attached: type-2 audits are only recorded in its log")
+        return [r for r in self.metrics.records if r.get("type") == "type2"]
 
 
 @dataclass
@@ -100,12 +98,10 @@ class Kernel:
     workload) triple always produces the same trace.
     """
 
-    def __init__(self, seed: int | str = 0, local_latency: int = 0) -> None:
+    def __init__(self, seed: int | str = 0) -> None:
         self.seed = seed
         self.now = 0
-        self.local_latency = local_latency
         self.probes = Probes()
-        self.tracer: Callable[[int, int, str, Any], None] | None = None
         self._seq = 0
         self._heap: list[tuple[int, int, str, Any]] = []
         self._nodes: set[str] = set()
@@ -173,10 +169,10 @@ class Kernel:
 
     def send(self, from_actor: str, to_actor: str, msg: Any) -> int:
         """Schedules delivery over the hosting nodes' link. Same-node delivery
-        uses the local latency; per-link FIFO is preserved by clamping."""
+        is at `now`; per-link FIFO is preserved by clamping."""
         src, dst = self._hosts[from_actor], self._hosts[to_actor]
         if src == dst:
-            return self.schedule(self.now + self.local_latency, to_actor, msg)
+            return self.schedule(self.now, to_actor, msg)
         link = self._links.get((src, dst))
         if link is None:
             raise SimError(f"no link {src}->{dst} (for {from_actor}->{to_actor})")
@@ -196,13 +192,11 @@ class Kernel:
 
     def _dispatch(self) -> None:
         """Delivers the earliest event, then starts any actor it registered."""
-        at, seq, target, msg = heapq.heappop(self._heap)
+        at, _seq, target, msg = heapq.heappop(self._heap)
         self.now = at
         actor = self._actors.get(target)
         if actor is None:
             raise SimError(f"message for unknown actor {target!r}")
-        if self.tracer is not None:
-            self.tracer(at, seq, target, msg)
         actor.on_message(self, msg)
         self._start_pending()
 

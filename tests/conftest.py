@@ -1,8 +1,12 @@
-"""Shared helpers: a response-collecting client and query driving."""
+"""Shared helpers: a response-collecting client, query driving, reading the
+metrics log, and a recheck wrapper that checks every row it keeps."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from qpusim.core import AttrValue, HyperRegion, Interval
+import qpusim.qpunet as qpunet
+from qpusim.core import AttrValue, HyperRegion, Interval, query_matches
 from qpusim.qpunet import QueryMsg
 from qpusim.simkernel import Actor
 
@@ -37,6 +41,40 @@ def run_query(k, client, qpu_id, query, *, drain=True):
             if qid in client.responses or not k.step():
                 break
     return client.responses[qid]
+
+
+def records_of(k, record_type):
+    """The records of one type in the log of the metrics sink attached to k;
+    raises when none is attached, so an absence is never read from no log."""
+    return [r for r in k.probes.metrics.records if r["type"] == record_type]
+
+
+def control_actions(k, action):
+    return [r for r in records_of(k, "control") if r["action"] == action]
+
+
+@pytest.fixture
+def audited_recheck(monkeypatch):
+    """Wraps qpunet.recheck, the filter every rechecking QPU applies before
+    it responds. The audit after a recheck is skipped, so this is what shows a
+    stale row escaping a rechecking QPU. Returns `calls`, the number of
+    responses rechecked, and `bad`, each kept row that the replica does not
+    hold at that key and version or that fails the query there at that
+    instant."""
+    audit = SimpleNamespace(calls=0, bad=[])
+    original = qpunet.recheck
+
+    def checked(entries, q, replica):
+        out = original(entries, q, replica)
+        audit.calls += 1
+        for key, _attrs, version in out:
+            obj = replica.objects.get(key)
+            if obj is None or obj.version != version or not query_matches(q, obj.attrs):
+                audit.bad.append((key, version))
+        return out
+
+    monkeypatch.setattr(qpunet, "recheck", checked)
+    return audit
 
 
 def make_region(**bounds):

@@ -16,13 +16,14 @@ from qpusim.build import build
 from qpusim.config import parse_topology, parse_workload
 from qpusim.core import AttrValue, Kind, Predicate, Query, Version, make_attrs
 from qpusim.indexing import FilterQpu, IndexQpu, IndexUpdate, MergeCmd, MergeQpu, StampedOp
+from qpusim.metrics import MetricsSink
 from qpusim.qpunet import CacheQpu, Connection, QueryMsg
 from qpusim.runner import drain_to_quiescence, run_scenario, validate_scenario
 from qpusim.scenarios import scenario
 from qpusim.simkernel import Kernel
 from qpusim.store import DcReplica, PUT, DELETE, WriteOp
 
-from conftest import Client, make_region, run_query
+from conftest import Client, control_actions, make_region, records_of, run_query
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 FULL = make_region(size=(None, None), genre=(None, None))
@@ -56,17 +57,15 @@ class TestCriterion1OracleEquivalence:
 
 
 class TestCriterion2NoType2:
-    def test_all_scenarios_audit_clean(self):
-        audited = 0
+    def test_all_scenarios_audit_clean(self, audited_recheck):
         for name in ("single-index", "cdn", "client-cache", "adaptive-skew"):
             topology, workload = scenario(name)
+            before = audited_recheck.calls
             res = run_scenario(topology, workload, seed=202)
-            audits = res.network.kernel.probes.response_audits
-            assert audits, "every response must be audited"
-            complete = [a for a in audits if a["complete"]]
-            assert all(not a["violations"] for a in audits)
-            audited += len(complete)
-        _pass(2, f"zero type-2 violations across {audited} audited complete responses")
+            assert audited_recheck.calls > before, f"{name}: no response was rechecked"
+            assert res.network.kernel.probes.type2_violations() == []
+        assert audited_recheck.bad == []
+        _pass(2, f"zero type-2 violations; {audited_recheck.calls} rechecked responses kept only current matching rows")
 
     def test_negative_control_has_teeth(self):
         topology, workload = scenario("single-index")
@@ -123,6 +122,7 @@ def adaptive_net(workload_doc=None, seed=404):
     cfg = parse_topology(topology)
     wl = parse_workload(workload_doc or workload, cfg)
     net = build(cfg, seed)
+    MetricsSink(net.kernel)
     from qpusim.workload import WorkloadDriver
 
     driver = WorkloadDriver(net, wl, seed)
@@ -133,11 +133,11 @@ def adaptive_net(workload_doc=None, seed=404):
 def run_until_split(net, deadline):
     k = net.kernel
     while k.now < deadline:
-        if any(e["action"] == "split" for e in k.probes.control_events):
+        if control_actions(k, "split"):
             return True
         if not k.step():
             return False
-    return any(e["action"] == "split" for e in k.probes.control_events)
+    return bool(control_actions(k, "split"))
 
 
 PROBE_QUERIES = [
@@ -196,7 +196,7 @@ class TestCriterion5AdaptiveResponsiveness:
         period = net.controller.period_ms
         load_onset = 3000
         assert run_until_split(net, deadline=load_onset + 2 * period), "split must fire within 2 control periods"
-        split_t = [e for e in k.probes.control_events if e["action"] == "split"][0]["t"]
+        split_t = control_actions(k, "split")[0]["t"]
         assert split_t <= load_onset + 2 * period
         pre_split_load = max(
             net.tracker.load(q, split_t) for q in net.tracker.windows
@@ -235,19 +235,8 @@ class TestCriterion5AdaptiveResponsiveness:
         net.kernel.run_until(end)
         net.stop_periodic()
         net.kernel.run_until_empty()
-        assert net.kernel.probes.control_events == []
+        assert records_of(net.kernel, "control") == []
         _pass(5, "uniform low load: zero control actions across 100 control periods")
-
-    def test_stored_control_events_equal_emitted_control_records(self):
-        topology, workload = scenario("adaptive-skew")
-        res = run_scenario(topology, workload, seed=505)
-        emitted = [
-            {f: v for f, v in r.items() if f != "type"} for r in res.sink.records if r["type"] == "control"
-        ]
-        stored = res.network.kernel.probes.control_events
-        assert any(e["action"] == "split" for e in stored)
-        assert emitted == stored
-        _pass(5, f"{len(stored)} stored control events equal the emitted control records, t included")
 
 
 class TestCriterion6Staleness:
@@ -287,7 +276,7 @@ class TestCriterion6Staleness:
 
     def test_unloaded_fixed_latency_every_sample_equals_latency(self):
         res = run_scenario(self._staleness_topology(), self._writes_workload(rate=20.0), seed=606)
-        samples = [d for _, d in res.network.kernel.probes.staleness]
+        samples = [r["delta"] for r in records_of(res.network.kernel, "staleness")]
         assert samples and set(samples) == {7}
         _pass(6, f"unloaded path: all {len(samples)} staleness samples equal the link latency (7)")
 
@@ -298,7 +287,7 @@ class TestCriterion6Staleness:
                 self._writes_workload(rate=160.0),  # 8 ops per 50ms vs 5-per-flush capacity
                 seed=606,
             )
-            return statistics.median(d for _, d in res.network.kernel.probes.staleness)
+            return statistics.median(r["delta"] for r in records_of(res.network.kernel, "staleness"))
 
         slow, fast = median_for(50), median_for(25)
         assert fast < slow

@@ -15,11 +15,12 @@ from qpusim.adapt import (
 )
 from qpusim.core import AttrValue, Kind, Predicate, Query, Version, make_attrs
 from qpusim.indexing import FilterQpu, IndexQpu, MergeCmd, SplitCmd
+from qpusim.metrics import MetricsSink
 from qpusim.qpunet import QueryMsg
 from qpusim.simkernel import Kernel
 from qpusim.store import ClientWrite, DcReplica
 
-from conftest import Client, make_region, run_query
+from conftest import Client, control_actions, make_region, records_of, run_query
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 FULL = make_region(size=(None, None), genre=(None, None))
@@ -255,6 +256,7 @@ class TestMergeExecution:
 
 def controller_net(*, t_split=50, t_merge=20, period_ms=200, window_buckets=10, bucket_ms=100, seed=0):
     k = Kernel(seed=seed)
+    MetricsSink(k)
     k.add_node("n")
     rep = DcReplica("dc1", SCHEMA)
     k.register(rep, "n")
@@ -294,7 +296,7 @@ class TestController:
         k.run_until(400)  # two control periods
         ctl.stop()
         k.run_until_empty()
-        splits = [e for e in k.probes.control_events if e["action"] == "split"]
+        splits = control_actions(k, "split")
         assert splits, "expected a split within two control periods"
         assert splits[0]["t"] <= 400
         assert root.mode == IndexQpu.INTERNAL
@@ -312,7 +314,7 @@ class TestController:
         k.run_until(10_000)
         ctl.stop()
         k.run_until_empty()
-        assert k.probes.control_events == []
+        assert records_of(k, "control") == []
 
     def test_cold_children_merge_back(self):
         k, rep, root, ctl, tracker, cl = controller_net(t_split=40, t_merge=15, period_ms=200)
@@ -323,12 +325,12 @@ class TestController:
         pre_bytes = root.index.registry_bytes()
         self.drive_queries(k, rng, rate_per_100ms=30, until=600)
         k.run_until(600)
-        assert any(e["action"] == "split" for e in k.probes.control_events)
+        assert control_actions(k, "split")
         # queries stop; windows decay; the controller should merge back
         k.run_until(3000)
         ctl.stop()
         k.run_until_empty()
-        assert any(e["action"] == "merge" for e in k.probes.control_events)
+        assert control_actions(k, "merge")
         assert root.mode == IndexQpu.LEAF
         assert root.index.registry_bytes() == pre_bytes
 
@@ -340,7 +342,7 @@ class TestController:
         k.run_until(50)
         self.drive_queries(k, rng, rate_per_100ms=30, until=600)
         k.run_until(600)
-        splits = [e for e in k.probes.control_events if e["action"] == "split"]
+        splits = control_actions(k, "split")
         assert splits
         hot_child = splits[0]["children"][0]
         # keep one child hot forever: above t_merge, below t_split
@@ -354,7 +356,7 @@ class TestController:
         k.run_until(4000)
         ctl.stop()
         k.run_until_empty()
-        assert not any(e["action"] == "merge" for e in k.probes.control_events)
+        assert not control_actions(k, "merge")
 
 
 class TestRebalance:
@@ -404,5 +406,5 @@ class TestRebalance:
         k.run_until(400)
         ctl.stop()
         k.run_until_empty()
-        rebinds = [e for e in k.probes.control_events if e["action"] == "rebind"]
+        rebinds = control_actions(k, "rebind")
         assert rebinds and k.host_of("root") == "spare"

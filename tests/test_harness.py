@@ -131,6 +131,23 @@ class TestTopologyValidation:
             parse_topology(doc)
         assert "does not cover" in str(err.value)
 
+    def test_qpu_that_reaches_no_full_replica_rejected(self):
+        # fq names no recheck_dc, and no link leads from its node to dc1's
+        doc = minimal_topology(
+            links=[],
+            qpus=[
+                {"id": "ds", "class": "ds", "node": "n1", "dc": "dc1"},
+                {"id": "fq", "class": "federation", "node": "n2"},
+            ],
+            connections=[{"from": "fq", "to": "ds"}],
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_topology(doc)
+        assert "qpus[1](fq): no recheck_dc and no full replica reachable" in str(err.value)
+        doc["links"] = [{"from": "n1", "to": "n2", "base_latency": 5}]
+        net = build(parse_topology(doc))
+        assert net.qpus["fq"].recheck_replica is net.replicas["dc1"]
+
     def test_errors_accumulate_with_paths(self):
         doc = minimal_topology()
         doc["qpus"][1]["region"] = {"colour": [0, 1], "size": [9, 3]}
@@ -195,6 +212,22 @@ class TestQpuParameterValidation:
         doc = minimal_topology()
         doc["qpus"][0]["batch_interval"] = "often"
         self._rejected(doc, "batch_interval")
+
+    @pytest.mark.parametrize("interval", [0.5, -1, True])
+    def test_filter_batch_interval_must_be_non_negative_integer(self, interval):
+        # flushes are scheduled on the integer clock
+        doc = minimal_topology()
+        doc["qpus"][0]["batch_interval"] = interval
+        self._rejected(doc, "batch_interval")
+
+    def test_units_run_with_the_accepted_values(self):
+        doc = cache_topology(capacity=2.5, ttl=0.5)
+        doc["qpus"][0]["batch_interval"] = 40
+        net = build(parse_topology(doc))
+        cache, flt = net.caches[0], net.filters[0]
+        assert (cache.capacity, cache.ttl, flt.batch_interval) == (2.5, 0.5, 40)
+        # validate mode waits whole milliseconds for response caches to expire
+        assert net.max_cache_ttl() == 1
 
 
 class TestWorkloadValidation:
@@ -487,6 +520,17 @@ class TestValidateMode:
         report = validate_scenario(minimal_topology(), delete_heavy_workload(), seed=13)
         assert report.ok
         assert report.type2_violations == []
+
+    def test_type2_records_reach_the_stream_only_without_recheck(self):
+        def type2_records(doc):
+            res = run_scenario(doc, delete_heavy_workload(), seed=13)
+            return [r for r in parse_ndjson(res.sink.to_ndjson()) if r["type"] == "type2"]
+
+        stale = type2_records(minimal_topology(debug={"disable_recheck": True}))
+        assert stale
+        for r in stale:
+            assert r["qpu"] == "iq" and r["violations"] and len(r["violations"]) <= r["entries"]
+        assert type2_records(minimal_topology()) == []
 
 
 class TestCli:

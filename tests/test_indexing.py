@@ -28,11 +28,12 @@ from qpusim.indexing import (
     StampedOp,
     filter_targets,
 )
+from qpusim.metrics import MetricsSink
 from qpusim.qpunet import CacheQpu, Connection, QueryMsg, decompose, dedupe_entries, recheck
 from qpusim.simkernel import Kernel
 from qpusim.store import DELETE, PUT, ClientDelete, ClientWrite, DcReplica, WriteOp
 
-from conftest import Client, make_region, run_query
+from conftest import Client, make_region, records_of, run_query
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 FULL = make_region(size=(None, None), genre=(None, None))
@@ -227,8 +228,9 @@ class TestFilterRouting:
 
 
 def single_index_net(*, latency=1, batch_interval=0, batch_size=None, jitter=0, seed=0, region=None):
-    """One DC, one filter, one index QPU, and a client."""
+    """One DC, one filter, one index QPU, and a client, with a metrics sink."""
     k = Kernel(seed=seed)
+    MetricsSink(k)
     k.add_node("n-dc")
     k.add_node("n-idx")
     k.add_link("n-dc", "n-idx", latency, jitter)
@@ -605,7 +607,7 @@ class TestRecheck:
         assert [(e[0], e[2]) for e in out] == [("k1", v2)]
         assert out[0][1]["size"].value == 9
 
-    def test_no_returned_entry_ever_violates_query_at_recheck_time(self):
+    def test_no_returned_entry_ever_violates_query_at_recheck_time(self, audited_recheck):
         k, rep, _, iq, cl = single_index_net(latency=6, jitter=4, seed=5)
         rng = random.Random(5)
         q = Query.of([Predicate.between("size", 0, 50)])
@@ -619,6 +621,8 @@ class TestRecheck:
             k.schedule(t + rng.randrange(0, 8), "iq", QueryMsg(f"adv{trial}", q, "client"))
             k.run_until(t + rng.randrange(0, 20))
         k.run_until_empty()
+        assert audited_recheck.calls == 100
+        assert audited_recheck.bad == []
         assert k.probes.type2_violations() == []
 
 
@@ -728,14 +732,14 @@ class TestStaleness:
         for i in range(5):
             rep.put(k, f"k{i}", make_attrs({"size": i}))
         k.run_until_empty()
-        assert [d for _, d in k.probes.staleness] == [0] * 5
+        assert [r["delta"] for r in records_of(k, "staleness")] == [0] * 5
 
     def test_fixed_link_latency_unloaded_every_delta_equals_latency(self):
         k, rep, *_ = single_index_net(latency=7)
         for i in range(10):
             rep.put(k, f"k{i}", make_attrs({"size": i}))
             k.run_until_empty()
-        assert [d for _, d in k.probes.staleness] == [7] * 10
+        assert [r["delta"] for r in records_of(k, "staleness")] == [7] * 10
 
     def test_halving_batch_interval_strictly_reduces_median_staleness(self):
         import statistics
@@ -751,6 +755,6 @@ class TestStaleness:
             flt.drain(k)
             flt.stop()
             k.run_until_empty()
-            return statistics.median(d for _, d in k.probes.staleness)
+            return statistics.median(r["delta"] for r in records_of(k, "staleness"))
 
         assert run(25) < run(50)

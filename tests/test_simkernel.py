@@ -197,8 +197,6 @@ class TestDeterminism:
         k.add_node("n1")
         k.add_node("n2")
         k.add_link("n1", "n2", 2, jitter=5)
-        trace = []
-        k.tracer = lambda at, seq, target, msg: trace.append((at, seq, target, repr(msg)))
         src, dst = Recorder("src"), Recorder("dst")
         k.register(src, "n1")
         k.register(dst, "n2")
@@ -207,7 +205,8 @@ class TestDeterminism:
         for i in range(500):
             k.schedule(rng.randrange(0, 300), "src", i)
         k.run_until_empty()
-        return trace
+        assert len(dst.seen) == 500
+        return dst.seen
 
     def test_identical_seed_gives_identical_trace(self):
         assert self._run(123) == self._run(123)
