@@ -62,9 +62,10 @@ class Network:
 
 
 def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
+    """Wires a topology that parse_topology returned; validate_topology has
+    already parsed every region this reads, so none fails here."""
     k = Kernel(seed=seed)
     schema = cfg.schema
-    errors: list[str] = []
 
     for n in cfg.nodes:
         k.add_node(n.id)
@@ -95,11 +96,10 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
         if spec.cls == "ds":
             qpu: object = DsQpu(spec.id, schema, replicas[p["dc"]], recheck_enabled=recheck_enabled, timeout=timeout)
         elif spec.cls in ("index", "merge"):
-            region = parse_region(p.get("region"), schema, errors, f"qpus({spec.id}).region")
             cls = IndexQpu if spec.cls == "index" else MergeQpu
             qpu = cls(
                 spec.id,
-                region if region is not None else HyperRegion.full(schema),
+                parse_region(p.get("region"), schema, [], f"qpus({spec.id}).region"),
                 push_to=p.get("push_to"),
                 controller=CONTROLLER_ID if adaptive_on else None,
                 recheck_replica=recheck_replica(spec),
@@ -147,8 +147,7 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
             if t.get("region") is None:
                 region = target.region  # type: ignore[attr-defined]
             else:
-                region = parse_region(t["region"], schema, errors, f"qpus({spec.id}).targets.region")
-                region = region if region is not None else HyperRegion.full(schema)
+                region = parse_region(t["region"], schema, [], f"qpus({spec.id}).targets.region")
             flt.targets.append((t["qpu"], region))
 
     for c in cfg.connections:
@@ -177,6 +176,4 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
         hosts = sorted({q.node for q in cfg.qpus if q.id in roots}) or [cfg.nodes[0].id]
         k.register(controller, hosts[0])
 
-    if errors:
-        raise ConfigError(errors)
     return Network(k, cfg, replicas, qpus, tracker, controller, filters, caches)

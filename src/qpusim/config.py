@@ -398,6 +398,14 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
 
     full_dcs = {d.id for d in cfg.dcs if d.full_replica}
     by_dc = {d.id: d for d in cfg.dcs}
+    node_of = {d.id: d.node for d in cfg.dcs}
+    node_of.update((q.id, q.node) for q in cfg.qpus)
+
+    def unlinked(a: str, b: str) -> bool:
+        """Messages between replicas or QPUs a and b need their nodes to be
+        one node or directly linked; kernel sends take one link, no route."""
+        na, nb = node_of.get(a), node_of.get(b)
+        return na is not None and nb is not None and na != nb and frozenset((na, nb)) not in linked
     index_like = {q.id for q in cfg.qpus if q.cls in ("index", "merge")}
 
     for i, q in enumerate(cfg.qpus):
@@ -429,12 +437,16 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
         if q.cls == "filter":
             if p.get("dc") not in dc_ids:
                 errors.append(f"{path}.dc: a filter subscribes to exactly one DC log")
+            elif unlinked(q.id, p["dc"]):
+                errors.append(f"{path}.dc: no link between nodes of {q.id!r} and {p['dc']!r}")
             for j, t in enumerate(p.get("targets", [])):
                 tid = t.get("qpu") if isinstance(t, dict) else None
                 if tid not in index_like:
                     errors.append(f"{path}.targets[{j}]: {tid!r} is not an indexing QPU")
                 elif isinstance(t, dict):
                     parse_region(t.get("region"), schema, errors, f"{path}.targets[{j}].region")
+                    if unlinked(q.id, tid):
+                        errors.append(f"{path}.targets[{j}]: no link between nodes of {q.id!r} and {tid!r}")
             interval, size = p.get("batch_interval", 0), p.get("batch_size")
             if not (_is_int(interval) and interval >= 0):
                 # flushes are scheduled on the integer clock
@@ -458,6 +470,8 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
             push = p.get("push_to")
             if push is not None and push not in index_like:
                 errors.append(f"{path}.push_to: {push!r} is not an indexing QPU")
+            elif push is not None and unlinked(q.id, push):
+                errors.append(f"{path}.push_to: no link between nodes of {q.id!r} and {push!r}")
 
     out_degree: dict[str, int] = {}
     for i, c in enumerate(cfg.connections):
@@ -465,6 +479,8 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
             errors.append(f"connections[{i}].from: unknown QPU {c.src!r}")
         if c.dst not in qpu_ids:
             errors.append(f"connections[{i}].to: unknown QPU {c.dst!r}")
+        if unlinked(c.src, c.dst):
+            errors.append(f"connections[{i}]: no link between nodes of {c.src!r} and {c.dst!r}")
         out_degree[c.src] = out_degree.get(c.src, 0) + 1
     for q in cfg.qpus:
         if q.cls == "cache" and out_degree.get(q.id, 0) != 1:

@@ -126,12 +126,12 @@ class Version(NamedTuple):
 ZERO_VERSION = Version(0, "")
 
 
-@dataclass(frozen=True)
-class StoredObject:
+class StoredObject(NamedTuple):
     """An object as a replica holds it. `attrs` is the dict of the write that
     set it, shared with that write's op, the replica logs, index registries
     and every result row built from it; no code mutates one in place. The only
-    copy is taken where a client's dict enters the store (DcReplica.put)."""
+    copy is taken where a client's dict enters the store (DcReplica.put).
+    A NamedTuple, as are the per-event records (see store.py)."""
 
     key: str
     attrs: dict[str, AttrValue]
@@ -140,7 +140,11 @@ class StoredObject:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed-open interval [lo, hi); None means unbounded on that side."""
+    """Closed-open interval [lo, hi); None means unbounded on that side.
+
+    Like HyperRegion.contains and query_matcher, the region algebra checks
+    the kinds of the bounds it compares, raising KindMismatch where
+    AttrValue's operators would, and then compares their raw values."""
 
     lo: AttrValue | None = None
     hi: AttrValue | None = None
@@ -149,7 +153,7 @@ class Interval:
         if self.lo is not None and self.hi is not None:
             if self.lo.kind is not self.hi.kind:
                 raise RegionError(f"interval bounds of mixed kind: {self.lo!r}, {self.hi!r}")
-            if not self.lo < self.hi:
+            if not self.lo.value < self.hi.value:  # type: ignore[operator]
                 raise RegionError(f"empty or inverted interval [{self.lo!r}, {self.hi!r})")
 
     @property
@@ -161,27 +165,40 @@ class Interval:
         return self.lo is None and self.hi is None
 
     def contains(self, v: AttrValue) -> bool:
-        if self.lo is not None and v < self.lo:
+        if self.lo is not None and _less(v, self.lo):
             return False
-        if self.hi is not None and not (v < self.hi):
+        if self.hi is not None and not _less(v, self.hi):
             return False
         return True
 
     def clip(self, other: "Interval") -> "Interval | None":
-        """Intersection, or None when disjoint."""
-        lo = self.lo if other.lo is None else other.lo if self.lo is None else max(self.lo, other.lo)
-        hi = self.hi if other.hi is None else other.hi if self.hi is None else min(self.hi, other.hi)
-        if lo is not None and hi is not None and not lo < hi:
+        """Intersection, or None when disjoint; self when other cuts nothing
+        off it."""
+        lo, hi = self.lo, self.hi
+        if other.lo is not None and (lo is None or _less(lo, other.lo)):
+            lo = other.lo
+        if other.hi is not None and (hi is None or _less(other.hi, hi)):
+            hi = other.hi
+        if lo is self.lo and hi is self.hi:
+            return self
+        if lo is not None and hi is not None and not _less(lo, hi):
             return None
         return Interval(lo, hi)
 
     def covers(self, other: "Interval") -> bool:
         """True when every point of `other` lies in self."""
-        if self.lo is not None and (other.lo is None or other.lo < self.lo):
+        if self.lo is not None and (other.lo is None or _less(other.lo, self.lo)):
             return False
-        if self.hi is not None and (other.hi is None or self.hi < other.hi):
+        if self.hi is not None and (other.hi is None or _less(self.hi, other.hi)):
             return False
         return True
+
+
+def _less(a: AttrValue, b: AttrValue) -> bool:
+    """a < b on raw values, raising KindMismatch across kinds as a < b would."""
+    if a.kind is not b.kind:
+        raise KindMismatch(f"cannot compare {a.kind.value} with {b.kind.value}")
+    return a.value < b.value  # type: ignore[operator]
 
 
 FULL_INTERVAL = Interval(None, None)
@@ -205,15 +222,16 @@ class HyperRegion:
     def full(attrs: Iterable[str]) -> "HyperRegion":
         return HyperRegion(tuple((a, FULL_INTERVAL) for a in sorted(attrs)))
 
-    @property
+    @cached_property
     def attrs(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.dims)
 
+    @cached_property
+    def _intervals(self) -> dict[str, Interval]:
+        return dict(self.dims)
+
     def interval(self, attr: str) -> Interval:
-        for name, iv in self.dims:
-            if name == attr:
-                return iv
-        raise KeyError(attr)
+        return self._intervals[attr]
 
     def bounds(self) -> dict[str, Interval]:
         return dict(self.dims)
@@ -255,15 +273,18 @@ class HyperRegion:
         return True
 
     def clip(self, other: "HyperRegion") -> "HyperRegion | None":
-        """Intersection box, or None when disjoint."""
+        """Intersection box, or None when disjoint; self when other cuts
+        nothing off it."""
         self._check(other)
-        out: dict[str, Interval] = {}
-        for name, iv in self.dims:
-            c = iv.clip(other.interval(name))
+        dims = []
+        cut = False
+        for (name, iv), (_, oiv) in zip(self.dims, other.dims):
+            c = iv.clip(oiv)
             if c is None:
                 return None
-            out[name] = c
-        return HyperRegion.of(out)
+            cut = cut or c is not iv
+            dims.append((name, c))
+        return HyperRegion(tuple(dims)) if cut else self
 
     def covers(self, other: "HyperRegion") -> bool:
         self._check(other)
@@ -276,24 +297,24 @@ class HyperRegion:
         if core is None:
             return [self]
         pieces: list[HyperRegion] = []
-        rem = self.bounds()
-        for name in sorted(rem):
-            a, b = rem[name], core.interval(name)
-            if b.lo is not None and (a.lo is None or a.lo < b.lo):
-                below = dict(rem)
-                below[name] = Interval(a.lo, b.lo)
-                pieces.append(HyperRegion.of(below))
-            if b.hi is not None and (a.hi is None or b.hi < a.hi):
-                above = dict(rem)
-                above[name] = Interval(b.hi, a.hi)
-                pieces.append(HyperRegion.of(above))
-            rem[name] = b
+        rem = list(self.dims)
+        # clip kept self's intervals or cut them: a and b share a kind
+        for i, ((name, a), (_, b)) in enumerate(zip(self.dims, core.dims)):
+            if b is a:
+                continue
+            if b.lo is not None and (a.lo is None or a.lo.value < b.lo.value):  # type: ignore[operator]
+                rem[i] = (name, Interval(a.lo, b.lo))
+                pieces.append(HyperRegion(tuple(rem)))
+            if b.hi is not None and (a.hi is None or b.hi.value < a.hi.value):  # type: ignore[operator]
+                rem[i] = (name, Interval(b.hi, a.hi))
+                pieces.append(HyperRegion(tuple(rem)))
+            rem[i] = (name, b)
         return pieces
 
     def split(self, attr: str, plane: AttrValue) -> "tuple[HyperRegion, HyperRegion]":
         """Cut into [lo, plane) and [plane, hi) along one dimension."""
         iv = self.interval(attr)
-        if not iv.contains(plane) or (iv.lo is not None and not iv.lo < plane):
+        if not iv.contains(plane) or (iv.lo is not None and not _less(iv.lo, plane)):
             raise RegionError(f"split plane {plane!r} not interior to {iv} on {attr!r}")
         low, high = self.bounds(), self.bounds()
         low[attr] = Interval(iv.lo, plane)
@@ -320,9 +341,10 @@ class Predicate:
         if self.lower is not None and self.upper is not None:
             if self.lower.kind is not self.upper.kind:
                 raise RegionError(f"predicate bounds of mixed kind on {self.attr!r}")
-            if self.upper < self.lower:
+            lo, hi = self.lower.value, self.upper.value
+            if hi < lo:  # type: ignore[operator]
                 raise RegionError(f"inverted predicate bounds on {self.attr!r}")
-            if self.lower == self.upper and not (self.lower_inclusive and self.upper_inclusive):
+            if lo == hi and not (self.lower_inclusive and self.upper_inclusive):
                 raise RegionError(f"empty predicate on {self.attr!r}")
 
     @staticmethod
@@ -392,8 +414,12 @@ def _predicate_bounds(p: Predicate) -> tuple[AttrValue | None, AttrValue | None]
     return lo, hi
 
 
-def _predicate_interval(p: Predicate) -> Interval:
-    return Interval(*_predicate_bounds(p))
+def _raw_bounds(p: Predicate) -> tuple[str, Kind, RawValue | None, RawValue | None]:
+    """(attr, kind, lo, hi): _predicate_bounds as raw values, with the one
+    kind the predicate's bounds share."""
+    lo, hi = _predicate_bounds(p)
+    kind = (p.lower if p.lower is not None else p.upper).kind  # type: ignore[union-attr]
+    return p.attr, kind, None if lo is None else lo.value, None if hi is None else hi.value
 
 
 def query_is_empty(q: Query) -> bool:
@@ -401,7 +427,7 @@ def query_is_empty(q: Query) -> bool:
     between 5 and 6; such a query matches nothing anywhere."""
     for p in q.predicates:
         if p.lower is not None and p.upper is not None and not (p.lower_inclusive and p.upper_inclusive):
-            lo, hi = _predicate_bounds(p)
+            _attr, _kind, lo, hi = _raw_bounds(p)
             if not lo < hi:  # type: ignore[operator]
                 return True
     return False
@@ -417,12 +443,7 @@ def query_matcher(q: Query) -> Callable[[AttrMap], bool]:
     """Compiles q once into raw closed-open bounds per attribute. The returned
     function answers as query_matches(q, attrs) does, raising KindMismatch on
     the same inputs, but compares plain values instead of AttrValues."""
-    compiled = []
-    for p in q.predicates:
-        lo, hi = _predicate_bounds(p)
-        kind = (p.lower if p.lower is not None else p.upper).kind  # type: ignore[union-attr]
-        compiled.append((p.attr, kind, None if lo is None else lo.value, None if hi is None else hi.value))
-    bounds = tuple(compiled)
+    bounds = tuple(_raw_bounds(p) for p in q.predicates)
 
     def matches(attrs: AttrMap) -> bool:
         for attr, kind, lo, hi in bounds:
@@ -448,7 +469,7 @@ def query_to_region(q: Query, indexed_attrs: Iterable[str]) -> HyperRegion | Non
     for p in q.predicates:
         if p.attr not in indexed:
             return None
-        bounds[p.attr] = _predicate_interval(p)
+        bounds[p.attr] = Interval(*_predicate_bounds(p))
     for attr in indexed:
         bounds.setdefault(attr, FULL_INTERVAL)
     return HyperRegion.of(bounds)
@@ -474,9 +495,7 @@ CanonicalQuery = tuple
 
 def canonical_query(q: Query) -> CanonicalQuery:
     """Stable hashable form: predicates sorted by attribute, bounds normalized
-    closed-open. Used as the cache key."""
-    dims = []
-    for p in sorted(q.predicates, key=lambda p: p.attr):
-        iv = _predicate_interval(p)
-        dims.append((p.attr, iv.lo, iv.hi))
-    return (tuple(dims), q.limit)
+    closed-open as raw (attr, kind, lo, hi), so the response caches hash and
+    compare plain values; the kind keeps int 1 and float 1.0 apart. Used as
+    the cache key."""
+    return (tuple(sorted(_raw_bounds(p) for p in q.predicates)), q.limit)

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .core import (
     ZERO_VERSION,
@@ -35,8 +34,7 @@ from .simkernel import Actor, Kernel, Tick
 from .store import DELETE, DcReplica, LogEntry, PostingSets, PUT, WriteOp
 
 
-@dataclass(frozen=True)
-class StampedOp:
+class StampedOp(NamedTuple):
     """A write op plus the virtual time its feeding replica applied it; the
     stamp rides along so staleness is measured end to end."""
 
@@ -44,8 +42,7 @@ class StampedOp:
     applied_at: int
 
 
-@dataclass(frozen=True)
-class IndexUpdate:
+class IndexUpdate(NamedTuple):
     """A batch of ops from one ingest source, sequence-numbered per stream so
     receivers can hold out-of-order batches until gaps fill."""
 
@@ -55,35 +52,29 @@ class IndexUpdate:
 
 
 # control-plane messages for adaptive re-partitioning
-@dataclass(frozen=True)
-class SplitCmd:
+class SplitCmd(NamedTuple):
     parent: str
     plane: tuple[str, AttrValue]
 
 
-@dataclass(frozen=True)
-class Handoff:
+class Handoff(NamedTuple):
     snapshot: IndexSnapshot
     parent: str
 
 
-@dataclass(frozen=True)
-class HandoffAck:
+class HandoffAck(NamedTuple):
     child: str
 
 
-@dataclass(frozen=True)
-class MergeCmd:
+class MergeCmd(NamedTuple):
     children: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Retire:
+class Retire(NamedTuple):
     child: str
 
 
-@dataclass(frozen=True)
-class ControlDone:
+class ControlDone(NamedTuple):
     qpu: str
     action: str
     children: tuple[tuple[str, HyperRegion], ...] = ()

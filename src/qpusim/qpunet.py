@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
 
 from .core import (
     HyperRegion,
@@ -29,15 +29,13 @@ if TYPE_CHECKING:
 Entry = tuple[str, dict, Version]
 
 
-@dataclass(frozen=True)
-class QueryMsg:
+class QueryMsg(NamedTuple):
     qid: str
     query: Query
     reply_to: str
 
 
-@dataclass(frozen=True)
-class ResponseMsg:
+class ResponseMsg(NamedTuple):
     qid: str
     entries: tuple[Entry, ...]
     complete: bool
@@ -45,8 +43,7 @@ class ResponseMsg:
     source_chain: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class SnapshotRequest:
+class SnapshotRequest(NamedTuple):
     """Pull request from a replica cache: `since` is the index sequence
     number of the last reply it installed (0 before the first)."""
 
@@ -54,8 +51,7 @@ class SnapshotRequest:
     reply_to: str
 
 
-@dataclass(frozen=True)
-class IndexSnapshot:
+class IndexSnapshot(NamedTuple):
     """Index state on the wire: region bounds, registry rows as
     (key, attrs, version) with attrs=None marking an index-local tombstone,
     per-source high-water marks, and the index's change sequence `seq` when
@@ -72,8 +68,7 @@ class IndexSnapshot:
     full: bool = True
 
 
-@dataclass(frozen=True)
-class QueryTimeout:
+class QueryTimeout(NamedTuple):
     qid: str
 
 

@@ -4,8 +4,7 @@ asynchronous last-writer-wins replication, and per-DC ordered update logs."""
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import (
     ZERO_VERSION,
@@ -28,8 +27,16 @@ PUT = "put"
 DELETE = "delete"
 
 
-@dataclass(frozen=True)
-class WriteOp:
+# The records below, and the messages and stored objects of the other
+# modules (core.StoredObject, indexing, qpunet, workload), are built once per
+# write, log append, hop or query, and the replica logs keep them for the whole
+# run. So they are immutable NamedTuples, not frozen dataclasses: cheaper to
+# build and smaller to keep. A NamedTuple equals any plain tuple of the same
+# fields, records of two classes alike, so messages are dispatched by
+# isinstance and never compared by value.
+
+
+class WriteOp(NamedTuple):
     """A versioned put/delete carrying the old and new attribute coordinates,
     so index maintenance never needs a read-back. Both are shared attrs
     dicts (see StoredObject): `new_attrs` becomes the stored object's attrs,
@@ -43,27 +50,23 @@ class WriteOp:
     origin_dc: str
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     seq: int
     op: WriteOp
     applied_at: int
 
 
 # client / replication messages
-@dataclass(frozen=True)
-class ClientWrite:
+class ClientWrite(NamedTuple):
     key: str
     attrs: dict
 
 
-@dataclass(frozen=True)
-class ClientDelete:
+class ClientDelete(NamedTuple):
     key: str
 
 
-@dataclass(frozen=True)
-class Replicate:
+class Replicate(NamedTuple):
     op: WriteOp
 
 
@@ -184,15 +187,15 @@ class DcReplica(Actor):
     # -- message plane ------------------------------------------------------
 
     def on_message(self, k: Kernel, msg) -> None:
-        if isinstance(msg, ClientWrite):
+        if isinstance(msg, Replicate):  # most of a replica's messages
+            self.apply_replicated(k, msg.op)
+        elif isinstance(msg, ClientWrite):
             try:
                 self.put(k, msg.key, msg.attrs)
             except IngestError as exc:
                 k.probes.emit({"type": "rejected_write", "dc": self.dc_id, "key": msg.key, "reason": str(exc)})
         elif isinstance(msg, ClientDelete):
             self.delete(k, msg.key)
-        elif isinstance(msg, Replicate):
-            self.apply_replicated(k, msg.op)
         else:
             raise TypeError(f"replica {self.dc_id} got {type(msg).__name__}")
 
@@ -225,12 +228,19 @@ class DcReplica(Actor):
     # -- replication ----------------------------------------------------------
 
     def apply_replicated(self, k: Kernel, op: WriteOp) -> bool:
-        """Last-writer-wins; duplicates and dominated versions are ignored."""
+        """Last-writer-wins; duplicates and dominated versions are ignored.
+        The logged op carries the locally overwritten attrs. Attrs dicts are
+        shared, never copied, so where this replica held the key at the same
+        write as the origin (or neither held it) they are the op's own
+        `old_attrs`, and the received op is logged as it is."""
         if op.version <= self._current_version(op.key):
             return False
         self.clock = max(self.clock, op.version.ts)
         old = self.objects.get(op.key)
-        local_op = WriteOp(op.key, op.kind, op.new_attrs, old.attrs if old else None, op.version, op.origin_dc)
+        old_attrs = old.attrs if old else None
+        local_op = op
+        if old_attrs is not op.old_attrs:
+            local_op = WriteOp(op.key, op.kind, op.new_attrs, old_attrs, op.version, op.origin_dc)
         self._apply_state(op.key, local_op)
         self._append(k, local_op)
         return True
@@ -267,8 +277,9 @@ class DcReplica(Actor):
             k.send(self.dc_id, sub, entry)
 
     def _replicate(self, k: Kernel, op: WriteOp) -> None:
+        msg = Replicate(op)  # one immutable message serves every peer
         for peer in self.peers:
-            k.send(self.dc_id, peer, Replicate(op))
+            k.send(self.dc_id, peer, msg)
 
     # -- reads -----------------------------------------------------------------
 

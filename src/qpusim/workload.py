@@ -7,7 +7,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any
+from typing import Any, NamedTuple
 
 from .build import Network
 from .config import DistSpec, PhaseSpec, WorkloadSpec
@@ -61,13 +61,11 @@ class Sampler:
         return AttrValue.of(value)
 
 
-@dataclass(frozen=True)
-class IssueQuery:
+class IssueQuery(NamedTuple):
     query: Query
 
 
-@dataclass(frozen=True)
-class Heartbeat:
+class Heartbeat(NamedTuple):
     pass
 
 

@@ -377,6 +377,88 @@ class TestRegions:
             a.split("x", AttrValue.of(0))
 
 
+def reference_interval_clip(a, b):
+    """Interval intersection on AttrValue's own operators."""
+    lo = a.lo if b.lo is None else b.lo if a.lo is None else max(a.lo, b.lo)
+    hi = a.hi if b.hi is None else b.hi if a.hi is None else min(a.hi, b.hi)
+    if lo is not None and hi is not None and not lo < hi:
+        return None
+    return Interval(lo, hi)
+
+
+def reference_covers(a, b):
+    if a.lo is not None and (b.lo is None or b.lo < a.lo):
+        return False
+    if a.hi is not None and (b.hi is None or a.hi < b.hi):
+        return False
+    return True
+
+
+def reference_clip(a, b):
+    out = {}
+    for name, dim in a:
+        c = reference_interval_clip(dim, b.interval(name))
+        if c is None:
+            return None
+        out[name] = c
+    return HyperRegion.of(out)
+
+
+def reference_subtract(a, b):
+    core = reference_clip(a, b)
+    if core is None:
+        return [a]
+    pieces, rem = [], a.bounds()
+    for name in sorted(rem):
+        x, y = rem[name], core.interval(name)
+        if y.lo is not None and (x.lo is None or x.lo < y.lo):
+            pieces.append(HyperRegion.of({**rem, name: Interval(x.lo, y.lo)}))
+        if y.hi is not None and (x.hi is None or y.hi < x.hi):
+            pieces.append(HyperRegion.of({**rem, name: Interval(y.hi, x.hi)}))
+        rem[name] = y
+    return pieces
+
+
+def _result_or_kind_mismatch(fn):
+    try:
+        return fn()
+    except KindMismatch:
+        return KindMismatch
+
+
+class TestRawRegionAlgebra:
+    """Clip, covers and subtract compare raw values once the kinds are
+    checked; they answer as the same algebra on AttrValue's operators does,
+    KindMismatch included, across regions whose dimensions differ in kind."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(membership_regions(), membership_regions())
+    def test_equals_attrvalue_operator_reference(self, a, b):
+        for x, y in ((a, b), (b, a), (a, a)):
+            clipped = _result_or_kind_mismatch(lambda: x.clip(y))
+            assert clipped == _result_or_kind_mismatch(lambda: reference_clip(x, y))
+            if clipped == x:
+                assert clipped is x  # nothing cut: the region itself
+            expected = _result_or_kind_mismatch(lambda: reference_subtract(x, y))
+            assert _result_or_kind_mismatch(lambda: x.subtract(y)) == expected
+            for (name, dx), (_, dy) in zip(x, y):
+                assert _result_or_kind_mismatch(lambda: dx.covers(dy)) == _result_or_kind_mismatch(
+                    lambda: reference_covers(dx, dy)
+                )
+
+    def test_mixed_kinds_raise_and_malformed_bounds_are_region_errors(self):
+        with pytest.raises(KindMismatch):
+            iv(0, 10).clip(iv(0.5, None))
+        with pytest.raises(KindMismatch):
+            region(x=(0, None)).clip(region(x=(None, 2.5)))
+        with pytest.raises(RegionError):
+            iv(5, 5)
+        with pytest.raises(RegionError):
+            Interval(AttrValue.of(1), AttrValue.of(2.0))
+        with pytest.raises(RegionError):
+            Predicate.between("x", 2.0, 1.0)
+
+
 def random_region(rng, dims, lo=0, hi=12):
     bounds = {}
     for d in dims:
@@ -467,6 +549,12 @@ class TestCanonicalQuery:
         inclusive = Query.of([Predicate.between("x", 0, 5)])
         exclusive = Query.of([Predicate("x", AttrValue.of(0), AttrValue.of(6), upper_inclusive=False)])
         assert canonical_query(inclusive) == canonical_query(exclusive)
+
+    def test_kind_distinguishes_equal_raw_bounds(self):
+        ints = Query.of([Predicate.between("x", 1, 2)])  # [1, 3)
+        floats = Query.of([Predicate("x", AttrValue.of(1.0), AttrValue.of(3.0), upper_inclusive=False)])
+        assert canonical_query(ints) != canonical_query(floats)
+        assert len({canonical_query(ints), canonical_query(floats)}) == 2
 
     def test_limit_distinguishes(self):
         q = [Predicate.between("x", 0, 5)]

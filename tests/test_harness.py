@@ -16,6 +16,7 @@ from qpusim.cli import main as cli_main
 from qpusim.config import ConfigError, parse_topology, parse_workload
 from qpusim.core import AttrValue
 from qpusim.metrics import parse_ndjson, summarize
+from qpusim.qpunet import CacheQpu
 from qpusim.runner import run_scenario, validate_scenario
 from qpusim.scenarios import SCENARIOS, scenario, write_scenario
 from qpusim.workload import WorkloadDriver
@@ -147,6 +148,40 @@ class TestTopologyValidation:
         doc["links"] = [{"from": "n1", "to": "n2", "base_latency": 5}]
         net = build(parse_topology(doc))
         assert net.qpus["fq"].recheck_replica is net.replicas["dc1"]
+
+    def test_message_paths_need_a_direct_link(self):
+        """Kernel sends take one link. A filter and its DC, a filter and its
+        targets, both ends of a connection and a push_to must share a node
+        or be linked directly; a path through a third node is not enough."""
+        doc = minimal_topology(links=[])
+        with pytest.raises(ConfigError) as err:
+            parse_topology(doc)
+        assert err.value.errors == ["qpus[0](flt).targets[0]: no link between nodes of 'flt' and 'iq'"]
+        doc = minimal_topology(
+            nodes=[{"id": "n1"}, {"id": "n2"}, {"id": "n3"}],
+            links=[{"from": "n1", "to": "n2", "base_latency": 5}, {"from": "n2", "to": "n3", "base_latency": 5}],
+            qpus=[
+                {"id": "flt", "class": "filter", "node": "n3", "dc": "dc1", "targets": [{"qpu": "iq"}]},
+                {"id": "iq", "class": "index", "node": "n1", "region": {}, "push_to": "mq"},
+                {"id": "mq", "class": "merge", "node": "n3", "region": {}},
+                {"id": "fq", "class": "federation", "node": "n3"},
+            ],
+            connections=[{"from": "fq", "to": "iq"}],
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_topology(doc)
+        assert err.value.errors == [
+            "qpus[0](flt).dc: no link between nodes of 'flt' and 'dc1'",
+            "qpus[0](flt).targets[0]: no link between nodes of 'flt' and 'iq'",
+            "qpus[1](iq).push_to: no link between nodes of 'iq' and 'mq'",
+            "connections[0]: no link between nodes of 'fq' and 'iq'",
+        ]
+        doc["links"].append({"from": "n1", "to": "n3", "base_latency": 5})
+        workload = shaped_workload()
+        workload["phases"][0].update(write_rate=20, write_origin={"dcs": ["dc1"]}, query_rate=5, query_origin=["fq"])
+        res = run_scenario(doc, workload)
+        assert res.network.qpus["mq"].index.registry  # flt -> iq -> mq
+        assert any(r["type"] == "query" and r["results"] for r in res.sink.records)
 
     def test_errors_accumulate_with_paths(self):
         doc = minimal_topology()
@@ -371,17 +406,9 @@ def test_shared_attrs_dicts_are_never_mutated(name, monkeypatch):
     assert digest == GOLDEN_NDJSON_SHA256[name][0]
 
 
-def test_write_path_compares_raw_values(monkeypatch):
-    """Replication, placement, filter routing, index apply and replica-cache
-    pulls compare raw values, never AttrValues. The bundled client-cache
-    scenario at scale 1, its queries removed, calls no AttrValue comparison,
-    hash or equality operator while it runs."""
-    t, w = scenario("client-cache")
-    phases = [{k: v for k, v in p.items() if not k.startswith("query")} for p in w["phases"] if p.get("write_rate")]
-    cfg = parse_topology(t)
-    net = build(cfg, 0)
-    driver = WorkloadDriver(net, parse_workload({"phases": phases}, cfg), 0)
-    end = driver.schedule_all()
+def count_attrvalue_operators(monkeypatch) -> Counter:
+    """Wraps AttrValue's comparison, hash and equality operators for the rest
+    of the test; the returned Counter counts their calls by name."""
     calls = Counter()
 
     def counting(name):
@@ -395,6 +422,21 @@ def test_write_path_compares_raw_values(monkeypatch):
 
     for name in ("__lt__", "__le__", "__gt__", "__ge__", "__hash__", "__eq__"):
         monkeypatch.setattr(AttrValue, name, counting(name))
+    return calls
+
+
+def test_write_path_compares_raw_values(monkeypatch):
+    """Replication, placement, filter routing, index apply and replica-cache
+    pulls compare raw values, never AttrValues. The bundled client-cache
+    scenario at scale 1, its queries removed, calls no AttrValue comparison,
+    hash or equality operator while it runs."""
+    t, w = scenario("client-cache")
+    phases = [{k: v for k, v in p.items() if not k.startswith("query")} for p in w["phases"] if p.get("write_rate")]
+    cfg = parse_topology(t)
+    net = build(cfg, 0)
+    driver = WorkloadDriver(net, parse_workload({"phases": phases}, cfg), 0)
+    end = driver.schedule_all()
+    calls = count_attrvalue_operators(monkeypatch)
     net.kernel.run_until(end)
     assert driver.journal.writes > 0 and not driver.journal.queries
     assert net.qpus["mq"].index.registry and net.qpus["rc1"]._index.registry
@@ -403,6 +445,24 @@ def test_write_path_compares_raw_values(monkeypatch):
     assert AttrValue.of(1) < AttrValue.of(2) and AttrValue.of(1) == AttrValue.of(1)
     assert len({AttrValue.of(1)}) == 1
     assert calls == Counter(__lt__=1, __eq__=1, __hash__=1)
+
+
+def test_read_path_compares_raw_values(monkeypatch):
+    """Region algebra (intervals, clip, subtract, decompose), sub-query
+    predicates, empty-query checks and response-cache keys compare raw values
+    once the kinds are checked. The bundled cdn scenario at scale 1, reads
+    and writes, calls no AttrValue operator while it runs."""
+    t, w = scenario("cdn")
+    cfg = parse_topology(t)
+    net = build(cfg, 0)
+    driver = WorkloadDriver(net, parse_workload(w, cfg), 0)
+    end = driver.schedule_all()
+    calls = count_attrvalue_operators(monkeypatch)
+    net.kernel.run_until(end)
+    assert driver.journal.writes > 0 and driver.journal.queries
+    caches = [q for q in net.qpus.values() if isinstance(q, CacheQpu) and q.mode == "response"]
+    assert caches and sum(c.hits for c in caches) > 0
+    assert calls == Counter()
 
 
 def test_benchmark_tracer_self_test_passes():

@@ -5,7 +5,19 @@ import random
 
 import pytest
 
-from qpusim.core import AttrValue, IngestError, Kind, KindMismatch, Predicate, Query, make_attrs
+from qpusim import indexing, qpunet, store, workload
+from qpusim.core import (
+    AttrValue,
+    HyperRegion,
+    IngestError,
+    Interval,
+    Kind,
+    KindMismatch,
+    Predicate,
+    Query,
+    StoredObject,
+    make_attrs,
+)
 from qpusim.simkernel import Actor, Kernel, SimError
 from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, PostingSets, DELETE, PUT
 
@@ -225,6 +237,58 @@ class TestApplyReplicated:
                 if key in last:
                     assert entry.op.version > last[key]
                 last[key] = entry.op.version
+
+
+    def test_peer_logs_the_received_op_when_it_held_the_same_write(self):
+        """Attrs dicts are shared, never copied, so a full peer that held the
+        key at the write the origin overwrote logs the origin's own op. An
+        edge replica that never held the key logs a new op whose old attrs
+        are its own (none), as its filter needs."""
+        placement = HyperRegion.of({"size": Interval(AttrValue.of(0), AttrValue.of(50)), "genre": Interval()})
+        k = Kernel(seed=0)
+        for node in ("n1", "n2", "n3"):
+            k.add_node(node)
+        k.add_link("n1", "n2", 5)
+        k.add_link("n1", "n3", 5)
+        origin = DcReplica("dc1", SCHEMA, peers=("dc2", "edge"))
+        peer = DcReplica("dc2", SCHEMA, peers=())
+        edge = DcReplica("edge", SCHEMA, full_replica=False, placement=placement, peers=())
+        for rep, node in ((origin, "n1"), (peer, "n2"), (edge, "n3")):
+            k.register(rep, node)
+        origin.put(k, "k", make_attrs({"size": 70}))  # outside the edge's placement
+        k.run_until_empty()
+        origin.put(k, "k", make_attrs({"size": 80}))
+        k.run_until_empty()
+        first, second = (entry.op for entry in origin.log)
+        assert second.old_attrs is first.new_attrs
+        assert [entry.op for entry in peer.log] == [first, second]
+        assert peer.log[0].op is first and peer.log[1].op is second
+        assert edge.log[0].op is first  # neither held the key: None is None
+        local = edge.log[1].op
+        assert local is not second and local.old_attrs is None
+        assert local == second._replace(old_attrs=None)
+        assert edge.get("k") is None and peer.get("k").attrs is second.new_attrs
+
+
+# Records built per write, log append, hop or query (see store.py).
+RECORDS = [
+    store.WriteOp, store.LogEntry, store.ClientWrite, store.ClientDelete, store.Replicate,
+    indexing.StampedOp, indexing.IndexUpdate, indexing.SplitCmd, indexing.Handoff, indexing.HandoffAck,
+    indexing.MergeCmd, indexing.Retire, indexing.ControlDone,
+    qpunet.QueryMsg, qpunet.ResponseMsg, qpunet.SnapshotRequest, qpunet.IndexSnapshot, qpunet.QueryTimeout,
+    workload.IssueQuery, workload.Heartbeat,
+    StoredObject,
+]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_are_immutable_tuples(cls):
+    record = cls(*range(len(cls._fields)))
+    assert isinstance(record, tuple) and not hasattr(record, "__dict__")
+    for name in (*cls._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert tuple(record) == tuple(range(len(cls._fields)))
 
 
 class TestSubscribeLog:
