@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .core import AttrValue, HyperRegion, Interval, Kind
 from .indexing import ControlDone, IndexQpu, MergeCmd, SplitCmd
@@ -189,16 +189,30 @@ def choose_split(
 
 
 def rebalance_placement(
-    loads: dict[str, float], capacities: dict[str, float]
+    loads: dict[str, float],
+    capacities: dict[str, float],
+    *,
+    hosts: dict[str, str] | None = None,
+    peers: dict[str, set[str]] | None = None,
+    linked: Callable[[str, str], bool] | None = None,
 ) -> tuple[dict[str, str], bool]:
     """Greedy bin-pack: heaviest QPU first onto the node with the most
-    remaining capacity. Returns (assignment, over_capacity)."""
+    remaining capacity. With `peers` (QPU -> the actors it exchanges messages
+    with), `hosts` (actor -> its node) and `linked`, a QPU's candidates are
+    only the nodes linked to the node of every peer: the peer's new node if
+    it was placed earlier in this pass, else its host. A QPU with no
+    candidate stays on its host. Returns (assignment, over_capacity)."""
     remaining = dict(capacities)
     assignment: dict[str, str] = {}
     for qpu in sorted(loads, key=lambda q: (-loads[q], q)):
-        node = max(sorted(remaining), key=lambda n: remaining[n])
+        nodes = sorted(remaining)
+        if peers is not None:
+            peer_nodes = {assignment.get(a, hosts[a]) for a in peers[qpu]}
+            nodes = [n for n in nodes if all(linked(n, p) for p in peer_nodes)]
+        node = max(nodes, key=lambda n: remaining[n]) if nodes else hosts[qpu]
         assignment[qpu] = node
-        remaining[node] -= loads[qpu]
+        if node in remaining:
+            remaining[node] -= loads[qpu]
     over = any(r < 0 for r in remaining.values())
     return assignment, over
 
@@ -240,6 +254,9 @@ class AdaptiveController(Actor):
 
     def stop(self) -> None:
         self.active = False
+
+    def sends_to(self) -> list[str]:
+        return [n.qpu_id for root in self.roots.values() for n in (*root.internal(), *root.leaves())]
 
     def on_message(self, k: Kernel, msg: Any) -> None:
         if isinstance(msg, Tick) and msg.label == "control":
@@ -334,7 +351,17 @@ class AdaptiveController(Actor):
         if not qpus or not self.capacities:
             return
         loads = {q: float(self.tracker.load(q, k.now)) for q in qpus}
-        assignment, over = rebalance_placement(loads, self.capacities)
+        peers: dict[str, set[str]] = {q: set() for q in qpus}
+        for actor in k.actors():
+            sends = set(actor.sends_to())
+            if actor.actor_id in peers:
+                peers[actor.actor_id] |= sends
+            for q in sends & peers.keys():
+                peers[q].add(actor.actor_id)
+        for q in qpus:
+            peers[q].discard(q)
+        hosts = {a: k.host_of(a) for a in set().union(qpus, *peers.values())}
+        assignment, over = rebalance_placement(loads, self.capacities, hosts=hosts, peers=peers, linked=k.linked)
         for qpu, node in sorted(assignment.items()):
             if k.host_of(qpu) != node:
                 k.rebind(qpu, node)

@@ -94,7 +94,7 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
         p = spec.params
         timeout = p.get("timeout")
         if spec.cls == "ds":
-            qpu: object = DsQpu(spec.id, schema, replicas[p["dc"]], recheck_enabled=recheck_enabled, timeout=timeout)
+            qpu: object = DsQpu(spec.id, schema, replicas[p["dc"]], timeout=timeout)
         elif spec.cls in ("index", "merge"):
             cls = IndexQpu if spec.cls == "index" else MergeQpu
             qpu = cls(

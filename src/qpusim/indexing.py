@@ -287,6 +287,9 @@ class FilterQpu(Actor):
         self._queue: deque[LogEntry] = deque()
         self._seq: dict[str, int] = {}
 
+    def sends_to(self) -> list[str]:
+        return [qpu_id for qpu_id, _region in self.targets]
+
     def on_start(self, k: Kernel) -> None:
         self.replica.subscribe(k, self.qpu_id, 0)
         if self.batch_interval > 0:
@@ -375,6 +378,11 @@ class IndexQpu(QpuBase):
     @property
     def region(self) -> HyperRegion:
         return self.index.region
+
+    def sends_to(self) -> list[str]:
+        # connections include split children; the parent gets acks and snapshots
+        extra = (self.push_to, self.parent, self.controller)
+        return [*super().sends_to(), *(a for a in extra if a is not None)]
 
     # -- queries ------------------------------------------------------------
 

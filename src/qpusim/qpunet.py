@@ -202,8 +202,6 @@ class QpuBase(Actor):
     set joins concurrent sub-responses.
     """
 
-    recheck_on_finalize = True
-
     def __init__(
         self,
         qpu_id: str,
@@ -226,6 +224,9 @@ class QpuBase(Actor):
 
     def connect(self, conn: Connection) -> None:
         self.connections.append(conn)
+
+    def sends_to(self) -> list[str]:
+        return [c.to for c in self.connections]
 
     # -- message dispatch --------------------------------------------------
 
@@ -323,7 +324,7 @@ class QpuBase(Actor):
 
     def _finish(self, k: Kernel, pend: _Pending) -> None:
         entries = dedupe_entries(pend.parts)
-        rechecked = self.recheck_on_finalize and self.recheck_enabled and self.recheck_replica is not None
+        rechecked = self.recheck_enabled and self.recheck_replica is not None
         if rechecked:
             entries = recheck(entries, pend.query, self.recheck_replica)
         complete = pend.complete and not pend.missing
@@ -369,13 +370,13 @@ class QpuBase(Actor):
 
 class DsQpu(QpuBase):
     """Scans its single data centre's replica. Scan output is authoritative at
-    that replica, so no recheck pass is applied. Rows carry the stored
-    objects' own attrs dicts, uncopied."""
-
-    recheck_on_finalize = False
+    that replica, so it has no recheck replica: its answers are neither
+    rechecked nor audited, since either would test the scan against the
+    replica it was just read from. Rows carry the stored objects' own attrs
+    dicts, uncopied."""
 
     def __init__(self, qpu_id: str, indexed_attrs: Iterable[str], replica: DcReplica, **kw) -> None:
-        super().__init__(qpu_id, indexed_attrs, recheck_replica=replica, **kw)
+        super().__init__(qpu_id, indexed_attrs, **kw)
         self.replica = replica
 
     def handle_query(self, k: Kernel, m: QueryMsg) -> None:

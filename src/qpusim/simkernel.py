@@ -6,7 +6,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:
     from .metrics import MetricsSink
@@ -26,6 +26,12 @@ class Actor:
 
     def on_message(self, k: "Kernel", msg: Any) -> None:
         raise NotImplementedError
+
+    def sends_to(self) -> Iterable[str]:
+        """Ids of the actors this one addresses messages to, replies aside:
+        a reply goes back to an actor that addressed this one. Rebalancing
+        reads it to keep every message path on one node or one link."""
+        return ()
 
 
 @dataclass
@@ -147,6 +153,13 @@ class Kernel:
 
     def actor(self, actor_id: str) -> Actor:
         return self._actors[actor_id]
+
+    def actors(self) -> list[Actor]:
+        return list(self._actors.values())
+
+    def linked(self, a: str, b: str) -> bool:
+        """True when nodes a and b are one node or joined by a link."""
+        return a == b or (a, b) in self._links
 
     def host_of(self, actor_id: str) -> str:
         return self._hosts[actor_id]

@@ -1,5 +1,5 @@
 """Simulated geo-replicated key-value store: one replica per data centre,
-asynchronous last-writer-wins replication, and per-DC ordered update logs."""
+asynchronous last-writer-wins replication, and per-DC ordered update feeds."""
 
 from __future__ import annotations
 
@@ -29,9 +29,9 @@ DELETE = "delete"
 
 # The records below, and the messages and stored objects of the other
 # modules (core.StoredObject, indexing, qpunet, workload), are built once per
-# write, log append, hop or query, and the replica logs keep them for the whole
-# run. So they are immutable NamedTuples, not frozen dataclasses: cheaper to
-# build and smaller to keep. A NamedTuple equals any plain tuple of the same
+# write, log append, hop or query, and many are held while in flight or
+# stored. So they are immutable NamedTuples, not frozen dataclasses: cheaper
+# to build and smaller to keep. A NamedTuple equals any plain tuple of the same
 # fields, records of two classes alike, so messages are dispatched by
 # isinstance and never compared by value.
 
@@ -51,6 +51,10 @@ class WriteOp(NamedTuple):
 
 
 class LogEntry(NamedTuple):
+    """One op sent from a replica's update feed. `seq` is its position in
+    the replica's log; state-transfer entries carry the position the
+    subscriber asked for (see DcReplica.subscribe)."""
+
     seq: int
     op: WriteOp
     applied_at: int
@@ -157,9 +161,12 @@ class DcReplica(Actor):
 
     Full replicas hold every object; edge replicas hold the subset whose
     coordinates fall inside their placement region. Conflicts resolve
-    last-writer-wins on (ts, origin). Applied operations are appended to the
-    local log with old_attrs rewritten to the locally overwritten coordinates,
-    which is what the local filter needs to retire stale index entries.
+    last-writer-wins on (ts, origin). Each applied operation takes the next
+    log position and is sent to every current subscriber, with old_attrs
+    rewritten to the locally overwritten coordinates, which is what the local
+    filter needs to retire stale index entries. The log is a stream, not a
+    store: an entry is kept nowhere once it is sent, and a subscriber that
+    asks for earlier positions gets a state transfer (see subscribe).
     """
 
     def __init__(
@@ -179,12 +186,15 @@ class DcReplica(Actor):
         self.peers = tuple(peers)
         self.objects: dict[str, StoredObject] = {}
         self.tombstones: dict[str, Version] = {}
-        self.log: list[LogEntry] = []
+        self.position = 0  # log position of the next applied op
         self.clock = 0
         self._subscribers: list[str] = []
         self._postings: PostingSets | None = None  # built by the first scan
 
     # -- message plane ------------------------------------------------------
+
+    def sends_to(self) -> tuple[str, ...]:
+        return (*self.peers, *self._subscribers)
 
     def on_message(self, k: Kernel, msg) -> None:
         if isinstance(msg, Replicate):  # most of a replica's messages
@@ -229,10 +239,10 @@ class DcReplica(Actor):
 
     def apply_replicated(self, k: Kernel, op: WriteOp) -> bool:
         """Last-writer-wins; duplicates and dominated versions are ignored.
-        The logged op carries the locally overwritten attrs. Attrs dicts are
-        shared, never copied, so where this replica held the key at the same
-        write as the origin (or neither held it) they are the op's own
-        `old_attrs`, and the received op is logged as it is."""
+        The appended op carries the locally overwritten attrs. Attrs dicts
+        are shared, never copied, so where this replica held the key at the
+        same write as the origin (or neither held it) they are the op's own
+        `old_attrs`, and the received op is appended as it is."""
         if op.version <= self._current_version(op.key):
             return False
         self.clock = max(self.clock, op.version.ts)
@@ -270,11 +280,11 @@ class DcReplica(Actor):
             self.tombstones[key] = op.version
 
     def _append(self, k: Kernel, op: WriteOp) -> None:
-        entry = LogEntry(len(self.log), op, k.now)
-        self.log.append(entry)
+        entry = LogEntry(self.position, op, k.now)
         k.probes.progress_tick()
         for sub in self._subscribers:
             k.send(self.dc_id, sub, entry)
+        self.position += 1
 
     def _replicate(self, k: Kernel, op: WriteOp) -> None:
         msg = Replicate(op)  # one immutable message serves every peer
@@ -313,10 +323,32 @@ class DcReplica(Actor):
     # -- log feed ----------------------------------------------------------------
 
     def subscribe(self, k: Kernel, subscriber_id: str, from_seq: int = 0) -> None:
-        """Delivers log entries from from_seq onward, then every future entry,
-        in log order over the subscriber's link."""
-        if from_seq > len(self.log):
-            raise SimError(f"subscribe from_seq {from_seq} beyond log length {len(self.log)}")
-        for entry in self.log[from_seq:]:
-            k.send(self.dc_id, subscriber_id, entry)
+        """Sends the subscriber every entry appended from now on, in log
+        order over its link. No entry is kept once it is sent, so a
+        subscriber asking from an earlier position (from_seq < position)
+        first gets the replica's current state as entries (Bayou's state
+        transfer): each object a PUT and each tombstone a DELETE, in key
+        order, at its stored version, with old_attrs=None, every one with
+        seq=from_seq and applied_at=k.now. Last-writer-wins makes an index
+        fed this state and then the suffix equal to one fed the whole log:
+        per key, both see the replica's latest version last applied. On an
+        edge replica a key outside the placement is a tombstone, so that
+        holds for indexes whose region lies inside the placement.
+
+        State ops carry no old_attrs, so they are complete only for a
+        subscriber that holds nothing yet; one holding older state could not
+        retire its entries of keys that moved. from_seq == position sends
+        nothing at once; beyond it is an error."""
+        if from_seq > self.position:
+            raise SimError(f"subscribe from_seq {from_seq} beyond log length {self.position}")
+        if from_seq < self.position:
+            objects, tombstones = self.objects, self.tombstones
+            for key in sorted([*objects, *tombstones]):
+                obj = objects.get(key)
+                if obj is not None:
+                    op = WriteOp(key, PUT, obj.attrs, None, obj.version, obj.version.origin)
+                else:
+                    version = tombstones[key]
+                    op = WriteOp(key, DELETE, None, None, version, version.origin)
+                k.send(self.dc_id, subscriber_id, LogEntry(from_seq, op, k.now))
         self._subscribers.append(subscriber_id)

@@ -101,6 +101,9 @@ class QueryIssuer(Actor):
         self._n = 0
         self._issued_at: dict[str, int] = {}
 
+    def sends_to(self) -> tuple[str]:
+        return (self.target,)
+
     def on_message(self, k: Kernel, msg: Any) -> None:
         if isinstance(msg, IssueQuery):
             self._n += 1

@@ -1,5 +1,6 @@
-"""Shared helpers: a response-collecting client, query driving, reading the
-metrics log, and a recheck wrapper that checks every row it keeps."""
+"""Shared helpers: a response-collecting client, query driving, recording a
+replica's update feed, reading the metrics log, and a recheck wrapper that
+checks every row it keeps."""
 
 from types import SimpleNamespace
 
@@ -26,6 +27,32 @@ class Client(Actor):
     def next_qid(self):
         self._n += 1
         return f"{self.actor_id}-q{self._n}"
+
+
+class LogRecorder(Actor):
+    """Keeps every log entry a replica sends it, in arrival order."""
+
+    def __init__(self, actor_id):
+        self.actor_id = actor_id
+        self.entries = []
+
+    def on_message(self, k, msg):
+        self.entries.append(msg)
+
+    def ops(self):
+        return [entry.op for entry in self.entries]
+
+
+def record_log(k, replica):
+    """Registers a recorder on the replica's node and subscribes it from
+    position 0. Call it before the replica's first write, so the recorder
+    sees every entry the replica appends. Entries arrive through the kernel
+    at the time they are appended: run the kernel (`k.run_until(k.now)`
+    delivers them and nothing sent over a link) before reading them."""
+    recorder = LogRecorder(f"log@{replica.dc_id}")
+    k.register(recorder, k.host_of(replica.dc_id))
+    replica.subscribe(k, recorder.actor_id, 0)
+    return recorder
 
 
 def run_query(k, client, qpu_id, query, *, drain=True):

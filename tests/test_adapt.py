@@ -20,7 +20,7 @@ from qpusim.qpunet import QueryMsg
 from qpusim.simkernel import Kernel
 from qpusim.store import ClientWrite, DcReplica
 
-from conftest import Client, control_actions, make_region, records_of, run_query
+from conftest import Client, control_actions, make_region, record_log, records_of, run_query
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 FULL = make_region(size=(None, None), genre=(None, None))
@@ -208,6 +208,7 @@ class TestMergeExecution:
     def split_then(self, writes_between=False):
         t = TestSplitExecution()
         k, rep, root, cl = t.build()
+        self.log = record_log(k, rep)
         t.seed_objects(k, rep, 60)
         pre_bytes = root.index.registry_bytes()
         k.schedule(k.now, "root", SplitCmd("root", ("size", AttrValue.of(100))))
@@ -233,7 +234,7 @@ class TestMergeExecution:
         from qpusim.store import PUT
 
         live = {}
-        for entry in sorted(rep.log, key=lambda e: e.op.version):
+        for entry in sorted(self.log.entries, key=lambda e: e.op.version):
             if entry.op.kind == PUT:
                 live[entry.op.key] = entry.op.new_attrs
             else:
@@ -390,6 +391,71 @@ class TestRebalance:
                 worst = max(per.values())
                 best = worst if best is None else min(best, worst)
             assert greedy_max <= 2 * best
+
+    def test_candidates_are_linked_to_every_peer_as_placed_so_far(self):
+        """a and b exchange messages, so b follows a to a node linked to
+        a's new one, although the unlinked y has more room left; c, whose
+        peer's node is linked to no node with capacity, stays on its host."""
+        links = {frozenset(pair) for pair in (("h", "x"), ("h", "y"))}
+
+        def linked(m, n):
+            return m == n or frozenset((m, n)) in links
+
+        hosts = {"a": "h", "b": "h", "c": "h", "p": "far"}
+        peers = {"a": {"b"}, "b": {"a"}, "c": {"p"}}
+        loads = {"a": 10.0, "b": 5.0, "c": 1.0}
+        assignment, _ = rebalance_placement(
+            loads, {"h": 1.0, "x": 100.0, "y": 95.0}, hosts=hosts, peers=peers, linked=linked
+        )
+        assert assignment == {"a": "x", "b": "x", "c": "h"}
+        unconstrained, _ = rebalance_placement(loads, {"h": 1.0, "x": 100.0, "y": 95.0})
+        assert unconstrained["b"] == "y"
+
+    def test_rebalance_never_moves_a_qpu_onto_an_unlinked_node(self):
+        """n2 has the room but no link to n1, where iq's filter, issuer and
+        the controller run; iq must stay. With the link it moves, and the
+        run still validates."""
+        from qpusim.runner import run_scenario, validate_scenario
+
+        def topology(links):
+            return {
+                "attributes": [{"name": "size", "kind": "int"}],
+                "nodes": [{"id": "n1", "capacity": 1}, {"id": "n2", "capacity": 100}],
+                "links": links,
+                "dcs": [{"id": "dc1", "node": "n1"}],
+                "qpus": [
+                    {"id": "flt", "class": "filter", "node": "n1", "dc": "dc1", "targets": [{"qpu": "iq"}]},
+                    {"id": "iq", "class": "index", "node": "n1", "region": {}, "recheck_dc": "dc1"},
+                ],
+                "connections": [],
+                "adaptive": {"enabled": True, "rebalance": True},
+            }
+
+        workload = {
+            "phases": [
+                {
+                    "duration": 3000,
+                    "write_rate": 40.0,
+                    "query_rate": 20.0,
+                    "key_space": 40,
+                    "attributes": {"size": {"dist": "uniform", "lo": 0, "hi": 100}},
+                    "query_shapes": [{"attrs": ["size"], "selectivity": 0.2}],
+                    "write_origin": {"mode": "fixed", "dcs": ["dc1"]},
+                    "query_origin": ["iq"],
+                }
+            ]
+        }
+        k = run_scenario(topology([]), workload, seed=0).network.kernel
+        assert {k.host_of(a.actor_id) for a in k.actors()} == {"n1"}
+        assert control_actions(k, "rebind") == []
+        assert len(records_of(k, "query")) == 60
+
+        linked = topology([{"from": "n1", "to": "n2", "base_latency": 5}])
+        k = run_scenario(linked, workload, seed=0).network.kernel
+        assert k.host_of("iq") == "n2"
+        assert [r["node"] for r in control_actions(k, "rebind")] == ["n2"]
+        report = validate_scenario(linked, workload, seed=0)
+        assert report.ok, report.describe()
 
     def test_controller_rebind_moves_actor(self):
         k, rep, root, ctl, tracker, cl = controller_net()

@@ -570,6 +570,20 @@ class TestValidateMode:
             assert report.ok, f"{name}: {report.describe()}"
             assert report.queries_checked >= 100
 
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_limited_queries_return_the_first_oracle_keys(self, name):
+        """Responders keep the first `limit` rows in key order, so after
+        quiescence a limited query must return the first `limit` matching
+        keys of the converged replica."""
+        for limit in (1, 5):
+            topology, workload = scenario(name)
+            for phase in workload["phases"]:
+                phase["limit"] = limit
+            for seed in (0, 7):
+                report = validate_scenario(topology, workload, seed=seed)
+                assert report.ok, f"limit {limit}, seed {seed}: {report.describe()}"
+                assert report.queries_checked >= 50
+
     def test_negative_control_recheck_disabled_fails_with_type2(self):
         doc = minimal_topology(debug={"disable_recheck": True})
         report = validate_scenario(doc, delete_heavy_workload(), seed=13)

@@ -33,7 +33,7 @@ from qpusim.qpunet import CacheQpu, Connection, QueryMsg, decompose, dedupe_entr
 from qpusim.simkernel import Kernel
 from qpusim.store import DELETE, PUT, ClientDelete, ClientWrite, DcReplica, WriteOp
 
-from conftest import Client, make_region, records_of, run_query
+from conftest import Client, make_region, record_log, records_of, run_query
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 FULL = make_region(size=(None, None), genre=(None, None))
@@ -497,14 +497,16 @@ class TestExactPostingSets:
             PostingIndex(make_region(size=(None, None), weight=(None, None), genre=(None, None))),
             PostingIndex(make_region(size=(2, 8), weight=(0.5, 3.0), genre=(None, None))),
         ]
+        log = record_log(k, dc1)
         fed = 0
 
         def check():
             nonlocal fed
-            for entry in dc1.log[fed:]:
+            k.run_until(k.now)  # delivers dc1's entries to its recorder, nothing over a link
+            for entry in log.entries[fed:]:
                 for idx in indexes:
                     idx.apply(entry.op)
-            fed = len(dc1.log)
+            fed = len(log.entries)
             for q in queries:
                 for rep in reps:
                     expected = [o for _key, o in sorted(rep.objects.items()) if query_matches(q, o.attrs)]

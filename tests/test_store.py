@@ -1,9 +1,12 @@
 """Replicated store semantics: last-writer-wins convergence against a
-sorted-replay oracle, log feeds, and weak-consistency behaviours."""
+sorted-replay oracle, log feeds and state transfer, and weak-consistency
+behaviours."""
 
+import gc
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpusim import indexing, qpunet, store, workload
 from qpusim.core import (
@@ -20,6 +23,10 @@ from qpusim.core import (
 )
 from qpusim.simkernel import Actor, Kernel, SimError
 from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, PostingSets, DELETE, PUT
+
+from qpusim.indexing import PostingIndex
+
+from conftest import make_region, record_log
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 
@@ -51,11 +58,11 @@ def lww_replay(ops):
     return live
 
 
-def all_ops(replicas):
+def all_ops(recorders):
     seen = {}
-    for rep in replicas.values():
-        for entry in rep.log:
-            seen[(entry.op.version, entry.op.key)] = entry.op
+    for recorder in recorders.values():
+        for op in recorder.ops():
+            seen[(op.version, op.key)] = op
     return list(seen.values())
 
 
@@ -83,6 +90,7 @@ class TestPut:
 
     def test_thousand_random_puts_converge_to_replay_oracle(self):
         k, reps = build(n_dcs=3, latency=7, jitter=5, seed=11)
+        logs = {dc: record_log(k, rep) for dc, rep in reps.items()}
         rng = random.Random(11)
         for i in range(1000):
             dc = rng.choice(["dc1", "dc2", "dc3"])
@@ -92,7 +100,7 @@ class TestPut:
         k.run_until_empty()
         prints = {dc: rep.state_fingerprint() for dc, rep in reps.items()}
         assert prints["dc1"] == prints["dc2"] == prints["dc3"]
-        oracle = lww_replay(all_ops(reps))
+        oracle = lww_replay(all_ops(logs))
         got = {key: (obj.attrs, obj.version) for key, obj in reps["dc1"].objects.items()}
         assert got == oracle
 
@@ -106,9 +114,11 @@ class TestDelete:
 
     def test_delete_of_absent_key_still_logs_a_tombstone_op(self):
         k, reps = build()
+        log = record_log(k, reps["dc1"])
         reps["dc1"].delete(k, "ghost")
-        assert len(reps["dc1"].log) == 1
-        assert reps["dc1"].log[0].op.kind == DELETE
+        k.run_until(k.now)
+        assert len(log.entries) == 1
+        assert log.entries[0].op.kind == DELETE
         assert "ghost" in reps["dc1"].tombstones
 
     def test_late_older_put_stays_deleted(self):
@@ -125,6 +135,7 @@ class TestDelete:
 
     def test_interleaved_put_delete_race_converges_to_max_version(self):
         k, reps = build(n_dcs=2, latency=9, jitter=6, seed=3)
+        logs = {dc: record_log(k, rep) for dc, rep in reps.items()}
         rng = random.Random(3)
         for i in range(100):
             dc = rng.choice(["dc1", "dc2"])
@@ -134,7 +145,7 @@ class TestDelete:
                 k.schedule(rng.randrange(0, 400), dc, ClientWrite("hot", make_attrs({"size": i})))
         k.run_until_empty()
         assert reps["dc1"].state_fingerprint() == reps["dc2"].state_fingerprint()
-        oracle = lww_replay(all_ops(reps))
+        oracle = lww_replay(all_ops(logs))
         if "hot" in oracle:
             assert reps["dc1"].objects["hot"].version == oracle["hot"][1]
         else:
@@ -201,10 +212,11 @@ class TestGetScan:
 class TestApplyReplicated:
     def test_older_version_ignored(self):
         k, reps = build()
+        log = record_log(k, reps["dc1"])
         reps["dc1"].put(k, "k1", make_attrs({"size": 5}))
         k.run_until_empty()
         newer = reps["dc2"].objects["k1"].version
-        old_op = reps["dc1"].log[0].op
+        old_op = log.entries[0].op
         # bump dc2 ahead, then replay the old op
         reps["dc2"].put(k, "k1", make_attrs({"size": 9}))
         assert reps["dc2"].apply_replicated(k, old_op) is False
@@ -212,15 +224,20 @@ class TestApplyReplicated:
 
     def test_duplicate_delivery_ignored(self):
         k, reps = build()
+        log1, log2 = record_log(k, reps["dc1"]), record_log(k, reps["dc2"])
         reps["dc1"].put(k, "k1", make_attrs({"size": 5}))
-        op = reps["dc1"].log[0].op
+        k.run_until(k.now)
+        op = log1.entries[0].op
         assert reps["dc2"].apply_replicated(k, op) is True
-        log_len = len(reps["dc2"].log)
+        k.run_until(k.now)
+        log_len = len(log2.entries)
         assert reps["dc2"].apply_replicated(k, op) is False
-        assert len(reps["dc2"].log) == log_len
+        k.run_until(k.now)
+        assert len(log2.entries) == log_len
 
     def test_per_key_versions_strictly_increase_in_each_log(self):
         k, reps = build(n_dcs=3, latency=4, jitter=8, seed=21)
+        logs = {dc: record_log(k, rep) for dc, rep in reps.items()}
         rng = random.Random(21)
         for _ in range(300):
             dc = rng.choice(["dc1", "dc2", "dc3"])
@@ -230,9 +247,9 @@ class TestApplyReplicated:
             else:
                 k.schedule(rng.randrange(500), dc, ClientWrite(key, make_attrs({"size": 1})))
         k.run_until_empty()
-        for rep in reps.values():
+        for log in logs.values():
             last = {}
-            for entry in rep.log:
+            for entry in log.entries:
                 key = entry.op.key
                 if key in last:
                     assert entry.op.version > last[key]
@@ -255,16 +272,17 @@ class TestApplyReplicated:
         edge = DcReplica("edge", SCHEMA, full_replica=False, placement=placement, peers=())
         for rep, node in ((origin, "n1"), (peer, "n2"), (edge, "n3")):
             k.register(rep, node)
+        origin_log, peer_log, edge_log = (record_log(k, rep) for rep in (origin, peer, edge))
         origin.put(k, "k", make_attrs({"size": 70}))  # outside the edge's placement
         k.run_until_empty()
         origin.put(k, "k", make_attrs({"size": 80}))
         k.run_until_empty()
-        first, second = (entry.op for entry in origin.log)
+        first, second = origin_log.ops()
         assert second.old_attrs is first.new_attrs
-        assert [entry.op for entry in peer.log] == [first, second]
-        assert peer.log[0].op is first and peer.log[1].op is second
-        assert edge.log[0].op is first  # neither held the key: None is None
-        local = edge.log[1].op
+        assert peer_log.ops() == [first, second]
+        assert peer_log.ops()[0] is first and peer_log.ops()[1] is second
+        assert edge_log.ops()[0] is first  # neither held the key: None is None
+        local = edge_log.ops()[1]
         assert local is not second and local.old_attrs is None
         assert local == second._replace(old_attrs=None)
         assert edge.get("k") is None and peer.get("k").attrs is second.new_attrs
@@ -293,15 +311,30 @@ def test_records_are_immutable_tuples(cls):
 
 class TestSubscribeLog:
     def test_subscriber_sees_writes_in_order(self):
+        """A subscriber from position 0 after writes gets the replica's
+        state first: each object a PUT and each tombstone a DELETE, in key
+        order, at its stored version, with no old attrs, stamped with the
+        asked position and the time of subscribing. Then it gets every later
+        entry, in log order at its own position."""
         k, reps = build()
+        rep = reps["dc1"]
         sink = _Sink("sink")
         k.register(sink, "node-dc1")
-        for i in range(3):
-            reps["dc1"].put(k, f"k{i}", make_attrs({"size": i}))
-        reps["dc1"].subscribe(k, "sink", 0)
+        versions = [rep.put(k, f"k{i}", make_attrs({"size": i})) for i in range(3)]
+        versions[1] = rep.delete(k, "k1")
+        k.run_until(7)
+        rep.subscribe(k, "sink", 0)
+        rep.put(k, "k3", make_attrs({"size": 3}))
+        rep.put(k, "k0", make_attrs({"size": 10}))
         k.run_until_empty()
-        assert [e.op.key for e in sink.entries] == ["k0", "k1", "k2"]
-        assert [e.seq for e in sink.entries] == [0, 1, 2]
+        state, suffix = sink.entries[:3], sink.entries[3:]
+        assert [(e.op.key, e.op.kind) for e in state] == [("k0", PUT), ("k1", DELETE), ("k2", PUT)]
+        assert [e.op.version for e in state] == versions
+        assert state[2].op.new_attrs is rep.objects["k2"].attrs
+        assert all((e.seq, e.applied_at, e.op.old_attrs) == (0, 7, None) for e in state)
+        assert [(e.seq, e.op.key) for e in suffix] == [(4, "k3"), (5, "k0")]
+        assert suffix[1].op.old_attrs is state[0].op.new_attrs
+        assert rep.position == 6
 
     def test_two_subscribers_see_identical_sequences(self):
         k, reps = build()
@@ -317,18 +350,26 @@ class TestSubscribeLog:
         assert [e.op for e in s1.entries] == [e.op for e in s2.entries]
 
     def test_mid_stream_subscription_is_a_suffix(self):
+        """Below the current position a subscriber gets the state, then the
+        suffix; at the position it gets the suffix alone. Either way the
+        suffix is the very entries a subscriber from the start gets."""
         k, reps = build()
-        full, suffix = _Sink("full"), _Sink("suffix")
-        k.register(full, "node-dc1")
-        k.register(suffix, "node-dc1")
+        full, late, tail = _Sink("full"), _Sink("late"), _Sink("tail")
+        for sink in (full, late, tail):
+            k.register(sink, "node-dc1")
         reps["dc1"].subscribe(k, "full", 0)
         for i in range(4):
             reps["dc1"].put(k, f"k{i}", make_attrs({"size": i}))
-        reps["dc1"].subscribe(k, "suffix", 2)
+        reps["dc1"].subscribe(k, "late", 2)
+        reps["dc1"].subscribe(k, "tail", 4)
         for i in range(4, 6):
             reps["dc1"].put(k, f"k{i}", make_attrs({"size": i}))
         k.run_until_empty()
-        assert [e.seq for e in suffix.entries] == [e.seq for e in full.entries][2:]
+        assert [e.seq for e in full.entries] == [0, 1, 2, 3, 4, 5]
+        assert [(e.seq, e.op.key) for e in late.entries[:4]] == [(2, f"k{i}") for i in range(4)]
+        assert late.entries[4:] == full.entries[4:]
+        assert tail.entries == full.entries[4:]
+        assert all(a is b for a, b in zip(tail.entries, full.entries[4:]))
 
     def test_subscribe_beyond_log_length_is_sim_error(self):
         k, reps = build()
@@ -338,6 +379,112 @@ class TestSubscribeLog:
         reps["dc1"].subscribe(k, "late", 2)  # the log's end is a valid start
         with pytest.raises(SimError, match="from_seq 3 beyond log length 2"):
             reps["dc1"].subscribe(k, "late", 3)
+
+
+TRANSFER_ACTIONS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.sampled_from(["dc1", "dc2"]),
+            st.integers(0, 5),
+            st.integers(0, 99),
+            st.sampled_from("abc"),
+        ),
+        st.tuples(st.just("delete"), st.sampled_from(["dc1", "dc2"]), st.integers(0, 5)),
+        st.just(("deliver",)),
+    ),
+    max_size=40,
+)
+
+
+class TestStateTransfer:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        TRANSFER_ACTIONS,
+        st.sampled_from(["dc1", "edge"]),
+        st.integers(0, 40),
+        st.integers(0, 10_000),
+    )
+    def test_state_then_suffix_indexes_like_the_whole_log(self, actions, fed_by, at, pick):
+        """Puts, overwrites (in and out of the edge's placement) and deletes
+        at two full replicas, replicated to each other and to an edge
+        replica. A recorder subscribes to the feeding replica from position
+        0 before the first write; a second subscribes after `at` actions,
+        from a position drawn up to the replica's current one. Below it, an
+        index fed the second recorder's entries (state, then suffix) equals
+        one fed the first's (every entry from position 0), by
+        registry_bytes() and tombstones, for a full, a placement and a
+        clipped region (on the edge, regions inside its placement). At it,
+        the second recorder gets exactly the entries appended after."""
+        placement = make_region(size=(0, 50), genre=(None, None))
+        k = Kernel(seed=0)
+        for node in ("n1", "n2", "n3"):
+            k.add_node(node)
+        k.add_link("n1", "n2", 3)
+        k.add_link("n1", "n3", 2)
+        k.add_link("n2", "n3", 4)
+        reps = {
+            "dc1": DcReplica("dc1", SCHEMA, peers=("dc2", "edge")),
+            "dc2": DcReplica("dc2", SCHEMA, peers=("dc1", "edge")),
+            "edge": DcReplica("edge", SCHEMA, full_replica=False, placement=placement),
+        }
+        for rep, node in zip(reps.values(), ("n1", "n2", "n3")):
+            k.register(rep, node)
+        fed = reps[fed_by]
+        whole = record_log(k, fed)
+        late = _Sink("late")
+        k.register(late, k.host_of(fed.dc_id))
+        for i, action in enumerate([*actions, ("deliver",)]):
+            if i == min(at, len(actions)):
+                position = fed.position
+                from_seq = pick % (position + 1)
+                fed.subscribe(k, "late", from_seq)
+            if action[0] == "put":
+                _, dc, n, size, genre = action
+                reps[dc].put(k, f"k{n}", make_attrs({"size": size, "genre": genre}))
+            elif action[0] == "delete":
+                reps[action[1]].delete(k, f"k{action[2]}")
+            else:
+                k.run_until_empty()
+        suffix = [e for e in whole.entries if e.seq >= position]
+        if from_seq == position:
+            assert late.entries == suffix
+            return
+        state = late.entries[: len(late.entries) - len(suffix)]
+        assert late.entries[len(state) :] == suffix
+        assert all(e.seq == from_seq and e.op.old_attrs is None for e in state)
+        regions = [placement, make_region(size=(10, 30), genre=("b", None))]
+        if fed.full_replica:
+            regions.append(make_region(size=(None, None), genre=(None, None)))
+        for region in regions:
+            from_zero, transferred = PostingIndex(region), PostingIndex(region)
+            for entry in whole.entries:
+                from_zero.apply(entry.op)
+            for entry in late.entries:
+                transferred.apply(entry.op)
+            assert transferred.registry_bytes() == from_zero.registry_bytes()
+            assert transferred.tombstones == from_zero.tombstones
+
+    def test_no_overwritten_attrs_stay_referenced(self):
+        """A replica with a subscriber keeps no entry once it is sent, so
+        after many overwrites of one key nothing holds an overwritten attrs
+        dict: before, each stayed in the log's ops."""
+        k = Kernel(seed=0)
+        k.add_node("n")
+        rep = DcReplica("dc1", SCHEMA)
+        k.register(rep, "n")
+        counter = _Counter("sub")
+        k.register(counter, "n")
+        rep.subscribe(k, "sub", 0)
+        overwritten = []
+        for i in range(200):
+            rep.put(k, "hot", make_attrs({"size": i}))
+            overwritten.append(rep.objects["hot"].attrs)
+        overwritten.pop()  # the stored object's own attrs
+        k.run_until_empty()
+        gc.collect()
+        assert counter.seen == 200
+        assert [type(r).__name__ for r in gc.get_referrers(*overwritten) if r is not overwritten] == []
 
 
 class TestPlacement:
@@ -374,6 +521,18 @@ class _Sink(Actor):
     def on_message(self, k, msg):
         assert isinstance(msg, LogEntry)
         self.entries.append(msg)
+
+
+class _Counter(Actor):
+    """Counts the entries it is sent and keeps none."""
+
+    def __init__(self, actor_id):
+        self.actor_id = actor_id
+        self.seen = 0
+
+    def on_message(self, k, msg):
+        assert isinstance(msg, LogEntry)
+        self.seen += 1
 
 
 class TestRawPostingSets:
