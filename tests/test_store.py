@@ -468,7 +468,7 @@ class TestStateTransfer:
     def test_no_overwritten_attrs_stay_referenced(self):
         """A replica with a subscriber keeps no entry once it is sent, so
         after many overwrites of one key nothing holds an overwritten attrs
-        dict: before, each stayed in the log's ops."""
+        dict."""
         k = Kernel(seed=0)
         k.add_node("n")
         rep = DcReplica("dc1", SCHEMA)
