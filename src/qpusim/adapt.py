@@ -3,9 +3,11 @@ hot leaf regions, merge of cold sibling regions, and greedy QPU placement."""
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping
 
 from .core import AttrValue, HyperRegion, Interval, Kind
 from .indexing import ControlDone, IndexQpu, MergeCmd, SplitCmd
@@ -192,27 +194,24 @@ def rebalance_placement(
     loads: dict[str, float],
     capacities: dict[str, float],
     *,
-    hosts: dict[str, str] | None = None,
-    peers: dict[str, set[str]] | None = None,
-    linked: Callable[[str, str], bool] | None = None,
+    hosts: Mapping[str, str] = MappingProxyType({}),
+    peers: Mapping[str, Iterable[str]] = MappingProxyType({}),
+    linked: Callable[[str, str], bool] = operator.eq,
 ) -> tuple[dict[str, str], bool]:
     """Greedy bin-pack: heaviest QPU first onto the node with the most
-    remaining capacity. With `peers` (QPU -> the actors it exchanges messages
-    with), `hosts` (actor -> its node) and `linked`, a QPU's candidates are
-    only the nodes linked to the node of every peer: the peer's new node if
-    it was placed earlier in this pass, else its host. A QPU with no
-    candidate stays on its host. Returns (assignment, over_capacity)."""
+    remaining capacity. A QPU's candidates are only the nodes linked to the
+    node of every actor it exchanges messages with (`peers`): the peer's new
+    node if it was placed earlier in this pass, else its host (`hosts`). A
+    QPU with no candidate stays on its host. Returns (assignment,
+    over_capacity)."""
     remaining = dict(capacities)
     assignment: dict[str, str] = {}
     for qpu in sorted(loads, key=lambda q: (-loads[q], q)):
-        nodes = sorted(remaining)
-        if peers is not None:
-            peer_nodes = {assignment.get(a, hosts[a]) for a in peers[qpu]}
-            nodes = [n for n in nodes if all(linked(n, p) for p in peer_nodes)]
+        peer_nodes = {assignment.get(a, hosts[a]) for a in peers.get(qpu, ())}
+        nodes = [n for n in sorted(remaining) if all(linked(n, p) for p in peer_nodes)]
         node = max(nodes, key=lambda n: remaining[n]) if nodes else hosts[qpu]
         assignment[qpu] = node
-        if node in remaining:
-            remaining[node] -= loads[qpu]
+        remaining[node] -= loads[qpu]
     over = any(r < 0 for r in remaining.values())
     return assignment, over
 

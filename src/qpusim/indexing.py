@@ -380,8 +380,9 @@ class IndexQpu(QpuBase):
         return self.index.region
 
     def sends_to(self) -> list[str]:
-        # connections include split children; the parent gets acks and snapshots
-        extra = (self.push_to, self.parent, self.controller)
+        # connections include split children; the parent gets acks and
+        # snapshots. ControlDone replies to the controller's command.
+        extra = (self.push_to, self.parent)
         return [*super().sends_to(), *(a for a in extra if a is not None)]
 
     # -- queries ------------------------------------------------------------

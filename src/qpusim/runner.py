@@ -161,7 +161,9 @@ def validate_scenario(topology, workload, *, seed: int | str = 0) -> ValidationR
         resp = validator.responses.pop(qid)
         got = {e[0] for e in resp.entries}
         matches = query_matcher(query)
-        expected = set(sorted(key for key, o in oracle.objects.items() if matches(o.attrs))[: query.limit])
+        expected = {key for key, o in oracle.objects.items() if matches(o.attrs)}
+        if query.limit is not None:
+            expected = set(sorted(expected)[: query.limit])
         if got != expected:
             mismatches.append(
                 {

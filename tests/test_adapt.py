@@ -17,6 +17,7 @@ from qpusim.core import AttrValue, Kind, Predicate, Query, Version, make_attrs
 from qpusim.indexing import FilterQpu, IndexQpu, MergeCmd, SplitCmd
 from qpusim.metrics import MetricsSink
 from qpusim.qpunet import QueryMsg
+from qpusim.scenarios import SCENARIOS, scenario
 from qpusim.simkernel import Kernel
 from qpusim.store import ClientWrite, DcReplica
 
@@ -456,6 +457,30 @@ class TestRebalance:
         assert [r["node"] for r in control_actions(k, "rebind")] == ["n2"]
         report = validate_scenario(linked, workload, seed=0)
         assert report.ok, report.describe()
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_every_send_is_on_a_declared_path(self, name, monkeypatch):
+        """Rebalancing keeps linked only the message paths that actors declare
+        through sends_to(). Every message one actor sends another must be on
+        a path the sender or, for a reply, the receiver declares at that
+        moment. In adaptive-skew, leaves split and merge, so handoffs,
+        retirements and control acks run too."""
+        from qpusim.runner import run_scenario
+
+        undeclared = set()
+        send = Kernel.send
+
+        def checked(k, src, dst, msg):
+            if src != dst and dst not in k.actor(src).sends_to() and src not in k.actor(dst).sends_to():
+                undeclared.add((src, dst, type(msg).__name__))
+            return send(k, src, dst, msg)
+
+        monkeypatch.setattr(Kernel, "send", checked)
+        t, w = scenario(name)
+        k = run_scenario(t, w, seed=0).network.kernel
+        assert undeclared == set()
+        if name == "adaptive-skew":
+            assert control_actions(k, "split") and control_actions(k, "merge")
 
     def test_controller_rebind_moves_actor(self):
         k, rep, root, ctl, tracker, cl = controller_net()
