@@ -3,7 +3,6 @@ composable query processing units (scan, index, merge, federation, cache,
 filter) over a replicated key-value store."""
 
 from .core import (
-    AttrValue,
     HyperRegion,
     Interval,
     Kind,
@@ -20,7 +19,6 @@ from .store import DcReplica, WriteOp
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttrValue",
     "DcReplica",
     "HyperRegion",
     "Interval",

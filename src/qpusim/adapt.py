@@ -9,22 +9,21 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
-from .core import AttrValue, HyperRegion, Interval, Kind
+from .core import HyperRegion, Interval, RawValue
 from .indexing import ControlDone, IndexQpu, MergeCmd, SplitCmd
 from .simkernel import Actor, Kernel, Tick
 
 
-def interval_midpoint(iv: Interval) -> AttrValue | None:
-    """Midpoint of a fully bounded interval; text intervals fall back to the
-    lower bound since strings cannot be averaged."""
-    if not iv.bounded:
-        return None
+def interval_midpoint(iv: Interval) -> RawValue | None:
+    """Midpoint of a fully bounded interval, of the bounds' type; text
+    intervals fall back to the lower bound since strings cannot be averaged."""
     lo, hi = iv.lo, iv.hi
-    assert lo is not None and hi is not None
-    if lo.kind is Kind.INT:
-        return AttrValue(Kind.INT, (lo.value + hi.value) // 2)
-    if lo.kind is Kind.FLOAT:
-        return AttrValue(Kind.FLOAT, (lo.value + hi.value) / 2)
+    if lo is None or hi is None:
+        return None
+    if type(lo) is int:
+        return (lo + hi) // 2  # type: ignore[operator]
+    if type(lo) is float:
+        return (lo + hi) / 2  # type: ignore[operator]
     return lo
 
 
@@ -32,7 +31,7 @@ def interval_midpoint(iv: Interval) -> AttrValue | None:
 class _Bucket:
     index: int
     count: int = 0
-    samples: dict[str, list[AttrValue]] = field(default_factory=dict)
+    samples: dict[str, list[RawValue]] = field(default_factory=dict)
 
 
 class LoadWindow:
@@ -68,9 +67,9 @@ class LoadWindow:
         self._prune(now)
         return sum(b.count for b in self._buckets.values())
 
-    def samples(self, now: int, attr: str) -> list[AttrValue]:
+    def samples(self, now: int, attr: str) -> list[RawValue]:
         self._prune(now)
-        out: list[AttrValue] = []
+        out: list[RawValue] = []
         for idx in sorted(self._buckets):
             out.extend(self._buckets[idx].samples.get(attr, ()))
         return out
@@ -94,7 +93,7 @@ class LoadTracker:
         window = self.windows.get(qpu_id)
         return 0 if window is None else window.load(now)
 
-    def samples(self, qpu_id: str, now: int, attr: str) -> list[AttrValue]:
+    def samples(self, qpu_id: str, now: int, attr: str) -> list[RawValue]:
         window = self.windows.get(qpu_id)
         return [] if window is None else window.samples(now, attr)
 
@@ -141,7 +140,7 @@ class RegionNode:
 class SplitPlan:
     qpu_id: str
     dim: str
-    plane: AttrValue
+    plane: RawValue
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ class Rebind:
 
 
 def choose_split(
-    leaf: IndexQpu, load: int, samples_by_dim: dict[str, list[AttrValue]], t_split: int
+    leaf: IndexQpu, load: int, samples_by_dim: dict[str, list[RawValue]], t_split: int
 ) -> SplitPlan | None:
     """Split decision for one leaf: gate on windowed load, pick the dimension
     with the widest queried-point spread (distinct sample count; tie-break by
@@ -167,9 +166,9 @@ def choose_split(
     if load < t_split or leaf.mode != IndexQpu.LEAF:
         return None
     divisible: list[tuple[int, str]] = []
-    values_by_dim: dict[str, list[AttrValue]] = {}
+    values_by_dim = leaf.index.sorted_values
     for dim in leaf.indexed_attrs:
-        values = values_by_dim[dim] = leaf.index.distinct_values(dim)
+        values = values_by_dim[dim]
         if len(values) >= 2:
             spread = len(set(samples_by_dim.get(dim, ())))
             divisible.append((-spread, dim))
@@ -177,7 +176,7 @@ def choose_split(
         return None
     _, dim = min(divisible)
     eligible = values_by_dim[dim][1:]
-    samples = sorted(samples_by_dim.get(dim, ()), key=lambda v: v.value)
+    samples = sorted(samples_by_dim.get(dim, ()))
     if samples:
         target = samples[len(samples) // 2]
     else:
@@ -282,7 +281,7 @@ class AdaptiveController(Actor):
             if isinstance(plan, SplitPlan):
                 self._owner[plan.qpu_id] = root_id
                 k.probes.record_control(
-                    {"action": "split_requested", "qpu": plan.qpu_id, "dim": plan.dim, "plane": plan.plane.value}
+                    {"action": "split_requested", "qpu": plan.qpu_id, "dim": plan.dim, "plane": plan.plane}
                 )
                 k.send(self.actor_id, plan.qpu_id, SplitCmd(plan.qpu_id, (plan.dim, plan.plane)))
             else:

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from .adapt import AdaptiveController, LoadTracker, RegionNode
-from .config import ConfigError, TopologyConfig, nearest_full_dc, parse_region
+from .config import ConfigError, TopologyConfig, adaptive_roots, controller_node, nearest_full_dc, parse_region
 from .core import HyperRegion
 from .indexing import FilterQpu, IndexQpu, MergeQpu
 from .qpunet import CacheQpu, Connection, DsQpu, FederationQpu, QpuBase
@@ -159,10 +159,7 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
 
     controller = None
     if adaptive_on:
-        roots = list(cfg.adaptive.roots)
-        if not roots:
-            roots = [q.id for q in cfg.qpus if q.cls in ("index", "merge")]
-        root_nodes = [RegionNode(r, qpus[r].region) for r in roots]  # type: ignore[attr-defined]
+        root_nodes = [RegionNode(r, qpus[r].region) for r in adaptive_roots(cfg)]  # type: ignore[attr-defined]
         controller = AdaptiveController(
             CONTROLLER_ID,
             tracker,
@@ -173,7 +170,7 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
             rebalance=cfg.adaptive.rebalance,
             capacities={n.id: n.capacity for n in cfg.nodes},
         )
-        hosts = sorted({q.node for q in cfg.qpus if q.id in roots}) or [cfg.nodes[0].id]
-        k.register(controller, hosts[0])
+        # validate_topology rejects an adaptive topology without such a node
+        k.register(controller, controller_node(cfg))
 
     return Network(k, cfg, replicas, qpus, tracker, controller, filters, caches)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .core import AttrValue, HyperRegion, Interval, Kind
+from .core import HyperRegion, IngestError, Interval, Kind, RawValue, check_value
 
 QPU_CLASSES = ("ds", "index", "merge", "federation", "cache", "filter")
 
@@ -134,26 +134,21 @@ class WorkloadSpec:
     phases: list[PhaseSpec]
     seed: int | None = None
 
-    @property
-    def total_duration(self) -> int:
-        return sum(p.duration for p in self.phases)
-
 
 # -- parsing ------------------------------------------------------------------
 
 
-def _parse_value(raw: Any, kind: Kind, errors: list[str], path: str) -> AttrValue | None:
-    expected = {Kind.INT: int, Kind.FLOAT: (int, float), Kind.TEXT: str}[kind]
-    if isinstance(raw, bool) or not isinstance(raw, expected):
-        errors.append(f"{path}: expected a {kind.value} value, got {raw!r}")
-        return None
-    if kind is Kind.FLOAT:
+def _parse_value(raw: Any, kind: Kind, errors: list[str], path: str) -> RawValue | None:
+    """raw when check_value accepts it for kind, an int for a float attribute
+    made a float; else an error line and None."""
+    if kind is Kind.FLOAT and type(raw) is int:
         raw = float(raw)
     try:
-        return AttrValue.of(raw)
-    except ValueError as exc:
+        check_value(kind, raw)
+    except IngestError as exc:
         errors.append(f"{path}: {exc}")
         return None
+    return raw
 
 
 def parse_region(
@@ -362,6 +357,25 @@ def nearest_full_dc(cfg: TopologyConfig, node: str) -> str | None:
     return min(candidates)[1] if candidates else None
 
 
+def adaptive_roots(cfg: TopologyConfig) -> list[str]:
+    """The index trees the adaptive controller manages: adaptive.roots, or
+    every index and merge QPU when none are named."""
+    return list(cfg.adaptive.roots) or [q.id for q in cfg.qpus if q.cls in ("index", "merge")]
+
+
+def controller_node(cfg: TopologyConfig) -> str | None:
+    """The adaptive controller's node: the first node, in sorted order, that
+    is the same as or linked to every root's node, since the controller
+    exchanges messages with every root. None when no node is."""
+    linked = {frozenset((l.src, l.dst)) for l in cfg.links}
+    roots = set(adaptive_roots(cfg))
+    root_nodes = {q.node for q in cfg.qpus if q.id in roots}
+    for node in sorted(n.id for n in cfg.nodes):
+        if all(node == r or frozenset((node, r)) in linked for r in root_nodes):
+            return node
+    return None
+
+
 def validate_topology(cfg: TopologyConfig) -> list[str]:
     errors: list[str] = []
     schema = cfg.schema
@@ -507,6 +521,8 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
         for r in a.roots:
             if r not in index_like:
                 errors.append(f"adaptive.roots: {r!r} is not an indexing QPU")
+        if controller_node(cfg) is None:
+            errors.append("adaptive: no node is linked to every index root")
 
     return errors
 
@@ -545,18 +561,28 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
                 errors.append(f"{dpath}: unknown attribute")
                 continue
             kind = d.get("dist")
+            attr_kind = schema[name] if schema is not None else None
             if kind == "uniform":
                 lo, hi = d.get("lo"), d.get("hi")
                 if not (_is_number(lo) and _is_number(hi) and lo < hi):
                     errors.append(f"{dpath}: uniform needs numbers lo < hi, got {lo!r} and {hi!r}")
+                if attr_kind is Kind.TEXT:
+                    errors.append(f"{dpath}: uniform needs a numeric attribute, {name!r} is text")
             elif kind == "zipf":
                 s_exp = _convert(d.get("s", 0), float, errors, f"{dpath}.s", 1.0)
                 n = _convert(d.get("n", 0), int, errors, f"{dpath}.n", 1)
                 if s_exp <= 0 or n < 1:
                     errors.append(f"{dpath}: zipf needs s > 0 and n >= 1")
+                if attr_kind not in (None, Kind.INT):
+                    errors.append(f"{dpath}: zipf needs an int attribute, {name!r} is {attr_kind.value}")
             elif kind == "choice":
-                if not d.get("values"):
+                values = d.get("values")
+                if not (isinstance(values, list) and values):
                     errors.append(f"{dpath}: choice needs a non-empty values list")
+                elif attr_kind is not None:
+                    # the sampler draws these as they are: an int for a float attribute is made a float
+                    values = [_parse_value(v, attr_kind, errors, f"{dpath}.values[{j}]") for j, v in enumerate(values)]
+                    d = {**d, "values": values}
             else:
                 errors.append(f"{dpath}.dist: {kind!r} is not uniform/zipf/choice")
                 continue

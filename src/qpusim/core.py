@@ -19,10 +19,6 @@ class Kind(str, Enum):
     TEXT = "text"
 
 
-class KindMismatch(TypeError):
-    """Two values of different kinds were compared; signals config or data corruption."""
-
-
 class IngestError(ValueError):
     """Attribute data rejected at ingestion (bad kind, NaN, out-of-range int)."""
 
@@ -31,86 +27,46 @@ class RegionError(ValueError):
     """Malformed interval or region bounds."""
 
 
-@dataclass(frozen=True)
-class AttrValue:
-    """A typed attribute value. Totally ordered within a kind, never across kinds."""
-
-    kind: Kind
-    value: int | float | str
-
-    @staticmethod
-    def of(raw: int | float | str) -> "AttrValue":
-        if isinstance(raw, bool):
-            raise IngestError(f"boolean attribute values are not supported: {raw!r}")
-        if isinstance(raw, int):
-            if not (INT64_MIN <= raw <= INT64_MAX):
-                raise IngestError(f"integer out of 64-bit range: {raw!r}")
-            return AttrValue(Kind.INT, raw)
-        if isinstance(raw, float):
-            if not math.isfinite(raw):
-                raise IngestError(f"non-finite float rejected: {raw!r}")
-            return AttrValue(Kind.FLOAT, raw)
-        if isinstance(raw, str):
-            return AttrValue(Kind.TEXT, raw)
-        raise IngestError(f"unsupported attribute value type: {type(raw).__name__}")
-
-    def _check(self, other: "AttrValue") -> None:
-        if self.kind is not other.kind:
-            raise KindMismatch(f"cannot compare {self.kind.value} with {other.kind.value}")
-
-    def __lt__(self, other: "AttrValue") -> bool:
-        self._check(other)
-        return self.value < other.value  # type: ignore[operator]
-
-    def __le__(self, other: "AttrValue") -> bool:
-        self._check(other)
-        return self.value <= other.value  # type: ignore[operator]
-
-    def __gt__(self, other: "AttrValue") -> bool:
-        self._check(other)
-        return self.value > other.value  # type: ignore[operator]
-
-    def __ge__(self, other: "AttrValue") -> bool:
-        self._check(other)
-        return self.value >= other.value  # type: ignore[operator]
-
-    def successor(self) -> "AttrValue":
-        """Smallest representable value strictly greater than this one.
-
-        Converts an inclusive upper bound into its exclusive (closed-open) form.
-        """
-        if self.kind is Kind.INT:
-            return AttrValue(Kind.INT, self.value + 1)  # type: ignore[operator]
-        if self.kind is Kind.FLOAT:
-            return AttrValue(Kind.FLOAT, math.nextafter(self.value, math.inf))
-        return AttrValue(Kind.TEXT, self.value + "\x00")  # type: ignore[operator]
-
-    def __repr__(self) -> str:
-        return f"{self.kind.value}:{self.value!r}"
+RawValue = int | float | str
+# A value of an attribute is held as it is, never wrapped: the schema fixes
+# each attribute's kind, and check_value enforces it where values enter.
+AttrMap = Mapping[str, RawValue]
+_TYPE_OF_KIND = {Kind.INT: int, Kind.FLOAT: float, Kind.TEXT: str}
 
 
-AttrMap = Mapping[str, AttrValue]
-RawValue = int | float | str  # AttrValue.value
-
-
-def make_attrs(raw: Mapping[str, int | float | str]) -> dict[str, AttrValue]:
-    """Build an attribute map from plain values, validating each."""
-    out: dict[str, AttrValue] = {}
-    for name in sorted(raw):
-        if not name:
-            raise IngestError("attribute names must be non-empty")
-        out[name] = AttrValue.of(raw[name])
-    return out
+def check_value(kind: Kind, raw: object) -> None:
+    """Rejects a raw value that is not of the schema kind: a bool, an int
+    for a float, a NaN or infinite float, or an int outside 64 bits."""
+    if type(raw) is not _TYPE_OF_KIND[kind]:
+        raise IngestError(f"expected a {kind.value} value, got {raw!r}")
+    if kind is Kind.INT and not INT64_MIN <= raw <= INT64_MAX:  # type: ignore[operator]
+        raise IngestError(f"integer out of 64-bit range: {raw!r}")
+    if kind is Kind.FLOAT and not math.isfinite(raw):  # type: ignore[arg-type]
+        raise IngestError(f"non-finite float rejected: {raw!r}")
 
 
 def check_attrs(schema: Mapping[str, Kind], attrs: AttrMap) -> None:
-    """Reject attributes unknown to the schema or holding the wrong kind."""
+    """Reject attributes unknown to the schema or holding a value that is not
+    of its kind (check_value)."""
     for name, v in attrs.items():
         kind = schema.get(name)
         if kind is None:
             raise IngestError(f"attribute {name!r} is not configured")
-        if v.kind is not kind:
-            raise IngestError(f"attribute {name!r} expects {kind.value}, got {v.kind.value}")
+        try:
+            check_value(kind, v)
+        except IngestError as exc:
+            raise IngestError(f"attribute {name!r}: {exc}") from None
+
+
+def successor(raw: RawValue) -> RawValue:
+    """Smallest representable value strictly greater than raw, of its type.
+
+    Converts an inclusive upper bound into its exclusive (closed-open) form."""
+    if type(raw) is int:
+        return raw + 1
+    if type(raw) is float:
+        return math.nextafter(raw, math.inf)
+    return raw + "\x00"  # type: ignore[operator]
 
 
 class Version(NamedTuple):
@@ -134,7 +90,7 @@ class StoredObject(NamedTuple):
     A NamedTuple, as are the per-event records (see store.py)."""
 
     key: str
-    attrs: dict[str, AttrValue]
+    attrs: dict[str, RawValue]
     version: Version
 
 
@@ -142,63 +98,45 @@ class StoredObject(NamedTuple):
 class Interval:
     """Closed-open interval [lo, hi); None means unbounded on that side.
 
-    Like HyperRegion.contains and query_matcher, the region algebra checks
-    the kinds of the bounds it compares, raising KindMismatch where
-    AttrValue's operators would, and then compares their raw values."""
+    Bounds are raw values and compare as Python compares them; a schema
+    fixes one kind per attribute, so the bounds and values of one dimension
+    share it."""
 
-    lo: AttrValue | None = None
-    hi: AttrValue | None = None
+    lo: RawValue | None = None
+    hi: RawValue | None = None
 
     def __post_init__(self) -> None:
-        if self.lo is not None and self.hi is not None:
-            if self.lo.kind is not self.hi.kind:
-                raise RegionError(f"interval bounds of mixed kind: {self.lo!r}, {self.hi!r}")
-            if not self.lo.value < self.hi.value:  # type: ignore[operator]
-                raise RegionError(f"empty or inverted interval [{self.lo!r}, {self.hi!r})")
-
-    @property
-    def bounded(self) -> bool:
-        return self.lo is not None and self.hi is not None
+        if self.lo is not None and self.hi is not None and not self.lo < self.hi:  # type: ignore[operator]
+            raise RegionError(f"empty or inverted interval [{self.lo!r}, {self.hi!r})")
 
     @property
     def is_full(self) -> bool:
         return self.lo is None and self.hi is None
 
-    def contains(self, v: AttrValue) -> bool:
-        if self.lo is not None and _less(v, self.lo):
-            return False
-        if self.hi is not None and not _less(v, self.hi):
-            return False
-        return True
+    def contains(self, v: RawValue) -> bool:
+        return (self.lo is None or self.lo <= v) and (self.hi is None or v < self.hi)  # type: ignore[operator]
 
     def clip(self, other: "Interval") -> "Interval | None":
         """Intersection, or None when disjoint; self when other cuts nothing
         off it."""
         lo, hi = self.lo, self.hi
-        if other.lo is not None and (lo is None or _less(lo, other.lo)):
+        if other.lo is not None and (lo is None or lo < other.lo):  # type: ignore[operator]
             lo = other.lo
-        if other.hi is not None and (hi is None or _less(other.hi, hi)):
+        if other.hi is not None and (hi is None or other.hi < hi):  # type: ignore[operator]
             hi = other.hi
         if lo is self.lo and hi is self.hi:
             return self
-        if lo is not None and hi is not None and not _less(lo, hi):
+        if lo is not None and hi is not None and not lo < hi:  # type: ignore[operator]
             return None
         return Interval(lo, hi)
 
     def covers(self, other: "Interval") -> bool:
         """True when every point of `other` lies in self."""
-        if self.lo is not None and (other.lo is None or _less(other.lo, self.lo)):
+        if self.lo is not None and (other.lo is None or other.lo < self.lo):  # type: ignore[operator]
             return False
-        if self.hi is not None and (other.hi is None or _less(self.hi, other.hi)):
+        if self.hi is not None and (other.hi is None or self.hi < other.hi):  # type: ignore[operator]
             return False
         return True
-
-
-def _less(a: AttrValue, b: AttrValue) -> bool:
-    """a < b on raw values, raising KindMismatch across kinds as a < b would."""
-    if a.kind is not b.kind:
-        raise KindMismatch(f"cannot compare {a.kind.value} with {b.kind.value}")
-    return a.value < b.value  # type: ignore[operator]
 
 
 FULL_INTERVAL = Interval(None, None)
@@ -244,31 +182,19 @@ class HyperRegion:
             raise RegionError(f"regions over different attribute sets: {self.attrs} vs {other.attrs}")
 
     @cached_property
-    def _membership(self) -> tuple[tuple[str, Kind, RawValue | None, RawValue | None], ...]:
-        """(attr, kind, lo, hi) with raw bounds, None unbounded, for every
-        dimension bounded on at least one side; full dimensions drop out."""
-        out = []
-        for name, iv in self.dims:
-            if iv.is_full:
-                continue
-            kind = (iv.lo if iv.lo is not None else iv.hi).kind  # type: ignore[union-attr]
-            out.append((name, kind, None if iv.lo is None else iv.lo.value, None if iv.hi is None else iv.hi.value))
-        return tuple(out)
+    def _membership(self) -> tuple[tuple[str, RawValue | None, RawValue | None], ...]:
+        """(attr, lo, hi), None unbounded, for every dimension bounded on at
+        least one side; full dimensions drop out."""
+        return tuple((name, iv.lo, iv.hi) for name, iv in self.dims if not iv.is_full)
 
     def contains(self, attrs: AttrMap) -> bool:
         """Point membership. A missing attribute is outside every bounded
         dimension and inside every unbounded one. Answers as a per-dimension
-        Interval.contains would, raising KindMismatch on a value of another
-        kind than a bounded dimension, but compares raw values, compiled once
-        per region, the way query_matcher compiles a query."""
-        for attr, kind, lo, hi in self._membership:
+        Interval.contains would, with the bounds compiled once per region,
+        the way query_matcher compiles a query."""
+        for attr, lo, hi in self._membership:
             v = attrs.get(attr)
-            if v is None:
-                return False
-            if v.kind is not kind:
-                raise KindMismatch(f"cannot compare {v.kind.value} with {kind.value}")
-            raw = v.value
-            if (lo is not None and raw < lo) or (hi is not None and raw >= hi):
+            if v is None or (lo is not None and v < lo) or (hi is not None and v >= hi):  # type: ignore[operator]
                 return False
         return True
 
@@ -298,23 +224,22 @@ class HyperRegion:
             return [self]
         pieces: list[HyperRegion] = []
         rem = list(self.dims)
-        # clip kept self's intervals or cut them: a and b share a kind
         for i, ((name, a), (_, b)) in enumerate(zip(self.dims, core.dims)):
             if b is a:
                 continue
-            if b.lo is not None and (a.lo is None or a.lo.value < b.lo.value):  # type: ignore[operator]
+            if b.lo is not None and (a.lo is None or a.lo < b.lo):  # type: ignore[operator]
                 rem[i] = (name, Interval(a.lo, b.lo))
                 pieces.append(HyperRegion(tuple(rem)))
-            if b.hi is not None and (a.hi is None or b.hi.value < a.hi.value):  # type: ignore[operator]
+            if b.hi is not None and (a.hi is None or b.hi < a.hi):  # type: ignore[operator]
                 rem[i] = (name, Interval(b.hi, a.hi))
                 pieces.append(HyperRegion(tuple(rem)))
             rem[i] = (name, b)
         return pieces
 
-    def split(self, attr: str, plane: AttrValue) -> "tuple[HyperRegion, HyperRegion]":
+    def split(self, attr: str, plane: RawValue) -> "tuple[HyperRegion, HyperRegion]":
         """Cut into [lo, plane) and [plane, hi) along one dimension."""
         iv = self.interval(attr)
-        if not iv.contains(plane) or (iv.lo is not None and not _less(iv.lo, plane)):
+        if not iv.contains(plane) or (iv.lo is not None and not iv.lo < plane):  # type: ignore[operator]
             raise RegionError(f"split plane {plane!r} not interior to {iv} on {attr!r}")
         low, high = self.bounds(), self.bounds()
         low[attr] = Interval(iv.lo, plane)
@@ -328,8 +253,8 @@ class Predicate:
     side; client queries normally bound both sides, decomposed sub-queries may not."""
 
     attr: str
-    lower: AttrValue | None = None
-    upper: AttrValue | None = None
+    lower: RawValue | None = None
+    upper: RawValue | None = None
     lower_inclusive: bool = True
     upper_inclusive: bool = True
 
@@ -339,27 +264,32 @@ class Predicate:
         if self.lower is None and self.upper is None:
             raise RegionError(f"predicate on {self.attr!r} has no bounds")
         if self.lower is not None and self.upper is not None:
-            if self.lower.kind is not self.upper.kind:
-                raise RegionError(f"predicate bounds of mixed kind on {self.attr!r}")
-            lo, hi = self.lower.value, self.upper.value
+            lo, hi = self.lower, self.upper
             if hi < lo:  # type: ignore[operator]
                 raise RegionError(f"inverted predicate bounds on {self.attr!r}")
             if lo == hi and not (self.lower_inclusive and self.upper_inclusive):
                 raise RegionError(f"empty predicate on {self.attr!r}")
 
     @staticmethod
-    def between(attr: str, lo: int | float | str, hi: int | float | str) -> "Predicate":
-        return Predicate(attr, AttrValue.of(lo), AttrValue.of(hi))
+    def between(attr: str, lo: RawValue, hi: RawValue) -> "Predicate":
+        return Predicate(attr, lo, hi)
 
     @staticmethod
-    def equals(attr: str, v: int | float | str) -> "Predicate":
-        value = AttrValue.of(v)
-        return Predicate(attr, value, value)
+    def equals(attr: str, v: RawValue) -> "Predicate":
+        return Predicate(attr, v, v)
 
 
 @dataclass(frozen=True)
 class Query:
-    """Conjunction of per-attribute range predicates, at most one per attribute."""
+    """Conjunction of per-attribute range predicates, at most one per attribute.
+
+    Bounds are raw values, and nothing checks them against a schema. A
+    generated workload draws every bound from a distribution that
+    check-config has checked against the attribute's kind, so its queries
+    hold the kind of the values they meet. A query built by hand with a bound
+    of another kind compares as Python does: an int and a float numerically,
+    once an exclusive bound has become the next value of its own type, and a
+    str against a number raises TypeError."""
 
     predicates: tuple[Predicate, ...]
     limit: int | None = None
@@ -387,14 +317,10 @@ def predicate_matches(p: Predicate, attrs: AttrMap) -> bool:
     if v is None:
         return False
     if p.lower is not None:
-        if v.kind is not p.lower.kind:
-            raise KindMismatch(f"attribute {p.attr!r}: object holds {v.kind.value}, predicate {p.lower.kind.value}")
-        if v < p.lower or (v == p.lower and not p.lower_inclusive):
+        if v < p.lower or (v == p.lower and not p.lower_inclusive):  # type: ignore[operator]
             return False
     if p.upper is not None:
-        if v.kind is not p.upper.kind:
-            raise KindMismatch(f"attribute {p.attr!r}: object holds {v.kind.value}, predicate {p.upper.kind.value}")
-        if p.upper < v or (v == p.upper and not p.upper_inclusive):
+        if p.upper < v or (v == p.upper and not p.upper_inclusive):  # type: ignore[operator]
             return False
     return True
 
@@ -403,23 +329,15 @@ def query_matches(q: Query, attrs: AttrMap) -> bool:
     return all(predicate_matches(p, attrs) for p in q.predicates)
 
 
-def _predicate_bounds(p: Predicate) -> tuple[AttrValue | None, AttrValue | None]:
-    """Closed-open bounds [lo, hi) holding exactly the values p accepts; None is
-    unbounded. The pair is empty (lo >= hi) when no value is accepted, as for
-    the integers strictly between 5 and 6."""
-    lo = p.lower if p.lower is None or p.lower_inclusive else p.lower.successor()
+def _predicate_bounds(p: Predicate) -> tuple[str, RawValue | None, RawValue | None]:
+    """(attr, lo, hi): closed-open bounds [lo, hi) holding exactly the values
+    p accepts; None is unbounded. The pair is empty (lo >= hi) when no value
+    is accepted, as for the integers strictly between 5 and 6."""
+    lo = p.lower if p.lower is None or p.lower_inclusive else successor(p.lower)
     hi = None
     if p.upper is not None:
-        hi = p.upper.successor() if p.upper_inclusive else p.upper
-    return lo, hi
-
-
-def _raw_bounds(p: Predicate) -> tuple[str, Kind, RawValue | None, RawValue | None]:
-    """(attr, kind, lo, hi): _predicate_bounds as raw values, with the one
-    kind the predicate's bounds share."""
-    lo, hi = _predicate_bounds(p)
-    kind = (p.lower if p.lower is not None else p.upper).kind  # type: ignore[union-attr]
-    return p.attr, kind, None if lo is None else lo.value, None if hi is None else hi.value
+        hi = successor(p.upper) if p.upper_inclusive else p.upper
+    return p.attr, lo, hi
 
 
 def query_is_empty(q: Query) -> bool:
@@ -427,33 +345,28 @@ def query_is_empty(q: Query) -> bool:
     between 5 and 6; such a query matches nothing anywhere."""
     for p in q.predicates:
         if p.lower is not None and p.upper is not None and not (p.lower_inclusive and p.upper_inclusive):
-            _attr, _kind, lo, hi = _raw_bounds(p)
+            _attr, lo, hi = _predicate_bounds(p)
             if not lo < hi:  # type: ignore[operator]
                 return True
     return False
 
 
-def query_bounds(q: Query) -> list[tuple[str, AttrValue | None, AttrValue | None]]:
+def query_bounds(q: Query) -> list[tuple[str, RawValue | None, RawValue | None]]:
     """(attr, lo, hi) per predicate: the closed-open bounds of
     _predicate_bounds, which may be empty but never raise."""
-    return [(p.attr, *_predicate_bounds(p)) for p in q.predicates]
+    return [_predicate_bounds(p) for p in q.predicates]
 
 
 def query_matcher(q: Query) -> Callable[[AttrMap], bool]:
-    """Compiles q once into raw closed-open bounds per attribute. The returned
-    function answers as query_matches(q, attrs) does, raising KindMismatch on
-    the same inputs, but compares plain values instead of AttrValues."""
-    bounds = tuple(_raw_bounds(p) for p in q.predicates)
+    """Compiles q once into closed-open bounds per attribute. The returned
+    function answers as query_matches(q, attrs) does for values of the
+    bounds' type."""
+    bounds = query_bounds(q)
 
     def matches(attrs: AttrMap) -> bool:
-        for attr, kind, lo, hi in bounds:
+        for attr, lo, hi in bounds:
             v = attrs.get(attr)
-            if v is None:
-                return False
-            if v.kind is not kind:
-                raise KindMismatch(f"attribute {attr!r}: object holds {v.kind.value}, predicate {kind.value}")
-            raw = v.value
-            if (lo is not None and raw < lo) or (hi is not None and raw >= hi):
+            if v is None or (lo is not None and v < lo) or (hi is not None and v >= hi):  # type: ignore[operator]
                 return False
         return True
 
@@ -469,7 +382,8 @@ def query_to_region(q: Query, indexed_attrs: Iterable[str]) -> HyperRegion | Non
     for p in q.predicates:
         if p.attr not in indexed:
             return None
-        bounds[p.attr] = Interval(*_predicate_bounds(p))
+        attr, lo, hi = _predicate_bounds(p)
+        bounds[attr] = Interval(lo, hi)
     for attr in indexed:
         bounds.setdefault(attr, FULL_INTERVAL)
     return HyperRegion.of(bounds)
@@ -495,7 +409,6 @@ CanonicalQuery = tuple
 
 def canonical_query(q: Query) -> CanonicalQuery:
     """Stable hashable form: predicates sorted by attribute, bounds normalized
-    closed-open as raw (attr, kind, lo, hi), so the response caches hash and
-    compare plain values; the kind keeps int 1 and float 1.0 apart. Used as
-    the cache key."""
-    return (tuple(sorted(_raw_bounds(p) for p in q.predicates)), q.limit)
+    closed-open as (attr, lo, hi), so the response caches hash and compare
+    plain values. Used as the cache key."""
+    return (tuple(sorted(query_bounds(q))), q.limit)

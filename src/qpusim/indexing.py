@@ -10,7 +10,6 @@ from typing import Any, Iterable, NamedTuple, Sequence
 
 from .core import (
     ZERO_VERSION,
-    AttrValue,
     HyperRegion,
     Query,
     RawValue,
@@ -54,7 +53,7 @@ class IndexUpdate(NamedTuple):
 # control-plane messages for adaptive re-partitioning
 class SplitCmd(NamedTuple):
     parent: str
-    plane: tuple[str, AttrValue]
+    plane: tuple[str, RawValue]
 
 
 class Handoff(NamedTuple):
@@ -211,7 +210,6 @@ class PostingIndex(PostingSets):
         self.tombstones.clear()
         self.postings = {a: {} for a in self.attrs}
         self.sorted_values = {a: [] for a in self.attrs}
-        self.kinds = {}
         if self._changed is not None:
             self._changed.clear()
         self.seq += 1
@@ -224,30 +222,15 @@ class PostingIndex(PostingSets):
             for a in self.attrs:
                 v = attrs.get(a)
                 if v is not None:
-                    fresh[a].setdefault(v.value, set()).add(key)
+                    fresh[a].setdefault(v, set()).add(key)
         return fresh
-
-    def distinct_values(self, attr: str) -> list[AttrValue]:
-        """The attribute's distinct values in order, as AttrValues of the
-        kind the posting sets hold."""
-        vals = self.sorted_values[attr]
-        if not vals:
-            return []
-        kind = self.kinds[attr]
-        return [AttrValue(kind, v) for v in vals]
 
     def registry_bytes(self) -> bytes:
         """Canonical serialization of the registry for convergence comparison."""
         rows = []
         for key in sorted(self.registry):
             attrs, version = self.registry[key]
-            rows.append(
-                [
-                    key,
-                    sorted((a, v.kind.value, v.value) for a, v in attrs.items()),
-                    [version.ts, version.origin],
-                ]
-            )
+            rows.append([key, sorted(attrs.items()), [version.ts, version.origin]])
         return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -409,7 +392,7 @@ class IndexQpu(QpuBase):
         entries, in_region = self.index.lookup(m.query)
         if not in_region:
             k.probes.emit({"type": "out_of_region", "qpu": self.qpu_id, "qid": m.qid})
-        missing = [piece for piece in region.subtract(self.region)]
+        missing = region.subtract(self.region)
         self.answer(k, m, entries, complete=not missing, missing=missing)
 
     def _answer_leftover(self, leftover: list[HyperRegion]) -> tuple[list[Sequence[Entry]], list[HyperRegion]]:

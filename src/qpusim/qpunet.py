@@ -132,9 +132,8 @@ def recheck(entries: Sequence[Entry], q: Query, replica: DcReplica) -> list[Entr
     write, so when the replica holds the key at the row's version it holds
     the same attrs, and the row is kept as it is without matching. The
     matcher runs only on rows whose version differs; absent keys drop.
-    Those rows also skip the matcher's KindMismatch check. Each attribute
-    holds one kind, and a scan or lookup asked a query of another kind
-    raises or returns no rows, so no such row reaches a recheck."""
+    Values and bounds compare raw: the schema gives each attribute one
+    kind, checked where values enter, so a row and q agree on it."""
     matches = query_matcher(q)
     objects = replica.objects
     out: list[Entry] = []
@@ -268,8 +267,10 @@ class QpuBase(Actor):
         forward_whole: bool = False,
     ) -> None:
         """Sends one sub-query per plan element and parks the join state.
-        With forward_whole the original query is passed through unmodified
-        (scan fallback); otherwise each sub-region converts back to predicates."""
+        With forward_whole the original query's predicates are passed through
+        (scan fallback); otherwise each sub-region converts back to predicates.
+        No sub-query carries the limit: the rows recheck drops could hide
+        others past it, so _finish applies it once, after recheck."""
         pend = _Pending(
             qid=m.qid,
             reply_to=m.reply_to,
@@ -280,7 +281,7 @@ class QpuBase(Actor):
         )
         for conn, piece in plan:
             sub_qid = self._next_qid()
-            sub_query = m.query if forward_whole else region_to_query(piece, limit=None)
+            sub_query = Query(m.query.predicates) if forward_whole else region_to_query(piece)
             pend.outstanding[sub_qid] = piece
             self._sub_parent[sub_qid] = m.qid
             k.send(self.qpu_id, conn.to, QueryMsg(sub_qid, sub_query, self.qpu_id))
@@ -488,7 +489,8 @@ class CacheQpu(QpuBase):
         pend = _Pending(m.qid, m.reply_to, m.query, {sub_qid: conn.coverage}, [])
         self._sub_parent[sub_qid] = m.qid
         self._pending[m.qid] = pend
-        k.send(self.qpu_id, conn.to, QueryMsg(sub_qid, m.query, self.qpu_id))
+        # unlimited, as fan_out sends it; a hit or the fill is cut in _finish
+        k.send(self.qpu_id, conn.to, QueryMsg(sub_qid, Query(m.query.predicates), self.qpu_id))
         if self.timeout is not None:
             k.schedule_in(self.timeout, self.qpu_id, QueryTimeout(m.qid))
 

@@ -9,11 +9,9 @@ from typing import Iterable, Mapping, NamedTuple
 from .core import (
     ZERO_VERSION,
     AttrMap,
-    AttrValue,
     HyperRegion,
     IngestError,
     Kind,
-    KindMismatch,
     Query,
     RawValue,
     StoredObject,
@@ -80,28 +78,21 @@ class PostingSets:
     are posted and unposted with the attrs dict they are stored under; a key
     lacking an attribute is in none of its sets.
 
-    Sets are keyed by `AttrValue.value`, so the write path hashes and compares
-    plain ints, floats and strs. `kinds` records each attribute's kind once,
-    from the first value posted; a value of another kind raises KindMismatch,
-    so int 1 and float 1.0, equal and equally hashed as raw values, never
-    share a set."""
+    Values are the stored raw ints, floats and strs, of the one kind the
+    schema gives each attribute (check_attrs enforces it where they enter),
+    so each attribute's values order totally and int 1 and float 1.0, equal
+    and equally hashed, never meet in one attribute's sets."""
 
     def __init__(self, attrs: Iterable[str]) -> None:
         self.attrs = tuple(attrs)
         self.postings: dict[str, dict[RawValue, set[str]]] = {a: {} for a in self.attrs}
         self.sorted_values: dict[str, list[RawValue]] = {a: [] for a in self.attrs}
-        self.kinds: dict[str, Kind] = {}
 
     def post(self, key: str, attrs: AttrMap) -> None:
-        kinds = self.kinds
         for a in self.attrs:
-            v = attrs.get(a)
-            if v is None:
+            raw = attrs.get(a)
+            if raw is None:
                 continue
-            kind = kinds.setdefault(a, v.kind)
-            if v.kind is not kind:
-                raise KindMismatch(f"attribute {a!r}: posting sets hold {kind.value}, value is {v.kind.value}")
-            raw = v.value
             bucket = self.postings[a].get(raw)
             if bucket is None:
                 bucket = self.postings[a][raw] = set()
@@ -110,10 +101,9 @@ class PostingSets:
 
     def unpost(self, key: str, attrs: AttrMap) -> None:
         for a in self.attrs:
-            v = attrs.get(a)
-            if v is None:
+            raw = attrs.get(a)
+            if raw is None:
                 continue
-            raw = v.value
             bucket = self.postings[a].get(raw)
             if bucket is None:
                 continue
@@ -123,25 +113,18 @@ class PostingSets:
                 vals = self.sorted_values[a]
                 vals.pop(bisect_left(vals, raw))
 
-    def keys_in(self, bounds: Iterable[tuple[str, AttrValue | None, AttrValue | None]]) -> set[str]:
+    def keys_in(self, bounds: Iterable[tuple[str, RawValue | None, RawValue | None]]) -> set[str]:
         """Keys whose value of every bounded attribute lies in its closed-open
         range [lo, hi), None being unbounded; no bounds match nothing.
-        Checks every bound's kind against its attribute's first, where the
-        attribute holds values: a bound of another kind raises KindMismatch.
-        Then bisects the raw bounds, takes the union of the posting sets in
-        each range and intersects the unions, fewest distinct values first,
-        stopping once the result is empty. An attribute without posting sets,
-        or an empty range, matches nothing."""
+        Bisects the bounds, takes the union of the posting sets in each range
+        and intersects the unions, fewest distinct values first, stopping
+        once the result is empty. An attribute without posting sets, or an
+        empty range, matches nothing."""
         spans = []
         for attr, lo, hi in bounds:
             vals = self.sorted_values.get(attr, [])
-            if vals:
-                kind = self.kinds[attr]
-                for bound in (lo, hi):
-                    if bound is not None and bound.kind is not kind:
-                        raise KindMismatch(f"attribute {attr!r}: posting sets hold {kind.value}, bound is {bound.kind.value}")
-            i = 0 if lo is None else bisect_left(vals, lo.value)
-            j = len(vals) if hi is None else bisect_left(vals, hi.value)
+            i = 0 if lo is None else bisect_left(vals, lo)
+            j = len(vals) if hi is None else bisect_left(vals, hi)
             spans.append((j - i, attr, i, j))
         spans.sort()
         keys: set[str] | None = None
@@ -314,7 +297,7 @@ class DcReplica(Actor):
     def state_fingerprint(self) -> tuple:
         """(objects, tombstones) content; equal fingerprints mean converged replicas."""
         objs = tuple(
-            (key, tuple(sorted((a, v.kind.value, v.value) for a, v in o.attrs.items())), o.version)
+            (key, tuple(sorted(o.attrs.items())), o.version)
             for key, o in sorted(self.objects.items())
         )
         tombs = tuple(sorted(self.tombstones.items()))

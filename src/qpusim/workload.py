@@ -11,17 +11,17 @@ from typing import Any, NamedTuple
 
 from .build import Network
 from .config import DistSpec, PhaseSpec, WorkloadSpec
-from .core import AttrValue, Kind, Predicate, Query
+from .core import Kind, Predicate, Query, RawValue
 from .qpunet import QueryMsg, ResponseMsg
 from .simkernel import Actor, Kernel
 from .store import ClientDelete, ClientWrite
 
 
 class Sampler:
-    """Draws attribute values from a phase's configured distribution."""
+    """Draws attribute values from a phase's configured distribution, which
+    check-config has checked against the attribute's kind."""
 
-    def __init__(self, name: str, kind: Kind, spec: DistSpec, rng: Random) -> None:
-        self.name = name
+    def __init__(self, kind: Kind, spec: DistSpec, rng: Random) -> None:
         self.kind = kind
         self.spec = spec
         self.rng = rng
@@ -43,22 +43,15 @@ class Sampler:
             return float(self.spec.params["n"])
         return 0.0  # choice distributions query as points
 
-    def sample(self) -> AttrValue:
+    def sample(self) -> RawValue:
         p = self.spec.params
         if self.spec.dist == "uniform":
             if self.kind is Kind.INT:
-                return AttrValue.of(self.rng.randrange(int(p["lo"]), int(p["hi"])))
-            if self.kind is Kind.FLOAT:
-                return AttrValue.of(self.rng.uniform(float(p["lo"]), float(p["hi"])))
-            raise ValueError(f"uniform distribution needs a numeric attribute, not {self.name!r}")
+                return self.rng.randrange(int(p["lo"]), int(p["hi"]))
+            return self.rng.uniform(float(p["lo"]), float(p["hi"]))
         if self.spec.dist == "zipf":
-            rank = bisect_left(self._zipf_cdf, self.rng.random())
-            base = int(p.get("lo", 0))
-            if self.kind is not Kind.INT:
-                raise ValueError(f"zipf distribution needs an integer attribute, not {self.name!r}")
-            return AttrValue.of(base + rank)
-        value = self.rng.choice(list(p["values"]))
-        return AttrValue.of(value)
+            return int(p.get("lo", 0)) + bisect_left(self._zipf_cdf, self.rng.random())
+        return self.rng.choice(list(p["values"]))
 
 
 class IssueQuery(NamedTuple):
@@ -169,11 +162,11 @@ class WorkloadDriver:
     def _schedule_phase(self, k: Kernel, phase: PhaseSpec, start: int) -> None:
         schema = self.net.schema
         samplers = {
-            name: Sampler(name, schema[name], dist, self._write_rng)
+            name: Sampler(schema[name], dist, self._write_rng)
             for name, dist in sorted(phase.attributes.items())
         }
         qsamplers = {
-            name: Sampler(name, schema[name], dist, self._query_rng)
+            name: Sampler(schema[name], dist, self._query_rng)
             for name, dist in sorted(phase.attributes.items())
         }
         if phase.write_rate > 0:
@@ -229,15 +222,11 @@ class WorkloadDriver:
             sampler = samplers[name]
             center = sampler.sample()
             width = sampler.domain_width() * shape.selectivity
-            if width <= 0 or center.kind is Kind.TEXT:
+            if width <= 0 or sampler.kind is Kind.TEXT:
                 preds.append(Predicate(name, center, center))
-                continue
-            if center.kind is Kind.INT:
+            elif sampler.kind is Kind.INT:
                 half = int(width // 2)
-                lo = AttrValue.of(center.value - half)
-                hi = AttrValue.of(center.value + max(half, 0))
+                preds.append(Predicate(name, center - half, center + max(half, 0)))
             else:
-                lo = AttrValue.of(center.value - width / 2)
-                hi = AttrValue.of(center.value + width / 2)
-            preds.append(Predicate(name, lo, hi))
+                preds.append(Predicate(name, center - width / 2, center + width / 2))
         return Query.of(preds, phase.limit)

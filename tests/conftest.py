@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import qpusim.qpunet as qpunet
-from qpusim.core import AttrValue, HyperRegion, Interval, query_matches
+from qpusim.core import HyperRegion, Interval, query_matches
 from qpusim.qpunet import QueryMsg
 from qpusim.simkernel import Actor
 
@@ -105,13 +105,7 @@ def audited_recheck(monkeypatch):
 
 
 def make_region(**bounds):
-    out = {}
-    for name, (lo, hi) in bounds.items():
-        out[name] = Interval(
-            None if lo is None else AttrValue.of(lo),
-            None if hi is None else AttrValue.of(hi),
-        )
-    return HyperRegion.of(out)
+    return HyperRegion.of({name: Interval(lo, hi) for name, (lo, hi) in bounds.items()})
 
 
 @pytest.fixture

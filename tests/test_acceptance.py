@@ -14,7 +14,7 @@ import pytest
 from qpusim.adapt import LoadTracker
 from qpusim.build import build
 from qpusim.config import parse_topology, parse_workload
-from qpusim.core import AttrValue, Kind, Predicate, Query, Version, make_attrs
+from qpusim.core import Kind, Predicate, Query, Version
 from qpusim.indexing import FilterQpu, IndexQpu, IndexUpdate, MergeCmd, MergeQpu, StampedOp
 from qpusim.metrics import MetricsSink
 from qpusim.qpunet import CacheQpu, Connection, QueryMsg
@@ -92,7 +92,7 @@ class TestCriterion3ConvergentMerge:
                 if rng.random() < 0.25:
                     ops.append(WriteOp(key, DELETE, None, None, Version(ts, s), s))
                 else:
-                    attrs = make_attrs({"size": rng.randrange(150), "genre": rng.choice("abcde")})
+                    attrs = {"size": rng.randrange(150), "genre": rng.choice("abcde")}
                     ops.append(WriteOp(key, PUT, attrs, None, Version(ts, s), s))
             streams[s] = ops
         assert sum(len(v) for v in streams.values()) == 900
@@ -357,7 +357,7 @@ class TestCriterion8CacheContract:
             rep = net.replicas["dc1"]
             rng = random.Random(808)
             for i in range(400):
-                rep.put(k, f"k{i}", make_attrs({"size": rng.randrange(200), "genre": rng.choice("abcdef")}))
+                rep.put(k, f"k{i}", {"size": rng.randrange(200), "genre": rng.choice("abcdef")})
             k.run_until_empty()
             cl = Client()
             k.register(cl, k.host_of(origin))
@@ -405,8 +405,7 @@ class TestCriterion9RegionAlgebraFuzz:
             else:
                 points = [{"x": x, "y": y} for x in range(-1, span + 2) for y in range(-1, span + 2)]
             saw_overlap = False
-            for pt in points:
-                attrs = make_attrs(pt)
+            for attrs in points:
                 in_a, in_b = a.contains(attrs), b.contains(attrs)
                 saw_overlap = saw_overlap or (in_a and in_b)
                 hits = sum(p.contains(attrs) for p in pieces)

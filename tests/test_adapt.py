@@ -13,7 +13,7 @@ from qpusim.adapt import (
     choose_split,
     rebalance_placement,
 )
-from qpusim.core import AttrValue, Kind, Predicate, Query, Version, make_attrs
+from qpusim.core import Kind, Predicate, Query, Version
 from qpusim.indexing import FilterQpu, IndexQpu, MergeCmd, SplitCmd
 from qpusim.metrics import MetricsSink
 from qpusim.qpunet import QueryMsg
@@ -64,7 +64,7 @@ class TestLoadWindow:
             v = rng.randrange(50)
             expected.append(v)  # midpoint of [v, v+1) is v
             w.record(rng.randrange(0, 900), region_of(q_point(v)))
-        got = sorted(s.value for s in w.samples(900, "size"))
+        got = sorted(w.samples(900, "size"))
         assert got == sorted(expected)
         assert w.samples(900, "genre") == []
 
@@ -79,7 +79,7 @@ def leaf_with_values(values, region=None):
     from qpusim.store import PUT, WriteOp
 
     for i, v in enumerate(values, start=1):
-        leaf.index.apply(WriteOp(f"k{i}", PUT, make_attrs({"size": v}), None, Version(i, "dc1"), "dc1"))
+        leaf.index.apply(WriteOp(f"k{i}", PUT, {"size": v}, None, Version(i, "dc1"), "dc1"))
     return k, rep, leaf
 
 
@@ -94,20 +94,20 @@ class TestChooseSplit:
 
     def test_plane_near_hot_range_median(self):
         k, _, leaf = leaf_with_values(range(0, 100), region=make_region(size=(0, 100), genre=(None, None)))
-        samples = [AttrValue.of(v) for v in [90, 92, 94, 95, 96, 97, 98, 99]]
+        samples = [90, 92, 94, 95, 96, 97, 98, 99]
         plan = choose_split(leaf, 500, {"size": samples}, t_split=100)
         assert plan is not None and plan.dim == "size"
-        assert 90 <= plan.plane.value <= 99  # inside the hot range's vicinity
+        assert 90 <= plan.plane <= 99  # inside the hot range's vicinity
         low, high = leaf.region.split(plan.dim, plan.plane)
         # children cover the parent region exactly
-        assert low.interval("size").lo.value == 0 and high.interval("size").hi.value == 100
+        assert low.interval("size").lo == 0 and high.interval("size").hi == 100
         assert low.interval("size").hi == high.interval("size").lo
 
     def test_no_samples_falls_back_to_interval_midpoint(self):
         _, _, leaf = leaf_with_values(range(0, 100), region=make_region(size=(0, 100), genre=(None, None)))
         plan = choose_split(leaf, 500, {"size": [], "genre": []}, t_split=100)
         assert plan is not None
-        assert 45 <= plan.plane.value <= 55
+        assert 45 <= plan.plane <= 55
 
     def test_dimension_with_widest_sample_spread_wins(self):
         k = Kernel(seed=0)
@@ -120,11 +120,11 @@ class TestChooseSplit:
 
         for i in range(20):
             leaf.index.apply(
-                WriteOp(f"k{i}", PUT, make_attrs({"size": i, "genre": chr(97 + i % 5)}), None, Version(i + 1, "dc1"), "dc1")
+                WriteOp(f"k{i}", PUT, {"size": i, "genre": chr(97 + i % 5)}, None, Version(i + 1, "dc1"), "dc1")
             )
         samples = {
-            "size": [AttrValue.of(v) for v in range(15)],  # wide spread
-            "genre": [AttrValue.of("c")] * 15,  # single point
+            "size": list(range(15)),  # wide spread
+            "genre": ["c"] * 15,  # single point
         }
         plan = choose_split(leaf, 500, samples, t_split=100)
         assert plan.dim == "size"
@@ -147,14 +147,14 @@ class TestSplitExecution:
     def seed_objects(self, k, rep, n=100):
         rng = random.Random(1)
         for i in range(n):
-            rep.put(k, f"k{i}", make_attrs({"size": rng.randrange(200), "genre": rng.choice("abcdef")}))
+            rep.put(k, f"k{i}", {"size": rng.randrange(200), "genre": rng.choice("abcdef")})
         k.run_until_empty()
 
     def test_child_registries_partition_parent(self):
         k, rep, root, cl = self.build()
         self.seed_objects(k, rep, 100)
         before = dict(root.index.registry)
-        k.schedule(k.now, "root", SplitCmd("root", ("size", AttrValue.of(100))))
+        k.schedule(k.now, "root", SplitCmd("root", ("size", 100)))
         k.run_until_empty()
         assert root.mode == IndexQpu.INTERNAL
         kids = [k.actor(c.to) for c in root.connections]
@@ -168,7 +168,7 @@ class TestSplitExecution:
         # coverage conservation: children tile the parent's region exactly
         union_checks = random.Random(2)
         for _ in range(200):
-            attrs = make_attrs({"size": union_checks.randrange(-5, 210), "genre": union_checks.choice("ag")})
+            attrs = {"size": union_checks.randrange(-5, 210), "genre": union_checks.choice("ag")}
             assert sum(c.coverage.contains(attrs) for c in root.connections) == (
                 1 if root.region.contains(attrs) else 0
             )
@@ -178,7 +178,7 @@ class TestSplitExecution:
         self.seed_objects(k, rep, 80)
         queries = [q_range(0, 60), q_range(50, 150), q_range(120, 260)]
         before = [frozenset(e[0] for e in run_query(k, cl, "root", q).entries) for q in queries]
-        k.schedule(k.now, "root", SplitCmd("root", ("size", AttrValue.of(100))))
+        k.schedule(k.now, "root", SplitCmd("root", ("size", 100)))
         k.run_until_empty()
         after = [frozenset(e[0] for e in run_query(k, cl, "root", q).entries) for q in queries]
         assert before == after
@@ -187,7 +187,7 @@ class TestSplitExecution:
         # a query arriving while the parent is mid-handoff is still answered
         k, rep, root, cl = self.build()
         self.seed_objects(k, rep, 40)
-        k.schedule(k.now, "root", SplitCmd("root", ("size", AttrValue.of(100))))
+        k.schedule(k.now, "root", SplitCmd("root", ("size", 100)))
         k.schedule(k.now, "root", QueryMsg("mid", q_range(0, 300), "client"))
         while "mid" not in cl.responses:
             k.step()
@@ -196,8 +196,8 @@ class TestSplitExecution:
     def test_writes_during_handoff_reach_children(self):
         k, rep, root, cl = self.build()
         self.seed_objects(k, rep, 10)
-        k.schedule(k.now, "root", SplitCmd("root", ("size", AttrValue.of(100))))
-        rep.put(k, "fresh", make_attrs({"size": 5}))
+        k.schedule(k.now, "root", SplitCmd("root", ("size", 100)))
+        rep.put(k, "fresh", {"size": 5})
         k.run_until_empty()
         kids = {c.to: k.actor(c.to) for c in root.connections}
         assert any("fresh" in child.index.registry for child in kids.values())
@@ -212,12 +212,12 @@ class TestMergeExecution:
         self.log = record_log(k, rep)
         t.seed_objects(k, rep, 60)
         pre_bytes = root.index.registry_bytes()
-        k.schedule(k.now, "root", SplitCmd("root", ("size", AttrValue.of(100))))
+        k.schedule(k.now, "root", SplitCmd("root", ("size", 100)))
         k.run_until_empty()
         if writes_between:
             rng = random.Random(9)
             for i in range(40):
-                rep.put(k, f"k{rng.randrange(80)}", make_attrs({"size": rng.randrange(200)}))
+                rep.put(k, f"k{rng.randrange(80)}", {"size": rng.randrange(200)})
             k.run_until_empty()
         children = tuple(c.to for c in root.connections)
         k.schedule(k.now, "root", MergeCmd(children))
@@ -246,7 +246,7 @@ class TestMergeExecution:
         t = TestSplitExecution()
         k, rep, root, cl = t.build()
         t.seed_objects(k, rep, 30)
-        k.schedule(k.now, "root", SplitCmd("root", ("size", AttrValue.of(100))))
+        k.schedule(k.now, "root", SplitCmd("root", ("size", 100)))
         k.run_until_empty()
         children = tuple(c.to for c in root.connections)
         k.schedule(k.now, "root", MergeCmd(children))
@@ -292,7 +292,7 @@ class TestController:
         k, rep, root, ctl, tracker, cl = controller_net()
         rng = random.Random(3)
         for i in range(30):
-            rep.put(k, f"k{i}", make_attrs({"size": rng.randrange(100)}))
+            rep.put(k, f"k{i}", {"size": rng.randrange(100)})
         k.run_until(50)  # controller stays periodic, so drain by horizon
         self.drive_queries(k, rng, rate_per_100ms=40, until=800)
         k.run_until(400)  # two control periods
@@ -309,7 +309,7 @@ class TestController:
         k, rep, root, ctl, tracker, cl = controller_net(t_split=50, period_ms=100)
         rng = random.Random(4)
         for i in range(30):
-            rep.put(k, f"k{i}", make_attrs({"size": rng.randrange(200)}))
+            rep.put(k, f"k{i}", {"size": rng.randrange(200)})
         k.run_until(50)
         # ~2 queries per 100 ms bucket, well under every threshold, 100 periods
         self.drive_queries(k, rng, rate_per_100ms=2, until=10_000, hot=False)
@@ -322,7 +322,7 @@ class TestController:
         k, rep, root, ctl, tracker, cl = controller_net(t_split=40, t_merge=15, period_ms=200)
         rng = random.Random(5)
         for i in range(30):
-            rep.put(k, f"k{i}", make_attrs({"size": rng.randrange(100)}))
+            rep.put(k, f"k{i}", {"size": rng.randrange(100)})
         k.run_until(50)
         pre_bytes = root.index.registry_bytes()
         self.drive_queries(k, rng, rate_per_100ms=30, until=600)
@@ -340,7 +340,7 @@ class TestController:
         k, rep, root, ctl, tracker, cl = controller_net(t_split=40, t_merge=15, period_ms=200)
         rng = random.Random(6)
         for i in range(30):
-            rep.put(k, f"k{i}", make_attrs({"size": rng.randrange(100)}))
+            rep.put(k, f"k{i}", {"size": rng.randrange(100)})
         k.run_until(50)
         self.drive_queries(k, rng, rate_per_100ms=30, until=600)
         k.run_until(600)
@@ -490,7 +490,7 @@ class TestRebalance:
         ctl.capacities = {"n": 10.0, "spare": 100.0}
         rng = random.Random(7)
         for i in range(10):
-            rep.put(k, f"k{i}", make_attrs({"size": i}))
+            rep.put(k, f"k{i}", {"size": i})
         k.run_until(50)
         for i in range(30):
             k.schedule(rng.randrange(60, 150), "root", QueryMsg(f"r{i}", q_point(5), "client"))
@@ -499,3 +499,72 @@ class TestRebalance:
         k.run_until_empty()
         rebinds = control_actions(k, "rebind")
         assert rebinds and k.host_of("root") == "spare"
+
+
+class TestControllerPlacement:
+    """The adaptive controller exchanges messages with every index root, so
+    it runs on a node that is, or is linked to, every root's node."""
+
+    WORKLOAD = {
+        "phases": [
+            {
+                "duration": 3000,
+                "write_rate": 20.0,
+                "query_rate": 20.0,
+                "key_space": 40,
+                "attributes": {"size": {"dist": "uniform", "lo": 0, "hi": 100}},
+                "query_shapes": [{"attrs": ["size"], "selectivity": 0.1}],
+                "write_origin": {"mode": "fixed", "dcs": ["dc1"]},
+                "query_origin": ["ib"],
+            }
+        ]
+    }
+
+    @staticmethod
+    def topology(nodes, links, dc_node):
+        """Roots ia on a and ib on b, each fed by its own filter from dc1."""
+        return {
+            "attributes": [{"name": "size", "kind": "int"}],
+            "nodes": [{"id": n} for n in nodes],
+            "links": [{"from": x, "to": y, "base_latency": 5} for x, y in links],
+            "dcs": [{"id": "dc1", "node": dc_node}],
+            "qpus": [
+                {"id": "fa", "class": "filter", "node": "a", "dc": "dc1", "targets": [{"qpu": "ia"}]},
+                {"id": "ia", "class": "index", "node": "a", "region": {}, "recheck_dc": "dc1"},
+                {"id": "fb", "class": "filter", "node": "b", "dc": "dc1", "targets": [{"qpu": "ib"}]},
+                {"id": "ib", "class": "index", "node": "b", "region": {}, "recheck_dc": "dc1"},
+            ],
+            "connections": [],
+            "adaptive": {"enabled": True, "t_split": 20, "t_merge": 5},
+        }
+
+    def test_controller_runs_on_the_node_linked_to_every_root(self):
+        """a and b are linked only through hub. The controller once ran on
+        the first root's node, a, and its split command to ib found no link
+        from a to b."""
+        from qpusim.config import controller_node, parse_topology
+        from qpusim.runner import run_scenario, validate_scenario
+
+        t = self.topology(["a", "b", "hub"], [("a", "hub"), ("b", "hub")], "hub")
+        assert controller_node(parse_topology(t)) == "hub"
+        res = run_scenario(t, self.WORKLOAD, seed=0)
+        k = res.network.kernel
+        assert k.host_of("adaptive-controller") == "hub"
+        assert [r["qpu"] for r in control_actions(k, "split")][:1] == ["ib"]
+        report = validate_scenario(t, self.WORKLOAD, seed=0)
+        assert report.ok, report.describe()
+
+    def test_no_node_linked_to_every_root_is_a_config_error(self):
+        """Without the hub, a reaches b only over two links, through the
+        replicas' nodes ra and rb: every message path has a link, but no
+        node can hold the controller."""
+        from qpusim.config import ConfigError, parse_topology
+
+        t = self.topology(["a", "b", "ra", "rb"], [("a", "ra"), ("ra", "rb"), ("rb", "b")], "ra")
+        t["dcs"].append({"id": "dc2", "node": "rb"})
+        t["qpus"][2]["dc"] = "dc2"
+        with pytest.raises(ConfigError) as err:
+            parse_topology(t)
+        assert err.value.errors == ["adaptive: no node is linked to every index root"]
+        t["adaptive"]["enabled"] = False
+        parse_topology(t)

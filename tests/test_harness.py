@@ -1,11 +1,11 @@
 """Config validation, scenario runs, metrics determinism, oracle validation
 mode and its negative control, and the CLI contract."""
 
+import ast
 import hashlib
 import json
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,12 +14,9 @@ import qpusim.store as store
 from qpusim.build import build
 from qpusim.cli import main as cli_main
 from qpusim.config import ConfigError, parse_topology, parse_workload
-from qpusim.core import AttrValue
 from qpusim.metrics import parse_ndjson, summarize
-from qpusim.qpunet import CacheQpu
 from qpusim.runner import run_scenario, validate_scenario
 from qpusim.scenarios import SCENARIOS, scenario, write_scenario
-from qpusim.workload import WorkloadDriver
 
 
 def minimal_topology(**overrides):
@@ -329,6 +326,26 @@ class TestWorkloadValidation:
             parse_workload({"phases": [{"duration": 100}], "seed": "lucky"}, cfg)
         assert "seed: must be an integer, got 'lucky'" in str(err.value)
 
+    def test_choice_ints_on_a_float_attribute_are_drawn_as_floats(self):
+        t = minimal_topology(attributes=[{"name": "size", "kind": "int"}, {"name": "weight", "kind": "float"}])
+        w = {
+            "phases": [
+                {
+                    "duration": 1000,
+                    "write_rate": 20.0,
+                    "key_space": 10,
+                    "attributes": {"weight": {"dist": "choice", "values": [1, 2.5]}},
+                    "write_origin": {"mode": "fixed", "dcs": ["dc1"]},
+                }
+            ]
+        }
+        cfg = parse_topology(t)
+        values = parse_workload(w, cfg).phases[0].attributes["weight"].params["values"]
+        assert values == [1.0, 2.5] and [type(v) for v in values] == [float, float]
+        res = run_scenario(t, w, seed=0)
+        assert [r for r in res.sink.records if r["type"] == "rejected_write"] == []
+        assert {type(o.attrs["weight"]) for o in res.network.replicas["dc1"].objects.values()} == {float}
+
     def test_zipf_parameters_checked(self):
         cfg = parse_topology(minimal_topology())
         doc = {
@@ -406,65 +423,6 @@ def test_shared_attrs_dicts_are_never_mutated(name, monkeypatch):
     assert digest == GOLDEN_NDJSON_SHA256[name][0]
 
 
-def count_attrvalue_operators(monkeypatch) -> Counter:
-    """Wraps AttrValue's comparison, hash and equality operators for the rest
-    of the test; the returned Counter counts their calls by name."""
-    calls = Counter()
-
-    def counting(name):
-        op = AttrValue.__dict__[name]
-
-        def wrapper(self, *args):
-            calls[name] += 1
-            return op(self, *args)
-
-        return wrapper
-
-    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__hash__", "__eq__"):
-        monkeypatch.setattr(AttrValue, name, counting(name))
-    return calls
-
-
-def test_write_path_compares_raw_values(monkeypatch):
-    """Replication, placement, filter routing, index apply and replica-cache
-    pulls compare raw values, never AttrValues. The bundled client-cache
-    scenario at scale 1, its queries removed, calls no AttrValue comparison,
-    hash or equality operator while it runs."""
-    t, w = scenario("client-cache")
-    phases = [{k: v for k, v in p.items() if not k.startswith("query")} for p in w["phases"] if p.get("write_rate")]
-    cfg = parse_topology(t)
-    net = build(cfg, 0)
-    driver = WorkloadDriver(net, parse_workload({"phases": phases}, cfg), 0)
-    end = driver.schedule_all()
-    calls = count_attrvalue_operators(monkeypatch)
-    net.kernel.run_until(end)
-    assert driver.journal.writes > 0 and not driver.journal.queries
-    assert net.qpus["mq"].index.registry and net.qpus["rc1"]._index.registry
-    assert calls == Counter()
-    # the counters see the operators they replaced
-    assert AttrValue.of(1) < AttrValue.of(2) and AttrValue.of(1) == AttrValue.of(1)
-    assert len({AttrValue.of(1)}) == 1
-    assert calls == Counter(__lt__=1, __eq__=1, __hash__=1)
-
-
-def test_read_path_compares_raw_values(monkeypatch):
-    """Region algebra (intervals, clip, subtract, decompose), sub-query
-    predicates, empty-query checks and response-cache keys compare raw values
-    once the kinds are checked. The bundled cdn scenario at scale 1, reads
-    and writes, calls no AttrValue operator while it runs."""
-    t, w = scenario("cdn")
-    cfg = parse_topology(t)
-    net = build(cfg, 0)
-    driver = WorkloadDriver(net, parse_workload(w, cfg), 0)
-    end = driver.schedule_all()
-    calls = count_attrvalue_operators(monkeypatch)
-    net.kernel.run_until(end)
-    assert driver.journal.writes > 0 and driver.journal.queries
-    caches = [q for q in net.qpus.values() if isinstance(q, CacheQpu) and q.mode == "response"]
-    assert caches and sum(c.hits for c in caches) > 0
-    assert calls == Counter()
-
-
 def test_benchmark_tracer_self_test_passes():
     """The benchmark's per-layer tracer patches qpusim functions and methods by
     name (qpunet.recheck, PostingIndex.lookup and snapshot, DcReplica.scan,
@@ -478,6 +436,38 @@ def test_benchmark_tracer_self_test_passes():
         timeout=300,
     )
     assert proc.returncode == 0 and "tracer self-test: PASS" in proc.stdout, proc.stdout + proc.stderr
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Absolute imports in a module's source of anything outside the
+    standard library and qpusim; relative imports are qpusim's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.partition(".")[0]
+            if top != "qpusim" and top not in sys.stdlib_module_names:
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_runtime_dependencies_stay_at_zero():
+    """pyproject.toml declares `dependencies = []`: every module under
+    src/qpusim imports only the standard library and qpusim."""
+    assert non_stdlib_imports("import numpy\nfrom yaml import load\nimport os.path\nfrom .core import Kind") == [
+        "1: numpy",
+        "2: yaml",
+    ]
+    src = Path(__file__).resolve().parent.parent / "src" / "qpusim"
+    modules = sorted(src.rglob("*.py"))
+    assert modules
+    found = {path.name: non_stdlib_imports(path.read_text()) for path in modules}
+    assert {name: imports for name, imports in found.items() if imports} == {}
 
 
 class TestRunScenario:
@@ -705,6 +695,23 @@ class TestCli:
         assert self._check_config(tmp_path, minimal_topology(), doc) == 1
         err = capsys.readouterr().err
         assert f"config error: {path}: must be " in err and "got 'long'" in err
+
+    @pytest.mark.parametrize(
+        "dist,error",
+        [
+            ({"dist": "uniform", "lo": 0, "hi": 5}, "phases[0].attributes.genre: uniform needs a numeric attribute, 'genre' is text"),
+            ({"dist": "zipf", "s": 1.2, "n": 5}, "phases[0].attributes.genre: zipf needs an int attribute, 'genre' is text"),
+            ({"dist": "choice", "values": ["rock", 2]}, "phases[0].attributes.genre.values[1]: expected a text value, got 2"),
+        ],
+        ids=["uniform", "zipf", "choice"],
+    )
+    def test_distribution_of_another_kind_is_config_error(self, tmp_path, capsys, dist, error):
+        """A distribution must draw values of its attribute's kind; before
+        this check, a run raised from the sampler or rejected every write."""
+        doc = zero_rate_workload()
+        doc["phases"][0]["attributes"]["genre"] = dist
+        assert self._check_config(tmp_path, minimal_topology(), doc) == 1
+        assert f"config error: {error}" in capsys.readouterr().err
 
     def test_missing_file_exits_1(self, capsys):
         assert self.run_cli("check-config", "--topology", "/nonexistent.json") == 1

@@ -7,13 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qpusim.core import (
-    AttrValue,
     Kind,
-    KindMismatch,
     Predicate,
     Query,
     Version,
-    make_attrs,
     query_is_empty,
     query_matches,
     query_to_region,
@@ -40,11 +37,11 @@ FULL = make_region(size=(None, None), genre=(None, None))
 
 
 def put_op(key, ts, origin="dc1", old=None, **attrs):
-    return WriteOp(key, PUT, make_attrs(attrs), make_attrs(old) if old else None, Version(ts, origin), origin)
+    return WriteOp(key, PUT, attrs, old or None, Version(ts, origin), origin)
 
 
 def del_op(key, ts, origin="dc1", old=None):
-    return WriteOp(key, DELETE, None, make_attrs(old) if old else None, Version(ts, origin), origin)
+    return WriteOp(key, DELETE, None, old or None, Version(ts, origin), origin)
 
 
 def registry_keys(idx):
@@ -86,14 +83,15 @@ class TestIndexApply:
         idx.apply(put_op("k1", 2, size=9, old={"size": 5}))
         assert idx.sorted_values["size"] == [9]
 
-    def test_distinct_values_are_attr_values_of_the_stored_kind(self):
+    def test_sorted_values_are_raw_values_of_the_stored_kind(self):
         idx = PostingIndex(make_region(size=(None, None), weight=(None, None)))
         for ts, (size, weight) in enumerate([(9, 2.5), (5, 0.5), (9, 1.0)], start=1):
             idx.apply(put_op(f"k{ts}", ts, size=size, weight=weight))
-        assert idx.distinct_values("size") == [AttrValue.of(5), AttrValue.of(9)]
-        assert idx.distinct_values("weight") == [AttrValue.of(0.5), AttrValue.of(1.0), AttrValue.of(2.5)]
+        assert idx.sorted_values["size"] == [5, 9]
+        assert idx.sorted_values["weight"] == [0.5, 1.0, 2.5]
+        assert [type(v) for v in idx.sorted_values["weight"]] == [float] * 3
         idx.clear()
-        assert idx.distinct_values("size") == []
+        assert idx.sorted_values["size"] == []
 
     def test_shuffled_200_op_stream_converges(self):
         rng = random.Random(8)
@@ -248,7 +246,7 @@ def single_index_net(*, latency=1, batch_interval=0, batch_size=None, jitter=0, 
 class TestIndexQpuPipeline:
     def test_write_becomes_queryable_after_propagation(self):
         k, rep, _, iq, cl = single_index_net(latency=5)
-        rep.put(k, "k1", make_attrs({"size": 7}))
+        rep.put(k, "k1", {"size": 7})
         k.run_until_empty()
         resp = run_query(k, cl, "iq", Query.of([Predicate.between("size", 0, 10)]))
         assert resp.complete and [e[0] for e in resp.entries] == ["k1"]
@@ -405,14 +403,14 @@ class TestIncrementalPulls:
         cq = CacheQpu("cq", SCHEMA, mode="replica")
         cq.connect(Connection("iq", FULL))
         k.register(cq, "n-idx")
-        attrs = make_attrs({"size": 5, "genre": "a"})
+        attrs = {"size": 5, "genre": "a"}
         rep.put(k, "k1", attrs)
         k.run_until_empty()
         pull(k, cq)
-        attrs["size"] = AttrValue.of(90)
+        attrs["size"] = 90
         q = Query.of([Predicate.between("size", 0, 10)])
         for idx in (iq.index, cq._index):
-            assert idx.registry["k1"][0]["size"] == AttrValue.of(5)
+            assert idx.registry["k1"][0]["size"] == 5
             assert [e[0] for e in idx.lookup(q)[0]] == ["k1"]
             assert idx.postings == idx.rebuilt_postings()
 
@@ -433,12 +431,12 @@ def mixed_predicate(draw, attr):
     lo_inc, hi_inc = draw(st.booleans()), draw(st.booleans())
     side = draw(st.sampled_from(["both", "lower", "upper"]))
     if side == "lower":
-        return Predicate(attr, AttrValue.of(lo), None, lo_inc)
+        return Predicate(attr, lo, None, lo_inc)
     if side == "upper":
-        return Predicate(attr, None, AttrValue.of(hi), upper_inclusive=hi_inc)
+        return Predicate(attr, None, hi, upper_inclusive=hi_inc)
     if lo == hi:
         lo_inc = hi_inc = True
-    return Predicate(attr, AttrValue.of(lo), AttrValue.of(hi), lo_inc, hi_inc)
+    return Predicate(attr, lo, hi, lo_inc, hi_inc)
 
 
 MIXED_QUERIES = st.lists(
@@ -523,7 +521,7 @@ class TestExactPostingSets:
         for action in actions:
             if action[0] == "put":
                 _, dc, n, raw = action
-                by_id[dc].put(k, f"k{n}", make_attrs(raw))
+                by_id[dc].put(k, f"k{n}", raw)
             elif action[0] == "delete":
                 by_id[action[1]].delete(k, f"k{action[2]}")
             elif action[0] == "deliver":
@@ -590,7 +588,7 @@ class TestMergeIngest:
 class TestRecheck:
     def test_deleted_candidate_dropped(self):
         k, rep, _, iq, cl = single_index_net()
-        rep.put(k, "k1", make_attrs({"size": 7}))
+        rep.put(k, "k1", {"size": 7})
         k.run_until_empty()
         rep.delete(k, "k1")
         q = Query.of([Predicate.between("size", 0, 10)])
@@ -600,14 +598,14 @@ class TestRecheck:
 
     def test_updated_but_still_matching_kept_with_fresh_snapshot(self):
         k, rep, _, iq, cl = single_index_net()
-        rep.put(k, "k1", make_attrs({"size": 7}))
+        rep.put(k, "k1", {"size": 7})
         k.run_until_empty()
-        v2 = rep.put(k, "k1", make_attrs({"size": 9}))
+        v2 = rep.put(k, "k1", {"size": 9})
         q = Query.of([Predicate.between("size", 0, 10)])
         entries, _ = iq.index.lookup(q)
         out = recheck(entries, q, rep)
         assert [(e[0], e[2]) for e in out] == [("k1", v2)]
-        assert out[0][1]["size"].value == 9
+        assert out[0][1]["size"] == 9
 
     def test_no_returned_entry_ever_violates_query_at_recheck_time(self, audited_recheck):
         k, rep, _, iq, cl = single_index_net(latency=6, jitter=4, seed=5)
@@ -619,7 +617,7 @@ class TestRecheck:
             if rng.random() < 0.4:
                 k.schedule(t, "dc1", ClientDelete(key))
             else:
-                k.schedule(t, "dc1", ClientWrite(key, make_attrs({"size": rng.randrange(100)})))
+                k.schedule(t, "dc1", ClientWrite(key, {"size": rng.randrange(100)}))
             k.schedule(t + rng.randrange(0, 8), "iq", QueryMsg(f"adv{trial}", q, "client"))
             k.run_until(t + rng.randrange(0, 20))
         k.run_until_empty()
@@ -680,7 +678,7 @@ class TestRecheckFastPath:
         history: dict[tuple[str, Version], dict | None] = {}
         for n, ts, origin, raw in writes:
             # a Version names one write of its key
-            history.setdefault((f"k{n}", Version(ts, origin)), None if raw is None else make_attrs(raw))
+            history.setdefault((f"k{n}", Version(ts, origin)), raw)
         placement = make_region(size=(0, 6), weight=(None, None), genre=(None, None)) if edge else None
         rep = DcReplica("dc1", MIXED_SCHEMA, full_replica=not edge, placement=placement)
         k = Kernel(seed=0)
@@ -713,18 +711,6 @@ class TestRecheckFastPath:
                 expected.append((key, obj.attrs, obj.version))
         assert recheck(entries, q, rep) == expected
 
-    def test_stale_row_of_another_kind_still_raises(self):
-        """The matcher, and with it KindMismatch, still runs on a row whose
-        version differs from the replica's."""
-        k = Kernel(seed=0)
-        k.add_node("n")
-        rep = DcReplica("dc1", SCHEMA)
-        k.register(rep, "n")
-        rep.put(k, "k1", make_attrs({"size": 5}))
-        q = Query.of([Predicate.between("size", "a", "z")])
-        with pytest.raises(KindMismatch):
-            recheck([("k1", make_attrs({"size": 5}), Version(0, "old"))], q, rep)
-
 
 class TestStaleness:
     def test_zero_latency_links_give_zero_deltas(self):
@@ -732,14 +718,14 @@ class TestStaleness:
         # co-locate everything: rebind index onto the DC node
         k.rebind("iq", "n-dc")
         for i in range(5):
-            rep.put(k, f"k{i}", make_attrs({"size": i}))
+            rep.put(k, f"k{i}", {"size": i})
         k.run_until_empty()
         assert [r["delta"] for r in records_of(k, "staleness")] == [0] * 5
 
     def test_fixed_link_latency_unloaded_every_delta_equals_latency(self):
         k, rep, *_ = single_index_net(latency=7)
         for i in range(10):
-            rep.put(k, f"k{i}", make_attrs({"size": i}))
+            rep.put(k, f"k{i}", {"size": i})
             k.run_until_empty()
         assert [r["delta"] for r in records_of(k, "staleness")] == [7] * 10
 
@@ -752,7 +738,7 @@ class TestStaleness:
             )
             rng = k.rng("writes")
             for i in range(400):  # 8 ops per 50ms >> 5-per-flush capacity
-                k.schedule(i * 6, "dc1", ClientWrite(f"k{i}", make_attrs({"size": rng.randrange(99)})))
+                k.schedule(i * 6, "dc1", ClientWrite(f"k{i}", {"size": rng.randrange(99)}))
             k.run_until(3000)
             flt.drain(k)
             flt.stop()

@@ -7,12 +7,11 @@ import pytest
 
 import qpusim.qpunet as qpunet
 from qpusim.core import (
-    AttrValue,
+    HyperRegion,
     Kind,
     Predicate,
     Query,
     Version,
-    make_attrs,
     query_to_region,
     region_to_query,
 )
@@ -77,7 +76,7 @@ class TestDecompose:
             pieces = [p for _, p in plan]
             for x in range(-1, 25):
                 for y in range(-1, 12):
-                    attrs = make_attrs({"x": x, "y": y})
+                    attrs = {"x": x, "y": y}
                     hits = sum(p.contains(attrs) for p in pieces)
                     left_hits = sum(p.contains(attrs) for p in leftover)
                     assert hits <= 1 and left_hits <= 1
@@ -120,21 +119,21 @@ class TestDsQpu:
         k, rep, ds, cl = ds_net()
         rng = random.Random(2)
         for i in range(300):
-            rep.put(k, f"k{i}", make_attrs({"size": rng.randrange(100)}))
+            rep.put(k, f"k{i}", {"size": rng.randrange(100)})
         resp = run_query(k, cl, "ds1", q_size(10, 40))
-        expected = {key for key, o in rep.objects.items() if 10 <= o.attrs["size"].value <= 40}
+        expected = {key for key, o in rep.objects.items() if 10 <= o.attrs["size"] <= 40}
         assert {e[0] for e in resp.entries} == expected
 
     def test_limit_respected(self):
         k, rep, ds, cl = ds_net()
         for i in range(10):
-            rep.put(k, f"k{i}", make_attrs({"size": 5}))
+            rep.put(k, f"k{i}", {"size": 5})
         resp = run_query(k, cl, "ds1", Query.of([Predicate.between("size", 0, 9)], limit=3))
         assert len(resp.entries) == 3
 
     def test_unindexable_query_is_scannable(self):
         k, rep, ds, cl = ds_net()
-        rep.put(k, "k1", make_attrs({"genre": "rock"}))
+        rep.put(k, "k1", {"genre": "rock"})
         resp = run_query(k, cl, "ds1", Query.of([Predicate.equals("genre", "rock")]))
         assert [e[0] for e in resp.entries] == ["k1"]
 
@@ -173,7 +172,7 @@ class TestFederation:
     def test_pass_through_single_covering_neighbour(self):
         k, rep, fq, cl = federation_net(with_ds=True)
         fq.connections = [c for c in fq.connections if c.to == "ds1"]
-        rep.put(k, "k1", make_attrs({"size": 5}))
+        rep.put(k, "k1", {"size": 5})
         k.run_until_empty()
         resp = run_query(k, cl, "fq", q_size(0, 10))
         assert [e[0] for e in resp.entries] == ["k1"]
@@ -181,8 +180,8 @@ class TestFederation:
 
     def test_disjoint_halves_both_contacted_and_unioned(self):
         k, rep, fq, cl = federation_net()
-        rep.put(k, "lowk", make_attrs({"size": 10}))
-        rep.put(k, "highk", make_attrs({"size": 80}))
+        rep.put(k, "lowk", {"size": 10})
+        rep.put(k, "highk", {"size": 80})
         k.run_until_empty()
         resp = run_query(k, cl, "fq", q_size(0, 100))
         assert {e[0] for e in resp.entries} == {"lowk", "highk"}
@@ -197,14 +196,14 @@ class TestFederation:
         iq1, iq2 = k.actor("iq1"), k.actor("iq2")
         for qpu in (fq, iq1, iq2):
             qpu.recheck_enabled = False
-        stale = StampedOp(WriteOp("k", PUT, make_attrs({"size": 45}), None, Version(1, "dc1"), "dc1"), 0)
-        moved = StampedOp(WriteOp("k", PUT, make_attrs({"size": 55}), make_attrs({"size": 45}), Version(2, "dc1"), "dc1"), 0)
+        stale = StampedOp(WriteOp("k", PUT, {"size": 45}, None, Version(1, "dc1"), "dc1"), 0)
+        moved = StampedOp(WriteOp("k", PUT, {"size": 55}, {"size": 45}, Version(2, "dc1"), "dc1"), 0)
         iq1.handle_update(k, IndexUpdate("t", 1, (stale,)))
         iq2.handle_update(k, IndexUpdate("t", 1, (moved,)))
         resp = run_query(k, cl, "fq", q_size(40, 60))
         assert len(resp.entries) == 1
         assert resp.entries[0][2] == Version(2, "dc1")
-        assert resp.entries[0][1]["size"].value == 55
+        assert resp.entries[0][1]["size"] == 55
 
     def test_uncovered_remainder_reported_missing(self):
         k, rep, fq, cl = federation_net(with_ds=False)
@@ -215,7 +214,7 @@ class TestFederation:
 
     def test_unindexable_query_falls_back_to_scan_path(self):
         k, rep, fq, cl = federation_net(with_ds=True)
-        rep.put(k, "k1", make_attrs({"genre": "rock", "size": 1}))
+        rep.put(k, "k1", {"genre": "rock", "size": 1})
         k.run_until_empty()
         q = Query.of([Predicate.equals("color", "red")])
         resp = run_query(k, cl, "fq", q)
@@ -275,8 +274,8 @@ class TestStaticIndexHierarchy:
         k.register(flt, "n1")
         cl = Client()
         k.register(cl, "n1")
-        rep.put(k, "inchild", make_attrs({"size": 10}))
-        rep.put(k, "inparent", make_attrs({"size": 90}))
+        rep.put(k, "inchild", {"size": 10})
+        rep.put(k, "inparent", {"size": 90})
         k.run_until_empty()
         resp = run_query(k, cl, "parent", q_size(0, 100))
         assert {e[0] for e in resp.entries} == {"inchild", "inparent"}
@@ -302,7 +301,7 @@ def cache_net(*, capacity=4, ttl=1000, seed=0):
 class TestResponseCache:
     def test_second_identical_query_served_from_cache(self):
         k, rep, cq, cl = cache_net()
-        rep.put(k, "k1", make_attrs({"size": 5}))
+        rep.put(k, "k1", {"size": 5})
         k.run_until_empty()
         run_query(k, cl, "cq", q_size(0, 10))
         misses_before = cq.misses
@@ -337,8 +336,8 @@ class TestResponseCache:
 
     def test_stale_hit_drops_deleted_keys_via_recheck(self):
         k, rep, cq, cl = cache_net()
-        rep.put(k, "k1", make_attrs({"size": 5}))
-        rep.put(k, "k2", make_attrs({"size": 6}))
+        rep.put(k, "k1", {"size": 5})
+        rep.put(k, "k2", {"size": 6})
         k.run_until_empty()
         first = run_query(k, cl, "cq", q_size(0, 10))
         assert {e[0] for e in first.entries} == {"k1", "k2"}
@@ -372,19 +371,19 @@ def replica_cache_net(*, pull_interval=None, latency=3, seed=0):
 class TestReplicaCache:
     def test_without_pull_replica_stays_stale(self):
         k, rep, iq, cq, cl = replica_cache_net()
-        rep.put(k, "k1", make_attrs({"size": 5}))
+        rep.put(k, "k1", {"size": 5})
         k.run_until_empty()
         cq.pull_now(k)
         k.run_until_empty()
         assert cq.snapshot_keys() == {"k1"}
-        rep.put(k, "k2", make_attrs({"size": 6}))
+        rep.put(k, "k2", {"size": 6})
         k.run_until_empty()
         assert cq.snapshot_keys() == {"k1"}  # no pull, no change
 
     def test_one_pull_matches_upstream_answers(self):
         k, rep, iq, cq, cl = replica_cache_net()
         for i in range(8):
-            rep.put(k, f"k{i}", make_attrs({"size": i * 10}))
+            rep.put(k, f"k{i}", {"size": i * 10})
         k.run_until_empty()
         cq.pull_now(k)
         k.run_until_empty()
@@ -404,7 +403,7 @@ class TestReplicaCache:
         for i in range(10):
             key = f"k{i}"
             at = 10 + i * 37
-            k.schedule(at, "dc1", ClientWrite(key, make_attrs({"size": i})))
+            k.schedule(at, "dc1", ClientWrite(key, {"size": i}))
             writes[key] = at
         visible = {}
         while k.step() and k.now < 1500:
@@ -428,8 +427,7 @@ class TestReplicaCache:
 
 def empty_size_query(*extra):
     """Ints strictly between 5 and 6: a valid query that no value satisfies."""
-    five, six = AttrValue.of(5), AttrValue.of(6)
-    return Query.of([Predicate("size", five, six, lower_inclusive=False, upper_inclusive=False), *extra])
+    return Query.of([Predicate("size", 5, 6, lower_inclusive=False, upper_inclusive=False), *extra])
 
 
 class TestEmptyPredicate:
@@ -438,8 +436,8 @@ class TestEmptyPredicate:
 
     @staticmethod
     def write_both_sides(k, rep):
-        rep.put(k, "k5", make_attrs({"size": 5}))
-        rep.put(k, "k6", make_attrs({"size": 6}))
+        rep.put(k, "k5", {"size": 5})
+        rep.put(k, "k6", {"size": 6})
         k.run_until_empty()
 
     @staticmethod
@@ -454,7 +452,7 @@ class TestEmptyPredicate:
         cl = Client()
         k.register(cl, "n1")
         for ts, size in ((1, 5), (2, 6)):
-            op = WriteOp(f"k{size}", PUT, make_attrs({"size": size}), None, Version(ts, "dc1"), "dc1")
+            op = WriteOp(f"k{size}", PUT, {"size": size}, None, Version(ts, "dc1"), "dc1")
             iq.handle_update(k, IndexUpdate("src", ts, (StampedOp(op, 0),)))
         assert iq.index.lookup(empty_size_query()) == ([], True)
         self.assert_empty_complete(run_query(k, cl, "iq", empty_size_query()))
@@ -476,3 +474,45 @@ class TestEmptyPredicate:
         cq.pull_now(k)
         k.run_until_empty()
         self.assert_empty_complete(run_query(k, cl, "cq", empty_size_query()))
+
+
+class TestLimitAfterRecheck:
+    """A limited query forwarded whole reaches its responder without the
+    limit: the rows recheck drops could otherwise hide matching rows past
+    the limit, and the answer would come back short yet complete."""
+
+    @staticmethod
+    def lagging_net(front):
+        """dc2 lags dc1: it still holds k1, which dc1 no longer has. `front`
+        forwards whole to a scan of dc2 and rechecks against dc1."""
+        k = Kernel(seed=0)
+        k.add_node("n")
+        dc1, dc2 = DcReplica("dc1", SCHEMA), DcReplica("dc2", SCHEMA)
+        for rep in (dc1, dc2):
+            k.register(rep, "n")
+        for i in (1, 2, 3):
+            dc2.put(k, f"k{i}", {"size": i})
+        for i in (2, 3):
+            dc1.put(k, f"k{i}", {"size": i})
+        k.register(DsQpu("ds2", SCHEMA, dc2), "n")
+        front.recheck_replica = dc1
+        front.connect(Connection("ds2", HyperRegion.full(front.indexed_attrs)))
+        k.register(front, "n")
+        cl = Client()
+        k.register(cl, "n")
+        return k, cl
+
+    def limited(self):
+        return Query.of([Predicate.between("size", 0, 10)], limit=2)
+
+    def test_response_cache_miss_and_hit_keep_the_limit_after_recheck(self):
+        k, cl = self.lagging_net(CacheQpu("cq", SCHEMA))
+        for _ in range(2):  # the miss, then the hit
+            resp = run_query(k, cl, "cq", self.limited())
+            assert [e[0] for e in resp.entries] == ["k2", "k3"] and resp.complete
+
+    def test_scan_fallback_keeps_the_limit_after_recheck(self):
+        # indexed on genre only: a size query is unindexable, so it is sent whole
+        k, cl = self.lagging_net(FederationQpu("fq", ["genre"]))
+        resp = run_query(k, cl, "fq", self.limited())
+        assert [e[0] for e in resp.entries] == ["k2", "k3"] and resp.complete

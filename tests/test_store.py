@@ -10,16 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from qpusim import indexing, qpunet, store, workload
 from qpusim.core import (
-    AttrValue,
     HyperRegion,
     IngestError,
     Interval,
     Kind,
-    KindMismatch,
     Predicate,
     Query,
     StoredObject,
-    make_attrs,
 )
 from qpusim.simkernel import Actor, Kernel, SimError
 from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, PostingSets, DELETE, PUT
@@ -69,12 +66,12 @@ def all_ops(recorders):
 class TestPut:
     def test_read_your_write_at_origin(self):
         k, reps = build()
-        reps["dc1"].put(k, "k1", make_attrs({"size": 5}))
-        assert reps["dc1"].get("k1").attrs["size"].value == 5
+        reps["dc1"].put(k, "k1", {"size": 5})
+        assert reps["dc1"].get("k1").attrs["size"] == 5
 
     def test_peer_sees_write_only_after_delay(self):
         k, reps = build(latency=5)
-        reps["dc1"].put(k, "k1", make_attrs({"size": 5}))
+        reps["dc1"].put(k, "k1", {"size": 5})
         assert reps["dc2"].get("k1") is None
         k.run_until(4)
         assert reps["dc2"].get("k1") is None
@@ -83,10 +80,10 @@ class TestPut:
 
     def test_kind_mismatch_rejected(self):
         k, reps = build()
-        with pytest.raises(IngestError):
-            reps["dc1"].put(k, "k1", make_attrs({"size": "big"}))
-        with pytest.raises(IngestError):
-            reps["dc1"].put(k, "k1", make_attrs({"unknown": 1}))
+        for attrs in ({"size": "big"}, {"unknown": 1}, {"size": 5.0}, {"size": True}, {"size": 2**63}):
+            with pytest.raises(IngestError):
+                reps["dc1"].put(k, "k1", attrs)
+        assert reps["dc1"].get("k1") is None and reps["dc1"].position == 0
 
     def test_thousand_random_puts_converge_to_replay_oracle(self):
         k, reps = build(n_dcs=3, latency=7, jitter=5, seed=11)
@@ -96,7 +93,7 @@ class TestPut:
             dc = rng.choice(["dc1", "dc2", "dc3"])
             key = f"k{rng.randrange(200)}"
             attrs = {"size": rng.randrange(50), "genre": rng.choice("abcdef")}
-            k.schedule(rng.randrange(0, 2000), dc, ClientWrite(key, make_attrs(attrs)))
+            k.schedule(rng.randrange(0, 2000), dc, ClientWrite(key, attrs))
         k.run_until_empty()
         prints = {dc: rep.state_fingerprint() for dc, rep in reps.items()}
         assert prints["dc1"] == prints["dc2"] == prints["dc3"]
@@ -108,7 +105,7 @@ class TestPut:
 class TestDelete:
     def test_put_then_delete_reads_absent(self):
         k, reps = build()
-        reps["dc1"].put(k, "k1", make_attrs({"size": 5}))
+        reps["dc1"].put(k, "k1", {"size": 5})
         reps["dc1"].delete(k, "k1")
         assert reps["dc1"].get("k1") is None
 
@@ -123,8 +120,8 @@ class TestDelete:
 
     def test_late_older_put_stays_deleted(self):
         k, reps = build(latency=5)
-        v_put = reps["dc1"].put(k, "k1", make_attrs({"size": 5}))
-        v_del = reps["dc2"].put(k, "other", make_attrs({"size": 1}))  # advance dc2 clock
+        v_put = reps["dc1"].put(k, "k1", {"size": 5})
+        v_del = reps["dc2"].put(k, "other", {"size": 1})  # advance dc2 clock
         v_del = reps["dc2"].delete(k, "k1")
         assert v_del > v_put
         k.run_until_empty()
@@ -142,7 +139,7 @@ class TestDelete:
             if rng.random() < 0.4:
                 k.schedule(rng.randrange(0, 400), dc, ClientDelete("hot"))
             else:
-                k.schedule(rng.randrange(0, 400), dc, ClientWrite("hot", make_attrs({"size": i})))
+                k.schedule(rng.randrange(0, 400), dc, ClientWrite("hot", {"size": i}))
         k.run_until_empty()
         assert reps["dc1"].state_fingerprint() == reps["dc2"].state_fingerprint()
         oracle = lww_replay(all_ops(logs))
@@ -164,23 +161,23 @@ class TestGetScan:
 
     def test_scan_single_match(self):
         k, reps = build()
-        reps["dc1"].put(k, "k1", make_attrs({"size": 5}))
-        reps["dc1"].put(k, "k2", make_attrs({"size": 500}))
+        reps["dc1"].put(k, "k1", {"size": 5})
+        reps["dc1"].put(k, "k2", {"size": 500})
         q = Query.of([Predicate.between("size", 0, 100)])
         assert [o.key for o in reps["dc1"].scan(q)] == ["k1"]
 
     def test_scan_empty_predicate_matches_nothing(self):
         k, reps = build()
         for size in (5, 6):
-            reps["dc1"].put(k, f"k{size}", make_attrs({"size": size}))
+            reps["dc1"].put(k, f"k{size}", {"size": size})
         # the integers strictly between 5 and 6
-        q = Query.of([Predicate("size", AttrValue.of(5), AttrValue.of(6), False, False)])
+        q = Query.of([Predicate("size", 5, 6, False, False)])
         assert reps["dc1"].scan(q) == []
         assert reps["dc1"].scan(q) == []  # once more, from the built posting sets
 
     def test_scan_attribute_outside_schema_matches_nothing(self):
         k, reps = build()
-        reps["dc1"].put(k, "k1", make_attrs({"size": 5}))
+        reps["dc1"].put(k, "k1", {"size": 5})
         assert reps["dc1"].scan(Query.of([Predicate.between("colour", 0, 10)])) == []
         q = Query.of([Predicate.between("colour", 0, 10), Predicate.between("size", 0, 10)])
         assert reps["dc1"].scan(q) == []
@@ -189,8 +186,8 @@ class TestGetScan:
         k, reps = build()
         q = Query.of([Predicate.between("size", "a", "z")])
         assert reps["dc1"].scan(q) == []
-        reps["dc1"].put(k, "k1", make_attrs({"size": 5}))
-        with pytest.raises(KindMismatch):
+        reps["dc1"].put(k, "k1", {"size": 5})
+        with pytest.raises(TypeError):
             reps["dc1"].scan(q)
 
     def test_scan_matches_independent_filter_loop(self):
@@ -198,13 +195,13 @@ class TestGetScan:
         rng = random.Random(5)
         for i in range(500):
             reps["dc1"].put(
-                k, f"k{i}", make_attrs({"size": rng.randrange(100), "genre": rng.choice("abcdef")})
+                k, f"k{i}", {"size": rng.randrange(100), "genre": rng.choice("abcdef")}
             )
         q = Query.of([Predicate.between("size", 20, 70), Predicate.between("genre", "b", "d")])
         expected = sorted(
             key
             for key, obj in reps["dc1"].objects.items()
-            if 20 <= obj.attrs["size"].value <= 70 and "b" <= obj.attrs["genre"].value <= "d"
+            if 20 <= obj.attrs["size"] <= 70 and "b" <= obj.attrs["genre"] <= "d"
         )
         assert [o.key for o in reps["dc1"].scan(q)] == expected
 
@@ -213,19 +210,19 @@ class TestApplyReplicated:
     def test_older_version_ignored(self):
         k, reps = build()
         log = record_log(k, reps["dc1"])
-        reps["dc1"].put(k, "k1", make_attrs({"size": 5}))
+        reps["dc1"].put(k, "k1", {"size": 5})
         k.run_until_empty()
         newer = reps["dc2"].objects["k1"].version
         old_op = log.entries[0].op
         # bump dc2 ahead, then replay the old op
-        reps["dc2"].put(k, "k1", make_attrs({"size": 9}))
+        reps["dc2"].put(k, "k1", {"size": 9})
         assert reps["dc2"].apply_replicated(k, old_op) is False
-        assert reps["dc2"].objects["k1"].attrs["size"].value == 9
+        assert reps["dc2"].objects["k1"].attrs["size"] == 9
 
     def test_duplicate_delivery_ignored(self):
         k, reps = build()
         log1, log2 = record_log(k, reps["dc1"]), record_log(k, reps["dc2"])
-        reps["dc1"].put(k, "k1", make_attrs({"size": 5}))
+        reps["dc1"].put(k, "k1", {"size": 5})
         k.run_until(k.now)
         op = log1.entries[0].op
         assert reps["dc2"].apply_replicated(k, op) is True
@@ -245,7 +242,7 @@ class TestApplyReplicated:
             if rng.random() < 0.2:
                 k.schedule(rng.randrange(500), dc, ClientDelete(key))
             else:
-                k.schedule(rng.randrange(500), dc, ClientWrite(key, make_attrs({"size": 1})))
+                k.schedule(rng.randrange(500), dc, ClientWrite(key, {"size": 1}))
         k.run_until_empty()
         for log in logs.values():
             last = {}
@@ -261,7 +258,7 @@ class TestApplyReplicated:
         key at the write the origin overwrote logs the origin's own op. An
         edge replica that never held the key logs a new op whose old attrs
         are its own (none), as its filter needs."""
-        placement = HyperRegion.of({"size": Interval(AttrValue.of(0), AttrValue.of(50)), "genre": Interval()})
+        placement = HyperRegion.of({"size": Interval(0, 50), "genre": Interval()})
         k = Kernel(seed=0)
         for node in ("n1", "n2", "n3"):
             k.add_node(node)
@@ -273,9 +270,9 @@ class TestApplyReplicated:
         for rep, node in ((origin, "n1"), (peer, "n2"), (edge, "n3")):
             k.register(rep, node)
         origin_log, peer_log, edge_log = (record_log(k, rep) for rep in (origin, peer, edge))
-        origin.put(k, "k", make_attrs({"size": 70}))  # outside the edge's placement
+        origin.put(k, "k", {"size": 70})  # outside the edge's placement
         k.run_until_empty()
-        origin.put(k, "k", make_attrs({"size": 80}))
+        origin.put(k, "k", {"size": 80})
         k.run_until_empty()
         first, second = origin_log.ops()
         assert second.old_attrs is first.new_attrs
@@ -320,12 +317,12 @@ class TestSubscribeLog:
         rep = reps["dc1"]
         sink = _Sink("sink")
         k.register(sink, "node-dc1")
-        versions = [rep.put(k, f"k{i}", make_attrs({"size": i})) for i in range(3)]
+        versions = [rep.put(k, f"k{i}", {"size": i}) for i in range(3)]
         versions[1] = rep.delete(k, "k1")
         k.run_until(7)
         rep.subscribe(k, "sink", 0)
-        rep.put(k, "k3", make_attrs({"size": 3}))
-        rep.put(k, "k0", make_attrs({"size": 10}))
+        rep.put(k, "k3", {"size": 3})
+        rep.put(k, "k0", {"size": 10})
         k.run_until_empty()
         state, suffix = sink.entries[:3], sink.entries[3:]
         assert [(e.op.key, e.op.kind) for e in state] == [("k0", PUT), ("k1", DELETE), ("k2", PUT)]
@@ -344,7 +341,7 @@ class TestSubscribeLog:
         reps["dc1"].subscribe(k, "s1", 0)
         reps["dc1"].subscribe(k, "s2", 0)
         for i in range(5):
-            reps["dc1"].put(k, f"k{i}", make_attrs({"size": i}))
+            reps["dc1"].put(k, f"k{i}", {"size": i})
         k.run_until_empty()
         assert [e.seq for e in s1.entries] == [e.seq for e in s2.entries]
         assert [e.op for e in s1.entries] == [e.op for e in s2.entries]
@@ -359,11 +356,11 @@ class TestSubscribeLog:
             k.register(sink, "node-dc1")
         reps["dc1"].subscribe(k, "full", 0)
         for i in range(4):
-            reps["dc1"].put(k, f"k{i}", make_attrs({"size": i}))
+            reps["dc1"].put(k, f"k{i}", {"size": i})
         reps["dc1"].subscribe(k, "late", 2)
         reps["dc1"].subscribe(k, "tail", 4)
         for i in range(4, 6):
-            reps["dc1"].put(k, f"k{i}", make_attrs({"size": i}))
+            reps["dc1"].put(k, f"k{i}", {"size": i})
         k.run_until_empty()
         assert [e.seq for e in full.entries] == [0, 1, 2, 3, 4, 5]
         assert [(e.seq, e.op.key) for e in late.entries[:4]] == [(2, f"k{i}") for i in range(4)]
@@ -375,7 +372,7 @@ class TestSubscribeLog:
         k, reps = build()
         k.register(_Sink("late"), "node-dc1")
         for i in range(2):
-            reps["dc1"].put(k, f"k{i}", make_attrs({"size": i}))
+            reps["dc1"].put(k, f"k{i}", {"size": i})
         reps["dc1"].subscribe(k, "late", 2)  # the log's end is a valid start
         with pytest.raises(SimError, match="from_seq 3 beyond log length 2"):
             reps["dc1"].subscribe(k, "late", 3)
@@ -441,7 +438,7 @@ class TestStateTransfer:
                 fed.subscribe(k, "late", from_seq)
             if action[0] == "put":
                 _, dc, n, size, genre = action
-                reps[dc].put(k, f"k{n}", make_attrs({"size": size, "genre": genre}))
+                reps[dc].put(k, f"k{n}", {"size": size, "genre": genre})
             elif action[0] == "delete":
                 reps[action[1]].delete(k, f"k{action[2]}")
             else:
@@ -478,7 +475,7 @@ class TestStateTransfer:
         rep.subscribe(k, "sub", 0)
         overwritten = []
         for i in range(200):
-            rep.put(k, "hot", make_attrs({"size": i}))
+            rep.put(k, "hot", {"size": i})
             overwritten.append(rep.objects["hot"].attrs)
         overwritten.pop()  # the stored object's own attrs
         k.run_until_empty()
@@ -489,10 +486,10 @@ class TestStateTransfer:
 
 class TestPlacement:
     def test_edge_replica_keeps_only_placed_objects(self):
-        from qpusim.core import AttrValue, HyperRegion, Interval
+        from qpusim.core import HyperRegion, Interval
 
         placement = HyperRegion.of(
-            {"size": Interval(AttrValue.of(0), AttrValue.of(50)), "genre": Interval()}
+            {"size": Interval(0, 50), "genre": Interval()}
         )
         k = Kernel(seed=0)
         k.add_node("core")
@@ -502,13 +499,13 @@ class TestPlacement:
         edge = DcReplica("edge1", SCHEMA, full_replica=False, placement=placement, peers=())
         k.register(core, "core")
         k.register(edge, "edge")
-        core.put(k, "in", make_attrs({"size": 10}))
-        core.put(k, "out", make_attrs({"size": 90}))
+        core.put(k, "in", {"size": 10})
+        core.put(k, "out", {"size": 90})
         k.run_until_empty()
         assert edge.get("in") is not None
         assert edge.get("out") is None
         # a later update can move an object out of placement
-        core.put(k, "in", make_attrs({"size": 95}))
+        core.put(k, "in", {"size": 95})
         k.run_until_empty()
         assert edge.get("in") is None
 
@@ -536,29 +533,32 @@ class _Counter(Actor):
 
 
 class TestRawPostingSets:
-    """Posting sets key raw values and guard each attribute's kind."""
+    """Posting sets key raw values. The schema gives each attribute one kind;
+    a value or bound of another kind compares as Python compares it."""
 
     def test_value_of_another_kind_raises_on_post(self):
         sets = PostingSets(["x"])
-        sets.post("a", make_attrs({"x": 1}))
-        # hash(1) == hash(1.0) and 1 == 1.0: without the guard, b would join a's set
-        with pytest.raises(KindMismatch):
-            sets.post("b", make_attrs({"x": 1.0}))
-        assert sets.postings["x"] == {1: {"a"}}
-        assert sets.kinds == {"x": Kind.INT}
+        sets.post("a", {"x": 1})
+        sets.post("b", {"x": 2})
+        with pytest.raises(TypeError):
+            sets.post("c", {"x": "one"})
+        assert sets.sorted_values["x"] == [1, 2]
 
     def test_bound_of_another_kind_raises_when_values_present(self):
         sets = PostingSets(["x"])
-        sets.post("a", make_attrs({"x": 1}))
-        for lo, hi in ((AttrValue.of(0.5), None), (None, AttrValue.of("z")), (AttrValue.of(0), AttrValue.of(2.0))):
-            with pytest.raises(KindMismatch):
+        sets.post("a", {"x": 1})
+        for lo, hi in ((None, "z"), ("a", None)):
+            with pytest.raises(TypeError):
                 sets.keys_in([("x", lo, hi)])
-        assert sets.keys_in([("x", AttrValue.of(0), AttrValue.of(2))]) == {"a"}
+        assert sets.keys_in([("x", 0, 2)]) == {"a"}
+        # an int and a float compare numerically
+        assert sets.keys_in([("x", 0.5, None)]) == sets.keys_in([("x", 0, 2.0)]) == {"a"}
+        assert sets.keys_in([("x", 1.5, None)]) == set()
 
     def test_bound_of_another_kind_matches_nothing_when_no_values(self):
         sets = PostingSets(["x"])
-        assert sets.keys_in([("x", AttrValue.of(0.5), AttrValue.of(2.5))]) == set()
-        sets.post("a", make_attrs({"x": 1}))
-        sets.unpost("a", make_attrs({"x": 1}))
-        assert sets.keys_in([("x", AttrValue.of("a"), None)]) == set()
-        assert sets.keys_in([("y", AttrValue.of("a"), None)]) == set()
+        assert sets.keys_in([("x", 0.5, 2.5)]) == set()
+        sets.post("a", {"x": 1})
+        sets.unpost("a", {"x": 1})
+        assert sets.keys_in([("x", "a", None)]) == set()
+        assert sets.keys_in([("y", "a", None)]) == set()
