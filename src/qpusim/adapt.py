@@ -149,12 +149,6 @@ class MergePlan:
     children: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Rebind:
-    qpu: str
-    node: str
-
-
 def choose_split(
     leaf: IndexQpu, load: int, samples_by_dim: dict[str, list[RawValue]], t_split: int
 ) -> SplitPlan | None:

@@ -142,7 +142,11 @@ def _parse_value(raw: Any, kind: Kind, errors: list[str], path: str) -> RawValue
     """raw when check_value accepts it for kind, an int for a float attribute
     made a float; else an error line and None."""
     if kind is Kind.FLOAT and type(raw) is int:
-        raw = float(raw)
+        try:
+            raw = float(raw)
+        except OverflowError:
+            errors.append(f"{path}: integer beyond the float range")
+            return None
     try:
         check_value(kind, raw)
     except IngestError as exc:
@@ -562,12 +566,23 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
                 continue
             kind = d.get("dist")
             attr_kind = schema[name] if schema is not None else None
+            # every value a distribution can draw must be a value of the
+            # attribute's kind (check_value), so a run never draws one that
+            # the sampler cannot make or ingest rejects
             if kind == "uniform":
                 lo, hi = d.get("lo"), d.get("hi")
-                if not (_is_number(lo) and _is_number(hi) and lo < hi):
+                numbers = _is_number(lo) and _is_number(hi) and lo < hi
+                if not numbers:
                     errors.append(f"{dpath}: uniform needs numbers lo < hi, got {lo!r} and {hi!r}")
                 if attr_kind is Kind.TEXT:
                     errors.append(f"{dpath}: uniform needs a numeric attribute, {name!r} is text")
+                elif numbers and attr_kind is not None:
+                    # draws lie in [lo, hi], a float one at lo + (hi - lo) * r
+                    lo = _parse_value(lo, attr_kind, errors, f"{dpath}.lo")
+                    hi = _parse_value(hi, attr_kind, errors, f"{dpath}.hi")
+                    if attr_kind is Kind.FLOAT and lo is not None and hi is not None and not math.isfinite(hi - lo):
+                        errors.append(f"{dpath}: uniform width hi - lo is beyond the float range")
+                    d = {**d, "lo": lo, "hi": hi}
             elif kind == "zipf":
                 s_exp = _convert(d.get("s", 0), float, errors, f"{dpath}.s", 1.0)
                 n = _convert(d.get("n", 0), int, errors, f"{dpath}.n", 1)
@@ -575,6 +590,11 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
                     errors.append(f"{dpath}: zipf needs s > 0 and n >= 1")
                 if attr_kind not in (None, Kind.INT):
                     errors.append(f"{dpath}: zipf needs an int attribute, {name!r} is {attr_kind.value}")
+                elif n >= 1:
+                    # draws run from lo to lo + n - 1
+                    lo = _parse_value(d.get("lo", 0), Kind.INT, errors, f"{dpath}.lo")
+                    if lo is not None:
+                        _parse_value(lo + n - 1, Kind.INT, errors, f"{dpath}: greatest draw lo + n - 1")
             elif kind == "choice":
                 values = d.get("values")
                 if not (isinstance(values, list) and values):

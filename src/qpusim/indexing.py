@@ -26,8 +26,6 @@ from .qpunet import (
     QpuBase,
     QueryMsg,
     SnapshotRequest,
-    decompose,
-    dedupe_entries,
 )
 from .simkernel import Actor, Kernel, Tick
 from .store import DELETE, DcReplica, LogEntry, PostingSets, PUT, WriteOp
@@ -103,7 +101,6 @@ class PostingIndex(PostingSets):
         self.region = region
         self.registry: dict[str, tuple[dict, Version]] = {}
         self.tombstones: dict[str, Version] = {}
-        self.highwater: dict[str, int] = {}
         self.seq = 0
         self.floor = 0  # seq of the last clear(); older requesters need a full reply
         self._changed: dict[str, int] | None = None  # built by the first changes_since
@@ -174,7 +171,7 @@ class PostingIndex(PostingSets):
         rows: list[tuple[str, dict | None, Version]] = [(key, *registry[key]) for key in sorted(registry)]
         for key in sorted(self.tombstones):
             rows.append((key, None, self.tombstones[key]))
-        return IndexSnapshot(self.region, tuple(rows), dict(self.highwater), self.seq)
+        return IndexSnapshot(self.region, tuple(rows), self.seq)
 
     def changes_since(self, since: int) -> IndexSnapshot:
         """Pull reply for a requester that holds this index's state as of
@@ -194,7 +191,7 @@ class PostingIndex(PostingSets):
                 break
             entry = registry.get(key)
             rows.append((key, entry[0], entry[1]) if entry else (key, None, tombstones[key]))
-        return IndexSnapshot(self.region, tuple(rows), dict(self.highwater), self.seq, full)
+        return IndexSnapshot(self.region, tuple(rows), self.seq, full)
 
     def absorb_rows(self, rows: Iterable[tuple[str, dict | None, Version]]) -> int:
         """Merges snapshot rows by replaying them as ops; LWW makes the result
@@ -246,6 +243,31 @@ def filter_targets(op: WriteOp, targets: Iterable[tuple[str, HyperRegion]]) -> l
     return hit
 
 
+class UpdateSender:
+    """The IndexUpdate streams one unit sends: a stream per target, its
+    batches numbered from 1, so the receiver holds a batch that arrives
+    ahead of a gap (IndexQpu.handle_update)."""
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self._seq: dict[str, int] = {}
+
+    def send(self, k: Kernel, target: str, ops: Sequence[StampedOp]) -> None:
+        seq = self._seq.get(target, 0) + 1
+        self._seq[target] = seq
+        k.send(self.source, target, IndexUpdate(self.source, seq, tuple(ops)))
+
+    def route(self, k: Kernel, ops: Iterable[StampedOp], targets: Iterable[tuple[str, HyperRegion]]) -> None:
+        """Sends each target, in id order, one batch of the ops that touch
+        its region (filter_targets); targets no op touches get none."""
+        per_target: dict[str, list[StampedOp]] = {}
+        for stamped in ops:
+            for target in filter_targets(stamped.op, targets):
+                per_target.setdefault(target, []).append(stamped)
+        for target in sorted(per_target):
+            self.send(k, target, per_target[target])
+
+
 class FilterQpu(Actor):
     """Subscribes to one DC's update log and streams ops to the indexing QPUs
     whose regions they touch. Throughput is shaped by a flush interval and a
@@ -268,7 +290,7 @@ class FilterQpu(Actor):
         self.batch_size = batch_size
         self.active = True
         self._queue: deque[LogEntry] = deque()
-        self._seq: dict[str, int] = {}
+        self._out = UpdateSender(qpu_id)
 
     def sends_to(self) -> list[str]:
         return [qpu_id for qpu_id, _region in self.targets]
@@ -306,24 +328,20 @@ class FilterQpu(Actor):
         self.active = False
 
     def _forward(self, k: Kernel, entries: list[LogEntry]) -> None:
-        per_target: dict[str, list[StampedOp]] = {}
-        for entry in entries:
-            for target in filter_targets(entry.op, self.targets):
-                per_target.setdefault(target, []).append(StampedOp(entry.op, entry.applied_at))
-        for target in sorted(per_target):
-            seq = self._seq.get(target, 0) + 1
-            self._seq[target] = seq
-            k.send(self.qpu_id, target, IndexUpdate(self.qpu_id, seq, tuple(per_target[target])))
+        self._out.route(k, [StampedOp(e.op, e.applied_at) for e in entries], self.targets)
 
 
 class IndexQpu(QpuBase):
     """Owns the posting index for one region of the hyperspace.
 
-    A leaf applies the update stream and answers queries from its index. After
-    a split it turns into an interior router: updates are forwarded to the
-    child owning the touched coordinates and queries are decomposed over the
-    children. During a handoff the retained index keeps answering, so
-    re-partitioning never leaves a coverage gap.
+    A leaf applies the update stream and answers queries from its index. A
+    split turns it into an interior router: updates go down to the child
+    owning the touched coordinates, and queries take QpuBase's path over
+    the children's connections. Whatever of a query no child covers is
+    looked up in this unit's own index (`answer_locally`), and the part
+    outside its region is missing. During a handoff the retained index
+    keeps answering, so re-partitioning never leaves a coverage gap; during
+    a merge queries wait until the children's rows are absorbed.
     """
 
     LEAF = "leaf"
@@ -350,7 +368,7 @@ class IndexQpu(QpuBase):
         self.mode = self.LEAF
         self._expected: dict[str, int] = {}
         self._reorder: dict[str, dict[int, IndexUpdate]] = {}
-        self._out_seq: dict[str, int] = {}
+        self._out = UpdateSender(qpu_id)
         self._buffered_updates: list[IndexUpdate] = []
         self._buffered_queries: list[QueryMsg] = []
         self._pending_children: list[tuple[str, HyperRegion]] = []
@@ -373,31 +391,23 @@ class IndexQpu(QpuBase):
     def handle_query(self, k: Kernel, m: QueryMsg) -> None:
         if self.mode == self.MERGING:
             self._buffered_queries.append(m)
-            return
-        region = query_to_region(m.query, self.indexed_attrs)
-        if region is None:
-            k.probes.emit({"type": "unindexable", "qpu": self.qpu_id, "qid": m.qid})
-            self.answer(k, m, [], complete=False)
-            return
-        if self.connections:
-            # children own their delegated sub-regions; the remainder is
-            # answered from this QPU's own index
-            plan, leftover = decompose(region, self.connections)
-            local, missing = self._answer_leftover(leftover)
-            if plan:
-                self.fan_out(k, m, plan, local_parts=local, missing=missing)
-            else:
-                self.answer(k, m, dedupe_entries(local), complete=not missing, missing=missing)
-            return
-        entries, in_region = self.index.lookup(m.query)
-        if not in_region:
-            k.probes.emit({"type": "out_of_region", "qpu": self.qpu_id, "qid": m.qid})
-        missing = region.subtract(self.region)
-        self.answer(k, m, entries, complete=not missing, missing=missing)
+        else:
+            super().handle_query(k, m)
 
-    def _answer_leftover(self, leftover: list[HyperRegion]) -> tuple[list[Sequence[Entry]], list[HyperRegion]]:
+    def answer_locally(
+        self, k: Kernel, m: QueryMsg, region: HyperRegion, leftover: list[HyperRegion]
+    ) -> tuple[list[Sequence[Entry]], list[HyperRegion]]:
         """Looks up the parts of the leftover pieces inside this QPU's own
-        region, one key-sorted part per piece; the rest is missing."""
+        region, one key-sorted part per piece; the rest is missing. When
+        the leftover is the whole query region (a leaf, or no child covers
+        any of it, and decompose hands back the region itself), the query
+        itself is looked up, and a query region that misses this unit's
+        region is recorded as `out_of_region`."""
+        if len(leftover) == 1 and leftover[0] is region:
+            entries, in_region = self.index.lookup(m.query)
+            if not in_region:
+                k.probes.emit({"type": "out_of_region", "qpu": self.qpu_id, "qid": m.qid})
+            return [entries], region.subtract(self.region)
         local: list[Sequence[Entry]] = []
         missing: list[HyperRegion] = []
         for piece in leftover:
@@ -450,13 +460,12 @@ class IndexQpu(QpuBase):
 
     def _ingest(self, k: Kernel, u: IndexUpdate) -> None:
         self._expected[u.source] = u.seq
-        self.index.highwater[u.source] = u.seq
         if self.mode == self.RETIRED:
             if self.parent is not None:
-                self._restamp(k, self.parent, list(u.ops))
+                self._out.send(k, self.parent, u.ops)
             return
         if self.mode == self.INTERNAL:
-            self._route_down(k, u.ops)
+            self._out.route(k, u.ops, [(c.to, c.coverage) for c in self.connections])
             return
         pushed: list[StampedOp] = []
         for stamped in u.ops:
@@ -465,21 +474,7 @@ class IndexQpu(QpuBase):
                 k.probes.emit({"type": "staleness", "qpu": self.qpu_id, "delta": k.now - stamped.applied_at})
                 pushed.append(stamped)
         if pushed and self.push_to is not None:
-            self._restamp(k, self.push_to, pushed)
-
-    def _restamp(self, k: Kernel, target: str, ops: list[StampedOp]) -> None:
-        seq = self._out_seq.get(target, 0) + 1
-        self._out_seq[target] = seq
-        k.send(self.qpu_id, target, IndexUpdate(self.qpu_id, seq, tuple(ops)))
-
-    def _route_down(self, k: Kernel, ops: Iterable[StampedOp]) -> None:
-        per_child: dict[str, list[StampedOp]] = {}
-        targets = [(c.to, c.coverage) for c in self.connections]
-        for stamped in ops:
-            for child in filter_targets(stamped.op, targets):
-                per_child.setdefault(child, []).append(stamped)
-        for child in sorted(per_child):
-            self._restamp(k, child, per_child[child])
+            self._out.send(k, self.push_to, pushed)
 
     # -- split ---------------------------------------------------------------------
 
@@ -510,12 +505,11 @@ class IndexQpu(QpuBase):
             self._handoff_waiting.add(child_id)
             self._pending_children.append((child_id, child_region))
             rows = [row for row in all_rows if row[1] is None or child_region.contains(row[1])]
-            snap = IndexSnapshot(child_region, tuple(rows), dict(self.index.highwater))
+            snap = IndexSnapshot(child_region, tuple(rows))
             k.send(self.qpu_id, child_id, Handoff(snap, self.qpu_id))
 
     def _load_handoff(self, k: Kernel, h: Handoff) -> None:
         self.index.absorb_rows(h.snapshot.entries)
-        self.index.highwater.update(h.snapshot.highwater)
         k.send(self.qpu_id, h.parent, HandoffAck(self.qpu_id))
 
     def _handoff_acked(self, k: Kernel, child_id: str) -> None:
@@ -554,8 +548,6 @@ class IndexQpu(QpuBase):
         if self.mode != self.MERGING:
             return
         self.index.absorb_rows(snap.entries)
-        for source, seq in snap.highwater.items():
-            self.index.highwater[source] = max(self.index.highwater.get(source, 0), seq)
         self._merge_waiting -= 1
         if self._merge_waiting > 0:
             return

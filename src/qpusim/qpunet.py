@@ -36,11 +36,19 @@ class QueryMsg(NamedTuple):
 
 
 class ResponseMsg(NamedTuple):
+    """The answer to one QueryMsg: key-sorted rows with unique keys, the
+    regions of the query's space that no unit answered for, and the units
+    the answer passed through. An answer is complete exactly when nothing
+    is missing; incompleteness always names what is absent."""
+
     qid: str
     entries: tuple[Entry, ...]
-    complete: bool
     missing: tuple[HyperRegion, ...] = ()
     source_chain: tuple[str, ...] = ()
+
+    @property
+    def complete(self) -> bool:
+        return not self.missing
 
 
 class SnapshotRequest(NamedTuple):
@@ -52,18 +60,18 @@ class SnapshotRequest(NamedTuple):
 
 
 class IndexSnapshot(NamedTuple):
-    """Index state on the wire: region bounds, registry rows as
-    (key, attrs, version) with attrs=None marking an index-local tombstone,
-    per-source high-water marks, and the index's change sequence `seq` when
-    it was taken. A full snapshot (the default) carries every row: handoffs,
-    retirement, and the reply to a pull that predates the index's last
-    clear(), whose receiver starts over from it. A delta (`full=False`), the
-    usual reply to a pull, carries only the rows of keys changed after the
-    request's `since`, for the receiver to merge into what it holds."""
+    """Index state on the wire: its region, and registry rows as
+    (key, attrs, version), with attrs=None marking an index-local
+    tombstone. `seq` is the index's change sequence when it was taken. A
+    full snapshot (the default) carries every row: a split's handoff, a
+    retiring child's state, and the reply to a pull that predates the
+    index's last clear(), whose receiver starts over from it. A delta
+    (`full=False`), the usual reply to a pull, carries only the rows of keys
+    changed after the request's `since`, for the receiver to merge into what
+    it holds. Stream positions do not travel: each index tracks its own."""
 
     region: HyperRegion
     entries: tuple[tuple[str, dict | None, Version], ...]
-    highwater: dict
     seq: int = 0
     full: bool = True
 
@@ -189,16 +197,22 @@ class _Pending:
     query: Query
     outstanding: dict[str, HyperRegion]
     parts: list[Sequence[Entry]]
-    complete: bool = True
     missing: list[HyperRegion] = field(default_factory=list)
     chain: list[str] = field(default_factory=list)
 
 
 class QpuBase(Actor):
-    """Shared machinery: sub-query fan-out, joining, dedupe/recheck/finalize.
+    """The query interface every unit implements, and its one query path.
 
-    Each QPU routes using only its own connection list; the per-query pending
-    set joins concurrent sub-responses.
+    `handle_query` maps a query to a region of the indexed space. A query
+    that constrains other attributes has none: it goes whole to the scan
+    fallback, or, without one, is answered with the full indexed space
+    missing. Otherwise the region is decomposed over this unit's own
+    connection list, the leftover goes to `answer_locally`, and `fan_out`
+    sends the sub-queries and joins their answers with the local rows. A
+    unit that answers without a sub-query records a load sample there.
+    `_finish` dedupes, rechecks, applies the limit, audits and responds;
+    an answer is incomplete exactly when it names a missing region.
     """
 
     def __init__(
@@ -245,7 +259,28 @@ class QpuBase(Actor):
             self.handle_other(k, msg)
 
     def handle_query(self, k: Kernel, m: QueryMsg) -> None:
-        raise NotImplementedError
+        region = query_to_region(m.query, self.indexed_attrs)
+        if region is None:
+            full = HyperRegion.full(self.indexed_attrs)
+            # the scan fallback: the first neighbour advertising the full space
+            fallback = next((c for c in self.connections if c.coverage.covers(full)), None)
+            if fallback is not None:
+                self.fan_out(k, m, [(fallback, full)], forward_whole=True)
+            else:
+                k.probes.emit({"type": "unindexable", "qpu": self.qpu_id, "qid": m.qid})
+                self.fan_out(k, m, [], missing=[full])
+            return
+        plan, leftover = decompose(region, self.connections)
+        local, missing = self.answer_locally(k, m, region, leftover)
+        self.fan_out(k, m, plan, local_parts=local, missing=missing)
+
+    def answer_locally(
+        self, k: Kernel, m: QueryMsg, region: HyperRegion, leftover: list[HyperRegion]
+    ) -> tuple[list[Sequence[Entry]], list[HyperRegion]]:
+        """Rows this unit holds itself for the leftover of the query region
+        that no connection covers, and what of it stays missing. A unit
+        without local state answers none of it."""
+        return [], leftover
 
     def handle_other(self, k: Kernel, msg: Any) -> None:
         raise TypeError(f"{self.qpu_id} got unexpected {type(msg).__name__}")
@@ -265,32 +300,31 @@ class QpuBase(Actor):
         local_parts: list[Sequence[Entry]] | None = None,
         missing: list[HyperRegion] | None = None,
         forward_whole: bool = False,
-    ) -> None:
-        """Sends one sub-query per plan element and parks the join state.
-        With forward_whole the original query's predicates are passed through
-        (scan fallback); otherwise each sub-region converts back to predicates.
-        No sub-query carries the limit: the rows recheck drops could hide
-        others past it, so _finish applies it once, after recheck."""
-        pend = _Pending(
-            qid=m.qid,
-            reply_to=m.reply_to,
-            query=m.query,
-            outstanding={},
-            parts=list(local_parts or []),
-            missing=list(missing or []),
-        )
+    ) -> _Pending | None:
+        """Sends one sub-query per plan element and parks the join state,
+        which it returns; with an empty plan the query is answered at once
+        from local_parts, counted toward this unit's load window, and None
+        is returned. With forward_whole the original query's predicates are
+        passed through (scan fallback, cache fill); otherwise each
+        sub-region converts back to predicates. No sub-query carries the
+        limit: the rows recheck drops could hide others past it, so _finish
+        applies it once, after recheck. The join state takes over the
+        local_parts and missing lists; callers pass lists of their own."""
+        pend = _Pending(m.qid, m.reply_to, m.query, {}, local_parts or [], missing or [])
+        if not plan:
+            k.probes.record_load(self.qpu_id, query_to_region(m.query, self.indexed_attrs), k.now)
+            self._finish(k, pend)
+            return None
         for conn, piece in plan:
             sub_qid = self._next_qid()
             sub_query = Query(m.query.predicates) if forward_whole else region_to_query(piece)
             pend.outstanding[sub_qid] = piece
             self._sub_parent[sub_qid] = m.qid
             k.send(self.qpu_id, conn.to, QueryMsg(sub_qid, sub_query, self.qpu_id))
-        if not pend.outstanding:
-            self._finish(k, pend)
-            return
         self._pending[m.qid] = pend
         if self.timeout is not None:
             k.schedule_in(self.timeout, self.qpu_id, QueryTimeout(m.qid))
+        return pend
 
     def _on_sub_response(self, k: Kernel, r: ResponseMsg) -> None:
         parent_qid = self._sub_parent.pop(r.qid, None)
@@ -302,7 +336,6 @@ class QpuBase(Actor):
         pend.outstanding.pop(r.qid, None)
         if r.entries:
             pend.parts.append(r.entries)
-        pend.complete = pend.complete and r.complete
         pend.missing.extend(r.missing)
         for s in r.source_chain:
             if s not in pend.chain:
@@ -318,7 +351,6 @@ class QpuBase(Actor):
         for sub_qid, piece in pend.outstanding.items():
             self._sub_parent.pop(sub_qid, None)
             pend.missing.append(piece)
-        pend.complete = False
         self._finish(k, pend)
 
     # -- finalize --------------------------------------------------------------
@@ -328,45 +360,16 @@ class QpuBase(Actor):
         rechecked = self.recheck_enabled and self.recheck_replica is not None
         if rechecked:
             entries = recheck(entries, pend.query, self.recheck_replica)
-        complete = pend.complete and not pend.missing
         if pend.query.limit is not None:
             entries = entries[: pend.query.limit]
         audit = None if rechecked else self.recheck_replica
-        audit_response(k, self.qpu_id, pend.qid, pend.query, entries, complete, audit)
-        chain = pend.chain + [self.qpu_id]
-        self.respond(k, pend, entries, complete, chain)
-
-    def respond(self, k: Kernel, pend: _Pending, entries: Sequence[Entry], complete: bool, chain: list[str]) -> None:
+        audit_response(k, self.qpu_id, pend.qid, pend.query, entries, not pend.missing, audit)
+        pend.chain.append(self.qpu_id)
         k.send(
             self.qpu_id,
             pend.reply_to,
-            ResponseMsg(pend.qid, tuple(entries), complete, tuple(pend.missing), tuple(chain)),
+            ResponseMsg(pend.qid, tuple(entries), tuple(pend.missing), tuple(pend.chain)),
         )
-
-    def answer(
-        self,
-        k: Kernel,
-        m: QueryMsg,
-        entries: Sequence[Entry],
-        *,
-        complete: bool = True,
-        missing: list[HyperRegion] | None = None,
-    ) -> None:
-        """Finalize a locally handled query whose entries are key-sorted with
-        unique keys; this is the point that counts toward the QPU's query
-        load window."""
-        k.probes.record_load(self.qpu_id, query_to_region(m.query, self.indexed_attrs), k.now)
-        pend = _Pending(m.qid, m.reply_to, m.query, {}, [entries], complete, list(missing or []))
-        self._finish(k, pend)
-
-    def scan_fallback_connection(self) -> Connection | None:
-        """First neighbour advertising the full space; where queries touching
-        non-indexed attributes are sent whole."""
-        full = HyperRegion.full(self.indexed_attrs)
-        for conn in self.connections:
-            if conn.coverage.covers(full):
-                return conn
-        return None
 
 
 class DsQpu(QpuBase):
@@ -382,25 +385,12 @@ class DsQpu(QpuBase):
 
     def handle_query(self, k: Kernel, m: QueryMsg) -> None:
         entries = [(o.key, o.attrs, o.version) for o in self.replica.scan(m.query)]
-        self.answer(k, m, entries)
+        self.fan_out(k, m, [], local_parts=[entries])
 
 
 class FederationQpu(QpuBase):
     """Forwards a query to the neighbours whose coverage intersects it and
     combines the responses; anything uncovered is reported missing."""
-
-    def handle_query(self, k: Kernel, m: QueryMsg) -> None:
-        region = query_to_region(m.query, self.indexed_attrs)
-        if region is None:
-            fallback = self.scan_fallback_connection()
-            if fallback is None:
-                k.probes.emit({"type": "unindexable", "qpu": self.qpu_id, "qid": m.qid})
-                self.answer(k, m, [], complete=False)
-                return
-            self.fan_out(k, m, [(fallback, HyperRegion.full(self.indexed_attrs))], forward_whole=True)
-            return
-        plan, leftover = decompose(region, self.connections)
-        self.fan_out(k, m, plan, missing=leftover)
 
 
 class CacheQpu(QpuBase):
@@ -468,7 +458,12 @@ class CacheQpu(QpuBase):
 
     def handle_query(self, k: Kernel, m: QueryMsg) -> None:
         if self.mode == "replica":
-            self._replica_query(k, m)
+            if self._index is not None:
+                self.fan_out(k, m, [], local_parts=[self._index.lookup(m.query)[0]])
+            else:
+                # nothing pulled yet: the whole query is missing
+                region = query_to_region(m.query, self.indexed_attrs) or HyperRegion.full(self.indexed_attrs)
+                self.fan_out(k, m, [], missing=[region])
             return
         ck = canonical_query(m.query)
         hit = self._cache.get(ck)
@@ -476,23 +471,17 @@ class CacheQpu(QpuBase):
             self._cache.move_to_end(ck)
             self.hits += 1
             k.probes.emit({"type": "cache", "qpu": self.qpu_id, "hit": True})
-            cached = hit[1]
-            self.answer(k, m, cached.entries, complete=cached.complete, missing=list(cached.missing))
+            # only complete fills are stored, so a hit is complete
+            self.fan_out(k, m, [], local_parts=[hit[1].entries])
             return
         if hit is not None:
             del self._cache[ck]  # expired
         self.misses += 1
         k.probes.emit({"type": "cache", "qpu": self.qpu_id, "hit": False})
         conn = self._downstream()
-        sub_qid = self._next_qid()
-        self._fills[sub_qid] = ck
-        pend = _Pending(m.qid, m.reply_to, m.query, {sub_qid: conn.coverage}, [])
-        self._sub_parent[sub_qid] = m.qid
-        self._pending[m.qid] = pend
-        # unlimited, as fan_out sends it; a hit or the fill is cut in _finish
-        k.send(self.qpu_id, conn.to, QueryMsg(sub_qid, Query(m.query.predicates), self.qpu_id))
-        if self.timeout is not None:
-            k.schedule_in(self.timeout, self.qpu_id, QueryTimeout(m.qid))
+        # the fill is sent unlimited; a hit or the fill is cut in _finish
+        pend = self.fan_out(k, m, [(conn, conn.coverage)], forward_whole=True)
+        self._fills[next(iter(pend.outstanding))] = ck
 
     def _on_sub_response(self, k: Kernel, r: ResponseMsg) -> None:
         ck = self._fills.pop(r.qid, None)
@@ -528,13 +517,6 @@ class CacheQpu(QpuBase):
         if changed:
             k.probes.progress_tick()
         self._snapshot = snap
-
-    def _replica_query(self, k: Kernel, m: QueryMsg) -> None:
-        if self._index is None:
-            self.answer(k, m, [], complete=False)
-            return
-        entries, _in_region = self._index.lookup(m.query)
-        self.answer(k, m, entries)
 
     def snapshot_keys(self) -> set[str]:
         return set(self._index.registry) if self._index is not None else set()

@@ -3,6 +3,7 @@ mode and its negative control, and the CLI contract."""
 
 import ast
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -360,7 +361,8 @@ class TestWorkloadValidation:
             parse_workload(doc, cfg)
 
 
-# sha256 of run_scenario(...).sink.to_ndjson() for each bundled scenario at
+# sha256 of run_scenario(...).sink.to_ndjson() for each bundled scenario, and
+# for the benchmark's delete-heavy `ingest` write stream at scale 1, at
 # GOLDEN_SEEDS. A change meant to alter behaviour updates these and says why;
 # any other change must leave them equal.
 GOLDEN_SEEDS = (0, 7, 505)
@@ -385,13 +387,29 @@ GOLDEN_NDJSON_SHA256 = {
         "c50372718d4081345767b05318de77a11142f3f3e63e02291d7f9f8d1eb0a2e3",
         "f07f7f899f5c0d8afcabd20ce532f18ccededb770be1726f4ec1bbd0902486c1",
     ),
+    "ingest": (
+        "97ecc988a8f89487d45aeb98b018f02de8b55e436319b71dfbb950a2df48c462",
+        "b9b7096450f65090ce457b465dccc458dd51ba400fc17d3c26ef73c3e21acf7c",
+        "935b7e3812f30033df2493f2ffa6b216027b7f61bce44ff4868a88ede485876c",
+    ),
 }
 
 
+def golden_configs(name):
+    """A bundled scenario, or `ingest` from benchmarks/workloads.py at scale 1."""
+    if name != "ingest":
+        return scenario(name)
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.configs("ingest", 1)
+
+
 @pytest.mark.parametrize("seed_index", range(len(GOLDEN_SEEDS)), ids=[f"seed{s}" for s in GOLDEN_SEEDS])
-@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("name", [*SCENARIOS, "ingest"])
 def test_metrics_stream_matches_golden_hash(name, seed_index):
-    t, w = scenario(name)
+    t, w = golden_configs(name)
     res = run_scenario(t, w, seed=GOLDEN_SEEDS[seed_index])
     digest = hashlib.sha256(res.sink.to_ndjson().encode()).hexdigest()
     assert digest == GOLDEN_NDJSON_SHA256[name][seed_index]
@@ -712,6 +730,46 @@ class TestCli:
         doc["phases"][0]["attributes"]["genre"] = dist
         assert self._check_config(tmp_path, minimal_topology(), doc) == 1
         assert f"config error: {error}" in capsys.readouterr().err
+
+    def test_fractional_uniform_bounds_on_an_int_attribute_are_config_errors(self, tmp_path, capsys):
+        """Before this check, the run raised `empty range for randrange()`."""
+        doc = zero_rate_workload()
+        doc["phases"][0]["attributes"]["size"] = {"dist": "uniform", "lo": 0.2, "hi": 0.7}
+        assert self._check_config(tmp_path, minimal_topology(), doc) == 1
+        err = capsys.readouterr().err
+        assert "config error: phases[0].attributes.size.lo: expected a int value, got 0.2" in err
+        assert "config error: phases[0].attributes.size.hi: expected a int value, got 0.7" in err
+
+    @pytest.mark.parametrize(
+        "dist,error",
+        [
+            ({"dist": "zipf", "s": 1.1, "n": 5, "lo": 2**63}, "size.lo: integer out of 64-bit range"),
+            ({"dist": "zipf", "s": 1.1, "n": 5, "lo": 2**63 - 2}, "size: greatest draw lo + n - 1: integer out of 64-bit range"),
+            ({"dist": "uniform", "lo": 0, "hi": 2**64}, "size.hi: integer out of 64-bit range"),
+            ({"dist": "uniform", "lo": -(2**63) - 1, "hi": 0}, "size.lo: integer out of 64-bit range"),
+        ],
+        ids=["zipf-lo", "zipf-greatest", "uniform-hi", "uniform-lo"],
+    )
+    def test_int_draws_beyond_int64_are_config_errors(self, tmp_path, capsys, dist, error):
+        """Before this check, ingest rejected every write the run drew."""
+        doc = zero_rate_workload()
+        doc["phases"][0]["attributes"]["size"] = dist
+        assert self._check_config(tmp_path, minimal_topology(), doc) == 1
+        assert f"config error: phases[0].attributes.{error}" in capsys.readouterr().err
+
+    def test_int_beyond_the_float_range_is_a_config_error(self, tmp_path, capsys):
+        """Before this check, parse_topology raised a bare OverflowError."""
+        doc = minimal_topology(attributes=[{"name": "size", "kind": "float"}, {"name": "genre", "kind": "text"}])
+        doc["dcs"][0]["placement"] = {"size": [0, 10**400]}
+        assert self._check_config(tmp_path, doc) == 1
+        assert "config error: dcs[0].placement.size[1]: integer beyond the float range" in capsys.readouterr().err
+
+    def test_uniform_width_beyond_the_float_range_is_a_config_error(self, tmp_path, capsys):
+        topology = minimal_topology(attributes=[{"name": "size", "kind": "float"}, {"name": "genre", "kind": "text"}])
+        doc = zero_rate_workload()
+        doc["phases"][0]["attributes"]["size"] = {"dist": "uniform", "lo": -1.5e308, "hi": 1.5e308}
+        assert self._check_config(tmp_path, topology, doc) == 1
+        assert "config error: phases[0].attributes.size: uniform width hi - lo is beyond the float range" in capsys.readouterr().err
 
     def test_missing_file_exits_1(self, capsys):
         assert self.run_cli("check-config", "--topology", "/nonexistent.json") == 1

@@ -261,7 +261,7 @@ class TestIndexQpuPipeline:
         assert registry_keys(iq.index) == {"a"}
         iq.handle_update(k, IndexUpdate("src", 2, (op2,)))
         assert registry_keys(iq.index) == {"a", "b", "c"}
-        assert iq.index.highwater["src"] == 3
+        assert iq._expected["src"] == 3 and not iq._reorder["src"]
 
     def test_duplicate_batch_ignored(self):
         k, rep, _, iq, cl = single_index_net()

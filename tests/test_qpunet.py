@@ -2,6 +2,7 @@
 locality of routing decisions."""
 
 import random
+import sys
 
 import pytest
 
@@ -245,17 +246,20 @@ class TestFederation:
         assert resp.missing == (query_to_region(q_size(0, 10), ["size", "genre"]),)
 
     def test_routing_reads_only_own_connection_list(self, monkeypatch):
+        """Every decompose call, at the federation and at the index QPUs it
+        forwards to, reads the calling QPU's own connection list."""
         k, rep, fq, cl = federation_net()
         seen = []
         original = qpunet.decompose
 
         def spy(region, connections):
-            seen.append(connections)
+            seen.append((sys._getframe(1).f_locals["self"], connections))
             return original(region, connections)
 
         monkeypatch.setattr(qpunet, "decompose", spy)
         run_query(k, cl, "fq", q_size(0, 100))
-        assert seen and all(conns is fq.connections for conns in seen)
+        assert all(conns is caller.connections for caller, conns in seen)
+        assert any(caller is fq for caller, _conns in seen)
 
 
 class TestStaticIndexHierarchy:
@@ -516,3 +520,48 @@ class TestLimitAfterRecheck:
         k, cl = self.lagging_net(FederationQpu("fq", ["genre"]))
         resp = run_query(k, cl, "fq", self.limited())
         assert [e[0] for e in resp.entries] == ["k2", "k3"] and resp.complete
+
+
+class TestIncompleteNamesWhatIsMissing:
+    """An answer is incomplete exactly when it names a missing region, and
+    the region says what is absent."""
+
+    def test_unindexable_query_without_fallback_misses_the_full_space(self):
+        k, rep, fq, cl = federation_net(with_ds=False)
+        resp = run_query(k, cl, "fq", Query.of([Predicate.equals("color", "red")]))
+        assert not resp.complete and resp.entries == ()
+        assert resp.missing == (HyperRegion.full(SCHEMA),)
+
+    def test_unindexable_query_at_an_index_qpu_misses_its_full_space(self):
+        k = Kernel(seed=0)
+        k.add_node("n1")
+        iq = IndexQpu("iq", make_region(size=(0, 50)))
+        k.register(iq, "n1")
+        cl = Client()
+        k.register(cl, "n1")
+        resp = run_query(k, cl, "iq", Query.of([Predicate.equals("genre", "rock")]))
+        assert not resp.complete and resp.entries == ()
+        assert resp.missing == (HyperRegion.full(["size"]),)
+
+    def test_replica_cache_before_its_first_pull_misses_the_query_region(self):
+        k, rep, iq, cq, cl = replica_cache_net()
+        resp = run_query(k, cl, "cq", q_size(0, 10))
+        assert not resp.complete and resp.entries == ()
+        assert resp.missing == (query_to_region(q_size(0, 10), cq.indexed_attrs),)
+
+    def test_index_qpu_sends_an_unindexable_query_whole_to_its_scan_fallback(self):
+        k = Kernel(seed=0)
+        k.add_node("n1")
+        rep = DcReplica("dc1", SCHEMA)
+        k.register(rep, "n1")
+        rep.put(k, "k1", {"size": 1, "genre": "rock"})
+        rep.put(k, "k2", {"size": 2, "genre": "jazz"})
+        k.register(DsQpu("ds1", SCHEMA, rep), "n1")
+        iq = IndexQpu("iq", make_region(size=(None, None)), recheck_replica=rep)
+        iq.connect(Connection("ds1", HyperRegion.full(["size"])))
+        k.register(iq, "n1")
+        cl = Client()
+        k.register(cl, "n1")
+        resp = run_query(k, cl, "iq", Query.of([Predicate.equals("genre", "rock")]))
+        assert [e[0] for e in resp.entries] == ["k1"] and resp.complete
+        assert resp.source_chain == ("ds1", "iq")
