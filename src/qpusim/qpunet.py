@@ -458,12 +458,15 @@ class CacheQpu(QpuBase):
 
     def handle_query(self, k: Kernel, m: QueryMsg) -> None:
         if self.mode == "replica":
-            if self._index is not None:
-                self.fan_out(k, m, [], local_parts=[self._index.lookup(m.query)[0]])
-            else:
+            region = query_to_region(m.query, self.indexed_attrs)
+            if region is None:
+                # unindexable: the index cannot answer it, pulled or not
+                self.fan_out(k, m, [], missing=[HyperRegion.full(self.indexed_attrs)])
+            elif self._index is None:
                 # nothing pulled yet: the whole query is missing
-                region = query_to_region(m.query, self.indexed_attrs) or HyperRegion.full(self.indexed_attrs)
                 self.fan_out(k, m, [], missing=[region])
+            else:
+                self.fan_out(k, m, [], local_parts=[self._index.lookup(m.query)[0]])
             return
         ck = canonical_query(m.query)
         hit = self._cache.get(ck)

@@ -91,25 +91,39 @@ class _Link:
     rng: random.Random
     last_delivery: int = 0
 
+    def __post_init__(self) -> None:
+        self._bits = (self.jitter + 1).bit_length()
+
     def delay(self) -> int:
-        if self.jitter:
-            return self.base + self.rng.randrange(self.jitter + 1)
+        """base plus a jitter draw that consumes the same bits as
+        `rng.randrange(jitter + 1)`: its rejection loop, inlined."""
+        jitter = self.jitter
+        if jitter:
+            getrandbits, bits = self.rng.getrandbits, self._bits
+            r = getrandbits(bits)
+            while r > jitter:
+                r = getrandbits(bits)
+            return self.base + r
         return self.base
 
 
 class Kernel:
     """Single-threaded event loop over virtual integer milliseconds.
 
-    Every event fires in (time, insertion seq) order, so one (seed, config,
-    workload) triple always produces the same trace.
+    Events fire in time order, and in scheduling order within a time, so one
+    (seed, config, workload) triple always produces the same trace. Each time
+    that has events keeps them in one FIFO list in `_due`; the heap `_times`
+    holds each such time once (a calendar queue with one bucket per
+    millisecond, Brown, CACM 1988). An event scheduled at the instant being
+    delivered joins the end of that instant's list.
     """
 
     def __init__(self, seed: int | str = 0) -> None:
         self.seed = seed
         self.now = 0
         self.probes = Probes()
-        self._seq = 0
-        self._heap: list[tuple[int, int, str, Any]] = []
+        self._due: dict[int, list[tuple[str, Any]]] = {}
+        self._times: list[int] = []
         self._nodes: set[str] = set()
         self._links: dict[tuple[str, str], _Link] = {}
         self._actors: dict[str, Actor] = {}
@@ -170,28 +184,32 @@ class Kernel:
 
     # -- scheduling -------------------------------------------------------
 
-    def schedule(self, at: int, target: str, msg: Any) -> int:
+    def schedule(self, at: int, target: str, msg: Any) -> None:
         if at < self.now:
             raise SimError(f"scheduling in the past: {at} < {self.now}")
-        self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, target, msg))
-        return self._seq
+        events = self._due.get(at)
+        if events is None:
+            self._due[at] = [(target, msg)]
+            heapq.heappush(self._times, at)
+        else:
+            events.append((target, msg))
 
-    def schedule_in(self, delay: int, target: str, msg: Any) -> int:
-        return self.schedule(self.now + delay, target, msg)
+    def schedule_in(self, delay: int, target: str, msg: Any) -> None:
+        self.schedule(self.now + delay, target, msg)
 
-    def send(self, from_actor: str, to_actor: str, msg: Any) -> int:
+    def send(self, from_actor: str, to_actor: str, msg: Any) -> None:
         """Schedules delivery over the hosting nodes' link. Same-node delivery
         is at `now`; per-link FIFO is preserved by clamping."""
         src, dst = self._hosts[from_actor], self._hosts[to_actor]
         if src == dst:
-            return self.schedule(self.now, to_actor, msg)
+            self.schedule(self.now, to_actor, msg)
+            return
         link = self._links.get((src, dst))
         if link is None:
             raise SimError(f"no link {src}->{dst} (for {from_actor}->{to_actor})")
         deliver_at = max(self.now + link.delay(), link.last_delivery)
         link.last_delivery = deliver_at
-        return self.schedule(deliver_at, to_actor, msg)
+        self.schedule(deliver_at, to_actor, msg)
 
     # -- execution --------------------------------------------------------
 
@@ -203,28 +221,47 @@ class Kernel:
             for actor_id in pending:
                 self._actors[actor_id].on_start(self)
 
-    def _dispatch(self) -> None:
-        """Delivers the earliest event, then starts any actor it registered."""
-        at, _seq, target, msg = heapq.heappop(self._heap)
-        self.now = at
+    def _deliver(self, target: str, msg: Any) -> None:
+        """Delivers one event at `now`, then starts any actor it registered."""
         actor = self._actors.get(target)
         if actor is None:
             raise SimError(f"message for unknown actor {target!r}")
         actor.on_message(self, msg)
         self._start_pending()
 
+    def _drop_time(self, at: int) -> None:
+        del self._due[at]
+        heapq.heappop(self._times)
+
     def run_until(self, t_max: int | None = None) -> int:
         """Processes events until the queue empties or t_max is reached.
 
         An empty queue is quiescence: every write replicated and every update
         applied, the state all "after quiescence" properties are checked in.
+        An event whose handler raises is consumed; the rest of its instant
+        stays queued for the next call.
         """
         self._start_pending()
-        while self._heap:
-            if t_max is not None and self._heap[0][0] > t_max:
+        times, due = self._times, self._due
+        while times:
+            at = times[0]
+            if t_max is not None and at > t_max:
                 self.now = t_max
                 return self.now
-            self._dispatch()
+            self.now = at
+            events = due[at]
+            i = 0
+            try:
+                # Events this loop schedules at `at` are appended to `events`
+                # and visited in turn.
+                for i, (target, msg) in enumerate(events):
+                    self._deliver(target, msg)
+            except BaseException:
+                del events[: i + 1]
+                if not events:
+                    self._drop_time(at)
+                raise
+            self._drop_time(at)
         if t_max is not None and t_max > self.now:
             self.now = t_max
         return self.now
@@ -235,10 +272,16 @@ class Kernel:
     def step(self) -> bool:
         """Processes exactly one event; False when the queue is empty."""
         self._start_pending()
-        if not self._heap:
+        if not self._times:
             return False
-        self._dispatch()
+        at = self._times[0]
+        events = self._due[at]
+        target, msg = events.pop(0)
+        if not events:
+            self._drop_time(at)
+        self.now = at
+        self._deliver(target, msg)
         return True
 
     def pending(self) -> int:
-        return len(self._heap)
+        return sum(map(len, self._due.values()))

@@ -549,6 +549,17 @@ class TestIncompleteNamesWhatIsMissing:
         assert not resp.complete and resp.entries == ()
         assert resp.missing == (query_to_region(q_size(0, 10), cq.indexed_attrs),)
 
+    def test_unindexable_query_at_a_pulled_replica_cache_misses_its_full_space(self):
+        k, rep, iq, cq, cl = replica_cache_net()
+        rep.put(k, "k1", {"size": 5})
+        k.run_until_empty()
+        cq.pull_now(k)
+        k.run_until_empty()
+        assert cq.snapshot_keys() == {"k1"}
+        resp = run_query(k, cl, "cq", Query.of([Predicate.equals("color", "red")]))
+        assert not resp.complete and resp.entries == ()
+        assert resp.missing == (HyperRegion.full(cq.indexed_attrs),)
+
     def test_index_qpu_sends_an_unindexable_query_whole_to_its_scan_fallback(self):
         k = Kernel(seed=0)
         k.add_node("n1")

@@ -1,10 +1,12 @@
 """Event ordering, link FIFO, and trace determinism of the simulation kernel."""
 
+import heapq
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qpusim.simkernel import Actor, Kernel, SimError, Tick
+from qpusim.simkernel import Actor, Kernel, SimError, Tick, _Link
 
 
 class Recorder(Actor):
@@ -115,11 +117,87 @@ class TestScheduling:
         scheduled = []
         for i in range(10_000):
             at = rng.randrange(0, 5000)
-            seq = k.schedule(at, "r", i)
-            scheduled.append((at, seq, i))
+            k.schedule(at, "r", i)
+            scheduled.append((at, i))
         k.run_until_empty()
-        expected = [i for _, _, i in sorted(scheduled)]
+        expected = [i for _, i in sorted(scheduled)]
         assert [m for _, m in rec.seen] == expected
+
+    def test_events_scheduled_at_the_current_instant_fire_after_those_already_due(self):
+        rec = Recorder("r")
+        k = kernel_with(rec)
+
+        def chain(kk, msg):
+            rec.seen.append((kk.now, msg))
+            if msg in ("a", "b"):
+                kk.schedule_in(0, "r", msg * 2)
+
+        rec.on_message = chain  # type: ignore[assignment]
+        k.schedule(5, "r", "a")
+        k.schedule(5, "r", "b")
+        k.schedule(6, "r", "c")
+        k.run_until_empty()
+        assert rec.seen == [(5, "a"), (5, "b"), (5, "aa"), (5, "bb"), (6, "c")]
+        assert k.pending() == 0
+
+
+class Fragile(Actor):
+    """Records each message, then raises on "boom"; "a" also schedules "d"
+    at the same instant."""
+
+    def __init__(self):
+        self.actor_id = "f"
+        self.seen = []
+
+    def on_message(self, k, msg):
+        self.seen.append((k.now, msg))
+        if msg == "a":
+            k.schedule_in(0, self.actor_id, "d")
+        if msg == "boom":
+            raise ValueError("boom")
+
+
+class TestRaisingHandlers:
+    """A handler that raises consumes its event; the next call delivers the
+    rest of that instant, in order, and nothing twice."""
+
+    @staticmethod
+    def _raised_at_five():
+        f = Fragile()
+        k = kernel_with(f)
+        for msg in ("a", "boom", "c"):
+            k.schedule(5, "f", msg)
+        k.schedule(7, "f", "e")
+        with pytest.raises(ValueError):
+            k.run_until_empty()
+        assert f.seen == [(5, "a"), (5, "boom")]
+        assert k.pending() == 3
+        return k, f
+
+    def test_run_until_resumes_after_the_raising_event(self):
+        k, f = self._raised_at_five()
+        k.run_until_empty()
+        assert f.seen == [(5, "a"), (5, "boom"), (5, "c"), (5, "d"), (7, "e")]
+
+    def test_step_resumes_after_the_raising_event(self):
+        k, f = self._raised_at_five()
+        assert k.step()
+        assert f.seen[-1] == (5, "c")
+        assert k.pending() == 2
+        k.run_until_empty()
+        assert f.seen == [(5, "a"), (5, "boom"), (5, "c"), (5, "d"), (7, "e")]
+
+    def test_raising_last_event_of_an_instant_leaves_the_queue_consistent(self):
+        f = Fragile()
+        k = kernel_with(f)
+        k.schedule(5, "f", "boom")
+        k.schedule(6, "f", "x")
+        with pytest.raises(ValueError):
+            k.step()
+        assert k.pending() == 1
+        k.schedule(5, "f", "y")
+        k.run_until_empty()
+        assert f.seen == [(5, "boom"), (5, "y"), (6, "x")]
 
 
 class TestLinks:
@@ -188,6 +266,151 @@ class TestLinks:
         k.schedule(k.now, "src", "far")
         k.run_until_empty()
         assert dst.seen == [(5, "near"), (55, "far")]
+
+
+class TestJitter:
+    @pytest.mark.parametrize("jitter", [1, 2, 3, 7, 8, 10, 255])
+    def test_delay_draws_as_randrange_does(self, jitter):
+        seed = f"jitter|{jitter}"
+        link, ref = _Link(4, jitter, random.Random(seed)), random.Random(seed)
+        assert [link.delay() for _ in range(1000)] == [4 + ref.randrange(jitter + 1) for _ in range(1000)]
+        assert link.rng.random() == ref.random()
+
+    def test_no_jitter_draws_nothing(self):
+        link, ref = _Link(4, 0, random.Random(1)), random.Random(1)
+        assert {link.delay() for _ in range(10)} == {4}
+        assert link.rng.random() == ref.random()
+
+
+class HeapKernel(Kernel):
+    """Reference kernel: every event in one heap of (time, seq, target, msg),
+    and link jitter drawn with randrange."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self._heap = []
+        self._seq = 0
+
+    def schedule(self, at, target, msg):
+        if at < self.now:
+            raise SimError(f"scheduling in the past: {at} < {self.now}")
+        self._seq += 1
+        heapq.heappush(self._heap, (at, self._seq, target, msg))
+
+    def send(self, from_actor, to_actor, msg):
+        src, dst = self._hosts[from_actor], self._hosts[to_actor]
+        if src == dst:
+            self.schedule(self.now, to_actor, msg)
+            return
+        link = self._links[(src, dst)]
+        delay = link.base + (link.rng.randrange(link.jitter + 1) if link.jitter else 0)
+        link.last_delivery = max(self.now + delay, link.last_delivery)
+        self.schedule(link.last_delivery, to_actor, msg)
+
+    def _pop(self):
+        at, _seq, target, msg = heapq.heappop(self._heap)
+        self.now = at
+        self._actors[target].on_message(self, msg)
+        self._start_pending()
+
+    def run_until(self, t_max=None):
+        self._start_pending()
+        while self._heap:
+            if t_max is not None and self._heap[0][0] > t_max:
+                self.now = t_max
+                return self.now
+            self._pop()
+        if t_max is not None and t_max > self.now:
+            self.now = t_max
+        return self.now
+
+    def step(self):
+        self._start_pending()
+        if not self._heap:
+            return False
+        self._pop()
+        return True
+
+    def pending(self):
+        return len(self._heap)
+
+
+class Scripted(Actor):
+    """On each message below depth 3, runs its actions: ("send", i) sends to
+    actor i, on its node or over a link; ("in", d) schedules itself d ms on.
+    Messages are (sender, sender's count, depth), so a different delivery
+    order gives different messages."""
+
+    def __init__(self, actor_id, actions, trace):
+        self.actor_id = actor_id
+        self.actions = actions
+        self.trace = trace
+        self.sent = 0
+
+    def on_message(self, k, msg):
+        self.trace.append((k.now, self.actor_id, msg))
+        depth = msg[2]
+        if depth >= 3:
+            return
+        for kind, arg in self.actions:
+            self.sent += 1
+            out = (self.actor_id, self.sent, depth + 1)
+            if kind == "send":
+                k.send(self.actor_id, f"a{arg}", out)
+            else:
+                k.schedule_in(arg, self.actor_id, out)
+
+
+_action = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 5)),
+    st.tuples(st.just("in"), st.integers(0, 5)),
+)
+_program = st.fixed_dictionaries(
+    {
+        "nodes": st.integers(2, 3),
+        "links": st.lists(st.tuples(st.integers(1, 4), st.integers(0, 9)), min_size=3, max_size=3),
+        "hosts": st.lists(st.integers(0, 2), min_size=6, max_size=6),
+        "actions": st.lists(st.lists(_action, max_size=3), min_size=6, max_size=6),
+        "initial": st.lists(st.tuples(st.integers(0, 20), st.integers(0, 5)), min_size=1, max_size=12),
+        "driver": st.lists(
+            st.one_of(st.tuples(st.just("run"), st.integers(0, 8)), st.tuples(st.just("step"), st.integers(1, 6))),
+            max_size=8,
+        ),
+        "seed": st.integers(0, 2**16),
+    }
+)
+
+
+def _scripted_trace(kernel_cls, p):
+    """Runs program p on a kernel of class kernel_cls; returns its delivery
+    trace and the clock after each driver call."""
+    k = kernel_cls(seed=p["seed"])
+    nodes = [f"n{i}" for i in range(p["nodes"])]
+    for n in nodes:
+        k.add_node(n)
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
+    for (a, b), (base, jitter) in zip(pairs, p["links"]):
+        k.add_link(a, b, base, jitter)
+    trace, clocks = [], []
+    for i, (host, actions) in enumerate(zip(p["hosts"], p["actions"])):
+        k.register(Scripted(f"a{i}", actions, trace), nodes[host % len(nodes)])
+    for j, (at, target) in enumerate(p["initial"]):
+        k.schedule(at, f"a{target}", ("init", j, 0))
+    for kind, n in p["driver"]:
+        if kind == "run":
+            clocks.append(k.run_until(k.now + n))
+        else:
+            clocks.append([k.step() for _ in range(n)])
+        clocks.append((k.now, k.pending()))
+    clocks.append(k.run_until_empty())
+    return trace, clocks
+
+
+class TestOrderEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(_program)
+    def test_delivery_trace_equals_a_time_seq_heap_kernel(self, p):
+        assert _scripted_trace(Kernel, p) == _scripted_trace(HeapKernel, p)
 
 
 class TestDeterminism:
