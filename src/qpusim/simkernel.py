@@ -115,7 +115,8 @@ class Kernel:
     that has events keeps them in one FIFO list in `_due`; the heap `_times`
     holds each such time once (a calendar queue with one bucket per
     millisecond, Brown, CACM 1988). An event scheduled at the instant being
-    delivered joins the end of that instant's list.
+    delivered joins the end of that instant's list. Handlers must not call
+    `run_until` or `step`: the loop is not re-entrant.
     """
 
     def __init__(self, seed: int | str = 0) -> None:
