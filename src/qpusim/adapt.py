@@ -7,7 +7,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .core import HyperRegion, Interval, RawValue
 from .indexing import ControlDone, IndexQpu, MergeCmd, SplitCmd
@@ -98,60 +98,9 @@ class LoadTracker:
         return [] if window is None else window.samples(now, attr)
 
 
-@dataclass
-class RegionNode:
-    """Vertex of one index tree: a QPU, the region it owns, and its children."""
-
-    qpu_id: str
-    region: HyperRegion
-    children: list["RegionNode"] = field(default_factory=list)
-    parent: "RegionNode | None" = None
-
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def leaves(self) -> list["RegionNode"]:
-        if self.is_leaf():
-            return [self]
-        out: list[RegionNode] = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return out
-
-    def internal(self) -> list["RegionNode"]:
-        if self.is_leaf():
-            return []
-        out = [self]
-        for child in self.children:
-            out.extend(child.internal())
-        return out
-
-    def find(self, qpu_id: str) -> "RegionNode | None":
-        if self.qpu_id == qpu_id:
-            return self
-        for child in self.children:
-            hit = child.find(qpu_id)
-            if hit is not None:
-                return hit
-        return None
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    qpu_id: str
-    dim: str
-    plane: RawValue
-
-
-@dataclass(frozen=True)
-class MergePlan:
-    qpu_id: str
-    children: tuple[str, ...]
-
-
 def choose_split(
     leaf: IndexQpu, load: int, samples_by_dim: dict[str, list[RawValue]], t_split: int
-) -> SplitPlan | None:
+) -> SplitCmd | None:
     """Split decision for one leaf: gate on windowed load, pick the dimension
     with the widest queried-point spread (distinct sample count; tie-break by
     name), and cut at the sample median snapped to an indexed value boundary.
@@ -180,7 +129,7 @@ def choose_split(
     else:
         idx = bisect_left(eligible, target)
         plane = eligible[idx] if idx < len(eligible) else eligible[-1]
-    return SplitPlan(leaf.qpu_id, dim, plane)
+    return SplitCmd(leaf.qpu_id, dim, plane)
 
 
 def rebalance_placement(
@@ -209,19 +158,30 @@ def rebalance_placement(
     return assignment, over
 
 
+def split_children(unit: IndexQpu) -> list[str]:
+    """The split children of one unit of an index tree: its connections while
+    it is INTERNAL or MERGING, none while it is a leaf."""
+    if unit.mode in (IndexQpu.INTERNAL, IndexQpu.MERGING):
+        return [c.to for c in unit.connections]
+    return []
+
+
 class AdaptiveController(Actor):
     """Sequential control loop over the index trees it manages.
 
     Each period it inspects leaf load windows and issues at most one split or
     merge per tree, waiting for the owner QPU to acknowledge completion before
-    planning the next action. It never mutates QPU state directly.
+    planning the next action. It never mutates QPU state directly, and it
+    keeps no copy of a tree: it walks each one from its root through the
+    units' split children (`split_children`), on the kernel it runs on.
     """
 
     def __init__(
         self,
         controller_id: str,
+        kernel: Kernel,
         tracker: LoadTracker,
-        roots: list[RegionNode],
+        roots: list[str],
         *,
         t_split: int = 100,
         t_merge: int = 20,
@@ -230,16 +190,16 @@ class AdaptiveController(Actor):
         capacities: dict[str, float] | None = None,
     ) -> None:
         self.actor_id = controller_id
+        self.kernel = kernel
         self.tracker = tracker
-        self.roots = {r.qpu_id: r for r in roots}
+        self.roots = sorted(roots)
         self.t_split = t_split
         self.t_merge = t_merge
         self.period_ms = period_ms
         self.rebalance = rebalance
         self.capacities = capacities or {}
         self.active = True
-        self.busy: set[str] = set()
-        self._owner: dict[str, str] = {}
+        self.in_flight: dict[str, SplitCmd | MergeCmd] = {}
 
     def on_start(self, k: Kernel) -> None:
         k.schedule_in(self.period_ms, self.actor_id, Tick("control"))
@@ -247,8 +207,18 @@ class AdaptiveController(Actor):
     def stop(self) -> None:
         self.active = False
 
+    def units(self, root_id: str) -> Iterator[IndexQpu]:
+        """Every unit of one index tree, depth first, children in split order."""
+        unit: IndexQpu = self.kernel.actor(root_id)  # type: ignore[assignment]
+        yield unit
+        for child in split_children(unit):
+            yield from self.units(child)
+
+    def leaves(self, root_id: str) -> list[IndexQpu]:
+        return [u for u in self.units(root_id) if not split_children(u)]
+
     def sends_to(self) -> list[str]:
-        return [n.qpu_id for root in self.roots.values() for n in (*root.internal(), *root.leaves())]
+        return [u.qpu_id for root_id in self.roots for u in self.units(root_id)]
 
     def on_message(self, k: Kernel, msg: Any) -> None:
         if isinstance(msg, Tick) and msg.label == "control":
@@ -263,83 +233,66 @@ class AdaptiveController(Actor):
     # -- planning -------------------------------------------------------------
 
     def control_step(self, k: Kernel) -> None:
-        for root_id in sorted(self.roots):
-            if root_id in self.busy:
+        for root_id in self.roots:
+            if root_id in self.in_flight:
                 continue
-            root = self.roots[root_id]
-            self._emit_loads(k, root)
-            plan = self._plan_split(k, root) or self._plan_merge(k, root)
-            if plan is None:
+            loads = {leaf.qpu_id: self.tracker.load(leaf.qpu_id, k.now) for leaf in self.leaves(root_id)}
+            for qpu_id, load in loads.items():
+                k.probes.emit({"type": "load", "qpu": qpu_id, "window": load})
+            cmd = self._plan_split(k, loads) or self._plan_merge(root_id, loads)
+            if cmd is None:
                 continue
-            self.busy.add(root_id)
-            if isinstance(plan, SplitPlan):
-                self._owner[plan.qpu_id] = root_id
+            self.in_flight[root_id] = cmd
+            if isinstance(cmd, SplitCmd):
                 k.probes.record_control(
-                    {"action": "split_requested", "qpu": plan.qpu_id, "dim": plan.dim, "plane": plan.plane}
+                    {"action": "split_requested", "qpu": cmd.parent, "dim": cmd.dim, "plane": cmd.plane}
                 )
-                k.send(self.actor_id, plan.qpu_id, SplitCmd(plan.qpu_id, (plan.dim, plan.plane)))
             else:
-                self._owner[plan.qpu_id] = root_id
-                k.probes.record_control({"action": "merge_requested", "qpu": plan.qpu_id})
-                k.send(self.actor_id, plan.qpu_id, MergeCmd(plan.children))
+                k.probes.record_control({"action": "merge_requested", "qpu": cmd.parent})
+            k.send(self.actor_id, cmd.parent, cmd)
         if self.rebalance:
             self._rebalance(k)
 
-    def _emit_loads(self, k: Kernel, root: RegionNode) -> None:
-        for leaf in root.leaves():
-            k.probes.emit({"type": "load", "qpu": leaf.qpu_id, "window": self.tracker.load(leaf.qpu_id, k.now)})
-
-    def _plan_split(self, k: Kernel, root: RegionNode) -> SplitPlan | None:
-        candidates: list[tuple[int, str, RegionNode]] = []
-        for leaf in root.leaves():
-            load = self.tracker.load(leaf.qpu_id, k.now)
-            if load >= self.t_split:
-                candidates.append((-load, leaf.qpu_id, leaf))
-        for _, qpu_id, leaf in sorted(candidates, key=lambda c: (c[0], c[1])):
-            actor = k.actor(qpu_id)
-            if not isinstance(actor, IndexQpu):
-                continue
-            samples = {dim: self.tracker.samples(qpu_id, k.now, dim) for dim in actor.indexed_attrs}
-            plan = choose_split(actor, self.tracker.load(qpu_id, k.now), samples, self.t_split)
-            if plan is not None:
-                return plan
+    def _plan_split(self, k: Kernel, loads: dict[str, int]) -> SplitCmd | None:
+        """A split of the hottest leaf at or above t_split that can be split."""
+        for neg_load, qpu_id in sorted((-load, q) for q, load in loads.items() if load >= self.t_split):
+            leaf: IndexQpu = k.actor(qpu_id)  # type: ignore[assignment]
+            samples = {dim: self.tracker.samples(qpu_id, k.now, dim) for dim in leaf.indexed_attrs}
+            cmd = choose_split(leaf, -neg_load, samples, self.t_split)
+            if cmd is not None:
+                return cmd
             k.probes.emit({"type": "control_skipped", "qpu": qpu_id, "reason": "indivisible"})
         return None
 
-    def _plan_merge(self, k: Kernel, root: RegionNode) -> MergePlan | None:
-        for node in sorted(root.internal(), key=lambda n: n.qpu_id):
-            if not all(child.is_leaf() for child in node.children):
-                continue
-            if any(self.tracker.load(c.qpu_id, k.now) > self.t_merge for c in node.children):
-                continue
-            actor = k.actor(node.qpu_id)
-            if isinstance(actor, IndexQpu) and actor.mode == IndexQpu.INTERNAL:
-                return MergePlan(node.qpu_id, tuple(c.qpu_id for c in node.children))
+    def _plan_merge(self, root_id: str, loads: dict[str, int]) -> MergeCmd | None:
+        """A merge of the first unit, by id, whose children are all leaves at
+        or below t_merge. No command is in flight in the tree, so every
+        interior unit is INTERNAL."""
+        for unit in sorted(self.units(root_id), key=lambda u: u.qpu_id):
+            children = split_children(unit)
+            if children and all(c in loads and loads[c] <= self.t_merge for c in children):
+                return MergeCmd(unit.qpu_id, tuple(children))
         return None
 
     def _done(self, k: Kernel, msg: ControlDone) -> None:
-        root_id = self._owner.pop(msg.qpu, None)
-        if root_id is not None:
-            self.busy.discard(root_id)
-        node = None
-        for root in self.roots.values():
-            node = root.find(msg.qpu)
-            if node is not None:
-                break
-        if node is None:
+        """Records a completed command and frees its tree. A split's children
+        are read from the unit, a merge's retired children from the command.
+        A ControlDone answering no command of this controller's (a unit
+        driven by hand) frees nothing and is not recorded."""
+        root_id = next((r for r, cmd in self.in_flight.items() if cmd.parent == msg.qpu), None)
+        if root_id is None:
             return
-        if msg.action == "split":
-            node.children = [RegionNode(cid, region, parent=node) for cid, region in msg.children]
-            k.probes.record_control({"action": "split", "qpu": msg.qpu, "children": [cid for cid, _ in msg.children]})
-        elif msg.action == "merge":
-            retired = [c.qpu_id for c in node.children]
-            node.children = []
-            k.probes.record_control({"action": "merge", "qpu": msg.qpu, "retired": retired})
+        cmd = self.in_flight.pop(root_id)
+        if isinstance(cmd, SplitCmd):
+            children = split_children(k.actor(msg.qpu))  # type: ignore[arg-type]
+            k.probes.record_control({"action": "split", "qpu": msg.qpu, "children": children})
+        else:
+            k.probes.record_control({"action": "merge", "qpu": msg.qpu, "retired": list(cmd.children)})
 
     # -- placement ---------------------------------------------------------------
 
     def _rebalance(self, k: Kernel) -> None:
-        qpus = sorted({leaf.qpu_id for root in self.roots.values() for leaf in root.leaves()})
+        qpus = sorted({leaf.qpu_id for root_id in self.roots for leaf in self.leaves(root_id)})
         if not qpus or not self.capacities:
             return
         loads = {q: float(self.tracker.load(q, k.now)) for q in qpus}

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .adapt import AdaptiveController, LoadTracker, RegionNode
+from .adapt import AdaptiveController, LoadTracker
 from .config import ConfigError, TopologyConfig, adaptive_roots, controller_node, nearest_full_dc, parse_region
 from .core import HyperRegion
 from .indexing import FilterQpu, IndexQpu, MergeQpu
@@ -23,7 +23,6 @@ class Network:
     topology: TopologyConfig
     replicas: dict[str, DcReplica]
     qpus: dict[str, object]
-    tracker: LoadTracker
     controller: AdaptiveController | None = None
     filters: list[FilterQpu] = field(default_factory=list)
     caches: list[CacheQpu] = field(default_factory=list)
@@ -154,16 +153,15 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
         coverage = c.coverage if c.coverage is not None else HyperRegion.full(schema)
         qpus[c.src].connect(Connection(c.dst, coverage))  # type: ignore[attr-defined]
 
-    tracker = LoadTracker(cfg.adaptive.window_buckets, cfg.adaptive.bucket_ms)
-    k.probes.load_hook = tracker.record
-
     controller = None
     if adaptive_on:
-        root_nodes = [RegionNode(r, qpus[r].region) for r in adaptive_roots(cfg)]  # type: ignore[attr-defined]
+        tracker = LoadTracker(cfg.adaptive.window_buckets, cfg.adaptive.bucket_ms)
+        k.probes.load_hook = tracker.record
         controller = AdaptiveController(
             CONTROLLER_ID,
+            k,
             tracker,
-            root_nodes,
+            adaptive_roots(cfg),
             t_split=cfg.adaptive.t_split,
             t_merge=cfg.adaptive.t_merge,
             period_ms=cfg.adaptive.period_buckets * cfg.adaptive.bucket_ms,
@@ -173,4 +171,4 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
         # validate_topology rejects an adaptive topology without such a node
         k.register(controller, controller_node(cfg))
 
-    return Network(k, cfg, replicas, qpus, tracker, controller, filters, caches)
+    return Network(k, cfg, replicas, qpus, controller, filters, caches)

@@ -527,6 +527,15 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
                 errors.append(f"adaptive.roots: {r!r} is not an indexing QPU")
         if controller_node(cfg) is None:
             errors.append("adaptive: no node is linked to every index root")
+        roots = set(adaptive_roots(cfg))
+        replica_caches = {q.id for q in cfg.qpus if q.cls == "cache" and q.params.get("mode") == "replica"}
+        for c in cfg.connections:
+            if c.src in roots:
+                # a split replaces a root's connections with its children
+                errors.append(f"adaptive: root {c.src!r} has a connection to {c.dst!r}, which a split would drop")
+            if c.dst in roots and c.src in replica_caches:
+                # a split clears the root's index, and the root still answers pulls from it
+                errors.append(f"qpus({c.src}): a replica cache cannot pull from adaptive root {c.dst!r}")
 
     return errors
 

@@ -48,10 +48,12 @@ class IndexUpdate(NamedTuple):
     ops: tuple[StampedOp, ...]
 
 
-# control-plane messages for adaptive re-partitioning
+# control-plane messages for adaptive re-partitioning; a command names the
+# unit it is sent to
 class SplitCmd(NamedTuple):
     parent: str
-    plane: tuple[str, RawValue]
+    dim: str
+    plane: RawValue
 
 
 class Handoff(NamedTuple):
@@ -64,6 +66,7 @@ class HandoffAck(NamedTuple):
 
 
 class MergeCmd(NamedTuple):
+    parent: str
     children: tuple[str, ...]
 
 
@@ -74,7 +77,6 @@ class Retire(NamedTuple):
 class ControlDone(NamedTuple):
     qpu: str
     action: str
-    children: tuple[tuple[str, HyperRegion], ...] = ()
 
 
 class PostingIndex(PostingSets):
@@ -342,6 +344,11 @@ class IndexQpu(QpuBase):
     outside its region is missing. During a handoff the retained index
     keeps answering, so re-partitioning never leaves a coverage gap; during
     a merge queries wait until the children's rows are absorbed.
+
+    The units are the one record of an index tree's shape. While a unit is
+    INTERNAL or MERGING, its connections are exactly its split children
+    (`check-config` gives an adaptive root no configured connections); in
+    every other mode it is a leaf of its tree.
     """
 
     LEAF = "leaf"
@@ -371,7 +378,7 @@ class IndexQpu(QpuBase):
         self._out = UpdateSender(qpu_id)
         self._buffered_updates: list[IndexUpdate] = []
         self._buffered_queries: list[QueryMsg] = []
-        self._pending_children: list[tuple[str, HyperRegion]] = []
+        self._pending_children: list[Connection] = []
         self._handoff_waiting: set[str] = set()
         self._merge_waiting: int = 0
         self._split_count = 0
@@ -481,8 +488,7 @@ class IndexQpu(QpuBase):
     def _start_split(self, k: Kernel, cmd: SplitCmd) -> None:
         if self.mode != self.LEAF:
             raise RuntimeError(f"{self.qpu_id}: split requested while {self.mode}")
-        dim, plane = cmd.plane
-        low, high = self.region.split(dim, plane)
+        low, high = self.region.split(cmd.dim, cmd.plane)
         self._split_count += 1
         self.mode = self.HANDOFF
         self._handoff_waiting = set()
@@ -503,7 +509,7 @@ class IndexQpu(QpuBase):
             )
             k.register(child, node)
             self._handoff_waiting.add(child_id)
-            self._pending_children.append((child_id, child_region))
+            self._pending_children.append(Connection(child_id, child_region))
             rows = [row for row in all_rows if row[1] is None or child_region.contains(row[1])]
             snap = IndexSnapshot(child_region, tuple(rows))
             k.send(self.qpu_id, child_id, Handoff(snap, self.qpu_id))
@@ -516,18 +522,14 @@ class IndexQpu(QpuBase):
         self._handoff_waiting.discard(child_id)
         if self._handoff_waiting:
             return
-        self.connections = [Connection(cid, region) for cid, region in self._pending_children]
+        self.connections = self._pending_children
         self.mode = self.INTERNAL
         self.index.clear()
         buffered, self._buffered_updates = self._buffered_updates, []
         for u in buffered:
             self.handle_update(k, u)
         if self.controller is not None:
-            k.send(
-                self.qpu_id,
-                self.controller,
-                ControlDone(self.qpu_id, "split", tuple(self._pending_children)),
-            )
+            k.send(self.qpu_id, self.controller, ControlDone(self.qpu_id, "split"))
 
     # -- merge -----------------------------------------------------------------------
 

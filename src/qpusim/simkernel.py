@@ -240,8 +240,11 @@ class Kernel:
         An empty queue is quiescence: every write replicated and every update
         applied, the state all "after quiescence" properties are checked in.
         An event whose handler raises is consumed; the rest of its instant
-        stays queued for the next call.
+        stays queued for the next call. A t_max before now is an error: the
+        clock never runs backwards.
         """
+        if t_max is not None and t_max < self.now:
+            raise SimError(f"run_until({t_max}) is before now ({self.now})")
         self._start_pending()
         times, due = self._times, self._due
         while times:
@@ -263,7 +266,7 @@ class Kernel:
                     self._drop_time(at)
                 raise
             self._drop_time(at)
-        if t_max is not None and t_max > self.now:
+        if t_max is not None:
             self.now = t_max
         return self.now
 

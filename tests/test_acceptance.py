@@ -173,7 +173,7 @@ class TestCriterion4SplitMergeConservation:
         # immediate merge with no intervening writes must restore the registry
         net.controller.stop()
         children = tuple(c.to for c in root.connections)
-        k.schedule(k.now, "iq", MergeCmd(children))
+        k.schedule(k.now, "iq", MergeCmd("iq", children))
         while root.mode != IndexQpu.LEAF:
             assert k.step(), "merge never completed"
         assert root.index.registry_bytes() == pre_bytes
@@ -198,13 +198,13 @@ class TestCriterion5AdaptiveResponsiveness:
         assert run_until_split(net, deadline=load_onset + 2 * period), "split must fire within 2 control periods"
         split_t = control_actions(k, "split")[0]["t"]
         assert split_t <= load_onset + 2 * period
+        tracker = net.controller.tracker
         pre_split_load = max(
-            net.tracker.load(q, split_t) for q in net.tracker.windows
+            tracker.load(q, split_t) for q in tracker.windows
         )
         # two more periods of the same workload against the children
         k.run_until(split_t + 2 * period)
-        tree = net.controller.roots["iq"]
-        leaf_loads = {leaf.qpu_id: net.tracker.load(leaf.qpu_id, k.now) for leaf in tree.leaves()}
+        leaf_loads = {leaf.qpu_id: tracker.load(leaf.qpu_id, k.now) for leaf in net.controller.leaves("iq")}
         assert max(leaf_loads.values()) < pre_split_load
         net.controller.stop()
         net.stop_periodic()

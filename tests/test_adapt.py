@@ -9,9 +9,9 @@ from qpusim.adapt import (
     AdaptiveController,
     LoadTracker,
     LoadWindow,
-    RegionNode,
     choose_split,
     rebalance_placement,
+    split_children,
 )
 from qpusim.core import Kind, Predicate, Query, Version
 from qpusim.indexing import FilterQpu, IndexQpu, MergeCmd, SplitCmd
@@ -154,7 +154,7 @@ class TestSplitExecution:
         k, rep, root, cl = self.build()
         self.seed_objects(k, rep, 100)
         before = dict(root.index.registry)
-        k.schedule(k.now, "root", SplitCmd("root", ("size", 100)))
+        k.schedule(k.now, "root", SplitCmd("root", "size", 100))
         k.run_until_empty()
         assert root.mode == IndexQpu.INTERNAL
         kids = [k.actor(c.to) for c in root.connections]
@@ -178,7 +178,7 @@ class TestSplitExecution:
         self.seed_objects(k, rep, 80)
         queries = [q_range(0, 60), q_range(50, 150), q_range(120, 260)]
         before = [frozenset(e[0] for e in run_query(k, cl, "root", q).entries) for q in queries]
-        k.schedule(k.now, "root", SplitCmd("root", ("size", 100)))
+        k.schedule(k.now, "root", SplitCmd("root", "size", 100))
         k.run_until_empty()
         after = [frozenset(e[0] for e in run_query(k, cl, "root", q).entries) for q in queries]
         assert before == after
@@ -187,7 +187,7 @@ class TestSplitExecution:
         # a query arriving while the parent is mid-handoff is still answered
         k, rep, root, cl = self.build()
         self.seed_objects(k, rep, 40)
-        k.schedule(k.now, "root", SplitCmd("root", ("size", 100)))
+        k.schedule(k.now, "root", SplitCmd("root", "size", 100))
         k.schedule(k.now, "root", QueryMsg("mid", q_range(0, 300), "client"))
         while "mid" not in cl.responses:
             k.step()
@@ -196,7 +196,7 @@ class TestSplitExecution:
     def test_writes_during_handoff_reach_children(self):
         k, rep, root, cl = self.build()
         self.seed_objects(k, rep, 10)
-        k.schedule(k.now, "root", SplitCmd("root", ("size", 100)))
+        k.schedule(k.now, "root", SplitCmd("root", "size", 100))
         rep.put(k, "fresh", {"size": 5})
         k.run_until_empty()
         kids = {c.to: k.actor(c.to) for c in root.connections}
@@ -212,7 +212,7 @@ class TestMergeExecution:
         self.log = record_log(k, rep)
         t.seed_objects(k, rep, 60)
         pre_bytes = root.index.registry_bytes()
-        k.schedule(k.now, "root", SplitCmd("root", ("size", 100)))
+        k.schedule(k.now, "root", SplitCmd("root", "size", 100))
         k.run_until_empty()
         if writes_between:
             rng = random.Random(9)
@@ -220,7 +220,7 @@ class TestMergeExecution:
                 rep.put(k, f"k{rng.randrange(80)}", {"size": rng.randrange(200)})
             k.run_until_empty()
         children = tuple(c.to for c in root.connections)
-        k.schedule(k.now, "root", MergeCmd(children))
+        k.schedule(k.now, "root", MergeCmd("root", children))
         k.run_until_empty()
         return k, rep, root, cl, pre_bytes
 
@@ -246,10 +246,10 @@ class TestMergeExecution:
         t = TestSplitExecution()
         k, rep, root, cl = t.build()
         t.seed_objects(k, rep, 30)
-        k.schedule(k.now, "root", SplitCmd("root", ("size", 100)))
+        k.schedule(k.now, "root", SplitCmd("root", "size", 100))
         k.run_until_empty()
         children = tuple(c.to for c in root.connections)
-        k.schedule(k.now, "root", MergeCmd(children))
+        k.schedule(k.now, "root", MergeCmd("root", children))
         k.schedule(k.now, "root", QueryMsg("during", q_range(0, 300), "client"))
         k.run_until_empty()
         assert "during" in cl.responses
@@ -268,9 +268,7 @@ def controller_net(*, t_split=50, t_merge=20, period_ms=200, window_buckets=10, 
     k.register(flt, "n")
     tracker = LoadTracker(window_buckets, bucket_ms)
     k.probes.load_hook = tracker.record
-    ctl = AdaptiveController(
-        "ctl", tracker, [RegionNode("root", FULL)], t_split=t_split, t_merge=t_merge, period_ms=period_ms
-    )
+    ctl = AdaptiveController("ctl", k, tracker, ["root"], t_split=t_split, t_merge=t_merge, period_ms=period_ms)
     k.register(ctl, "n")
     cl = Client()
     k.register(cl, "n")
@@ -302,8 +300,7 @@ class TestController:
         assert splits, "expected a split within two control periods"
         assert splits[0]["t"] <= 400
         assert root.mode == IndexQpu.INTERNAL
-        tree = ctl.roots["root"]
-        assert len(tree.children) == 2
+        assert len(split_children(root)) == 2
 
     def test_no_control_action_under_uniform_low_load(self):
         k, rep, root, ctl, tracker, cl = controller_net(t_split=50, period_ms=100)
@@ -568,3 +565,65 @@ class TestControllerPlacement:
         assert err.value.errors == ["adaptive: no node is linked to every index root"]
         t["adaptive"]["enabled"] = False
         parse_topology(t)
+
+
+class TestControllerOnAnotherNode:
+    """The controller on node c, 80 ms from the tree on n, with a 100 ms
+    period: a ControlDone is still on its way when the next period comes.
+    The controller reads the tree from the units, so in that gap it already
+    sees the tree the units have, not the one its last record describes."""
+
+    def build(self):
+        k = Kernel(seed=0)
+        MetricsSink(k)
+        for node in ("z", "n", "c", "x"):
+            k.add_node(node)
+        k.add_link("z", "n", 1)  # replica and filter reach only the tree's node
+        k.add_link("n", "c", 80)
+        k.add_link("n", "x", 1)
+        k.add_link("c", "x", 1)
+        rep = DcReplica("dc1", SCHEMA)
+        k.register(rep, "z")
+        k.register(FilterQpu("flt", rep, [("root", FULL)]), "z")
+        root = IndexQpu("root", FULL, recheck_replica=rep, controller="ctl")
+        k.register(root, "n")
+        tracker = LoadTracker(10, 100)
+        k.probes.load_hook = tracker.record
+        ctl = AdaptiveController(
+            "ctl", k, tracker, ["root"], t_split=50, t_merge=20, period_ms=100,
+            rebalance=True, capacities={"n": 10.0, "x": 100.0},
+        )
+        k.register(ctl, "c")
+        cl = Client()
+        k.register(cl, "n")
+        for i in range(30):
+            rep.put(k, f"k{i}", {"size": i})
+        for i in range(60):
+            k.schedule(50 + i % 50, "root", QueryMsg(f"q{i}", q_point(i % 30), "client"))
+        return k, root, ctl, cl
+
+    def test_rebalance_in_the_gap_places_the_current_leaves(self):
+        k, root, ctl, cl = self.build()
+        k.run_until(200)  # split asked at 100, done at 180; its ControlDone lands at 260
+        children = ["root.s1a", "root.s1b"]
+        assert [r["t"] for r in control_actions(k, "split_requested")] == [100]
+        assert root.mode == IndexQpu.INTERNAL and control_actions(k, "split") == []
+        assert ctl.sends_to() == ["root", *children]
+        # the period at 200 rebalances the children; the root, whose
+        # filter's node is linked only to n, stays
+        assert [(r["t"], r["qpu"], r["node"]) for r in control_actions(k, "rebind")] == [
+            (200, c, "x") for c in children
+        ]
+        k.run_until(300)
+        assert [(r["t"], r["children"]) for r in control_actions(k, "split")] == [(260, children)]
+
+        k.run_until(400)  # merge asked at 300, done at 382; its ControlDone lands at 462
+        assert [r["t"] for r in control_actions(k, "merge_requested")] == [300]
+        assert root.mode == IndexQpu.LEAF and control_actions(k, "merge") == []
+        assert ctl.sends_to() == ["root"]
+        k.run_until(500)
+        assert [(r["t"], r["retired"]) for r in control_actions(k, "merge")] == [(462, children)]
+        assert ctl.sends_to() == ["root"]
+        ctl.stop()
+        k.run_until_empty()
+        assert len(run_query(k, cl, "root", q_range(0, 30)).entries) == 30

@@ -771,6 +771,41 @@ class TestCli:
         assert self._check_config(tmp_path, topology, doc) == 1
         assert "config error: phases[0].attributes.size: uniform width hi - lo is beyond the float range" in capsys.readouterr().err
 
+    def test_adaptive_root_with_a_connection_is_config_error(self, tmp_path, capsys):
+        """adaptive-skew with iq over size < 100 routing size >= 100 to iq2.
+        A split replaced iq's connections with its children, and a merge
+        cleared them, so the route to iq2 was gone for good: validate found
+        347 key-set mismatches at seed 0 on queries uniform over 0-200."""
+        topology, workload = scenario("adaptive-skew")
+        topology["qpus"][1]["region"] = {"size": [None, 100]}
+        topology["qpus"].append(
+            {"id": "iq2", "class": "index", "node": "query", "region": {"size": [100, None]}, "recheck_dc": "dc1"}
+        )
+        topology["qpus"][0]["targets"].append({"qpu": "iq2"})
+        topology["connections"] = [{"from": "iq", "to": "iq2"}]
+        assert self._check_config(tmp_path, topology, workload) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: adaptive: root 'iq' has a connection to 'iq2', which a split would drop"
+        ]
+        topology["adaptive"]["roots"] = []  # every index QPU is a root, iq2 too
+        assert self._check_config(tmp_path, topology, workload) == 1
+        assert "root 'iq' has a connection to 'iq2'" in capsys.readouterr().err
+
+    def test_replica_cache_pulling_from_an_adaptive_root_is_config_error(self, tmp_path, capsys):
+        """client-cache with mq adaptive. A split cleared mq's index, and mq
+        still answered pulls, so rc1 installed an empty snapshot: at seed 0,
+        with mq also queried at 4x the rate, rc1 answered all its queries
+        from 9.0 to 12 s with 0 rows marked complete, while mq answered 2-90."""
+        topology, workload = scenario("client-cache")
+        topology["adaptive"] = {"enabled": True, "roots": ["mq"], "t_split": 20, "t_merge": 5}
+        assert self._check_config(tmp_path, topology, workload) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: qpus(rc1): a replica cache cannot pull from adaptive root 'mq'",
+            "config error: qpus(rc2): a replica cache cannot pull from adaptive root 'mq'",
+        ]
+        topology["adaptive"]["roots"] = ["iq1"]
+        assert self._check_config(tmp_path, topology, workload) == 0
+
     def test_missing_file_exits_1(self, capsys):
         assert self.run_cli("check-config", "--topology", "/nonexistent.json") == 1
 

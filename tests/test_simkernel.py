@@ -104,6 +104,23 @@ class TestScheduling:
         with pytest.raises(SimError):
             k.schedule(1, "r", "late")
 
+    def test_running_until_a_time_before_now_is_an_error(self):
+        """run_until(5) after run_until(12) once set the clock back to 5, so
+        an event scheduled at 7 was delivered after the one at 10."""
+        rec = Recorder("r")
+        k = kernel_with(rec)
+        k.schedule(10, "r", "a")
+        k.schedule(20, "r", "b")
+        assert k.run_until(12) == 12
+        with pytest.raises(SimError):
+            k.run_until(5)
+        assert k.now == 12
+        with pytest.raises(SimError):
+            k.schedule(7, "r", "late")
+        assert k.run_until(12) == 12
+        assert k.run_until_empty() == 20
+        assert rec.seen == [(10, "a"), (20, "b")]
+
     def test_heartbeat_stops_at_t_max(self):
         hb = Heartbeat()
         k = kernel_with(hb)
