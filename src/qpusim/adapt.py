@@ -158,14 +158,6 @@ def rebalance_placement(
     return assignment, over
 
 
-def split_children(unit: IndexQpu) -> list[str]:
-    """The split children of one unit of an index tree: its connections while
-    it is INTERNAL or MERGING, none while it is a leaf."""
-    if unit.mode in (IndexQpu.INTERNAL, IndexQpu.MERGING):
-        return [c.to for c in unit.connections]
-    return []
-
-
 class AdaptiveController(Actor):
     """Sequential control loop over the index trees it manages.
 
@@ -173,7 +165,8 @@ class AdaptiveController(Actor):
     merge per tree, waiting for the owner QPU to acknowledge completion before
     planning the next action. It never mutates QPU state directly, and it
     keeps no copy of a tree: it walks each one from its root through the
-    units' split children (`split_children`), on the kernel it runs on.
+    units' split children (`IndexQpu.split_children`), on the kernel it runs
+    on.
     """
 
     def __init__(
@@ -211,11 +204,11 @@ class AdaptiveController(Actor):
         """Every unit of one index tree, depth first, children in split order."""
         unit: IndexQpu = self.kernel.actor(root_id)  # type: ignore[assignment]
         yield unit
-        for child in split_children(unit):
+        for child in unit.split_children():
             yield from self.units(child)
 
     def leaves(self, root_id: str) -> list[IndexQpu]:
-        return [u for u in self.units(root_id) if not split_children(u)]
+        return [u for u in self.units(root_id) if not u.split_children()]
 
     def sends_to(self) -> list[str]:
         return [u.qpu_id for root_id in self.roots for u in self.units(root_id)]
@@ -269,7 +262,7 @@ class AdaptiveController(Actor):
         or below t_merge. No command is in flight in the tree, so every
         interior unit is INTERNAL."""
         for unit in sorted(self.units(root_id), key=lambda u: u.qpu_id):
-            children = split_children(unit)
+            children = unit.split_children()
             if children and all(c in loads and loads[c] <= self.t_merge for c in children):
                 return MergeCmd(unit.qpu_id, tuple(children))
         return None
@@ -284,7 +277,7 @@ class AdaptiveController(Actor):
             return
         cmd = self.in_flight.pop(root_id)
         if isinstance(cmd, SplitCmd):
-            children = split_children(k.actor(msg.qpu))  # type: ignore[arg-type]
+            children = k.actor(msg.qpu).split_children()  # type: ignore[attr-defined]
             k.probes.record_control({"action": "split", "qpu": msg.qpu, "children": children})
         else:
             k.probes.record_control({"action": "merge", "qpu": msg.qpu, "retired": list(cmd.children)})

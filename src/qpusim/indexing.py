@@ -75,8 +75,9 @@ class Retire(NamedTuple):
 
 
 class ControlDone(NamedTuple):
+    """A command's completion; the controller knows which command it was."""
+
     qpu: str
-    action: str
 
 
 class PostingIndex(PostingSets):
@@ -387,6 +388,13 @@ class IndexQpu(QpuBase):
     def region(self) -> HyperRegion:
         return self.index.region
 
+    def split_children(self) -> list[str]:
+        """This unit's children in its index tree: its connections while it
+        is INTERNAL or MERGING, none while it is a leaf."""
+        if self.mode in (self.INTERNAL, self.MERGING):
+            return [c.to for c in self.connections]
+        return []
+
     def sends_to(self) -> list[str]:
         # connections include split children; the parent gets acks and
         # snapshots. ControlDone replies to the controller's command.
@@ -529,7 +537,7 @@ class IndexQpu(QpuBase):
         for u in buffered:
             self.handle_update(k, u)
         if self.controller is not None:
-            k.send(self.qpu_id, self.controller, ControlDone(self.qpu_id, "split"))
+            k.send(self.qpu_id, self.controller, ControlDone(self.qpu_id))
 
     # -- merge -----------------------------------------------------------------------
 
@@ -562,7 +570,7 @@ class IndexQpu(QpuBase):
         for m in queries:
             self.handle_query(k, m)
         if self.controller is not None:
-            k.send(self.qpu_id, self.controller, ControlDone(self.qpu_id, "merge"))
+            k.send(self.qpu_id, self.controller, ControlDone(self.qpu_id))
 
 
 class MergeQpu(IndexQpu):

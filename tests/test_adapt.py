@@ -11,7 +11,6 @@ from qpusim.adapt import (
     LoadWindow,
     choose_split,
     rebalance_placement,
-    split_children,
 )
 from qpusim.core import Kind, Predicate, Query, Version
 from qpusim.indexing import FilterQpu, IndexQpu, MergeCmd, SplitCmd
@@ -300,7 +299,7 @@ class TestController:
         assert splits, "expected a split within two control periods"
         assert splits[0]["t"] <= 400
         assert root.mode == IndexQpu.INTERNAL
-        assert len(split_children(root)) == 2
+        assert len(root.split_children()) == 2
 
     def test_no_control_action_under_uniform_low_load(self):
         k, rep, root, ctl, tracker, cl = controller_net(t_split=50, period_ms=100)
