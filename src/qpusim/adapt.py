@@ -191,14 +191,10 @@ class AdaptiveController(Actor):
         self.period_ms = period_ms
         self.rebalance = rebalance
         self.capacities = capacities or {}
-        self.active = True
         self.in_flight: dict[str, SplitCmd | MergeCmd] = {}
 
     def on_start(self, k: Kernel) -> None:
-        k.schedule_in(self.period_ms, self.actor_id, Tick("control"))
-
-    def stop(self) -> None:
-        self.active = False
+        k.every(self.period_ms, self.actor_id, "control")
 
     def units(self, root_id: str) -> Iterator[IndexQpu]:
         """Every unit of one index tree, depth first, children in split order."""
@@ -214,10 +210,8 @@ class AdaptiveController(Actor):
         return [u.qpu_id for root_id in self.roots for u in self.units(root_id)]
 
     def on_message(self, k: Kernel, msg: Any) -> None:
-        if isinstance(msg, Tick) and msg.label == "control":
-            if self.active:
-                self.control_step(k)
-                k.schedule_in(self.period_ms, self.actor_id, Tick("control"))
+        if isinstance(msg, Tick):
+            self.control_step(k)
         elif isinstance(msg, ControlDone):
             self._done(k, msg)
         else:

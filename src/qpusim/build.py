@@ -35,14 +35,11 @@ class Network:
         return [self.replicas[d.id] for d in sorted(self.topology.dcs, key=lambda d: d.id) if d.full_replica]
 
     def stop_periodic(self) -> None:
-        """Stops every self-rescheduling actor so the event queue can drain."""
+        """Forwards what the filters still hold and stops the kernel's
+        timers, so the event queue can drain."""
         for f in self.filters:
             f.drain(self.kernel)
-            f.stop()
-        for c in self.caches:
-            c.stop()
-        if self.controller is not None:
-            self.controller.stop()
+        self.kernel.stop_timers()
 
     def max_cache_ttl(self) -> int:
         """The longest response-cache TTL, rounded up to the integer clock."""
@@ -50,14 +47,11 @@ class Network:
 
     def settle_horizon(self) -> int:
         """A conservative virtual-time chunk by which in-flight work makes
-        progress: the longest link round trip across the QPU graph plus every
-        periodic interval in play."""
+        progress: the longest link round trip across the QPU graph plus, for
+        each kind of timer armed on the kernel, its longest period."""
         max_link = max((l.base_latency + l.jitter for l in self.topology.links), default=1)
         depth = len(self.topology.qpus) + 2
-        pulls = max((c.pull_interval or 0 for c in self.caches), default=0)
-        batches = max((f.batch_interval for f in self.filters), default=0)
-        period = self.controller.period_ms if self.controller else 0
-        return 2 * max_link * depth + 2 * (pulls + batches + period) + 100
+        return 2 * max_link * depth + 2 * sum(self.kernel.timers.values()) + 100
 
 
 def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
@@ -113,7 +107,7 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
             qpu = CacheQpu(
                 spec.id,
                 schema,
-                mode=p.get("mode", "response"),
+                pull_from=p.get("pull_from"),
                 capacity=p.get("capacity", 128),
                 ttl=p.get("ttl", 10_000),
                 pull_interval=p.get("pull_interval"),

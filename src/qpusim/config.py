@@ -425,6 +425,7 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
         na, nb = node_of.get(a), node_of.get(b)
         return na is not None and nb is not None and na != nb and frozenset((na, nb)) not in linked
     index_like = {q.id for q in cfg.qpus if q.cls in ("index", "merge")}
+    roots = set(adaptive_roots(cfg)) if cfg.adaptive.enabled else set()
 
     for i, q in enumerate(cfg.qpus):
         path = f"qpus[{i}]({q.id})"
@@ -440,18 +441,34 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
         if q.cls in ("index", "merge"):
             parse_region(p.get("region"), schema, errors, f"{path}.region")
         if q.cls == "cache":
-            mode = p.get("mode", "response")
-            if mode not in ("response", "replica"):
-                errors.append(f"{path}.mode: {mode!r} is not response/replica")
+            if "mode" in p:
+                # an old file's replica cache would otherwise load as a response cache
+                errors.append(f"{path}.mode: not a cache key; a replica cache names pull_from")
             capacity, ttl = p.get("capacity", 128), p.get("ttl", 10_000)
             if not (_is_number(capacity) and capacity >= 1):
                 errors.append(f"{path}.capacity: must be a number >= 1, got {capacity!r}")
             if not (_is_number(ttl) and ttl > 0):
                 errors.append(f"{path}.ttl: must be a positive number, got {ttl!r}")
-            pull = p.get("pull_interval")
-            if mode == "replica" and not (_is_int(pull) and pull > 0):
-                # without one it never pulls, or at 0 re-pulls at one instant forever
-                errors.append(f"{path}.pull_interval: a replica cache needs a positive integer, got {pull!r}")
+            pull_from, pull = p.get("pull_from"), p.get("pull_interval")
+            degree = sum(c.src == q.id for c in cfg.connections)
+            if pull_from is None:
+                if degree != 1:
+                    errors.append(f"qpus({q.id}): a response cache needs exactly one downstream connection")
+                if pull is not None:
+                    errors.append(f"{path}.pull_interval: only a replica cache, one that names pull_from, pulls")
+            else:
+                if degree:
+                    errors.append(f"qpus({q.id}): a replica cache answers from what it pulls and takes no connections")
+                if pull_from not in index_like:
+                    errors.append(f"{path}.pull_from: {pull_from!r} is not an indexing QPU")
+                elif unlinked(q.id, pull_from):
+                    errors.append(f"{path}.pull_from: no link between nodes of {q.id!r} and {pull_from!r}")
+                elif pull_from in roots:
+                    # a split clears the root's index, and the root still answers pulls from it
+                    errors.append(f"qpus({q.id}): a replica cache cannot pull from adaptive root {pull_from!r}")
+                if not (_is_int(pull) and pull > 0):
+                    # without one it never pulls, or at 0 re-pulls at one instant forever
+                    errors.append(f"{path}.pull_interval: a replica cache needs a positive integer, got {pull!r}")
         if q.cls == "filter":
             if p.get("dc") not in dc_ids:
                 errors.append(f"{path}.dc: a filter subscribes to exactly one DC log")
@@ -491,7 +508,6 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
             elif push is not None and unlinked(q.id, push):
                 errors.append(f"{path}.push_to: no link between nodes of {q.id!r} and {push!r}")
 
-    out_degree: dict[str, int] = {}
     for i, c in enumerate(cfg.connections):
         if c.src not in qpu_ids:
             errors.append(f"connections[{i}].from: unknown QPU {c.src!r}")
@@ -499,10 +515,6 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
             errors.append(f"connections[{i}].to: unknown QPU {c.dst!r}")
         if unlinked(c.src, c.dst):
             errors.append(f"connections[{i}]: no link between nodes of {c.src!r} and {c.dst!r}")
-        out_degree[c.src] = out_degree.get(c.src, 0) + 1
-    for q in cfg.qpus:
-        if q.cls == "cache" and out_degree.get(q.id, 0) != 1:
-            errors.append(f"qpus({q.id}): a cache QPU needs exactly one downstream connection")
 
     edges: dict[str, list[str]] = {q.id: [] for q in cfg.qpus}
     for c in cfg.connections:
@@ -527,15 +539,10 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
                 errors.append(f"adaptive.roots: {r!r} is not an indexing QPU")
         if controller_node(cfg) is None:
             errors.append("adaptive: no node is linked to every index root")
-        roots = set(adaptive_roots(cfg))
-        replica_caches = {q.id for q in cfg.qpus if q.cls == "cache" and q.params.get("mode") == "replica"}
         for c in cfg.connections:
             if c.src in roots:
                 # a split replaces a root's connections with its children
                 errors.append(f"adaptive: root {c.src!r} has a connection to {c.dst!r}, which a split would drop")
-            if c.dst in roots and c.src in replica_caches:
-                # a split clears the root's index, and the root still answers pulls from it
-                errors.append(f"qpus({c.src}): a replica cache cannot pull from adaptive root {c.dst!r}")
 
     return errors
 

@@ -291,7 +291,6 @@ class FilterQpu(Actor):
         self.targets = list(targets)
         self.batch_interval = batch_interval
         self.batch_size = batch_size
-        self.active = True
         self._queue: deque[LogEntry] = deque()
         self._out = UpdateSender(qpu_id)
 
@@ -301,7 +300,7 @@ class FilterQpu(Actor):
     def on_start(self, k: Kernel) -> None:
         self.replica.subscribe(k, self.qpu_id, 0)
         if self.batch_interval > 0:
-            k.schedule_in(self.batch_interval, self.qpu_id, Tick("flush"))
+            k.every(self.batch_interval, self.qpu_id, "flush")
 
     def on_message(self, k: Kernel, msg: Any) -> None:
         if isinstance(msg, LogEntry):
@@ -309,10 +308,8 @@ class FilterQpu(Actor):
                 self._queue.append(msg)
             else:
                 self._forward(k, [msg])
-        elif isinstance(msg, Tick) and msg.label == "flush":
+        elif isinstance(msg, Tick):
             self.flush(k)
-            if self.active:
-                k.schedule_in(self.batch_interval, self.qpu_id, Tick("flush"))
         else:
             raise TypeError(f"filter {self.qpu_id} got {type(msg).__name__}")
 
@@ -326,9 +323,6 @@ class FilterQpu(Actor):
         if self._queue:
             self._forward(k, list(self._queue))
             self._queue.clear()
-
-    def stop(self) -> None:
-        self.active = False
 
     def _forward(self, k: Kernel, entries: list[LogEntry]) -> None:
         self._out.route(k, [StampedOp(e.op, e.applied_at) for e in entries], self.targets)

@@ -394,79 +394,63 @@ class FederationQpu(QpuBase):
 
 
 class CacheQpu(QpuBase):
-    """Response cache (LRU + TTL over canonical queries) or, in replica mode,
-    a passive index copy refreshed by periodic pulls from its upstream.
+    """Response cache (LRU + TTL over canonical queries) in front of its one
+    connection, or, when it names `pull_from`, a replica cache: a passive
+    copy of that index or merge unit's index, refreshed every
+    `pull_interval` ms, with no connections.
 
-    A replica cache answers from its own `PostingIndex`. Each pull sends the
-    `seq` of the last installed reply, and the upstream answers with a delta
-    of the rows changed since, which is replayed into the index; a full
-    reply (the first, or one after the upstream was cleared by a split)
-    replaces it."""
+    A replica cache answers through QpuBase's query path, from its own
+    `PostingIndex` (`answer_locally`). Each pull sends the `seq` of the last
+    installed reply, and the upstream answers with a delta of the rows
+    changed since, which is replayed into the index; a full reply (the
+    first, or one after the upstream was cleared by a split) replaces it.
+    `mode` names which of the two the cache is."""
 
     def __init__(
         self,
         qpu_id: str,
         indexed_attrs: Iterable[str],
         *,
-        mode: str = "response",
+        pull_from: str | None = None,
         capacity: int = 128,
         ttl: int = 10_000,
         pull_interval: int | None = None,
         **kw,
     ) -> None:
         super().__init__(qpu_id, indexed_attrs, **kw)
-        if mode not in ("response", "replica"):
-            raise ValueError(f"unknown cache mode {mode!r}")
-        self.mode = mode
+        self.pull_from = pull_from
+        self.mode = "response" if pull_from is None else "replica"
         self.capacity = capacity
         self.ttl = ttl
         self.pull_interval = pull_interval
-        self.active = True
         self.hits = 0
         self.misses = 0
         self._cache: OrderedDict[tuple, tuple[int, ResponseMsg]] = OrderedDict()
         self._fills: dict[str, tuple] = {}
         self._index: PostingIndex | None = None
         self._snapshot: IndexSnapshot | None = None  # last installed pull reply
-        self.pulls = 0
 
     # -- shared -------------------------------------------------------------
 
-    def _downstream(self) -> Connection:
-        if len(self.connections) != 1:
-            raise RuntimeError(f"cache {self.qpu_id} needs exactly one downstream connection")
-        return self.connections[0]
+    def sends_to(self) -> list[str]:
+        source = [] if self.pull_from is None else [self.pull_from]
+        return super().sends_to() + source
 
     def on_start(self, k: Kernel) -> None:
-        if self.mode == "replica" and self.pull_interval is not None:
-            k.schedule_in(self.pull_interval, self.qpu_id, Tick("pull"))
+        if self.pull_from is not None and self.pull_interval is not None:
+            k.every(self.pull_interval, self.qpu_id, "pull")
 
     def handle_other(self, k: Kernel, msg: Any) -> None:
-        if isinstance(msg, Tick) and msg.label == "pull":
-            if self.active:
-                self.pull_now(k)
-                k.schedule_in(self.pull_interval, self.qpu_id, Tick("pull"))
+        if isinstance(msg, Tick):
+            self.pull_now(k)
         elif isinstance(msg, IndexSnapshot):
             self._install(k, msg)
         else:
             super().handle_other(k, msg)
 
-    def stop(self) -> None:
-        self.active = False
-
-    # -- response-cache mode ---------------------------------------------------
-
     def handle_query(self, k: Kernel, m: QueryMsg) -> None:
-        if self.mode == "replica":
-            region = query_to_region(m.query, self.indexed_attrs)
-            if region is None:
-                # unindexable: the index cannot answer it, pulled or not
-                self.fan_out(k, m, [], missing=[HyperRegion.full(self.indexed_attrs)])
-            elif self._index is None:
-                # nothing pulled yet: the whole query is missing
-                self.fan_out(k, m, [], missing=[region])
-            else:
-                self.fan_out(k, m, [], local_parts=[self._index.lookup(m.query)[0]])
+        if self.pull_from is not None:
+            super().handle_query(k, m)
             return
         ck = canonical_query(m.query)
         hit = self._cache.get(ck)
@@ -481,7 +465,7 @@ class CacheQpu(QpuBase):
             del self._cache[ck]  # expired
         self.misses += 1
         k.probes.emit({"type": "cache", "qpu": self.qpu_id, "hit": False})
-        conn = self._downstream()
+        conn = self.connections[0]
         # the fill is sent unlimited; a hit or the fill is cut in _finish
         pend = self.fan_out(k, m, [(conn, conn.coverage)], forward_whole=True)
         self._fills[next(iter(pend.outstanding))] = ck
@@ -499,12 +483,21 @@ class CacheQpu(QpuBase):
             self._cache.popitem(last=False)
         k.probes.progress_tick()
 
-    # -- replica mode ------------------------------------------------------------
+    # -- replica cache -----------------------------------------------------------
+
+    def answer_locally(
+        self, k: Kernel, m: QueryMsg, region: HyperRegion, leftover: list[HyperRegion]
+    ) -> tuple[list[Sequence[Entry]], list[HyperRegion]]:
+        """The query looked up in the pulled index, and the part of the
+        query region outside that index's region missing; before the first
+        pull, the whole query region is missing."""
+        if self._index is None:
+            return [], leftover
+        return [self._index.lookup(m.query)[0]], region.subtract(self._index.region)
 
     def pull_now(self, k: Kernel) -> None:
-        self.pulls += 1
         since = self._snapshot.seq if self._snapshot else 0
-        k.send(self.qpu_id, self._downstream().to, SnapshotRequest(since, self.qpu_id))
+        k.send(self.qpu_id, self.pull_from, SnapshotRequest(since, self.qpu_id))
 
     def _install(self, k: Kernel, snap: IndexSnapshot) -> None:
         """Merges a pull reply; progress ticks only if the cached rows changed."""

@@ -172,13 +172,10 @@ def client_cache() -> tuple[dict, dict]:
             {"id": "f2", "class": "filter", "node": "c2", "dc": "cdc2", "targets": [{"qpu": "iq2"}]},
             {"id": "f3", "class": "filter", "node": "c3", "dc": "cdc3", "targets": [{"qpu": "iq3"}]},
             {"id": "mq", "class": "merge", "node": "core1", "region": {}, "recheck_dc": "dc1"},
-            {"id": "rc1", "class": "cache", "node": "core1", "mode": "replica", "pull_interval": 400, "recheck_dc": "dc1"},
-            {"id": "rc2", "class": "cache", "node": "core2", "mode": "replica", "pull_interval": 400, "recheck_dc": "dc2"},
+            {"id": "rc1", "class": "cache", "node": "core1", "pull_from": "mq", "pull_interval": 400, "recheck_dc": "dc1"},
+            {"id": "rc2", "class": "cache", "node": "core2", "pull_from": "mq", "pull_interval": 400, "recheck_dc": "dc2"},
         ],
-        "connections": [
-            {"from": "rc1", "to": "mq"},
-            {"from": "rc2", "to": "mq"},
-        ],
+        "connections": [],
     }
     workload = {
         "phases": _phases(

@@ -36,9 +36,13 @@ class Actor:
 
 @dataclass
 class Tick:
-    """Self-scheduled timer message; excluded from progress accounting."""
+    """Timer message; excluded from progress accounting. `Kernel.every`
+    sends one with a positive `period` and re-arms it after each delivery,
+    until `Kernel.stop_timers`; a Tick scheduled by hand (period 0) is
+    delivered once."""
 
     label: str = ""
+    period: int = 0
 
 
 class Probes:
@@ -130,6 +134,8 @@ class Kernel:
         self._actors: dict[str, Actor] = {}
         self._hosts: dict[str, str] = {}
         self._unstarted: list[str] = []
+        self.timers: dict[str, int] = {}  # label -> longest period armed by every()
+        self._timers_stopped = False
 
     # -- topology ---------------------------------------------------------
 
@@ -212,6 +218,20 @@ class Kernel:
         link.last_delivery = deliver_at
         self.schedule(deliver_at, to_actor, msg)
 
+    def every(self, period: int, actor_id: str, label: str) -> None:
+        """Delivers Tick(label, period) to the actor every `period` ms from
+        now on. Each tick is re-armed right after its handler returns, so it
+        follows the events the handler scheduled at that instant."""
+        if period <= 0:
+            raise SimError(f"timer period must be positive: {actor_id} {label!r} every {period}")
+        self.timers[label] = max(self.timers.get(label, 0), period)
+        self.schedule(self.now + period, actor_id, Tick(label, period))
+
+    def stop_timers(self) -> None:
+        """Ends every timer: a tick still queued is dropped when its time
+        comes, which still advances the clock to it."""
+        self._timers_stopped = True
+
     # -- execution --------------------------------------------------------
 
     def _start_pending(self) -> None:
@@ -223,11 +243,17 @@ class Kernel:
                 self._actors[actor_id].on_start(self)
 
     def _deliver(self, target: str, msg: Any) -> None:
-        """Delivers one event at `now`, then starts any actor it registered."""
+        """Delivers one event at `now`, re-arms it if it is a timer's tick,
+        then starts any actor it registered."""
         actor = self._actors.get(target)
         if actor is None:
             raise SimError(f"message for unknown actor {target!r}")
+        period = msg.period if msg.__class__ is Tick else 0
+        if period and self._timers_stopped:
+            return
         actor.on_message(self, msg)
+        if period:
+            self.schedule(self.now + period, target, msg)
         self._start_pending()
 
     def _drop_time(self, at: int) -> None:

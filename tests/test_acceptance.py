@@ -171,7 +171,7 @@ class TestCriterion4SplitMergeConservation:
         assert post_results == pre_results
 
         # immediate merge with no intervening writes must restore the registry
-        net.controller.stop()
+        k.stop_timers()
         children = tuple(c.to for c in root.connections)
         k.schedule(k.now, "iq", MergeCmd("iq", children))
         while root.mode != IndexQpu.LEAF:
@@ -206,7 +206,7 @@ class TestCriterion5AdaptiveResponsiveness:
         k.run_until(split_t + 2 * period)
         leaf_loads = {leaf.qpu_id: tracker.load(leaf.qpu_id, k.now) for leaf in net.controller.leaves("iq")}
         assert max(leaf_loads.values()) < pre_split_load
-        net.controller.stop()
+        net.kernel.stop_timers()
         net.stop_periodic()
         k.run_until_empty()
         _pass(

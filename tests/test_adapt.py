@@ -293,7 +293,7 @@ class TestController:
         k.run_until(50)  # controller stays periodic, so drain by horizon
         self.drive_queries(k, rng, rate_per_100ms=40, until=800)
         k.run_until(400)  # two control periods
-        ctl.stop()
+        k.stop_timers()
         k.run_until_empty()
         splits = control_actions(k, "split")
         assert splits, "expected a split within two control periods"
@@ -310,7 +310,7 @@ class TestController:
         # ~2 queries per 100 ms bucket, well under every threshold, 100 periods
         self.drive_queries(k, rng, rate_per_100ms=2, until=10_000, hot=False)
         k.run_until(10_000)
-        ctl.stop()
+        k.stop_timers()
         k.run_until_empty()
         assert records_of(k, "control") == []
 
@@ -326,7 +326,7 @@ class TestController:
         assert control_actions(k, "split")
         # queries stop; windows decay; the controller should merge back
         k.run_until(3000)
-        ctl.stop()
+        k.stop_timers()
         k.run_until_empty()
         assert control_actions(k, "merge")
         assert root.mode == IndexQpu.LEAF
@@ -352,7 +352,7 @@ class TestController:
                 k.schedule(t + rng.randrange(100), hot_child, QueryMsg(f"h{i}", q_point(44), "client"))
             t += 100
         k.run_until(4000)
-        ctl.stop()
+        k.stop_timers()
         k.run_until_empty()
         assert not control_actions(k, "merge")
 
@@ -491,7 +491,7 @@ class TestRebalance:
         for i in range(30):
             k.schedule(rng.randrange(60, 150), "root", QueryMsg(f"r{i}", q_point(5), "client"))
         k.run_until(400)
-        ctl.stop()
+        k.stop_timers()
         k.run_until_empty()
         rebinds = control_actions(k, "rebind")
         assert rebinds and k.host_of("root") == "spare"
@@ -623,6 +623,6 @@ class TestControllerOnAnotherNode:
         k.run_until(500)
         assert [(r["t"], r["retired"]) for r in control_actions(k, "merge")] == [(462, children)]
         assert ctl.sends_to() == ["root"]
-        ctl.stop()
+        k.stop_timers()
         k.run_until_empty()
         assert len(run_query(k, cl, "root", q_range(0, 30)).entries) == 30

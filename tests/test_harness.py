@@ -191,8 +191,9 @@ class TestTopologyValidation:
 
 
 def cache_topology(**cache_params):
-    """minimal_topology plus a cache in front of the index."""
-    doc = minimal_topology(connections=[{"from": "cq", "to": "iq"}])
+    """minimal_topology plus a cache: a response cache in front of the
+    index, or a replica cache (one given pull_from) with no connection."""
+    doc = minimal_topology(connections=[] if "pull_from" in cache_params else [{"from": "cq", "to": "iq"}])
     doc["qpus"].append({"id": "cq", "class": "cache", "node": "n2", "recheck_dc": "dc1", **cache_params})
     return doc
 
@@ -206,21 +207,29 @@ class TestQpuParameterValidation:
         assert field in str(err.value)
 
     def test_valid_replica_and_response_caches_accepted(self):
-        parse_topology(cache_topology(mode="replica", pull_interval=400))
+        parse_topology(cache_topology(pull_from="iq", pull_interval=400))
         parse_topology(cache_topology(capacity=64, ttl=2.5, timeout=100))
 
     def test_replica_cache_without_pull_interval_rejected(self):
-        self._rejected(cache_topology(mode="replica"), "pull_interval")
+        self._rejected(cache_topology(pull_from="iq"), "pull_interval")
 
     def test_replica_cache_zero_pull_interval_rejected(self):
         # accepted, it would reschedule its pull at the same instant forever
-        self._rejected(cache_topology(mode="replica", pull_interval=0), "pull_interval")
+        self._rejected(cache_topology(pull_from="iq", pull_interval=0), "pull_interval")
 
     def test_replica_cache_negative_pull_interval_rejected(self):
-        self._rejected(cache_topology(mode="replica", pull_interval=-5), "pull_interval")
+        self._rejected(cache_topology(pull_from="iq", pull_interval=-5), "pull_interval")
 
     def test_replica_cache_non_numeric_pull_interval_rejected(self):
-        self._rejected(cache_topology(mode="replica", pull_interval="400"), "pull_interval")
+        self._rejected(cache_topology(pull_from="iq", pull_interval="400"), "pull_interval")
+
+    def test_pull_interval_on_a_response_cache_rejected(self):
+        # a response cache never pulls, so the key only widened the drain's settle horizon
+        self._rejected(cache_topology(pull_interval=400), "pull_interval: only a replica cache")
+
+    def test_leftover_cache_mode_key_rejected(self):
+        # ignored, an old replica cache's file would load as a response cache
+        self._rejected(cache_topology(mode="replica", pull_interval=400), "mode: not a cache key")
 
     def test_non_numeric_cache_capacity_is_config_error(self):
         self._rejected(cache_topology(capacity="big"), "capacity")
@@ -805,6 +814,39 @@ class TestCli:
         ]
         topology["adaptive"]["roots"] = ["iq1"]
         assert self._check_config(tmp_path, topology, workload) == 0
+
+    def test_replica_cache_pulling_from_a_federation_is_config_error(self, tmp_path, capsys):
+        """client-cache with rc2 pulling through a federation in front of mq.
+        While a replica cache pulled from its one connection, check-config
+        accepted rc2 -> fed -> mq, and the run aborted at seed 0 with
+        `TypeError: fed got unexpected SnapshotRequest`."""
+        topology, workload = scenario("client-cache")
+        topology["qpus"].append({"id": "fed", "class": "federation", "node": "core1", "recheck_dc": "dc1"})
+        i = next(i for i, q in enumerate(topology["qpus"]) if q["id"] == "rc2")
+        topology["qpus"][i]["pull_from"] = "fed"
+        topology["connections"] = [{"from": "fed", "to": "mq"}]
+        assert self._check_config(tmp_path, topology, workload) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: qpus[{i}](rc2).pull_from: 'fed' is not an indexing QPU"
+        ]
+
+    def test_replica_cache_with_a_connection_is_config_error(self, tmp_path, capsys):
+        topology, workload = scenario("client-cache")
+        topology["connections"] = [{"from": "rc1", "to": "mq"}]
+        assert self._check_config(tmp_path, topology, workload) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: qpus(rc1): a replica cache answers from what it pulls and takes no connections"
+        ]
+
+    def test_replica_cache_pulling_over_no_link_is_config_error(self, tmp_path, capsys):
+        topology = cache_topology(pull_from="iq", pull_interval=400)
+        topology["nodes"].append({"id": "n3"})
+        topology["links"].append({"from": "n1", "to": "n3", "base_latency": 5})
+        topology["qpus"][-1]["node"] = "n3"
+        assert self._check_config(tmp_path, topology) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: qpus[2](cq).pull_from: no link between nodes of 'cq' and 'iq'"
+        ]
 
     def test_missing_file_exits_1(self, capsys):
         assert self.run_cli("check-config", "--topology", "/nonexistent.json") == 1

@@ -20,8 +20,10 @@ from qpusim.indexing import (
     FilterQpu,
     IndexQpu,
     IndexUpdate,
+    MergeCmd,
     MergeQpu,
     PostingIndex,
+    SplitCmd,
     StampedOp,
     filter_targets,
 )
@@ -277,8 +279,7 @@ def pull_net(region=FULL):
     k.add_node("n")
     iq = IndexQpu("iq", region)
     k.register(iq, "n")
-    cq = CacheQpu("cq", SCHEMA, mode="replica")
-    cq.connect(Connection("iq", region))
+    cq = CacheQpu("cq", SCHEMA, pull_from="iq")
     k.register(cq, "n")
     return k, iq, cq
 
@@ -400,8 +401,7 @@ class TestIncrementalPulls:
 
     def test_mutating_a_written_dict_changes_neither_index_nor_cache(self):
         k, rep, flt, iq, cl = single_index_net()
-        cq = CacheQpu("cq", SCHEMA, mode="replica")
-        cq.connect(Connection("iq", FULL))
+        cq = CacheQpu("cq", SCHEMA, pull_from="iq")
         k.register(cq, "n-idx")
         attrs = {"size": 5, "genre": "a"}
         rep.put(k, "k1", attrs)
@@ -585,6 +585,54 @@ class TestMergeIngest:
         assert len(results) == 1
 
 
+class TestRetiredUnitForwarding:
+    def test_update_in_flight_to_a_retired_child_is_forwarded_to_its_parent(self):
+        """rebind does not keep per-link FIFO: a message in flight keeps the
+        old link's delivery time, and a later send takes the new link. So a
+        child retired over a fast link can still be reached by an update
+        routed to it over a slow one, and forwards it to its parent. The
+        adaptive controller can reach this case too: `_rebalance` rebinds
+        leaves in the same control step that issues a merge."""
+        k = Kernel(seed=0)
+        for node in ("A", "B", "C"):
+            k.add_node(node)
+        k.add_link("A", "B", 1)
+        k.add_link("A", "C", 100)
+        rep = DcReplica("dc1", SCHEMA)
+        k.register(rep, "A")
+        root = IndexQpu("root", FULL, recheck_replica=rep)
+        k.register(root, "A")
+        k.register(FilterQpu("flt", rep, [("root", FULL)]), "A")
+        rep.put(k, "k1", {"size": 5, "genre": "a"})
+        rep.put(k, "k2", {"size": 150, "genre": "b"})
+        k.run_until_empty()
+        k.schedule(k.now, "root", SplitCmd("root", "size", 100))
+        k.run_until_empty()
+        children = root.split_children()
+        low = k.actor(children[0])
+        for child in children:
+            k.rebind(child, "C")
+        t0 = k.now
+        rep.put(k, "k3", {"size": 20, "genre": "a"})  # routed to low over the 100 ms link
+        k.run_until(t0 + 5)
+        for child in children:
+            k.rebind(child, "B")
+        k.schedule(k.now, "root", MergeCmd("root", tuple(children)))
+        ingested = []
+        ingest = low._ingest
+
+        def spy(k, u):
+            ingested.append((k.now, low.mode, [s.op.key for s in u.ops]))
+            ingest(k, u)
+
+        low._ingest = spy
+        k.run_until_empty()
+        assert ingested == [(t0 + 100, IndexQpu.RETIRED, ["k3"])]
+        assert root.mode == IndexQpu.LEAF and root.connections == []
+        assert registry_keys(root.index) == {"k1", "k2", "k3"}
+        assert k.actor(low.qpu_id) is low  # the retired unit stays registered
+
+
 class TestRecheck:
     def test_deleted_candidate_dropped(self):
         k, rep, _, iq, cl = single_index_net()
@@ -741,7 +789,7 @@ class TestStaleness:
                 k.schedule(i * 6, "dc1", ClientWrite(f"k{i}", {"size": rng.randrange(99)}))
             k.run_until(3000)
             flt.drain(k)
-            flt.stop()
+            k.stop_timers()
             k.run_until_empty()
             return statistics.median(r["delta"] for r in records_of(k, "staleness"))
 

@@ -17,19 +17,21 @@ from qpusim.core import (
     region_to_query,
 )
 from qpusim.indexing import FilterQpu, IndexQpu, IndexUpdate, StampedOp
+from qpusim.metrics import MetricsSink
 from qpusim.qpunet import (
     CacheQpu,
     Connection,
     DsQpu,
     FederationQpu,
     QueryMsg,
+    SnapshotRequest,
     dedupe_entries,
     decompose,
 )
 from qpusim.simkernel import Actor, Kernel
 from qpusim.store import PUT, ClientDelete, ClientWrite, DcReplica, WriteOp
 
-from conftest import Client, make_region, run_query
+from conftest import Client, make_region, records_of, run_query
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 FULL = make_region(size=(None, None), genre=(None, None))
@@ -353,19 +355,18 @@ class TestResponseCache:
         assert rep.get("k1") is None
 
 
-def replica_cache_net(*, pull_interval=None, latency=3, seed=0):
+def replica_cache_net(*, pull_interval=None, latency=3, seed=0, region=FULL):
     k = Kernel(seed=seed)
     k.add_node("n-core")
     k.add_node("n-edge")
     k.add_link("n-core", "n-edge", latency)
     rep = DcReplica("dc1", SCHEMA)
     k.register(rep, "n-core")
-    iq = IndexQpu("iq", FULL, recheck_replica=rep)
+    iq = IndexQpu("iq", region, recheck_replica=rep)
     k.register(iq, "n-core")
-    flt = FilterQpu("flt", rep, [("iq", FULL)])
+    flt = FilterQpu("flt", rep, [("iq", region)])
     k.register(flt, "n-core")
-    cq = CacheQpu("cq", SCHEMA, mode="replica", pull_interval=pull_interval, recheck_replica=rep)
-    cq.connect(Connection("iq", FULL))
+    cq = CacheQpu("cq", SCHEMA, pull_from="iq", pull_interval=pull_interval, recheck_replica=rep)
     k.register(cq, "n-edge")
     cl = Client()
     k.register(cl, "n-edge")
@@ -422,10 +423,19 @@ class TestReplicaCache:
 
     def test_periodic_pull_stops_when_inactive(self):
         k, rep, iq, cq, cl = replica_cache_net(pull_interval=25)
+        requests = []
+        handle_other = iq.handle_other
+
+        def spy(k, msg):
+            if isinstance(msg, SnapshotRequest):
+                requests.append(k.now)
+            handle_other(k, msg)
+
+        iq.handle_other = spy
         k.run_until(100)
-        cq.stop()
+        k.stop_timers()
         k.run_until_empty()
-        assert cq.pulls >= 3
+        assert len(requests) >= 3
         assert k.pending() == 0
 
 
@@ -559,6 +569,26 @@ class TestIncompleteNamesWhatIsMissing:
         resp = run_query(k, cl, "cq", Query.of([Predicate.equals("color", "red")]))
         assert not resp.complete and resp.entries == ()
         assert resp.missing == (HyperRegion.full(cq.indexed_attrs),)
+
+    def test_replica_cache_misses_what_lies_outside_its_upstream_region(self):
+        """A replica cache pulling from an index over size < 50 once marked
+        an answer to size 0-100 complete without the rows at 50 and above:
+        validate found 45 key-set mismatches in 60 queries at seed 0."""
+        k, rep, iq, cq, cl = replica_cache_net(region=make_region(size=(None, 50), genre=(None, None)))
+        rep.put(k, "k1", {"size": 5})
+        rep.put(k, "k2", {"size": 70})
+        k.run_until_empty()
+        cq.pull_now(k)
+        k.run_until_empty()
+        resp = run_query(k, cl, "cq", q_size(0, 100))
+        assert [e[0] for e in resp.entries] == ["k1"] and not resp.complete
+        assert resp.missing == tuple(query_to_region(q_size(0, 100), cq.indexed_attrs).subtract(iq.region))
+
+    def test_unindexable_query_at_a_replica_cache_is_recorded_as_at_every_unit(self):
+        k, rep, iq, cq, cl = replica_cache_net()
+        MetricsSink(k)
+        run_query(k, cl, "cq", Query.of([Predicate.equals("color", "red")]))
+        assert [(r["qpu"], r["qid"]) for r in records_of(k, "unindexable")] == [("cq", "client-q1")]
 
     def test_index_qpu_sends_an_unindexable_query_whole_to_its_scan_fallback(self):
         k = Kernel(seed=0)

@@ -6,6 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpusim.build import build
+from qpusim.config import parse_topology
+from qpusim.scenarios import SCENARIOS, scenario
 from qpusim.simkernel import Actor, Kernel, SimError, Tick, _Link
 
 
@@ -428,6 +431,80 @@ class TestOrderEquivalence:
     @given(_program)
     def test_delivery_trace_equals_a_time_seq_heap_kernel(self, p):
         assert _scripted_trace(Kernel, p) == _scripted_trace(HeapKernel, p)
+
+
+class TestTimers:
+    def test_ticks_fire_at_every_multiple_of_the_period(self):
+        rec = Recorder("r")
+        k = kernel_with(rec)
+        k.every(10, "r", "beat")
+        k.run_until(55)
+        assert rec.seen == [(t, Tick("beat", 10)) for t in (10, 20, 30, 40, 50)]
+        assert k.timers == {"beat": 10}
+
+    def test_a_tick_is_re_armed_after_the_events_its_handler_scheduled(self):
+        """Units re-armed their own tick as the handler's last act, so an
+        event the handler schedules one period ahead comes before the next
+        tick at that instant; and one it schedules now, before it too."""
+        rec = Recorder("r")
+        k = kernel_with(rec)
+
+        def on_message(kk, msg):
+            rec.seen.append((kk.now, msg))
+            if isinstance(msg, Tick):
+                kk.schedule_in(10, "r", f"ahead@{kk.now}")
+                kk.schedule_in(0, "r", f"now@{kk.now}")
+
+        rec.on_message = on_message  # type: ignore[assignment]
+        k.every(10, "r", "beat")
+        k.run_until(20)
+        assert [(t, m if isinstance(m, str) else m.label) for t, m in rec.seen] == [
+            (10, "beat"), (10, "now@10"), (20, "ahead@10"), (20, "beat"), (20, "now@20"),
+        ]
+
+    def test_after_stop_a_queued_tick_is_dropped_but_the_clock_reaches_it(self):
+        rec = Recorder("r")
+        k = kernel_with(rec)
+        k.every(10, "r", "beat")
+        k.run_until(15)
+        k.stop_timers()
+        assert k.run_until_empty() == 20
+        assert rec.seen == [(10, Tick("beat", 10))]
+        assert k.pending() == 0
+
+    def test_a_tick_scheduled_by_hand_is_delivered_once(self):
+        rec = Recorder("r")
+        k = kernel_with(rec)
+        k.schedule(5, "r", Tick("once"))
+        k.stop_timers()  # ends timers only; a hand-scheduled tick is no timer
+        assert k.run_until_empty() == 5
+        assert rec.seen == [(5, Tick("once"))]
+        assert k.timers == {}
+
+    def test_a_period_below_one_millisecond_is_an_error(self):
+        k = kernel_with(Recorder("r"))
+        for period in (0, -5):
+            with pytest.raises(SimError):
+                k.every(period, "r", "beat")
+
+    @pytest.mark.parametrize("name", [*SCENARIOS, "client-cache+batched-filters"])
+    def test_settle_horizon_is_unchanged(self, name):
+        """The horizon each unit class once contributed by hand: the longest
+        pull interval, flush interval and control period, each counted once."""
+        doc, _ = scenario(name.removesuffix("+batched-filters"))
+        if name.endswith("+batched-filters"):
+            for q, interval in zip((q for q in doc["qpus"] if q["class"] == "filter"), (30, 50, 20)):
+                q["batch_interval"] = interval
+        cfg = parse_topology(doc)
+        net = build(cfg)
+        net.kernel.run_until(0)  # starts the units, which arm their timers
+        max_link = max(l.base_latency + l.jitter for l in cfg.links)
+        depth = len(cfg.qpus) + 2
+        pulls = max((q.params.get("pull_interval", 0) for q in cfg.qpus if q.cls == "cache"), default=0)
+        batches = max((q.params.get("batch_interval", 0) for q in cfg.qpus if q.cls == "filter"), default=0)
+        a = cfg.adaptive
+        period = a.period_buckets * a.bucket_ms if a.enabled else 0
+        assert net.settle_horizon() == 2 * max_link * depth + 2 * (pulls + batches + period) + 100
 
 
 class TestDeterminism:
