@@ -208,6 +208,21 @@ def _convert(raw: Any, conv: type, errors: list[str], path: str, fallback: Any) 
         return fallback
 
 
+def _is_id(raw: Any, errors: list[str], path: str) -> bool:
+    """True when raw is a string, or None for an id left out; else an error
+    line. Ids are hashed and compared where they are read, so a list or a
+    map must stop here rather than raise a TypeError there."""
+    if raw is None or isinstance(raw, str):
+        return True
+    errors.append(f"{path}: must be a string id, got {raw!r}")
+    return False
+
+
+def _ids_ok(doc: Mapping[str, Any], keys: tuple[str, ...], errors: list[str], path: str) -> bool:
+    """_is_id for each of the keys of doc, with an error line for each bad one."""
+    return all([_is_id(doc.get(key), errors, f"{path}.{key}") for key in keys])
+
+
 def _flag(doc: Mapping[str, Any], name: str, default: bool, errors: list[str], path: str) -> bool:
     """doc[name] when it is JSON true or false, `default` when absent; any
     other value is an error line, since bool() would read "no" as true."""
@@ -236,18 +251,20 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
 
     nodes = []
     for i, n in enumerate(doc.get("nodes", [])):
-        if "id" not in n:
+        if "id" not in n or not _ids_ok(n, ("id",), errors, f"nodes[{i}]"):
             continue
         capacity = n.get("capacity", 1.0)
         if not _is_number(capacity):
             errors.append(f"nodes[{i}].capacity: must be a number, got {capacity!r}")
             capacity = 1.0
         nodes.append(NodeSpec(n["id"], float(capacity)))
-    if len(nodes) != len(doc.get("nodes", [])):
+    if any("id" not in n for n in doc.get("nodes", [])):
         errors.append("nodes: every node needs an id")
 
     links = []
     for i, l in enumerate(doc.get("links", [])):
+        if not _ids_ok(l, ("from", "to"), errors, f"links[{i}]"):
+            continue
         try:
             links.append(LinkSpec(l["from"], l["to"], int(l["base_latency"]), int(l.get("jitter", 0))))
         except (KeyError, TypeError, ValueError):
@@ -257,6 +274,8 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
     for i, d in enumerate(doc.get("dcs", [])):
         if "id" not in d or "node" not in d:
             errors.append(f"dcs[{i}]: needs id and node")
+            continue
+        if not _ids_ok(d, ("id", "node"), errors, f"dcs[{i}]"):
             continue
         placement = None
         if d.get("placement") is not None:
@@ -272,6 +291,12 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
         if q["class"] not in QPU_CLASSES:
             errors.append(f"qpus[{i}].class: {q['class']!r} is not one of {'/'.join(QPU_CLASSES)}")
             continue
+        ids_ok = _ids_ok(q, ("id", "node", "dc", "recheck_dc", "pull_from", "push_to"), errors, f"qpus[{i}]")
+        for j, t in enumerate(q.get("targets") or []):
+            if isinstance(t, dict):
+                ids_ok = _ids_ok(t, ("qpu",), errors, f"qpus[{i}].targets[{j}]") and ids_ok
+        if not ids_ok:
+            continue
         params = {key: v for key, v in q.items() if key not in ("id", "class", "node")}
         qpus.append(QpuSpec(q["id"], q["class"], q["node"], params))
 
@@ -279,6 +304,8 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
     for i, c in enumerate(doc.get("connections", [])):
         if "from" not in c or "to" not in c:
             errors.append(f"connections[{i}]: needs from and to")
+            continue
+        if not _ids_ok(c, ("from", "to"), errors, f"connections[{i}]"):
             continue
         coverage = parse_region(c.get("coverage"), schema, errors, f"connections[{i}].coverage")
         connections.append(ConnectionSpec(c["from"], c["to"], coverage))
@@ -296,7 +323,7 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
         bucket_ms=count("bucket_ms", 100),
         period_buckets=count("period_buckets", 10),
         rebalance=_flag(a, "rebalance", False, errors, "adaptive.rebalance"),
-        roots=tuple(a.get("roots", ())),
+        roots=tuple(r for j, r in enumerate(a.get("roots", ())) if _is_id(r, errors, f"adaptive.roots[{j}]")),
     )
 
     cfg = TopologyConfig(
@@ -646,20 +673,18 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
             errors.append(f"{path}.write_origin.mode: {wo_mode!r} unknown")
         if write_rate > 0 and not wo_dcs:
             errors.append(f"{path}.write_origin.dcs: required when writes flow")
-        if dc_ids is not None:
-            for dc in wo_dcs:
-                if dc not in dc_ids:
-                    errors.append(f"{path}.write_origin.dcs: unknown DC {dc!r}")
+        for j, dc in enumerate(wo_dcs):
+            if _is_id(dc, errors, f"{path}.write_origin.dcs[{j}]") and dc_ids is not None and dc not in dc_ids:
+                errors.append(f"{path}.write_origin.dcs: unknown DC {dc!r}")
         qo = tuple(p.get("query_origin", ()))
         if query_rate > 0:
             if not shapes:
                 errors.append(f"{path}.query_shapes: required when queries flow")
             if not qo:
                 errors.append(f"{path}.query_origin: required when queries flow")
-        if qpu_ids is not None:
-            for origin in qo:
-                if origin not in qpu_ids:
-                    errors.append(f"{path}.query_origin: unknown QPU {origin!r}")
+        for j, origin in enumerate(qo):
+            if _is_id(origin, errors, f"{path}.query_origin[{j}]") and qpu_ids is not None and origin not in qpu_ids:
+                errors.append(f"{path}.query_origin: unknown QPU {origin!r}")
         phases.append(
             PhaseSpec(
                 duration=duration,

@@ -200,11 +200,17 @@ class HyperRegion:
 
     def clip(self, other: "HyperRegion") -> "HyperRegion | None":
         """Intersection box, or None when disjoint; self when other cuts
-        nothing off it."""
-        self._check(other)
+        nothing off it. The attribute names are compared inside the loop
+        over the dimensions, not through the cached `attrs`: a query hop
+        clips fresh regions, and the first read of a cached_property takes
+        a lock."""
+        if len(self.dims) != len(other.dims):
+            self._check(other)
         dims = []
         cut = False
-        for (name, iv), (_, oiv) in zip(self.dims, other.dims):
+        for (name, iv), (oname, oiv) in zip(self.dims, other.dims):
+            if name != oname:
+                self._check(other)
             c = iv.clip(oiv)
             if c is None:
                 return None
@@ -216,12 +222,19 @@ class HyperRegion:
         self._check(other)
         return all(iv.covers(other.interval(name)) for name, iv in self.dims)
 
-    def subtract(self, other: "HyperRegion") -> "list[HyperRegion]":
+    def subtract(self, other: "HyperRegion", core: "HyperRegion | None" = None) -> "list[HyperRegion]":
         """Guillotine decomposition of self minus other: at most two disjoint
-        pieces per dimension, carved in lexicographic attribute order."""
-        core = self.clip(other)
+        pieces per dimension, carved in lexicographic attribute order.
+
+        `core` is self.clip(other) when the caller already holds it, not
+        None; the pieces are then carved from it and nothing is clipped
+        again. A query hop clips its region against a box once, and takes
+        both what lies inside (the clip) and what lies outside (these
+        pieces) from that one clip."""
         if core is None:
-            return [self]
+            core = self.clip(other)
+            if core is None:
+                return [self]
         pieces: list[HyperRegion] = []
         rem = list(self.dims)
         for i, ((name, a), (_, b)) in enumerate(zip(self.dims, core.dims)):

@@ -11,13 +11,8 @@ from typing import Any, Iterable, NamedTuple, Sequence
 from .core import (
     ZERO_VERSION,
     HyperRegion,
-    Query,
     RawValue,
     Version,
-    query_bounds,
-    query_is_empty,
-    query_to_region,
-    region_to_query,
 )
 from .qpunet import (
     Connection,
@@ -150,22 +145,24 @@ class PostingIndex(PostingSets):
 
     # -- lookup ---------------------------------------------------------------
 
-    def lookup(self, q: Query) -> tuple[list[Entry], bool]:
-        """The registry rows matching q, in key order, from keys_in over the
-        query's own bounds. The result is exact without a per-row filter:
-        every registry row lies in this index's region. Returns (entries,
-        in_region); in_region is False when the query region misses this
-        index's region entirely. A query no value satisfies (query_is_empty)
-        has no region: it gets ([], True)."""
-        if query_is_empty(q):
-            return [], True
-        region = query_to_region(q, self.attrs)
-        if region is None:
-            raise ValueError("query constrains attributes outside the indexed dimensions")
-        if region.clip(self.region) is None:
-            return [], False
+    def lookup(self, region: HyperRegion) -> tuple[list[Entry], HyperRegion | None]:
+        """The registry rows inside `region`, in key order, and
+        region.clip(self.region): None when the region misses this index's
+        region entirely, and then there are no rows.
+
+        The region is the one the caller holds (its query's region, or a
+        piece of it), so a hop maps its query to a region once and clips
+        it against this index once; the caller carves what lies outside
+        from the returned clip (HyperRegion.subtract). The rows come from
+        keys_in over the region's bounded sides, exact without a per-row
+        filter: every registry row lies in this index's region. A region
+        unbounded on every side, which no query maps to, matches no row."""
+        inside = region.clip(self.region)
+        if inside is None:
+            return [], None
+        bounds = [(name, iv.lo, iv.hi) for name, iv in region.dims if iv.lo is not None or iv.hi is not None]
         registry = self.registry
-        return [(key, *registry[key]) for key in sorted(self.keys_in(query_bounds(q)))], True
+        return [(key, *registry[key]) for key in sorted(self.keys_in(bounds))], inside
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -406,26 +403,26 @@ class IndexQpu(QpuBase):
     def answer_locally(
         self, k: Kernel, m: QueryMsg, region: HyperRegion, leftover: list[HyperRegion]
     ) -> tuple[list[Sequence[Entry]], list[HyperRegion]]:
-        """Looks up the parts of the leftover pieces inside this QPU's own
-        region, one key-sorted part per piece; the rest is missing. When
+        """Looks up the leftover pieces in this QPU's own index, one
+        key-sorted part per piece; what of a piece lies outside this unit's
+        region is missing, carved from the clip its lookup returns. When
         the leftover is the whole query region (a leaf, or no child covers
-        any of it, and decompose hands back the region itself), the query
-        itself is looked up, and a query region that misses this unit's
-        region is recorded as `out_of_region`."""
-        if len(leftover) == 1 and leftover[0] is region:
-            entries, in_region = self.index.lookup(m.query)
-            if not in_region:
-                k.probes.emit({"type": "out_of_region", "qpu": self.qpu_id, "qid": m.qid})
-            return [entries], region.subtract(self.region)
+        any of it, and decompose hands back the region itself), a query
+        region that misses this unit's region is recorded as
+        `out_of_region`."""
+        whole = len(leftover) == 1 and leftover[0] is region
         local: list[Sequence[Entry]] = []
         missing: list[HyperRegion] = []
         for piece in leftover:
-            inside = piece.clip(self.region)
-            if inside is not None:
-                found, _ = self.index.lookup(region_to_query(inside))
-                if found:
-                    local.append(found)
-            missing.extend(piece.subtract(self.region))
+            found, inside = self.index.lookup(piece)
+            if inside is None:
+                if whole:
+                    k.probes.emit({"type": "out_of_region", "qpu": self.qpu_id, "qid": m.qid})
+                missing.append(piece)
+                continue
+            if found:
+                local.append(found)
+            missing.extend(piece.subtract(self.region, inside))
         return local, missing
 
     # -- update stream --------------------------------------------------------

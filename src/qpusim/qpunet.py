@@ -95,6 +95,9 @@ def decompose(
     """Greedy cover of a query region by neighbour coverages, in connection
     priority order. Emitted sub-regions are pairwise disjoint and their union
     is region ∩ (covered space); the second return value is the uncovered rest.
+    Each piece is clipped against a coverage once: the rest is carved from
+    that clip. A region no connection touches comes back as the only
+    leftover, the same object.
     """
     remaining = [region]
     plan: list[tuple[Connection, HyperRegion]] = []
@@ -108,7 +111,7 @@ def decompose(
                 next_remaining.append(piece)
             else:
                 plan.append((conn, clipped))
-                next_remaining.extend(piece.subtract(conn.coverage))
+                next_remaining.extend(piece.subtract(conn.coverage, clipped))
         remaining = next_remaining
     return plan, remaining
 
@@ -213,6 +216,10 @@ class QpuBase(Actor):
     unit that answers without a sub-query records a load sample there.
     `_finish` dedupes, rechecks, applies the limit, audits and responds;
     an answer is incomplete exactly when it names a missing region.
+
+    A hop maps its query to a region once, in `handle_query`, and hands
+    that region on: to `decompose`, to `answer_locally`, whose index
+    lookups take it or its pieces, and to `fan_out` for the load sample.
     """
 
     def __init__(
@@ -268,11 +275,12 @@ class QpuBase(Actor):
                 self.fan_out(k, m, [(fallback, full)], forward_whole=True)
             else:
                 k.probes.emit({"type": "unindexable", "qpu": self.qpu_id, "qid": m.qid})
-                self.fan_out(k, m, [], missing=[full])
+                # the full space as the load sample: it has no midpoint to record
+                self.fan_out(k, m, [], missing=[full], region=full)
             return
         plan, leftover = decompose(region, self.connections)
         local, missing = self.answer_locally(k, m, region, leftover)
-        self.fan_out(k, m, plan, local_parts=local, missing=missing)
+        self.fan_out(k, m, plan, local_parts=local, missing=missing, region=region)
 
     def answer_locally(
         self, k: Kernel, m: QueryMsg, region: HyperRegion, leftover: list[HyperRegion]
@@ -300,11 +308,16 @@ class QpuBase(Actor):
         local_parts: list[Sequence[Entry]] | None = None,
         missing: list[HyperRegion] | None = None,
         forward_whole: bool = False,
+        region: HyperRegion | None = None,
     ) -> _Pending | None:
         """Sends one sub-query per plan element and parks the join state,
         which it returns; with an empty plan the query is answered at once
         from local_parts, counted toward this unit's load window, and None
-        is returned. With forward_whole the original query's predicates are
+        is returned. The load sample is `region`, the query's region that
+        the caller already holds; a caller without one (a scan, a response
+        cache hit) leaves it None, and the region is computed here only
+        when a load hook is installed, so a run without one computes none.
+        With forward_whole the original query's predicates are
         passed through (scan fallback, cache fill); otherwise each
         sub-region converts back to predicates. No sub-query carries the
         limit: the rows recheck drops could hide others past it, so _finish
@@ -312,7 +325,10 @@ class QpuBase(Actor):
         local_parts and missing lists; callers pass lists of their own."""
         pend = _Pending(m.qid, m.reply_to, m.query, {}, local_parts or [], missing or [])
         if not plan:
-            k.probes.record_load(self.qpu_id, query_to_region(m.query, self.indexed_attrs), k.now)
+            if k.probes.load_hook is not None:
+                if region is None:
+                    region = query_to_region(m.query, self.indexed_attrs)
+                k.probes.load_hook(self.qpu_id, region, k.now)
             self._finish(k, pend)
             return None
         for conn, piece in plan:
@@ -488,12 +504,13 @@ class CacheQpu(QpuBase):
     def answer_locally(
         self, k: Kernel, m: QueryMsg, region: HyperRegion, leftover: list[HyperRegion]
     ) -> tuple[list[Sequence[Entry]], list[HyperRegion]]:
-        """The query looked up in the pulled index, and the part of the
-        query region outside that index's region missing; before the first
-        pull, the whole query region is missing."""
+        """The query region looked up in the pulled index, and the part of
+        it outside that index's region missing, carved from the lookup's
+        clip; before the first pull, the whole query region is missing."""
         if self._index is None:
             return [], leftover
-        return [self._index.lookup(m.query)[0]], region.subtract(self._index.region)
+        entries, inside = self._index.lookup(region)
+        return [entries], ([region] if inside is None else region.subtract(self._index.region, inside))
 
     def pull_now(self, k: Kernel) -> None:
         since = self._snapshot.seq if self._snapshot else 0

@@ -55,7 +55,9 @@ class Probes:
     The attached `MetricsSink` is the run's one log: staleness samples,
     control actions and type-2 audit findings are emitted to it, stamped with
     virtual time there, and read back from its records. Without a sink,
-    emitted records are dropped.
+    emitted records are dropped. `load_hook(qpu_id, region, now)`, when one
+    is installed, takes a load sample of each query a unit answers without
+    a sub-query (QpuBase.fan_out).
     """
 
     def __init__(self) -> None:
@@ -71,10 +73,6 @@ class Probes:
         `"type": "control"` record."""
         self.progress_tick()
         self.emit({"type": "control", **event})
-
-    def record_load(self, qpu_id: str, region: Any, now: int) -> None:
-        if self.load_hook is not None:
-            self.load_hook(qpu_id, region, now)
 
     def emit(self, record: dict[str, Any]) -> None:
         if self.metrics is not None:

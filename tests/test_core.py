@@ -395,6 +395,14 @@ class TestRegions:
         with pytest.raises(RegionError):
             region(x=(0, 10)).clip(region(y=(0, 10)))
 
+    def test_attr_sets_of_another_size_rejected(self):
+        with pytest.raises(RegionError):
+            region(x=(0, 10)).clip(region(x=(0, 10), y=(0, 10)))
+        with pytest.raises(RegionError):
+            region(x=(0, 10), y=(0, 10)).clip(region(x=(0, 10)))
+        with pytest.raises(RegionError):
+            region(x=(0, 10), y=(0, 10)).clip(region(x=(0, 10), z=(0, 10)))
+
     def test_split(self):
         a = region(x=(0, 100))
         low, high = a.split("x", 40)
@@ -464,6 +472,18 @@ class TestRawRegionAlgebra:
             assert x.subtract(y) == reference_subtract(x, y)
             for (name, dx), (_, dy) in zip(x, y):
                 assert dx.covers(dy) == reference_covers(dx, dy)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_pieces_carved_from_a_held_clip_equal_subtract(self, data):
+        """A hop that holds x.clip(y) passes it to subtract, which then
+        carves the same pieces without clipping again."""
+        schema = data.draw(schemas())
+        a, b = data.draw(membership_regions(schema)), data.draw(membership_regions(schema))
+        for x, y in ((a, b), (b, a), (a, a)):
+            held = x.clip(y)
+            if held is not None:
+                assert x.subtract(y, held) == x.subtract(y) == reference_subtract(x, y)
 
     def test_mixed_kinds_raise_and_malformed_bounds_are_region_errors(self):
         """Bounds compare as Python compares them: a str against a number

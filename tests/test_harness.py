@@ -579,6 +579,50 @@ def delete_heavy_workload():
     }
 
 
+class TestOneRegionPerHop:
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_at_most_one_query_region_per_delivered_query(self, name, monkeypatch):
+        """A unit maps each query it receives to a region once and hands the
+        region on (lookup, answer_locally, the load sample), so a run
+        computes at most one region per QueryMsg delivered. Counted while
+        the kernel runs, in every qpusim module that imports the name."""
+        import qpusim.core as core
+        import qpusim.qpunet as qpunet
+        from qpusim.simkernel import Kernel
+
+        counts = {"regions": 0, "queries": 0}
+        running = [False]
+        original = core.query_to_region
+
+        def query_to_region(*args):
+            if running[0]:
+                counts["regions"] += 1
+            return original(*args)
+
+        for module in [m for n, m in sys.modules.items() if n == "qpusim" or n.startswith("qpusim.")]:
+            if vars(module).get("query_to_region") is original:
+                monkeypatch.setattr(module, "query_to_region", query_to_region)
+        on_message, run_until = qpunet.QpuBase.on_message, Kernel.run_until
+
+        def counting_on_message(self, k, msg):
+            if isinstance(msg, qpunet.QueryMsg):
+                counts["queries"] += 1
+            on_message(self, k, msg)
+
+        def counting_run_until(self, t_max=None):
+            running[0] = True
+            try:
+                return run_until(self, t_max)
+            finally:
+                running[0] = False
+
+        monkeypatch.setattr(qpunet.QpuBase, "on_message", counting_on_message)
+        monkeypatch.setattr(Kernel, "run_until", counting_run_until)
+        run_scenario(*scenario(name), seed=0)
+        assert counts["queries"] > 0
+        assert counts["regions"] <= counts["queries"]
+
+
 class TestValidateMode:
     def test_bundled_scenarios_pass(self):
         for name in ("single-index", "cdn", "client-cache"):
@@ -847,6 +891,54 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             "config error: qpus[2](cq).pull_from: no link between nodes of 'cq' and 'iq'"
         ]
+
+    @pytest.mark.parametrize(
+        "doc,keys",
+        [
+            ("topology", ("nodes", 0, "id")),
+            ("topology", ("links", 0, "from")),
+            ("topology", ("links", 0, "to")),
+            ("topology", ("dcs", 0, "id")),
+            ("topology", ("dcs", 0, "node")),
+            ("topology", ("qpus", 1, "id")),
+            ("topology", ("qpus", 1, "node")),
+            ("topology", ("qpus", 0, "dc")),
+            ("topology", ("qpus", 0, "targets", 0, "qpu")),
+            ("topology", ("qpus", 1, "recheck_dc")),
+            ("topology", ("qpus", 1, "push_to")),
+            ("topology", ("qpus", 2, "pull_from")),
+            ("topology", ("connections", 0, "from")),
+            ("topology", ("connections", 0, "to")),
+            ("topology", ("adaptive", "roots", 0)),
+            ("workload", ("phases", 0, "write_origin", "dcs", 0)),
+            ("workload", ("phases", 0, "query_origin", 0)),
+        ],
+        ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)),
+    )
+    def test_list_valued_id_is_config_error(self, tmp_path, capsys, doc, keys):
+        """Each of these raised `TypeError: unhashable type: 'list'` from a
+        set-membership test instead of naming the field."""
+        topology = cache_topology(pull_from="iq", pull_interval=400)
+        topology["qpus"][1]["push_to"] = "mq"
+        topology["qpus"] += [
+            {"id": "mq", "class": "merge", "node": "n2", "region": {}, "recheck_dc": "dc1"},
+            {"id": "fq", "class": "federation", "node": "n2", "recheck_dc": "dc1"},
+        ]
+        topology["connections"] = [{"from": "fq", "to": "iq"}]
+        topology["adaptive"] = {"enabled": True, "roots": ["mq"]}
+        workload = shaped_workload()
+        workload["phases"][0].update(write_rate=5, write_origin={"dcs": ["dc1"]}, query_rate=5, query_origin=["fq"])
+        assert self._check_config(tmp_path, topology, workload) == 0
+        capsys.readouterr()
+        *outer, last = keys
+        holder = {"topology": topology, "workload": workload}[doc]
+        for key in outer:
+            holder = holder[key]
+        bad = [holder[last]]
+        holder[last] = bad
+        path = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys).lstrip(".")
+        assert self._check_config(tmp_path, topology, workload) == 1
+        assert f"config error: {path}: must be a string id, got {bad!r}" in capsys.readouterr().err.splitlines()
 
     def test_missing_file_exits_1(self, capsys):
         assert self.run_cli("check-config", "--topology", "/nonexistent.json") == 1

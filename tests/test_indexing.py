@@ -38,6 +38,11 @@ SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 FULL = make_region(size=(None, None), genre=(None, None))
 
 
+def region_of(q, attrs=SCHEMA):
+    """q's region of the indexed space, the argument of PostingIndex.lookup."""
+    return query_to_region(q, attrs)
+
+
 def put_op(key, ts, origin="dc1", old=None, **attrs):
     return WriteOp(key, PUT, attrs, old or None, Version(ts, origin), origin)
 
@@ -155,19 +160,20 @@ class TestIndexApply:
 class TestIndexLookup:
     def test_empty_index(self):
         idx = PostingIndex(FULL)
-        entries, in_region = idx.lookup(Query.of([Predicate.between("size", 0, 10)]))
-        assert entries == [] and in_region
+        region = region_of(Query.of([Predicate.between("size", 0, 10)]))
+        entries, inside = idx.lookup(region)
+        assert entries == [] and inside is region
 
     def test_lower_boundary_included(self):
         idx = PostingIndex(FULL)
         idx.apply(put_op("k1", 1, size=10))
-        entries, _ = idx.lookup(Query.of([Predicate.between("size", 10, 20)]))
+        entries, _ = idx.lookup(region_of(Query.of([Predicate.between("size", 10, 20)])))
         assert [e[0] for e in entries] == ["k1"]
 
     def test_query_outside_region_flagged(self):
         idx = PostingIndex(make_region(size=(0, 50), genre=(None, None)))
-        entries, in_region = idx.lookup(Query.of([Predicate.between("size", 60, 70)]))
-        assert entries == [] and not in_region
+        entries, inside = idx.lookup(region_of(Query.of([Predicate.between("size", 60, 70)])))
+        assert entries == [] and inside is None
 
     def test_thousand_objects_fifty_queries_match_linear_filter(self):
         idx = PostingIndex(FULL)
@@ -183,7 +189,7 @@ class TestIndexLookup:
                     Predicate.between("genre", glo, chr(ord(glo) + 1)),
                 ]
             )
-            entries, _ = idx.lookup(q)
+            entries, _ = idx.lookup(region_of(q))
             expected = sorted(k for k, (attrs, _v) in idx.registry.items() if query_matches(q, attrs))
             assert [e[0] for e in entries] == expected
 
@@ -349,7 +355,7 @@ class TestIncrementalPulls:
             assert ticked == (entries != last_entries)
             for q in LOOKUPS:
                 scan = [(key, a, v) for key, a, v in entries if a is not None and query_matches(q, a)]
-                assert cq._index.lookup(q)[0] == scan
+                assert cq._index.lookup(region_of(q))[0] == scan
             changed, cleared, last_entries = set(), False, entries
 
         for action in actions:
@@ -411,7 +417,7 @@ class TestIncrementalPulls:
         q = Query.of([Predicate.between("size", 0, 10)])
         for idx in (iq.index, cq._index):
             assert idx.registry["k1"][0]["size"] == 5
-            assert [e[0] for e in idx.lookup(q)[0]] == ["k1"]
+            assert [e[0] for e in idx.lookup(region_of(q))[0]] == ["k1"]
             assert idx.postings == idx.rebuilt_postings()
 
 
@@ -461,6 +467,56 @@ EXACT_ACTIONS = st.lists(
     ),
     max_size=50,
 )
+
+
+@st.composite
+def mixed_regions(draw):
+    """Regions over MIXED_SCHEMA, each dimension full, half-bounded or
+    bounded by MIXED_VALUES."""
+    bounds = {}
+    for name in sorted(MIXED_SCHEMA):
+        lo, hi = sorted([draw(MIXED_VALUES[name]), draw(MIXED_VALUES[name])])
+        shape = draw(st.sampled_from(["full", "lo", "hi", "both"]))
+        if shape == "full":
+            bounds[name] = (None, None)
+        elif shape == "lo" or (shape == "both" and lo == hi):
+            bounds[name] = (lo, None)
+        else:
+            bounds[name] = (None, hi) if shape == "hi" else (lo, hi)
+    return make_region(**bounds)
+
+
+class TestLookupByRegion:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mixed_regions(),
+        st.lists(
+            st.tuples(
+                st.integers(0, 11),
+                st.integers(1, 30),
+                st.none() | st.fixed_dictionaries(MIXED_VALUES) | st.fixed_dictionaries({}, optional=MIXED_VALUES),
+            ),
+            max_size=40,
+        ),
+        st.lists(mixed_regions(), min_size=1, max_size=4),
+    )
+    def test_lookup_returns_the_rows_of_the_region_and_its_clip(self, index_region, history, drawn):
+        """Over a history of puts (some missing attributes, some stale) and
+        deletes, lookup(region) returns the registry rows that match
+        region_to_query(region), in key order, and region.clip(index.region).
+        The regions are drawn at random (so some are clipped by the index's
+        region and some miss it), plus the index's region and a drawn region
+        clipped to it."""
+        idx = PostingIndex(index_region)
+        for n, ts, attrs in history:
+            idx.apply(del_op(f"k{n}", ts) if attrs is None else put_op(f"k{n}", ts, **attrs))
+        regions = [*drawn, index_region, *filter(None, [drawn[0].clip(index_region)])]
+        for region in regions:
+            if all(iv.is_full for _name, iv in region):
+                continue  # no query maps to it, and region_to_query refuses it
+            q = region_to_query(region)
+            expected = [(key, *row) for key, row in sorted(idx.registry.items()) if query_matches(q, row[0])]
+            assert idx.lookup(region) == (expected, region.clip(index_region))
 
 
 class TestExactPostingSets:
@@ -515,7 +571,10 @@ class TestExactPostingSets:
                         for key, o in sorted(dc1.objects.items())
                         if idx.region.contains(o.attrs) and query_matches(q, o.attrs)
                     ]
-                    assert idx.lookup(q)[0] == expected
+                    if query_is_empty(q):
+                        assert expected == []  # no value satisfies q: it has no region to look up
+                    else:
+                        assert idx.lookup(region_of(q, MIXED_SCHEMA))[0] == expected
 
         built = False
         for action in actions:
@@ -640,7 +699,7 @@ class TestRecheck:
         k.run_until_empty()
         rep.delete(k, "k1")
         q = Query.of([Predicate.between("size", 0, 10)])
-        entries, _ = iq.index.lookup(q)
+        entries, _ = iq.index.lookup(region_of(q))
         assert entries, "index is briefly stale by construction"
         assert recheck(entries, q, rep) == []
 
@@ -650,7 +709,7 @@ class TestRecheck:
         k.run_until_empty()
         v2 = rep.put(k, "k1", {"size": 9})
         q = Query.of([Predicate.between("size", 0, 10)])
-        entries, _ = iq.index.lookup(q)
+        entries, _ = iq.index.lookup(region_of(q))
         out = recheck(entries, q, rep)
         assert [(e[0], e[2]) for e in out] == [("k1", v2)]
         assert out[0][1]["size"] == 9
