@@ -510,7 +510,8 @@ class TestLookupByRegion:
         idx = PostingIndex(index_region)
         for n, ts, attrs in history:
             idx.apply(del_op(f"k{n}", ts) if attrs is None else put_op(f"k{n}", ts, **attrs))
-        regions = [*drawn, index_region, *filter(None, [drawn[0].clip(index_region)])]
+        clipped = drawn[0].clip(index_region)
+        regions = [*drawn, index_region] + ([] if clipped is None else [clipped])
         for region in regions:
             if all(iv.is_full for _name, iv in region):
                 continue  # no query maps to it, and region_to_query refuses it
