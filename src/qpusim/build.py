@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from .adapt import AdaptiveController, LoadTracker
-from .config import ConfigError, TopologyConfig, adaptive_roots, controller_node, nearest_full_dc, parse_region
+from .config import TopologyConfig, adaptive_roots, controller_node, nearest_full_dc, parse_region
 from .core import HyperRegion
 from .indexing import FilterQpu, IndexQpu, MergeQpu
 from .qpunet import CacheQpu, Connection, DsQpu, FederationQpu, QpuBase
@@ -85,9 +85,11 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
 
     for spec in cfg.qpus:
         p = spec.params
-        timeout = p.get("timeout")
+        kw: dict = {"timeout": p.get("timeout")}
+        if spec.cls in ("index", "merge", "federation", "cache"):
+            kw.update(recheck_replica=recheck_replica(spec), recheck_enabled=recheck_enabled)
         if spec.cls == "ds":
-            qpu: object = DsQpu(spec.id, schema, replicas[p["dc"]], timeout=timeout)
+            qpu: object = DsQpu(spec.id, schema, replicas[p["dc"]], **kw)
         elif spec.cls in ("index", "merge"):
             cls = IndexQpu if spec.cls == "index" else MergeQpu
             qpu = cls(
@@ -95,14 +97,10 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
                 parse_region(p.get("region"), schema, [], f"qpus({spec.id}).region"),
                 push_to=p.get("push_to"),
                 controller=CONTROLLER_ID if adaptive_on else None,
-                recheck_replica=recheck_replica(spec),
-                recheck_enabled=recheck_enabled,
-                timeout=timeout,
+                **kw,
             )
         elif spec.cls == "federation":
-            qpu = FederationQpu(
-                spec.id, schema, recheck_replica=recheck_replica(spec), recheck_enabled=recheck_enabled, timeout=timeout
-            )
+            qpu = FederationQpu(spec.id, schema, **kw)
         elif spec.cls == "cache":
             qpu = CacheQpu(
                 spec.id,
@@ -111,12 +109,10 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
                 capacity=p.get("capacity", 128),
                 ttl=p.get("ttl", 10_000),
                 pull_interval=p.get("pull_interval"),
-                recheck_replica=recheck_replica(spec),
-                recheck_enabled=recheck_enabled,
-                timeout=timeout,
+                **kw,
             )
             caches.append(qpu)
-        elif spec.cls == "filter":
+        else:  # filter: the classes were checked at parse time
             qpu = FilterQpu(
                 spec.id,
                 replicas[p["dc"]],
@@ -125,8 +121,6 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
                 batch_size=p.get("batch_size"),
             )
             filters.append(qpu)
-        else:  # pragma: no cover - classes validated at parse time
-            raise ConfigError([f"qpus({spec.id}): unknown class {spec.cls!r}"])
         qpus[spec.id] = qpu
         k.register(qpu, spec.node)
 

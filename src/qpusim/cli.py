@@ -90,9 +90,6 @@ def main(argv: list[str] | None = None) -> int:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except (RuntimeInvariantViolation, SimError) as exc:
         print(f"runtime invariant violation: {exc}", file=sys.stderr)
         return 2

@@ -162,6 +162,8 @@ def parse_region(
     unbounded and omitted attributes span their whole axis."""
     if raw is None:
         return HyperRegion.full(schema)
+    if _shaped(raw, dict, errors, path) is not raw:
+        return None
     bounds: dict[str, Interval] = {}
     ok = True
     for name, pair in raw.items():
@@ -188,6 +190,21 @@ def parse_region(
     for name in schema:
         bounds.setdefault(name, Interval())
     return HyperRegion.of(bounds)
+
+
+def _shaped(raw: Any, kind: type, errors: list[str], path: str) -> Any:
+    """raw when it is a `kind`, list or dict; else an error line, and an empty
+    one so parsing goes on. A string is no list: "iq" is not the ids i, q."""
+    if isinstance(raw, kind):
+        return raw
+    errors.append(f"{path}: must be {'a list' if kind is list else 'a map'}, got {raw!r}")
+    return kind()
+
+
+def _maps(raw: Any, errors: list[str], path: str) -> list[tuple[int, dict]]:
+    """The (index, item) pairs of the list raw whose items are maps."""
+    items = enumerate(_shaped(raw, list, errors, path))
+    return [(i, item) for i, item in items if _shaped(item, dict, errors, f"{path}[{i}]") is item]
 
 
 def _is_int(v: Any) -> bool:
@@ -235,8 +252,10 @@ def _flag(doc: Mapping[str, Any], name: str, default: bool, errors: list[str], p
 
 def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
     errors: list[str] = []
+    if _shaped(doc, dict, errors, "topology") is not doc:
+        raise ConfigError(errors)
     attributes = []
-    for i, a in enumerate(doc.get("attributes", [])):
+    for i, a in _maps(doc.get("attributes", []), errors, "attributes"):
         name, kind = a.get("name"), a.get("kind")
         if not name:
             errors.append(f"attributes[{i}].name: missing")
@@ -250,19 +269,20 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
     schema = {a.name: a.kind for a in attributes}
 
     nodes = []
-    for i, n in enumerate(doc.get("nodes", [])):
-        if "id" not in n or not _ids_ok(n, ("id",), errors, f"nodes[{i}]"):
+    for i, n in _maps(doc.get("nodes", []), errors, "nodes"):
+        if "id" not in n:
+            errors.append(f"nodes[{i}]: needs an id")
+            continue
+        if not _ids_ok(n, ("id",), errors, f"nodes[{i}]"):
             continue
         capacity = n.get("capacity", 1.0)
         if not _is_number(capacity):
             errors.append(f"nodes[{i}].capacity: must be a number, got {capacity!r}")
             capacity = 1.0
         nodes.append(NodeSpec(n["id"], float(capacity)))
-    if any("id" not in n for n in doc.get("nodes", [])):
-        errors.append("nodes: every node needs an id")
 
     links = []
-    for i, l in enumerate(doc.get("links", [])):
+    for i, l in _maps(doc.get("links", []), errors, "links"):
         if not _ids_ok(l, ("from", "to"), errors, f"links[{i}]"):
             continue
         try:
@@ -271,20 +291,19 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
             errors.append(f"links[{i}]: needs from, to, base_latency")
 
     dcs = []
-    for i, d in enumerate(doc.get("dcs", [])):
+    for i, d in _maps(doc.get("dcs", []), errors, "dcs"):
         if "id" not in d or "node" not in d:
             errors.append(f"dcs[{i}]: needs id and node")
             continue
         if not _ids_ok(d, ("id", "node"), errors, f"dcs[{i}]"):
             continue
-        placement = None
-        if d.get("placement") is not None:
-            placement = parse_region(d["placement"], schema, errors, f"dcs[{i}].placement")
+        raw = d.get("placement")
+        placement = None if raw is None else parse_region(raw, schema, errors, f"dcs[{i}].placement")
         full_replica = _flag(d, "full_replica", True, errors, f"dcs[{i}].full_replica")
         dcs.append(DcSpec(d["id"], d["node"], full_replica, placement))
 
     qpus = []
-    for i, q in enumerate(doc.get("qpus", [])):
+    for i, q in _maps(doc.get("qpus", []), errors, "qpus"):
         if "id" not in q or "class" not in q or "node" not in q:
             errors.append(f"qpus[{i}]: needs id, class and node")
             continue
@@ -292,7 +311,10 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
             errors.append(f"qpus[{i}].class: {q['class']!r} is not one of {'/'.join(QPU_CLASSES)}")
             continue
         ids_ok = _ids_ok(q, ("id", "node", "dc", "recheck_dc", "pull_from", "push_to"), errors, f"qpus[{i}]")
-        for j, t in enumerate(q.get("targets") or []):
+        targets = q.get("targets", [])
+        if _shaped(targets, list, errors, f"qpus[{i}].targets") is not targets:
+            continue
+        for j, t in enumerate(targets):
             if isinstance(t, dict):
                 ids_ok = _ids_ok(t, ("qpu",), errors, f"qpus[{i}].targets[{j}]") and ids_ok
         if not ids_ok:
@@ -301,7 +323,7 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
         qpus.append(QpuSpec(q["id"], q["class"], q["node"], params))
 
     connections = []
-    for i, c in enumerate(doc.get("connections", [])):
+    for i, c in _maps(doc.get("connections", []), errors, "connections"):
         if "from" not in c or "to" not in c:
             errors.append(f"connections[{i}]: needs from and to")
             continue
@@ -310,11 +332,12 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
         coverage = parse_region(c.get("coverage"), schema, errors, f"connections[{i}].coverage")
         connections.append(ConnectionSpec(c["from"], c["to"], coverage))
 
-    a = doc.get("adaptive", {}) or {}
+    a = _shaped(doc.get("adaptive") or {}, dict, errors, "adaptive")
 
     def count(name: str, default: int) -> int:
         return _convert(a.get(name, default), int, errors, f"adaptive.{name}", default)
 
+    roots = _shaped(a.get("roots", []), list, errors, "adaptive.roots")
     adaptive = AdaptiveSpec(
         enabled=_flag(a, "enabled", False, errors, "adaptive.enabled"),
         t_split=count("t_split", 100),
@@ -323,9 +346,10 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
         bucket_ms=count("bucket_ms", 100),
         period_buckets=count("period_buckets", 10),
         rebalance=_flag(a, "rebalance", False, errors, "adaptive.rebalance"),
-        roots=tuple(r for j, r in enumerate(a.get("roots", ())) if _is_id(r, errors, f"adaptive.roots[{j}]")),
+        roots=tuple(r for j, r in enumerate(roots) if _is_id(r, errors, f"adaptive.roots[{j}]")),
     )
 
+    debug = _shaped(doc.get("debug", {}), dict, errors, "debug")
     cfg = TopologyConfig(
         attributes=attributes,
         nodes=nodes,
@@ -334,7 +358,7 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
         qpus=qpus,
         connections=connections,
         adaptive=adaptive,
-        disable_recheck=_flag(doc.get("debug", {}), "disable_recheck", False, errors, "debug.disable_recheck"),
+        disable_recheck=_flag(debug, "disable_recheck", False, errors, "debug.disable_recheck"),
     )
     errors.extend(validate_topology(cfg))
     if errors:
@@ -523,10 +547,12 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
             elif rd not in dc_ids:
                 errors.append(f"{path}.recheck_dc: unknown DC {rd!r}")
             elif rd not in full_dcs:
-                # a partial replica can recheck only a region it fully holds
+                # a partial replica can recheck only a region it fully holds;
+                # a region that does not parse is reported on its own
                 region = parse_region(p.get("region"), schema, [], f"{path}.region")
                 placement = by_dc[rd].placement
-                if q.cls not in ("index", "merge") or placement is None or not placement.covers(region):
+                indexed = q.cls in ("index", "merge") and placement is not None
+                if region is not None and not (indexed and placement.covers(region)):
                     errors.append(f"{path}.recheck_dc: {rd!r} is partial and does not cover the QPU's region")
         if q.cls in ("index", "merge"):
             push = p.get("push_to")
@@ -576,11 +602,13 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
 
 def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = None) -> WorkloadSpec:
     errors: list[str] = []
+    if _shaped(doc, dict, errors, "workload") is not doc:
+        raise ConfigError(errors)
     phases = []
     schema = topology.schema if topology else None
     dc_ids = {d.id for d in topology.dcs} if topology else None
     qpu_ids = {q.id for q in topology.qpus} if topology else None
-    for i, p in enumerate(doc.get("phases", [])):
+    for i, p in _maps(doc.get("phases", []), errors, "phases"):
         path = f"phases[{i}]"
         duration = _convert(p.get("duration", 0), int, errors, f"{path}.duration", 1)
         if duration <= 0:
@@ -602,8 +630,10 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
         if p.get("key_mode", "random") not in ("random", "sequential"):
             errors.append(f"{path}.key_mode: must be random or sequential")
         dists = {}
-        for name, d in (p.get("attributes") or {}).items():
+        for name, d in _shaped(p.get("attributes") or {}, dict, errors, f"{path}.attributes").items():
             dpath = f"{path}.attributes.{name}"
+            if _shaped(d, dict, errors, dpath) is not d:
+                continue
             if schema is not None and name not in schema:
                 errors.append(f"{dpath}: unknown attribute")
                 continue
@@ -651,9 +681,9 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
                 continue
             dists[name] = DistSpec(kind, {key: v for key, v in d.items() if key != "dist"})
         shapes = []
-        for j, s in enumerate(p.get("query_shapes", [])):
+        for j, s in _maps(p.get("query_shapes", []), errors, f"{path}.query_shapes"):
             spath = f"{path}.query_shapes[{j}]"
-            attrs = tuple(s.get("attrs", ()))
+            attrs = tuple(_shaped(s.get("attrs", []), list, errors, f"{spath}.attrs"))
             if not attrs:
                 errors.append(f"{spath}.attrs: must name at least one attribute")
             for a in attrs:
@@ -666,9 +696,9 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
             if weight <= 0:
                 errors.append(f"{spath}.weight: must be positive")
             shapes.append(QueryShape(attrs, sel, weight))
-        wo = p.get("write_origin", {}) or {}
+        wo = _shaped(p.get("write_origin") or {}, dict, errors, f"{path}.write_origin")
         wo_mode = wo.get("mode", "round_robin")
-        wo_dcs = tuple(wo.get("dcs", ()))
+        wo_dcs = tuple(_shaped(wo.get("dcs", []), list, errors, f"{path}.write_origin.dcs"))
         if wo_mode not in ("fixed", "round_robin", "by_placement"):
             errors.append(f"{path}.write_origin.mode: {wo_mode!r} unknown")
         if write_rate > 0 and not wo_dcs:
@@ -676,7 +706,7 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
         for j, dc in enumerate(wo_dcs):
             if _is_id(dc, errors, f"{path}.write_origin.dcs[{j}]") and dc_ids is not None and dc not in dc_ids:
                 errors.append(f"{path}.write_origin.dcs: unknown DC {dc!r}")
-        qo = tuple(p.get("query_origin", ()))
+        qo = tuple(_shaped(p.get("query_origin", []), list, errors, f"{path}.query_origin"))
         if query_rate > 0:
             if not shapes:
                 errors.append(f"{path}.query_shapes: required when queries flow")
@@ -711,11 +741,19 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
     return WorkloadSpec(phases, seed)
 
 
+def _read_json(path: str | Path) -> Any:
+    """The JSON document at path, or a ConfigError."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        reason = exc.strerror if isinstance(exc, OSError) else f"not a JSON document: {exc}"
+        raise ConfigError([f"{path}: {reason}"]) from None
+
+
 def load_topology(path: str | Path) -> TopologyConfig:
-    with open(path) as f:
-        return parse_topology(json.load(f))
+    return parse_topology(_read_json(path))
 
 
 def load_workload(path: str | Path, topology: TopologyConfig | None = None) -> WorkloadSpec:
-    with open(path) as f:
-        return parse_workload(json.load(f), topology)
+    return parse_workload(_read_json(path), topology)

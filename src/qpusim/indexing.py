@@ -35,11 +35,10 @@ class StampedOp(NamedTuple):
 
 
 class IndexUpdate(NamedTuple):
-    """A batch of ops from one ingest source, sequence-numbered per stream so
-    receivers can hold out-of-order batches until gaps fill."""
+    """A batch of ops from one ingest source. The kernel delivers each
+    source's batches to a unit in the order they were sent."""
 
     source: str
-    seq: int
     ops: tuple[StampedOp, ...]
 
 
@@ -53,11 +52,10 @@ class SplitCmd(NamedTuple):
 
 class Handoff(NamedTuple):
     snapshot: IndexSnapshot
-    parent: str
 
 
 class HandoffAck(NamedTuple):
-    child: str
+    pass
 
 
 class MergeCmd(NamedTuple):
@@ -66,7 +64,7 @@ class MergeCmd(NamedTuple):
 
 
 class Retire(NamedTuple):
-    child: str
+    pass
 
 
 class ControlDone(NamedTuple):
@@ -243,29 +241,16 @@ def filter_targets(op: WriteOp, targets: Iterable[tuple[str, HyperRegion]]) -> l
     return hit
 
 
-class UpdateSender:
-    """The IndexUpdate streams one unit sends: a stream per target, its
-    batches numbered from 1, so the receiver holds a batch that arrives
-    ahead of a gap (IndexQpu.handle_update)."""
-
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self._seq: dict[str, int] = {}
-
-    def send(self, k: Kernel, target: str, ops: Sequence[StampedOp]) -> None:
-        seq = self._seq.get(target, 0) + 1
-        self._seq[target] = seq
-        k.send(self.source, target, IndexUpdate(self.source, seq, tuple(ops)))
-
-    def route(self, k: Kernel, ops: Iterable[StampedOp], targets: Iterable[tuple[str, HyperRegion]]) -> None:
-        """Sends each target, in id order, one batch of the ops that touch
-        its region (filter_targets); targets no op touches get none."""
-        per_target: dict[str, list[StampedOp]] = {}
-        for stamped in ops:
-            for target in filter_targets(stamped.op, targets):
-                per_target.setdefault(target, []).append(stamped)
-        for target in sorted(per_target):
-            self.send(k, target, per_target[target])
+def route(k: Kernel, source: str, ops: Iterable[StampedOp], targets: Iterable[tuple[str, HyperRegion]]) -> None:
+    """Sends each target, in id order, one IndexUpdate from `source` of the
+    ops that touch its region (filter_targets); targets no op touches get
+    none."""
+    per_target: dict[str, list[StampedOp]] = {}
+    for stamped in ops:
+        for target in filter_targets(stamped.op, targets):
+            per_target.setdefault(target, []).append(stamped)
+    for target in sorted(per_target):
+        k.send(source, target, IndexUpdate(source, tuple(per_target[target])))
 
 
 class FilterQpu(Actor):
@@ -289,7 +274,6 @@ class FilterQpu(Actor):
         self.batch_interval = batch_interval
         self.batch_size = batch_size
         self._queue: deque[LogEntry] = deque()
-        self._out = UpdateSender(qpu_id)
 
     def sends_to(self) -> list[str]:
         return [qpu_id for qpu_id, _region in self.targets]
@@ -322,7 +306,7 @@ class FilterQpu(Actor):
             self._queue.clear()
 
     def _forward(self, k: Kernel, entries: list[LogEntry]) -> None:
-        self._out.route(k, [StampedOp(e.op, e.applied_at) for e in entries], self.targets)
+        route(k, self.qpu_id, [StampedOp(e.op, e.applied_at) for e in entries], self.targets)
 
 
 class IndexQpu(QpuBase):
@@ -335,7 +319,8 @@ class IndexQpu(QpuBase):
     looked up in this unit's own index (`answer_locally`), and the part
     outside its region is missing. During a handoff the retained index
     keeps answering, so re-partitioning never leaves a coverage gap; during
-    a merge queries wait until the children's rows are absorbed.
+    a merge queries wait until the children's rows are absorbed, and the
+    unit unregisters the children. The kernel keeps each pair FIFO.
 
     The units are the one record of an index tree's shape. While a unit is
     INTERNAL or MERGING, its connections are exactly its split children
@@ -347,7 +332,6 @@ class IndexQpu(QpuBase):
     HANDOFF = "handoff"
     INTERNAL = "internal"
     MERGING = "merging"
-    RETIRED = "retired"
 
     def __init__(
         self,
@@ -365,14 +349,10 @@ class IndexQpu(QpuBase):
         self.parent = parent
         self.controller = controller
         self.mode = self.LEAF
-        self._expected: dict[str, int] = {}
-        self._reorder: dict[str, dict[int, IndexUpdate]] = {}
-        self._out = UpdateSender(qpu_id)
         self._buffered_updates: list[IndexUpdate] = []
         self._buffered_queries: list[QueryMsg] = []
         self._pending_children: list[Connection] = []
-        self._handoff_waiting: set[str] = set()
-        self._merge_waiting: int = 0
+        self._waiting = 0  # handoff acks or merge snapshots still to come
         self._split_count = 0
 
     @property
@@ -435,43 +415,27 @@ class IndexQpu(QpuBase):
         elif isinstance(msg, SplitCmd):
             self._start_split(k, msg)
         elif isinstance(msg, Handoff):
-            self._load_handoff(k, msg)
+            self.index.absorb_rows(msg.snapshot.entries)
+            k.send(self.qpu_id, self.parent, HandoffAck())
         elif isinstance(msg, HandoffAck):
-            self._handoff_acked(k, msg.child)
+            self._handoff_acked(k)
         elif isinstance(msg, MergeCmd):
             self._start_merge(k, msg)
         elif isinstance(msg, Retire):
-            self._retire(k)
+            # a leaf's last message: the parent sent it everything before this
+            k.send(self.qpu_id, self.parent, self.index.snapshot())
         elif isinstance(msg, IndexSnapshot):
             self._absorb_child(k, msg)
         else:
             super().handle_other(k, msg)
 
     def handle_update(self, k: Kernel, u: IndexUpdate) -> None:
+        """Applies a batch, routes it to the children, or holds it for now."""
         if self.mode in (self.HANDOFF, self.MERGING):
             self._buffered_updates.append(u)
             return
-        expected = self._expected.get(u.source, 0) + 1
-        if u.seq < expected:
-            return  # duplicate delivery
-        if u.seq > expected:
-            self._reorder.setdefault(u.source, {})[u.seq] = u
-            return
-        self._ingest(k, u)
-        held = self._reorder.get(u.source, {})
-        nxt = u.seq + 1
-        while nxt in held:
-            self._ingest(k, held.pop(nxt))
-            nxt += 1
-
-    def _ingest(self, k: Kernel, u: IndexUpdate) -> None:
-        self._expected[u.source] = u.seq
-        if self.mode == self.RETIRED:
-            if self.parent is not None:
-                self._out.send(k, self.parent, u.ops)
-            return
         if self.mode == self.INTERNAL:
-            self._out.route(k, u.ops, [(c.to, c.coverage) for c in self.connections])
+            route(k, self.qpu_id, u.ops, [(c.to, c.coverage) for c in self.connections])
             return
         pushed: list[StampedOp] = []
         for stamped in u.ops:
@@ -480,7 +444,7 @@ class IndexQpu(QpuBase):
                 k.probes.emit({"type": "staleness", "qpu": self.qpu_id, "delta": k.now - stamped.applied_at})
                 pushed.append(stamped)
         if pushed and self.push_to is not None:
-            self._out.send(k, self.push_to, pushed)
+            k.send(self.qpu_id, self.push_to, IndexUpdate(self.qpu_id, tuple(pushed)))
 
     # -- split ---------------------------------------------------------------------
 
@@ -490,9 +454,8 @@ class IndexQpu(QpuBase):
         low, high = self.region.split(cmd.dim, cmd.plane)
         self._split_count += 1
         self.mode = self.HANDOFF
-        self._handoff_waiting = set()
+        self._waiting = 2
         self._pending_children = []
-        node = k.host_of(self.qpu_id)
         all_rows = self.index.snapshot().entries
         for tag, child_region in (("a", low), ("b", high)):
             child_id = f"{self.qpu_id}.s{self._split_count}{tag}"
@@ -506,29 +469,18 @@ class IndexQpu(QpuBase):
                 recheck_enabled=self.recheck_enabled,
                 timeout=self.timeout,
             )
-            k.register(child, node)
-            self._handoff_waiting.add(child_id)
+            k.register(child, k.host_of(self.qpu_id))
             self._pending_children.append(Connection(child_id, child_region))
             rows = [row for row in all_rows if row[1] is None or child_region.contains(row[1])]
-            snap = IndexSnapshot(child_region, tuple(rows))
-            k.send(self.qpu_id, child_id, Handoff(snap, self.qpu_id))
+            k.send(self.qpu_id, child_id, Handoff(IndexSnapshot(child_region, tuple(rows))))
 
-    def _load_handoff(self, k: Kernel, h: Handoff) -> None:
-        self.index.absorb_rows(h.snapshot.entries)
-        k.send(self.qpu_id, h.parent, HandoffAck(self.qpu_id))
-
-    def _handoff_acked(self, k: Kernel, child_id: str) -> None:
-        self._handoff_waiting.discard(child_id)
-        if self._handoff_waiting:
+    def _handoff_acked(self, k: Kernel) -> None:
+        self._waiting -= 1
+        if self._waiting:
             return
         self.connections = self._pending_children
-        self.mode = self.INTERNAL
         self.index.clear()
-        buffered, self._buffered_updates = self._buffered_updates, []
-        for u in buffered:
-            self.handle_update(k, u)
-        if self.controller is not None:
-            k.send(self.qpu_id, self.controller, ControlDone(self.qpu_id))
+        self._resume(k, self.INTERNAL)
 
     # -- merge -----------------------------------------------------------------------
 
@@ -536,26 +488,25 @@ class IndexQpu(QpuBase):
         if self.mode != self.INTERNAL:
             raise RuntimeError(f"{self.qpu_id}: merge requested while {self.mode}")
         self.mode = self.MERGING
-        self._merge_waiting = len(cmd.children)
+        self._waiting = len(cmd.children)
         for child in cmd.children:
-            k.send(self.qpu_id, child, Retire(child))
-
-    def _retire(self, k: Kernel) -> None:
-        self.mode = self.RETIRED
-        if self.parent is not None:
-            k.send(self.qpu_id, self.parent, self.index.snapshot())
+            k.send(self.qpu_id, child, Retire())
 
     def _absorb_child(self, k: Kernel, snap: IndexSnapshot) -> None:
-        if self.mode != self.MERGING:
-            return
         self.index.absorb_rows(snap.entries)
-        self._merge_waiting -= 1
-        if self._merge_waiting > 0:
+        self._waiting -= 1
+        if self._waiting:
             return
+        for child in self.connections:
+            k.unregister(child.to)  # registered by this unit's split
         self.connections = []
-        self.mode = self.LEAF
-        buffered, self._buffered_updates = self._buffered_updates, []
-        for u in buffered:
+        self._resume(k, self.LEAF)
+
+    def _resume(self, k: Kernel, mode: str) -> None:
+        """Ends a split or merge: enters `mode`, handles what was held."""
+        self.mode = mode
+        updates, self._buffered_updates = self._buffered_updates, []
+        for u in updates:
             self.handle_update(k, u)
         queries, self._buffered_queries = self._buffered_queries, []
         for m in queries:
@@ -566,8 +517,8 @@ class IndexQpu(QpuBase):
 
 class MergeQpu(IndexQpu):
     """Builds one convergent index from several ingest streams (client or
-    per-DC indexes pushing their deltas). Conflicts resolve last-writer-wins;
-    out-of-order batches wait in the per-source reorder buffer.
+    per-DC indexes pushing their deltas). Conflicts resolve last-writer-wins,
+    so the streams may interleave in any order.
 
     It adds nothing to IndexQpu. The class stays so that merge units are
     their own class: the benchmark's per-layer tracer reports the `merge`

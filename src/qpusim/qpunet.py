@@ -346,9 +346,7 @@ class QpuBase(Actor):
         parent_qid = self._sub_parent.pop(r.qid, None)
         if parent_qid is None:
             return  # late response after timeout
-        pend = self._pending.get(parent_qid)
-        if pend is None:
-            return
+        pend = self._pending[parent_qid]  # a timeout drops it with its sub-queries
         pend.outstanding.pop(r.qid, None)
         if r.entries:
             pend.parts.append(r.entries)

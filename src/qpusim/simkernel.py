@@ -1,5 +1,5 @@
-"""Deterministic discrete-event kernel: virtual clock, nodes, seeded links with
-FIFO delivery, and the instrumentation probes every component reports into."""
+"""Deterministic discrete-event kernel: virtual clock, nodes, seeded links, FIFO
+delivery between each pair of actors, and the probes components report into."""
 
 from __future__ import annotations
 
@@ -125,12 +125,13 @@ class Kernel:
         self.seed = seed
         self.now = 0
         self.probes = Probes()
-        self._due: dict[int, list[tuple[str, Any]]] = {}
+        self._due: dict[int, list[tuple]] = {}  # (target, msg), + sender if `send` made it
         self._times: list[int] = []
         self._nodes: set[str] = set()
         self._links: dict[tuple[str, str], _Link] = {}
         self._actors: dict[str, Actor] = {}
         self._hosts: dict[str, str] = {}
+        self._floors: dict[str, int] = {}  # actor -> its last message in flight when it was rebound
         self._unstarted: list[str] = []
         self.timers: dict[str, int] = {}  # label -> longest period armed by every()
         self._timers_stopped = False
@@ -163,12 +164,28 @@ class Kernel:
         self._hosts[actor.actor_id] = node_id
         self._unstarted.append(actor.actor_id)
 
+    def unregister(self, actor_id: str) -> None:
+        """Removes an actor; a message still queued for it raises SimError."""
+        if self._actors.pop(actor_id, None) is None:
+            raise SimError(f"unknown actor {actor_id!r}")
+        del self._hosts[actor_id]
+        if actor_id in self._unstarted:
+            self._unstarted.remove(actor_id)
+
     def rebind(self, actor_id: str, node_id: str) -> None:
+        """Moves an actor to another node, keeping each pair of actors FIFO:
+        no message to or from it is delivered before the last one in flight
+        to or from it when it moved. A rebind to its own node, or with
+        nothing in flight, changes no delivery time."""
         if actor_id not in self._actors:
             raise SimError(f"unknown actor {actor_id!r}")
         if node_id not in self._nodes:
             raise SimError(f"unknown node {node_id!r}")
+        if self._hosts[actor_id] == node_id:
+            return
         self._hosts[actor_id] = node_id
+        sent = (at for at, events in self._due.items() if any(len(e) == 3 and actor_id in (e[0], e[2]) for e in events))
+        self._floors[actor_id] = max(sent, default=0)
 
     def actor(self, actor_id: str) -> Actor:
         return self._actors[actor_id]
@@ -189,32 +206,35 @@ class Kernel:
 
     # -- scheduling -------------------------------------------------------
 
-    def schedule(self, at: int, target: str, msg: Any) -> None:
+    def schedule(self, at: int, target: str, msg: Any, sender: str | None = None) -> None:
+        """Queues msg for target at `at`; `send` names a message's sender."""
         if at < self.now:
             raise SimError(f"scheduling in the past: {at} < {self.now}")
+        event = (target, msg) if sender is None else (target, msg, sender)
         events = self._due.get(at)
         if events is None:
-            self._due[at] = [(target, msg)]
+            self._due[at] = [event]
             heapq.heappush(self._times, at)
         else:
-            events.append((target, msg))
+            events.append(event)
 
     def schedule_in(self, delay: int, target: str, msg: Any) -> None:
         self.schedule(self.now + delay, target, msg)
 
     def send(self, from_actor: str, to_actor: str, msg: Any) -> None:
-        """Schedules delivery over the hosting nodes' link. Same-node delivery
-        is at `now`; per-link FIFO is preserved by clamping."""
+        """Schedules delivery over the hosting nodes' link, or at `now` on one
+        node. A link's deliveries are FIFO by clamping; see `rebind`."""
         src, dst = self._hosts[from_actor], self._hosts[to_actor]
         if src == dst:
-            self.schedule(self.now, to_actor, msg)
-            return
-        link = self._links.get((src, dst))
-        if link is None:
-            raise SimError(f"no link {src}->{dst} (for {from_actor}->{to_actor})")
-        deliver_at = max(self.now + link.delay(), link.last_delivery)
-        link.last_delivery = deliver_at
-        self.schedule(deliver_at, to_actor, msg)
+            at = self.now
+        else:
+            link = self._links.get((src, dst))
+            if link is None:
+                raise SimError(f"no link {src}->{dst} (for {from_actor}->{to_actor})")
+            at = link.last_delivery = max(self.now + link.delay(), link.last_delivery)
+        if self._floors:
+            at = max(at, self._floors.get(from_actor, 0), self._floors.get(to_actor, 0))
+        self.schedule(at, to_actor, msg, from_actor)
 
     def every(self, period: int, actor_id: str, label: str) -> None:
         """Delivers Tick(label, period) to the actor every `period` ms from
@@ -282,8 +302,8 @@ class Kernel:
             try:
                 # Events this loop schedules at `at` are appended to `events`
                 # and visited in turn.
-                for i, (target, msg) in enumerate(events):
-                    self._deliver(target, msg)
+                for i, event in enumerate(events):
+                    self._deliver(event[0], event[1])
             except BaseException:
                 del events[: i + 1]
                 if not events:
@@ -304,11 +324,11 @@ class Kernel:
             return False
         at = self._times[0]
         events = self._due[at]
-        target, msg = events.pop(0)
+        event = events.pop(0)
         if not events:
             self._drop_time(at)
         self.now = at
-        self._deliver(target, msg)
+        self._deliver(event[0], event[1])
         return True
 
     def pending(self) -> int:

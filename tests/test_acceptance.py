@@ -104,14 +104,12 @@ class TestCriterion3ConvergentMerge:
             k.register(mq, "n")
             trial_rng = random.Random(1000 + trial)
             cursors = dict.fromkeys(streams, 0)
-            seqs = dict.fromkeys(streams, 0)
             while any(cursors[s] < len(streams[s]) for s in streams):
                 s = trial_rng.choice([s for s in sorted(streams) if cursors[s] < len(streams[s])])
                 n = min(trial_rng.randint(1, 9), len(streams[s]) - cursors[s])
                 batch = tuple(StampedOp(op, 0) for op in streams[s][cursors[s] : cursors[s] + n])
                 cursors[s] += n
-                seqs[s] += 1
-                mq.handle_update(k, IndexUpdate(s, seqs[s], batch))
+                mq.handle_update(k, IndexUpdate(s, batch))
             outcomes.add(mq.index.registry_bytes())
         assert len(outcomes) == 1
         _pass(3, "900-op 3-source stream converges byte-identically under 5 interleavings")

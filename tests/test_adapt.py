@@ -454,6 +454,33 @@ class TestRebalance:
         report = validate_scenario(linked, workload, seed=0)
         assert report.ok, report.describe()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rebalanced_adaptive_skew_keeps_only_the_live_tree_registered(self, seed, monkeypatch):
+        """adaptive-skew with a roomy third node and rebalancing on: leaves
+        split, merge and move while updates and queries are in flight. The
+        run validates, and once it ends the registered index units are
+        exactly the units of the tree. While retired units stayed
+        registered, 7 were against 1 in the tree at seed 0."""
+        from qpusim import runner
+
+        topology, workload = scenario("adaptive-skew")
+        topology["nodes"].append({"id": "spare", "capacity": 100})
+        topology["links"] += [
+            {"from": "spare", "to": "storage", "base_latency": 3, "jitter": 2},
+            {"from": "spare", "to": "query", "base_latency": 40, "jitter": 5},
+        ]
+        topology["adaptive"]["rebalance"] = True
+        nets = []
+        build = runner.build
+        monkeypatch.setattr(runner, "build", lambda cfg, seed: nets.append(build(cfg, seed)) or nets[-1])
+        report = runner.validate_scenario(topology, workload, seed=seed)
+        assert report.ok, report.describe()
+        net = nets[0]
+        k = net.kernel
+        assert control_actions(k, "rebind") and control_actions(k, "merge")
+        registered = {a.actor_id for a in k.actors() if isinstance(a, IndexQpu)}
+        assert registered == {u.qpu_id for u in net.controller.units("iq")}
+
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_every_send_is_on_a_declared_path(self, name, monkeypatch):
         """Rebalancing keeps linked only the message paths that actors declare

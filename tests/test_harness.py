@@ -918,16 +918,7 @@ class TestCli:
     def test_list_valued_id_is_config_error(self, tmp_path, capsys, doc, keys):
         """Each of these raised `TypeError: unhashable type: 'list'` from a
         set-membership test instead of naming the field."""
-        topology = cache_topology(pull_from="iq", pull_interval=400)
-        topology["qpus"][1]["push_to"] = "mq"
-        topology["qpus"] += [
-            {"id": "mq", "class": "merge", "node": "n2", "region": {}, "recheck_dc": "dc1"},
-            {"id": "fq", "class": "federation", "node": "n2", "recheck_dc": "dc1"},
-        ]
-        topology["connections"] = [{"from": "fq", "to": "iq"}]
-        topology["adaptive"] = {"enabled": True, "roots": ["mq"]}
-        workload = shaped_workload()
-        workload["phases"][0].update(write_rate=5, write_origin={"dcs": ["dc1"]}, query_rate=5, query_origin=["fq"])
+        topology, workload = self.every_field()
         assert self._check_config(tmp_path, topology, workload) == 0
         capsys.readouterr()
         *outer, last = keys
@@ -939,6 +930,85 @@ class TestCli:
         path = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys).lstrip(".")
         assert self._check_config(tmp_path, topology, workload) == 1
         assert f"config error: {path}: must be a string id, got {bad!r}" in capsys.readouterr().err.splitlines()
+
+    @staticmethod
+    def every_field():
+        """A valid topology and workload that use every id and container
+        field check-config reads."""
+        topology = cache_topology(pull_from="iq", pull_interval=400)
+        topology["qpus"][1]["push_to"] = "mq"
+        topology["qpus"] += [
+            {"id": "mq", "class": "merge", "node": "n2", "region": {}, "recheck_dc": "dc1"},
+            {"id": "fq", "class": "federation", "node": "n2", "recheck_dc": "dc1"},
+        ]
+        topology["qpus"][0]["targets"][0]["region"] = {"size": [0, None]}
+        topology["dcs"].append({"id": "dc2", "node": "n1", "full_replica": False, "placement": {"size": [0, 10]}})
+        topology["connections"] = [{"from": "fq", "to": "iq", "coverage": {"size": [None, 50]}}]
+        topology["adaptive"] = {"enabled": True, "roots": ["mq"]}
+        topology["debug"] = {"disable_recheck": False}
+        workload = shaped_workload()
+        workload["phases"][0].update(write_rate=5, write_origin={"dcs": ["dc1"]}, query_rate=5, query_origin=["fq"])
+        return topology, workload
+
+    WRONG_SHAPES = [
+        ("topology", ("qpus", 0, "targets"), 5, "qpus[0].targets: must be a list, got 5"),
+        ("topology", ("qpus", 1, "region"), [1, 2], "qpus[1](iq).region: must be a map, got [1, 2]"),
+        ("topology", ("qpus", 0, "targets", 0, "region"), 5, "qpus[0](flt).targets[0].region: must be a map, got 5"),
+        ("topology", ("dcs", 1, "placement"), [0, 10], "dcs[1].placement: must be a map, got [0, 10]"),
+        ("topology", ("connections", 0, "coverage"), [], "connections[0].coverage: must be a map, got []"),
+        *[
+            ("topology", (key,), [5], f"{key}[0]: must be a map, got 5")
+            for key in ("nodes", "links", "dcs", "qpus", "connections", "attributes")
+        ],
+        ("topology", ("adaptive",), 5, "adaptive: must be a map, got 5"),
+        ("topology", ("adaptive", "roots"), "mq", "adaptive.roots: must be a list, got 'mq'"),
+        ("topology", ("debug",), 5, "debug: must be a map, got 5"),
+        ("topology", (), [], "topology: must be a map, got []"),
+        ("workload", ("phases",), 5, "phases: must be a list, got 5"),
+        ("workload", ("phases",), [5], "phases[0]: must be a map, got 5"),
+        ("workload", ("phases", 0, "attributes"), 5, "phases[0].attributes: must be a map, got 5"),
+        ("workload", ("phases", 0, "attributes", "size"), 5, "phases[0].attributes.size: must be a map, got 5"),
+        ("workload", ("phases", 0, "query_shapes"), [5], "phases[0].query_shapes[0]: must be a map, got 5"),
+        ("workload", ("phases", 0, "query_shapes", 0, "attrs"), 5, "phases[0].query_shapes[0].attrs: must be a list, got 5"),
+        ("workload", ("phases", 0, "write_origin"), 5, "phases[0].write_origin: must be a map, got 5"),
+        ("workload", ("phases", 0, "write_origin", "dcs"), "dc1", "phases[0].write_origin.dcs: must be a list, got 'dc1'"),
+        ("workload", ("phases", 0, "query_origin"), "fq", "phases[0].query_origin: must be a list, got 'fq'"),
+        ("workload", (), [], "workload: must be a map, got []"),
+        # keys None: the file itself holds the text `bad`, or is a directory when bad is None
+        ("topology", None, "{", "topology.json: not a JSON document: "),
+        ("topology", None, None, "topology.json: Is a directory"),
+        ("workload", None, "[1,", "workload.json: not a JSON document: "),
+        ("workload", None, None, "workload.json: Is a directory"),
+    ]
+
+    @pytest.mark.parametrize(
+        "doc,keys,bad,error", WRONG_SHAPES, ids=[f"{doc}-{error.split(':')[0]}-{bad!r}" for doc, _k, bad, error in WRONG_SHAPES]
+    )
+    def test_container_of_the_wrong_shape_is_config_error(self, tmp_path, capsys, doc, keys, bad, error):
+        """Each of these raised a TypeError, an AttributeError or a
+        JSONDecodeError, or, for a string where a list belongs, read its
+        characters as ids."""
+        docs = dict(zip(("topology", "workload"), self.every_field()))
+        if keys == ():
+            docs[doc] = bad
+        elif keys:
+            *outer, last = keys
+            holder = docs[doc]
+            for key in outer:
+                holder = holder[key]
+            holder[last] = bad
+        argv = ["check-config"]
+        for name, content in docs.items():
+            path = tmp_path / f"{name}.json"
+            if keys is None and name == doc:
+                path.mkdir() if bad is None else path.write_text(bad)
+            else:
+                path.write_text(json.dumps(content))
+            argv += [f"--{name}", str(path)]
+        assert self.run_cli(*argv) == 1
+        expected = f"config error: {tmp_path / error if keys is None else error}"
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith(expected) for line in err), err
 
     def test_missing_file_exits_1(self, capsys):
         assert self.run_cli("check-config", "--topology", "/nonexistent.json") == 1

@@ -259,21 +259,9 @@ class TestIndexQpuPipeline:
         resp = run_query(k, cl, "iq", Query.of([Predicate.between("size", 0, 10)]))
         assert resp.complete and [e[0] for e in resp.entries] == ["k1"]
 
-    def test_gap_in_source_stream_holds_batch(self):
-        k, rep, _, iq, cl = single_index_net()
-        op1 = StampedOp(put_op("a", 1, size=1), 0)
-        op2 = StampedOp(put_op("b", 2, size=2), 0)
-        op3 = StampedOp(put_op("c", 3, size=3), 0)
-        iq.handle_update(k, IndexUpdate("src", 1, (op1,)))
-        iq.handle_update(k, IndexUpdate("src", 3, (op3,)))  # gap: seq 2 missing
-        assert registry_keys(iq.index) == {"a"}
-        iq.handle_update(k, IndexUpdate("src", 2, (op2,)))
-        assert registry_keys(iq.index) == {"a", "b", "c"}
-        assert iq._expected["src"] == 3 and not iq._reorder["src"]
-
     def test_duplicate_batch_ignored(self):
         k, rep, _, iq, cl = single_index_net()
-        u = IndexUpdate("src", 1, (StampedOp(put_op("a", 1, size=1), 0),))
+        u = IndexUpdate("src", (StampedOp(put_op("a", 1, size=1), 0),))
         iq.handle_update(k, u)
         iq.handle_update(k, u)
         assert registry_keys(iq.index) == {"a"}
@@ -603,8 +591,8 @@ class TestMergeIngest:
 
     def test_disjoint_sources_union(self):
         k, m = self.build_merge()
-        m.handle_update(k, IndexUpdate("s1", 1, (StampedOp(put_op("a", 1, origin="s1", size=1), 0),)))
-        m.handle_update(k, IndexUpdate("s2", 1, (StampedOp(put_op("b", 1, origin="s2", size=2), 0),)))
+        m.handle_update(k, IndexUpdate("s1", (StampedOp(put_op("a", 1, origin="s1", size=1), 0),)))
+        m.handle_update(k, IndexUpdate("s2", (StampedOp(put_op("b", 1, origin="s2", size=2), 0),)))
         assert registry_keys(m.index) == {"a", "b"}
 
     def test_conflicting_key_max_version_wins_either_order(self):
@@ -613,7 +601,7 @@ class TestMergeIngest:
         for first, second in (((("s1", lo), ("s2", hi))), ((("s2", hi), ("s1", lo)))):
             k, m = self.build_merge()
             for src, op in (first, second):
-                m.handle_update(k, IndexUpdate(src, 1, (op,)))
+                m.handle_update(k, IndexUpdate(src, (op,)))
             assert m.index.registry["k"][1] == Version(5, "s2")
 
     def test_three_sources_five_interleavings_identical(self):
@@ -633,26 +621,26 @@ class TestMergeIngest:
             k, m = self.build_merge()
             trial_rng = random.Random(trial)
             cursors = {s: 0 for s in streams}
-            seqs = {s: 0 for s in streams}
             while any(cursors[s] < len(streams[s]) for s in streams):
                 s = trial_rng.choice([s for s in streams if cursors[s] < len(streams[s])])
                 n = min(trial_rng.randint(1, 7), len(streams[s]) - cursors[s])
                 batch = tuple(StampedOp(op, 0) for op in streams[s][cursors[s] : cursors[s] + n])
                 cursors[s] += n
-                seqs[s] += 1
-                m.handle_update(k, IndexUpdate(s, seqs[s], batch))
+                m.handle_update(k, IndexUpdate(s, batch))
             results.add(m.index.registry_bytes())
         assert len(results) == 1
 
 
-class TestRetiredUnitForwarding:
-    def test_update_in_flight_to_a_retired_child_is_forwarded_to_its_parent(self):
-        """rebind does not keep per-link FIFO: a message in flight keeps the
-        old link's delivery time, and a later send takes the new link. So a
-        child retired over a fast link can still be reached by an update
-        routed to it over a slow one, and forwards it to its parent. The
-        adaptive controller can reach this case too: `_rebalance` rebinds
-        leaves in the same control step that issues a merge."""
+class TestMergeAfterRebind:
+    def test_update_in_flight_to_a_rebound_child_arrives_before_its_retire(self):
+        """A child is rebound to a node behind a 100 ms link, an update is
+        routed to it over that link, and while the update is in flight the
+        child is rebound behind a 1 ms link and its parent merges. The
+        kernel keeps each pair of actors FIFO across rebind, so the update
+        reaches the child while it is still a leaf, before its Retire; the
+        merge absorbs it, and the parent unregisters the child. The adaptive
+        controller can reach this case: `_rebalance` rebinds leaves in the
+        same control step that issues a merge."""
         k = Kernel(seed=0)
         for node in ("A", "B", "C"):
             k.add_node(node)
@@ -678,19 +666,19 @@ class TestRetiredUnitForwarding:
         for child in children:
             k.rebind(child, "B")
         k.schedule(k.now, "root", MergeCmd("root", tuple(children)))
-        ingested = []
-        ingest = low._ingest
+        seen = []
+        on_message = low.on_message
 
-        def spy(k, u):
-            ingested.append((k.now, low.mode, [s.op.key for s in u.ops]))
-            ingest(k, u)
+        def spy(k, msg):
+            seen.append((k.now, type(msg).__name__, low.mode))
+            on_message(k, msg)
 
-        low._ingest = spy
+        low.on_message = spy
         k.run_until_empty()
-        assert ingested == [(t0 + 100, IndexQpu.RETIRED, ["k3"])]
+        assert seen == [(t0 + 100, "IndexUpdate", IndexQpu.LEAF), (t0 + 100, "Retire", IndexQpu.LEAF)]
         assert root.mode == IndexQpu.LEAF and root.connections == []
         assert registry_keys(root.index) == {"k1", "k2", "k3"}
-        assert k.actor(low.qpu_id) is low  # the retired unit stays registered
+        assert [a.actor_id for a in k.actors()] == ["dc1", "root", "flt"]
 
 
 class TestRecheck:

@@ -201,8 +201,8 @@ class TestFederation:
             qpu.recheck_enabled = False
         stale = StampedOp(WriteOp("k", PUT, {"size": 45}, None, Version(1, "dc1"), "dc1"), 0)
         moved = StampedOp(WriteOp("k", PUT, {"size": 55}, {"size": 45}, Version(2, "dc1"), "dc1"), 0)
-        iq1.handle_update(k, IndexUpdate("t", 1, (stale,)))
-        iq2.handle_update(k, IndexUpdate("t", 1, (moved,)))
+        iq1.handle_update(k, IndexUpdate("t", (stale,)))
+        iq2.handle_update(k, IndexUpdate("t", (moved,)))
         resp = run_query(k, cl, "fq", q_size(40, 60))
         assert len(resp.entries) == 1
         assert resp.entries[0][2] == Version(2, "dc1")
@@ -467,7 +467,7 @@ class TestEmptyPredicate:
         k.register(cl, "n1")
         for ts, size in ((1, 5), (2, 6)):
             op = WriteOp(f"k{size}", PUT, {"size": size}, None, Version(ts, "dc1"), "dc1")
-            iq.handle_update(k, IndexUpdate("src", ts, (StampedOp(op, 0),)))
+            iq.handle_update(k, IndexUpdate("src", (StampedOp(op, 0),)))
         self.assert_empty_complete(run_query(k, cl, "iq", empty_size_query()))
 
     def test_federation_qpu(self):

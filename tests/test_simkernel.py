@@ -433,6 +433,174 @@ class TestOrderEquivalence:
         assert _scripted_trace(Kernel, p) == _scripted_trace(HeapKernel, p)
 
 
+class Stepper(Actor):
+    """Runs one driver step per message, inside a handler as the adaptive
+    controller's rebinds run: ("send", a, b) sends b the next number of the
+    pair (a, b); ("rebind", a, n) moves a to node n; ("join", a, b) moves a
+    onto b's node."""
+
+    actor_id = "stepper"
+
+    def __init__(self, nodes):
+        self.nodes = nodes
+        self.sent = {}
+
+    def on_message(self, k, step):
+        kind, a, b = step
+        if kind == "send":
+            n = self.sent.get((f"a{a}", f"a{b}"), 0)
+            self.sent[(f"a{a}", f"a{b}")] = n + 1
+            k.send(f"a{a}", f"a{b}", (f"a{a}", n))
+        elif kind == "rebind":
+            k.rebind(f"a{a}", self.nodes[b % len(self.nodes)])
+        else:
+            k.rebind(f"a{a}", k.host_of(f"a{b}"))
+
+
+_actor = st.integers(0, 3)
+_step = st.one_of(
+    st.tuples(st.just("send"), _actor, _actor),
+    st.tuples(st.just("rebind"), _actor, st.integers(0, 3)),
+    st.tuples(st.just("join"), _actor, _actor),
+)
+_rebind_program = st.fixed_dictionaries(
+    {
+        "nodes": st.integers(2, 4),
+        "links": st.lists(st.tuples(st.integers(1, 60), st.integers(0, 30)), min_size=6, max_size=6),
+        "hosts": st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        # each step waits 0-10 ms after the last; a 0 puts two at one instant
+        "steps": st.lists(st.tuples(st.integers(0, 10), _step), min_size=10, max_size=40),
+        "seed": st.integers(0, 2**16),
+    }
+)
+
+
+class TestRebindKeepsPairFifo:
+    @settings(max_examples=300, deadline=None)
+    @given(_rebind_program)
+    def test_every_pair_receives_in_send_order_across_rebinds(self, p):
+        """Random nodes, jittered links and actors; sends interleaved with
+        rebinds to another node, to the same node, twice in a row, and onto
+        the peer's node, so a pair's path changes between the link and the
+        node while messages are in flight."""
+        k = Kernel(seed=p["seed"])
+        nodes = [f"n{i}" for i in range(p["nodes"])]
+        for n in nodes:
+            k.add_node(n)
+        pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
+        for (a, b), (base, jitter) in zip(pairs, p["links"]):
+            k.add_link(a, b, base, jitter)
+        actors = [Recorder(f"a{i}") for i in range(4)]
+        for actor, host in zip(actors, p["hosts"]):
+            k.register(actor, nodes[host % len(nodes)])
+        stepper = Stepper(nodes)
+        k.register(stepper, nodes[0])
+        at = 0
+        for wait, step in p["steps"]:
+            at += wait
+            k.schedule(at, "stepper", step)
+        k.run_until_empty()
+        for receiver in actors:
+            got = {}
+            for _t, (sender, n) in receiver.seen:
+                got.setdefault(sender, []).append(n)
+            sent = {a: stepper.sent[(a, b)] for a, b in stepper.sent if b == receiver.actor_id}
+            assert got == {a: list(range(n)) for a, n in sent.items()}
+
+    @staticmethod
+    def two_links():
+        k = Kernel(seed=0)
+        for n in ("n1", "n2", "n3"):
+            k.add_node(n)
+        k.add_link("n1", "n2", 100)
+        k.add_link("n1", "n3", 1)
+        src, dst = Recorder("src"), Recorder("dst")
+        k.register(src, "n1")
+        k.register(dst, "n2")
+        return k, src, dst
+
+    def test_a_message_after_a_rebind_waits_for_the_one_in_flight(self):
+        k, _, dst = self.two_links()
+        k.send("src", "dst", "slow")
+        k.run_until(10)
+        k.rebind("dst", "n3")
+        k.send("src", "dst", "fast")
+        k.run_until_empty()
+        assert dst.seen == [(100, "slow"), (100, "fast")]
+
+    @pytest.mark.parametrize("moved", ["src", "dst"])
+    def test_a_same_node_message_waits_for_the_floor_of_either_end(self, moved):
+        """Moving either end onto the other's node turns the pair's path
+        into a same-node one; the next message still waits."""
+        k, _, dst = self.two_links()
+        k.send("src", "dst", "slow")
+        k.rebind(moved, k.host_of("dst" if moved == "src" else "src"))
+        k.send("src", "dst", "local")
+        k.run_until_empty()
+        assert dst.seen == [(100, "slow"), (100, "local")]
+
+    def test_a_floor_delays_messages_to_other_actors_too(self):
+        k, src, _ = self.two_links()
+        other = Recorder("other")
+        k.register(other, "n1")
+        k.send("src", "dst", "slow")
+        k.rebind("dst", "n1")
+        k.send("dst", "other", "after")
+        k.send("src", "other", "unrelated")
+        k.run_until_empty()
+        assert other.seen == [(0, "unrelated"), (100, "after")]
+
+    def test_a_rebind_to_the_own_node_changes_no_delivery_time(self):
+        def trace(rebind):
+            k = Kernel(seed=3)
+            for n in ("n1", "n2"):
+                k.add_node(n)
+            k.add_link("n1", "n2", 10, jitter=30)
+            src, dst = Recorder("src"), Recorder("dst")
+            k.register(src, "n1")
+            k.register(dst, "n2")
+            for i in range(20):
+                k.send("src", "dst", i)
+                if rebind:
+                    k.rebind("dst", "n2")
+                k.run_until(k.now + 3)
+            k.run_until_empty()
+            return dst.seen
+
+        assert trace(rebind=True) == trace(rebind=False)
+
+    @pytest.mark.parametrize("run_to", [100, 150], ids=["delivered-now", "delivered-earlier"])
+    def test_a_rebind_with_nothing_in_flight_changes_no_delivery_time(self, run_to):
+        k, _, dst = self.two_links()
+        k.send("src", "dst", "a")
+        k.run_until(run_to)
+        k.rebind("dst", "n3")
+        k.send("src", "dst", "b")
+        k.run_until_empty()
+        assert dst.seen == [(100, "a"), (run_to + 1, "b")]
+
+    def test_a_floor_ends_when_the_clock_reaches_it(self):
+        k, _, dst = self.two_links()
+        k.send("src", "dst", "a")
+        k.run_until(99)
+        k.rebind("dst", "n3")
+        k.run_until(100)
+        k.send("src", "dst", "b")
+        k.run_until_empty()
+        assert dst.seen == [(100, "a"), (101, "b")]
+
+    def test_unregister(self):
+        k, src, dst = self.two_links()
+        k.send("src", "dst", "in flight")
+        k.unregister("dst")
+        assert [a.actor_id for a in k.actors()] == ["src"]
+        with pytest.raises(SimError, match="unknown actor 'dst'"):
+            k.run_until_empty()
+        k.register(Recorder("dst"), "n3")  # the id is free again
+        with pytest.raises(SimError):
+            k.unregister("gone")
+
+
 class TestTimers:
     def test_ticks_fire_at_every_multiple_of_the_period(self):
         rec = Recorder("r")
