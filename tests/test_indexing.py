@@ -632,7 +632,7 @@ class TestMergeIngest:
 
 
 class TestMergeAfterRebind:
-    def test_update_in_flight_to_a_rebound_child_arrives_before_its_retire(self):
+    def test_update_in_flight_arrives_before_the_retire(self):
         """A child is rebound to a node behind a 100 ms link, an update is
         routed to it over that link, and while the update is in flight the
         child is rebound behind a 1 ms link and its parent merges. The

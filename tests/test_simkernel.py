@@ -436,8 +436,9 @@ class TestOrderEquivalence:
 class Stepper(Actor):
     """Runs one driver step per message, inside a handler as the adaptive
     controller's rebinds run: ("send", a, b) sends b the next number of the
-    pair (a, b); ("rebind", a, n) moves a to node n; ("join", a, b) moves a
-    onto b's node."""
+    pair (a, b); ("rebind", a, n) moves a to node n; ("twice", a, n) moves
+    a to node n and then on to node n + 1; ("join", a, b) moves a onto b's
+    node."""
 
     actor_id = "stepper"
 
@@ -451,8 +452,10 @@ class Stepper(Actor):
             n = self.sent.get((f"a{a}", f"a{b}"), 0)
             self.sent[(f"a{a}", f"a{b}")] = n + 1
             k.send(f"a{a}", f"a{b}", (f"a{a}", n))
-        elif kind == "rebind":
+        elif kind in ("rebind", "twice"):
             k.rebind(f"a{a}", self.nodes[b % len(self.nodes)])
+            if kind == "twice":
+                k.rebind(f"a{a}", self.nodes[(b + 1) % len(self.nodes)])
         else:
             k.rebind(f"a{a}", k.host_of(f"a{b}"))
 
@@ -460,12 +463,12 @@ class Stepper(Actor):
 _actor = st.integers(0, 3)
 _step = st.one_of(
     st.tuples(st.just("send"), _actor, _actor),
-    st.tuples(st.just("rebind"), _actor, st.integers(0, 3)),
+    st.tuples(st.sampled_from(["rebind", "twice"]), _actor, st.integers(0, 3)),
     st.tuples(st.just("join"), _actor, _actor),
 )
 _rebind_program = st.fixed_dictionaries(
     {
-        "nodes": st.integers(2, 4),
+        "nodes": st.integers(3, 4),
         "links": st.lists(st.tuples(st.integers(1, 60), st.integers(0, 30)), min_size=6, max_size=6),
         "hosts": st.lists(st.integers(0, 3), min_size=4, max_size=4),
         # each step waits 0-10 ms after the last; a 0 puts two at one instant
