@@ -434,7 +434,7 @@ class TestOrderEquivalence:
 
 
 class Stepper(Actor):
-    """Runs one driver step per message, inside a handler as the adaptive
+    """Runs one scripted step per message, inside a handler as the adaptive
     controller's rebinds run: ("send", a, b) sends b the next number of the
     pair (a, b); ("rebind", a, n) moves a to node n; ("twice", a, n) moves
     a to node n and then on to node n + 1; ("join", a, b) moves a onto b's
