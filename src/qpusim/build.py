@@ -85,11 +85,9 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
 
     for spec in cfg.qpus:
         p = spec.params
-        kw: dict = {"timeout": p.get("timeout")}
-        if spec.cls in ("index", "merge", "federation", "cache"):
-            kw.update(recheck_replica=recheck_replica(spec), recheck_enabled=recheck_enabled)
+        timeout = p.get("timeout")
         if spec.cls == "ds":
-            qpu: object = DsQpu(spec.id, schema, replicas[p["dc"]], **kw)
+            qpu: object = DsQpu(spec.id, schema, replicas[p["dc"]], timeout=timeout)
         elif spec.cls in ("index", "merge"):
             cls = IndexQpu if spec.cls == "index" else MergeQpu
             qpu = cls(
@@ -97,10 +95,14 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
                 parse_region(p.get("region"), schema, [], f"qpus({spec.id}).region"),
                 push_to=p.get("push_to"),
                 controller=CONTROLLER_ID if adaptive_on else None,
-                **kw,
+                recheck_replica=recheck_replica(spec),
+                recheck_enabled=recheck_enabled,
+                timeout=timeout,
             )
         elif spec.cls == "federation":
-            qpu = FederationQpu(spec.id, schema, **kw)
+            qpu = FederationQpu(
+                spec.id, schema, recheck_replica=recheck_replica(spec), recheck_enabled=recheck_enabled, timeout=timeout
+            )
         elif spec.cls == "cache":
             qpu = CacheQpu(
                 spec.id,
@@ -109,7 +111,9 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
                 capacity=p.get("capacity", 128),
                 ttl=p.get("ttl", 10_000),
                 pull_interval=p.get("pull_interval"),
-                **kw,
+                recheck_replica=recheck_replica(spec),
+                recheck_enabled=recheck_enabled,
+                timeout=timeout,
             )
             caches.append(qpu)
         else:  # filter: the classes were checked at parse time

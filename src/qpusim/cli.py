@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes are a stable contract: 0 success, 1 validation failure (bad config
-or a failed oracle check), 2 runtime invariant violation.
+Exit codes are a stable contract: 0 success, 1 validation failure (bad config,
+a failed oracle check, or an output path that cannot be written), 2 runtime
+invariant violation.
 """
 
 from __future__ import annotations
@@ -89,6 +90,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # config files are read by load_*, which report as ConfigError
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
     except (RuntimeInvariantViolation, SimError) as exc:
         print(f"runtime invariant violation: {exc}", file=sys.stderr)

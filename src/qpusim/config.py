@@ -201,6 +201,11 @@ def _shaped(raw: Any, kind: type, errors: list[str], path: str) -> Any:
     return kind()
 
 
+def _optional_map(raw: Any, errors: list[str], path: str) -> dict:
+    """_shaped for a map that null leaves out: None reads as {}."""
+    return {} if raw is None else _shaped(raw, dict, errors, path)
+
+
 def _maps(raw: Any, errors: list[str], path: str) -> list[tuple[int, dict]]:
     """The (index, item) pairs of the list raw whose items are maps."""
     items = enumerate(_shaped(raw, list, errors, path))
@@ -332,7 +337,7 @@ def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
         coverage = parse_region(c.get("coverage"), schema, errors, f"connections[{i}].coverage")
         connections.append(ConnectionSpec(c["from"], c["to"], coverage))
 
-    a = _shaped(doc.get("adaptive") or {}, dict, errors, "adaptive")
+    a = _optional_map(doc.get("adaptive"), errors, "adaptive")
 
     def count(name: str, default: int) -> int:
         return _convert(a.get(name, default), int, errors, f"adaptive.{name}", default)
@@ -630,7 +635,7 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
         if p.get("key_mode", "random") not in ("random", "sequential"):
             errors.append(f"{path}.key_mode: must be random or sequential")
         dists = {}
-        for name, d in _shaped(p.get("attributes") or {}, dict, errors, f"{path}.attributes").items():
+        for name, d in _optional_map(p.get("attributes"), errors, f"{path}.attributes").items():
             dpath = f"{path}.attributes.{name}"
             if _shaped(d, dict, errors, dpath) is not d:
                 continue
@@ -696,7 +701,7 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
             if weight <= 0:
                 errors.append(f"{spath}.weight: must be positive")
             shapes.append(QueryShape(attrs, sel, weight))
-        wo = _shaped(p.get("write_origin") or {}, dict, errors, f"{path}.write_origin")
+        wo = _optional_map(p.get("write_origin"), errors, f"{path}.write_origin")
         wo_mode = wo.get("mode", "round_robin")
         wo_dcs = tuple(_shaped(wo.get("dcs", []), list, errors, f"{path}.write_origin.dcs"))
         if wo_mode not in ("fixed", "round_robin", "by_placement"):

@@ -125,7 +125,7 @@ class Kernel:
         self.seed = seed
         self.now = 0
         self.probes = Probes()
-        self._due: dict[int, list[tuple]] = {}  # (target, msg), + sender if `send` made it
+        self._due: dict[int, list[tuple]] = {}  # (target, msg), + sender if `send` made it; (None, None) if dropped
         self._times: list[int] = []
         self._nodes: set[str] = set()
         self._links: dict[tuple[str, str], _Link] = {}
@@ -165,12 +165,16 @@ class Kernel:
         self._unstarted.append(actor.actor_id)
 
     def unregister(self, actor_id: str) -> None:
-        """Removes an actor; a message still queued for it raises SimError."""
+        """Removes an actor. What was scheduled for it without a sender (its
+        own timeouts and ticks) is dropped when its time comes, which still
+        advances the clock; a message `send` addressed to it raises SimError."""
         if self._actors.pop(actor_id, None) is None:
             raise SimError(f"unknown actor {actor_id!r}")
         del self._hosts[actor_id]
         if actor_id in self._unstarted:
             self._unstarted.remove(actor_id)
+        for events in self._due.values():  # in place: run_until may be walking one
+            events[:] = [(None, None) if len(e) == 2 and e[0] == actor_id else e for e in events]
 
     def rebind(self, actor_id: str, node_id: str) -> None:
         """Moves an actor to another node, keeping each pair of actors FIFO:
@@ -260,11 +264,13 @@ class Kernel:
             for actor_id in pending:
                 self._actors[actor_id].on_start(self)
 
-    def _deliver(self, target: str, msg: Any) -> None:
+    def _deliver(self, target: str | None, msg: Any) -> None:
         """Delivers one event at `now`, re-arms it if it is a timer's tick,
         then starts any actor it registered."""
         actor = self._actors.get(target)
         if actor is None:
+            if target is None:
+                return  # dropped by unregister
             raise SimError(f"message for unknown actor {target!r}")
         period = msg.period if msg.__class__ is Tick else 0
         if period and self._timers_stopped:

@@ -961,16 +961,19 @@ class TestCli:
             for key in ("nodes", "links", "dcs", "qpus", "connections", "attributes")
         ],
         ("topology", ("adaptive",), 5, "adaptive: must be a map, got 5"),
+        ("topology", ("adaptive",), [], "adaptive: must be a map, got []"),
         ("topology", ("adaptive", "roots"), "mq", "adaptive.roots: must be a list, got 'mq'"),
         ("topology", ("debug",), 5, "debug: must be a map, got 5"),
         ("topology", (), [], "topology: must be a map, got []"),
         ("workload", ("phases",), 5, "phases: must be a list, got 5"),
         ("workload", ("phases",), [5], "phases[0]: must be a map, got 5"),
         ("workload", ("phases", 0, "attributes"), 5, "phases[0].attributes: must be a map, got 5"),
+        ("workload", ("phases", 0, "attributes"), [], "phases[0].attributes: must be a map, got []"),
         ("workload", ("phases", 0, "attributes", "size"), 5, "phases[0].attributes.size: must be a map, got 5"),
         ("workload", ("phases", 0, "query_shapes"), [5], "phases[0].query_shapes[0]: must be a map, got 5"),
         ("workload", ("phases", 0, "query_shapes", 0, "attrs"), 5, "phases[0].query_shapes[0].attrs: must be a list, got 5"),
         ("workload", ("phases", 0, "write_origin"), 5, "phases[0].write_origin: must be a map, got 5"),
+        ("workload", ("phases", 0, "write_origin"), [], "phases[0].write_origin: must be a map, got []"),
         ("workload", ("phases", 0, "write_origin", "dcs"), "dc1", "phases[0].write_origin.dcs: must be a list, got 'dc1'"),
         ("workload", ("phases", 0, "query_origin"), "fq", "phases[0].query_origin: must be a list, got 'fq'"),
         ("workload", (), [], "workload: must be a map, got []"),
@@ -1010,8 +1013,34 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith(expected) for line in err), err
 
+    def test_null_optional_map_reads_as_absent(self, tmp_path, capsys):
+        topology, workload = self.every_field()
+        topology["adaptive"] = None
+        workload["phases"][0].update(attributes=None, write_origin=None, write_rate=0, query_rate=0, query_shapes=[])
+        assert self._check_config(tmp_path, topology, workload) == 0
+
     def test_missing_file_exits_1(self, capsys):
         assert self.run_cli("check-config", "--topology", "/nonexistent.json") == 1
+
+    @pytest.mark.parametrize("command", ["run", "scenario"])
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, command):
+        """An output path that cannot be written is reported, not raised."""
+        write_scenario("single-index", tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        if command == "run":
+            args = [
+                "run",
+                "--topology", str(tmp_path / "single-index-topology.json"),
+                "--workload", str(tmp_path / "single-index-workload.json"),
+                "--out", str(tmp_path / "missing" / "m.ndjson"),
+            ]
+        else:
+            args = ["scenario", "cdn", "--out", str(blocker / "dir")]
+        capsys.readouterr()
+        assert self.run_cli(*args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cannot write output: "), err
 
     def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch, capsys):
         write_scenario("single-index", tmp_path)

@@ -681,6 +681,41 @@ class TestMergeAfterRebind:
         assert [a.actor_id for a in k.actors()] == ["dc1", "root", "flt"]
 
 
+class TestRetiredUnitTimeouts:
+    def test_a_unit_retired_before_its_query_timeout_leaves_nothing_queued(self):
+        """A split child inherits its parent's query timeout and queues one
+        for itself on every fan-out, even when every sub-answer arrives. A
+        child that splits, answers a query through its children, merges
+        them back and is retired by its parent before that timeout comes
+        still has it queued; the kernel drops it with the child."""
+        k = Kernel(seed=0)
+        k.add_node("A")
+        rep = DcReplica("dc1", SCHEMA)
+        k.register(rep, "A")
+        root = IndexQpu("root", FULL, recheck_replica=rep, timeout=1_000)
+        k.register(root, "A")
+        k.register(FilterQpu("flt", rep, [("root", FULL)]), "A")
+        cl = Client()
+        k.register(cl, "A")
+        rep.put(k, "k1", {"size": 5, "genre": "a"})
+        rep.put(k, "k2", {"size": 150, "genre": "b"})
+        k.run_until_empty()
+        k.schedule(k.now, "root", SplitCmd("root", "size", 100))
+        k.run_until_empty()
+        low = root.split_children()[0]
+        k.schedule(k.now, low, SplitCmd(low, "size", 50))
+        k.run_until_empty()
+        resp = run_query(k, cl, "root", Query.of([Predicate.between("size", 0, 10)]), drain=False)
+        assert resp.complete and [e[0] for e in resp.entries] == ["k1"]
+        t0 = k.now
+        k.schedule(k.now, low, MergeCmd(low, tuple(k.actor(low).split_children())))
+        k.run_until(t0 + 10)
+        k.schedule(k.now, "root", MergeCmd("root", tuple(root.split_children())))
+        assert k.run_until_empty() == t0 + 1_000  # the clock still reaches the dropped timeouts
+        assert root.mode == IndexQpu.LEAF and registry_keys(root.index) == {"k1", "k2"}
+        assert [a.actor_id for a in k.actors()] == ["dc1", "root", "flt", "client"]
+
+
 class TestRecheck:
     def test_deleted_candidate_dropped(self):
         k, rep, _, iq, cl = single_index_net()

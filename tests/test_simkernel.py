@@ -603,6 +603,29 @@ class TestRebindKeepsPairFifo:
         with pytest.raises(SimError):
             k.unregister("gone")
 
+    def test_unregister_drops_what_was_scheduled_for_the_actor(self):
+        """Events scheduled for an actor without a sender (its own timeouts
+        and ticks) are dropped with it, and still advance the clock to their
+        time. A handler may unregister an actor that has events in the
+        instant being delivered: the instant's other events all arrive."""
+
+        class Remover(Actor):
+            actor_id = "remover"
+
+            def on_message(self, k, msg):
+                k.unregister("dst")
+
+        dst, other = Recorder("dst"), Recorder("other")
+        k = kernel_with(dst, other, Remover())
+        for target, msg in (("dst", "before"), ("remover", "go"), ("dst", "after"), ("other", "same instant")):
+            k.schedule(10, target, msg)
+        k.schedule(50, "dst", "timeout")
+        k.every(20, "dst", "tick")
+        assert k.run_until_empty() == 50
+        assert dst.seen == [(10, "before")]
+        assert other.seen == [(10, "same instant")]
+        assert k.pending() == 0
+
 
 class TestTimers:
     def test_ticks_fire_at_every_multiple_of_the_period(self):
