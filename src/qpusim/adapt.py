@@ -263,9 +263,10 @@ class AdaptiveController(Actor):
 
     def _done(self, k: Kernel, msg: ControlDone) -> None:
         """Records a completed command and frees its tree. A split's children
-        are read from the unit, a merge's retired children from the command.
-        A ControlDone answering no command of this controller's (a unit
-        driven by hand) frees nothing and is not recorded."""
+        are read from the unit, a merge's retired children from the command,
+        and their load windows are dropped. A ControlDone answering no
+        command of this controller's (a unit driven by hand) frees nothing
+        and is not recorded."""
         root_id = next((r for r, cmd in self.in_flight.items() if cmd.parent == msg.qpu), None)
         if root_id is None:
             return
@@ -274,6 +275,8 @@ class AdaptiveController(Actor):
             children = k.actor(msg.qpu).split_children()  # type: ignore[attr-defined]
             k.probes.record_control({"action": "split", "qpu": msg.qpu, "children": children})
         else:
+            for child in cmd.children:
+                self.tracker.windows.pop(child, None)
             k.probes.record_control({"action": "merge", "qpu": msg.qpu, "retired": list(cmd.children)})
 
     # -- placement ---------------------------------------------------------------

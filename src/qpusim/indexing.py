@@ -1,6 +1,6 @@
 """Hyperspace-partitioned secondary indexes: per-region posting indexes, the
 filter units that stream store writes to them, merge units that build a global
-index from many ingest points, and the split/merge handoff protocol."""
+index from many ingest points, and the split and merge of an index unit."""
 
 from __future__ import annotations
 
@@ -48,14 +48,6 @@ class SplitCmd(NamedTuple):
     parent: str
     dim: str
     plane: RawValue
-
-
-class Handoff(NamedTuple):
-    snapshot: IndexSnapshot
-
-
-class HandoffAck(NamedTuple):
-    pass
 
 
 class MergeCmd(NamedTuple):
@@ -317,10 +309,11 @@ class IndexQpu(QpuBase):
     owning the touched coordinates, and queries take QpuBase's path over
     the children's connections. Whatever of a query no child covers is
     looked up in this unit's own index (`answer_locally`), and the part
-    outside its region is missing. During a handoff the retained index
-    keeps answering, so re-partitioning never leaves a coverage gap; during
-    a merge queries wait until the children's rows are absorbed, and the
-    unit unregisters the children. The kernel keeps each pair FIFO.
+    outside its region is missing. A split builds its children already
+    holding their rows, on this unit's node, and routes to them at once. A
+    merge applies updates as they arrive, since absorbing the children's
+    rows is last-writer-wins in any order; queries wait for every child's
+    snapshot, and the unit then unregisters the children.
 
     The units are the one record of an index tree's shape. While a unit is
     INTERNAL or MERGING, its connections are exactly its split children
@@ -329,7 +322,6 @@ class IndexQpu(QpuBase):
     """
 
     LEAF = "leaf"
-    HANDOFF = "handoff"
     INTERNAL = "internal"
     MERGING = "merging"
 
@@ -349,10 +341,8 @@ class IndexQpu(QpuBase):
         self.parent = parent
         self.controller = controller
         self.mode = self.LEAF
-        self._buffered_updates: list[IndexUpdate] = []
         self._buffered_queries: list[QueryMsg] = []
-        self._pending_children: list[Connection] = []
-        self._waiting = 0  # handoff acks or merge snapshots still to come
+        self._waiting = 0  # merge snapshots still to come
         self._split_count = 0
 
     @property
@@ -367,8 +357,8 @@ class IndexQpu(QpuBase):
         return []
 
     def sends_to(self) -> list[str]:
-        # connections include split children; the parent gets acks and
-        # snapshots. ControlDone replies to the controller's command.
+        # connections include split children; the parent gets a retiring
+        # child's snapshot. ControlDone replies to the controller's command.
         extra = (self.push_to, self.parent)
         return [*super().sends_to(), *(a for a in extra if a is not None)]
 
@@ -414,11 +404,6 @@ class IndexQpu(QpuBase):
             k.send(self.qpu_id, msg.reply_to, self.index.changes_since(msg.since))
         elif isinstance(msg, SplitCmd):
             self._start_split(k, msg)
-        elif isinstance(msg, Handoff):
-            self.index.absorb_rows(msg.snapshot.entries)
-            k.send(self.qpu_id, self.parent, HandoffAck())
-        elif isinstance(msg, HandoffAck):
-            self._handoff_acked(k)
         elif isinstance(msg, MergeCmd):
             self._start_merge(k, msg)
         elif isinstance(msg, Retire):
@@ -430,10 +415,7 @@ class IndexQpu(QpuBase):
             super().handle_other(k, msg)
 
     def handle_update(self, k: Kernel, u: IndexUpdate) -> None:
-        """Applies a batch, routes it to the children, or holds it for now."""
-        if self.mode in (self.HANDOFF, self.MERGING):
-            self._buffered_updates.append(u)
-            return
+        """Routes a batch to the children, or applies it to this unit's index."""
         if self.mode == self.INTERNAL:
             route(k, self.qpu_id, u.ops, [(c.to, c.coverage) for c in self.connections])
             return
@@ -453,10 +435,8 @@ class IndexQpu(QpuBase):
             raise RuntimeError(f"{self.qpu_id}: split requested while {self.mode}")
         low, high = self.region.split(cmd.dim, cmd.plane)
         self._split_count += 1
-        self.mode = self.HANDOFF
-        self._waiting = 2
-        self._pending_children = []
         all_rows = self.index.snapshot().entries
+        self.connections = []
         for tag, child_region in (("a", low), ("b", high)):
             child_id = f"{self.qpu_id}.s{self._split_count}{tag}"
             child = IndexQpu(
@@ -469,18 +449,13 @@ class IndexQpu(QpuBase):
                 recheck_enabled=self.recheck_enabled,
                 timeout=self.timeout,
             )
+            child.index.absorb_rows(row for row in all_rows if row[1] is None or child_region.contains(row[1]))
             k.register(child, k.host_of(self.qpu_id))
-            self._pending_children.append(Connection(child_id, child_region))
-            rows = [row for row in all_rows if row[1] is None or child_region.contains(row[1])]
-            k.send(self.qpu_id, child_id, Handoff(IndexSnapshot(child_region, tuple(rows))))
-
-    def _handoff_acked(self, k: Kernel) -> None:
-        self._waiting -= 1
-        if self._waiting:
-            return
-        self.connections = self._pending_children
+            self.connect(Connection(child_id, child_region))
         self.index.clear()
-        self._resume(k, self.INTERNAL)
+        self.mode = self.INTERNAL
+        if self.controller is not None:
+            k.send(self.qpu_id, self.controller, ControlDone(self.qpu_id))
 
     # -- merge -----------------------------------------------------------------------
 
@@ -493,6 +468,7 @@ class IndexQpu(QpuBase):
             k.send(self.qpu_id, child, Retire())
 
     def _absorb_child(self, k: Kernel, snap: IndexSnapshot) -> None:
+        """Absorbs a retiring child's rows; the last child's ends the merge."""
         self.index.absorb_rows(snap.entries)
         self._waiting -= 1
         if self._waiting:
@@ -500,14 +476,7 @@ class IndexQpu(QpuBase):
         for child in self.connections:
             k.unregister(child.to)  # registered by this unit's split
         self.connections = []
-        self._resume(k, self.LEAF)
-
-    def _resume(self, k: Kernel, mode: str) -> None:
-        """Ends a split or merge: enters `mode`, handles what was held."""
-        self.mode = mode
-        updates, self._buffered_updates = self._buffered_updates, []
-        for u in updates:
-            self.handle_update(k, u)
+        self.mode = self.LEAF
         queries, self._buffered_queries = self._buffered_queries, []
         for m in queries:
             self.handle_query(k, m)

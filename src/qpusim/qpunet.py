@@ -63,12 +63,12 @@ class IndexSnapshot(NamedTuple):
     """Index state on the wire: its region, and registry rows as
     (key, attrs, version), with attrs=None marking an index-local
     tombstone. `seq` is the index's change sequence when it was taken. A
-    full snapshot (the default) carries every row: a split's handoff, a
-    retiring child's state, and the reply to a pull that predates the
-    index's last clear(), whose receiver starts over from it. A delta
-    (`full=False`), the usual reply to a pull, carries only the rows of keys
-    changed after the request's `since`, for the receiver to merge into what
-    it holds. Stream positions do not travel: each index tracks its own."""
+    full snapshot (the default) carries every row: a retiring child's
+    state, and the reply to a pull that predates the index's last clear(),
+    whose receiver starts over from it. A delta (`full=False`), the usual
+    reply to a pull, carries only the rows of keys changed after the
+    request's `since`, for the receiver to merge into what it holds. Stream
+    positions do not travel: each index tracks its own."""
 
     region: HyperRegion
     entries: tuple[tuple[str, dict | None, Version], ...]

@@ -13,14 +13,14 @@ from qpusim.adapt import (
     rebalance_placement,
 )
 from qpusim.core import Kind, Predicate, Query, Version
-from qpusim.indexing import FilterQpu, IndexQpu, MergeCmd, SplitCmd
+from qpusim.indexing import ControlDone, FilterQpu, IndexQpu, MergeCmd, SplitCmd
 from qpusim.metrics import MetricsSink
 from qpusim.qpunet import QueryMsg
 from qpusim.scenarios import SCENARIOS, scenario
 from qpusim.simkernel import Kernel
-from qpusim.store import ClientWrite, DcReplica
+from qpusim.store import PUT, ClientWrite, DcReplica
 
-from conftest import Client, control_actions, make_region, record_log, records_of, run_query
+from conftest import Client, LogRecorder, control_actions, make_region, record_log, records_of, run_query
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 FULL = make_region(size=(None, None), genre=(None, None))
@@ -182,8 +182,8 @@ class TestSplitExecution:
         after = [frozenset(e[0] for e in run_query(k, cl, "root", q).entries) for q in queries]
         assert before == after
 
-    def test_availability_during_handoff(self):
-        # a query arriving while the parent is mid-handoff is still answered
+    def test_query_in_the_split_instant_is_answered(self):
+        # a query arriving in the split's instant is answered in full
         k, rep, root, cl = self.build()
         self.seed_objects(k, rep, 40)
         k.schedule(k.now, "root", SplitCmd("root", "size", 100))
@@ -192,7 +192,7 @@ class TestSplitExecution:
             k.step()
         assert len(cl.responses["mid"].entries) == 40
 
-    def test_writes_during_handoff_reach_children(self):
+    def test_write_in_the_split_instant_reaches_a_child(self):
         k, rep, root, cl = self.build()
         self.seed_objects(k, rep, 10)
         k.schedule(k.now, "root", SplitCmd("root", "size", 100))
@@ -202,6 +202,40 @@ class TestSplitExecution:
         assert any("fresh" in child.index.registry for child in kids.values())
         resp = run_query(k, cl, "root", q_point(5))
         assert "fresh" in {e[0] for e in resp.entries}
+
+    def test_split_is_done_in_its_instant_and_a_child_answers_that_instant(self):
+        """The children are built holding their rows, so the split completes
+        in the instant of its command, with no message to a child. A query
+        scheduled in that instant, after the command, is answered by the
+        child that owns it, and the load sample is the child's."""
+        k, rep, root, cl = self.build()
+        self.seed_objects(k, rep, 40)
+        ctl = LogRecorder("ctl")
+        k.register(ctl, "n")
+        root.controller = "ctl"
+        samples = []
+        k.probes.load_hook = lambda qpu_id, region, now: samples.append((qpu_id, now))
+        t0 = k.now
+        k.schedule(t0, "root", SplitCmd("root", "size", 100))
+        k.schedule(t0, "root", QueryMsg("same", q_range(0, 50), "client"))
+        k.run_until(t0)
+        assert ctl.entries == [ControlDone("root")]
+        low = root.split_children()[0]
+        assert samples == [(low, t0)]
+        resp = cl.responses["same"]
+        expected = {key for key, o in rep.objects.items() if 0 <= o.attrs["size"] <= 50}
+        assert resp.complete and {e[0] for e in resp.entries} == expected
+
+
+def lww_replay(log):
+    """The live attrs per key after replaying a recorded log last-writer-wins."""
+    live = {}
+    for entry in sorted(log.entries, key=lambda e: e.op.version):
+        if entry.op.kind == PUT:
+            live[entry.op.key] = entry.op.new_attrs
+        else:
+            live.pop(entry.op.key, None)
+    return live
 
 
 class TestMergeExecution:
@@ -231,15 +265,42 @@ class TestMergeExecution:
 
     def test_merge_with_interleaved_writes_equals_lww_replay(self):
         k, rep, root, cl, _ = self.split_then(writes_between=True)
-        from qpusim.store import PUT
+        assert {key: attrs for key, (attrs, _v) in root.index.registry.items()} == lww_replay(self.log)
 
-        live = {}
-        for entry in sorted(self.log.entries, key=lambda e: e.op.version):
-            if entry.op.kind == PUT:
-                live[entry.op.key] = entry.op.new_attrs
-            else:
-                live.pop(entry.op.key, None)
-        assert {key: attrs for key, (attrs, _v) in root.index.registry.items()} == live
+    def test_merging_unit_applies_writes_before_the_snapshots_arrive(self):
+        """Children rebound behind a 50 ms link take 100 ms to send their
+        snapshots back. Writes that reach the merging parent meanwhile are
+        applied at once; a query waits for the last snapshot and is then
+        answered complete. The registry ends as the last-writer-wins replay
+        of the replica's log."""
+        t = TestSplitExecution()
+        k, rep, root, cl = t.build()
+        log = record_log(k, rep)
+        t.seed_objects(k, rep, 30)
+        k.schedule(k.now, "root", SplitCmd("root", "size", 100))
+        k.run_until_empty()
+        k.add_node("far")
+        k.add_link("n", "far", 50)
+        children = tuple(root.split_children())
+        for child in children:
+            k.rebind(child, "far")
+        t0 = k.now
+        k.schedule(t0, "root", MergeCmd("root", children))
+        k.run_until(t0)
+        rep.put(k, "fresh", {"size": 5})
+        rep.put(k, "k3", {"size": 150})
+        rep.delete(k, "k4")
+        k.schedule(t0, "root", QueryMsg("mid", q_range(0, 300), "client"))
+        k.run_until(t0 + 99)
+        assert root.mode == IndexQpu.MERGING
+        assert root.index.registry["fresh"][0] == {"size": 5}
+        assert "mid" not in cl.responses
+        while "mid" not in cl.responses:
+            k.step()
+        assert k.now == t0 + 100 and root.mode == IndexQpu.LEAF and root.connections == []
+        assert cl.responses["mid"].complete and len(cl.responses["mid"].entries) == 30
+        k.run_until_empty()
+        assert {key: attrs for key, (attrs, _v) in root.index.registry.items()} == lww_replay(log)
 
     def test_queries_buffered_during_merge_are_answered(self):
         t = TestSplitExecution()
@@ -459,8 +520,9 @@ class TestRebalance:
         """adaptive-skew with a roomy third node and rebalancing on: leaves
         split, merge and move while updates and queries are in flight. The
         run validates, and once it ends the registered index units are
-        exactly the units of the tree. While retired units stayed
-        registered, 7 were against 1 in the tree at seed 0."""
+        exactly the units of the tree, and only units of the tree keep a
+        load window. While retired units stayed registered, 7 were against
+        1 in the tree at seed 0."""
         from qpusim import runner
 
         topology, workload = scenario("adaptive-skew")
@@ -480,14 +542,15 @@ class TestRebalance:
         assert control_actions(k, "rebind") and control_actions(k, "merge")
         registered = {a.actor_id for a in k.actors() if isinstance(a, IndexQpu)}
         assert registered == {u.qpu_id for u in net.controller.units("iq")}
+        assert set(net.controller.tracker.windows) <= registered
 
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_every_send_is_on_a_declared_path(self, name, monkeypatch):
         """Rebalancing keeps linked only the message paths that actors declare
         through sends_to(). Every message one actor sends another must be on
         a path the sender or, for a reply, the receiver declares at that
-        moment. In adaptive-skew, leaves split and merge, so handoffs,
-        retirements and control acks run too."""
+        moment. In adaptive-skew, leaves split and merge, so retirements,
+        their snapshots and control acks run too."""
         from qpusim.runner import run_scenario
 
         undeclared = set()

@@ -392,9 +392,9 @@ GOLDEN_NDJSON_SHA256 = {
         "2cc94ccc3bd0daeb1f58d4e03f761c37eef0b750bad15b25343b081098c84be0",
     ),
     "adaptive-skew": (
-        "4354cc9032b69ab48391156a9be5db6c3a5ec1a8b1160e1630c8c4d018ba0d07",
-        "c50372718d4081345767b05318de77a11142f3f3e63e02291d7f9f8d1eb0a2e3",
-        "f07f7f899f5c0d8afcabd20ce532f18ccededb770be1726f4ec1bbd0902486c1",
+        "26bfd2642701536b3d52a82e40b1bcb4fcabd3c7179602154607e18d83796c7f",
+        "b2a5e4d57dcba4db105a02b8906bacf46cf32ab973b516fbaa3d784c8864c8d8",
+        "1d12d283ec0fb77255bf508147070b9910b2a7ea5cbe99345249b15579a3c8c5",
     ),
     "ingest": (
         "97ecc988a8f89487d45aeb98b018f02de8b55e436319b71dfbb950a2df48c462",

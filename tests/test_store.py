@@ -288,8 +288,8 @@ class TestApplyReplicated:
 # Records built per write, log append, hop or query (see store.py).
 RECORDS = [
     store.WriteOp, store.LogEntry, store.ClientWrite, store.ClientDelete, store.Replicate,
-    indexing.StampedOp, indexing.IndexUpdate, indexing.SplitCmd, indexing.Handoff, indexing.HandoffAck,
-    indexing.MergeCmd, indexing.Retire, indexing.ControlDone,
+    indexing.StampedOp, indexing.IndexUpdate, indexing.SplitCmd, indexing.MergeCmd, indexing.Retire,
+    indexing.ControlDone,
     qpunet.QueryMsg, qpunet.ResponseMsg, qpunet.SnapshotRequest, qpunet.IndexSnapshot, qpunet.QueryTimeout,
     workload.IssueQuery, workload.Heartbeat,
     StoredObject,
