@@ -468,7 +468,7 @@ class IndexQpu(QpuBase):
             k.send(self.qpu_id, child, Retire())
 
     def _absorb_child(self, k: Kernel, snap: IndexSnapshot) -> None:
-        """Absorbs a retiring child's rows; the last child's ends the merge."""
+        """Absorbs a retiring child's rows; the last snapshot ends the merge."""
         self.index.absorb_rows(snap.entries)
         self._waiting -= 1
         if self._waiting:
