@@ -227,17 +227,6 @@ class TestSplitExecution:
         assert resp.complete and {e[0] for e in resp.entries} == expected
 
 
-def lww_replay(log):
-    """The live attrs per key after replaying a recorded log last-writer-wins."""
-    live = {}
-    for entry in sorted(log.entries, key=lambda e: e.op.version):
-        if entry.op.kind == PUT:
-            live[entry.op.key] = entry.op.new_attrs
-        else:
-            live.pop(entry.op.key, None)
-    return live
-
-
 class TestMergeExecution:
     def split_then(self, writes_between=False):
         t = TestSplitExecution()
@@ -265,7 +254,15 @@ class TestMergeExecution:
 
     def test_merge_with_interleaved_writes_equals_lww_replay(self):
         k, rep, root, cl, _ = self.split_then(writes_between=True)
-        assert {key: attrs for key, (attrs, _v) in root.index.registry.items()} == lww_replay(self.log)
+        from qpusim.store import PUT
+
+        live = {}
+        for entry in sorted(self.log.entries, key=lambda e: e.op.version):
+            if entry.op.kind == PUT:
+                live[entry.op.key] = entry.op.new_attrs
+            else:
+                live.pop(entry.op.key, None)
+        assert {key: attrs for key, (attrs, _v) in root.index.registry.items()} == live
 
     def test_merging_unit_applies_writes_before_the_snapshots_arrive(self):
         """Children rebound behind a 50 ms link take 100 ms to send their
@@ -300,7 +297,13 @@ class TestMergeExecution:
         assert k.now == t0 + 100 and root.mode == IndexQpu.LEAF and root.connections == []
         assert cl.responses["mid"].complete and len(cl.responses["mid"].entries) == 30
         k.run_until_empty()
-        assert {key: attrs for key, (attrs, _v) in root.index.registry.items()} == lww_replay(log)
+        live = {}
+        for entry in sorted(log.entries, key=lambda e: e.op.version):
+            if entry.op.kind == PUT:
+                live[entry.op.key] = entry.op.new_attrs
+            else:
+                live.pop(entry.op.key, None)
+        assert {key: attrs for key, (attrs, _v) in root.index.registry.items()} == live
 
     def test_queries_buffered_during_merge_are_answered(self):
         t = TestSplitExecution()
