@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from .adapt import AdaptiveController, LoadTracker
-from .config import TopologyConfig, adaptive_roots, controller_node, nearest_full_dc, parse_region
+from .config import TopologyConfig, adaptive_roots, controller_node, nearest_full_dc
 from .core import HyperRegion
 from .indexing import FilterQpu, IndexQpu, MergeQpu
 from .qpunet import CacheQpu, Connection, DsQpu, FederationQpu, QpuBase
@@ -55,8 +55,7 @@ class Network:
 
 
 def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
-    """Wires a topology that parse_topology returned; validate_topology has
-    already parsed every region this reads, so none fails here."""
+    """Wires a topology that parse_topology returned."""
     k = Kernel(seed=seed)
     schema = cfg.schema
 
@@ -75,7 +74,7 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
 
     def recheck_replica(spec) -> DcReplica:
         # validate_topology rejects a QPU with no recheck_dc and no reachable full replica
-        return replicas[spec.params.get("recheck_dc") or nearest_full_dc(cfg, spec.node)]
+        return replicas[spec.recheck_dc or nearest_full_dc(cfg, spec.node)]
 
     qpus: dict[str, object] = {}
     filters: list[FilterQpu] = []
@@ -84,45 +83,43 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
     recheck_enabled = not cfg.disable_recheck
 
     for spec in cfg.qpus:
-        p = spec.params
-        timeout = p.get("timeout")
         if spec.cls == "ds":
-            qpu: object = DsQpu(spec.id, schema, replicas[p["dc"]], timeout=timeout)
+            qpu: object = DsQpu(spec.id, schema, replicas[spec.dc], timeout=spec.timeout)
         elif spec.cls in ("index", "merge"):
             cls = IndexQpu if spec.cls == "index" else MergeQpu
             qpu = cls(
                 spec.id,
-                parse_region(p.get("region"), schema, [], f"qpus({spec.id}).region"),
-                push_to=p.get("push_to"),
+                HyperRegion.full(schema) if spec.region is None else spec.region,
+                push_to=spec.push_to,
                 controller=CONTROLLER_ID if adaptive_on else None,
                 recheck_replica=recheck_replica(spec),
                 recheck_enabled=recheck_enabled,
-                timeout=timeout,
+                timeout=spec.timeout,
             )
         elif spec.cls == "federation":
             qpu = FederationQpu(
-                spec.id, schema, recheck_replica=recheck_replica(spec), recheck_enabled=recheck_enabled, timeout=timeout
+                spec.id, schema, recheck_replica=recheck_replica(spec), recheck_enabled=recheck_enabled, timeout=spec.timeout
             )
         elif spec.cls == "cache":
             qpu = CacheQpu(
                 spec.id,
                 schema,
-                pull_from=p.get("pull_from"),
-                capacity=p.get("capacity", 128),
-                ttl=p.get("ttl", 10_000),
-                pull_interval=p.get("pull_interval"),
+                pull_from=spec.pull_from,
+                capacity=spec.capacity,
+                ttl=spec.ttl,
+                pull_interval=spec.pull_interval,
                 recheck_replica=recheck_replica(spec),
                 recheck_enabled=recheck_enabled,
-                timeout=timeout,
+                timeout=spec.timeout,
             )
             caches.append(qpu)
         else:  # filter: the classes were checked at parse time
             qpu = FilterQpu(
                 spec.id,
-                replicas[p["dc"]],
+                replicas[spec.dc],
                 [],  # wired below once every target QPU exists
-                batch_interval=p.get("batch_interval", 0),
-                batch_size=p.get("batch_size"),
+                batch_interval=spec.batch_interval,
+                batch_size=spec.batch_size,
             )
             filters.append(qpu)
         qpus[spec.id] = qpu
@@ -130,16 +127,9 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
 
     # a filter target's region defaults to the target QPU's own region
     for spec in cfg.qpus:
-        if spec.cls != "filter":
-            continue
-        flt: FilterQpu = qpus[spec.id]  # type: ignore[assignment]
-        for t in spec.params.get("targets", []):
-            target = qpus[t["qpu"]]
-            if t.get("region") is None:
-                region = target.region  # type: ignore[attr-defined]
-            else:
-                region = parse_region(t["region"], schema, [], f"qpus({spec.id}).targets.region")
-            flt.targets.append((t["qpu"], region))
+        for t in spec.targets:
+            region = qpus[t.qpu].region if t.region is None else t.region  # type: ignore[attr-defined]
+            qpus[spec.id].targets.append((t.qpu, region))  # type: ignore[attr-defined]
 
     for c in cfg.connections:
         coverage = c.coverage if c.coverage is not None else HyperRegion.full(schema)

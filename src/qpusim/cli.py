@@ -20,8 +20,13 @@ from .simkernel import SimError
 SEED_ENV = "QPUSIM_SEED"
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV, "0"))
+def _seed(args: argparse.Namespace) -> int:
+    """--seed, else the QPUSIM_SEED environment variable, else 0."""
+    raw = os.environ.get(SEED_ENV, "0") if args.seed is None else args.seed
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError([f"{SEED_ENV}: must be an integer, got {raw!r}"]) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,21 +61,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = _default_seed()
     try:
         if args.command == "run":
             topology = load_topology(args.topology)
             workload = load_workload(args.workload, topology)
-            result = run_scenario(topology, workload, seed=seed, out=args.out, until=args.until)
+            result = run_scenario(topology, workload, seed=_seed(args), out=args.out, until=args.until)
             print(json.dumps(result.summary, sort_keys=True))
             print(f"metrics written to {args.out}")
             return 0
         if args.command == "validate":
             topology = load_topology(args.topology)
             workload = load_workload(args.workload, topology)
-            report = validate_scenario(topology, workload, seed=seed)
+            report = validate_scenario(topology, workload, seed=_seed(args))
             print(report.describe())
             return 0 if report.ok else 1
         if args.command == "scenario":

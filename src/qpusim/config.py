@@ -1,18 +1,25 @@
-"""Topology and workload configuration: dataclasses, JSON parsing, and
-validation that reports every violation with its path into the document."""
+"""Topology and workload configuration: typed specs read from JSON documents,
+and the rules between them, each violation reported with its path into the
+document.
+
+Each spec dataclass below declares one config entity; these declarations are
+the reference for the keys a document may hold. A field is a key of the kind
+`_key` names, its default is the key's default, and a field with none is
+required; null reads as absent. `_Reader.entity` reports an unknown key, a
+missing required key and a value of the wrong kind; `validate_topology` and
+`parse_workload` check what relates one entity to another."""
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
 from .core import HyperRegion, IngestError, Interval, Kind, RawValue, check_value
-
-QPU_CLASSES = ("ds", "index", "merge", "federation", "cache", "filter")
 
 
 class ConfigError(ValueError):
@@ -23,119 +30,75 @@ class ConfigError(ValueError):
         super().__init__("\n".join(errors))
 
 
-@dataclass
-class AttributeSpec:
-    name: str
-    kind: Kind
+# -- kinds ----------------------------------------------------------------------
+# A kind reads one present value: kind(reader, raw, path) returns the typed
+# value, or _BAD after an error line. A spec class is read as a kind too.
+
+_BAD = object()
 
 
-@dataclass
-class NodeSpec:
-    id: str
-    capacity: float = 1.0
+def _int(r: _Reader, raw: Any, path: str) -> Any:
+    return raw if type(raw) is int else r.bad(path, "an integer", raw)
 
 
-@dataclass
-class LinkSpec:
-    src: str
-    dst: str
-    base_latency: int
-    jitter: int = 0
+def _number(r: _Reader, raw: Any, path: str) -> Any:
+    """A finite int or float, as a float."""
+    if type(raw) is float and math.isfinite(raw) or type(raw) is int and abs(raw) <= sys.float_info.max:
+        return float(raw)
+    return r.bad(path, "a number", raw)
 
 
-@dataclass
-class DcSpec:
-    id: str
-    node: str
-    full_replica: bool = True
-    placement: HyperRegion | None = None
+def _bool(r: _Reader, raw: Any, path: str) -> Any:
+    """JSON true or false; bool() would read "no" as true."""
+    return raw if type(raw) is bool else r.bad(path, "true or false", raw)
 
 
-@dataclass
-class QpuSpec:
-    id: str
-    cls: str
-    node: str
-    params: dict = field(default_factory=dict)
+def _id(r: _Reader, raw: Any, path: str) -> Any:
+    """A string. Ids are hashed and compared where they are read, so a list
+    or a map must stop here rather than raise a TypeError there."""
+    return raw if isinstance(raw, str) else r.bad(path, "a string id", raw)
 
 
-@dataclass
-class ConnectionSpec:
-    src: str
-    dst: str
-    coverage: HyperRegion | None = None  # None advertises the full space
+def _any(r: _Reader, raw: Any, path: str) -> Any:
+    """Any value, for a key that a rule checks against an attribute's kind."""
+    return raw
 
 
-@dataclass
-class AdaptiveSpec:
-    enabled: bool = False
-    t_split: int = 100
-    t_merge: int = 20
-    window_buckets: int = 20
-    bucket_ms: int = 100
-    period_buckets: int = 10
-    rebalance: bool = False
-    roots: tuple[str, ...] = ()
+def _one_of(options: Any) -> Any:
+    """The kind that reads one of options by name, or of an Enum by value."""
+    by_name = {getattr(o, "value", o): o for o in options}
+
+    def read(r: _Reader, raw: Any, path: str) -> Any:
+        if isinstance(raw, str) and raw in by_name:
+            return by_name[raw]
+        return r.fail(f"{path}: {raw!r} is not one of {'/'.join(by_name)}")
+
+    return read
 
 
-@dataclass
-class TopologyConfig:
-    attributes: list[AttributeSpec]
-    nodes: list[NodeSpec]
-    links: list[LinkSpec]
-    dcs: list[DcSpec]
-    qpus: list[QpuSpec]
-    connections: list[ConnectionSpec]
-    adaptive: AdaptiveSpec
-    disable_recheck: bool = False
+def _list(item: Any) -> Any:
+    """The kind that reads a list of `item`s, leaving out those that fail.
+    A string is no list: "iq" is not the ids i, q."""
+    item = _kind(item)
 
-    @property
-    def schema(self) -> dict[str, Kind]:
-        return {a.name: a.kind for a in self.attributes}
+    def read(r: _Reader, raw: Any, path: str) -> Any:
+        if not isinstance(raw, list):
+            return r.bad(path, "a list", raw)
+        return [v for i, x in enumerate(raw) if (v := item(r, x, f"{path}[{i}]")) is not _BAD]
 
-    def qpu(self, qpu_id: str) -> QpuSpec:
-        for q in self.qpus:
-            if q.id == qpu_id:
-                return q
-        raise KeyError(qpu_id)
+    return read
 
 
-@dataclass
-class DistSpec:
-    dist: str  # uniform | zipf | choice
-    params: dict
+def _map(item: Any) -> Any:
+    """The kind that reads a map of names to `item`s, leaving out those that fail."""
+    item = _kind(item)
 
+    def read(r: _Reader, raw: Any, path: str) -> Any:
+        if not isinstance(raw, dict):
+            return r.bad(path, "a map", raw)
+        return {name: v for name, x in raw.items() if (v := item(r, x, f"{path}.{name}")) is not _BAD}
 
-@dataclass
-class QueryShape:
-    attrs: tuple[str, ...]
-    selectivity: float
-    weight: float = 1.0
-
-
-@dataclass
-class PhaseSpec:
-    duration: int
-    write_rate: float = 0.0
-    query_rate: float = 0.0
-    delete_fraction: float = 0.0
-    key_space: int = 100
-    key_mode: str = "random"  # sequential assigns k0..kN in order
-    attributes: dict[str, DistSpec] = field(default_factory=dict)
-    query_shapes: list[QueryShape] = field(default_factory=list)
-    write_origin_mode: str = "round_robin"  # or fixed | by_placement
-    write_origin_dcs: tuple[str, ...] = ()
-    query_origin: tuple[str, ...] = ()
-    limit: int | None = None
-
-
-@dataclass
-class WorkloadSpec:
-    phases: list[PhaseSpec]
-    seed: int | None = None
-
-
-# -- parsing ------------------------------------------------------------------
+    return read
 
 
 def _parse_value(raw: Any, kind: Kind, errors: list[str], path: str) -> RawValue | None:
@@ -155,219 +118,317 @@ def _parse_value(raw: Any, kind: Kind, errors: list[str], path: str) -> RawValue
     return raw
 
 
-def parse_region(
-    raw: Mapping[str, Any] | None, schema: Mapping[str, Kind], errors: list[str], path: str
-) -> HyperRegion | None:
-    """A region document maps attribute names to [lo, hi] pairs; null bounds are
-    unbounded and omitted attributes span their whole axis."""
-    if raw is None:
-        return HyperRegion.full(schema)
-    if _shaped(raw, dict, errors, path) is not raw:
-        return None
+def _region(r: _Reader, raw: Any, path: str) -> Any:
+    """A region document maps attribute names of the schema to [lo, hi]
+    pairs; null bounds are unbounded and omitted attributes span their whole
+    axis. Its lines name a QPU by its id, as validate_topology's do."""
+    path = r.label(path)
+    if not isinstance(raw, dict):
+        return r.bad(path, "a map", raw)
     bounds: dict[str, Interval] = {}
-    ok = True
+    start = len(r.errors)
     for name, pair in raw.items():
-        if name not in schema:
-            errors.append(f"{path}.{name}: unknown attribute")
-            ok = False
-            continue
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            errors.append(f"{path}.{name}: bounds must be a [lo, hi] pair")
-            ok = False
-            continue
-        lo = None if pair[0] is None else _parse_value(pair[0], schema[name], errors, f"{path}.{name}[0]")
-        hi = None if pair[1] is None else _parse_value(pair[1], schema[name], errors, f"{path}.{name}[1]")
-        if (pair[0] is not None and lo is None) or (pair[1] is not None and hi is None):
-            ok = False
-            continue
-        try:
-            bounds[name] = Interval(lo, hi)
-        except ValueError as exc:
-            errors.append(f"{path}.{name}: {exc}")
-            ok = False
-    if not ok:
-        return None
-    for name in schema:
+        before = len(r.errors)
+        if name not in r.schema:
+            r.errors.append(f"{path}.{name}: unknown attribute")
+        elif not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            r.errors.append(f"{path}.{name}: bounds must be a [lo, hi] pair")
+        else:
+            lo, hi = (
+                None if v is None else _parse_value(v, r.schema[name], r.errors, f"{path}.{name}[{j}]")
+                for j, v in enumerate(pair)
+            )
+            if len(r.errors) == before:
+                try:
+                    bounds[name] = Interval(lo, hi)
+                except ValueError as exc:
+                    r.errors.append(f"{path}.{name}: {exc}")
+    if len(r.errors) > start:
+        return _BAD
+    for name in r.schema:
         bounds.setdefault(name, Interval())
     return HyperRegion.of(bounds)
 
 
-def _shaped(raw: Any, kind: type, errors: list[str], path: str) -> Any:
-    """raw when it is a `kind`, list or dict; else an error line, and an empty
-    one so parsing goes on. A string is no list: "iq" is not the ids i, q."""
-    if isinstance(raw, kind):
-        return raw
-    errors.append(f"{path}: must be {'a list' if kind is list else 'a map'}, got {raw!r}")
-    return kind()
+# -- declarations -----------------------------------------------------------------
 
 
-def _optional_map(raw: Any, errors: list[str], path: str) -> dict:
-    """_shaped for a map that null leaves out: None reads as {}."""
-    return {} if raw is None else _shaped(raw, dict, errors, path)
+def _key(kind: Any, default: Any = MISSING, *, name: str | None = None, factory: Any = MISSING) -> Any:
+    """A spec field read from the document key `name`, the field's own name
+    by default; with neither default nor factory it is required."""
+    return field(default=default, default_factory=factory, metadata={"kind": kind, "key": name})
 
 
-def _maps(raw: Any, errors: list[str], path: str) -> list[tuple[int, dict]]:
-    """The (index, item) pairs of the list raw whose items are maps."""
-    items = enumerate(_shaped(raw, list, errors, path))
-    return [(i, item) for i, item in items if _shaped(item, dict, errors, f"{path}[{i}]") is item]
+def _kind(kind: Any) -> Any:
+    """kind, or for a spec class the kind that reads the entity it declares."""
+    return (lambda r, raw, path: r.entity(kind, raw, path)) if isinstance(kind, type) else kind
 
 
-def _is_int(v: Any) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _declares(name: str, tag: str | None = None, variants: Mapping[str, tuple[str, ...]] | None = None) -> Any:
+    """Makes a class a keyword-only dataclass that declares the entity
+    `name`. With a tag, the tag key's value names the variant read, and
+    `name` stands for an entity whose tag is missing or unknown, of which
+    only the keys no variant lists are read."""
+
+    def declare(cls: type) -> type:
+        cls = dataclass(kw_only=True)(cls)
+        keys = {  # document key -> (field, kind, required)
+            f.metadata["key"] or f.name: (f.name, _kind(f.metadata["kind"]), f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)
+        }
+        listed = {key for own in (variants or {}).values() for key in own}
+        cls.TAG = tag
+        cls.READS = {None: (name, {k: v for k, v in keys.items() if k not in listed}, keys)}
+        for value, own in (variants or {}).items():
+            read = {k: v for k, v in keys.items() if k not in listed or k in own}
+            cls.READS[value] = (value, read, read)
+        return cls
+
+    return declare
 
 
-def _is_number(v: Any) -> bool:
-    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+def _declared(cls: type, raw: Mapping[str, Any]) -> tuple[str, dict, dict]:
+    """(entity name, keys read, keys known) for the map raw of cls: its
+    variant's when the tag names one."""
+    tag = raw.get(cls.TAG) if cls.TAG else None
+    return cls.READS.get(tag if isinstance(tag, str) else None, cls.READS[None])
 
 
-def _convert(raw: Any, conv: type, errors: list[str], path: str, fallback: Any) -> Any:
-    """conv(raw), or an error line and `fallback` when conv rejects raw; the
-    fallback only lets parsing go on to collect the other errors."""
-    try:
-        return conv(raw)
-    except (TypeError, ValueError, OverflowError):
-        errors.append(f"{path}: must be {'an integer' if conv is int else 'a number'}, got {raw!r}")
-        return fallback
+class _Reader:
+    """Reads one document's maps into specs against their declarations,
+    with an error line for each violation."""
+
+    def __init__(self) -> None:
+        self.errors: list[str] = []
+        self.schema: dict[str, Kind] = {}  # set once the attributes are read
+        self._labels: dict[str, str] = {}  # "qpus[i]" -> "qpus[i](id)"
+
+    def fail(self, line: str) -> Any:
+        self.errors.append(line)
+        return _BAD
+
+    def bad(self, path: str, what: str, raw: Any) -> Any:
+        return self.fail(f"{path}: must be {what}, got {raw!r}")
+
+    def label(self, path: str) -> str:
+        """path with the QPU it lies in named by its id."""
+        head, dot, rest = path.partition(".")
+        return self._labels.get(head, head) + dot + rest
+
+    def entity(self, cls: type, raw: Any, path: str) -> Any:
+        """The cls spec read from the map raw; _BAD when raw is no map or a
+        required key is missing or bad. A bad optional key keeps its default."""
+        if not isinstance(raw, dict):
+            return self.bad(path, "a map", raw)
+        if cls is QpuSpec and isinstance(raw.get("id"), str):
+            self._labels[path] = f"{path}({raw['id']})"
+        name, keys, known = _declared(cls, raw)
+        prefix = f"{path}." if path else ""
+        for key in raw:
+            if key not in known:
+                self.fail(f"{self.label(prefix + key)}: not {'an' if name[0] in 'aeio' else 'a'} {name} key")
+        values, ok = {}, True
+        for key, (attr, kind, required) in keys.items():  # in declaration order: attributes fix the schema first
+            raw_value = raw.get(key)
+            value = _BAD if raw_value is None else kind(self, raw_value, prefix + key)
+            if value is not _BAD:
+                values[attr] = value
+            elif required:
+                if raw_value is None:
+                    self.fail(f"{prefix}{key}: missing")
+                ok = False
+        return cls(**values) if ok else _BAD
 
 
-def _is_id(raw: Any, errors: list[str], path: str) -> bool:
-    """True when raw is a string, or None for an id left out; else an error
-    line. Ids are hashed and compared where they are read, so a list or a
-    map must stop here rather than raise a TypeError there."""
-    if raw is None or isinstance(raw, str):
-        return True
-    errors.append(f"{path}: must be a string id, got {raw!r}")
-    return False
+# -- topology -----------------------------------------------------------------------
 
 
-def _ids_ok(doc: Mapping[str, Any], keys: tuple[str, ...], errors: list[str], path: str) -> bool:
-    """_is_id for each of the keys of doc, with an error line for each bad one."""
-    return all([_is_id(doc.get(key), errors, f"{path}.{key}") for key in keys])
+@_declares("attribute")
+class AttributeSpec:
+    name: str = _key(_id)
+    kind: Kind = _key(_one_of(Kind))
 
 
-def _flag(doc: Mapping[str, Any], name: str, default: bool, errors: list[str], path: str) -> bool:
-    """doc[name] when it is JSON true or false, `default` when absent; any
-    other value is an error line, since bool() would read "no" as true."""
-    raw = doc.get(name, default)
-    if isinstance(raw, bool):
-        return raw
-    errors.append(f"{path}: must be true or false, got {raw!r}")
-    return default
+def _attributes(r: _Reader, raw: Any, path: str) -> Any:
+    """The attribute list, which fixes the schema of every region read after it."""
+    attributes = _read_attribute_list(r, raw, path)
+    if attributes is not _BAD:
+        r.schema = {a.name: a.kind for a in attributes}
+    return attributes
+
+
+_read_attribute_list = _list(AttributeSpec)
+
+
+@_declares("node")
+class NodeSpec:
+    id: str = _key(_id)
+    capacity: float = _key(_number, 1.0)
+
+
+@_declares("link")
+class LinkSpec:
+    src: str = _key(_id, name="from")
+    dst: str = _key(_id, name="to")
+    base_latency: int = _key(_int)
+    jitter: int = _key(_int, 0)
+
+
+@_declares("DC")
+class DcSpec:
+    id: str = _key(_id)
+    node: str = _key(_id)
+    full_replica: bool = _key(_bool, True)
+    placement: HyperRegion | None = _key(_region, None)
+
+
+@_declares("target")
+class TargetSpec:
+    qpu: str = _key(_id)
+    region: HyperRegion | None = _key(_region, None)  # None: the target QPU's own region
+
+
+QPU_KEYS = {
+    "ds": ("dc", "timeout"),
+    "index": ("region", "recheck_dc", "push_to", "timeout"),
+    "merge": ("region", "recheck_dc", "push_to", "timeout"),
+    "federation": ("recheck_dc", "timeout"),
+    "cache": ("recheck_dc", "pull_from", "capacity", "ttl", "pull_interval", "timeout"),
+    "filter": ("dc", "targets", "batch_interval", "batch_size"),
+}
+
+
+@_declares("QPU", tag="class", variants=QPU_KEYS)
+class QpuSpec:
+    """A QPU of any class; QPU_KEYS lists the keys each class reads beyond
+    id, class and node. A replica cache is a cache that names pull_from."""
+
+    id: str = _key(_id)
+    cls: str = _key(_one_of(QPU_KEYS), name="class")
+    node: str = _key(_id)
+    dc: str | None = _key(_id, None)
+    region: HyperRegion | None = _key(_region, None)  # None: the full space
+    targets: list[TargetSpec] = _key(_list(TargetSpec), factory=list)
+    recheck_dc: str | None = _key(_id, None)  # None: the nearest full replica
+    push_to: str | None = _key(_id, None)
+    pull_from: str | None = _key(_id, None)
+    capacity: float = _key(_number, 128)
+    ttl: float = _key(_number, 10_000)
+    pull_interval: int | None = _key(_int, None)
+    timeout: int | None = _key(_int, None)
+    batch_interval: int = _key(_int, 0)
+    batch_size: int | None = _key(_int, None)
+
+
+@_declares("connection")
+class ConnectionSpec:
+    src: str = _key(_id, name="from")
+    dst: str = _key(_id, name="to")
+    coverage: HyperRegion | None = _key(_region, None)  # None advertises the full space
+
+
+@_declares("adaptive")
+class AdaptiveSpec:
+    enabled: bool = _key(_bool, False)
+    t_split: int = _key(_int, 100)
+    t_merge: int = _key(_int, 20)
+    window_buckets: int = _key(_int, 20)
+    bucket_ms: int = _key(_int, 100)
+    period_buckets: int = _key(_int, 10)
+    rebalance: bool = _key(_bool, False)
+    roots: list[str] = _key(_list(_id), factory=list)
+
+
+@_declares("debug")
+class DebugSpec:
+    disable_recheck: bool = _key(_bool, False)
+
+
+@_declares("topology")
+class TopologyConfig:
+    attributes: list[AttributeSpec] = _key(_attributes, factory=list)
+    nodes: list[NodeSpec] = _key(_list(NodeSpec), factory=list)
+    links: list[LinkSpec] = _key(_list(LinkSpec), factory=list)
+    dcs: list[DcSpec] = _key(_list(DcSpec), factory=list)
+    qpus: list[QpuSpec] = _key(_list(QpuSpec), factory=list)
+    connections: list[ConnectionSpec] = _key(_list(ConnectionSpec), factory=list)
+    adaptive: AdaptiveSpec = _key(AdaptiveSpec, factory=AdaptiveSpec)
+    debug: DebugSpec = _key(DebugSpec, factory=DebugSpec)
+
+    @property
+    def schema(self) -> dict[str, Kind]:
+        return {a.name: a.kind for a in self.attributes}
+
+    @property
+    def disable_recheck(self) -> bool:
+        return self.debug.disable_recheck
+
+
+# -- workload -----------------------------------------------------------------------
+
+DIST_KEYS = {"uniform": ("lo", "hi"), "zipf": ("s", "n", "lo"), "choice": ("values",)}
+
+
+@_declares("distribution", tag="dist", variants=DIST_KEYS)
+class DistSpec:
+    """An attribute's value distribution. parse_workload checks lo, hi and
+    values against the attribute's kind, and sets a zipf's lo."""
+
+    dist: str = _key(_one_of(DIST_KEYS))
+    lo: Any = _key(_any, None)  # a zipf's defaults to 0
+    hi: Any = _key(_any, None)
+    s: float = _key(_number, 0.0)
+    n: int = _key(_int, 0)
+    values: list | None = _key(_any, None)
+
+
+@_declares("query shape")
+class QueryShape:
+    attrs: list[str] = _key(_list(_id), factory=list)
+    selectivity: float = _key(_number, 0.0)
+    weight: float = _key(_number, 1.0)
+
+
+@_declares("write_origin")
+class WriteOriginSpec:
+    mode: str = _key(_one_of(("round_robin", "fixed", "by_placement")), "round_robin")
+    dcs: list[str] = _key(_list(_id), factory=list)
+
+
+@_declares("phase")
+class PhaseSpec:
+    duration: int = _key(_int, 0)
+    write_rate: float = _key(_number, 0.0)
+    query_rate: float = _key(_number, 0.0)
+    delete_fraction: float = _key(_number, 0.0)
+    key_space: int = _key(_int, 100)
+    key_mode: str = _key(_one_of(("random", "sequential")), "random")  # sequential assigns k0..kN in order
+    attributes: dict[str, DistSpec] = _key(_map(DistSpec), factory=dict)
+    query_shapes: list[QueryShape] = _key(_list(QueryShape), factory=list)
+    write_origin: WriteOriginSpec = _key(WriteOriginSpec, factory=WriteOriginSpec)
+    query_origin: list[str] = _key(_list(_id), factory=list)
+    limit: int | None = _key(_int, None)
+
+
+@_declares("workload")
+class WorkloadSpec:
+    phases: list[PhaseSpec] = _key(_list(PhaseSpec), factory=list)
+    seed: int | None = _key(_int, None)
+
+
+# -- parsing and the rules between entities ------------------------------------------
 
 
 def parse_topology(doc: Mapping[str, Any]) -> TopologyConfig:
-    errors: list[str] = []
-    if _shaped(doc, dict, errors, "topology") is not doc:
-        raise ConfigError(errors)
-    attributes = []
-    for i, a in _maps(doc.get("attributes", []), errors, "attributes"):
-        name, kind = a.get("name"), a.get("kind")
-        if not name:
-            errors.append(f"attributes[{i}].name: missing")
-            continue
-        if kind not in (k.value for k in Kind):
-            errors.append(f"attributes[{i}].kind: {kind!r} is not one of int/float/text")
-            continue
-        attributes.append(AttributeSpec(name, Kind(kind)))
-    if not attributes:
-        errors.append("attributes: at least one indexed attribute is required")
-    schema = {a.name: a.kind for a in attributes}
-
-    nodes = []
-    for i, n in _maps(doc.get("nodes", []), errors, "nodes"):
-        if "id" not in n:
-            errors.append(f"nodes[{i}]: needs an id")
-            continue
-        if not _ids_ok(n, ("id",), errors, f"nodes[{i}]"):
-            continue
-        capacity = n.get("capacity", 1.0)
-        if not _is_number(capacity):
-            errors.append(f"nodes[{i}].capacity: must be a number, got {capacity!r}")
-            capacity = 1.0
-        nodes.append(NodeSpec(n["id"], float(capacity)))
-
-    links = []
-    for i, l in _maps(doc.get("links", []), errors, "links"):
-        if not _ids_ok(l, ("from", "to"), errors, f"links[{i}]"):
-            continue
-        try:
-            links.append(LinkSpec(l["from"], l["to"], int(l["base_latency"]), int(l.get("jitter", 0))))
-        except (KeyError, TypeError, ValueError):
-            errors.append(f"links[{i}]: needs from, to, base_latency")
-
-    dcs = []
-    for i, d in _maps(doc.get("dcs", []), errors, "dcs"):
-        if "id" not in d or "node" not in d:
-            errors.append(f"dcs[{i}]: needs id and node")
-            continue
-        if not _ids_ok(d, ("id", "node"), errors, f"dcs[{i}]"):
-            continue
-        raw = d.get("placement")
-        placement = None if raw is None else parse_region(raw, schema, errors, f"dcs[{i}].placement")
-        full_replica = _flag(d, "full_replica", True, errors, f"dcs[{i}].full_replica")
-        dcs.append(DcSpec(d["id"], d["node"], full_replica, placement))
-
-    qpus = []
-    for i, q in _maps(doc.get("qpus", []), errors, "qpus"):
-        if "id" not in q or "class" not in q or "node" not in q:
-            errors.append(f"qpus[{i}]: needs id, class and node")
-            continue
-        if q["class"] not in QPU_CLASSES:
-            errors.append(f"qpus[{i}].class: {q['class']!r} is not one of {'/'.join(QPU_CLASSES)}")
-            continue
-        ids_ok = _ids_ok(q, ("id", "node", "dc", "recheck_dc", "pull_from", "push_to"), errors, f"qpus[{i}]")
-        targets = q.get("targets", [])
-        if _shaped(targets, list, errors, f"qpus[{i}].targets") is not targets:
-            continue
-        for j, t in enumerate(targets):
-            if isinstance(t, dict):
-                ids_ok = _ids_ok(t, ("qpu",), errors, f"qpus[{i}].targets[{j}]") and ids_ok
-        if not ids_ok:
-            continue
-        params = {key: v for key, v in q.items() if key not in ("id", "class", "node")}
-        qpus.append(QpuSpec(q["id"], q["class"], q["node"], params))
-
-    connections = []
-    for i, c in _maps(doc.get("connections", []), errors, "connections"):
-        if "from" not in c or "to" not in c:
-            errors.append(f"connections[{i}]: needs from and to")
-            continue
-        if not _ids_ok(c, ("from", "to"), errors, f"connections[{i}]"):
-            continue
-        coverage = parse_region(c.get("coverage"), schema, errors, f"connections[{i}].coverage")
-        connections.append(ConnectionSpec(c["from"], c["to"], coverage))
-
-    a = _optional_map(doc.get("adaptive"), errors, "adaptive")
-
-    def count(name: str, default: int) -> int:
-        return _convert(a.get(name, default), int, errors, f"adaptive.{name}", default)
-
-    roots = _shaped(a.get("roots", []), list, errors, "adaptive.roots")
-    adaptive = AdaptiveSpec(
-        enabled=_flag(a, "enabled", False, errors, "adaptive.enabled"),
-        t_split=count("t_split", 100),
-        t_merge=count("t_merge", 20),
-        window_buckets=count("window_buckets", 20),
-        bucket_ms=count("bucket_ms", 100),
-        period_buckets=count("period_buckets", 10),
-        rebalance=_flag(a, "rebalance", False, errors, "adaptive.rebalance"),
-        roots=tuple(r for j, r in enumerate(roots) if _is_id(r, errors, f"adaptive.roots[{j}]")),
-    )
-
-    debug = _shaped(doc.get("debug", {}), dict, errors, "debug")
-    cfg = TopologyConfig(
-        attributes=attributes,
-        nodes=nodes,
-        links=links,
-        dcs=dcs,
-        qpus=qpus,
-        connections=connections,
-        adaptive=adaptive,
-        disable_recheck=_flag(debug, "disable_recheck", False, errors, "debug.disable_recheck"),
-    )
-    errors.extend(validate_topology(cfg))
-    if errors:
-        raise ConfigError(errors)
+    if not isinstance(doc, dict):
+        raise ConfigError([f"topology: must be a map, got {doc!r}"])
+    r = _Reader()
+    cfg = r.entity(TopologyConfig, doc, "")
+    if not cfg.attributes:
+        r.errors.append("attributes: at least one indexed attribute is required")
+    r.errors.extend(validate_topology(cfg))
+    if r.errors:
+        raise ConfigError(r.errors)
     return cfg
 
 
@@ -438,7 +499,6 @@ def controller_node(cfg: TopologyConfig) -> str | None:
 
 def validate_topology(cfg: TopologyConfig) -> list[str]:
     errors: list[str] = []
-    schema = cfg.schema
     node_ids = {n.id for n in cfg.nodes}
     dc_ids = {d.id for d in cfg.dcs}
     qpu_ids = {q.id for q in cfg.qpus}
@@ -450,6 +510,7 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
     if dc_ids & qpu_ids:
         errors.append(f"dcs/qpus: ids shared between replicas and QPUs: {sorted(dc_ids & qpu_ids)}")
 
+    linked: set[frozenset[str]] = set()
     for i, l in enumerate(cfg.links):
         if l.src not in node_ids or l.dst not in node_ids:
             errors.append(f"links[{i}]: unknown node {l.src!r} or {l.dst!r}")
@@ -457,8 +518,11 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
             errors.append(f"links[{i}].base_latency: must be positive")
         if l.jitter < 0:
             errors.append(f"links[{i}].jitter: must be non-negative")
+        if frozenset((l.src, l.dst)) in linked:
+            # the kernel keeps one link per node pair, so a second would replace the first
+            errors.append(f"links[{i}]: duplicate link between {l.src!r} and {l.dst!r}")
+        linked.add(frozenset((l.src, l.dst)))
 
-    linked = {frozenset((l.src, l.dst)) for l in cfg.links}
     for i, d in enumerate(cfg.dcs):
         if d.node not in node_ids:
             errors.append(f"dcs[{i}].node: unknown node {d.node!r}")
@@ -487,25 +551,17 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
         path = f"qpus[{i}]({q.id})"
         if q.node not in node_ids:
             errors.append(f"{path}.node: unknown node {q.node!r}")
-        p = q.params
-        timeout = p.get("timeout")
-        if timeout is not None and not (_is_int(timeout) and timeout > 0):
-            errors.append(f"{path}.timeout: must be a positive integer, got {timeout!r}")
+        if q.timeout is not None and q.timeout <= 0:
+            errors.append(f"{path}.timeout: must be a positive integer, got {q.timeout!r}")
         if q.cls == "ds":
-            if p.get("dc") not in dc_ids:
+            if q.dc not in dc_ids:
                 errors.append(f"{path}.dc: a ds QPU must name its single data centre")
-        if q.cls in ("index", "merge"):
-            parse_region(p.get("region"), schema, errors, f"{path}.region")
         if q.cls == "cache":
-            if "mode" in p:
-                # an old file's replica cache would otherwise load as a response cache
-                errors.append(f"{path}.mode: not a cache key; a replica cache names pull_from")
-            capacity, ttl = p.get("capacity", 128), p.get("ttl", 10_000)
-            if not (_is_number(capacity) and capacity >= 1):
-                errors.append(f"{path}.capacity: must be a number >= 1, got {capacity!r}")
-            if not (_is_number(ttl) and ttl > 0):
-                errors.append(f"{path}.ttl: must be a positive number, got {ttl!r}")
-            pull_from, pull = p.get("pull_from"), p.get("pull_interval")
+            if q.capacity < 1:
+                errors.append(f"{path}.capacity: must be a number >= 1, got {q.capacity!r}")
+            if q.ttl <= 0:
+                errors.append(f"{path}.ttl: must be a positive number, got {q.ttl!r}")
+            pull_from, pull = q.pull_from, q.pull_interval
             degree = sum(c.src == q.id for c in cfg.connections)
             if pull_from is None:
                 if degree != 1:
@@ -522,49 +578,43 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
                 elif pull_from in roots:
                     # a split clears the root's index, and the root still answers pulls from it
                     errors.append(f"qpus({q.id}): a replica cache cannot pull from adaptive root {pull_from!r}")
-                if not (_is_int(pull) and pull > 0):
+                if pull is None or pull <= 0:
                     # without one it never pulls, or at 0 re-pulls at one instant forever
                     errors.append(f"{path}.pull_interval: a replica cache needs a positive integer, got {pull!r}")
         if q.cls == "filter":
-            if p.get("dc") not in dc_ids:
+            if q.dc not in dc_ids:
                 errors.append(f"{path}.dc: a filter subscribes to exactly one DC log")
-            elif unlinked(q.id, p["dc"]):
-                errors.append(f"{path}.dc: no link between nodes of {q.id!r} and {p['dc']!r}")
-            for j, t in enumerate(p.get("targets", [])):
-                tid = t.get("qpu") if isinstance(t, dict) else None
-                if tid not in index_like:
-                    errors.append(f"{path}.targets[{j}]: {tid!r} is not an indexing QPU")
-                elif isinstance(t, dict):
-                    parse_region(t.get("region"), schema, errors, f"{path}.targets[{j}].region")
-                    if unlinked(q.id, tid):
-                        errors.append(f"{path}.targets[{j}]: no link between nodes of {q.id!r} and {tid!r}")
-            interval, size = p.get("batch_interval", 0), p.get("batch_size")
-            if not (_is_int(interval) and interval >= 0):
+            elif unlinked(q.id, q.dc):
+                errors.append(f"{path}.dc: no link between nodes of {q.id!r} and {q.dc!r}")
+            for j, t in enumerate(q.targets):
+                if t.qpu not in index_like:
+                    errors.append(f"{path}.targets[{j}]: {t.qpu!r} is not an indexing QPU")
+                elif unlinked(q.id, t.qpu):
+                    errors.append(f"{path}.targets[{j}]: no link between nodes of {q.id!r} and {t.qpu!r}")
+            if q.batch_interval < 0:
                 # flushes are scheduled on the integer clock
-                errors.append(f"{path}.batch_interval: must be an integer >= 0, got {interval!r}")
-            if size is not None and not (_is_int(size) and size >= 1):
-                errors.append(f"{path}.batch_size: must be an integer >= 1, got {size!r}")
+                errors.append(f"{path}.batch_interval: must be an integer >= 0, got {q.batch_interval!r}")
+            if q.batch_size is not None and q.batch_size < 1:
+                errors.append(f"{path}.batch_size: must be an integer >= 1, got {q.batch_size!r}")
         if q.cls in ("index", "merge", "federation", "cache"):
-            rd = p.get("recheck_dc")
+            rd = q.recheck_dc
             if rd is None:
                 if q.node in node_ids and nearest_full_dc(cfg, q.node) is None:
                     errors.append(f"{path}: no recheck_dc and no full replica reachable from node {q.node!r}")
             elif rd not in dc_ids:
                 errors.append(f"{path}.recheck_dc: unknown DC {rd!r}")
             elif rd not in full_dcs:
-                # a partial replica can recheck only a region it fully holds;
-                # a region that does not parse is reported on its own
-                region = parse_region(p.get("region"), schema, [], f"{path}.region")
+                # a partial replica can recheck only a region it fully holds
+                region = HyperRegion.full(cfg.schema) if q.region is None else q.region
                 placement = by_dc[rd].placement
                 indexed = q.cls in ("index", "merge") and placement is not None
-                if region is not None and not (indexed and placement.covers(region)):
+                if not (indexed and placement.covers(region)):
                     errors.append(f"{path}.recheck_dc: {rd!r} is partial and does not cover the QPU's region")
-        if q.cls in ("index", "merge"):
-            push = p.get("push_to")
-            if push is not None and push not in index_like:
-                errors.append(f"{path}.push_to: {push!r} is not an indexing QPU")
-            elif push is not None and unlinked(q.id, push):
-                errors.append(f"{path}.push_to: no link between nodes of {q.id!r} and {push!r}")
+        if q.push_to is not None:
+            if q.push_to not in index_like:
+                errors.append(f"{path}.push_to: {q.push_to!r} is not an indexing QPU")
+            elif unlinked(q.id, q.push_to):
+                errors.append(f"{path}.push_to: no link between nodes of {q.id!r} and {q.push_to!r}")
 
     for i, c in enumerate(cfg.connections):
         if c.src not in qpu_ids:
@@ -579,9 +629,8 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
         if c.src in edges and c.dst in qpu_ids:
             edges[c.src].append(c.dst)
     for q in cfg.qpus:
-        push = q.params.get("push_to")
-        if push in qpu_ids:
-            edges[q.id].append(push)
+        if q.push_to in qpu_ids:
+            edges[q.id].append(q.push_to)
     cycle = _find_cycle(edges)
     if cycle:
         errors.append(f"connections: routing graph has a cycle: {' -> '.join(cycle)}")
@@ -606,144 +655,95 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
 
 
 def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = None) -> WorkloadSpec:
-    errors: list[str] = []
-    if _shaped(doc, dict, errors, "workload") is not doc:
-        raise ConfigError(errors)
-    phases = []
+    if not isinstance(doc, dict):
+        raise ConfigError([f"workload: must be a map, got {doc!r}"])
+    r = _Reader()
+    spec = r.entity(WorkloadSpec, doc, "")
+    errors = r.errors
     schema = topology.schema if topology else None
     dc_ids = {d.id for d in topology.dcs} if topology else None
     qpu_ids = {q.id for q in topology.qpus} if topology else None
-    for i, p in _maps(doc.get("phases", []), errors, "phases"):
+    for i, p in enumerate(spec.phases):
         path = f"phases[{i}]"
-        duration = _convert(p.get("duration", 0), int, errors, f"{path}.duration", 1)
-        if duration <= 0:
+        if p.duration <= 0:
             errors.append(f"{path}.duration: must be positive")
-        write_rate = _convert(p.get("write_rate", 0.0), float, errors, f"{path}.write_rate", 0.0)
-        query_rate = _convert(p.get("query_rate", 0.0), float, errors, f"{path}.query_rate", 0.0)
-        for rate_key, rate in (("write_rate", write_rate), ("query_rate", query_rate)):
+        for rate_key, rate in (("write_rate", p.write_rate), ("query_rate", p.query_rate)):
             if rate < 0:
                 errors.append(f"{path}.{rate_key}: must be >= 0")
-        frac = _convert(p.get("delete_fraction", 0.0), float, errors, f"{path}.delete_fraction", 0.0)
-        if not 0.0 <= frac <= 1.0:
+        if not 0.0 <= p.delete_fraction <= 1.0:
             errors.append(f"{path}.delete_fraction: must be in [0, 1]")
-        limit = p.get("limit")
-        if limit is not None and not (_is_int(limit) and limit >= 0):
-            errors.append(f"{path}.limit: must be a non-negative integer, got {limit!r}")
-        key_space = _convert(p.get("key_space", 100), int, errors, f"{path}.key_space", 1)
-        if key_space < 1:
+        if p.limit is not None and p.limit < 0:
+            errors.append(f"{path}.limit: must be a non-negative integer, got {p.limit!r}")
+        if p.key_space < 1:
             errors.append(f"{path}.key_space: must be >= 1")
-        if p.get("key_mode", "random") not in ("random", "sequential"):
-            errors.append(f"{path}.key_mode: must be random or sequential")
         dists = {}
-        for name, d in _optional_map(p.get("attributes"), errors, f"{path}.attributes").items():
+        for name, d in p.attributes.items():
             dpath = f"{path}.attributes.{name}"
-            if _shaped(d, dict, errors, dpath) is not d:
-                continue
             if schema is not None and name not in schema:
                 errors.append(f"{dpath}: unknown attribute")
                 continue
-            kind = d.get("dist")
             attr_kind = schema[name] if schema is not None else None
             # every value a distribution can draw must be a value of the
             # attribute's kind (check_value), so a run never draws one that
             # the sampler cannot make or ingest rejects
-            if kind == "uniform":
-                lo, hi = d.get("lo"), d.get("hi")
-                numbers = _is_number(lo) and _is_number(hi) and lo < hi
+            if d.dist == "uniform":
+                numbers = all(type(v) is int or type(v) is float and math.isfinite(v) for v in (d.lo, d.hi)) and d.lo < d.hi
                 if not numbers:
-                    errors.append(f"{dpath}: uniform needs numbers lo < hi, got {lo!r} and {hi!r}")
+                    errors.append(f"{dpath}: uniform needs numbers lo < hi, got {d.lo!r} and {d.hi!r}")
                 if attr_kind is Kind.TEXT:
                     errors.append(f"{dpath}: uniform needs a numeric attribute, {name!r} is text")
                 elif numbers and attr_kind is not None:
                     # draws lie in [lo, hi], a float one at lo + (hi - lo) * r
-                    lo = _parse_value(lo, attr_kind, errors, f"{dpath}.lo")
-                    hi = _parse_value(hi, attr_kind, errors, f"{dpath}.hi")
-                    if attr_kind is Kind.FLOAT and lo is not None and hi is not None and not math.isfinite(hi - lo):
+                    d.lo = _parse_value(d.lo, attr_kind, errors, f"{dpath}.lo")
+                    d.hi = _parse_value(d.hi, attr_kind, errors, f"{dpath}.hi")
+                    if attr_kind is Kind.FLOAT and d.lo is not None and d.hi is not None and not math.isfinite(d.hi - d.lo):
                         errors.append(f"{dpath}: uniform width hi - lo is beyond the float range")
-                    d = {**d, "lo": lo, "hi": hi}
-            elif kind == "zipf":
-                s_exp = _convert(d.get("s", 0), float, errors, f"{dpath}.s", 1.0)
-                n = _convert(d.get("n", 0), int, errors, f"{dpath}.n", 1)
-                if s_exp <= 0 or n < 1:
+            elif d.dist == "zipf":
+                if d.s <= 0 or d.n < 1:
                     errors.append(f"{dpath}: zipf needs s > 0 and n >= 1")
                 if attr_kind not in (None, Kind.INT):
                     errors.append(f"{dpath}: zipf needs an int attribute, {name!r} is {attr_kind.value}")
-                elif n >= 1:
+                elif d.n >= 1:
                     # draws run from lo to lo + n - 1
-                    lo = _parse_value(d.get("lo", 0), Kind.INT, errors, f"{dpath}.lo")
-                    if lo is not None:
-                        _parse_value(lo + n - 1, Kind.INT, errors, f"{dpath}: greatest draw lo + n - 1")
-            elif kind == "choice":
-                values = d.get("values")
-                if not (isinstance(values, list) and values):
-                    errors.append(f"{dpath}: choice needs a non-empty values list")
-                elif attr_kind is not None:
-                    # the sampler draws these as they are: an int for a float attribute is made a float
-                    values = [_parse_value(v, attr_kind, errors, f"{dpath}.values[{j}]") for j, v in enumerate(values)]
-                    d = {**d, "values": values}
-            else:
-                errors.append(f"{dpath}.dist: {kind!r} is not uniform/zipf/choice")
-                continue
-            dists[name] = DistSpec(kind, {key: v for key, v in d.items() if key != "dist"})
-        shapes = []
-        for j, s in _maps(p.get("query_shapes", []), errors, f"{path}.query_shapes"):
+                    d.lo = _parse_value(0 if d.lo is None else d.lo, Kind.INT, errors, f"{dpath}.lo")
+                    if d.lo is not None:
+                        _parse_value(d.lo + d.n - 1, Kind.INT, errors, f"{dpath}: greatest draw lo + n - 1")
+            elif not (isinstance(d.values, list) and d.values):
+                errors.append(f"{dpath}: choice needs a non-empty values list")
+            elif attr_kind is not None:
+                # the sampler draws these as they are: an int for a float attribute is made a float
+                d.values = [_parse_value(v, attr_kind, errors, f"{dpath}.values[{j}]") for j, v in enumerate(d.values)]
+            dists[name] = d
+        p.attributes = dists
+        for j, s in enumerate(p.query_shapes):
             spath = f"{path}.query_shapes[{j}]"
-            attrs = tuple(_shaped(s.get("attrs", []), list, errors, f"{spath}.attrs"))
-            if not attrs:
+            if not s.attrs:
                 errors.append(f"{spath}.attrs: must name at least one attribute")
-            for a in attrs:
+            for a in s.attrs:
                 if a not in dists:
                     errors.append(f"{spath}.attrs: {a!r} has no value distribution in this phase")
-            sel = _convert(s.get("selectivity", 0.0), float, errors, f"{spath}.selectivity", 0.0)
-            if not 0.0 <= sel <= 1.0:
+            if not 0.0 <= s.selectivity <= 1.0:
                 errors.append(f"{spath}.selectivity: must be in [0, 1]")
-            weight = _convert(s.get("weight", 1.0), float, errors, f"{spath}.weight", 1.0)
-            if weight <= 0:
+            if s.weight <= 0:
                 errors.append(f"{spath}.weight: must be positive")
-            shapes.append(QueryShape(attrs, sel, weight))
-        wo = _optional_map(p.get("write_origin"), errors, f"{path}.write_origin")
-        wo_mode = wo.get("mode", "round_robin")
-        wo_dcs = tuple(_shaped(wo.get("dcs", []), list, errors, f"{path}.write_origin.dcs"))
-        if wo_mode not in ("fixed", "round_robin", "by_placement"):
-            errors.append(f"{path}.write_origin.mode: {wo_mode!r} unknown")
-        if write_rate > 0 and not wo_dcs:
+        if p.write_rate > 0 and not p.write_origin.dcs:
             errors.append(f"{path}.write_origin.dcs: required when writes flow")
-        for j, dc in enumerate(wo_dcs):
-            if _is_id(dc, errors, f"{path}.write_origin.dcs[{j}]") and dc_ids is not None and dc not in dc_ids:
+        for dc in p.write_origin.dcs:
+            if dc_ids is not None and dc not in dc_ids:
                 errors.append(f"{path}.write_origin.dcs: unknown DC {dc!r}")
-        qo = tuple(_shaped(p.get("query_origin", []), list, errors, f"{path}.query_origin"))
-        if query_rate > 0:
-            if not shapes:
+        if p.query_rate > 0:
+            if not p.query_shapes:
                 errors.append(f"{path}.query_shapes: required when queries flow")
-            if not qo:
+            if not p.query_origin:
                 errors.append(f"{path}.query_origin: required when queries flow")
-        for j, origin in enumerate(qo):
-            if _is_id(origin, errors, f"{path}.query_origin[{j}]") and qpu_ids is not None and origin not in qpu_ids:
+        for origin in p.query_origin:
+            if qpu_ids is not None and origin not in qpu_ids:
                 errors.append(f"{path}.query_origin: unknown QPU {origin!r}")
-        phases.append(
-            PhaseSpec(
-                duration=duration,
-                write_rate=write_rate,
-                query_rate=query_rate,
-                delete_fraction=frac,
-                key_space=key_space,
-                key_mode=p.get("key_mode", "random"),
-                attributes=dists,
-                query_shapes=shapes,
-                write_origin_mode=wo_mode,
-                write_origin_dcs=wo_dcs,
-                query_origin=qo,
-                limit=p.get("limit"),
-            )
-        )
-    if not phases:
+    if not spec.phases:
         errors.append("phases: at least one phase is required")
-    seed = doc.get("seed")
-    if seed is not None:
-        seed = _convert(seed, int, errors, "seed", None)
     if errors:
         raise ConfigError(errors)
-    return WorkloadSpec(phases, seed)
+    return spec
 
 
 def _read_json(path: str | Path) -> Any:

@@ -26,9 +26,7 @@ class Sampler:
         self.spec = spec
         self.rng = rng
         if spec.dist == "zipf":
-            s = float(spec.params["s"])
-            n = int(spec.params["n"])
-            weights = [1.0 / (rank**s) for rank in range(1, n + 1)]
+            weights = [1.0 / (rank**spec.s) for rank in range(1, spec.n + 1)]
             total = sum(weights)
             acc, cum = 0.0, []
             for w in weights:
@@ -38,20 +36,20 @@ class Sampler:
 
     def domain_width(self) -> float:
         if self.spec.dist == "uniform":
-            return float(self.spec.params["hi"]) - float(self.spec.params["lo"])
+            return float(self.spec.hi) - float(self.spec.lo)
         if self.spec.dist == "zipf":
-            return float(self.spec.params["n"])
+            return float(self.spec.n)
         return 0.0  # choice distributions query as points
 
     def sample(self) -> RawValue:
-        p = self.spec.params
-        if self.spec.dist == "uniform":
+        s = self.spec
+        if s.dist == "uniform":
             if self.kind is Kind.INT:
-                return self.rng.randrange(int(p["lo"]), int(p["hi"]))
-            return self.rng.uniform(float(p["lo"]), float(p["hi"]))
-        if self.spec.dist == "zipf":
-            return int(p.get("lo", 0)) + bisect_left(self._zipf_cdf, self.rng.random())
-        return self.rng.choice(list(p["values"]))
+                return self.rng.randrange(s.lo, s.hi)
+            return self.rng.uniform(s.lo, s.hi)
+        if s.dist == "zipf":
+            return s.lo + bisect_left(self._zipf_cdf, self.rng.random())
+        return self.rng.choice(s.values)
 
 
 class IssueQuery(NamedTuple):
@@ -173,7 +171,7 @@ class WorkloadDriver:
             for i, t in enumerate(_op_times(start, phase.duration, phase.write_rate)):
                 self._schedule_write(k, phase, samplers, t, i)
         if phase.query_rate > 0:
-            origins = list(phase.query_origin)
+            origins = phase.query_origin
             for i, t in enumerate(_op_times(start, phase.duration, phase.query_rate)):
                 origin = origins[i % len(origins)]
                 query = self._make_query(phase, qsamplers)
@@ -203,10 +201,10 @@ class WorkloadDriver:
         self.journal.written_keys.add(key)
 
     def _route_write(self, phase: PhaseSpec, attrs, i: int) -> str:
-        dcs = list(phase.write_origin_dcs)
-        if phase.write_origin_mode == "fixed":
+        dcs, mode = phase.write_origin.dcs, phase.write_origin.mode
+        if mode == "fixed":
             return dcs[0]
-        if phase.write_origin_mode == "by_placement" and attrs is not None:
+        if mode == "by_placement" and attrs is not None:
             for dc in dcs:
                 placement = self.net.replicas[dc].placement
                 if placement is None or placement.contains(attrs):

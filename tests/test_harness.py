@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import qpusim.config as config
 import qpusim.store as store
 from qpusim.build import build
 from qpusim.cli import main as cli_main
@@ -350,7 +351,7 @@ class TestWorkloadValidation:
             ]
         }
         cfg = parse_topology(t)
-        values = parse_workload(w, cfg).phases[0].attributes["weight"].params["values"]
+        values = parse_workload(w, cfg).phases[0].attributes["weight"].values
         assert values == [1.0, 2.5] and [type(v) for v in values] == [float, float]
         res = run_scenario(t, w, seed=0)
         assert [r for r in res.sink.records if r["type"] == "rejected_write"] == []
@@ -949,6 +950,113 @@ class TestCli:
         workload = shaped_workload()
         workload["phases"][0].update(write_rate=5, write_origin={"dcs": ["dc1"]}, query_rate=5, query_origin=["fq"])
         return topology, workload
+
+    PROBES = [
+        # misspelled keys, and keys the entity does not read
+        ("topology", ("qpus", 2, "pull_intervall"), 400, "qpus[2](cq).pull_intervall: not a cache key"),
+        ("topology", ("adaptive", "t_splitt"), 250, "adaptive.t_splitt: not an adaptive key"),
+        ("topology", ("nodes", 0, "capcity"), 2, "nodes[0].capcity: not a node key"),
+        ("workload", ("phases", 0, "write_rat"), 5, "phases[0].write_rat: not a phase key"),
+        ("workload", ("phases", 0, "query_shapes", 0, "selectivty"), 0.2, "phases[0].query_shapes[0].selectivty: not a query shape key"),
+        ("workload", ("phases", 0, "attributes", "size", "hgh"), 20, "phases[0].attributes.size.hgh: not a uniform key"),
+        ("topology", ("attributes", 0, "knd"), "int", "attributes[0].knd: not an attribute key"),
+        ("topology", ("qpus", 0, "recheck_dc"), "dc1", "qpus[0](flt).recheck_dc: not a filter key"),
+        ("topology", ("qpus", 1, "pull_from"), "mq", "qpus[1](iq).pull_from: not an index key"),
+        ("topology", ("qpus", 0, "timeout"), 100, "qpus[0](flt).timeout: not a filter key"),
+        ("topology", ("colour",), "red", "colour: not a topology key"),
+        ("workload", ("colour",), "red", "colour: not a workload key"),
+        # values int() or float() would coerce
+        ("topology", ("links", 0, "base_latency"), "5", "links[0].base_latency: must be an integer, got '5'"),
+        ("topology", ("links", 0, "base_latency"), 2.9, "links[0].base_latency: must be an integer, got 2.9"),
+        ("workload", ("phases", 0, "key_space"), 2.5, "phases[0].key_space: must be an integer, got 2.5"),
+        ("workload", ("phases", 0, "duration"), "100", "phases[0].duration: must be an integer, got '100'"),
+        ("topology", ("adaptive", "t_split"), 250.7, "adaptive.t_split: must be an integer, got 250.7"),
+        ("workload", ("seed",), 3.7, "seed: must be an integer, got 3.7"),
+        ("workload", ("phases", 0, "write_rate"), True, "phases[0].write_rate: must be a number, got True"),
+        # a second link between one pair of nodes, in either order
+        ("topology", ("links", 1), {"from": "n1", "to": "n2", "base_latency": 7}, "links[1]: duplicate link between 'n1' and 'n2'"),
+        ("topology", ("links", 1), {"from": "n2", "to": "n1", "base_latency": 7}, "links[1]: duplicate link between 'n2' and 'n1'"),
+    ]
+
+    @pytest.mark.parametrize("doc,keys,value,error", PROBES, ids=[error.split(":")[0] + f"={v!r}" for _d, _k, v, error in PROBES])
+    def test_misread_document_is_config_error(self, tmp_path, capsys, doc, keys, value, error):
+        """Each of these was accepted: the key ignored, the value truncated
+        or converted, or the first link replaced by the second."""
+        topology, workload = self.every_field()
+        *outer, last = keys
+        holder = {"topology": topology, "workload": workload}[doc]
+        for key in outer:
+            holder = holder[key]
+        if isinstance(holder, list):
+            holder.append(value)
+        else:
+            holder[last] = value
+        assert self._check_config(tmp_path, topology, workload) == 1
+        assert f"config error: {error}" in capsys.readouterr().err.splitlines()
+
+    def test_every_declared_key_renamed_is_reported(self, monkeypatch):
+        """Renaming any declared key that every_field uses to `<key>x` gives
+        that key's `not a ... key` line, and a required key's `missing` line.
+        The entities and their keys come from the declarations as
+        parse_topology and parse_workload read them."""
+        reads = []
+        entity = config._Reader.entity
+
+        def recording(reader, cls, raw, path):
+            spec = entity(reader, cls, raw, path)
+            if isinstance(raw, dict):
+                reads.append((raw, path, reader.label(path), config._declared(cls, raw)))
+            return spec
+
+        def errors(topology, workload):
+            reads.clear()
+            try:
+                parse_workload(workload, parse_topology(topology))
+            except ConfigError as exc:
+                return exc.errors
+            return []
+
+        monkeypatch.setattr(config._Reader, "entity", recording)
+        topology, workload = self.every_field()
+        assert errors(topology, workload) == []
+        entities = list(reads)
+        assert len(entities) > 20
+        renamed = 0
+        for raw, path, _label, (_name, keys, known) in entities:
+            for key in [key for key in raw if key in known]:
+                items = list(raw.items())
+                raw[key + "x"] = raw.pop(key)
+                lines = errors(topology, workload)
+                label, name = next((label, d[0]) for r, _p, label, d in reads if r is raw)
+                where = f"{label}.{key}" if label else key
+                assert any(f"{where}x: not {a} {name} key" in lines for a in ("a", "an")), (where, lines)
+                if keys[key][2]:
+                    assert f"{path}.{key}: missing" in lines, (where, lines)  # no top-level key is required
+                raw.clear()
+                raw.update(items)
+                renamed += 1
+        assert renamed > 60
+
+    @pytest.mark.parametrize("command", ["run", "validate", "scenario", "check-config"])
+    def test_non_integer_env_seed(self, tmp_path, monkeypatch, capsys, command):
+        """A QPUSIM_SEED that is no integer is a config error where a run
+        reads it, and is not read by the commands that take no seed; before,
+        every command raised a ValueError."""
+        write_scenario("single-index", tmp_path)
+        monkeypatch.setenv("QPUSIM_SEED", "abc")
+        configs = ["--topology", str(tmp_path / "single-index-topology.json")]
+        args = {
+            "run": ["run", *configs, "--workload", str(tmp_path / "single-index-workload.json"), "--out", str(tmp_path / "m.ndjson")],
+            "validate": ["validate", *configs, "--workload", str(tmp_path / "single-index-workload.json")],
+            "scenario": ["scenario", "cdn"],
+            "check-config": ["check-config", *configs],
+        }[command]
+        capsys.readouterr()
+        if command in ("run", "validate"):
+            assert self.run_cli(*args) == 1
+            assert capsys.readouterr().err.splitlines() == ["config error: QPUSIM_SEED: must be an integer, got 'abc'"]
+        else:
+            assert self.run_cli(*args) == 0
 
     WRONG_SHAPES = [
         ("topology", ("qpus", 0, "targets"), 5, "qpus[0].targets: must be a list, got 5"),

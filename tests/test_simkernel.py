@@ -694,8 +694,8 @@ class TestTimers:
         net.kernel.run_until(0)  # starts the units, which arm their timers
         max_link = max(l.base_latency + l.jitter for l in cfg.links)
         depth = len(cfg.qpus) + 2
-        pulls = max((q.params.get("pull_interval", 0) for q in cfg.qpus if q.cls == "cache"), default=0)
-        batches = max((q.params.get("batch_interval", 0) for q in cfg.qpus if q.cls == "filter"), default=0)
+        pulls = max((q.pull_interval or 0 for q in cfg.qpus if q.cls == "cache"), default=0)
+        batches = max((q.batch_interval for q in cfg.qpus if q.cls == "filter"), default=0)
         a = cfg.adaptive
         period = a.period_buckets * a.bucket_ms if a.enabled else 0
         assert net.settle_horizon() == 2 * max_link * depth + 2 * (pulls + batches + period) + 100
