@@ -168,10 +168,14 @@ def _declares(name: str, tag: str | None = None, variants: Mapping[str, tuple[st
     """Makes a class a keyword-only dataclass that declares the entity
     `name`. With a tag, the tag key's value names the variant read, and
     `name` stands for an entity whose tag is missing or unknown, of which
-    only the keys no variant lists are read."""
+    only the keys no variant lists are read. An instance's `at`, not a
+    field, is the document path it was read from, the QPU it lies in named
+    by its id (`_Reader.entity`), so a rule names an entity by its place in
+    the document even when an entity before it was left out."""
 
     def declare(cls: type) -> type:
         cls = dataclass(kw_only=True)(cls)
+        cls.at = ""
         keys = {  # document key -> (field, kind, required)
             f.metadata["key"] or f.name: (f.name, _kind(f.metadata["kind"]), f.default is MISSING and f.default_factory is MISSING)
             for f in fields(cls)
@@ -237,7 +241,11 @@ class _Reader:
                 if raw_value is None:
                     self.fail(f"{prefix}{key}: missing")
                 ok = False
-        return cls(**values) if ok else _BAD
+        if not ok:
+            return _BAD
+        spec = cls(**values)
+        spec.at = self.label(path)
+        return spec
 
 
 # -- topology -----------------------------------------------------------------------
@@ -498,6 +506,9 @@ def controller_node(cfg: TopologyConfig) -> str | None:
 
 
 def validate_topology(cfg: TopologyConfig) -> list[str]:
+    """The rules between entities. Each line names an entity by its path in
+    the document (`at`), not by its place in cfg's lists, which leave out
+    the entities that failed to read."""
     errors: list[str] = []
     node_ids = {n.id for n in cfg.nodes}
     dc_ids = {d.id for d in cfg.dcs}
@@ -511,23 +522,23 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
         errors.append(f"dcs/qpus: ids shared between replicas and QPUs: {sorted(dc_ids & qpu_ids)}")
 
     linked: set[frozenset[str]] = set()
-    for i, l in enumerate(cfg.links):
+    for l in cfg.links:
         if l.src not in node_ids or l.dst not in node_ids:
-            errors.append(f"links[{i}]: unknown node {l.src!r} or {l.dst!r}")
+            errors.append(f"{l.at}: unknown node {l.src!r} or {l.dst!r}")
         if l.base_latency <= 0:
-            errors.append(f"links[{i}].base_latency: must be positive")
+            errors.append(f"{l.at}.base_latency: must be positive")
         if l.jitter < 0:
-            errors.append(f"links[{i}].jitter: must be non-negative")
+            errors.append(f"{l.at}.jitter: must be non-negative")
         if frozenset((l.src, l.dst)) in linked:
             # the kernel keeps one link per node pair, so a second would replace the first
-            errors.append(f"links[{i}]: duplicate link between {l.src!r} and {l.dst!r}")
+            errors.append(f"{l.at}: duplicate link between {l.src!r} and {l.dst!r}")
         linked.add(frozenset((l.src, l.dst)))
 
-    for i, d in enumerate(cfg.dcs):
+    for d in cfg.dcs:
         if d.node not in node_ids:
-            errors.append(f"dcs[{i}].node: unknown node {d.node!r}")
+            errors.append(f"{d.at}.node: unknown node {d.node!r}")
         if not d.full_replica and d.placement is None:
-            errors.append(f"dcs[{i}]: partial replicas need a placement region")
+            errors.append(f"{d.at}: partial replicas need a placement region")
     # replication is all-to-all between DCs, so their nodes must be connected
     for a in cfg.dcs:
         for b in cfg.dcs:
@@ -547,8 +558,8 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
     index_like = {q.id for q in cfg.qpus if q.cls in ("index", "merge")}
     roots = set(adaptive_roots(cfg)) if cfg.adaptive.enabled else set()
 
-    for i, q in enumerate(cfg.qpus):
-        path = f"qpus[{i}]({q.id})"
+    for q in cfg.qpus:
+        path = q.at
         if q.node not in node_ids:
             errors.append(f"{path}.node: unknown node {q.node!r}")
         if q.timeout is not None and q.timeout <= 0:
@@ -586,11 +597,11 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
                 errors.append(f"{path}.dc: a filter subscribes to exactly one DC log")
             elif unlinked(q.id, q.dc):
                 errors.append(f"{path}.dc: no link between nodes of {q.id!r} and {q.dc!r}")
-            for j, t in enumerate(q.targets):
+            for t in q.targets:
                 if t.qpu not in index_like:
-                    errors.append(f"{path}.targets[{j}]: {t.qpu!r} is not an indexing QPU")
+                    errors.append(f"{t.at}: {t.qpu!r} is not an indexing QPU")
                 elif unlinked(q.id, t.qpu):
-                    errors.append(f"{path}.targets[{j}]: no link between nodes of {q.id!r} and {t.qpu!r}")
+                    errors.append(f"{t.at}: no link between nodes of {q.id!r} and {t.qpu!r}")
             if q.batch_interval < 0:
                 # flushes are scheduled on the integer clock
                 errors.append(f"{path}.batch_interval: must be an integer >= 0, got {q.batch_interval!r}")
@@ -616,13 +627,13 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
             elif unlinked(q.id, q.push_to):
                 errors.append(f"{path}.push_to: no link between nodes of {q.id!r} and {q.push_to!r}")
 
-    for i, c in enumerate(cfg.connections):
+    for c in cfg.connections:
         if c.src not in qpu_ids:
-            errors.append(f"connections[{i}].from: unknown QPU {c.src!r}")
+            errors.append(f"{c.at}.from: unknown QPU {c.src!r}")
         if c.dst not in qpu_ids:
-            errors.append(f"connections[{i}].to: unknown QPU {c.dst!r}")
+            errors.append(f"{c.at}.to: unknown QPU {c.dst!r}")
         if unlinked(c.src, c.dst):
-            errors.append(f"connections[{i}]: no link between nodes of {c.src!r} and {c.dst!r}")
+            errors.append(f"{c.at}: no link between nodes of {c.src!r} and {c.dst!r}")
 
     edges: dict[str, list[str]] = {q.id: [] for q in cfg.qpus}
     for c in cfg.connections:
@@ -663,8 +674,8 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
     schema = topology.schema if topology else None
     dc_ids = {d.id for d in topology.dcs} if topology else None
     qpu_ids = {q.id for q in topology.qpus} if topology else None
-    for i, p in enumerate(spec.phases):
-        path = f"phases[{i}]"
+    for p in spec.phases:
+        path = p.at
         if p.duration <= 0:
             errors.append(f"{path}.duration: must be positive")
         for rate_key, rate in (("write_rate", p.write_rate), ("query_rate", p.query_rate)):
@@ -715,8 +726,8 @@ def parse_workload(doc: Mapping[str, Any], topology: TopologyConfig | None = Non
                 d.values = [_parse_value(v, attr_kind, errors, f"{dpath}.values[{j}]") for j, v in enumerate(d.values)]
             dists[name] = d
         p.attributes = dists
-        for j, s in enumerate(p.query_shapes):
-            spath = f"{path}.query_shapes[{j}]"
+        for s in p.query_shapes:
+            spath = s.at
             if not s.attrs:
                 errors.append(f"{spath}.attrs: must name at least one attribute")
             for a in s.attrs:

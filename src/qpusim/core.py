@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -182,9 +182,11 @@ class HyperRegion:
             raise RegionError(f"regions over different attribute sets: {self.attrs} vs {other.attrs}")
 
     @cached_property
-    def _membership(self) -> tuple[tuple[str, RawValue | None, RawValue | None], ...]:
+    def sides(self) -> tuple[tuple[str, RawValue | None, RawValue | None], ...]:
         """(attr, lo, hi), None unbounded, for every dimension bounded on at
-        least one side; full dimensions drop out."""
+        least one side, in attribute order; full dimensions drop out. These
+        are the closed-open bounds query_bounds gives for
+        region_to_query(self)."""
         return tuple((name, iv.lo, iv.hi) for name, iv in self.dims if not iv.is_full)
 
     def contains(self, attrs: AttrMap) -> bool:
@@ -192,7 +194,7 @@ class HyperRegion:
         dimension and inside every unbounded one. Answers as a per-dimension
         Interval.contains would, with the bounds compiled once per region,
         the way query_matcher compiles a query."""
-        for attr, lo, hi in self._membership:
+        for attr, lo, hi in self.sides:
             v = attrs.get(attr)
             if v is None or (lo is not None and v < lo) or (hi is not None and v >= hi):  # type: ignore[operator]
                 return False
@@ -364,16 +366,21 @@ def query_is_empty(q: Query) -> bool:
     return False
 
 
-def query_bounds(q: Query) -> list[tuple[str, RawValue | None, RawValue | None]]:
+def query_bounds(q: Query | HyperRegion) -> Sequence[tuple[str, RawValue | None, RawValue | None]]:
     """(attr, lo, hi) per predicate: the closed-open bounds of
-    _predicate_bounds, which may be empty but never raise."""
-    return [_predicate_bounds(p) for p in q.predicates]
+    _predicate_bounds, which may be empty but never raise. A region gives
+    its bounded sides (HyperRegion.sides)."""
+    if type(q) is HyperRegion:
+        return q.sides
+    return [_predicate_bounds(p) for p in q.predicates]  # type: ignore[union-attr]
 
 
-def query_matcher(q: Query) -> Callable[[AttrMap], bool]:
+def query_matcher(q: Query | HyperRegion) -> Callable[[AttrMap], bool]:
     """Compiles q once into closed-open bounds per attribute. The returned
     function answers as query_matches(q, attrs) does for values of the
-    bounds' type."""
+    bounds' type. A region is its own matcher (HyperRegion.contains)."""
+    if type(q) is HyperRegion:
+        return q.contains
     bounds = query_bounds(q)
 
     def matches(attrs: AttrMap) -> bool:
@@ -403,8 +410,10 @@ def query_to_region(q: Query, indexed_attrs: Iterable[str]) -> HyperRegion | Non
 
 
 def region_to_query(region: HyperRegion, limit: int | None = None) -> Query:
-    """Inverse of query_to_region for sub-query routing: every bounded side
-    becomes a closed-open predicate, fully unbounded dimensions drop out."""
+    """Inverse of query_to_region: every bounded side becomes a closed-open
+    predicate, fully unbounded dimensions drop out. Sub-queries travel as
+    their regions, so only tests use it, as the predicate reference that the
+    region's matcher, bounds and cache key must agree with."""
     preds = []
     for name, iv in region:
         if iv.is_full:
@@ -420,8 +429,11 @@ def region_to_query(region: HyperRegion, limit: int | None = None) -> Query:
 CanonicalQuery = tuple
 
 
-def canonical_query(q: Query) -> CanonicalQuery:
+def canonical_query(q: Query | HyperRegion) -> CanonicalQuery:
     """Stable hashable form: predicates sorted by attribute, bounds normalized
     closed-open as (attr, lo, hi), so the response caches hash and compare
-    plain values. Used as the cache key."""
-    return (tuple(sorted(query_bounds(q))), q.limit)
+    plain values. Used as the cache key. A region keys as
+    region_to_query(q) would: its bounded sides, with no limit."""
+    if type(q) is HyperRegion:
+        return (q.sides, None)
+    return (tuple(sorted(query_bounds(q))), q.limit)  # type: ignore[union-attr]

@@ -15,7 +15,6 @@ from .core import (
     query_is_empty,
     query_matcher,
     query_to_region,
-    region_to_query,
 )
 from .simkernel import Actor, Kernel, Tick
 from .store import DcReplica
@@ -30,8 +29,14 @@ Entry = tuple[str, dict, Version]
 
 
 class QueryMsg(NamedTuple):
+    """A query on the wire. A client's is a Query. A sub-query is its
+    region: the HyperRegion piece a unit's decompose carved for that
+    neighbour, so no hop converts it to predicates and back. Every region
+    config parses spans the whole schema, so a region sub-query's
+    attributes always equal the receiver's indexed_attrs."""
+
     qid: str
-    query: Query
+    query: Query | HyperRegion
     reply_to: str
 
 
@@ -133,7 +138,7 @@ def dedupe_entries(parts: list[Sequence[Entry]]) -> Sequence[Entry]:
     return [best[k] for k in sorted(best)]
 
 
-def recheck(entries: Sequence[Entry], q: Query, replica: DcReplica) -> list[Entry]:
+def recheck(entries: Sequence[Entry], q: Query | HyperRegion, replica: DcReplica) -> list[Entry]:
     """Re-validates candidates against the replica's current objects; a row
     survives carrying the store's current attrs and version.
 
@@ -142,7 +147,8 @@ def recheck(entries: Sequence[Entry], q: Query, replica: DcReplica) -> list[Entr
     canonically equal query on a response-cache hit. A Version names one
     write, so when the replica holds the key at the row's version it holds
     the same attrs, and the row is kept as it is without matching. The
-    matcher runs only on rows whose version differs; absent keys drop.
+    matcher runs only on rows whose version differs (for a region
+    sub-query, HyperRegion.contains); absent keys drop.
     Values and bounds compare raw: the schema gives each attribute one
     kind, checked where values enter, so a row and q agree on it."""
     matches = query_matcher(q)
@@ -162,7 +168,13 @@ def recheck(entries: Sequence[Entry], q: Query, replica: DcReplica) -> list[Entr
 
 
 def audit_response(
-    k: Kernel, qpu_id: str, qid: str, q: Query, entries: Sequence[Entry], complete: bool, replica: DcReplica | None
+    k: Kernel,
+    qpu_id: str,
+    qid: str,
+    q: Query | HyperRegion,
+    entries: Sequence[Entry],
+    complete: bool,
+    replica: DcReplica | None,
 ) -> None:
     """Emits a `type2` record naming the returned keys that fail the query
     against `replica` at this instant, when there are any. The detector is
@@ -197,7 +209,7 @@ class _Pending:
 
     qid: str
     reply_to: str
-    query: Query
+    query: Query | HyperRegion
     outstanding: dict[str, HyperRegion]
     parts: list[Sequence[Entry]]
     missing: list[HyperRegion] = field(default_factory=list)
@@ -207,8 +219,9 @@ class _Pending:
 class QpuBase(Actor):
     """The query interface every unit implements, and its one query path.
 
-    `handle_query` maps a query to a region of the indexed space. A query
-    that constrains other attributes has none: it goes whole to the scan
+    `handle_query` maps a client query to a region of the indexed space; a
+    sub-query is a region already, taken as it arrives. A query that
+    constrains other attributes has none: it goes whole to the scan
     fallback, or, without one, is answered with the full indexed space
     missing. Otherwise the region is decomposed over this unit's own
     connection list, the leftover goes to `answer_locally`, and `fan_out`
@@ -217,9 +230,11 @@ class QpuBase(Actor):
     `_finish` dedupes, rechecks, applies the limit, audits and responds;
     an answer is incomplete exactly when it names a missing region.
 
-    A hop maps its query to a region once, in `handle_query`, and hands
-    that region on: to `decompose`, to `answer_locally`, whose index
-    lookups take it or its pieces, and to `fan_out` for the load sample.
+    A client query becomes a region once, at the unit it is issued to,
+    in `handle_query`, and that region is handed on: to `decompose`, to
+    `answer_locally`, whose index lookups take it or its pieces, and to
+    `fan_out` for the load sample. Each piece `fan_out` sends is the
+    sub-query itself, so the hops below read the same region objects.
     """
 
     def __init__(
@@ -252,10 +267,11 @@ class QpuBase(Actor):
 
     def on_message(self, k: Kernel, msg: Any) -> None:
         if isinstance(msg, QueryMsg):
-            if query_is_empty(msg.query):
+            q = msg.query
+            if type(q) is Query and query_is_empty(q):
                 # matches nothing anywhere: a complete empty answer, with no
                 # region to route, record load for or look up
-                self._finish(k, _Pending(msg.qid, msg.reply_to, msg.query, {}, []))
+                self._finish(k, _Pending(msg.qid, msg.reply_to, q, {}, []))
             else:
                 self.handle_query(k, msg)
         elif isinstance(msg, ResponseMsg):
@@ -266,7 +282,8 @@ class QpuBase(Actor):
             self.handle_other(k, msg)
 
     def handle_query(self, k: Kernel, m: QueryMsg) -> None:
-        region = query_to_region(m.query, self.indexed_attrs)
+        q = m.query
+        region = q if type(q) is HyperRegion else query_to_region(q, self.indexed_attrs)
         if region is None:
             full = HyperRegion.full(self.indexed_attrs)
             # the scan fallback: the first neighbour advertising the full space
@@ -315,28 +332,33 @@ class QpuBase(Actor):
         from local_parts, counted toward this unit's load window, and None
         is returned. The load sample is `region`, the query's region that
         the caller already holds; a caller without one (a scan, a response
-        cache hit) leaves it None, and the region is computed here only
-        when a load hook is installed, so a run without one computes none.
-        With forward_whole the original query's predicates are
-        passed through (scan fallback, cache fill); otherwise each
-        sub-region converts back to predicates. No sub-query carries the
-        limit: the rows recheck drops could hide others past it, so _finish
-        applies it once, after recheck. The join state takes over the
+        cache hit) leaves it None, and it is then the received sub-query's
+        region, or a client query's, computed here only when a load hook is
+        installed, so a run without one computes none.
+        With forward_whole the received query is passed on (scan fallback,
+        cache fill): a region unchanged, a client query's predicates
+        without its limit. Otherwise the sub-query is the plan's piece, the
+        HyperRegion itself. No sub-query carries the limit: the rows
+        recheck drops could hide others past it, so _finish applies it
+        once, after recheck. The join state takes over the
         local_parts and missing lists; callers pass lists of their own."""
-        pend = _Pending(m.qid, m.reply_to, m.query, {}, local_parts or [], missing or [])
+        q = m.query
+        pend = _Pending(m.qid, m.reply_to, q, {}, local_parts or [], missing or [])
         if not plan:
             if k.probes.load_hook is not None:
                 if region is None:
-                    region = query_to_region(m.query, self.indexed_attrs)
+                    region = q if type(q) is HyperRegion else query_to_region(q, self.indexed_attrs)
                 k.probes.load_hook(self.qpu_id, region, k.now)
             self._finish(k, pend)
             return None
+        whole = None
+        if forward_whole:
+            whole = q if type(q) is HyperRegion else Query(q.predicates)
         for conn, piece in plan:
             sub_qid = self._next_qid()
-            sub_query = Query(m.query.predicates) if forward_whole else region_to_query(piece)
             pend.outstanding[sub_qid] = piece
             self._sub_parent[sub_qid] = m.qid
-            k.send(self.qpu_id, conn.to, QueryMsg(sub_qid, sub_query, self.qpu_id))
+            k.send(self.qpu_id, conn.to, QueryMsg(sub_qid, piece if whole is None else whole, self.qpu_id))
         self._pending[m.qid] = pend
         if self.timeout is not None:
             k.schedule_in(self.timeout, self.qpu_id, QueryTimeout(m.qid))
@@ -370,14 +392,17 @@ class QpuBase(Actor):
     # -- finalize --------------------------------------------------------------
 
     def _finish(self, k: Kernel, pend: _Pending) -> None:
+        """A region sub-query is rechecked and audited with its own bounds;
+        only a client query carries a limit."""
+        q = pend.query
         entries = dedupe_entries(pend.parts)
         rechecked = self.recheck_enabled and self.recheck_replica is not None
         if rechecked:
-            entries = recheck(entries, pend.query, self.recheck_replica)
-        if pend.query.limit is not None:
-            entries = entries[: pend.query.limit]
+            entries = recheck(entries, q, self.recheck_replica)
+        if type(q) is Query and q.limit is not None:
+            entries = entries[: q.limit]
         audit = None if rechecked else self.recheck_replica
-        audit_response(k, self.qpu_id, pend.qid, pend.query, entries, not pend.missing, audit)
+        audit_response(k, self.qpu_id, pend.qid, q, entries, not pend.missing, audit)
         pend.chain.append(self.qpu_id)
         k.send(
             self.qpu_id,
@@ -391,7 +416,7 @@ class DsQpu(QpuBase):
     that replica, so it has no recheck replica: its answers are neither
     rechecked nor audited, since either would test the scan against the
     replica it was just read from. Rows carry the stored objects' own attrs
-    dicts, uncopied."""
+    dicts, uncopied. A region sub-query scans with its bounded sides."""
 
     def __init__(self, qpu_id: str, indexed_attrs: Iterable[str], replica: DcReplica, **kw) -> None:
         super().__init__(qpu_id, indexed_attrs, **kw)
@@ -408,7 +433,8 @@ class FederationQpu(QpuBase):
 
 
 class CacheQpu(QpuBase):
-    """Response cache (LRU + TTL over canonical queries) in front of its one
+    """Response cache (LRU + TTL over canonical queries; a region sub-query
+    keys as the predicates of its bounded sides would) in front of its one
     connection, or, when it names `pull_from`, a replica cache: a passive
     copy of that index or merge unit's index, refreshed every
     `pull_interval` ms, with no connections.

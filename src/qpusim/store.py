@@ -279,9 +279,10 @@ class DcReplica(Actor):
     def get(self, key: str) -> StoredObject | None:
         return self.objects.get(key)
 
-    def scan(self, q: Query) -> list[StoredObject]:
+    def scan(self, q: Query | HyperRegion) -> list[StoredObject]:
         """Matching objects in key order, found with PostingSets.keys_in and
-        never by visiting every object. The posting sets are built from
+        never by visiting every object. A region's bounds are its bounded
+        sides (core.query_bounds). The posting sets are built from
         `objects` at the first scan and kept current by every later write,
         so a replica that is never scanned keeps none. A predicate on an
         attribute outside the schema, or one no value satisfies, matches

@@ -87,16 +87,24 @@ def audited_recheck(monkeypatch):
     stale row escaping a rechecking QPU. Returns `calls`, the number of
     responses rechecked, and `bad`, each kept row that the replica does not
     hold at that key and version or that fails the query there at that
-    instant."""
+    instant. A region sub-query is checked dimension by dimension with
+    Interval.contains, not with the compiled bounds recheck itself uses."""
     audit = SimpleNamespace(calls=0, bad=[])
     original = qpunet.recheck
+
+    def matches(q, attrs):
+        if isinstance(q, HyperRegion):
+            return all(
+                iv.is_full or (name in attrs and iv.contains(attrs[name])) for name, iv in q.dims
+            )
+        return query_matches(q, attrs)
 
     def checked(entries, q, replica):
         out = original(entries, q, replica)
         audit.calls += 1
         for key, _attrs, version in out:
             obj = replica.objects.get(key)
-            if obj is None or obj.version != version or not query_matches(q, obj.attrs):
+            if obj is None or obj.version != version or not matches(q, obj.attrs):
                 audit.bad.append((key, version))
         return out
 

@@ -582,22 +582,26 @@ def delete_heavy_workload():
 
 class TestOneRegionPerHop:
     @pytest.mark.parametrize("name", SCENARIOS)
-    def test_at_most_one_query_region_per_delivered_query(self, name, monkeypatch):
-        """A unit maps each query it receives to a region once and hands the
-        region on (lookup, answer_locally, the load sample), so a run
-        computes at most one region per QueryMsg delivered. Counted while
-        the kernel runs, in every qpusim module that imports the name."""
+    def test_at_most_one_region_per_client_query(self, name, monkeypatch):
+        """A client query becomes a region once, at the unit it is issued
+        to (or, behind a response cache, at the unit the cache fills from),
+        and its sub-queries travel as regions: a run builds at most one
+        region per client query, and none while a unit handles a region
+        sub-query. Counted while the kernel runs, in every qpusim module
+        that imports the name."""
         import qpusim.core as core
         import qpusim.qpunet as qpunet
         from qpusim.simkernel import Kernel
 
-        counts = {"regions": 0, "queries": 0}
+        counts = {"regions": 0, "from_subqueries": 0, "subqueries": 0}
         running = [False]
+        handling = [None]  # the query of the QueryMsg being handled
         original = core.query_to_region
 
         def query_to_region(*args):
             if running[0]:
                 counts["regions"] += 1
+                counts["from_subqueries"] += isinstance(handling[0], core.HyperRegion)
             return original(*args)
 
         for module in [m for n, m in sys.modules.items() if n == "qpusim" or n.startswith("qpusim.")]:
@@ -606,9 +610,14 @@ class TestOneRegionPerHop:
         on_message, run_until = qpunet.QpuBase.on_message, Kernel.run_until
 
         def counting_on_message(self, k, msg):
-            if isinstance(msg, qpunet.QueryMsg):
-                counts["queries"] += 1
-            on_message(self, k, msg)
+            if not isinstance(msg, qpunet.QueryMsg):
+                return on_message(self, k, msg)
+            counts["subqueries"] += isinstance(msg.query, core.HyperRegion)
+            outer, handling[0] = handling[0], msg.query
+            try:
+                on_message(self, k, msg)
+            finally:
+                handling[0] = outer
 
         def counting_run_until(self, t_max=None):
             running[0] = True
@@ -619,9 +628,11 @@ class TestOneRegionPerHop:
 
         monkeypatch.setattr(qpunet.QpuBase, "on_message", counting_on_message)
         monkeypatch.setattr(Kernel, "run_until", counting_run_until)
-        run_scenario(*scenario(name), seed=0)
-        assert counts["queries"] > 0
-        assert counts["regions"] <= counts["queries"]
+        result = run_scenario(*scenario(name), seed=0)
+        client_queries = len(result.journal.queries)
+        assert client_queries > 0
+        assert counts["regions"] <= client_queries
+        assert counts["from_subqueries"] == 0
 
 
 class TestValidateMode:
@@ -931,6 +942,29 @@ class TestCli:
         path = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys).lstrip(".")
         assert self._check_config(tmp_path, topology, workload) == 1
         assert f"config error: {path}: must be a string id, got {bad!r}" in capsys.readouterr().err.splitlines()
+
+    def test_entities_after_a_dropped_one_keep_their_document_index(self, tmp_path, capsys):
+        """A QPU left out for a bad id shifts the ones after it in the
+        parsed list, not in the document, and the lines name them there."""
+        doc = minimal_topology()
+        doc["qpus"].insert(0, {"id": ["x"], "class": "index", "node": "n1"})
+        doc["qpus"][2]["node"] = "nowhere"
+        assert self._check_config(tmp_path, doc) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert "config error: qpus[0].id: must be a string id, got ['x']" in lines
+        assert any(line.startswith("config error: qpus[1](flt).targets[0]: ") for line in lines)
+        assert "config error: qpus[2](iq).node: unknown node 'nowhere'" in lines
+
+    def test_phases_after_a_dropped_one_keep_their_document_index(self):
+        with pytest.raises(ConfigError) as info:
+            parse_workload({"phases": ["x", {"duration": -1, "query_shapes": [3, {"weight": -1}]}]})
+        assert info.value.errors == [
+            "phases[0]: must be a map, got 'x'",
+            "phases[1].query_shapes[0]: must be a map, got 3",
+            "phases[1].duration: must be positive",
+            "phases[1].query_shapes[1].attrs: must name at least one attribute",
+            "phases[1].query_shapes[1].weight: must be positive",
+        ]
 
     @staticmethod
     def every_field():

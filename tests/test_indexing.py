@@ -11,7 +11,10 @@ from qpusim.core import (
     Predicate,
     Query,
     Version,
+    canonical_query,
+    query_bounds,
     query_is_empty,
+    query_matcher,
     query_matches,
     query_to_region,
     region_to_query,
@@ -30,7 +33,7 @@ from qpusim.indexing import (
 from qpusim.metrics import MetricsSink
 from qpusim.qpunet import CacheQpu, Connection, QueryMsg, decompose, dedupe_entries, recheck
 from qpusim.simkernel import Kernel
-from qpusim.store import DELETE, PUT, ClientDelete, ClientWrite, DcReplica, WriteOp
+from qpusim.store import DELETE, PUT, ClientDelete, ClientWrite, DcReplica, PostingSets, WriteOp
 
 from conftest import Client, make_region, record_log, records_of, run_query
 
@@ -506,6 +509,29 @@ class TestLookupByRegion:
             q = region_to_query(region)
             expected = [(key, *row) for key, row in sorted(idx.registry.items()) if query_matches(q, row[0])]
             assert idx.lookup(region) == (expected, region.clip(index_region))
+
+
+class TestRegionPathEqualsPredicatePath:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mixed_regions(),
+        st.lists(st.fixed_dictionaries({}, optional=MIXED_VALUES), max_size=12),
+    )
+    def test_region_reads_as_its_predicates(self, region, objects):
+        """A sub-query travels as its region, where it once travelled as
+        region_to_query(region). The region's matcher, keys_in bounds and
+        cache key must answer as those predicates do, over objects that
+        hold each attribute or lack it."""
+        assume(region.sides)  # no query maps to the full space, and region_to_query refuses it
+        q = region_to_query(region)
+        matches = query_matcher(q)
+        for attrs in objects:
+            assert region.contains(attrs) == matches(attrs) == query_matcher(region)(attrs)
+        postings = PostingSets(MIXED_SCHEMA)
+        for n, attrs in enumerate(objects):
+            postings.post(f"k{n}", attrs)
+        assert postings.keys_in(query_bounds(region)) == postings.keys_in(query_bounds(q))
+        assert canonical_query(region) == canonical_query(q)
 
 
 class TestExactPostingSets:
