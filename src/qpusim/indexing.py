@@ -150,8 +150,9 @@ class PostingIndex(PostingSets):
         inside = region.clip(self.region)
         if inside is None:
             return [], None
+        bounds = [(name, iv.lo, iv.hi) for name, iv in region.dims if iv.lo is not None or iv.hi is not None]
         registry = self.registry
-        return [(key, *registry[key]) for key in sorted(self.keys_in(region.sides))], inside
+        return [(key, *registry[key]) for key in sorted(self.keys_in(bounds))], inside
 
     # -- snapshots ---------------------------------------------------------------
 

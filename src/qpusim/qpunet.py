@@ -392,8 +392,6 @@ class QpuBase(Actor):
     # -- finalize --------------------------------------------------------------
 
     def _finish(self, k: Kernel, pend: _Pending) -> None:
-        """A region sub-query is rechecked and audited with its own bounds;
-        only a client query carries a limit."""
         q = pend.query
         entries = dedupe_entries(pend.parts)
         rechecked = self.recheck_enabled and self.recheck_replica is not None
@@ -416,7 +414,7 @@ class DsQpu(QpuBase):
     that replica, so it has no recheck replica: its answers are neither
     rechecked nor audited, since either would test the scan against the
     replica it was just read from. Rows carry the stored objects' own attrs
-    dicts, uncopied. A region sub-query scans with its bounded sides."""
+    dicts, uncopied."""
 
     def __init__(self, qpu_id: str, indexed_attrs: Iterable[str], replica: DcReplica, **kw) -> None:
         super().__init__(qpu_id, indexed_attrs, **kw)

@@ -593,9 +593,9 @@ class TestOneRegionPerHop:
         import qpusim.qpunet as qpunet
         from qpusim.simkernel import Kernel
 
-        counts = {"regions": 0, "from_subqueries": 0, "subqueries": 0}
+        counts = {"regions": 0, "from_subqueries": 0}
         running = [False]
-        handling = [None]  # the query of the QueryMsg being handled
+        handling = [None]  # the query of the QueryMsg a unit is handling
         original = core.query_to_region
 
         def query_to_region(*args):
@@ -610,14 +610,8 @@ class TestOneRegionPerHop:
         on_message, run_until = qpunet.QpuBase.on_message, Kernel.run_until
 
         def counting_on_message(self, k, msg):
-            if not isinstance(msg, qpunet.QueryMsg):
-                return on_message(self, k, msg)
-            counts["subqueries"] += isinstance(msg.query, core.HyperRegion)
-            outer, handling[0] = handling[0], msg.query
-            try:
-                on_message(self, k, msg)
-            finally:
-                handling[0] = outer
+            handling[0] = msg.query if isinstance(msg, qpunet.QueryMsg) else None
+            on_message(self, k, msg)
 
         def counting_run_until(self, t_max=None):
             running[0] = True
