@@ -94,9 +94,7 @@ def audited_recheck(monkeypatch):
 
     def matches(q, attrs):
         if isinstance(q, HyperRegion):
-            return all(
-                iv.is_full or (name in attrs and iv.contains(attrs[name])) for name, iv in q.dims
-            )
+            return all(iv.is_full or (name in attrs and iv.contains(attrs[name])) for name, iv in q.dims)
         return query_matches(q, attrs)
 
     def checked(entries, q, replica):
