@@ -68,7 +68,7 @@ def build(cfg: TopologyConfig, seed: int | str = 0) -> Network:
     dc_ids = [d.id for d in cfg.dcs]
     for d in cfg.dcs:
         peers = tuple(x for x in dc_ids if x != d.id)
-        rep = DcReplica(d.id, schema, full_replica=d.full_replica, placement=d.placement, peers=peers)
+        rep = DcReplica(d.id, schema, placement=d.placement, peers=peers)
         replicas[d.id] = rep
         k.register(rep, d.node)
 

@@ -539,6 +539,9 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
             errors.append(f"{d.at}.node: unknown node {d.node!r}")
         if not d.full_replica and d.placement is None:
             errors.append(f"{d.at}: partial replicas need a placement region")
+        if d.full_replica and d.placement is not None:
+            # a placement is what makes a replica partial: it would hold only that region
+            errors.append(f"{d.at}.placement: a full replica holds every object and takes no placement")
     # replication is all-to-all between DCs, so their nodes must be connected
     for a in cfg.dcs:
         for b in cfg.dcs:
@@ -576,19 +579,19 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
             degree = sum(c.src == q.id for c in cfg.connections)
             if pull_from is None:
                 if degree != 1:
-                    errors.append(f"qpus({q.id}): a response cache needs exactly one downstream connection")
+                    errors.append(f"{path}: a response cache needs exactly one downstream connection")
                 if pull is not None:
                     errors.append(f"{path}.pull_interval: only a replica cache, one that names pull_from, pulls")
             else:
                 if degree:
-                    errors.append(f"qpus({q.id}): a replica cache answers from what it pulls and takes no connections")
+                    errors.append(f"{path}: a replica cache answers from what it pulls and takes no connections")
                 if pull_from not in index_like:
                     errors.append(f"{path}.pull_from: {pull_from!r} is not an indexing QPU")
                 elif unlinked(q.id, pull_from):
                     errors.append(f"{path}.pull_from: no link between nodes of {q.id!r} and {pull_from!r}")
                 elif pull_from in roots:
                     # a split clears the root's index, and the root still answers pulls from it
-                    errors.append(f"qpus({q.id}): a replica cache cannot pull from adaptive root {pull_from!r}")
+                    errors.append(f"{path}: a replica cache cannot pull from adaptive root {pull_from!r}")
                 if pull is None or pull <= 0:
                     # without one it never pulls, or at 0 re-pulls at one instant forever
                     errors.append(f"{path}.pull_interval: a replica cache needs a positive integer, got {pull!r}")

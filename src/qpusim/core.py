@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 INT64_MIN = -(2**63)
@@ -84,10 +83,11 @@ ZERO_VERSION = Version(0, "")
 
 class StoredObject(NamedTuple):
     """An object as a replica holds it. `attrs` is the dict of the write that
-    set it, shared with that write's op, the replica logs, index registries
-    and every result row built from it; no code mutates one in place. The only
-    copy is taken where a client's dict enters the store (DcReplica.put).
-    A NamedTuple, as are the per-event records (see store.py)."""
+    set it, shared with that write's op, the replica logs and index
+    registries; no code mutates one in place. The only copy is taken where a
+    client's dict enters the store (DcReplica.put). A NamedTuple, as are the
+    per-event records (see store.py), so the object is itself a result row
+    (qpunet.Entry): scans answer with it, and recheck keeps it."""
 
     key: str
     attrs: dict[str, RawValue]
@@ -142,6 +142,22 @@ class Interval:
 FULL_INTERVAL = Interval(None, None)
 
 
+class _cached:
+    """A property computed on its first read and stored in the instance
+    __dict__, which later reads find first, as functools.cached_property
+    does, but without the lock (shared by all instances) that its first
+    read takes on Python 3.11: query hops read fresh regions all the time."""
+
+    def __init__(self, func: Callable) -> None:
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class HyperRegion:
     """A box of the attribute space: one closed-open interval per indexed attribute.
@@ -160,11 +176,11 @@ class HyperRegion:
     def full(attrs: Iterable[str]) -> "HyperRegion":
         return HyperRegion(tuple((a, FULL_INTERVAL) for a in sorted(attrs)))
 
-    @cached_property
+    @_cached
     def attrs(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.dims)
 
-    @cached_property
+    @_cached
     def _intervals(self) -> dict[str, Interval]:
         return dict(self.dims)
 
@@ -181,7 +197,7 @@ class HyperRegion:
         if self.attrs != other.attrs:
             raise RegionError(f"regions over different attribute sets: {self.attrs} vs {other.attrs}")
 
-    @cached_property
+    @_cached
     def sides(self) -> tuple[tuple[str, RawValue | None, RawValue | None], ...]:
         """(attr, lo, hi), None unbounded, for every dimension bounded on at
         least one side, in attribute order; full dimensions drop out. These
@@ -202,10 +218,7 @@ class HyperRegion:
 
     def clip(self, other: "HyperRegion") -> "HyperRegion | None":
         """Intersection box, or None when disjoint; self when other cuts
-        nothing off it. The attribute names are compared inside the loop
-        over the dimensions, not through the cached `attrs`: a query hop
-        clips fresh regions, and the first read of a cached_property takes
-        a lock."""
+        nothing off it."""
         if len(self.dims) != len(other.dims):
             self._check(other)
         dims = []

@@ -23,23 +23,15 @@ from .qpunet import (
     SnapshotRequest,
 )
 from .simkernel import Actor, Kernel, Tick
-from .store import DELETE, DcReplica, LogEntry, PostingSets, PUT, WriteOp
-
-
-class StampedOp(NamedTuple):
-    """A write op plus the virtual time its feeding replica applied it; the
-    stamp rides along so staleness is measured end to end."""
-
-    op: WriteOp
-    applied_at: int
+from .store import DcReplica, LogEntry, PostingSets, WriteOp
 
 
 class IndexUpdate(NamedTuple):
-    """A batch of ops from one ingest source. The kernel delivers each
-    source's batches to a unit in the order they were sent."""
+    """A batch of the LogEntry objects a replica sent its filter, passed on
+    as they are by the filter, by routing units and by push_to. The kernel
+    delivers each sender's batches to a unit in the order they were sent."""
 
-    source: str
-    ops: tuple[StampedOp, ...]
+    entries: tuple[LogEntry, ...]
 
 
 # control-plane messages for adaptive re-partitioning; a command names the
@@ -78,16 +70,17 @@ class PostingIndex(PostingSets):
     key -> seq map, so the keys changed after any sequence number are a
     suffix of that map; indexes nobody pulls from keep no map.
 
-    Registry rows hold the op's own attrs dict, the one the replicas store
-    (see core.StoredObject). Nothing mutates one in place, so `lookup`,
-    `snapshot` and `changes_since` emit it as it is, and the rows they
-    return share it with the registry.
+    The registry maps each key to its result row (key, attrs, version),
+    built once by the apply that stores it and holding the op's own attrs
+    dict, the one the replicas store (see core.StoredObject). Nothing
+    mutates a row or its dict, so `lookup`, `snapshot` and `changes_since`
+    return the registry rows themselves and build rows only for tombstones.
     """
 
     def __init__(self, region: HyperRegion) -> None:
         super().__init__(region.attrs)
         self.region = region
-        self.registry: dict[str, tuple[dict, Version]] = {}
+        self.registry: dict[str, Entry] = {}
         self.tombstones: dict[str, Version] = {}
         self.seq = 0
         self.floor = 0  # seq of the last clear(); older requesters need a full reply
@@ -97,19 +90,20 @@ class PostingIndex(PostingSets):
 
     def _current_version(self, key: str) -> Version:
         # apply keeps a key in the registry or in tombstones, never in both
-        entry = self.registry.get(key)
-        if entry is not None:
-            return entry[1]
+        row = self.registry.get(key)
+        if row is not None:
+            return row[2]
         return self.tombstones.get(key, ZERO_VERSION)
 
-    def apply(self, op: WriteOp) -> bool:
+    def apply(self, op: WriteOp, row: Entry | None = None) -> bool:
         """Idempotent last-writer-wins apply. Removal uses the previous registry
         snapshot, never the op's old coordinates, so delivery order cannot
-        desynchronise postings from the registry."""
+        desynchronise postings from the registry. A caller that holds the
+        op's row already (absorb_rows) passes it, and it is stored as it is."""
         current = self._current_version(op.key)
         if op.version < current:
             return False
-        lands_here = op.kind == PUT and op.new_attrs is not None and self.region.contains(op.new_attrs)
+        lands_here = op.new_attrs is not None and self.region.contains(op.new_attrs)
         # One op can surface twice when region-disjoint indexes are combined:
         # as a removal tombstone where the key left and as an entry where it
         # landed. The entry is strictly more informative, so an in-region put
@@ -119,9 +113,9 @@ class PostingIndex(PostingSets):
             return False
         prev = self.registry.get(op.key)
         if prev is not None:
-            self.unpost(op.key, prev[0])
+            self.unpost(op.key, prev[1])
         if lands_here:
-            self.registry[op.key] = (op.new_attrs, op.version)
+            self.registry[op.key] = row or (op.key, op.new_attrs, op.version)
             self.tombstones.pop(op.key, None)
             self.post(op.key, op.new_attrs)
         else:
@@ -150,17 +144,15 @@ class PostingIndex(PostingSets):
         inside = region.clip(self.region)
         if inside is None:
             return [], None
-        bounds = [(name, iv.lo, iv.hi) for name, iv in region.dims if iv.lo is not None or iv.hi is not None]
         registry = self.registry
-        return [(key, *registry[key]) for key in sorted(self.keys_in(bounds))], inside
+        return [registry[key] for key in sorted(self.keys_in(region.sides))], inside
 
     # -- snapshots ---------------------------------------------------------------
 
     def snapshot(self) -> IndexSnapshot:
-        registry = self.registry
-        rows: list[tuple[str, dict | None, Version]] = [(key, *registry[key]) for key in sorted(registry)]
-        for key in sorted(self.tombstones):
-            rows.append((key, None, self.tombstones[key]))
+        registry, tombstones = self.registry, self.tombstones
+        rows: list[tuple[str, dict | None, Version]] = [registry[key] for key in sorted(registry)]
+        rows.extend((key, None, tombstones[key]) for key in sorted(tombstones))
         return IndexSnapshot(self.region, tuple(rows), self.seq)
 
     def changes_since(self, since: int) -> IndexSnapshot:
@@ -179,17 +171,16 @@ class PostingIndex(PostingSets):
         for key, seq in reversed(self._changed.items()):
             if seq <= since and not full:
                 break
-            entry = registry.get(key)
-            rows.append((key, entry[0], entry[1]) if entry else (key, None, tombstones[key]))
+            rows.append(registry.get(key) or (key, None, tombstones[key]))
         return IndexSnapshot(self.region, tuple(rows), self.seq, full)
 
     def absorb_rows(self, rows: Iterable[tuple[str, dict | None, Version]]) -> int:
         """Merges snapshot rows by replaying them as ops; LWW makes the result
         independent of row order. Returns how many rows changed the index."""
         changed = 0
-        for key, attrs, version in sorted(rows, key=lambda r: (r[0], r[2])):
-            kind = PUT if attrs is not None else DELETE
-            changed += self.apply(WriteOp(key, kind, attrs, None, version, ""))
+        for row in sorted(rows, key=lambda r: (r[0], r[2])):
+            key, attrs, version = row
+            changed += self.apply(WriteOp(key, attrs, None, version), row)
         return changed
 
     def clear(self) -> None:
@@ -205,7 +196,7 @@ class PostingIndex(PostingSets):
     def rebuilt_postings(self) -> dict[str, dict[RawValue, set[str]]]:
         """Posting maps recomputed from the registry alone (coherence oracle)."""
         fresh: dict[str, dict[RawValue, set[str]]] = {a: {} for a in self.attrs}
-        for key, (attrs, _v) in self.registry.items():
+        for key, attrs, _v in self.registry.values():
             for a in self.attrs:
                 v = attrs.get(a)
                 if v is not None:
@@ -215,8 +206,7 @@ class PostingIndex(PostingSets):
     def registry_bytes(self) -> bytes:
         """Canonical serialization of the registry for convergence comparison."""
         rows = []
-        for key in sorted(self.registry):
-            attrs, version = self.registry[key]
+        for key, attrs, version in sorted(self.registry.values()):  # keys are unique: sorts by key
             rows.append([key, sorted(attrs.items()), [version.ts, version.origin]])
         return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
 
@@ -233,16 +223,16 @@ def filter_targets(op: WriteOp, targets: Iterable[tuple[str, HyperRegion]]) -> l
     return hit
 
 
-def route(k: Kernel, source: str, ops: Iterable[StampedOp], targets: Iterable[tuple[str, HyperRegion]]) -> None:
+def route(k: Kernel, source: str, entries: Iterable[LogEntry], targets: Iterable[tuple[str, HyperRegion]]) -> None:
     """Sends each target, in id order, one IndexUpdate from `source` of the
-    ops that touch its region (filter_targets); targets no op touches get
-    none."""
-    per_target: dict[str, list[StampedOp]] = {}
-    for stamped in ops:
-        for target in filter_targets(stamped.op, targets):
-            per_target.setdefault(target, []).append(stamped)
+    entries whose ops touch its region (filter_targets); targets no op
+    touches get none."""
+    per_target: dict[str, list[LogEntry]] = {}
+    for entry in entries:
+        for target in filter_targets(entry.op, targets):
+            per_target.setdefault(target, []).append(entry)
     for target in sorted(per_target):
-        k.send(source, target, IndexUpdate(source, tuple(per_target[target])))
+        k.send(source, target, IndexUpdate(tuple(per_target[target])))
 
 
 class FilterQpu(Actor):
@@ -280,7 +270,7 @@ class FilterQpu(Actor):
             if self.batch_interval > 0:
                 self._queue.append(msg)
             else:
-                self._forward(k, [msg])
+                route(k, self.qpu_id, [msg], self.targets)
         elif isinstance(msg, Tick):
             self.flush(k)
         else:
@@ -289,16 +279,14 @@ class FilterQpu(Actor):
     def flush(self, k: Kernel) -> None:
         n = len(self._queue) if self.batch_size is None else min(self.batch_size, len(self._queue))
         if n:
-            self._forward(k, [self._queue.popleft() for _ in range(n)])
+            route(k, self.qpu_id, [self._queue.popleft() for _ in range(n)], self.targets)
 
     def drain(self, k: Kernel) -> None:
         """Forwards everything still queued; used when a run winds down."""
         if self._queue:
-            self._forward(k, list(self._queue))
+            route(k, self.qpu_id, self._queue, self.targets)
             self._queue.clear()
 
-    def _forward(self, k: Kernel, entries: list[LogEntry]) -> None:
-        route(k, self.qpu_id, [StampedOp(e.op, e.applied_at) for e in entries], self.targets)
 
 
 class IndexQpu(QpuBase):
@@ -417,16 +405,16 @@ class IndexQpu(QpuBase):
     def handle_update(self, k: Kernel, u: IndexUpdate) -> None:
         """Routes a batch to the children, or applies it to this unit's index."""
         if self.mode == self.INTERNAL:
-            route(k, self.qpu_id, u.ops, [(c.to, c.coverage) for c in self.connections])
+            route(k, self.qpu_id, u.entries, [(c.to, c.coverage) for c in self.connections])
             return
-        pushed: list[StampedOp] = []
-        for stamped in u.ops:
-            if self.index.apply(stamped.op):
+        pushed: list[LogEntry] = []
+        for entry in u.entries:
+            if self.index.apply(entry.op):
                 k.probes.progress_tick()
-                k.probes.emit({"type": "staleness", "qpu": self.qpu_id, "delta": k.now - stamped.applied_at})
-                pushed.append(stamped)
+                k.probes.emit({"type": "staleness", "qpu": self.qpu_id, "delta": k.now - entry.applied_at})
+                pushed.append(entry)
         if pushed and self.push_to is not None:
-            k.send(self.qpu_id, self.push_to, IndexUpdate(self.qpu_id, tuple(pushed)))
+            k.send(self.qpu_id, self.push_to, IndexUpdate(tuple(pushed)))
 
     # -- split ---------------------------------------------------------------------
 

@@ -22,9 +22,10 @@ from .store import DcReplica
 if TYPE_CHECKING:
     from .indexing import PostingIndex
 
-# A result row: (key, attrs, version). attrs is the stored object's or the
-# index registry's own dict for that version, shared and never mutated (see
-# core.StoredObject), so rows are built and passed on without copying it.
+# A result row: (key, attrs, version), built once where its write is applied:
+# a replica's StoredObject or an index's registry row. Neither it nor its
+# attrs dict is ever mutated (see core.StoredObject), so units pass rows on
+# as they are, and no hop rebuilds or copies one.
 Entry = tuple[str, dict, Version]
 
 
@@ -65,10 +66,10 @@ class SnapshotRequest(NamedTuple):
 
 
 class IndexSnapshot(NamedTuple):
-    """Index state on the wire: its region, and registry rows as
-    (key, attrs, version), with attrs=None marking an index-local
-    tombstone. `seq` is the index's change sequence when it was taken. A
-    full snapshot (the default) carries every row: a retiring child's
+    """Index state on the wire: its region, and rows as (key, attrs,
+    version): the index's registry rows themselves, and a row built for
+    each index-local tombstone, with attrs=None. `seq` is the index's
+    change sequence when it was taken. A full snapshot (the default) carries every row: a retiring child's
     state, and the reply to a pull that predates the index's last clear(),
     whose receiver starts over from it. A delta (`full=False`), the usual
     reply to a pull, carries only the rows of keys changed after the
@@ -148,7 +149,8 @@ def recheck(entries: Sequence[Entry], q: Query | HyperRegion, replica: DcReplica
     write, so when the replica holds the key at the row's version it holds
     the same attrs, and the row is kept as it is without matching. The
     matcher runs only on rows whose version differs (for a region
-    sub-query, HyperRegion.contains); absent keys drop.
+    sub-query, HyperRegion.contains), and a match is replaced by the
+    replica's StoredObject; absent keys drop.
     Values and bounds compare raw: the schema gives each attribute one
     kind, checked where values enter, so a row and q agree on it."""
     matches = query_matcher(q)
@@ -163,7 +165,7 @@ def recheck(entries: Sequence[Entry], q: Query | HyperRegion, replica: DcReplica
         if version is ver or version == ver:
             out.append(entry)
         elif matches(obj.attrs):
-            out.append((entry[0], obj.attrs, version))
+            out.append(obj)
     return out
 
 
@@ -413,16 +415,15 @@ class DsQpu(QpuBase):
     """Scans its single data centre's replica. Scan output is authoritative at
     that replica, so it has no recheck replica: its answers are neither
     rechecked nor audited, since either would test the scan against the
-    replica it was just read from. Rows carry the stored objects' own attrs
-    dicts, uncopied."""
+    replica it was just read from. Its rows are the replica's StoredObjects
+    themselves."""
 
     def __init__(self, qpu_id: str, indexed_attrs: Iterable[str], replica: DcReplica, **kw) -> None:
         super().__init__(qpu_id, indexed_attrs, **kw)
         self.replica = replica
 
     def handle_query(self, k: Kernel, m: QueryMsg) -> None:
-        entries = [(o.key, o.attrs, o.version) for o in self.replica.scan(m.query)]
-        self.fan_out(k, m, [], local_parts=[entries])
+        self.fan_out(k, m, [], local_parts=[self.replica.scan(m.query)])
 
 
 class FederationQpu(QpuBase):

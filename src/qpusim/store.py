@@ -21,37 +21,38 @@ from .core import (
 )
 from .simkernel import Actor, Kernel, SimError
 
-PUT = "put"
-DELETE = "delete"
-
 
 # The records below, and the messages and stored objects of the other
 # modules (core.StoredObject, indexing, qpunet, workload), are built once per
-# write, log append, hop or query, and many are held while in flight or
-# stored. So they are immutable NamedTuples, not frozen dataclasses: cheaper
-# to build and smaller to keep. A NamedTuple equals any plain tuple of the same
-# fields, records of two classes alike, so messages are dispatched by
-# isinstance and never compared by value.
+# write, log append, hop or query, and passed on as they are: a peer receives
+# the origin's WriteOp, and an index the LogEntry its filter was sent. Many
+# are held while in flight or stored, so they are immutable NamedTuples, not
+# frozen dataclasses: cheaper to build and smaller to keep. A NamedTuple
+# equals any plain tuple of the same fields, records of two classes alike, so
+# messages are dispatched by isinstance and never compared by value.
 
 
 class WriteOp(NamedTuple):
-    """A versioned put/delete carrying the old and new attribute coordinates,
-    so index maintenance never needs a read-back. Both are shared attrs
-    dicts (see StoredObject): `new_attrs` becomes the stored object's attrs,
-    and `old_attrs` is the overwritten object's."""
+    """A versioned write carrying the old and new attribute coordinates, so
+    index maintenance never needs a read-back; a delete has `new_attrs`
+    None. Both are shared attrs dicts (see StoredObject): `new_attrs`
+    becomes the stored object's attrs, and `old_attrs` is the overwritten
+    object's. The op is also the replication message: peers receive it
+    as it is."""
 
     key: str
-    kind: str
     new_attrs: dict | None
     old_attrs: dict | None
     version: Version
-    origin_dc: str
 
 
 class LogEntry(NamedTuple):
-    """One op sent from a replica's update feed. `seq` is its position in
-    the replica's log; state-transfer entries carry the position the
-    subscriber asked for (see DcReplica.subscribe)."""
+    """One op sent from a replica's update feed, stamped with the virtual
+    time the replica applied it so staleness is measured end to end. A
+    filter routes the entries as they are, and an index pushes on those
+    it applied. `seq` is the op's position in the replica's log;
+    state-transfer entries carry the position the subscriber asked for
+    (see DcReplica.subscribe)."""
 
     seq: int
     op: WriteOp
@@ -66,10 +67,6 @@ class ClientWrite(NamedTuple):
 
 class ClientDelete(NamedTuple):
     key: str
-
-
-class Replicate(NamedTuple):
-    op: WriteOp
 
 
 class PostingSets:
@@ -142,8 +139,9 @@ class PostingSets:
 class DcReplica(Actor):
     """One data centre's replica.
 
-    Full replicas hold every object; edge replicas hold the subset whose
-    coordinates fall inside their placement region. Conflicts resolve
+    A replica without a placement region holds every object (a full
+    replica); one with a placement (an edge replica) holds the subset whose
+    coordinates fall inside it. Conflicts resolve
     last-writer-wins on (ts, origin). Each applied operation takes the next
     log position and is sent to every current subscriber, with old_attrs
     rewritten to the locally overwritten coordinates, which is what the local
@@ -157,14 +155,12 @@ class DcReplica(Actor):
         dc_id: str,
         schema: Mapping[str, Kind],
         *,
-        full_replica: bool = True,
         placement: HyperRegion | None = None,
         peers: tuple[str, ...] = (),
     ) -> None:
         self.actor_id = dc_id
         self.dc_id = dc_id
         self.schema = dict(schema)
-        self.full_replica = full_replica
         self.placement = placement
         self.peers = tuple(peers)
         self.objects: dict[str, StoredObject] = {}
@@ -180,8 +176,8 @@ class DcReplica(Actor):
         return (*self.peers, *self._subscribers)
 
     def on_message(self, k: Kernel, msg) -> None:
-        if isinstance(msg, Replicate):  # most of a replica's messages
-            self.apply_replicated(k, msg.op)
+        if isinstance(msg, WriteOp):  # most of a replica's messages
+            self.apply_replicated(k, msg)
         elif isinstance(msg, ClientWrite):
             try:
                 self.put(k, msg.key, msg.attrs)
@@ -198,24 +194,22 @@ class DcReplica(Actor):
         if not key:
             raise IngestError("object keys must be non-empty")
         check_attrs(self.schema, attrs)
-        self.clock += 1
-        version = Version(self.clock, self.dc_id)
-        old = self.objects.get(key)
         # the one copy of a client's attrs: from here on the dict is shared
-        op = WriteOp(key, PUT, dict(attrs), old.attrs if old else None, version, self.dc_id)
-        self._apply_state(key, op)
-        self._append(k, op)
-        self._replicate(k, op)
-        return version
+        return self._write(k, key, dict(attrs))
 
     def delete(self, k: Kernel, key: str) -> Version:
+        return self._write(k, key, None)
+
+    def _write(self, k: Kernel, key: str, new_attrs: dict | None) -> Version:
+        """Applies a local write; its one op goes to the log and to every peer."""
         self.clock += 1
         version = Version(self.clock, self.dc_id)
         old = self.objects.get(key)
-        op = WriteOp(key, DELETE, None, old.attrs if old else None, version, self.dc_id)
+        op = WriteOp(key, new_attrs, old.attrs if old else None, version)
         self._apply_state(key, op)
         self._append(k, op)
-        self._replicate(k, op)
+        for peer in self.peers:
+            k.send(self.dc_id, peer, op)
         return version
 
     # -- replication ----------------------------------------------------------
@@ -233,7 +227,7 @@ class DcReplica(Actor):
         old_attrs = old.attrs if old else None
         local_op = op
         if old_attrs is not op.old_attrs:
-            local_op = WriteOp(op.key, op.kind, op.new_attrs, old_attrs, op.version, op.origin_dc)
+            local_op = WriteOp(op.key, op.new_attrs, old_attrs, op.version)
         self._apply_state(op.key, local_op)
         self._append(k, local_op)
         return True
@@ -244,17 +238,13 @@ class DcReplica(Actor):
             return obj.version
         return self.tombstones.get(key, ZERO_VERSION)
 
-    def _placed(self, attrs: AttrMap | None) -> bool:
-        if self.placement is None:
-            return True
-        return attrs is not None and self.placement.contains(attrs)
-
     def _apply_state(self, key: str, op: WriteOp) -> None:
         postings = self._postings
         if postings is not None and key in self.objects:
             postings.unpost(key, self.objects[key].attrs)
-        if op.kind == PUT and self._placed(op.new_attrs):
-            obj = self.objects[key] = StoredObject(key, op.new_attrs or {}, op.version)
+        new, placement = op.new_attrs, self.placement
+        if new is not None and (placement is None or placement.contains(new)):
+            obj = self.objects[key] = StoredObject(key, new, op.version)
             self.tombstones.pop(key, None)
             if postings is not None:
                 postings.post(key, obj.attrs)
@@ -268,11 +258,6 @@ class DcReplica(Actor):
         for sub in self._subscribers:
             k.send(self.dc_id, sub, entry)
         self.position += 1
-
-    def _replicate(self, k: Kernel, op: WriteOp) -> None:
-        msg = Replicate(op)  # one immutable message serves every peer
-        for peer in self.peers:
-            k.send(self.dc_id, peer, msg)
 
     # -- reads -----------------------------------------------------------------
 
@@ -311,7 +296,7 @@ class DcReplica(Actor):
         order over its link. No entry is kept once it is sent, so a
         subscriber asking from an earlier position (from_seq < position)
         first gets the replica's current state as entries (Bayou's state
-        transfer): each object a PUT and each tombstone a DELETE, in key
+        transfer): each object a put and each tombstone a delete, in key
         order, at its stored version, with old_attrs=None, every one with
         seq=from_seq and applied_at=k.now. Last-writer-wins makes an index
         fed this state and then the suffix equal to one fed the whole log:
@@ -329,10 +314,6 @@ class DcReplica(Actor):
             objects, tombstones = self.objects, self.tombstones
             for key in sorted([*objects, *tombstones]):
                 obj = objects.get(key)
-                if obj is not None:
-                    op = WriteOp(key, PUT, obj.attrs, None, obj.version, obj.version.origin)
-                else:
-                    version = tombstones[key]
-                    op = WriteOp(key, DELETE, None, None, version, version.origin)
+                op = WriteOp(key, obj.attrs, None, obj.version) if obj else WriteOp(key, None, None, tombstones[key])
                 k.send(self.dc_id, subscriber_id, LogEntry(from_seq, op, k.now))
         self._subscribers.append(subscriber_id)

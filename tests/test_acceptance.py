@@ -15,13 +15,13 @@ from qpusim.adapt import LoadTracker
 from qpusim.build import build
 from qpusim.config import parse_topology, parse_workload
 from qpusim.core import Kind, Predicate, Query, Version
-from qpusim.indexing import FilterQpu, IndexQpu, IndexUpdate, MergeCmd, MergeQpu, StampedOp
+from qpusim.indexing import FilterQpu, IndexQpu, IndexUpdate, MergeCmd, MergeQpu
 from qpusim.metrics import MetricsSink
 from qpusim.qpunet import CacheQpu, Connection, QueryMsg
 from qpusim.runner import drain_to_quiescence, run_scenario, validate_scenario
 from qpusim.scenarios import scenario
 from qpusim.simkernel import Kernel
-from qpusim.store import DcReplica, PUT, DELETE, WriteOp
+from qpusim.store import DcReplica, LogEntry, WriteOp
 
 from conftest import Client, control_actions, make_region, records_of, run_query
 
@@ -90,10 +90,10 @@ class TestCriterion3ConvergentMerge:
             for ts in range(1, 301):
                 key = f"k{rng.randrange(80)}"
                 if rng.random() < 0.25:
-                    ops.append(WriteOp(key, DELETE, None, None, Version(ts, s), s))
+                    ops.append(WriteOp(key, None, None, Version(ts, s)))
                 else:
                     attrs = {"size": rng.randrange(150), "genre": rng.choice("abcde")}
-                    ops.append(WriteOp(key, PUT, attrs, None, Version(ts, s), s))
+                    ops.append(WriteOp(key, attrs, None, Version(ts, s)))
             streams[s] = ops
         assert sum(len(v) for v in streams.values()) == 900
         outcomes = set()
@@ -107,9 +107,9 @@ class TestCriterion3ConvergentMerge:
             while any(cursors[s] < len(streams[s]) for s in streams):
                 s = trial_rng.choice([s for s in sorted(streams) if cursors[s] < len(streams[s])])
                 n = min(trial_rng.randint(1, 9), len(streams[s]) - cursors[s])
-                batch = tuple(StampedOp(op, 0) for op in streams[s][cursors[s] : cursors[s] + n])
+                batch = tuple(LogEntry(0, op, 0) for op in streams[s][cursors[s] : cursors[s] + n])
                 cursors[s] += n
-                mq.handle_update(k, IndexUpdate(s, batch))
+                mq.handle_update(k, IndexUpdate(batch))
             outcomes.add(mq.index.registry_bytes())
         assert len(outcomes) == 1
         _pass(3, "900-op 3-source stream converges byte-identically under 5 interleavings")

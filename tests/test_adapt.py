@@ -18,7 +18,7 @@ from qpusim.metrics import MetricsSink
 from qpusim.qpunet import QueryMsg
 from qpusim.scenarios import SCENARIOS, scenario
 from qpusim.simkernel import Kernel
-from qpusim.store import PUT, ClientWrite, DcReplica
+from qpusim.store import ClientWrite, DcReplica
 
 from conftest import Client, LogRecorder, control_actions, make_region, record_log, records_of, run_query
 
@@ -75,10 +75,10 @@ def leaf_with_values(values, region=None):
     k.register(rep, "n")
     leaf = IndexQpu("root", region or FULL, recheck_replica=rep)
     k.register(leaf, "n")
-    from qpusim.store import PUT, WriteOp
+    from qpusim.store import WriteOp
 
     for i, v in enumerate(values, start=1):
-        leaf.index.apply(WriteOp(f"k{i}", PUT, {"size": v}, None, Version(i, "dc1"), "dc1"))
+        leaf.index.apply(WriteOp(f"k{i}", {"size": v}, None, Version(i, "dc1")))
     return k, rep, leaf
 
 
@@ -115,11 +115,11 @@ class TestChooseSplit:
         k.register(rep, "n")
         leaf = IndexQpu("root", FULL, recheck_replica=rep)
         k.register(leaf, "n")
-        from qpusim.store import PUT, WriteOp
+        from qpusim.store import WriteOp
 
         for i in range(20):
             leaf.index.apply(
-                WriteOp(f"k{i}", PUT, {"size": i, "genre": chr(97 + i % 5)}, None, Version(i + 1, "dc1"), "dc1")
+                WriteOp(f"k{i}", {"size": i, "genre": chr(97 + i % 5)}, None, Version(i + 1, "dc1"))
             )
         samples = {
             "size": list(range(15)),  # wide spread
@@ -161,9 +161,9 @@ class TestSplitExecution:
         sizes = [len(c.index.registry) for c in kids]
         assert sum(sizes) == 100
         for child in kids:
-            for key, (attrs, _v) in child.index.registry.items():
+            for key, attrs, _v in child.index.registry.values():
                 assert child.region.contains(attrs)
-                assert before[key][0] == attrs
+                assert before[key][1] == attrs
         # coverage conservation: children tile the parent's region exactly
         union_checks = random.Random(2)
         for _ in range(200):
@@ -254,15 +254,13 @@ class TestMergeExecution:
 
     def test_merge_with_interleaved_writes_equals_lww_replay(self):
         k, rep, root, cl, _ = self.split_then(writes_between=True)
-        from qpusim.store import PUT
-
         live = {}
         for entry in sorted(self.log.entries, key=lambda e: e.op.version):
-            if entry.op.kind == PUT:
+            if entry.op.new_attrs is not None:
                 live[entry.op.key] = entry.op.new_attrs
             else:
                 live.pop(entry.op.key, None)
-        assert {key: attrs for key, (attrs, _v) in root.index.registry.items()} == live
+        assert {key: attrs for key, attrs, _v in root.index.registry.values()} == live
 
     def test_merging_unit_applies_writes_before_the_snapshots_arrive(self):
         """Children rebound behind a 50 ms link take 100 ms to send their
@@ -290,7 +288,7 @@ class TestMergeExecution:
         k.schedule(t0, "root", QueryMsg("mid", q_range(0, 300), "client"))
         k.run_until(t0 + 99)
         assert root.mode == IndexQpu.MERGING
-        assert root.index.registry["fresh"][0] == {"size": 5}
+        assert root.index.registry["fresh"][1] == {"size": 5}
         assert "mid" not in cl.responses
         while "mid" not in cl.responses:
             k.step()
@@ -299,11 +297,11 @@ class TestMergeExecution:
         k.run_until_empty()
         live = {}
         for entry in sorted(log.entries, key=lambda e: e.op.version):
-            if entry.op.kind == PUT:
+            if entry.op.new_attrs is not None:
                 live[entry.op.key] = entry.op.new_attrs
             else:
                 live.pop(entry.op.key, None)
-        assert {key: attrs for key, (attrs, _v) in root.index.registry.items()} == live
+        assert {key: attrs for key, attrs, _v in root.index.registry.values()} == live
 
     def test_queries_buffered_during_merge_are_answered(self):
         t = TestSplitExecution()

@@ -1,5 +1,6 @@
 """Region algebra and predicate semantics, checked against brute-force oracles."""
 
+import functools
 import math
 import random
 import re
@@ -360,6 +361,18 @@ class TestRegions:
         c = region(x=(10, 20))
         assert a.clip(b) is not None
         assert a.clip(c) is None  # closed-open adjacency is disjoint
+
+    def test_derived_views_are_computed_once_without_a_lock(self):
+        """sides, attrs and _intervals are kept in the instance __dict__ on
+        first read, as functools.cached_property keeps them, but are not
+        cached_property, whose first read takes a lock on Python 3.11."""
+        r = region(x=(0, 10), y=(None, None))
+        for name in ("sides", "attrs", "_intervals"):
+            assert not isinstance(vars(HyperRegion)[name], functools.cached_property)
+            assert name not in vars(r)
+            first = getattr(r, name)
+            assert vars(r)[name] is first and getattr(r, name) is first
+        assert r.sides == (("x", 0, 10),) and r.attrs == ("x", "y")
 
     def test_full_region_contains_everything(self):
         r = HyperRegion.full(["x", "y"])

@@ -859,10 +859,23 @@ class TestCli:
         topology["adaptive"] = {"enabled": True, "roots": ["mq"], "t_split": 20, "t_merge": 5}
         assert self._check_config(tmp_path, topology, workload) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "config error: qpus(rc1): a replica cache cannot pull from adaptive root 'mq'",
-            "config error: qpus(rc2): a replica cache cannot pull from adaptive root 'mq'",
+            "config error: qpus[7](rc1): a replica cache cannot pull from adaptive root 'mq'",
+            "config error: qpus[8](rc2): a replica cache cannot pull from adaptive root 'mq'",
         ]
         topology["adaptive"]["roots"] = ["iq1"]
+        assert self._check_config(tmp_path, topology, workload) == 0
+
+    def test_full_replica_with_a_placement_is_config_error(self, tmp_path, capsys):
+        """cdn with dc1 given a placement. Its replica held only the
+        placement while recheck and validate's oracle took it as full, and
+        validate_scenario at seed 0 failed with `replicas converged: NO`."""
+        topology, workload = scenario("cdn")
+        topology["dcs"][0]["placement"] = {"size": [0, 100]}
+        assert self._check_config(tmp_path, topology, workload) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: dcs[0].placement: a full replica holds every object and takes no placement"
+        ]
+        del topology["dcs"][0]["placement"]
         assert self._check_config(tmp_path, topology, workload) == 0
 
     def test_replica_cache_pulling_from_a_federation_is_config_error(self, tmp_path, capsys):
@@ -885,7 +898,7 @@ class TestCli:
         topology["connections"] = [{"from": "rc1", "to": "mq"}]
         assert self._check_config(tmp_path, topology, workload) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "config error: qpus(rc1): a replica cache answers from what it pulls and takes no connections"
+            "config error: qpus[7](rc1): a replica cache answers from what it pulls and takes no connections"
         ]
 
     def test_replica_cache_pulling_over_no_link_is_config_error(self, tmp_path, capsys):

@@ -27,15 +27,14 @@ from qpusim.indexing import (
     MergeQpu,
     PostingIndex,
     SplitCmd,
-    StampedOp,
     filter_targets,
 )
 from qpusim.metrics import MetricsSink
 from qpusim.qpunet import CacheQpu, Connection, QueryMsg, decompose, dedupe_entries, recheck
 from qpusim.simkernel import Kernel
-from qpusim.store import DELETE, PUT, ClientDelete, ClientWrite, DcReplica, PostingSets, WriteOp
+from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, PostingSets, WriteOp
 
-from conftest import Client, make_region, record_log, records_of, run_query
+from conftest import Client, LogRecorder, make_region, record_log, records_of, run_query
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 FULL = make_region(size=(None, None), genre=(None, None))
@@ -47,11 +46,11 @@ def region_of(q, attrs=SCHEMA):
 
 
 def put_op(key, ts, origin="dc1", old=None, **attrs):
-    return WriteOp(key, PUT, attrs, old or None, Version(ts, origin), origin)
+    return WriteOp(key, attrs, old or None, Version(ts, origin))
 
 
 def del_op(key, ts, origin="dc1", old=None):
-    return WriteOp(key, DELETE, None, old or None, Version(ts, origin), origin)
+    return WriteOp(key, None, old or None, Version(ts, origin))
 
 
 def registry_keys(idx):
@@ -126,11 +125,11 @@ class TestIndexApply:
         # sorted-replay oracle agrees
         oracle = {}
         for op in sorted(ops, key=lambda o: o.version):
-            if op.kind == PUT:
+            if op.new_attrs is not None:
                 oracle[op.key] = op.new_attrs
             else:
                 oracle.pop(op.key, None)
-        assert {k: v[0] for k, v in a.registry.items()} == oracle
+        assert {k: v[1] for k, v in a.registry.items()} == oracle
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 8), st.booleans(), st.integers(0, 20)), max_size=40), st.randoms())
@@ -193,8 +192,22 @@ class TestIndexLookup:
                 ]
             )
             entries, _ = idx.lookup(region_of(q))
-            expected = sorted(k for k, (attrs, _v) in idx.registry.items() if query_matches(q, attrs))
+            expected = sorted(k for k, attrs, _v in idx.registry.values() if query_matches(q, attrs))
             assert [e[0] for e in entries] == expected
+
+    def test_rows_are_the_registry_rows(self):
+        """lookup, snapshot and changes_since return the rows apply stored
+        and build a row only for a tombstone."""
+        idx = PostingIndex(FULL)
+        for i in range(6):
+            idx.apply(put_op(f"k{i}", i + 1, size=i))
+        idx.apply(del_op("k5", 9))
+        found, _ = idx.lookup(region_of(Query.of([Predicate.between("size", 1, 3)])))
+        assert [row[0] for row in found] == ["k1", "k2", "k3"]
+        rows = [*found, *idx.snapshot().entries, *idx.changes_since(0).entries]
+        live = [row for row in rows if row[1] is not None]
+        assert len(live) == 3 + 5 + 5
+        assert all(row is idx.registry[row[0]] for row in live)
 
 
 class TestFilterRouting:
@@ -264,10 +277,27 @@ class TestIndexQpuPipeline:
 
     def test_duplicate_batch_ignored(self):
         k, rep, _, iq, cl = single_index_net()
-        u = IndexUpdate("src", (StampedOp(put_op("a", 1, size=1), 0),))
+        u = IndexUpdate((LogEntry(0, put_op("a", 1, size=1), 0),))
         iq.handle_update(k, u)
         iq.handle_update(k, u)
         assert registry_keys(iq.index) == {"a"}
+
+    def test_index_receives_the_replicas_log_entries(self):
+        """The filter routes the LogEntry objects its replica sent, and the
+        index pushes the ones it applied on as they are."""
+        k, rep, _, iq, cl = single_index_net()
+        log = record_log(k, rep)
+        spy = LogRecorder("spy")
+        k.register(spy, "n-idx")
+        iq.push_to = "spy"
+        k.run_until(k.now)  # the filter subscribes before the first write
+        rep.put(k, "k1", {"size": 7})
+        rep.put(k, "k2", {"size": 8})
+        rep.delete(k, "k1")
+        k.run_until_empty()
+        pushed = [entry for update in spy.entries for entry in update.entries]
+        assert len(pushed) == len(log.entries) == 3
+        assert all(got is sent for got, sent in zip(pushed, log.entries))
 
 
 def pull_net(region=FULL):
@@ -407,7 +437,7 @@ class TestIncrementalPulls:
         attrs["size"] = 90
         q = Query.of([Predicate.between("size", 0, 10)])
         for idx in (iq.index, cq._index):
-            assert idx.registry["k1"][0]["size"] == 5
+            assert idx.registry["k1"][1]["size"] == 5
             assert [e[0] for e in idx.lookup(region_of(q))[0]] == ["k1"]
             assert idx.postings == idx.rebuilt_postings()
 
@@ -507,7 +537,7 @@ class TestLookupByRegion:
             if all(iv.is_full for _name, iv in region):
                 continue  # no query maps to it, and region_to_query refuses it
             q = region_to_query(region)
-            expected = [(key, *row) for key, row in sorted(idx.registry.items()) if query_matches(q, row[0])]
+            expected = [row for _key, row in sorted(idx.registry.items()) if query_matches(q, row[1])]
             assert idx.lookup(region) == (expected, region.clip(index_region))
 
 
@@ -556,7 +586,7 @@ class TestExactPostingSets:
         reps = [
             DcReplica("dc1", MIXED_SCHEMA, peers=("dc2", "edge")),
             DcReplica("dc2", MIXED_SCHEMA, peers=("dc1", "edge")),
-            DcReplica("edge", MIXED_SCHEMA, full_replica=False, placement=placement),
+            DcReplica("edge", MIXED_SCHEMA, placement=placement),
         ]
         for rep, node in zip(reps, ("n1", "n2", "n3")):
             k.register(rep, node)
@@ -617,18 +647,18 @@ class TestMergeIngest:
 
     def test_disjoint_sources_union(self):
         k, m = self.build_merge()
-        m.handle_update(k, IndexUpdate("s1", (StampedOp(put_op("a", 1, origin="s1", size=1), 0),)))
-        m.handle_update(k, IndexUpdate("s2", (StampedOp(put_op("b", 1, origin="s2", size=2), 0),)))
+        m.handle_update(k, IndexUpdate((LogEntry(0, put_op("a", 1, origin="s1", size=1), 0),)))
+        m.handle_update(k, IndexUpdate((LogEntry(0, put_op("b", 1, origin="s2", size=2), 0),)))
         assert registry_keys(m.index) == {"a", "b"}
 
     def test_conflicting_key_max_version_wins_either_order(self):
-        lo = StampedOp(put_op("k", 3, origin="s1", size=1), 0)
-        hi = StampedOp(put_op("k", 5, origin="s2", size=2), 0)
-        for first, second in (((("s1", lo), ("s2", hi))), ((("s2", hi), ("s1", lo)))):
+        lo = LogEntry(0, put_op("k", 3, origin="s1", size=1), 0)
+        hi = LogEntry(0, put_op("k", 5, origin="s2", size=2), 0)
+        for first, second in ((lo, hi), (hi, lo)):
             k, m = self.build_merge()
-            for src, op in (first, second):
-                m.handle_update(k, IndexUpdate(src, (op,)))
-            assert m.index.registry["k"][1] == Version(5, "s2")
+            for entry in (first, second):
+                m.handle_update(k, IndexUpdate((entry,)))
+            assert m.index.registry["k"][2] == Version(5, "s2")
 
     def test_three_sources_five_interleavings_identical(self):
         rng = random.Random(30)
@@ -650,9 +680,9 @@ class TestMergeIngest:
             while any(cursors[s] < len(streams[s]) for s in streams):
                 s = trial_rng.choice([s for s in streams if cursors[s] < len(streams[s])])
                 n = min(trial_rng.randint(1, 7), len(streams[s]) - cursors[s])
-                batch = tuple(StampedOp(op, 0) for op in streams[s][cursors[s] : cursors[s] + n])
+                batch = tuple(LogEntry(0, op, 0) for op in streams[s][cursors[s] : cursors[s] + n])
                 cursors[s] += n
-                m.handle_update(k, IndexUpdate(s, batch))
+                m.handle_update(k, IndexUpdate(batch))
             results.add(m.index.registry_bytes())
         assert len(results) == 1
 
@@ -837,13 +867,13 @@ class TestRecheckFastPath:
             # a Version names one write of its key
             history.setdefault((f"k{n}", Version(ts, origin)), raw)
         placement = make_region(size=(0, 6), weight=(None, None), genre=(None, None)) if edge else None
-        rep = DcReplica("dc1", MIXED_SCHEMA, full_replica=not edge, placement=placement)
+        rep = DcReplica("dc1", MIXED_SCHEMA, placement=placement)
         k = Kernel(seed=0)
         k.add_node("n")
         k.register(rep, "n")
         for (key, version), attrs in history.items():
             if not data.draw(st.booleans(), label=f"replica misses {key}@{version}"):
-                rep.apply_replicated(k, WriteOp(key, DELETE if attrs is None else PUT, attrs, None, version, version.origin))
+                rep.apply_replicated(k, WriteOp(key, attrs, None, version))
 
         region = query_to_region(q, MIXED_SCHEMA)
         plan, _missing = decompose(region, [Connection(f"c{i}", c) for i, c in enumerate(coverages)])

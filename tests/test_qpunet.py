@@ -16,7 +16,7 @@ from qpusim.core import (
     query_to_region,
     region_to_query,
 )
-from qpusim.indexing import FilterQpu, IndexQpu, IndexUpdate, StampedOp
+from qpusim.indexing import FilterQpu, IndexQpu, IndexUpdate
 from qpusim.metrics import MetricsSink
 from qpusim.qpunet import (
     CacheQpu,
@@ -27,9 +27,10 @@ from qpusim.qpunet import (
     SnapshotRequest,
     dedupe_entries,
     decompose,
+    recheck,
 )
 from qpusim.simkernel import Actor, Kernel
-from qpusim.store import PUT, ClientDelete, ClientWrite, DcReplica, WriteOp
+from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, WriteOp
 
 from conftest import Client, make_region, records_of, run_query
 
@@ -140,6 +141,23 @@ class TestDsQpu:
         resp = run_query(k, cl, "ds1", Query.of([Predicate.equals("genre", "rock")]))
         assert [e[0] for e in resp.entries] == ["k1"]
 
+    def test_rows_are_the_replicas_stored_objects(self):
+        k, rep, ds, cl = ds_net()
+        for i in range(5):
+            rep.put(k, f"k{i}", {"size": i})
+        resp = run_query(k, cl, "ds1", q_size(1, 3))
+        assert [e[0] for e in resp.entries] == ["k1", "k2", "k3"]
+        assert all(e is rep.objects[e[0]] for e in resp.entries)
+
+    def test_recheck_keeps_the_replicas_object_where_a_version_moved(self):
+        k, rep, ds, cl = ds_net()
+        rep.put(k, "same", {"size": 1})
+        rep.put(k, "moved", {"size": 2})
+        held = [rep.objects["moved"], rep.objects["same"]]
+        rep.put(k, "moved", {"size": 3})
+        kept, refreshed = recheck(held, q_size(0, 10), rep)[::-1]
+        assert kept is held[1] and refreshed is rep.objects["moved"]
+
 
 def federation_net(*, overlap=False, seed=0, with_ds=True):
     """fQPU over two indexed halves of the size axis plus an optional full-
@@ -199,10 +217,10 @@ class TestFederation:
         iq1, iq2 = k.actor("iq1"), k.actor("iq2")
         for qpu in (fq, iq1, iq2):
             qpu.recheck_enabled = False
-        stale = StampedOp(WriteOp("k", PUT, {"size": 45}, None, Version(1, "dc1"), "dc1"), 0)
-        moved = StampedOp(WriteOp("k", PUT, {"size": 55}, {"size": 45}, Version(2, "dc1"), "dc1"), 0)
-        iq1.handle_update(k, IndexUpdate("t", (stale,)))
-        iq2.handle_update(k, IndexUpdate("t", (moved,)))
+        stale = LogEntry(0, WriteOp("k", {"size": 45}, None, Version(1, "dc1")), 0)
+        moved = LogEntry(1, WriteOp("k", {"size": 55}, {"size": 45}, Version(2, "dc1")), 0)
+        iq1.handle_update(k, IndexUpdate((stale,)))
+        iq2.handle_update(k, IndexUpdate((moved,)))
         resp = run_query(k, cl, "fq", q_size(40, 60))
         assert len(resp.entries) == 1
         assert resp.entries[0][2] == Version(2, "dc1")
@@ -466,8 +484,8 @@ class TestEmptyPredicate:
         cl = Client()
         k.register(cl, "n1")
         for ts, size in ((1, 5), (2, 6)):
-            op = WriteOp(f"k{size}", PUT, {"size": size}, None, Version(ts, "dc1"), "dc1")
-            iq.handle_update(k, IndexUpdate("src", (StampedOp(op, 0),)))
+            op = WriteOp(f"k{size}", {"size": size}, None, Version(ts, "dc1"))
+            iq.handle_update(k, IndexUpdate((LogEntry(ts, op, 0),)))
         self.assert_empty_complete(run_query(k, cl, "iq", empty_size_query()))
 
     def test_federation_qpu(self):

@@ -19,11 +19,11 @@ from qpusim.core import (
     StoredObject,
 )
 from qpusim.simkernel import Actor, Kernel, SimError
-from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, PostingSets, DELETE, PUT
+from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, PostingSets
 
 from qpusim.indexing import PostingIndex
 
-from conftest import make_region, record_log
+from conftest import LogRecorder, make_region, record_log
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 
@@ -48,7 +48,7 @@ def lww_replay(ops):
     """Independent oracle: apply every op in strict version order."""
     live = {}
     for op in sorted(ops, key=lambda o: o.version):
-        if op.kind == PUT:
+        if op.new_attrs is not None:
             live[op.key] = (op.new_attrs, op.version)
         else:
             live.pop(op.key, None)
@@ -115,7 +115,7 @@ class TestDelete:
         reps["dc1"].delete(k, "ghost")
         k.run_until(k.now)
         assert len(log.entries) == 1
-        assert log.entries[0].op.kind == DELETE
+        assert log.entries[0].op.new_attrs is None
         assert "ghost" in reps["dc1"].tombstones
 
     def test_late_older_put_stays_deleted(self):
@@ -266,7 +266,7 @@ class TestApplyReplicated:
         k.add_link("n1", "n3", 5)
         origin = DcReplica("dc1", SCHEMA, peers=("dc2", "edge"))
         peer = DcReplica("dc2", SCHEMA, peers=())
-        edge = DcReplica("edge", SCHEMA, full_replica=False, placement=placement, peers=())
+        edge = DcReplica("edge", SCHEMA, placement=placement, peers=())
         for rep, node in ((origin, "n1"), (peer, "n2"), (edge, "n3")):
             k.register(rep, node)
         origin_log, peer_log, edge_log = (record_log(k, rep) for rep in (origin, peer, edge))
@@ -284,11 +284,29 @@ class TestApplyReplicated:
         assert local == second._replace(old_attrs=None)
         assert edge.get("k") is None and peer.get("k").attrs is second.new_attrs
 
+    def test_peer_receives_the_origins_op_object(self):
+        """A write is built once: the replication message a peer receives is
+        the WriteOp the origin appended to its own log, for a put and a
+        delete alike."""
+        k = Kernel(seed=0)
+        k.add_node("n")
+        origin = DcReplica("dc1", SCHEMA, peers=("peer",))
+        peer = LogRecorder("peer")
+        for actor in (origin, peer):
+            k.register(actor, "n")
+        origin_log = record_log(k, origin)
+        origin.put(k, "k", {"size": 1})
+        origin.delete(k, "k")
+        k.run_until_empty()
+        sent = origin_log.ops()
+        assert len(peer.entries) == 2
+        assert all(got is op for got, op in zip(peer.entries, sent))
+
 
 # Records built per write, log append, hop or query (see store.py).
 RECORDS = [
-    store.WriteOp, store.LogEntry, store.ClientWrite, store.ClientDelete, store.Replicate,
-    indexing.StampedOp, indexing.IndexUpdate, indexing.SplitCmd, indexing.MergeCmd, indexing.Retire,
+    store.WriteOp, store.LogEntry, store.ClientWrite, store.ClientDelete,
+    indexing.IndexUpdate, indexing.SplitCmd, indexing.MergeCmd, indexing.Retire,
     indexing.ControlDone,
     qpunet.QueryMsg, qpunet.ResponseMsg, qpunet.SnapshotRequest, qpunet.IndexSnapshot, qpunet.QueryTimeout,
     workload.IssueQuery, workload.Heartbeat,
@@ -309,7 +327,7 @@ def test_records_are_immutable_tuples(cls):
 class TestSubscribeLog:
     def test_subscriber_sees_writes_in_order(self):
         """A subscriber from position 0 after writes gets the replica's
-        state first: each object a PUT and each tombstone a DELETE, in key
+        state first: each object a put and each tombstone a delete, in key
         order, at its stored version, with no old attrs, stamped with the
         asked position and the time of subscribing. Then it gets every later
         entry, in log order at its own position."""
@@ -325,7 +343,7 @@ class TestSubscribeLog:
         rep.put(k, "k0", {"size": 10})
         k.run_until_empty()
         state, suffix = sink.entries[:3], sink.entries[3:]
-        assert [(e.op.key, e.op.kind) for e in state] == [("k0", PUT), ("k1", DELETE), ("k2", PUT)]
+        assert [(e.op.key, e.op.new_attrs is None) for e in state] == [("k0", False), ("k1", True), ("k2", False)]
         assert [e.op.version for e in state] == versions
         assert state[2].op.new_attrs is rep.objects["k2"].attrs
         assert all((e.seq, e.applied_at, e.op.old_attrs) == (0, 7, None) for e in state)
@@ -423,7 +441,7 @@ class TestStateTransfer:
         reps = {
             "dc1": DcReplica("dc1", SCHEMA, peers=("dc2", "edge")),
             "dc2": DcReplica("dc2", SCHEMA, peers=("dc1", "edge")),
-            "edge": DcReplica("edge", SCHEMA, full_replica=False, placement=placement),
+            "edge": DcReplica("edge", SCHEMA, placement=placement),
         }
         for rep, node in zip(reps.values(), ("n1", "n2", "n3")):
             k.register(rep, node)
@@ -451,7 +469,7 @@ class TestStateTransfer:
         assert late.entries[len(state) :] == suffix
         assert all(e.seq == from_seq and e.op.old_attrs is None for e in state)
         regions = [placement, make_region(size=(10, 30), genre=("b", None))]
-        if fed.full_replica:
+        if fed.placement is None:
             regions.append(make_region(size=(None, None), genre=(None, None)))
         for region in regions:
             from_zero, transferred = PostingIndex(region), PostingIndex(region)
@@ -496,7 +514,7 @@ class TestPlacement:
         k.add_node("edge")
         k.add_link("core", "edge", 3)
         core = DcReplica("dc1", SCHEMA, peers=("edge1",))
-        edge = DcReplica("edge1", SCHEMA, full_replica=False, placement=placement, peers=())
+        edge = DcReplica("edge1", SCHEMA, placement=placement, peers=())
         k.register(core, "core")
         k.register(edge, "edge")
         core.put(k, "in", {"size": 10})
