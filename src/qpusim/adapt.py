@@ -109,7 +109,7 @@ def choose_split(
     if load < t_split or leaf.mode != IndexQpu.LEAF:
         return None
     divisible: list[tuple[int, str]] = []
-    values_by_dim = leaf.index.sorted_values
+    values_by_dim = leaf.index.posting_sets().sorted_values
     for dim in leaf.indexed_attrs:
         values = values_by_dim[dim]
         if len(values) >= 2:

@@ -10,7 +10,7 @@ from .adapt import AdaptiveController, LoadTracker
 from .config import TopologyConfig, adaptive_roots, controller_node, nearest_full_dc
 from .core import HyperRegion
 from .indexing import FilterQpu, IndexQpu, MergeQpu
-from .qpunet import CacheQpu, Connection, DsQpu, FederationQpu, QpuBase
+from .qpunet import CacheQpu, Connection, DsQpu, FederationQpu
 from .simkernel import Kernel
 from .store import DcReplica
 

@@ -57,11 +57,14 @@ class ControlDone(NamedTuple):
     qpu: str
 
 
-class PostingIndex(PostingSets):
-    """Per-attribute posting sets plus a key registry for one region.
+class PostingIndex:
+    """A key registry for one region, with per-attribute posting sets.
 
     The registry is authoritative; posting sets are a derived acceleration
-    structure and must always be rebuildable from it. Index-local tombstones
+    structure and must always be rebuildable from it. They are built from
+    the registry at the first lookup (`posting_sets`) and kept current by
+    every later apply, so an index that answers no query (one that only
+    feeds a merge unit or replica caches) keeps none. Index-local tombstones
     keep late stale ops from resurrecting removed keys, which makes the state
     a pure function of the set of ops applied.
 
@@ -78,13 +81,13 @@ class PostingIndex(PostingSets):
     """
 
     def __init__(self, region: HyperRegion) -> None:
-        super().__init__(region.attrs)
         self.region = region
         self.registry: dict[str, Entry] = {}
         self.tombstones: dict[str, Version] = {}
         self.seq = 0
         self.floor = 0  # seq of the last clear(); older requesters need a full reply
         self._changed: dict[str, int] | None = None  # built by the first changes_since
+        self._sets: PostingSets | None = None  # built by the first lookup
 
     # -- mutation -----------------------------------------------------------
 
@@ -111,13 +114,16 @@ class PostingIndex(PostingSets):
         # equal version is a duplicate.
         if op.version == current and not (lands_here and op.key in self.tombstones):
             return False
-        prev = self.registry.get(op.key)
-        if prev is not None:
-            self.unpost(op.key, prev[1])
+        sets = self._sets
+        if sets is not None:
+            prev = self.registry.get(op.key)
+            if prev is not None:
+                sets.unpost(op.key, prev[1])
         if lands_here:
             self.registry[op.key] = row or (op.key, op.new_attrs, op.version)
             self.tombstones.pop(op.key, None)
-            self.post(op.key, op.new_attrs)
+            if sets is not None:
+                sets.post(op.key, op.new_attrs)
         else:
             self.registry.pop(op.key, None)
             self.tombstones[op.key] = op.version
@@ -128,6 +134,15 @@ class PostingIndex(PostingSets):
         return True
 
     # -- lookup ---------------------------------------------------------------
+
+    def posting_sets(self) -> PostingSets:
+        """The posting sets, built from the registry at the first call."""
+        sets = self._sets
+        if sets is None:
+            sets = self._sets = PostingSets(self.region.attrs)
+            for key, attrs, _v in self.registry.values():
+                sets.post(key, attrs)
+        return sets
 
     def lookup(self, region: HyperRegion) -> tuple[list[Entry], HyperRegion | None]:
         """The registry rows inside `region`, in key order, and
@@ -145,7 +160,7 @@ class PostingIndex(PostingSets):
         if inside is None:
             return [], None
         registry = self.registry
-        return [registry[key] for key in sorted(self.keys_in(region.sides))], inside
+        return [registry[key] for key in sorted(self.posting_sets().keys_in(region.sides))], inside
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -186,8 +201,7 @@ class PostingIndex(PostingSets):
     def clear(self) -> None:
         self.registry.clear()
         self.tombstones.clear()
-        self.postings = {a: {} for a in self.attrs}
-        self.sorted_values = {a: [] for a in self.attrs}
+        self._sets = None
         if self._changed is not None:
             self._changed.clear()
         self.seq += 1
@@ -195,9 +209,10 @@ class PostingIndex(PostingSets):
 
     def rebuilt_postings(self) -> dict[str, dict[RawValue, set[str]]]:
         """Posting maps recomputed from the registry alone (coherence oracle)."""
-        fresh: dict[str, dict[RawValue, set[str]]] = {a: {} for a in self.attrs}
+        indexed = self.region.attrs
+        fresh: dict[str, dict[RawValue, set[str]]] = {a: {} for a in indexed}
         for key, attrs, _v in self.registry.values():
-            for a in self.attrs:
+            for a in indexed:
                 v = attrs.get(a)
                 if v is not None:
                     fresh[a].setdefault(v, set()).add(key)

@@ -10,7 +10,7 @@ from typing import Any
 
 from .build import Network, build
 from .config import TopologyConfig, WorkloadSpec, parse_topology, parse_workload
-from .core import Query, query_matcher
+from .core import query_matcher
 from .metrics import MetricsSink
 from .qpunet import QueryMsg
 from .simkernel import Actor, Kernel

@@ -83,7 +83,7 @@ class Probes:
         sink has no log to read, so asking is an error."""
         if self.metrics is None:
             raise SimError("no metrics sink attached: type-2 audits are only recorded in its log")
-        return [r for r in self.metrics.records if r.get("type") == "type2"]
+        return self.metrics.type2_records()
 
 
 @dataclass
@@ -118,7 +118,11 @@ class Kernel:
     holds each such time once (a calendar queue with one bucket per
     millisecond, Brown, CACM 1988). An event scheduled at the instant being
     delivered joins the end of that instant's list. Handlers must not call
-    `run_until` or `step`: the loop is not re-entrant.
+    `run_until`, `step` or `feed`: the loop is not re-entrant.
+
+    The workload enters through `feed` as one time-ordered list, kept apart
+    from `_due`: it takes no bucket until the clock reaches its time, and
+    each event is dropped from the list as it is delivered.
     """
 
     def __init__(self, seed: int | str = 0) -> None:
@@ -127,6 +131,7 @@ class Kernel:
         self.probes = Probes()
         self._due: dict[int, list[tuple]] = {}  # (target, msg), + sender if `send` made it; (None, None) if dropped
         self._times: list[int] = []
+        self._fed: list[tuple[int, str | None, Any]] = []  # fed (at, target, msg), latest first
         self._nodes: set[str] = set()
         self._links: dict[tuple[str, str], _Link] = {}
         self._actors: dict[str, Actor] = {}
@@ -165,9 +170,10 @@ class Kernel:
         self._unstarted.append(actor.actor_id)
 
     def unregister(self, actor_id: str) -> None:
-        """Removes an actor. What was scheduled for it without a sender (its
-        own timeouts and ticks) is dropped when its time comes, which still
-        advances the clock; a message `send` addressed to it raises SimError."""
+        """Removes an actor. What was scheduled or fed for it without a
+        sender (its own timeouts and ticks, its workload) is dropped when its
+        time comes, which still advances the clock; a message `send`
+        addressed to it raises SimError."""
         if self._actors.pop(actor_id, None) is None:
             raise SimError(f"unknown actor {actor_id!r}")
         del self._hosts[actor_id]
@@ -175,6 +181,7 @@ class Kernel:
             self._unstarted.remove(actor_id)
         for events in self._due.values():  # in place: run_until may be walking one
             events[:] = [(None, None) if len(e) == 2 and e[0] == actor_id else e for e in events]
+        self._fed[:] = [(e[0], None, None) if e[1] == actor_id else e for e in self._fed]
 
     def rebind(self, actor_id: str, node_id: str) -> None:
         """Moves an actor to another node, keeping each pair of actors FIFO:
@@ -221,6 +228,25 @@ class Kernel:
             heapq.heappush(self._times, at)
         else:
             events.append(event)
+
+    def feed(self, events: list[tuple[int, str, Any]]) -> None:
+        """Queues a list of (at, target, msg) in time order, as `schedule`
+        would each in turn, and takes the list over: the kernel empties it
+        as the clock reaches each event, so a delivered event is freed. At
+        each time the fed events come first, then what was scheduled for
+        that time, which is the order of scheduling all of them up front
+        and the rest during the run. A list out of time order, with an
+        event before now, or fed before the last one is delivered, raises
+        SimError and is left as it was."""
+        if self._fed:
+            raise SimError(f"fed again with {len(self._fed)} fed events still to deliver")
+        last = self.now
+        for at, _target, _msg in events:
+            if at < last:
+                raise SimError(f"fed events out of time order or in the past: {at} < {last}")
+            last = at
+        events.reverse()
+        self._fed = events
 
     def schedule_in(self, delay: int, target: str, msg: Any) -> None:
         self.schedule(self.now + delay, target, msg)
@@ -280,9 +306,10 @@ class Kernel:
             self.schedule(self.now + period, target, msg)
         self._start_pending()
 
-    def _drop_time(self, at: int) -> None:
+    def _drop_time(self, at: int, queued: bool = True) -> None:
         del self._due[at]
-        heapq.heappop(self._times)
+        if queued:
+            heapq.heappop(self._times)
 
     def run_until(self, t_max: int | None = None) -> int:
         """Processes events until the queue empties or t_max is reached.
@@ -297,15 +324,22 @@ class Kernel:
             raise SimError(f"run_until({t_max}) is before now ({self.now})")
         self._start_pending()
         times, due = self._times, self._due
-        while times:
-            at = times[0]
+        while times or self._fed:
+            fed = self._fed
+            at = fed[-1][0] if fed and (not times or fed[-1][0] < times[0]) else times[0]
             if t_max is not None and at > t_max:
                 self.now = t_max
                 return self.now
             self.now = at
-            events = due[at]
-            i = 0
+            events = due.get(at)
+            queued = events is not None  # else `at` is a fed time only, not on the heap
+            if not queued:
+                events = due[at] = []  # what the fed events schedule at `at` joins this list
+            i = -1
             try:
+                while fed and fed[-1][0] == at:
+                    event = fed.pop()
+                    self._deliver(event[1], event[2])
                 # Events this loop schedules at `at` are appended to `events`
                 # and visited in turn.
                 for i, event in enumerate(events):
@@ -313,9 +347,11 @@ class Kernel:
             except BaseException:
                 del events[: i + 1]
                 if not events:
-                    self._drop_time(at)
+                    self._drop_time(at, queued)
+                elif not queued:
+                    heapq.heappush(times, at)
                 raise
-            self._drop_time(at)
+            self._drop_time(at, queued)
         if t_max is not None:
             self.now = t_max
         return self.now
@@ -326,16 +362,21 @@ class Kernel:
     def step(self) -> bool:
         """Processes exactly one event; False when the queue is empty."""
         self._start_pending()
-        if not self._times:
+        times, fed = self._times, self._fed
+        if fed and (not times or fed[-1][0] <= times[0]):
+            at, target, msg = fed.pop()
+        elif times:
+            at = times[0]
+            events = self._due[at]
+            target, msg = events.pop(0)[:2]
+            if not events:
+                self._drop_time(at)
+        else:
             return False
-        at = self._times[0]
-        events = self._due[at]
-        event = events.pop(0)
-        if not events:
-            self._drop_time(at)
         self.now = at
-        self._deliver(event[0], event[1])
+        self._deliver(target, msg)
         return True
 
     def pending(self) -> int:
-        return sum(map(len, self._due.values()))
+        """Events queued and not yet delivered, fed ones included."""
+        return sum(map(len, self._due.values())) + len(self._fed)

@@ -1,11 +1,13 @@
-"""Seeded workload generation: phase-structured write/query streams scheduled
-up front, issued through per-origin client actors, and journalled for the
-oracle replay in validation mode."""
+"""Seeded workload generation: phase-structured write/query streams built up
+front as one time-ordered list that the kernel is fed and drains as it runs,
+issued through per-origin client actors, and journalled for the oracle replay
+in validation mode."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from random import Random
 from typing import Any, NamedTuple
 
@@ -126,8 +128,10 @@ def _op_times(start: int, duration: int, rate: float) -> list[int]:
 
 
 class WorkloadDriver:
-    """Schedules every phase's writes, queries and heartbeats up front, so a
-    finished workload leaves no self-rescheduling events behind."""
+    """Builds every phase's writes, queries and heartbeats up front and
+    feeds them to the kernel (`Kernel.feed`) as one list, so a finished
+    workload leaves no self-rescheduling events behind, and each event is
+    freed once it is delivered."""
 
     def __init__(self, net: Network, spec: WorkloadSpec, seed: int | str) -> None:
         self.net = net
@@ -147,17 +151,23 @@ class WorkloadDriver:
         k.register(self.pulse, k.nodes()[0])
 
     def schedule_all(self) -> int:
-        """Returns the virtual end time of the last phase."""
-        k = self.net.kernel
+        """Feeds the kernel every phase's events and returns the virtual end
+        time of the last phase. The events are drawn phase by phase, each
+        phase's writes, then its queries, then its heartbeats, and sorted
+        once by time; the sort is stable, so events at one time keep the
+        order they were drawn in."""
+        events: list[tuple[int, str, Any]] = []
         start = 0
         for phase in self.spec.phases:
-            self._schedule_phase(k, phase, start)
+            self._draw_phase(events, phase, start)
             start += phase.duration
+        events.sort(key=itemgetter(0))
+        self.net.kernel.feed(events)
         return start
 
     # -- one phase -----------------------------------------------------------
 
-    def _schedule_phase(self, k: Kernel, phase: PhaseSpec, start: int) -> None:
+    def _draw_phase(self, events: list, phase: PhaseSpec, start: int) -> None:
         schema = self.net.schema
         samplers = {
             name: Sampler(schema[name], dist, self._write_rng)
@@ -169,36 +179,32 @@ class WorkloadDriver:
         }
         if phase.write_rate > 0:
             for i, t in enumerate(_op_times(start, phase.duration, phase.write_rate)):
-                self._schedule_write(k, phase, samplers, t, i)
+                events.append(self._make_write(phase, samplers, t, i))
         if phase.query_rate > 0:
             origins = phase.query_origin
             for i, t in enumerate(_op_times(start, phase.duration, phase.query_rate)):
                 origin = origins[i % len(origins)]
                 query = self._make_query(phase, qsamplers)
-                k.schedule(t, self.issuers[origin].actor_id, IssueQuery(query))
-        for t in range(start, start + phase.duration, 1000):
-            k.schedule(t, Pulse.actor_id, Heartbeat())
+                events.append((t, self.issuers[origin].actor_id, IssueQuery(query)))
+        events.extend((t, Pulse.actor_id, Heartbeat()) for t in range(start, start + phase.duration, 1000))
 
     def _pick_key(self, phase: PhaseSpec, i: int) -> str:
         if phase.key_mode == "sequential":
             return f"k{i % phase.key_space}"
         return f"k{self._write_rng.randrange(phase.key_space)}"
 
-    def _schedule_write(self, k: Kernel, phase: PhaseSpec, samplers, t: int, i: int) -> None:
+    def _make_write(self, phase: PhaseSpec, samplers, t: int, i: int) -> tuple[int, str, Any]:
         key = self._pick_key(phase, i)
         is_delete = (
             self._write_rng.random() < phase.delete_fraction and key in self.journal.written_keys
         )
         if is_delete:
-            dc = self._route_write(phase, None, i)
-            k.schedule(t, dc, ClientDelete(key))
             self.journal.deletes += 1
-            return
+            return t, self._route_write(phase, None, i), ClientDelete(key)
         attrs = {name: s.sample() for name, s in samplers.items()}
-        dc = self._route_write(phase, attrs, i)
-        k.schedule(t, dc, ClientWrite(key, attrs))
         self.journal.writes += 1
         self.journal.written_keys.add(key)
+        return t, self._route_write(phase, attrs, i), ClientWrite(key, attrs)
 
     def _route_write(self, phase: PhaseSpec, attrs, i: int) -> str:
         dcs, mode = phase.write_origin.dcs, phase.write_origin.mode

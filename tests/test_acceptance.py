@@ -4,21 +4,19 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
 import copy
-import json
 import random
 import statistics
 import time
 
 import pytest
 
-from qpusim.adapt import LoadTracker
 from qpusim.build import build
 from qpusim.config import parse_topology, parse_workload
 from qpusim.core import Kind, Predicate, Query, Version
 from qpusim.indexing import FilterQpu, IndexQpu, IndexUpdate, MergeCmd, MergeQpu
 from qpusim.metrics import MetricsSink
-from qpusim.qpunet import CacheQpu, Connection, QueryMsg
-from qpusim.runner import drain_to_quiescence, run_scenario, validate_scenario
+from qpusim.qpunet import CacheQpu, Connection
+from qpusim.runner import run_scenario, validate_scenario
 from qpusim.scenarios import scenario
 from qpusim.simkernel import Kernel
 from qpusim.store import DcReplica, LogEntry, WriteOp

@@ -18,7 +18,7 @@ from qpusim.metrics import MetricsSink
 from qpusim.qpunet import QueryMsg
 from qpusim.scenarios import SCENARIOS, scenario
 from qpusim.simkernel import Kernel
-from qpusim.store import ClientWrite, DcReplica
+from qpusim.store import DcReplica
 
 from conftest import Client, LogRecorder, control_actions, make_region, record_log, records_of, run_query
 

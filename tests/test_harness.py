@@ -12,13 +12,15 @@ from pathlib import Path
 import pytest
 
 import qpusim.config as config
+import qpusim.runner as runner
 import qpusim.store as store
 from qpusim.build import build
 from qpusim.cli import main as cli_main
 from qpusim.config import ConfigError, parse_topology, parse_workload
-from qpusim.metrics import parse_ndjson, summarize
+from qpusim.metrics import SCHEMA_VERSION, MetricsSink, parse_ndjson, percentile, summarize
 from qpusim.runner import run_scenario, validate_scenario
 from qpusim.scenarios import SCENARIOS, scenario, write_scenario
+from qpusim.workload import WorkloadDriver
 
 
 def minimal_topology(**overrides):
@@ -498,6 +500,57 @@ def test_runtime_dependencies_stay_at_zero():
     assert {name: imports for name, imports in found.items() if imports} == {}
 
 
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads: no load of the name, no
+    attribute read through it, no mention in a string annotation, and no
+    entry in `__all__`. `from __future__` imports are directives, not
+    names."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs, node.args.vararg, node.args.kwarg]
+            annotations += [arg.annotation for arg in args if arg is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for node in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{line}: {name}" for name, line in sorted(imported.items(), key=lambda item: item[1]) if name not in used]
+
+
+def test_every_import_is_used():
+    """Each name a module under src/qpusim imports is read in that module."""
+    sample = (
+        "from __future__ import annotations\n"
+        "import os.path, json\n"
+        "from .core import Kind, Query as Q, Version\n"
+        "from typing import Any\n"
+        "__all__ = ['Version']\n"
+        "def f(x: 'Any') -> None:\n"
+        "    return os.path.join(Kind.INT)\n"
+    )
+    assert unused_imports(sample) == ["2: json", "3: Q"]
+    src = Path(__file__).resolve().parent.parent / "src" / "qpusim"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    found = {path.name: unused_imports(path.read_text()) for path in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 class TestRunScenario:
     def test_zero_rate_workload_emits_only_heartbeats(self):
         res = run_scenario(minimal_topology(), zero_rate_workload(), seed=1)
@@ -538,6 +591,22 @@ class TestRunScenario:
         res = run_scenario(t, w, seed=5, until=2000)
         assert res.network.kernel.now == 2000
 
+    def test_the_workload_enters_the_kernel_as_one_fed_list(self):
+        """schedule_all feeds the kernel every write, delete, query and
+        heartbeat, and schedules none of them."""
+        cfg = parse_topology(scenario("cdn")[0])
+        spec = parse_workload(scenario("cdn")[1], cfg)
+        net = build(cfg, 0)
+        driver = WorkloadDriver(net, spec, 0)
+        end = driver.schedule_all()
+        queries = sum(int(round(p.duration * p.query_rate / 1000.0)) for p in spec.phases)
+        heartbeats = sum(-(-p.duration // 1000) for p in spec.phases)
+        k = net.kernel
+        assert k._due == {} and k._times == []
+        assert k.pending() == driver.journal.writes + driver.journal.deletes + queries + heartbeats
+        assert k.run_until(end) == end
+        assert len(driver.journal.queries) == queries
+
     def test_summary_recomputes_from_raw_records(self, tmp_path):
         t, w = scenario("cdn")
         res = run_scenario(t, w, seed=9, out=tmp_path / "m.ndjson")
@@ -552,6 +621,78 @@ class TestRunScenario:
         run_scenario(t, w, seed=2, out=tmp_path / "m.ndjson")
         for record in parse_ndjson((tmp_path / "m.ndjson").read_text()):
             assert "type" in record
+
+
+class DictLog(MetricsSink):
+    """A sink that also keeps each record as the dict a sink that stores
+    dicts would hold: the header, then `{"t": now, **record}` per emit."""
+
+    def __init__(self, kernel, meta=None):
+        self.dicts = [{"type": "meta", "schema": SCHEMA_VERSION, **(meta or {})}]
+        super().__init__(kernel, meta)
+
+    def emit(self, record):
+        self.dicts.append({"t": self._kernel.now, **record})
+        super().emit(record)
+
+
+def rederived_summary(records):
+    """The summary figures computed afresh, one list per figure."""
+    queries = [r for r in records if r["type"] == "query"]
+    latencies = sorted(r["latency"] for r in queries)
+    staleness = sorted(r["delta"] for r in records if r["type"] == "staleness")
+    cache = [r["hit"] for r in records if r["type"] == "cache"]
+    return {
+        "queries": len(queries),
+        "latency_p50": percentile(latencies, 0.50),
+        "latency_p99": percentile(latencies, 0.99),
+        "completeness_rate": sum(1 for r in queries if r["complete"]) / len(queries) if queries else None,
+        "staleness_samples": len(staleness),
+        "staleness_median": percentile(staleness, 0.50),
+        "cache_hits": cache.count(True),
+        "cache_misses": cache.count(False),
+        "control_actions": sum(
+            1 for r in records if r["type"] == "control" and r["action"] in ("split", "merge", "rebind")
+        ),
+    }
+
+
+class TestMetricsRows:
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_records_equal_the_dict_log(self, name, monkeypatch):
+        """`records` builds, from the compact rows, the dicts a dict-keeping
+        sink holds: the same records in the same order, each with its keys
+        in the same order."""
+        monkeypatch.setattr(runner, "MetricsSink", DictLog)
+        res = run_scenario(*scenario(name), seed=3, scenario_name=name)
+        expected = [*res.sink.dicts, {"type": "summary", **res.summary}]
+        assert [list(r.items()) for r in res.sink.records] == [list(r.items()) for r in expected]
+        assert res.sink.to_ndjson() == "".join(
+            json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in expected
+        )
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_summarize_reads_any_iterable_once(self, name):
+        """summarize reads a one-shot iterator of the stream parsed back
+        from NDJSON, and gives the figures re-derived from that stream and
+        the sink's own summary."""
+        res = run_scenario(*scenario(name), seed=3)
+        body = [r for r in parse_ndjson(res.sink.to_ndjson()) if r["type"] != "summary"]
+        reads = []
+
+        def once():
+            reads.append(1)
+            yield from body
+
+        assert summarize(once()) == rederived_summary(body) == res.summary
+        assert reads == [1]
+
+    def test_type2_records_reach_type2_violations(self):
+        doc = minimal_topology(debug={"disable_recheck": True})
+        res = run_scenario(doc, delete_heavy_workload(), seed=13)
+        in_stream = [r for r in parse_ndjson(res.sink.to_ndjson()) if r["type"] == "type2"]
+        assert in_stream
+        assert res.network.kernel.probes.type2_violations() == in_stream
 
 
 def delete_heavy_workload():

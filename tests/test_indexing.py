@@ -3,7 +3,6 @@ staleness measurement, each against an independent oracle."""
 
 import random
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qpusim.core import (
@@ -30,6 +29,8 @@ from qpusim.indexing import (
     filter_targets,
 )
 from qpusim.metrics import MetricsSink
+from qpusim.runner import run_scenario
+from qpusim.scenarios import scenario
 from qpusim.qpunet import CacheQpu, Connection, QueryMsg, decompose, dedupe_entries, recheck
 from qpusim.simkernel import Kernel
 from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, PostingSets, WriteOp
@@ -68,10 +69,11 @@ class TestIndexApply:
 
     def test_put_then_delete_leaves_no_postings(self):
         idx = PostingIndex(FULL)
+        sets = idx.posting_sets()  # built before the ops, so apply keeps them current
         idx.apply(put_op("k1", 1, size=5, genre="a"))
         idx.apply(del_op("k1", 2, old={"size": 5, "genre": "a"}))
         assert registry_keys(idx) == set()
-        assert all(not vals for vals in idx.postings.values())
+        assert all(not vals for vals in sets.postings.values())
         assert idx.tombstones["k1"] == Version(2, "dc1")
 
     def test_out_of_region_put_is_a_removal(self):
@@ -88,19 +90,21 @@ class TestIndexApply:
 
     def test_update_moves_postings(self):
         idx = PostingIndex(FULL)
+        sets = idx.posting_sets()  # built before the ops, so apply keeps them current
         idx.apply(put_op("k1", 1, size=5))
         idx.apply(put_op("k1", 2, size=9, old={"size": 5}))
-        assert idx.sorted_values["size"] == [9]
+        assert sets.sorted_values["size"] == [9]
 
     def test_sorted_values_are_raw_values_of_the_stored_kind(self):
         idx = PostingIndex(make_region(size=(None, None), weight=(None, None)))
+        sets = idx.posting_sets()  # built before the ops, so apply keeps them current
         for ts, (size, weight) in enumerate([(9, 2.5), (5, 0.5), (9, 1.0)], start=1):
             idx.apply(put_op(f"k{ts}", ts, size=size, weight=weight))
-        assert idx.sorted_values["size"] == [5, 9]
-        assert idx.sorted_values["weight"] == [0.5, 1.0, 2.5]
-        assert [type(v) for v in idx.sorted_values["weight"]] == [float] * 3
+        assert sets.sorted_values["size"] == [5, 9]
+        assert sets.sorted_values["weight"] == [0.5, 1.0, 2.5]
+        assert [type(v) for v in sets.sorted_values["weight"]] == [float] * 3
         idx.clear()
-        assert idx.sorted_values["size"] == []
+        assert idx.posting_sets().sorted_values["size"] == []
 
     def test_shuffled_200_op_stream_converges(self):
         rng = random.Random(8)
@@ -149,6 +153,7 @@ class TestIndexApply:
 
     def test_posting_sets_rebuildable_from_registry(self):
         idx = PostingIndex(FULL)
+        sets = idx.posting_sets()  # built before the ops, so apply keeps them current
         rng = random.Random(10)
         for ts in range(1, 150):
             key = f"k{rng.randrange(25)}"
@@ -156,7 +161,50 @@ class TestIndexApply:
                 idx.apply(del_op(key, ts))
             else:
                 idx.apply(put_op(key, ts, size=rng.randrange(20), genre=rng.choice("ab")))
-        assert idx.postings == idx.rebuilt_postings()
+        assert sets is idx.posting_sets()
+        assert sets.postings == idx.rebuilt_postings()
+
+
+class TestPostingSetsAtFirstLookup:
+    def test_an_ingest_run_builds_posting_sets_only_where_queries_are_answered(self):
+        """In the client-cache scenario (a write stream through iq1-iq3 into
+        mq, queries at the replica caches rc1 and rc2), the units that
+        answer no query hold no posting sets, and the caches do."""
+        res = run_scenario(*scenario("client-cache"), seed=0)
+        qpus = res.network.qpus
+        assert all(qpus[q].index.registry for q in ("iq1", "iq2", "iq3", "mq"))
+        assert [q for q in ("iq1", "iq2", "iq3", "mq") if qpus[q].index._sets is not None] == []
+        assert [q for q in ("rc1", "rc2") if qpus[q]._index._sets is None] == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 8), st.booleans(), st.integers(0, 20), st.sampled_from("abc")), max_size=40),
+        st.integers(0, 40),
+    )
+    def test_sets_built_mid_stream_equal_sets_kept_from_the_start(self, raw, built_at):
+        """One index keeps its sets from before the first op, another builds
+        them at a lookup after `built_at` ops; after every later op both
+        give the registry's posting maps and the same lookups."""
+        early, late = PostingIndex(FULL), PostingIndex(FULL)
+        early.posting_sets()
+        region = region_of(Query.of([Predicate.between("size", 5, 15)]))
+        for n, (keyn, is_del, size, genre) in enumerate(raw):
+            op = del_op(f"k{keyn}", n + 1) if is_del else put_op(f"k{keyn}", n + 1, size=size, genre=genre)
+            early.apply(op)
+            late.apply(op)
+            if n + 1 >= built_at:
+                assert late.lookup(region) == early.lookup(region)
+                assert late.posting_sets().postings == early.posting_sets().postings == early.rebuilt_postings()
+
+    def test_no_sets_before_the_first_lookup_and_none_after_clear(self):
+        idx = PostingIndex(FULL)
+        idx.apply(put_op("k1", 1, size=5, genre="a"))
+        assert idx._sets is None
+        found, _ = idx.lookup(region_of(Query.of([Predicate.between("size", 0, 10)])))
+        assert [row[0] for row in found] == ["k1"] and idx._sets is not None
+        idx.clear()
+        assert idx._sets is None
+        assert idx.lookup(region_of(Query.of([Predicate.between("size", 0, 10)])))[0] == []
 
 
 class TestIndexLookup:
@@ -431,6 +479,7 @@ class TestIncrementalPulls:
         cq = CacheQpu("cq", SCHEMA, pull_from="iq")
         k.register(cq, "n-idx")
         attrs = {"size": 5, "genre": "a"}
+        iq.index.posting_sets()  # built before the write, so apply posts it
         rep.put(k, "k1", attrs)
         k.run_until_empty()
         pull(k, cq)
@@ -439,7 +488,7 @@ class TestIncrementalPulls:
         for idx in (iq.index, cq._index):
             assert idx.registry["k1"][1]["size"] == 5
             assert [e[0] for e in idx.lookup(region_of(q))[0]] == ["k1"]
-            assert idx.postings == idx.rebuilt_postings()
+            assert idx.posting_sets().postings == idx.rebuilt_postings()
 
 
 MIXED_SCHEMA = {"size": Kind.INT, "weight": Kind.FLOAT, "genre": Kind.TEXT}

@@ -4,8 +4,6 @@ locality of routing decisions."""
 import random
 import sys
 
-import pytest
-
 import qpusim.qpunet as qpunet
 from qpusim.core import (
     HyperRegion,
@@ -14,7 +12,6 @@ from qpusim.core import (
     Query,
     Version,
     query_to_region,
-    region_to_query,
 )
 from qpusim.indexing import FilterQpu, IndexQpu, IndexUpdate
 from qpusim.metrics import MetricsSink
@@ -23,14 +20,13 @@ from qpusim.qpunet import (
     Connection,
     DsQpu,
     FederationQpu,
-    QueryMsg,
     SnapshotRequest,
     dedupe_entries,
     decompose,
     recheck,
 )
 from qpusim.simkernel import Actor, Kernel
-from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, WriteOp
+from qpusim.store import ClientWrite, DcReplica, LogEntry, WriteOp
 
 from conftest import Client, make_region, records_of, run_query
 

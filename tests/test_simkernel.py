@@ -401,9 +401,11 @@ _program = st.fixed_dictionaries(
 )
 
 
-def _scripted_trace(kernel_cls, p):
+def _scripted_trace(kernel_cls, p, queue=None):
     """Runs program p on a kernel of class kernel_cls; returns its delivery
-    trace and the clock after each driver call."""
+    trace and the clock after each driver call. `queue(k, initial)` queues
+    the initial (at, target, msg) events; by default each is scheduled in
+    turn."""
     k = kernel_cls(seed=p["seed"])
     nodes = [f"n{i}" for i in range(p["nodes"])]
     for n in nodes:
@@ -414,8 +416,12 @@ def _scripted_trace(kernel_cls, p):
     trace, clocks = [], []
     for i, (host, actions) in enumerate(zip(p["hosts"], p["actions"])):
         k.register(Scripted(f"a{i}", actions, trace), nodes[host % len(nodes)])
-    for j, (at, target) in enumerate(p["initial"]):
-        k.schedule(at, f"a{target}", ("init", j, 0))
+    initial = [(at, f"a{target}", ("init", j, 0)) for j, (at, target) in enumerate(p["initial"])]
+    if queue is None:
+        for event in initial:
+            k.schedule(*event)
+    else:
+        queue(k, initial)
     for kind, n in p["driver"]:
         if kind == "run":
             clocks.append(k.run_until(k.now + n))
@@ -431,6 +437,138 @@ class TestOrderEquivalence:
     @given(_program)
     def test_delivery_trace_equals_a_time_seq_heap_kernel(self, p):
         assert _scripted_trace(Kernel, p) == _scripted_trace(HeapKernel, p)
+
+
+def _feed_even_schedule_odd(k, initial):
+    """Feeds the even-numbered initial events, sorted stably by time, then
+    schedules the odd-numbered ones."""
+    k.feed(sorted(initial[::2], key=lambda event: event[0]))
+    for event in initial[1::2]:
+        k.schedule(*event)
+
+
+def _schedule_even_then_odd(k, initial):
+    """The same events scheduled up front: the fed ones in the order they
+    were fed, then the others."""
+    for event in [*sorted(initial[::2], key=lambda event: event[0]), *initial[1::2]]:
+        k.schedule(*event)
+
+
+class TestFeed:
+    @settings(max_examples=300, deadline=None)
+    @given(_program)
+    def test_fed_events_deliver_as_if_scheduled_up_front(self, p):
+        """Fed events, events scheduled before the run, and what the
+        handlers schedule and send during it, under any mix of run_until
+        and step calls: the trace, the clocks and the pending counts equal
+        those of scheduling the fed events up front, ahead of the rest."""
+        fed = _scripted_trace(Kernel, p, _feed_even_schedule_odd)
+        assert fed == _scripted_trace(Kernel, p, _schedule_even_then_odd)
+
+    def test_fed_events_come_before_what_was_scheduled_for_their_time(self):
+        rec = Recorder("r")
+        k = kernel_with(rec)
+        k.schedule(5, "r", "scheduled")
+        k.feed([(5, "r", "fed"), (6, "r", "later")])
+        k.run_until_empty()
+        assert rec.seen == [(5, "fed"), (5, "scheduled"), (6, "later")]
+
+    def test_run_until_between_two_fed_times_stops_there(self):
+        rec = Recorder("r")
+        k = kernel_with(rec)
+        k.feed([(10, "r", "a"), (30, "r", "b")])
+        assert k.run_until(20) == 20
+        assert rec.seen == [(10, "a")]
+        assert k.pending() == 1
+        assert k.run_until(30) == 30
+        assert rec.seen == [(10, "a"), (30, "b")]
+
+    def test_step_takes_the_fed_events_of_a_time_first(self):
+        rec = Recorder("r")
+        k = kernel_with(rec)
+        k.schedule(5, "r", "scheduled")
+        k.feed([(5, "r", "a"), (5, "r", "b"), (9, "r", "c")])
+        assert k.pending() == 4
+        counts = []
+        while k.step():
+            counts.append(k.pending())
+        assert rec.seen == [(5, "a"), (5, "b"), (5, "scheduled"), (9, "c")]
+        assert counts == [3, 2, 1, 0]
+
+    def test_delivered_events_leave_the_fed_list(self):
+        """The kernel keeps the list it was fed and drains it, so nothing
+        holds an event once it is delivered."""
+        rec = Recorder("r")
+        k = kernel_with(rec)
+        events = [(t, "r", t) for t in range(0, 50, 10)]
+        k.feed(events)
+        k.run_until(25)
+        assert len(events) == k.pending() == 2
+        k.run_until_empty()
+        assert events == []
+
+    def test_a_second_feed_waits_until_the_first_is_delivered(self):
+        rec = Recorder("r")
+        k = kernel_with(rec)
+        k.feed([(10, "r", 1), (20, "r", 2)])
+        k.run_until(10)
+        with pytest.raises(SimError):
+            k.feed([(15, "r", 3)])
+        k.run_until(20)
+        k.feed([(20, "r", 4), (25, "r", 5)])
+        k.run_until_empty()
+        assert [m for _, m in rec.seen] == [1, 2, 4, 5]
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            [(10, "r", "a"), (5, "r", "b")],
+            [(3, "r", "past"), (12, "r", "c")],
+        ],
+    )
+    def test_a_list_out_of_time_order_or_in_the_past_is_an_error(self, events):
+        rec = Recorder("r")
+        k = kernel_with(rec)
+        k.schedule(4, "r", "x")
+        k.run_until(4)
+        given_events = list(events)
+        with pytest.raises(SimError):
+            k.feed(events)
+        assert events == given_events
+        assert k.pending() == 0
+        assert k.run_until_empty() == 4
+
+    def test_unregister_drops_the_actors_fed_events_and_the_clock_still_reaches_them(self):
+        dst, other = Recorder("dst"), Recorder("other")
+        k = kernel_with(dst, other)
+        k.feed([(10, "dst", "a"), (20, "other", "b"), (40, "dst", "c")])
+        k.run_until(10)
+        k.unregister("dst")
+        assert k.run_until_empty() == 40
+        assert dst.seen == [(10, "a")]
+        assert other.seen == [(20, "b")]
+        assert k.pending() == 0
+
+    @pytest.mark.parametrize("scheduled", [True, False])
+    @pytest.mark.parametrize("first", ["a", "boom"])
+    def test_a_raising_fed_handler_consumes_its_event(self, scheduled, first):
+        """The rest of the instant stays queued, whether or not something
+        was scheduled for it before it came and whether or not a fed event
+        scheduled something at it before the raise ("a" schedules "d")."""
+        f = Fragile()
+        k = kernel_with(f)
+        if scheduled:
+            k.schedule(5, "f", "scheduled")
+        fed = [(5, "f", "a"), (5, "f", "boom")] if first == "a" else [(5, "f", "boom")]
+        k.feed([*fed, (5, "f", "c"), (7, "f", "e")])
+        with pytest.raises(ValueError):
+            k.run_until_empty()
+        after = ["scheduled"] * scheduled + ["d"] * (first == "a")
+        assert k.pending() == 2 + len(after)
+        k.run_until_empty()
+        before = ["a"] * (first == "a")
+        assert f.seen == [(5, m) for m in [*before, "boom", "c", *after]] + [(7, "e")]
+        assert k.pending() == 0
 
 
 class Stepper(Actor):
