@@ -313,8 +313,9 @@ class IndexQpu(QpuBase):
     the children's connections. Whatever of a query no child covers is
     looked up in this unit's own index (`answer_locally`), and the part
     outside its region is missing. A split builds its children already
-    holding their rows, on this unit's node, and routes to them at once. A
-    merge applies updates as they arrive, since absorbing the children's
+    holding their rows, on this unit's node, and routes to them at once.
+    They answer only this unit's sub-queries, so they get no recheck
+    replica (see QpuBase). A merge applies updates as they arrive, since absorbing the children's
     rows is last-writer-wins in any order; queries wait for every child's
     snapshot, and the unit then unregisters the children.
 
@@ -448,8 +449,6 @@ class IndexQpu(QpuBase):
                 push_to=self.push_to,
                 parent=self.qpu_id,
                 controller=self.controller,
-                recheck_replica=self.recheck_replica,
-                recheck_enabled=self.recheck_enabled,
                 timeout=self.timeout,
             )
             child.index.absorb_rows(row for row in all_rows if row[1] is None or child_region.contains(row[1]))

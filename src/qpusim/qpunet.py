@@ -34,11 +34,14 @@ class QueryMsg(NamedTuple):
     region: the HyperRegion piece a unit's decompose carved for that
     neighbour, so no hop converts it to predicates and back. Every region
     config parses spans the whole schema, so a region sub-query's
-    attributes always equal the receiver's indexed_attrs."""
+    attributes always equal the receiver's indexed_attrs. `sub` marks a
+    query a unit sent (QpuBase.fan_out, the only sender that sets it),
+    whose answer is joined by that unit rather than read by a client."""
 
     qid: str
     query: Query | HyperRegion
     reply_to: str
+    sub: bool = False
 
 
 class ResponseMsg(NamedTuple):
@@ -141,7 +144,9 @@ def dedupe_entries(parts: list[Sequence[Entry]]) -> Sequence[Entry]:
 
 def recheck(entries: Sequence[Entry], q: Query | HyperRegion, replica: DcReplica) -> list[Entry]:
     """Re-validates candidates against the replica's current objects; a row
-    survives carrying the store's current attrs and version.
+    survives carrying the store's current attrs and version. Only the unit
+    that answers a client query runs it, once, on the joined rows
+    (QpuBase._finish).
 
     Every candidate matched, with the attrs it carries, a query whose region
     lies inside q's: a decompose piece, q itself on the scan fallback, or a
@@ -181,8 +186,10 @@ def audit_response(
     """Emits a `type2` record naming the returned keys that fail the query
     against `replica` at this instant, when there are any. The detector is
     independent of the recheck filter so disabling recheck makes stale
-    results visible here. Callers pass no replica when recheck just ran
-    against it: those entries match it at this instant by construction."""
+    results visible here. It audits a client's answer only, at the unit
+    that gives it: the type-2 contract is about that answer. Callers pass
+    no replica for a sub-query's answer, and when recheck just ran against
+    it: those entries match it at this instant by construction."""
     if replica is None:
         return
     matches = query_matcher(q)
@@ -207,7 +214,8 @@ def audit_response(
 @dataclass
 class _Pending:
     """Join state of one query. `parts` holds the row sequences collected so
-    far, each key-sorted with unique keys (sub-responses, lookups, scans)."""
+    far, each key-sorted with unique keys (sub-responses, lookups, scans).
+    `sub` is the query's QueryMsg.sub."""
 
     qid: str
     reply_to: str
@@ -216,6 +224,7 @@ class _Pending:
     parts: list[Sequence[Entry]]
     missing: list[HyperRegion] = field(default_factory=list)
     chain: list[str] = field(default_factory=list)
+    sub: bool = False
 
 
 class QpuBase(Actor):
@@ -230,7 +239,14 @@ class QpuBase(Actor):
     sends the sub-queries and joins their answers with the local rows. A
     unit that answers without a sub-query records a load sample there.
     `_finish` dedupes, rechecks, applies the limit, audits and responds;
-    an answer is incomplete exactly when it names a missing region.
+    an answer is incomplete exactly when it names a missing region. Only a
+    client query's answer is rechecked and audited, at the unit the client
+    issued it to, against that unit's recheck replica: the type-2 contract
+    is about the client's answer. A sub-query is answered from its rows as
+    joined, and a response cache stores a fill as it arrives. So every
+    configured unit but a scan has a recheck replica, since any of them can
+    be an entry; a split's children, which answer only their parent, have
+    none.
 
     A client query becomes a region once, at the unit it is issued to,
     in `handle_query`, and that region is handed on: to `decompose`, to
@@ -273,7 +289,7 @@ class QpuBase(Actor):
             if type(q) is Query and query_is_empty(q):
                 # matches nothing anywhere: a complete empty answer, with no
                 # region to route, record load for or look up
-                self._finish(k, _Pending(msg.qid, msg.reply_to, q, {}, []))
+                self._finish(k, _Pending(msg.qid, msg.reply_to, q, {}, [], sub=msg.sub))
             else:
                 self.handle_query(k, msg)
         elif isinstance(msg, ResponseMsg):
@@ -345,7 +361,7 @@ class QpuBase(Actor):
         once, after recheck. The join state takes over the
         local_parts and missing lists; callers pass lists of their own."""
         q = m.query
-        pend = _Pending(m.qid, m.reply_to, q, {}, local_parts or [], missing or [])
+        pend = _Pending(m.qid, m.reply_to, q, {}, local_parts or [], missing or [], sub=m.sub)
         if not plan:
             if k.probes.load_hook is not None:
                 if region is None:
@@ -360,7 +376,7 @@ class QpuBase(Actor):
             sub_qid = self._next_qid()
             pend.outstanding[sub_qid] = piece
             self._sub_parent[sub_qid] = m.qid
-            k.send(self.qpu_id, conn.to, QueryMsg(sub_qid, piece if whole is None else whole, self.qpu_id))
+            k.send(self.qpu_id, conn.to, QueryMsg(sub_qid, piece if whole is None else whole, self.qpu_id, True))
         self._pending[m.qid] = pend
         if self.timeout is not None:
             k.schedule_in(self.timeout, self.qpu_id, QueryTimeout(m.qid))
@@ -394,15 +410,18 @@ class QpuBase(Actor):
     # -- finalize --------------------------------------------------------------
 
     def _finish(self, k: Kernel, pend: _Pending) -> None:
+        """Joins the parts and responds; a client query's answer is
+        rechecked, or audited when recheck is disabled, and a sub-query's
+        is neither."""
         q = pend.query
         entries = dedupe_entries(pend.parts)
-        rechecked = self.recheck_enabled and self.recheck_replica is not None
-        if rechecked:
-            entries = recheck(entries, q, self.recheck_replica)
+        replica = None if pend.sub else self.recheck_replica
+        if replica is not None and self.recheck_enabled:
+            entries = recheck(entries, q, replica)
+            replica = None
         if type(q) is Query and q.limit is not None:
             entries = entries[: q.limit]
-        audit = None if rechecked else self.recheck_replica
-        audit_response(k, self.qpu_id, pend.qid, q, entries, not pend.missing, audit)
+        audit_response(k, self.qpu_id, pend.qid, q, entries, not pend.missing, replica)
         pend.chain.append(self.qpu_id)
         k.send(
             self.qpu_id,

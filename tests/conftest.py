@@ -82,10 +82,11 @@ def control_actions(k, action):
 
 @pytest.fixture
 def audited_recheck(monkeypatch):
-    """Wraps qpunet.recheck, the filter every rechecking QPU applies before
-    it responds. The audit after a recheck is skipped, so this is what shows a
-    stale row escaping a rechecking QPU. Returns `calls`, the number of
-    responses rechecked, and `bad`, each kept row that the replica does not
+    """Wraps qpunet.recheck, the filter a QPU applies to a client query's
+    answer before it responds: only the unit the client issued the query to
+    rechecks, and a sub-query's answer is passed on as joined. The audit
+    after a recheck is skipped, so this is what shows a stale row escaping
+    an entry unit. Returns `calls`, the number of responses rechecked, and `bad`, each kept row that the replica does not
     hold at that key and version or that fails the query there at that
     instant. A region sub-query is checked dimension by dimension with
     Interval.contains, not with the compiled bounds recheck itself uses."""

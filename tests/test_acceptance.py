@@ -7,16 +7,18 @@ import copy
 import random
 import statistics
 import time
+from collections import Counter
 
 import pytest
 
+import qpusim.runner as runner
 from qpusim.build import build
 from qpusim.config import parse_topology, parse_workload
 from qpusim.core import Kind, Predicate, Query, Version
 from qpusim.indexing import FilterQpu, IndexQpu, IndexUpdate, MergeCmd, MergeQpu
 from qpusim.metrics import MetricsSink
-from qpusim.qpunet import CacheQpu, Connection
-from qpusim.runner import run_scenario, validate_scenario
+from qpusim.qpunet import CacheQpu, Connection, QpuBase
+from qpusim.runner import RuntimeInvariantViolation, run_scenario, validate_scenario
 from qpusim.scenarios import scenario
 from qpusim.simkernel import Kernel
 from qpusim.store import DcReplica, LogEntry, WriteOp
@@ -64,6 +66,49 @@ class TestCriterion2NoType2:
             assert res.network.kernel.probes.type2_violations() == []
         assert audited_recheck.bad == []
         _pass(2, f"zero type-2 violations; {audited_recheck.calls} rechecked responses kept only current matching rows")
+
+    @pytest.mark.parametrize("name", ["cdn", "adaptive-skew"])
+    def test_one_recheck_per_client_query_at_its_entry_unit(self, name, audited_recheck, monkeypatch):
+        """Every answer a unit gives passes _finish once. A client query's
+        is rechecked exactly once, at the unit it was issued to; a
+        sub-query's is not rechecked."""
+        finished = []  # (unit, sub, rechecks during its _finish)
+        original = QpuBase._finish
+
+        def counting(self, k, pend):
+            before = audited_recheck.calls
+            original(self, k, pend)
+            finished.append((self.qpu_id, pend.sub, audited_recheck.calls - before))
+
+        monkeypatch.setattr(QpuBase, "_finish", counting)
+        topology, workload = scenario(name)
+        res = run_scenario(topology, workload, seed=202)
+        clients = [(unit, n) for unit, sub, n in finished if not sub]
+        subs = [n for _unit, sub, n in finished if sub]
+        assert len(subs) > len(clients) > 0
+        assert set(subs) == {0}
+        assert all(n == 1 for _unit, n in clients)
+        assert Counter(unit for unit, _n in clients) == Counter(origin for _q, origin in res.journal.queries)
+        assert audited_recheck.calls == len(clients) and audited_recheck.bad == []
+        assert res.network.kernel.probes.type2_violations() == []
+
+    def test_an_entry_unit_that_skips_its_recheck_lets_stale_rows_escape(self, monkeypatch):
+        """With a recheck only at the entry unit, nothing else stands
+        between a stale row and the client: on cdn, a mutant whose entry
+        units do not recheck gives answers with rows their replica no
+        longer matches, which the audit records as type2."""
+        topology, workload = scenario("cdn")
+        entries = {origin for phase in workload["phases"] for origin in phase.get("query_origin", ())}
+
+        def mutant(cfg, seed):
+            net = build(cfg, seed)
+            for qpu_id in entries:
+                net.kernel.actor(qpu_id).recheck_enabled = False
+            return net
+
+        monkeypatch.setattr(runner, "build", mutant)
+        with pytest.raises(RuntimeInvariantViolation, match="type-2 inconsistency escaped recheck"):
+            run_scenario(topology, workload, seed=202)
 
     def test_negative_control_has_teeth(self):
         topology, workload = scenario("single-index")

@@ -440,7 +440,7 @@ def test_metrics_stream_matches_golden_hash(name, seed_index):
 BENCHMARK_SEEDS = (0, 4242)
 BENCHMARK_NDJSON_SHA256 = {
     "cdn-4x": (
-        "a525c3ef834b216deb7a6fa05cd2ea86f12dc9342ae5e8cbb34387110aa71421",
+        "ac9a992d52e10721264498335b9944306f4990041fddc813b0b7d06a6aa17a89",
         "0c4e651d0dccff6f6bd3d499e85196e66f35b47385c407eba005ad01db709c0f",
     ),
     "client-cache-4x": (

@@ -545,6 +545,59 @@ class TestLimitAfterRecheck:
         assert [e[0] for e in resp.entries] == ["k2", "k3"] and resp.complete
 
 
+class TestRecheckAtTheEntryUnit:
+    """Only the unit a client query is issued to rechecks its answer,
+    against its own recheck replica; a unit answering a sub-query passes its
+    rows on as joined."""
+
+    @staticmethod
+    def lagging_intermediate_net():
+        """`ent` forwards to `mid`, which forwards to a scan of dc2. dc2 has
+        moved k into [0, 10]; dc1, mid's recheck replica, holds only k's
+        earlier write, outside it. `ent` rechecks against dc2."""
+        k = Kernel(seed=0)
+        k.add_node("n")
+        dc1, dc2 = DcReplica("dc1", SCHEMA), DcReplica("dc2", SCHEMA)
+        for rep in (dc1, dc2):
+            k.register(rep, "n")
+        first = dc2.put(k, "k", {"size": 50})
+        dc1.apply_replicated(k, WriteOp("k", dc2.objects["k"].attrs, None, first))
+        dc2.put(k, "k", {"size": 5})
+        k.register(DsQpu("ds2", SCHEMA, dc2), "n")
+        for qpu_id, rep, to in (("ent", dc2, "mid"), ("mid", dc1, "ds2")):
+            fq = FederationQpu(qpu_id, SCHEMA, recheck_replica=rep)
+            fq.connect(Connection(to, FULL))
+            k.register(fq, "n")
+        cl = Client()
+        k.register(cl, "n")
+        return k, cl
+
+    def test_a_row_the_intermediate_replica_has_not_caught_up_on_is_kept(self):
+        k, cl = self.lagging_intermediate_net()
+        resp = run_query(k, cl, "ent", q_size(0, 10))
+        assert [(e[0], e[1]["size"]) for e in resp.entries] == [("k", 5)]
+        assert resp.complete and resp.source_chain == ("ds2", "mid", "ent")
+
+    def test_only_the_entry_unit_rechecks(self, audited_recheck):
+        k, cl = self.lagging_intermediate_net()
+        run_query(k, cl, "ent", q_size(0, 10))
+        assert audited_recheck.calls == 1 and audited_recheck.bad == []
+
+    def test_only_fan_out_marks_a_sub_query(self, monkeypatch):
+        k, cl = self.lagging_intermediate_net()
+        seen = []
+        original = k.send
+
+        def spy(src, dst, msg):
+            if isinstance(msg, qpunet.QueryMsg):
+                seen.append((src, dst, msg.sub))
+            original(src, dst, msg)
+
+        monkeypatch.setattr(k, "send", spy)
+        run_query(k, cl, "ent", q_size(0, 10))
+        assert seen == [("ent", "mid", True), ("mid", "ds2", True)]
+
+
 class TestIncompleteNamesWhatIsMissing:
     """An answer is incomplete exactly when it names a missing region, and
     the region says what is absent."""
