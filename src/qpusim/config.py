@@ -121,8 +121,7 @@ def _parse_value(raw: Any, kind: Kind, errors: list[str], path: str) -> RawValue
 def _region(r: _Reader, raw: Any, path: str) -> Any:
     """A region document maps attribute names of the schema to [lo, hi]
     pairs; null bounds are unbounded and omitted attributes span their whole
-    axis. Its lines name a QPU by its id, as validate_topology's do."""
-    path = r.label(path)
+    axis."""
     if not isinstance(raw, dict):
         return r.bad(path, "a map", raw)
     bounds: dict[str, Interval] = {}
@@ -205,7 +204,6 @@ class _Reader:
     def __init__(self) -> None:
         self.errors: list[str] = []
         self.schema: dict[str, Kind] = {}  # set once the attributes are read
-        self._labels: dict[str, str] = {}  # "qpus[i]" -> "qpus[i](id)"
 
     def fail(self, line: str) -> Any:
         self.errors.append(line)
@@ -214,23 +212,27 @@ class _Reader:
     def bad(self, path: str, what: str, raw: Any) -> Any:
         return self.fail(f"{path}: must be {what}, got {raw!r}")
 
-    def label(self, path: str) -> str:
-        """path with the QPU it lies in named by its id."""
-        head, dot, rest = path.partition(".")
-        return self._labels.get(head, head) + dot + rest
+    @staticmethod
+    def label(cls: type, raw: dict, path: str) -> str:
+        """The path of the entity raw in lines: a QPU's names it by its
+        string id, as validate_topology's lines do."""
+        if cls is QpuSpec and isinstance(raw.get("id"), str):
+            return f"{path}({raw['id']})"
+        return path
 
     def entity(self, cls: type, raw: Any, path: str) -> Any:
         """The cls spec read from the map raw; _BAD when raw is no map or a
-        required key is missing or bad. A bad optional key keeps its default."""
+        required key is missing or bad. A bad optional key keeps its default.
+        Its `at`, and every line about its keys and what lies in them,
+        name it by its label."""
         if not isinstance(raw, dict):
             return self.bad(path, "a map", raw)
-        if cls is QpuSpec and isinstance(raw.get("id"), str):
-            self._labels[path] = f"{path}({raw['id']})"
+        at = self.label(cls, raw, path)
         name, keys, known = _declared(cls, raw)
-        prefix = f"{path}." if path else ""
+        prefix = f"{at}." if at else ""
         for key in raw:
             if key not in known:
-                self.fail(f"{self.label(prefix + key)}: not {'an' if name[0] in 'aeio' else 'a'} {name} key")
+                self.fail(f"{prefix}{key}: not {'an' if name[0] in 'aeio' else 'a'} {name} key")
         values, ok = {}, True
         for key, (attr, kind, required) in keys.items():  # in declaration order: attributes fix the schema first
             raw_value = raw.get(key)
@@ -244,7 +246,7 @@ class _Reader:
         if not ok:
             return _BAD
         spec = cls(**values)
-        spec.at = self.label(path)
+        spec.at = at
         return spec
 
 

@@ -1130,6 +1130,9 @@ class TestCli:
         bad = [holder[last]]
         holder[last] = bad
         path = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys).lstrip(".")
+        if keys[0] == "qpus" and keys[2] != "id":  # a QPU with a string id is named by it
+            head = f"qpus[{keys[1]}]"
+            path = path.replace(head, f"{head}({topology['qpus'][keys[1]]['id']})", 1)
         assert self._check_config(tmp_path, topology, workload) == 1
         assert f"config error: {path}: must be a string id, got {bad!r}" in capsys.readouterr().err.splitlines()
 
@@ -1229,7 +1232,7 @@ class TestCli:
         def recording(reader, cls, raw, path):
             spec = entity(reader, cls, raw, path)
             if isinstance(raw, dict):
-                reads.append((raw, path, reader.label(path), config._declared(cls, raw)))
+                reads.append((raw, path, reader.label(cls, raw, path), config._declared(cls, raw)))
             return spec
 
         def errors(topology, workload):
@@ -1255,7 +1258,7 @@ class TestCli:
                 where = f"{label}.{key}" if label else key
                 assert any(f"{where}x: not {a} {name} key" in lines for a in ("a", "an")), (where, lines)
                 if keys[key][2]:
-                    assert f"{path}.{key}: missing" in lines, (where, lines)  # no top-level key is required
+                    assert f"{where}: missing" in lines, (where, lines)
                 raw.clear()
                 raw.update(items)
                 renamed += 1
@@ -1314,7 +1317,7 @@ class TestCli:
             assert self.run_cli(*args) == 0
 
     WRONG_SHAPES = [
-        ("topology", ("qpus", 0, "targets"), 5, "qpus[0].targets: must be a list, got 5"),
+        ("topology", ("qpus", 0, "targets"), 5, "qpus[0](flt).targets: must be a list, got 5"),
         ("topology", ("qpus", 1, "region"), [1, 2], "qpus[1](iq).region: must be a map, got [1, 2]"),
         ("topology", ("qpus", 0, "targets", 0, "region"), 5, "qpus[0](flt).targets[0].region: must be a map, got 5"),
         ("topology", ("dcs", 1, "placement"), [0, 10], "dcs[1].placement: must be a map, got [0, 10]"),
