@@ -315,9 +315,10 @@ class IndexQpu(QpuBase):
     outside its region is missing. A split builds its children already
     holding their rows, on this unit's node, and routes to them at once.
     They answer only this unit's sub-queries, so they get no recheck
-    replica (see QpuBase). A merge applies updates as they arrive, since absorbing the children's
-    rows is last-writer-wins in any order; queries wait for every child's
-    snapshot, and the unit then unregisters the children.
+    replica (see QpuBase). A merge applies updates as they arrive, since
+    absorbing the children's rows is last-writer-wins in any order; queries
+    wait for every child's snapshot, and the unit then unregisters the
+    children.
 
     The units are the one record of an index tree's shape. While a unit is
     INTERNAL or MERGING, its connections are exactly its split children

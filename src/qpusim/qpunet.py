@@ -242,11 +242,11 @@ class QpuBase(Actor):
     an answer is incomplete exactly when it names a missing region. Only a
     client query's answer is rechecked and audited, at the unit the client
     issued it to, against that unit's recheck replica: the type-2 contract
-    is about the client's answer. A sub-query is answered from its rows as
-    joined, and a response cache stores a fill as it arrives. So every
-    configured unit but a scan has a recheck replica, since any of them can
-    be an entry; a split's children, which answer only their parent, have
-    none.
+    is about the client's answer. A sub-query is answered with its rows as
+    joined, so a response cache stores a fill un-rechecked, and a hit is
+    rechecked when the cache answers a client. Every configured unit but a
+    scan has a recheck replica, since any of them can be an entry; a
+    split's children, which answer only their parent, have none.
 
     A client query becomes a region once, at the unit it is issued to,
     in `handle_query`, and that region is handed on: to `decompose`, to
