@@ -86,10 +86,11 @@ def audited_recheck(monkeypatch):
     answer before it responds: only the unit the client issued the query to
     rechecks, and a sub-query's answer is passed on as joined. The audit
     after a recheck is skipped, so this is what shows a stale row escaping
-    an entry unit. Returns `calls`, the number of responses rechecked, and `bad`, each kept row that the replica does not
-    hold at that key and version or that fails the query there at that
-    instant. A region sub-query is checked dimension by dimension with
-    Interval.contains, not with the compiled bounds recheck itself uses."""
+    an entry unit. Returns `calls`, the number of responses rechecked, and
+    `bad`, each kept row that the replica does not hold at that key and
+    version or that fails the query there at that instant. A region
+    sub-query is checked dimension by dimension with Interval.contains, not
+    with the compiled bounds recheck itself uses."""
     audit = SimpleNamespace(calls=0, bad=[])
     original = qpunet.recheck
 

@@ -91,6 +91,7 @@ class TestCriterion2NoType2:
         assert Counter(unit for unit, _n in clients) == Counter(origin for _q, origin in res.journal.queries)
         assert audited_recheck.calls == len(clients) and audited_recheck.bad == []
         assert res.network.kernel.probes.type2_violations() == []
+        _pass(2, f"{name}: {len(clients)} client answers rechecked once each, {len(subs)} sub-answers passed on as joined")
 
     def test_an_entry_unit_that_skips_its_recheck_lets_stale_rows_escape(self, monkeypatch):
         """With a recheck only at the entry unit, nothing else stands
@@ -98,17 +99,18 @@ class TestCriterion2NoType2:
         units do not recheck gives answers with rows their replica no
         longer matches, which the audit records as type2."""
         topology, workload = scenario("cdn")
-        entries = {origin for phase in workload["phases"] for origin in phase.get("query_origin", ())}
+        origins = {origin for phase in workload["phases"] for origin in phase.get("query_origin", ())}
 
         def mutant(cfg, seed):
             net = build(cfg, seed)
-            for qpu_id in entries:
+            for qpu_id in origins:
                 net.kernel.actor(qpu_id).recheck_enabled = False
             return net
 
         monkeypatch.setattr(runner, "build", mutant)
         with pytest.raises(RuntimeInvariantViolation, match="type-2 inconsistency escaped recheck"):
             run_scenario(topology, workload, seed=202)
+        _pass(2, "negative control: entry units that skip their recheck let a type-2 row escape on cdn")
 
     def test_negative_control_has_teeth(self):
         topology, workload = scenario("single-index")
