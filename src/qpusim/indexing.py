@@ -4,8 +4,8 @@ index from many ingest points, and the split and merge of an index unit."""
 
 from __future__ import annotations
 
-import json
 from collections import deque
+from operator import itemgetter
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -91,19 +91,14 @@ class PostingIndex:
 
     # -- mutation -----------------------------------------------------------
 
-    def _current_version(self, key: str) -> Version:
-        # apply keeps a key in the registry or in tombstones, never in both
-        row = self.registry.get(key)
-        if row is not None:
-            return row[2]
-        return self.tombstones.get(key, ZERO_VERSION)
-
     def apply(self, op: WriteOp, row: Entry | None = None) -> bool:
         """Idempotent last-writer-wins apply. Removal uses the previous registry
         snapshot, never the op's old coordinates, so delivery order cannot
         desynchronise postings from the registry. A caller that holds the
         op's row already (absorb_rows) passes it, and it is stored as it is."""
-        current = self._current_version(op.key)
+        # apply keeps a key in the registry or in tombstones, never in both
+        prev = self.registry.get(op.key)
+        current = prev[2] if prev is not None else self.tombstones.get(op.key, ZERO_VERSION)
         if op.version < current:
             return False
         lands_here = op.new_attrs is not None and self.region.contains(op.new_attrs)
@@ -115,10 +110,8 @@ class PostingIndex:
         if op.version == current and not (lands_here and op.key in self.tombstones):
             return False
         sets = self._sets
-        if sets is not None:
-            prev = self.registry.get(op.key)
-            if prev is not None:
-                sets.unpost(op.key, prev[1])
+        if sets is not None and prev is not None:
+            sets.unpost(op.key, prev[1])
         if lands_here:
             self.registry[op.key] = row or (op.key, op.new_attrs, op.version)
             self.tombstones.pop(op.key, None)
@@ -193,7 +186,7 @@ class PostingIndex:
         """Merges snapshot rows by replaying them as ops; LWW makes the result
         independent of row order. Returns how many rows changed the index."""
         changed = 0
-        for row in sorted(rows, key=lambda r: (r[0], r[2])):
+        for row in sorted(rows, key=itemgetter(0, 2)):
             key, attrs, version = row
             changed += self.apply(WriteOp(key, attrs, None, version), row)
         return changed
@@ -207,47 +200,21 @@ class PostingIndex:
         self.seq += 1
         self.floor = self.seq
 
-    def rebuilt_postings(self) -> dict[str, dict[RawValue, set[str]]]:
-        """Posting maps recomputed from the registry alone (coherence oracle)."""
-        indexed = self.region.attrs
-        fresh: dict[str, dict[RawValue, set[str]]] = {a: {} for a in indexed}
-        for key, attrs, _v in self.registry.values():
-            for a in indexed:
-                v = attrs.get(a)
-                if v is not None:
-                    fresh[a].setdefault(v, set()).add(key)
-        return fresh
 
-    def registry_bytes(self) -> bytes:
-        """Canonical serialization of the registry for convergence comparison."""
-        rows = []
-        for key, attrs, version in sorted(self.registry.values()):  # keys are unique: sorts by key
-            rows.append([key, sorted(attrs.items()), [version.ts, version.origin]])
-        return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
-
-
-def filter_targets(op: WriteOp, targets: Iterable[tuple[str, HyperRegion]]) -> list[str]:
-    """A target must see the op if either the new or the old coordinates fall
-    in its region; the old-coordinate owner needs it to retire stale entries."""
-    hit = []
-    for qpu_id, region in targets:
-        if (op.new_attrs is not None and region.contains(op.new_attrs)) or (
-            op.old_attrs is not None and region.contains(op.old_attrs)
-        ):
-            hit.append(qpu_id)
-    return hit
-
-
-def route(k: Kernel, source: str, entries: Iterable[LogEntry], targets: Iterable[tuple[str, HyperRegion]]) -> None:
-    """Sends each target, in id order, one IndexUpdate from `source` of the
-    entries whose ops touch its region (filter_targets); targets no op
-    touches get none."""
-    per_target: dict[str, list[LogEntry]] = {}
-    for entry in entries:
-        for target in filter_targets(entry.op, targets):
-            per_target.setdefault(target, []).append(entry)
-    for target in sorted(per_target):
-        k.send(source, target, IndexUpdate(tuple(per_target[target])))
+def route(k: Kernel, source: str, entries: Sequence[LogEntry], targets: Iterable[tuple[str, HyperRegion]]) -> None:
+    """Sends each target, in the order given, one IndexUpdate from `source`
+    of the entries whose ops touch its region; targets no op touches get
+    none. An op touches a region if its new or its old coordinates fall in
+    it: the old-coordinate owner needs it to retire stale entries."""
+    for target, region in targets:
+        contains = region.contains
+        hit = []
+        for entry in entries:
+            new, old = entry.op.new_attrs, entry.op.old_attrs
+            if (new is not None and contains(new)) or (old is not None and contains(old)):
+                hit.append(entry)
+        if hit:
+            k.send(source, target, IndexUpdate(tuple(hit)))
 
 
 class FilterQpu(Actor):
@@ -276,6 +243,7 @@ class FilterQpu(Actor):
         return [qpu_id for qpu_id, _region in self.targets]
 
     def on_start(self, k: Kernel) -> None:
+        self.targets.sort(key=itemgetter(0))  # route sends in target-id order
         self.replica.subscribe(k, self.qpu_id, 0)
         if self.batch_interval > 0:
             k.every(self.batch_interval, self.qpu_id, "flush")
@@ -285,7 +253,7 @@ class FilterQpu(Actor):
             if self.batch_interval > 0:
                 self._queue.append(msg)
             else:
-                route(k, self.qpu_id, [msg], self.targets)
+                route(k, self.qpu_id, (msg,), self.targets)
         elif isinstance(msg, Tick):
             self.flush(k)
         else:
@@ -422,13 +390,16 @@ class IndexQpu(QpuBase):
     def handle_update(self, k: Kernel, u: IndexUpdate) -> None:
         """Routes a batch to the children, or applies it to this unit's index."""
         if self.mode == self.INTERNAL:
+            # the children connect in id order: "<id>.s<n>a" before "<id>.s<n>b"
             route(k, self.qpu_id, u.entries, [(c.to, c.coverage) for c in self.connections])
             return
+        apply, probes, sink, qpu_id, now = self.index.apply, k.probes, k.probes.metrics, self.qpu_id, k.now
         pushed: list[LogEntry] = []
         for entry in u.entries:
-            if self.index.apply(entry.op):
-                k.probes.progress_tick()
-                k.probes.emit({"type": "staleness", "qpu": self.qpu_id, "delta": k.now - entry.applied_at})
+            if apply(entry.op):
+                probes.progress += 1
+                if sink is not None:
+                    sink.emit({"type": "staleness", "qpu": qpu_id, "delta": now - entry.applied_at})
                 pushed.append(entry)
         if pushed and self.push_to is not None:
             k.send(self.qpu_id, self.push_to, IndexUpdate(tuple(pushed)))

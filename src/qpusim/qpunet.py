@@ -539,7 +539,7 @@ class CacheQpu(QpuBase):
         self._cache.move_to_end(ck)
         while len(self._cache) > self.capacity:
             self._cache.popitem(last=False)
-        k.probes.progress_tick()
+        k.probes.progress += 1
 
     # -- replica cache -----------------------------------------------------------
 
@@ -559,7 +559,7 @@ class CacheQpu(QpuBase):
         k.send(self.qpu_id, self.pull_from, SnapshotRequest(since, self.qpu_id))
 
     def _install(self, k: Kernel, snap: IndexSnapshot) -> None:
-        """Merges a pull reply; progress ticks only if the cached rows changed."""
+        """Merges a pull reply; it counts as progress only if the cached rows changed."""
         if self._index is None or snap.full:
             from .indexing import PostingIndex  # indexing imports this module
 
@@ -570,7 +570,7 @@ class CacheQpu(QpuBase):
         else:
             changed = self._index.absorb_rows(snap.entries) > 0
         if changed:
-            k.probes.progress_tick()
+            k.probes.progress += 1
         self._snapshot = snap
 
     def snapshot_keys(self) -> set[str]:

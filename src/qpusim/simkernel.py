@@ -49,7 +49,8 @@ class Probes:
     """Run-wide instrumentation shared by all actors.
 
     `progress` counts state-changing applications (store writes, index applies,
-    cache fills, control actions) and is what quiescence detection watches;
+    cache fills, control actions), each bumped by one where it happens, and
+    is what quiescence detection watches;
     periodic no-op traffic such as an unchanged replica pull does not advance it.
 
     The attached `MetricsSink` is the run's one log: staleness samples,
@@ -65,13 +66,10 @@ class Probes:
         self.load_hook: Callable[[str, Any, int], None] | None = None
         self.metrics: MetricsSink | None = None
 
-    def progress_tick(self) -> None:
-        self.progress += 1
-
     def record_control(self, event: dict[str, Any]) -> None:
         """A control action: counts as progress and is emitted as a
         `"type": "control"` record."""
-        self.progress_tick()
+        self.progress += 1
         self.emit({"type": "control", **event})
 
     def emit(self, record: dict[str, Any]) -> None:
@@ -121,8 +119,13 @@ class Kernel:
     `run_until`, `step` or `feed`: the loop is not re-entrant.
 
     The workload enters through `feed` as one time-ordered list, kept apart
-    from `_due`: it takes no bucket until the clock reaches its time, and
-    each event is dropped from the list as it is delivered.
+    from `_due`: it takes no bucket until the clock reaches its time. Then
+    `run_until` moves that time's fed events to the front of its bucket and
+    hands the bucket to `_deliver`, the one delivery body (`step` hands it
+    its single event). `_deliver` calls each handler, starts actors only
+    when one is waiting to start, and takes a separate branch for ticks,
+    dropped events and unknown actors. A bucket is freed once its time is
+    done.
     """
 
     def __init__(self, seed: int | str = 0) -> None:
@@ -252,19 +255,32 @@ class Kernel:
         self.schedule(self.now + delay, target, msg)
 
     def send(self, from_actor: str, to_actor: str, msg: Any) -> None:
-        """Schedules delivery over the hosting nodes' link, or at `now` on one
-        node. A link's deliveries are FIFO by clamping; see `rebind`."""
-        src, dst = self._hosts[from_actor], self._hosts[to_actor]
-        if src == dst:
-            at = self.now
-        else:
-            link = self._links.get((src, dst))
-            if link is None:
-                raise SimError(f"no link {src}->{dst} (for {from_actor}->{to_actor})")
-            at = link.last_delivery = max(self.now + link.delay(), link.last_delivery)
+        """Queues delivery over the hosting nodes' link, or at `now` on one
+        node, as `schedule` would with the sender named; a send is never in
+        the past, so it skips that check. An event sent at the instant being
+        delivered joins the end of that instant's list. A link's deliveries
+        are FIFO by clamping; see `rebind`."""
+        hosts = self._hosts
+        src, dst = hosts[from_actor], hosts[to_actor]
+        at = self.now
+        if src != dst:
+            try:
+                link = self._links[(src, dst)]
+            except KeyError:
+                raise SimError(f"no link {src}->{dst} (for {from_actor}->{to_actor})") from None
+            at += link.delay()
+            if at < link.last_delivery:
+                at = link.last_delivery
+            else:
+                link.last_delivery = at
         if self._floors:
             at = max(at, self._floors.get(from_actor, 0), self._floors.get(to_actor, 0))
-        self.schedule(at, to_actor, msg, from_actor)
+        events = self._due.get(at)
+        if events is None:
+            self._due[at] = [(to_actor, msg, from_actor)]
+            heapq.heappush(self._times, at)
+        else:
+            events.append((to_actor, msg, from_actor))
 
     def every(self, period: int, actor_id: str, label: str) -> None:
         """Delivers Tick(label, period) to the actor every `period` ms from
@@ -290,21 +306,37 @@ class Kernel:
             for actor_id in pending:
                 self._actors[actor_id].on_start(self)
 
-    def _deliver(self, target: str | None, msg: Any) -> None:
-        """Delivers one event at `now`, re-arms it if it is a timer's tick,
-        then starts any actor it registered."""
-        actor = self._actors.get(target)
-        if actor is None:
-            if target is None:
-                return  # dropped by unregister
-            raise SimError(f"message for unknown actor {target!r}")
-        period = msg.period if msg.__class__ is Tick else 0
-        if period and self._timers_stopped:
-            return
-        actor.on_message(self, msg)
-        if period:
-            self.schedule(self.now + period, target, msg)
-        self._start_pending()
+    def _deliver(self, events: list[tuple]) -> None:
+        """Delivers each event of `events` at `now` in turn, those appended
+        while it runs included; re-arms a timer's tick after its handler;
+        and after each delivered event starts any actor waiting to start.
+        An event whose handler raises is consumed: it and those before it
+        leave the list, and the rest stay."""
+        actors = self._actors
+        i = -1
+        try:
+            for i, event in enumerate(events):
+                target, msg = event[0], event[1]
+                try:
+                    actor = actors[target]
+                except KeyError:
+                    if target is None:
+                        continue  # dropped by unregister
+                    raise SimError(f"message for unknown actor {target!r}") from None
+                if msg.__class__ is not Tick:
+                    actor.on_message(self, msg)
+                else:
+                    period = msg.period
+                    if period and self._timers_stopped:
+                        continue
+                    actor.on_message(self, msg)
+                    if period:
+                        self.schedule(self.now + period, target, msg)
+                if self._unstarted:
+                    self._start_pending()
+        except BaseException:
+            del events[: i + 1]
+            raise
 
     def _drop_time(self, at: int, queued: bool = True) -> None:
         del self._due[at]
@@ -333,19 +365,15 @@ class Kernel:
             self.now = at
             events = due.get(at)
             queued = events is not None  # else `at` is a fed time only, not on the heap
-            if not queued:
-                events = due[at] = []  # what the fed events schedule at `at` joins this list
-            i = -1
-            try:
+            if fed and fed[-1][0] == at:
+                arrived = []
                 while fed and fed[-1][0] == at:
-                    event = fed.pop()
-                    self._deliver(event[1], event[2])
-                # Events this loop schedules at `at` are appended to `events`
-                # and visited in turn.
-                for i, event in enumerate(events):
-                    self._deliver(event[0], event[1])
+                    arrived.append(fed.pop()[1:])
+                # what the fed events schedule at `at` joins this list
+                events = due[at] = arrived + events if queued else arrived
+            try:
+                self._deliver(events)
             except BaseException:
-                del events[: i + 1]
                 if not events:
                     self._drop_time(at, queued)
                 elif not queued:
@@ -374,7 +402,7 @@ class Kernel:
         else:
             return False
         self.now = at
-        self._deliver(target, msg)
+        self._deliver([(target, msg)])
         return True
 
     def pending(self) -> int:

@@ -206,7 +206,7 @@ class DcReplica(Actor):
         version = Version(self.clock, self.dc_id)
         old = self.objects.get(key)
         op = WriteOp(key, new_attrs, old.attrs if old else None, version)
-        self._apply_state(key, op)
+        self._apply_state(key, op, old)
         self._append(k, op)
         for peer in self.peers:
             k.send(self.dc_id, peer, op)
@@ -220,28 +220,24 @@ class DcReplica(Actor):
         are shared, never copied, so where this replica held the key at the
         same write as the origin (or neither held it) they are the op's own
         `old_attrs`, and the received op is appended as it is."""
-        if op.version <= self._current_version(op.key):
+        key, version = op.key, op.version
+        old = self.objects.get(key)
+        if version <= (old.version if old is not None else self.tombstones.get(key, ZERO_VERSION)):
             return False
-        self.clock = max(self.clock, op.version.ts)
-        old = self.objects.get(op.key)
-        old_attrs = old.attrs if old else None
-        local_op = op
+        old_attrs = old.attrs if old is not None else None
+        if version.ts > self.clock:
+            self.clock = version.ts
         if old_attrs is not op.old_attrs:
-            local_op = WriteOp(op.key, op.new_attrs, old_attrs, op.version)
-        self._apply_state(op.key, local_op)
-        self._append(k, local_op)
+            op = WriteOp(key, op.new_attrs, old_attrs, version)
+        self._apply_state(key, op, old)
+        self._append(k, op)
         return True
 
-    def _current_version(self, key: str) -> Version:
-        obj = self.objects.get(key)
-        if obj is not None:
-            return obj.version
-        return self.tombstones.get(key, ZERO_VERSION)
-
-    def _apply_state(self, key: str, op: WriteOp) -> None:
+    def _apply_state(self, key: str, op: WriteOp, old: StoredObject | None) -> None:
+        """Stores the op's object, or its tombstone, in place of `old`."""
         postings = self._postings
-        if postings is not None and key in self.objects:
-            postings.unpost(key, self.objects[key].attrs)
+        if postings is not None and old is not None:
+            postings.unpost(key, old.attrs)
         new, placement = op.new_attrs, self.placement
         if new is not None and (placement is None or placement.contains(new)):
             obj = self.objects[key] = StoredObject(key, new, op.version)
@@ -254,7 +250,7 @@ class DcReplica(Actor):
 
     def _append(self, k: Kernel, op: WriteOp) -> None:
         entry = LogEntry(self.position, op, k.now)
-        k.probes.progress_tick()
+        k.probes.progress += 1
         for sub in self._subscribers:
             k.send(self.dc_id, sub, entry)
         self.position += 1

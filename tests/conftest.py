@@ -1,7 +1,8 @@
 """Shared helpers: a response-collecting client, query driving, recording a
-replica's update feed, reading the metrics log, and a recheck wrapper that
-checks every row it keeps."""
+replica's update feed, reading the metrics log, oracles over a posting
+index's registry, and a recheck wrapper that checks every row it keeps."""
 
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -110,6 +111,28 @@ def audited_recheck(monkeypatch):
 
     monkeypatch.setattr(qpunet, "recheck", checked)
     return audit
+
+
+def rebuilt_postings(index):
+    """A PostingIndex's posting maps recomputed from its registry alone
+    (coherence oracle)."""
+    indexed = index.region.attrs
+    fresh = {a: {} for a in indexed}
+    for key, attrs, _v in index.registry.values():
+        for a in indexed:
+            v = attrs.get(a)
+            if v is not None:
+                fresh[a].setdefault(v, set()).add(key)
+    return fresh
+
+
+def registry_bytes(index):
+    """Canonical serialization of a PostingIndex's registry, for comparing
+    converged indexes."""
+    rows = []
+    for key, attrs, version in sorted(index.registry.values()):  # keys are unique: sorts by key
+        rows.append([key, sorted(attrs.items()), [version.ts, version.origin]])
+    return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
 
 
 def make_region(**bounds):

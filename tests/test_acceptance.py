@@ -23,7 +23,7 @@ from qpusim.scenarios import scenario
 from qpusim.simkernel import Kernel
 from qpusim.store import DcReplica, LogEntry, WriteOp
 
-from conftest import Client, control_actions, make_region, records_of, run_query
+from conftest import Client, control_actions, make_region, records_of, registry_bytes, run_query
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 FULL = make_region(size=(None, None), genre=(None, None))
@@ -155,7 +155,7 @@ class TestCriterion3ConvergentMerge:
                 batch = tuple(LogEntry(0, op, 0) for op in streams[s][cursors[s] : cursors[s] + n])
                 cursors[s] += n
                 mq.handle_update(k, IndexUpdate(batch))
-            outcomes.add(mq.index.registry_bytes())
+            outcomes.add(registry_bytes(mq.index))
         assert len(outcomes) == 1
         _pass(3, "900-op 3-source stream converges byte-identically under 5 interleavings")
 
@@ -204,7 +204,7 @@ class TestCriterion4SplitMergeConservation:
         k.run_until(3050)  # seed writes done and propagated; queries just began
         root = net.qpus["iq"]
         assert root.mode == IndexQpu.LEAF
-        pre_bytes = root.index.registry_bytes()
+        pre_bytes = registry_bytes(root.index)
         pre_results = [frozenset(e[0] for e in run_query(k, cl, "iq", q, drain=False).entries) for q in PROBE_QUERIES]
 
         assert run_until_split(net, deadline=20_000), "no split happened"
@@ -219,7 +219,7 @@ class TestCriterion4SplitMergeConservation:
         k.schedule(k.now, "iq", MergeCmd("iq", children))
         while root.mode != IndexQpu.LEAF:
             assert k.step(), "merge never completed"
-        assert root.index.registry_bytes() == pre_bytes
+        assert registry_bytes(root.index) == pre_bytes
         final_results = [
             frozenset(e[0] for e in run_query(k, cl, "iq", q, drain=False).entries) for q in PROBE_QUERIES
         ]

@@ -20,7 +20,16 @@ from qpusim.scenarios import SCENARIOS, scenario
 from qpusim.simkernel import Kernel
 from qpusim.store import DcReplica
 
-from conftest import Client, LogRecorder, control_actions, make_region, record_log, records_of, run_query
+from conftest import (
+    Client,
+    LogRecorder,
+    control_actions,
+    make_region,
+    record_log,
+    records_of,
+    registry_bytes,
+    run_query,
+)
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 FULL = make_region(size=(None, None), genre=(None, None))
@@ -233,7 +242,7 @@ class TestMergeExecution:
         k, rep, root, cl = t.build()
         self.log = record_log(k, rep)
         t.seed_objects(k, rep, 60)
-        pre_bytes = root.index.registry_bytes()
+        pre_bytes = registry_bytes(root.index)
         k.schedule(k.now, "root", SplitCmd("root", "size", 100))
         k.run_until_empty()
         if writes_between:
@@ -250,7 +259,7 @@ class TestMergeExecution:
         k, rep, root, cl, pre_bytes = self.split_then(writes_between=False)
         assert root.mode == IndexQpu.LEAF
         assert root.connections == []
-        assert root.index.registry_bytes() == pre_bytes
+        assert registry_bytes(root.index) == pre_bytes
 
     def test_merge_with_interleaved_writes_equals_lww_replay(self):
         k, rep, root, cl, _ = self.split_then(writes_between=True)
@@ -382,7 +391,7 @@ class TestController:
         for i in range(30):
             rep.put(k, f"k{i}", {"size": rng.randrange(100)})
         k.run_until(50)
-        pre_bytes = root.index.registry_bytes()
+        pre_bytes = registry_bytes(root.index)
         self.drive_queries(k, rng, rate_per_100ms=30, until=600)
         k.run_until(600)
         assert control_actions(k, "split")
@@ -392,7 +401,7 @@ class TestController:
         k.run_until_empty()
         assert control_actions(k, "merge")
         assert root.mode == IndexQpu.LEAF
-        assert root.index.registry_bytes() == pre_bytes
+        assert registry_bytes(root.index) == pre_bytes
 
     def test_one_hot_sibling_blocks_merge(self):
         k, rep, root, ctl, tracker, cl = controller_net(t_split=40, t_merge=15, period_ms=200)

@@ -510,6 +510,35 @@ def test_benchmark_tracer_self_test_passes():
     assert proc.returncode == 0 and "tracer self-test: PASS" in proc.stdout, proc.stdout + proc.stderr
 
 
+# The work each benchmark workload does at scale 1 and seed 0, as the
+# benchmark's tracer counts it (`benchmarks/child.py --mode traced`): events
+# delivered, messages handled by replicas and by each QPU class, and posting
+# index applies. A change that makes each event cheaper leaves these equal;
+# a handler reached twice per message, such as an override that calls a
+# traced base-class on_message, counts its messages twice.
+QPU_CLASSES = ("ds", "index", "merge", "federation", "cache")
+WORK_COUNTS = ("simkernel.events", "store.msgs", "indexing.apply_calls", *(f"qpunet.msgs.{c}" for c in QPU_CLASSES))
+BENCHMARK_WORK = {
+    "cdn-4x": (6454, 3000, 504, 133, 654, 0, 406, 509),
+    "client-cache-4x": (8274, 3750, 3184, 0, 852, 918, 0, 252),
+    "adaptive-skew-4x": (4576, 340, 1629, 0, 2646, 0, 0, 0),
+    "ingest": (26470, 12500, 10629, 0, 3170, 3216, 0, 102),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_WORK))
+def test_benchmark_work_counts_match_recorded(name):
+    root = Path(__file__).resolve().parent.parent
+    cmd = [sys.executable, str(root / "benchmarks" / "child.py"), "--workload", name]
+    proc = subprocess.run(
+        [*cmd, "--seed", "0", "--scale", "1", "--mode", "traced"], cwd=root, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["failed"] == 0
+    assert {m: out["layers"][m] for m in WORK_COUNTS} == dict(zip(WORK_COUNTS, BENCHMARK_WORK[name]))
+
+
 def non_stdlib_imports(source: str) -> list[str]:
     """Absolute imports in a module's source of anything outside the
     standard library and qpusim; relative imports are qpusim's own."""

@@ -3,6 +3,7 @@ staleness measurement, each against an independent oracle."""
 
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qpusim.core import (
@@ -26,16 +27,25 @@ from qpusim.indexing import (
     MergeQpu,
     PostingIndex,
     SplitCmd,
-    filter_targets,
+    route,
 )
 from qpusim.metrics import MetricsSink
 from qpusim.runner import run_scenario
 from qpusim.scenarios import scenario
 from qpusim.qpunet import CacheQpu, Connection, QueryMsg, decompose, dedupe_entries, recheck
-from qpusim.simkernel import Kernel
+from qpusim.simkernel import Actor, Kernel
 from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, PostingSets, WriteOp
 
-from conftest import Client, LogRecorder, make_region, record_log, records_of, run_query
+from conftest import (
+    Client,
+    LogRecorder,
+    make_region,
+    rebuilt_postings,
+    record_log,
+    records_of,
+    registry_bytes,
+    run_query,
+)
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 FULL = make_region(size=(None, None), genre=(None, None))
@@ -63,9 +73,9 @@ class TestIndexApply:
         idx = PostingIndex(FULL)
         op = put_op("k1", 1, size=5, genre="a")
         assert idx.apply(op) is True
-        snapshot = idx.registry_bytes()
+        snapshot = registry_bytes(idx)
         assert idx.apply(op) is False
-        assert idx.registry_bytes() == snapshot
+        assert registry_bytes(idx) == snapshot
 
     def test_put_then_delete_leaves_no_postings(self):
         idx = PostingIndex(FULL)
@@ -124,7 +134,7 @@ class TestIndexApply:
         rng.shuffle(shuffled)
         for op in shuffled:
             b.apply(op)
-        assert a.registry_bytes() == b.registry_bytes()
+        assert registry_bytes(a) == registry_bytes(b)
         assert a.tombstones == b.tombstones
         # sorted-replay oracle agrees
         oracle = {}
@@ -149,7 +159,7 @@ class TestIndexApply:
         shuffler.shuffle(dup)
         for op in dup:
             b.apply(op)
-        assert a.registry_bytes() == b.registry_bytes()
+        assert registry_bytes(a) == registry_bytes(b)
 
     def test_posting_sets_rebuildable_from_registry(self):
         idx = PostingIndex(FULL)
@@ -162,7 +172,7 @@ class TestIndexApply:
             else:
                 idx.apply(put_op(key, ts, size=rng.randrange(20), genre=rng.choice("ab")))
         assert sets is idx.posting_sets()
-        assert sets.postings == idx.rebuilt_postings()
+        assert sets.postings == rebuilt_postings(idx)
 
 
 class TestPostingSetsAtFirstLookup:
@@ -194,7 +204,7 @@ class TestPostingSetsAtFirstLookup:
             late.apply(op)
             if n + 1 >= built_at:
                 assert late.lookup(region) == early.lookup(region)
-                assert late.posting_sets().postings == early.posting_sets().postings == early.rebuilt_postings()
+                assert late.posting_sets().postings == early.posting_sets().postings == rebuilt_postings(early)
 
     def test_no_sets_before_the_first_lookup_and_none_after_clear(self):
         idx = PostingIndex(FULL)
@@ -258,6 +268,41 @@ class TestIndexLookup:
         assert all(row is idx.registry[row[0]] for row in live)
 
 
+class SendRecorder:
+    """Stands in for the kernel in `route`: keeps each send in order."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, source, target, msg):
+        self.sent.append((source, target, msg))
+
+
+def routed(entries, targets):
+    """(target, entries) of each IndexUpdate `route` sends, in send order."""
+    k = SendRecorder()
+    route(k, "flt", entries, targets)
+    assert all(source == "flt" and isinstance(u, IndexUpdate) for source, _t, u in k.sent)
+    return [(target, u.entries) for _s, target, u in k.sent]
+
+
+def routed_to(op, targets):
+    """The targets `route` sends a one-entry batch of op to, in send order."""
+    return [target for target, _entries in routed((LogEntry(0, op, 0),), targets)]
+
+
+class UpdateSpy(Actor):
+    """Appends (its id, the keys of each IndexUpdate it receives) to a list
+    that several spies share, so the list shows the order of delivery."""
+
+    def __init__(self, actor_id, sent):
+        self.actor_id = actor_id
+        self.sent = sent
+
+    def on_message(self, k, msg):
+        self.sent.append((self.actor_id, [e.op.key for e in msg.entries]))
+
+
 class TestFilterRouting:
     REGIONS = {
         "A": make_region(size=(0, 25), genre=(None, None)),
@@ -268,17 +313,22 @@ class TestFilterRouting:
 
     def test_put_delivered_to_new_region_only(self):
         targets = list(self.REGIONS.items())
-        assert filter_targets(put_op("k", 1, size=10), targets) == ["A"]
+        assert routed_to(put_op("k", 1, size=10), targets) == ["A"]
 
     def test_move_delivered_to_old_and_new(self):
         targets = list(self.REGIONS.items())
         op = put_op("k", 2, old={"size": 10}, size=60)
-        assert filter_targets(op, targets) == ["A", "C"]
+        assert routed_to(op, targets) == ["A", "C"]
 
     def test_random_stream_matches_containment_oracle(self):
+        """Each op alone, and the whole stream as one batch: every target
+        gets one update of exactly the entries whose new or old coordinates
+        fall in its region, in log order, and a target no entry touches
+        gets none."""
         targets = list(self.REGIONS.items())
         rng = random.Random(14)
         prev = {}
+        entries = []
         for ts in range(1, 400):
             key = f"k{rng.randrange(40)}"
             if rng.random() < 0.2:
@@ -294,7 +344,36 @@ class TestFilterRouting:
                 if (op.new_attrs is not None and region.contains(op.new_attrs))
                 or (op.old_attrs is not None and region.contains(op.old_attrs))
             ]
-            assert filter_targets(op, targets) == expected
+            assert routed_to(op, targets) == expected
+            entries.append(LogEntry(ts, op, 0))
+        touching = {
+            name: tuple(e for e in entries if name in routed_to(e.op, targets)) for name, _region in targets
+        }
+        assert routed(entries, targets) == [(name, touching[name]) for name, _r in targets if touching[name]]
+
+    @pytest.mark.parametrize("batch_interval", [0, 5])
+    def test_filter_sends_in_target_id_order(self, batch_interval):
+        """A filter whose targets are configured out of id order (zz before
+        aa) sends each instant's updates in id order, one write at a time
+        and batched alike, each target its own entries."""
+        k = Kernel(seed=0)
+        k.add_node("n")
+        rep = DcReplica("dc1", SCHEMA)
+        k.register(rep, "n")
+        sent = []
+        for name in ("zz", "aa", "mm"):
+            k.register(UpdateSpy(name, sent), "n")
+        low = make_region(size=(0, 50), genre=(None, None))
+        high = make_region(size=(50, None), genre=(None, None))
+        k.register(FilterQpu("flt", rep, [("zz", FULL), ("aa", low), ("mm", high)], batch_interval=batch_interval), "n")
+        k.run_until(k.now)  # the filter subscribes before the first write
+        rep.put(k, "k1", {"size": 10})
+        rep.put(k, "k2", {"size": 60})
+        k.run_until(20)
+        if batch_interval:
+            assert sent == [("aa", ["k1"]), ("mm", ["k2"]), ("zz", ["k1", "k2"])]
+        else:
+            assert sent == [("aa", ["k1"]), ("zz", ["k1"]), ("mm", ["k2"]), ("zz", ["k2"])]
 
 
 def single_index_net(*, latency=1, batch_interval=0, batch_size=None, jitter=0, seed=0, region=None):
@@ -417,7 +496,7 @@ class TestIncrementalPulls:
                 assert keys == set(up.registry) | set(up.tombstones)
             else:
                 assert keys == changed
-            assert cq._index.registry_bytes() == up.registry_bytes()
+            assert registry_bytes(cq._index) == registry_bytes(up)
             assert cq._index.tombstones == up.tombstones
             assert cq.snapshot_keys() == set(up.registry)
             entries = up.snapshot().entries
@@ -488,7 +567,7 @@ class TestIncrementalPulls:
         for idx in (iq.index, cq._index):
             assert idx.registry["k1"][1]["size"] == 5
             assert [e[0] for e in idx.lookup(region_of(q))[0]] == ["k1"]
-            assert idx.posting_sets().postings == idx.rebuilt_postings()
+            assert idx.posting_sets().postings == rebuilt_postings(idx)
 
 
 MIXED_SCHEMA = {"size": Kind.INT, "weight": Kind.FLOAT, "genre": Kind.TEXT}
@@ -732,7 +811,7 @@ class TestMergeIngest:
                 batch = tuple(LogEntry(0, op, 0) for op in streams[s][cursors[s] : cursors[s] + n])
                 cursors[s] += n
                 m.handle_update(k, IndexUpdate(batch))
-            results.add(m.index.registry_bytes())
+            results.add(registry_bytes(m.index))
         assert len(results) == 1
 
 

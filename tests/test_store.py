@@ -23,7 +23,7 @@ from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, Posting
 
 from qpusim.indexing import PostingIndex
 
-from conftest import LogRecorder, make_region, record_log
+from conftest import LogRecorder, make_region, record_log, registry_bytes
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 
@@ -428,7 +428,7 @@ class TestStateTransfer:
         from a position drawn up to the replica's current one. Below it, an
         index fed the second recorder's entries (state, then suffix) equals
         one fed the first's (every entry from position 0), by
-        registry_bytes() and tombstones, for a full, a placement and a
+        registry_bytes and tombstones, for a full, a placement and a
         clipped region (on the edge, regions inside its placement). At it,
         the second recorder gets exactly the entries appended after."""
         placement = make_region(size=(0, 50), genre=(None, None))
@@ -477,7 +477,7 @@ class TestStateTransfer:
                 from_zero.apply(entry.op)
             for entry in late.entries:
                 transferred.apply(entry.op)
-            assert transferred.registry_bytes() == from_zero.registry_bytes()
+            assert registry_bytes(transferred) == registry_bytes(from_zero)
             assert transferred.tombstones == from_zero.tombstones
 
     def test_no_overwritten_attrs_stay_referenced(self):
