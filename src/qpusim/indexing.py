@@ -96,34 +96,35 @@ class PostingIndex:
         snapshot, never the op's old coordinates, so delivery order cannot
         desynchronise postings from the registry. A caller that holds the
         op's row already (absorb_rows) passes it, and it is stored as it is."""
+        key, new, version = op.key, op.new_attrs, op.version
         # apply keeps a key in the registry or in tombstones, never in both
-        prev = self.registry.get(op.key)
-        current = prev[2] if prev is not None else self.tombstones.get(op.key, ZERO_VERSION)
-        if op.version < current:
+        prev = self.registry.get(key)
+        current = prev[2] if prev is not None else self.tombstones.get(key, ZERO_VERSION)
+        if version < current:
             return False
-        lands_here = op.new_attrs is not None and self.region.contains(op.new_attrs)
+        lands_here = new is not None and self.region.contains(new)
         # One op can surface twice when region-disjoint indexes are combined:
         # as a removal tombstone where the key left and as an entry where it
         # landed. The entry is strictly more informative, so an in-region put
         # upgrades a tombstone of the same version; everything else at an
         # equal version is a duplicate.
-        if op.version == current and not (lands_here and op.key in self.tombstones):
+        if version == current and not (lands_here and key in self.tombstones):
             return False
         sets = self._sets
         if sets is not None and prev is not None:
-            sets.unpost(op.key, prev[1])
+            sets.unpost(key, prev[1])
         if lands_here:
-            self.registry[op.key] = row or (op.key, op.new_attrs, op.version)
-            self.tombstones.pop(op.key, None)
+            self.registry[key] = row or (key, new, version)
+            self.tombstones.pop(key, None)
             if sets is not None:
-                sets.post(op.key, op.new_attrs)
+                sets.post(key, new)
         else:
-            self.registry.pop(op.key, None)
-            self.tombstones[op.key] = op.version
+            self.registry.pop(key, None)
+            self.tombstones[key] = version
         self.seq += 1
         if self._changed is not None:
-            self._changed.pop(op.key, None)
-            self._changed[op.key] = self.seq
+            self._changed.pop(key, None)
+            self._changed[key] = self.seq
         return True
 
     # -- lookup ---------------------------------------------------------------
@@ -210,7 +211,8 @@ def route(k: Kernel, source: str, entries: Sequence[LogEntry], targets: Iterable
         contains = region.contains
         hit = []
         for entry in entries:
-            new, old = entry.op.new_attrs, entry.op.old_attrs
+            op = entry.op
+            new, old = op.new_attrs, op.old_attrs
             if (new is not None and contains(new)) or (old is not None and contains(old)):
                 hit.append(entry)
         if hit:

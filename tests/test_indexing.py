@@ -328,7 +328,7 @@ class TestFilterRouting:
         targets = list(self.REGIONS.items())
         rng = random.Random(14)
         prev = {}
-        entries = []
+        entries, hits = [], []
         for ts in range(1, 400):
             key = f"k{rng.randrange(40)}"
             if rng.random() < 0.2:
@@ -346,9 +346,8 @@ class TestFilterRouting:
             ]
             assert routed_to(op, targets) == expected
             entries.append(LogEntry(ts, op, 0))
-        touching = {
-            name: tuple(e for e in entries if name in routed_to(e.op, targets)) for name, _region in targets
-        }
+            hits.append(expected)
+        touching = {name: tuple(e for e, hit in zip(entries, hits) if name in hit) for name, _region in targets}
         assert routed(entries, targets) == [(name, touching[name]) for name, _r in targets if touching[name]]
 
     @pytest.mark.parametrize("batch_interval", [0, 5])
