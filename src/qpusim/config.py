@@ -602,7 +602,9 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
                 errors.append(f"{path}.dc: a filter subscribes to exactly one DC log")
             elif unlinked(q.id, q.dc):
                 errors.append(f"{path}.dc: no link between nodes of {q.id!r} and {q.dc!r}")
-            for t in q.targets:
+            for i, t in enumerate(q.targets):
+                if any(u.qpu == t.qpu for u in q.targets[:i]):  # route would send it each write twice
+                    errors.append(f"{t.at}: duplicate target {t.qpu!r}")
                 if t.qpu not in index_like:
                     errors.append(f"{t.at}: {t.qpu!r} is not an indexing QPU")
                 elif unlinked(q.id, t.qpu):

@@ -62,11 +62,11 @@ class PostingIndex:
 
     The registry is authoritative; posting sets are a derived acceleration
     structure and must always be rebuildable from it. They are built from
-    the registry at the first lookup (`posting_sets`) and kept current by
-    every later apply, so an index that answers no query (one that only
-    feeds a merge unit or replica caches) keeps none. Index-local tombstones
-    keep late stale ops from resurrecting removed keys, which makes the state
-    a pure function of the set of ops applied.
+    the registry at the first lookup that narrows by a side (`posting_sets`)
+    and kept current by every later apply, so an index that answers no
+    query (one that only feeds a merge unit or replica caches) keeps none.
+    Index-local tombstones keep late stale ops from resurrecting removed
+    keys, which makes the state a pure function of the set of ops applied.
 
     Every effective apply bumps `seq`. Once the index has answered a pull,
     it also moves the applied key to the end of an insertion-ordered
@@ -87,16 +87,17 @@ class PostingIndex:
         self.seq = 0
         self.floor = 0  # seq of the last clear(); older requesters need a full reply
         self._changed: dict[str, int] | None = None  # built by the first changes_since
-        self._sets: PostingSets | None = None  # built by the first lookup
+        self._sets: PostingSets | None = None  # built by the first lookup that narrows
 
     # -- mutation -----------------------------------------------------------
 
     def apply(self, op: WriteOp, row: Entry | None = None) -> bool:
         """Idempotent last-writer-wins apply. Removal uses the previous registry
         snapshot, never the op's old coordinates, so delivery order cannot
-        desynchronise postings from the registry. A caller that holds the
-        op's row already (absorb_rows) passes it, and it is stored as it is."""
-        key, new, version = op.key, op.new_attrs, op.version
+        desynchronise postings from the registry. The op is read by
+        position, so absorb_rows passes a plain (key, attrs, None, version)
+        tuple, with the row it holds already, which is stored as it is."""
+        key, new, _old, version = op
         # apply keeps a key in the registry or in tombstones, never in both
         prev = self.registry.get(key)
         current = prev[2] if prev is not None else self.tombstones.get(key, ZERO_VERSION)
@@ -147,14 +148,21 @@ class PostingIndex:
         piece of it), so a hop maps its query to a region once and clips
         it against this index once; the caller carves what lies outside
         from the returned clip (HyperRegion.subtract). The rows come from
-        keys_in over the region's bounded sides, exact without a per-row
-        filter: every registry row lies in this index's region. A region
-        unbounded on every side, which no query maps to, matches no row."""
+        keys_in, exact without a per-row filter: every registry row lies in
+        this index's region, so only the clip's sides that cut it narrow,
+        not its own bounds, which a piece clipped to its coverage carries.
+        A region with sides that cut nothing covers it and gets every row;
+        one without sides, which no query maps to, matches no row."""
         inside = region.clip(self.region)
         if inside is None:
             return [], None
         registry = self.registry
-        return [registry[key] for key in sorted(self.posting_sets().keys_in(region.sides))], inside
+        sides, own = region.sides, self.region.sides
+        if own and sides:
+            sides = [side for side in inside.sides if side not in own]
+            if not sides:
+                return [registry[key] for key in sorted(registry)], inside
+        return [registry[key] for key in sorted(self.posting_sets().keys_in(sides))], inside
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -189,7 +197,7 @@ class PostingIndex:
         changed = 0
         for row in sorted(rows, key=itemgetter(0, 2)):
             key, attrs, version = row
-            changed += self.apply(WriteOp(key, attrs, None, version), row)
+            changed += self.apply((key, attrs, None, version), row)
         return changed
 
     def clear(self) -> None:

@@ -1232,12 +1232,15 @@ class TestCli:
         # a second link between one pair of nodes, in either order
         ("topology", ("links", 1), {"from": "n1", "to": "n2", "base_latency": 7}, "links[1]: duplicate link between 'n1' and 'n2'"),
         ("topology", ("links", 1), {"from": "n2", "to": "n1", "base_latency": 7}, "links[1]: duplicate link between 'n2' and 'n1'"),
+        # a filter target listed twice, whose index would get each write twice
+        ("topology", ("qpus", 0, "targets", 1), {"qpu": "iq"}, "qpus[0](flt).targets[1]: duplicate target 'iq'"),
     ]
 
     @pytest.mark.parametrize("doc,keys,value,error", PROBES, ids=[error.split(":")[0] + f"={v!r}" for _d, _k, v, error in PROBES])
     def test_misread_document_is_config_error(self, tmp_path, capsys, doc, keys, value, error):
         """Each of these was accepted: the key ignored, the value truncated
-        or converted, or the first link replaced by the second."""
+        or converted, the first link replaced by the second, or a filter's
+        writes sent to one index twice."""
         topology, workload = self.every_field()
         *outer, last = keys
         holder = {"topology": topology, "workload": workload}[doc]

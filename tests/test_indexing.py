@@ -2,11 +2,13 @@
 staleness measurement, each against an independent oracle."""
 
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qpusim.core import (
+    HyperRegion,
     Kind,
     Predicate,
     Query,
@@ -653,19 +655,100 @@ class TestLookupByRegion:
         deletes, lookup(region) returns the registry rows that match
         region_to_query(region), in key order, and region.clip(index.region).
         The regions are drawn at random (so some are clipped by the index's
-        region and some miss it), plus the index's region and a drawn region
-        clipped to it."""
+        region and some miss it), plus the index's region, a drawn region
+        clipped to it, and a drawn region whose intervals on the index's
+        bounded dimensions are the index's own: the piece decompose hands a
+        leaf, which lookup narrows by its other sides only."""
         idx = PostingIndex(index_region)
         for n, ts, attrs in history:
             idx.apply(del_op(f"k{n}", ts) if attrs is None else put_op(f"k{n}", ts, **attrs))
         clipped = drawn[0].clip(index_region)
-        regions = [*drawn, index_region] + ([] if clipped is None else [clipped])
+        leaf_piece = HyperRegion(
+            tuple((name, iv if own.is_full else own) for (name, iv), (_name, own) in zip(drawn[-1], index_region))
+        )
+        regions = [*drawn, index_region, leaf_piece] + ([] if clipped is None else [clipped])
         for region in regions:
             if all(iv.is_full for _name, iv in region):
                 continue  # no query maps to it, and region_to_query refuses it
             q = region_to_query(region)
             expected = [row for _key, row in sorted(idx.registry.items()) if query_matches(q, row[1])]
             assert idx.lookup(region) == (expected, region.clip(index_region))
+
+
+class TestLookupNarrowsByCuttingSides:
+    REGION = make_region(size=(0, 10), genre=(None, None))
+
+    @pytest.mark.parametrize(
+        "bounds,narrowed_by",
+        [
+            # the index's own size bound, as a piece clipped to its coverage carries it
+            ({"size": (0, 10), "genre": ("a", "c")}, [("genre", "a", "c")]),
+            # a wider bound is clipped to the index's own, which filters nothing
+            ({"size": (None, 20), "genre": ("b", None)}, [("genre", "b", None)]),
+            ({"size": (2, 20), "genre": (None, None)}, [("size", 2, 10)]),
+            ({"size": (2, 8), "genre": (None, "b")}, [("genre", None, "b"), ("size", 2, 8)]),
+            # sides that cut nothing off the index's region: it is covered
+            ({"size": (0, 10), "genre": (None, None)}, None),
+            ({"size": (-5, None), "genre": (None, None)}, None),
+        ],
+    )
+    def test_keys_in_gets_only_the_sides_that_cut_the_index_region(self, monkeypatch, bounds, narrowed_by):
+        """The rows still equal the query's matching rows; keys_in is not
+        called at all for a region that covers the index."""
+        idx = PostingIndex(self.REGION)
+        for n in range(15):
+            idx.apply(put_op(f"k{n:02}", 1, size=n % 12, genre="abc"[n % 3]))
+        calls = []
+        keys_in = PostingSets.keys_in
+        monkeypatch.setattr(PostingSets, "keys_in", lambda sets, sides: calls.append(list(sides)) or keys_in(sets, sides))
+        region = make_region(**bounds)
+        expected = [row for _key, row in sorted(idx.registry.items()) if query_matches(region_to_query(region), row[1])]
+        assert idx.lookup(region) == (expected, region.clip(self.REGION))
+        assert calls == ([] if narrowed_by is None else [narrowed_by])
+
+    def test_an_unbounded_index_narrows_by_the_region_itself(self, monkeypatch):
+        idx = PostingIndex(FULL)
+        idx.apply(put_op("k1", 1, size=5, genre="a"))
+        calls = []
+        keys_in = PostingSets.keys_in
+        monkeypatch.setattr(PostingSets, "keys_in", lambda sets, sides: calls.append(sides) or keys_in(sets, sides))
+        region = make_region(size=(0, 10), genre=(None, None))
+        assert idx.lookup(region)[0] == [idx.registry["k1"]]
+        assert calls == [region.sides] and calls[0] is region.sides
+
+    def test_a_region_without_sides_matches_nothing(self):
+        idx = PostingIndex(self.REGION)
+        idx.apply(put_op("k1", 1, size=5, genre="a"))
+        assert idx.lookup(FULL) == ([], self.REGION)
+
+
+def lookup_posting_keys(monkeypatch, name):
+    """Runs a bundled scenario at seed 0 and counts the posting keys its
+    index lookups union: for each side keys_in is given, the keys posted
+    under the values in that side's range."""
+    counted = [0]
+    keys_in = PostingSets.keys_in
+
+    def spy(sets, sides):
+        for attr, lo, hi in sides:
+            vals = sets.sorted_values[attr]
+            i = 0 if lo is None else bisect_left(vals, lo)
+            j = len(vals) if hi is None else bisect_left(vals, hi)
+            counted[0] += sum(len(sets.postings[attr][v]) for v in vals[i:j])
+        return keys_in(sets, sides)
+
+    monkeypatch.setattr(PostingSets, "keys_in", spy)
+    run_scenario(*scenario(name), seed=0)
+    return counted[0]
+
+
+# Posting keys unioned by index lookups at scale 1 and seed 0. A lookup
+# narrows only by the sides that cut its index's region; narrowing by a
+# leaf's own partition bound as well read 40,122 on cdn and 2,414 on
+# adaptive-skew.
+@pytest.mark.parametrize("name,keys", [("cdn", 23_967), ("adaptive-skew", 2_309)])
+def test_lookups_union_the_recorded_posting_keys(monkeypatch, name, keys):
+    assert lookup_posting_keys(monkeypatch, name) == keys
 
 
 class TestRegionPathEqualsPredicatePath:

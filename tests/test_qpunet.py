@@ -96,6 +96,23 @@ class TestDedupe:
         out = dedupe_entries(parts)
         assert out == [("k", {"size": 2}, Version(5, "dc2"))]
 
+    def test_interleaved_parts_join_in_key_order(self):
+        """Two or three key-sorted parts with interleaved keys, with and
+        without a key in two parts, its greater version in the first part
+        or in a later one: the join is key-sorted and keeps that version."""
+        old, new = ("k3", {"size": 1}, Version(2, "dc1")), ("k3", {"size": 7}, Version(9, "dc2"))
+        a = [("k1", {"size": 1}, Version(1, "dc1")), new, ("k5", {"size": 5}, Version(1, "dc1"))]
+        b = [("k0", {"size": 0}, Version(1, "dc1")), ("k2", {"size": 2}, Version(1, "dc1")), old]
+        c = [("k4", {"size": 4}, Version(1, "dc1")), ("k6", {"size": 6}, Version(1, "dc1"))]
+        for parts in ([a, c], [a, b], [b, a], [a, c, b], [c, b, a]):
+            out = dedupe_entries(parts)
+            assert out == sorted([e for part in parts for e in part if e is not old], key=lambda e: e[0])
+            assert new in out
+
+    def test_a_single_part_is_returned_as_it_is(self):
+        part = [("k1", {"size": 1}, Version(1, "dc1")), ("k2", {"size": 2}, Version(1, "dc1"))]
+        assert dedupe_entries([part]) is part
+
 
 def ds_net(seed=0):
     k = Kernel(seed=seed)
