@@ -71,7 +71,11 @@ class PostingIndex:
     Every effective apply bumps `seq`. Once the index has answered a pull,
     it also moves the applied key to the end of an insertion-ordered
     key -> seq map, so the keys changed after any sequence number are a
-    suffix of that map; indexes nobody pulls from keep no map.
+    suffix of that map; indexes nobody pulls from keep no map. So pull
+    replies are deltas only: no key leaves the index without a tombstone,
+    and a split gives its unit a new index rather than emptying this one
+    (a pulled index never splits: `check-config` rejects a replica cache
+    that pulls from an adaptive root).
 
     The registry maps each key to its result row (key, attrs, version),
     built once by the apply that stores it and holding the op's own attrs
@@ -85,7 +89,6 @@ class PostingIndex:
         self.registry: dict[str, Entry] = {}
         self.tombstones: dict[str, Version] = {}
         self.seq = 0
-        self.floor = 0  # seq of the last clear(); older requesters need a full reply
         self._changed: dict[str, int] | None = None  # built by the first changes_since
         self._sets: PostingSets | None = None  # built by the first lookup that narrows
 
@@ -176,20 +179,20 @@ class PostingIndex:
         """Pull reply for a requester that holds this index's state as of
         sequence `since`: the current rows of the keys changed after it,
         newest first, with tombstones as attrs=None. Costs O(changed keys).
-        A `since` below the floor predates the last clear(), whose removals
-        left no tombstones, so the reply then carries every row and is
-        marked full: the requester replaces what it holds."""
+        The reply is always a delta: nothing removes a key without leaving
+        a tombstone, and an index that is pulled from is never replaced
+        (`check-config` rejects a replica cache that pulls from an adaptive
+        root, and only adaptive trees split)."""
         registry, tombstones = self.registry, self.tombstones
         if self._changed is None:
             # every key present counts as changed at the current seq
             self._changed = dict.fromkeys([*registry, *tombstones], self.seq)
-        full = since < self.floor
         rows: list[tuple[str, dict | None, Version]] = []
         for key, seq in reversed(self._changed.items()):
-            if seq <= since and not full:
+            if seq <= since:
                 break
             rows.append(registry.get(key) or (key, None, tombstones[key]))
-        return IndexSnapshot(self.region, tuple(rows), self.seq, full)
+        return IndexSnapshot(self.region, tuple(rows), self.seq)
 
     def absorb_rows(self, rows: Iterable[tuple[str, dict | None, Version]]) -> int:
         """Merges snapshot rows by replaying them as ops; LWW makes the result
@@ -199,15 +202,6 @@ class PostingIndex:
             key, attrs, version = row
             changed += self.apply((key, attrs, None, version), row)
         return changed
-
-    def clear(self) -> None:
-        self.registry.clear()
-        self.tombstones.clear()
-        self._sets = None
-        if self._changed is not None:
-            self._changed.clear()
-        self.seq += 1
-        self.floor = self.seq
 
 
 def route(k: Kernel, source: str, entries: Sequence[LogEntry], targets: Iterable[tuple[str, HyperRegion]]) -> None:
@@ -289,11 +283,12 @@ class IndexQpu(QpuBase):
     split turns it into an interior router: updates go down to the child
     owning the touched coordinates, and queries take QpuBase's path over
     the children's connections. Whatever of a query no child covers is
-    looked up in this unit's own index (`answer_locally`), and the part
-    outside its region is missing. A split builds its children already
+    looked up in this unit's own index (`QpuBase.answer_locally`), and the
+    part outside its region is missing. A split builds its children already
     holding their rows, on this unit's node, and routes to them at once.
     They answer only this unit's sub-queries, so they get no recheck
-    replica (see QpuBase). A merge applies updates as they arrive, since
+    replica (see QpuBase). The split leaves this unit a new, empty index,
+    which a merge fills again. A merge applies updates as they arrive, since
     absorbing the children's rows is last-writer-wins in any order; queries
     wait for every child's snapshot, and the unit then unregisters the
     children.
@@ -353,31 +348,6 @@ class IndexQpu(QpuBase):
         else:
             super().handle_query(k, m)
 
-    def answer_locally(
-        self, k: Kernel, m: QueryMsg, region: HyperRegion, leftover: list[HyperRegion]
-    ) -> tuple[list[Sequence[Entry]], list[HyperRegion]]:
-        """Looks up the leftover pieces in this QPU's own index, one
-        key-sorted part per piece; what of a piece lies outside this unit's
-        region is missing, carved from the clip its lookup returns. When
-        the leftover is the whole query region (a leaf, or no child covers
-        any of it, and decompose hands back the region itself), a query
-        region that misses this unit's region is recorded as
-        `out_of_region`."""
-        whole = len(leftover) == 1 and leftover[0] is region
-        local: list[Sequence[Entry]] = []
-        missing: list[HyperRegion] = []
-        for piece in leftover:
-            found, inside = self.index.lookup(piece)
-            if inside is None:
-                if whole:
-                    k.probes.emit({"type": "out_of_region", "qpu": self.qpu_id, "qid": m.qid})
-                missing.append(piece)
-                continue
-            if found:
-                local.append(found)
-            missing.extend(piece.subtract(self.region, inside))
-        return local, missing
-
     # -- update stream --------------------------------------------------------
 
     def handle_other(self, k: Kernel, msg: Any) -> None:
@@ -436,7 +406,7 @@ class IndexQpu(QpuBase):
             child.index.absorb_rows(row for row in all_rows if row[1] is None or child_region.contains(row[1]))
             k.register(child, k.host_of(self.qpu_id))
             self.connect(Connection(child_id, child_region))
-        self.index.clear()
+        self.index = PostingIndex(self.region)
         self.mode = self.INTERNAL
         if self.controller is not None:
             k.send(self.qpu_id, self.controller, ControlDone(self.qpu_id))

@@ -74,17 +74,17 @@ class IndexSnapshot(NamedTuple):
     """Index state on the wire: its region, and rows as (key, attrs,
     version): the index's registry rows themselves, and a row built for
     each index-local tombstone, with attrs=None. `seq` is the index's
-    change sequence when it was taken. A full snapshot (the default) carries every row: a retiring child's
-    state, and the reply to a pull that predates the index's last clear(),
-    whose receiver starts over from it. A delta (`full=False`), the usual
-    reply to a pull, carries only the rows of keys changed after the
-    request's `since`, for the receiver to merge into what it holds. Stream
-    positions do not travel: each index tracks its own."""
+    change sequence when it was taken. A retiring child sends its parent a
+    snapshot of every row. A reply to a pull is always a delta: the rows of
+    the keys changed after the request's `since`, which the receiver merges
+    into what it holds. No pulled index is ever replaced, since only an
+    adaptive tree splits and `check-config` rejects a replica cache that
+    pulls from an adaptive root. Stream positions do not travel: each index
+    tracks its own."""
 
     region: HyperRegion
     entries: tuple[tuple[str, dict | None, Version], ...]
     seq: int = 0
-    full: bool = True
 
 
 class QueryTimeout(NamedTuple):
@@ -254,6 +254,12 @@ class QpuBase(Actor):
     scan has a recheck replica, since any of them can be an entry; a
     split's children, which answer only their parent, have none.
 
+    `answer_locally` looks the leftover up in the unit's `index`: an index
+    or merge unit's own, fed by updates, or a replica cache's, fed by pull
+    replies that are deltas only (no pulled index is ever replaced:
+    `check-config` rejects a replica cache that pulls from an adaptive
+    root, and only adaptive trees split). Other units hold none.
+
     A client query becomes a region once, at the unit it is issued to,
     in `handle_query`, and that region is handed on: to `decompose`, to
     `answer_locally`, whose index lookups take it or its pieces, and to
@@ -277,6 +283,7 @@ class QpuBase(Actor):
         self.recheck_replica = recheck_replica
         self.recheck_enabled = recheck_enabled
         self.timeout = timeout
+        self.index: PostingIndex | None = None  # what answer_locally looks up; None: the unit holds none
         self._pending: dict[str, _Pending] = {}
         self._sub_parent: dict[str, str] = {}
         self._qid_counter = 0
@@ -327,9 +334,31 @@ class QpuBase(Actor):
         self, k: Kernel, m: QueryMsg, region: HyperRegion, leftover: list[HyperRegion]
     ) -> tuple[list[Sequence[Entry]], list[HyperRegion]]:
         """Rows this unit holds itself for the leftover of the query region
-        that no connection covers, and what of it stays missing. A unit
-        without local state answers none of it."""
-        return [], leftover
+        that no connection covers, and what of it stays missing. Each piece
+        is looked up in the unit's own index, one key-sorted part per
+        piece; what of a piece lies outside the index's region is missing,
+        carved from the clip its lookup returns. A unit without an index
+        answers none of it. When the leftover is the whole query region (a
+        leaf, a replica cache, or no connection covers any of it, and
+        decompose hands back the region itself), a query region that misses
+        the index's region is recorded as `out_of_region`."""
+        index = self.index
+        if index is None:
+            return [], leftover
+        whole = len(leftover) == 1 and leftover[0] is region
+        local: list[Sequence[Entry]] = []
+        missing: list[HyperRegion] = []
+        for piece in leftover:
+            found, inside = index.lookup(piece)
+            if inside is None:
+                if whole:
+                    k.probes.emit({"type": "out_of_region", "qpu": self.qpu_id, "qid": m.qid})
+                missing.append(piece)
+                continue
+            if found:
+                local.append(found)
+            missing.extend(piece.subtract(index.region, inside))
+        return local, missing
 
     def handle_other(self, k: Kernel, msg: Any) -> None:
         raise TypeError(f"{self.qpu_id} got unexpected {type(msg).__name__}")
@@ -464,11 +493,13 @@ class CacheQpu(QpuBase):
     `pull_interval` ms, with no connections.
 
     A replica cache answers through QpuBase's query path, from its own
-    `PostingIndex` (`answer_locally`). Each pull sends the `seq` of the last
-    installed reply, and the upstream answers with a delta of the rows
-    changed since, which is replayed into the index; a full reply (the
-    first, or one after the upstream was cleared by a split) replaces it.
-    `mode` names which of the two the cache is."""
+    `index` (`QpuBase.answer_locally`), made at the first pull reply. Each
+    pull sends the `seq` of the last installed reply, and the upstream
+    answers with a delta of the rows changed since, which is replayed into
+    the index. Replies are deltas only: no upstream is ever replaced, since
+    `check-config` rejects a replica cache that pulls from an adaptive root,
+    and only adaptive trees split. `mode` names which of the two the cache
+    is."""
 
     def __init__(
         self,
@@ -491,7 +522,6 @@ class CacheQpu(QpuBase):
         self.misses = 0
         self._cache: OrderedDict[tuple, tuple[int, ResponseMsg]] = OrderedDict()
         self._fills: dict[str, tuple] = {}
-        self._index: PostingIndex | None = None
         self._snapshot: IndexSnapshot | None = None  # last installed pull reply
 
     # -- shared -------------------------------------------------------------
@@ -549,35 +579,19 @@ class CacheQpu(QpuBase):
 
     # -- replica cache -----------------------------------------------------------
 
-    def answer_locally(
-        self, k: Kernel, m: QueryMsg, region: HyperRegion, leftover: list[HyperRegion]
-    ) -> tuple[list[Sequence[Entry]], list[HyperRegion]]:
-        """The query region looked up in the pulled index, and the part of
-        it outside that index's region missing, carved from the lookup's
-        clip; before the first pull, the whole query region is missing."""
-        if self._index is None:
-            return [], leftover
-        entries, inside = self._index.lookup(region)
-        return [entries], ([region] if inside is None else region.subtract(self._index.region, inside))
-
     def pull_now(self, k: Kernel) -> None:
         since = self._snapshot.seq if self._snapshot else 0
         k.send(self.qpu_id, self.pull_from, SnapshotRequest(since, self.qpu_id))
 
     def _install(self, k: Kernel, snap: IndexSnapshot) -> None:
-        """Merges a pull reply; it counts as progress only if the cached rows changed."""
-        if self._index is None or snap.full:
+        """Merges a pull reply into the index, made at the first reply; it
+        counts as progress on the first reply or when the cached rows changed."""
+        index = self.index
+        first = index is None
+        if first:
             from .indexing import PostingIndex  # indexing imports this module
 
-            prev, index = self._index, PostingIndex(snap.region)
-            index.absorb_rows(snap.entries)
-            changed = prev is None or (prev.registry, prev.tombstones) != (index.registry, index.tombstones)
-            self._index = index
-        else:
-            changed = self._index.absorb_rows(snap.entries) > 0
-        if changed:
+            index = self.index = PostingIndex(snap.region)
+        if index.absorb_rows(snap.entries) or first:
             k.probes.progress += 1
         self._snapshot = snap
-
-    def snapshot_keys(self) -> set[str]:
-        return set(self._index.registry) if self._index is not None else set()

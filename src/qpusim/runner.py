@@ -52,10 +52,26 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _coerce(topology, workload) -> tuple[TopologyConfig, WorkloadSpec]:
+def _drive(
+    topology, workload, seed: int | str, meta: dict, until: int | None = None
+) -> tuple[Network, MetricsSink, WorkloadDriver, int]:
+    """The one set-up path of a run and a validation: parses the configs
+    unless given parsed, builds the network, its metrics sink and the
+    workload driver, schedules the workload and runs it, to `until` when
+    given, else to the workload's end and then to quiescence. Returns them
+    with the workload's end."""
     cfg = topology if isinstance(topology, TopologyConfig) else parse_topology(topology)
     wl = workload if isinstance(workload, WorkloadSpec) else parse_workload(workload, cfg)
-    return cfg, wl
+    net = build(cfg, seed)
+    sink = MetricsSink(net.kernel, meta)
+    driver = WorkloadDriver(net, wl, seed)
+    end = driver.schedule_all()
+    if until is not None:
+        net.kernel.run_until(until)
+    else:
+        net.kernel.run_until(end)
+        drain_to_quiescence(net)
+    return net, sink, driver, end
 
 
 def drain_to_quiescence(net: Network, *, max_chunks: int = 200) -> None:
@@ -85,19 +101,10 @@ def run_scenario(
     until: int | None = None,
     scenario_name: str | None = None,
 ) -> RunResult:
-    cfg, wl = _coerce(topology, workload)
-    net = build(cfg, seed)
     meta = {"seed": str(seed)}
     if scenario_name:
         meta["scenario"] = scenario_name
-    sink = MetricsSink(net.kernel, meta)
-    driver = WorkloadDriver(net, wl, seed)
-    end = driver.schedule_all()
-    if until is not None:
-        net.kernel.run_until(until)
-    else:
-        net.kernel.run_until(end)
-        drain_to_quiescence(net)
+    net, sink, driver, end = _drive(topology, workload, seed, meta, until)
     _check_runtime_invariants(net)
     summary = sink.finish()
     if out is not None:
@@ -132,14 +139,8 @@ def validate_scenario(topology, workload, *, seed: int | str = 0) -> ValidationR
     the posting sets the QPUs answer from; any key-set difference fails the
     validation. Responders keep the first `limit` rows in key order, so a
     limited query expects the first `limit` matching keys."""
-    cfg, wl = _coerce(topology, workload)
-    net = build(cfg, seed)
-    sink = MetricsSink(net.kernel, {"seed": str(seed), "mode": "validate"})
-    driver = WorkloadDriver(net, wl, seed)
-    end = driver.schedule_all()
+    net, sink, driver, _end = _drive(topology, workload, seed, {"seed": str(seed), "mode": "validate"})
     k = net.kernel
-    k.run_until(end)
-    drain_to_quiescence(net)
     # response caches may hold pre-quiescence entries; let them age out
     ttl = net.max_cache_ttl()
     if ttl:

@@ -132,7 +132,7 @@ class Kernel:
         self.seed = seed
         self.now = 0
         self.probes = Probes()
-        self._due: dict[int, list[tuple]] = {}  # (target, msg), + sender if `send` made it; (None, None) if dropped
+        self._due: dict[int, list[tuple]] = {}  # (target, msg); (target, msg, sender) from `send`; (None, None) if dropped
         self._times: list[int] = []
         self._fed: list[tuple[int, str | None, Any]] = []  # fed (at, target, msg), latest first
         self._nodes: set[str] = set()
@@ -220,17 +220,16 @@ class Kernel:
 
     # -- scheduling -------------------------------------------------------
 
-    def schedule(self, at: int, target: str, msg: Any, sender: str | None = None) -> None:
-        """Queues msg for target at `at`; `send` names a message's sender."""
+    def schedule(self, at: int, target: str, msg: Any) -> None:
+        """Queues msg for target at `at`, with no sender; only `send` names one."""
         if at < self.now:
             raise SimError(f"scheduling in the past: {at} < {self.now}")
-        event = (target, msg) if sender is None else (target, msg, sender)
         events = self._due.get(at)
         if events is None:
-            self._due[at] = [event]
+            self._due[at] = [(target, msg)]
             heapq.heappush(self._times, at)
         else:
-            events.append(event)
+            events.append((target, msg))
 
     def feed(self, events: list[tuple[int, str, Any]]) -> None:
         """Queues a list of (at, target, msg) in time order, as `schedule`

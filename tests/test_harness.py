@@ -622,6 +622,67 @@ def test_every_import_is_used():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """The functions, methods and classes defined in `sources` (module name
+    -> source) whose name no module of them reads, as a name, an attribute
+    or an import (the package's `__init__` re-exports its API), by
+    module-qualified name. Dunder methods are the interpreter's to call, so
+    they count as read."""
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+
+    def collect(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((prefix + child.name, child.name))
+                collect(child, f"{prefix}{child.name}.")
+            else:
+                collect(child, prefix)
+
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        collect(tree, f"{module}.")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(
+        qualified
+        for qualified, name in defined
+        if name not in read and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+# Read only by the tests: the predicate reference regions must agree with
+# (`Predicate.between`/`equals`, `query_matches`), the metrics re-derivation
+# (`summarize`, `parse_ndjson`) and single-stepping the kernel (`step`).
+READ_BY_TESTS_ONLY = [
+    "core.Predicate.between",
+    "core.Predicate.equals",
+    "core.query_matches",
+    "metrics.parse_ndjson",
+    "metrics.summarize",
+    "simkernel.Kernel.step",
+]
+
+
+def test_every_src_definition_is_read():
+    """Each function, method and class under src/qpusim has a reader under
+    src/, apart from the test references in READ_BY_TESTS_ONLY."""
+    sample = {
+        "a": "class C:\n    def __init__(self): self.used()\n    def used(self): pass\n    def spare(self): pass\n",
+        "b": "from .a import C\ndef helper():\n    def inner(): pass\n    return C\n",
+    }
+    assert unread_definitions(sample) == ["a.C.spare", "b.helper", "b.helper.inner"]
+    src = Path(__file__).resolve().parent.parent / "src" / "qpusim"
+    sources = {path.stem: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert sources
+    assert unread_definitions(sources) == READ_BY_TESTS_ONLY
+
+
 class TestRunScenario:
     def test_zero_rate_workload_emits_only_heartbeats(self):
         res = run_scenario(minimal_topology(), zero_rate_workload(), seed=1)

@@ -115,8 +115,6 @@ class TestIndexApply:
         assert sets.sorted_values["size"] == [5, 9]
         assert sets.sorted_values["weight"] == [0.5, 1.0, 2.5]
         assert [type(v) for v in sets.sorted_values["weight"]] == [float] * 3
-        idx.clear()
-        assert idx.posting_sets().sorted_values["size"] == []
 
     def test_shuffled_200_op_stream_converges(self):
         rng = random.Random(8)
@@ -186,7 +184,7 @@ class TestPostingSetsAtFirstLookup:
         qpus = res.network.qpus
         assert all(qpus[q].index.registry for q in ("iq1", "iq2", "iq3", "mq"))
         assert [q for q in ("iq1", "iq2", "iq3", "mq") if qpus[q].index._sets is not None] == []
-        assert [q for q in ("rc1", "rc2") if qpus[q]._index._sets is None] == []
+        assert [q for q in ("rc1", "rc2") if qpus[q].index._sets is None] == []
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -208,15 +206,12 @@ class TestPostingSetsAtFirstLookup:
                 assert late.lookup(region) == early.lookup(region)
                 assert late.posting_sets().postings == early.posting_sets().postings == rebuilt_postings(early)
 
-    def test_no_sets_before_the_first_lookup_and_none_after_clear(self):
+    def test_no_sets_before_the_first_lookup(self):
         idx = PostingIndex(FULL)
         idx.apply(put_op("k1", 1, size=5, genre="a"))
         assert idx._sets is None
         found, _ = idx.lookup(region_of(Query.of([Predicate.between("size", 0, 10)])))
         assert [row[0] for row in found] == ["k1"] and idx._sets is not None
-        idx.clear()
-        assert idx._sets is None
-        assert idx.lookup(region_of(Query.of([Predicate.between("size", 0, 10)])))[0] == []
 
 
 class TestIndexLookup:
@@ -461,7 +456,6 @@ PULL_ACTIONS = st.lists(
         st.tuples(st.just("delete"), st.integers(0, 7)),
         st.tuples(st.just("upgrade"), st.integers(0, 7), st.integers(0, 49), st.booleans()),
         st.tuples(st.just("stale"), st.integers(0, 7)),
-        st.just(("clear",)),
         st.just(("pull",)),
     ),
     max_size=60,
@@ -473,15 +467,14 @@ class TestIncrementalPulls:
     @given(PULL_ACTIONS)
     def test_delta_fed_cache_equals_upstream(self, actions):
         """Puts, in-place updates, moves out of the region, deletes, stale
-        ops, equal-version tombstone->put upgrades and clears, with pulls
-        in between: after every pull the cache holds exactly the upstream's
+        ops and equal-version tombstone->put upgrades, with pulls in
+        between: after every pull the cache holds exactly the upstream's
         rows and tombstones, answers lookups as a scan of its snapshot does,
         got only the changed keys, and ticked iff the snapshot changed."""
         k, iq, cq = pull_net(make_region(size=(0, 50), genre=(None, None)))
         up = iq.index
         ts = 0
         changed: set[str] = set()
-        cleared = False
         last_entries = None
 
         def apply(op):
@@ -489,23 +482,17 @@ class TestIncrementalPulls:
                 changed.add(op.key)
 
         def check_pull():
-            nonlocal changed, cleared, last_entries
+            nonlocal changed, last_entries
             reply, ticked = pull(k, cq)
-            keys = {row[0] for row in reply.entries}
-            if reply.full:
-                assert cleared
-                assert keys == set(up.registry) | set(up.tombstones)
-            else:
-                assert keys == changed
-            assert registry_bytes(cq._index) == registry_bytes(up)
-            assert cq._index.tombstones == up.tombstones
-            assert cq.snapshot_keys() == set(up.registry)
+            assert {row[0] for row in reply.entries} == changed
+            assert registry_bytes(cq.index) == registry_bytes(up)
+            assert cq.index.tombstones == up.tombstones
             entries = up.snapshot().entries
             assert ticked == (entries != last_entries)
             for q in LOOKUPS:
                 scan = [(key, a, v) for key, a, v in entries if a is not None and query_matches(q, a)]
-                assert cq._index.lookup(region_of(q))[0] == scan
-            changed, cleared, last_entries = set(), False, entries
+                assert cq.index.lookup(region_of(q))[0] == scan
+            changed, last_entries = set(), entries
 
         for action in actions:
             if action[0] == "put":
@@ -524,9 +511,6 @@ class TestIncrementalPulls:
                 apply(put_op(f"k{n}", ts, size=size, genre="a"))
             elif action[0] == "stale":
                 apply(put_op(f"k{action[1]}", 0, origin="dc0", size=1, genre="b"))
-            elif action[0] == "clear":
-                up.clear()
-                changed, cleared = set(up.registry), True
             else:
                 check_pull()
         check_pull()
@@ -537,22 +521,8 @@ class TestIncrementalPulls:
         first, ticked = pull(k, cq)
         assert ticked and [row[0] for row in first.entries] == ["k1"]
         again, ticked = pull(k, cq)
-        assert again.entries == () and not again.full and not ticked
-        assert cq.snapshot_keys() == {"k1"}
-
-    def test_pull_after_clear_is_full_and_resets_the_cache(self):
-        k, iq, cq = pull_net()
-        iq.index.apply(put_op("k1", 1, size=5, genre="a"))
-        iq.index.apply(del_op("k2", 2))
-        pull(k, cq)
-        iq.index.clear()
-        reply, ticked = pull(k, cq)
-        assert reply.full and reply.entries == () and ticked
-        assert cq.snapshot_keys() == set() and cq._index.tombstones == {}
-        iq.index.apply(put_op("k3", 3, size=7, genre="b"))
-        reply, ticked = pull(k, cq)
-        assert not reply.full and [row[0] for row in reply.entries] == ["k3"] and ticked
-        assert cq.snapshot_keys() == {"k3"}
+        assert again.entries == () and not ticked
+        assert set(cq.index.registry) == {"k1"}
 
     def test_mutating_a_written_dict_changes_neither_index_nor_cache(self):
         k, rep, flt, iq, cl = single_index_net()
@@ -565,7 +535,7 @@ class TestIncrementalPulls:
         pull(k, cq)
         attrs["size"] = 90
         q = Query.of([Predicate.between("size", 0, 10)])
-        for idx in (iq.index, cq._index):
+        for idx in (iq.index, cq.index):
             assert idx.registry["k1"][1]["size"] == 5
             assert [e[0] for e in idx.lookup(region_of(q))[0]] == ["k1"]
             assert idx.posting_sets().postings == rebuilt_postings(idx)

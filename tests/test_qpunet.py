@@ -411,10 +411,10 @@ class TestReplicaCache:
         k.run_until_empty()
         cq.pull_now(k)
         k.run_until_empty()
-        assert cq.snapshot_keys() == {"k1"}
+        assert set(cq.index.registry) == {"k1"}
         rep.put(k, "k2", {"size": 6})
         k.run_until_empty()
-        assert cq.snapshot_keys() == {"k1"}  # no pull, no change
+        assert set(cq.index.registry) == {"k1"}  # no pull, no change
 
     def test_one_pull_matches_upstream_answers(self):
         k, rep, iq, cq, cl = replica_cache_net()
@@ -443,7 +443,7 @@ class TestReplicaCache:
             writes[key] = at
         visible = {}
         while k.step() and k.now < 1500:
-            for key in cq.snapshot_keys():
+            for key in cq.index.registry if cq.index is not None else ():
                 visible.setdefault(key, k.now)
             if len(visible) == len(writes):
                 break
@@ -648,7 +648,7 @@ class TestIncompleteNamesWhatIsMissing:
         k.run_until_empty()
         cq.pull_now(k)
         k.run_until_empty()
-        assert cq.snapshot_keys() == {"k1"}
+        assert set(cq.index.registry) == {"k1"}
         resp = run_query(k, cl, "cq", Query.of([Predicate.equals("color", "red")]))
         assert not resp.complete and resp.entries == ()
         assert resp.missing == (HyperRegion.full(cq.indexed_attrs),)
@@ -666,6 +666,24 @@ class TestIncompleteNamesWhatIsMissing:
         resp = run_query(k, cl, "cq", q_size(0, 100))
         assert [e[0] for e in resp.entries] == ["k1"] and not resp.complete
         assert resp.missing == tuple(query_to_region(q_size(0, 100), cq.indexed_attrs).subtract(iq.region))
+
+    def test_query_region_outside_the_upstream_region_is_recorded_out_of_region(self):
+        """A replica cache answers like an index unit: a query region that
+        misses its pulled index's region is missing whole and recorded as
+        `out_of_region`. Before the first pull the cache holds no index,
+        so the region is missing and nothing is recorded."""
+        k, rep, iq, cq, cl = replica_cache_net(region=make_region(size=(None, 50), genre=(None, None)))
+        MetricsSink(k)
+        region = query_to_region(q_size(60, 100), cq.indexed_attrs)
+        resp = run_query(k, cl, "cq", q_size(60, 100))
+        assert resp.missing == (region,) and records_of(k, "out_of_region") == []
+        rep.put(k, "k1", {"size": 5})
+        k.run_until_empty()
+        cq.pull_now(k)
+        k.run_until_empty()
+        resp = run_query(k, cl, "cq", q_size(60, 100))
+        assert resp.entries == () and resp.missing == (region,)
+        assert [(r["qpu"], r["qid"]) for r in records_of(k, "out_of_region")] == [("cq", resp.qid)]
 
     def test_unindexable_query_at_a_replica_cache_is_recorded_as_at_every_unit(self):
         k, rep, iq, cq, cl = replica_cache_net()
