@@ -496,9 +496,9 @@ class CacheQpu(QpuBase):
     `index` (`QpuBase.answer_locally`), made at the first pull reply. Each
     pull sends the `seq` of the last installed reply, and the upstream
     answers with a delta of the rows changed since, which is replayed into
-    the index. Replies are deltas only: no upstream is ever replaced, since
-    `check-config` rejects a replica cache that pulls from an adaptive root,
-    and only adaptive trees split. `mode` names which of the two the cache
+    the index. Replies are deltas only: no pulled index is ever replaced,
+    since `check-config` rejects a replica cache that pulls from an
+    adaptive root, and only adaptive trees split. `mode` names which of the two the cache
     is."""
 
     def __init__(

@@ -487,6 +487,7 @@ class TestIncrementalPulls:
             assert {row[0] for row in reply.entries} == changed
             assert registry_bytes(cq.index) == registry_bytes(up)
             assert cq.index.tombstones == up.tombstones
+            assert set(cq.index.registry) == set(up.registry)
             entries = up.snapshot().entries
             assert ticked == (entries != last_entries)
             for q in LOOKUPS:
