@@ -561,6 +561,7 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
         na, nb = node_of.get(a), node_of.get(b)
         return na is not None and nb is not None and na != nb and frozenset((na, nb)) not in linked
     index_like = {q.id for q in cfg.qpus if q.cls in ("index", "merge")}
+    qpu_region = {q.id: q.region for q in cfg.qpus}
     roots = set(adaptive_roots(cfg)) if cfg.adaptive.enabled else set()
 
     for q in cfg.qpus:
@@ -602,6 +603,9 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
                 errors.append(f"{path}.dc: a filter subscribes to exactly one DC log")
             elif unlinked(q.id, q.dc):
                 errors.append(f"{path}.dc: no link between nodes of {q.id!r} and {q.dc!r}")
+            # a partial DC logs no op for a key it does not hold, so it feeds
+            # only indexes whose regions it holds in full
+            placement = by_dc[q.dc].placement if q.dc in by_dc else None
             for i, t in enumerate(q.targets):
                 if any(u.qpu == t.qpu for u in q.targets[:i]):  # route would send it each write twice
                     errors.append(f"{t.at}: duplicate target {t.qpu!r}")
@@ -609,6 +613,9 @@ def validate_topology(cfg: TopologyConfig) -> list[str]:
                     errors.append(f"{t.at}: {t.qpu!r} is not an indexing QPU")
                 elif unlinked(q.id, t.qpu):
                     errors.append(f"{t.at}: no link between nodes of {q.id!r} and {t.qpu!r}")
+                region = t.region or qpu_region.get(t.qpu) or HyperRegion.full(cfg.schema)
+                if placement is not None and not placement.covers(region):
+                    errors.append(f"{t.at}: region is not inside the placement of partial DC {q.dc!r}")
             if q.batch_interval < 0:
                 # flushes are scheduled on the integer clock
                 errors.append(f"{path}.batch_interval: must be an integer >= 0, got {q.batch_interval!r}")

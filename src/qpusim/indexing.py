@@ -374,12 +374,13 @@ class IndexQpu(QpuBase):
             route(k, self.qpu_id, u.entries, [(c.to, c.coverage) for c in self.connections])
             return
         apply, probes, sink, qpu_id, now = self.index.apply, k.probes, k.probes.metrics, self.qpu_id, k.now
+        staleness = None if sink is None else sink.staleness
         pushed: list[LogEntry] = []
         for entry in u.entries:
             if apply(entry.op):
                 probes.progress += 1
-                if sink is not None:
-                    sink.emit({"type": "staleness", "qpu": qpu_id, "delta": now - entry.applied_at})
+                if staleness is not None:
+                    staleness(qpu_id, now - entry.applied_at)
                 pushed.append(entry)
         if pushed and self.push_to is not None:
             k.send(self.qpu_id, self.push_to, IndexUpdate(tuple(pushed)))

@@ -12,6 +12,9 @@ from .simkernel import Kernel
 SCHEMA_VERSION = 1
 
 
+_STALENESS = ("t", "type", "qpu", "delta")  # the keys of a staleness record
+
+
 def _as_dict(row: tuple) -> dict[str, Any]:
     return dict(zip(row[0], row[1:]))
 
@@ -29,11 +32,13 @@ class MetricsSink:
     `type2_records` build the dicts only when they are read. The rows of the
     `type2` records are also kept aside, for `Probes.type2_violations`, and
     each record is added to the summary as it is emitted, so `finish` reads
-    no record again; `summarize` re-derives the same figures from a log."""
+    no record again; `summarize` re-derives the same figures from a log.
+    Staleness samples, one per index apply, have their own writer
+    (`staleness`), which appends the row without building a dict."""
 
     def __init__(self, kernel: Kernel, meta: dict[str, Any] | None = None) -> None:
         self._kernel = kernel
-        self._shapes: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._shapes: dict[tuple[str, ...], tuple[str, ...]] = {_STALENESS: _STALENESS}
         self._rows: list[tuple] = []
         self._type2: list[tuple] = []
         self._summary = Summary()  # of the emitted records
@@ -54,6 +59,12 @@ class MetricsSink:
         self._summary.add(kind, record)
         if kind == "type2":
             self._type2.append(row)
+
+    def staleness(self, qpu: str, delta: int) -> None:
+        """Emits the record {"type": "staleness", "qpu": qpu, "delta": delta}:
+        the time from a replica's apply of an op to `qpu`'s."""
+        self._rows.append((_STALENESS, self._kernel.now, "staleness", qpu, delta))
+        self._summary.staleness.append(delta)
 
     @property
     def records(self) -> list[dict[str, Any]]:

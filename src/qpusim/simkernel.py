@@ -50,12 +50,15 @@ class Probes:
 
     `progress` counts state-changing applications (store writes, index applies,
     cache fills, control actions), each bumped by one where it happens, and
-    is what quiescence detection watches;
-    periodic no-op traffic such as an unchanged replica pull does not advance it.
+    is what quiescence detection watches. A replica counts every op it
+    applies, where it stores the op (`DcReplica._apply`), including those it
+    does not log; periodic no-op traffic such as an unchanged replica pull
+    does not advance it.
 
-    The attached `MetricsSink` is the run's one log: staleness samples,
-    control actions and type-2 audit findings are emitted to it, stamped with
-    virtual time there, and read back from its records. Without a sink,
+    The attached `MetricsSink` is the run's one log: control actions and
+    type-2 audit findings are emitted to it, and index units write their
+    staleness samples to it (`MetricsSink.staleness`), stamped with virtual
+    time there and read back from its records. Without a sink,
     emitted records are dropped. `load_hook(qpu_id, region, now)`, when one
     is installed, takes a load sample of each query a unit answers without
     a sub-query (QpuBase.fan_out).

@@ -47,10 +47,11 @@ class WriteOp(NamedTuple):
 
 
 class LogEntry(NamedTuple):
-    """One op sent from a replica's update feed, stamped with the virtual
-    time the replica applied it so staleness is measured end to end. A
-    filter routes the entries as they are, and an index pushes on those
-    it applied. `seq` is the op's position in the replica's log;
+    """One op sent from a replica's update feed, an op that stored an
+    object there or removed a held one, stamped with the virtual time the
+    replica applied it so staleness is measured end to end. A filter routes
+    the entries as they are, and an index pushes on those it applied. `seq`
+    is the op's position in the replica's log;
     state-transfer entries carry the position the subscriber asked for
     (see DcReplica.subscribe)."""
 
@@ -142,12 +143,18 @@ class DcReplica(Actor):
     A replica without a placement region holds every object (a full
     replica); one with a placement (an edge replica) holds the subset whose
     coordinates fall inside it. Conflicts resolve
-    last-writer-wins on (ts, origin). Each applied operation takes the next
-    log position and is sent to every current subscriber, with old_attrs
-    rewritten to the locally overwritten coordinates, which is what the local
-    filter needs to retire stale index entries. The log is a stream, not a
-    store: an entry is kept nowhere once it is sent, and a subscriber that
-    asks for earlier positions gets a state transfer (see subscribe).
+    last-writer-wins on (ts, origin).
+
+    The log is the change stream of the replica's objects: an applied op
+    that stores an object or removes a held one takes the next log position
+    and is sent to every current subscriber, with old_attrs rewritten to the
+    locally overwritten coordinates, which is what the local filter needs to
+    retire stale index entries. An op that only moves a tombstone (a delete
+    of a key the replica does not hold, or on an edge replica an op outside
+    the placement for such a key) is applied but not logged. Every applied
+    op counts as progress, logged or not. The log is a stream, not a store:
+    an entry is kept nowhere once it is sent, and a subscriber that asks for
+    earlier positions gets a state transfer (see subscribe).
     """
 
     def __init__(
@@ -165,7 +172,7 @@ class DcReplica(Actor):
         self.peers = tuple(peers)
         self.objects: dict[str, StoredObject] = {}
         self.tombstones: dict[str, Version] = {}
-        self.position = 0  # log position of the next applied op
+        self.position = 0  # log position of the next logged op
         self.clock = 0
         self._subscribers: list[str] = []
         self._postings: PostingSets | None = None  # built by the first scan
@@ -201,13 +208,13 @@ class DcReplica(Actor):
         return self._write(k, key, None)
 
     def _write(self, k: Kernel, key: str, new_attrs: dict | None) -> Version:
-        """Applies a local write; its one op goes to the log and to every peer."""
+        """Applies a local write; its one op goes to every peer, and to the
+        log when it changes the replica's objects."""
         self.clock += 1
         version = Version(self.clock, self.dc_id)
         old = self.objects.get(key)
         op = WriteOp(key, new_attrs, old.attrs if old else None, version)
-        self._apply_state(key, op, old)
-        self._append(k, op)
+        self._apply(k, op, old)
         for peer in self.peers:
             k.send(self.dc_id, peer, op)
         return version
@@ -215,44 +222,51 @@ class DcReplica(Actor):
     # -- replication ----------------------------------------------------------
 
     def apply_replicated(self, k: Kernel, op: WriteOp) -> bool:
-        """Last-writer-wins; duplicates and dominated versions are ignored.
-        The appended op carries the locally overwritten attrs. Attrs dicts
-        are shared, never copied, so where this replica held the key at the
-        same write as the origin (or neither held it) they are the op's own
-        `old_attrs`, and the received op is appended as it is."""
+        """Last-writer-wins; duplicates and dominated versions are ignored."""
         key, version = op.key, op.version
         old = self.objects.get(key)
         if version <= (old.version if old is not None else self.tombstones.get(key, ZERO_VERSION)):
             return False
-        old_attrs = old.attrs if old is not None else None
         if version.ts > self.clock:
             self.clock = version.ts
-        if old_attrs is not op.old_attrs:
-            op = WriteOp(key, op.new_attrs, old_attrs, version)
-        self._apply_state(key, op, old)
-        self._append(k, op)
+        self._apply(k, op, old)
         return True
 
-    def _apply_state(self, key: str, op: WriteOp, old: StoredObject | None) -> None:
-        """Stores the op's object, or its tombstone, in place of `old`."""
+    def _apply(self, k: Kernel, op: WriteOp, old: StoredObject | None) -> None:
+        """Stores the op's object, or its tombstone, in place of `old`, and
+        counts the op as progress. It appends the op to the log only when it
+        stores an object or removes a held one: an op that only moves a
+        tombstone changes nothing an index fed from this replica holds.
+
+        The appended op carries the locally overwritten attrs. Attrs dicts
+        are shared, never copied, so where this replica held the key at the
+        same write as the origin (or neither held it) they are the op's own
+        `old_attrs`, and the op is appended as it is. It takes the next log
+        position, and a LogEntry is built and sent only to a replica that
+        has subscribers."""
+        k.probes.progress += 1
+        key, new, version = op.key, op.new_attrs, op.version
         postings = self._postings
         if postings is not None and old is not None:
             postings.unpost(key, old.attrs)
-        new, placement = op.new_attrs, self.placement
+        placement = self.placement
         if new is not None and (placement is None or placement.contains(new)):
-            obj = self.objects[key] = StoredObject(key, new, op.version)
+            obj = self.objects[key] = StoredObject(key, new, version)
             self.tombstones.pop(key, None)
             if postings is not None:
                 postings.post(key, obj.attrs)
         else:
-            self.objects.pop(key, None)
-            self.tombstones[key] = op.version
-
-    def _append(self, k: Kernel, op: WriteOp) -> None:
-        entry = LogEntry(self.position, op, k.now)
-        k.probes.progress += 1
-        for sub in self._subscribers:
-            k.send(self.dc_id, sub, entry)
+            self.tombstones[key] = version
+            if old is None:
+                return
+            del self.objects[key]
+        old_attrs = old.attrs if old is not None else None
+        if old_attrs is not op.old_attrs:
+            op = WriteOp(key, new, old_attrs, version)
+        if self._subscribers:
+            entry = LogEntry(self.position, op, k.now)
+            for sub in self._subscribers:
+                k.send(self.dc_id, sub, entry)
         self.position += 1
 
     # -- reads -----------------------------------------------------------------
@@ -295,10 +309,12 @@ class DcReplica(Actor):
         transfer): each object a put and each tombstone a delete, in key
         order, at its stored version, with old_attrs=None, every one with
         seq=from_seq and applied_at=k.now. Last-writer-wins makes an index
-        fed this state and then the suffix equal to one fed the whole log:
-        per key, both see the replica's latest version last applied. On an
-        edge replica a key outside the placement is a tombstone, so that
-        holds for indexes whose region lies inside the placement.
+        fed this state and then the suffix hold the same registry as one fed
+        the whole log: per key, both see the replica's latest logged version
+        last applied. Its tombstones may be more or later, since the state
+        carries the replica's tombstones and the log only removals of held
+        keys. On an edge replica a key outside the placement is a tombstone,
+        so that holds for indexes whose region lies inside the placement.
 
         State ops carry no old_attrs, so they are complete only for a
         subscriber that holds nothing yet; one holding older state could not

@@ -519,10 +519,10 @@ def test_benchmark_tracer_self_test_passes():
 QPU_CLASSES = ("ds", "index", "merge", "federation", "cache")
 WORK_COUNTS = ("simkernel.events", "store.msgs", "indexing.apply_calls", *(f"qpunet.msgs.{c}" for c in QPU_CLASSES))
 BENCHMARK_WORK = {
-    "cdn-4x": (6454, 3000, 504, 133, 654, 0, 406, 509),
-    "client-cache-4x": (8274, 3750, 3184, 0, 852, 918, 0, 252),
+    "cdn-4x": (5458, 3000, 504, 133, 654, 0, 406, 509),
+    "client-cache-4x": (6876, 3750, 3184, 0, 852, 918, 0, 252),
     "adaptive-skew-4x": (4576, 340, 1629, 0, 2646, 0, 0, 0),
-    "ingest": (26470, 12500, 10629, 0, 3170, 3216, 0, 102),
+    "ingest": (22185, 12500, 10629, 0, 3170, 3216, 0, 102),
 }
 
 
@@ -757,7 +757,9 @@ class TestRunScenario:
 
 class DictLog(MetricsSink):
     """A sink that also keeps each record as the dict a sink that stores
-    dicts would hold: the header, then `{"t": now, **record}` per emit."""
+    dicts would hold: the header, then `{"t": now, **record}` per emit and
+    `{"t": now, "type": "staleness", "qpu": qpu, "delta": delta}` per
+    staleness sample."""
 
     def __init__(self, kernel, meta=None):
         self.dicts = [{"type": "meta", "schema": SCHEMA_VERSION, **(meta or {})}]
@@ -766,6 +768,10 @@ class DictLog(MetricsSink):
     def emit(self, record):
         self.dicts.append({"t": self._kernel.now, **record})
         super().emit(record)
+
+    def staleness(self, qpu, delta):
+        self.dicts.append({"t": self._kernel.now, "type": "staleness", "qpu": qpu, "delta": delta})
+        super().staleness(qpu, delta)
 
 
 def rederived_summary(records):
@@ -1149,6 +1155,27 @@ class TestCli:
             "config error: dcs[0].placement: a full replica holds every object and takes no placement"
         ]
         del topology["dcs"][0]["placement"]
+        assert self._check_config(tmp_path, topology, workload) == 0
+
+    def test_filter_on_a_partial_dc_feeding_beyond_its_placement_is_config_error(self, tmp_path, capsys):
+        """single-index with its filter moved to an edge DC e1 that holds
+        size < 100, still feeding the full-region iq. A partial DC logs no op
+        for a key it does not hold, so iq never got the writes above its
+        placement: validate found 75 key-set mismatches at seed 0 and 93 at
+        seed 1. A target region inside the placement is accepted."""
+        topology, workload = scenario("single-index")
+        topology["nodes"].append({"id": "edge"})
+        topology["links"] += [
+            {"from": "storage", "to": "edge", "base_latency": 3},
+            {"from": "query", "to": "edge", "base_latency": 3},
+        ]
+        topology["dcs"].append({"id": "e1", "node": "edge", "full_replica": False, "placement": {"size": [None, 100]}})
+        topology["qpus"][0].update(dc="e1", node="edge")
+        assert self._check_config(tmp_path, topology, workload) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: qpus[0](flt).targets[0]: region is not inside the placement of partial DC 'e1'"
+        ]
+        topology["qpus"][0]["targets"][0]["region"] = {"size": [0, 100]}
         assert self._check_config(tmp_path, topology, workload) == 0
 
     def test_replica_cache_pulling_from_a_federation_is_config_error(self, tmp_path, capsys):

@@ -109,14 +109,17 @@ class TestDelete:
         reps["dc1"].delete(k, "k1")
         assert reps["dc1"].get("k1") is None
 
-    def test_delete_of_absent_key_still_logs_a_tombstone_op(self):
+    def test_delete_of_absent_key_logs_nothing(self):
+        """The delete removes nothing the replica holds, so it only stores a
+        tombstone: it is applied and counted as progress, but not logged."""
         k, reps = build()
         log = record_log(k, reps["dc1"])
-        reps["dc1"].delete(k, "ghost")
+        progress = k.probes.progress
+        version = reps["dc1"].delete(k, "ghost")
         k.run_until(k.now)
-        assert len(log.entries) == 1
-        assert log.entries[0].op.new_attrs is None
-        assert "ghost" in reps["dc1"].tombstones
+        assert log.entries == [] and reps["dc1"].position == 0
+        assert reps["dc1"].tombstones["ghost"] == version
+        assert k.probes.progress == progress + 1
 
     def test_late_older_put_stays_deleted(self):
         k, reps = build(latency=5)
@@ -256,8 +259,9 @@ class TestApplyReplicated:
     def test_peer_logs_the_received_op_when_it_held_the_same_write(self):
         """Attrs dicts are shared, never copied, so a full peer that held the
         key at the write the origin overwrote logs the origin's own op. An
-        edge replica that never held the key logs a new op whose old attrs
-        are its own (none), as its filter needs."""
+        edge replica logs nothing for ops outside its placement of a key it
+        does not hold; where neither it nor the origin held the key, it logs
+        the origin's op of an in-placement write as it is."""
         placement = HyperRegion.of({"size": Interval(0, 50), "genre": Interval()})
         k = Kernel(seed=0)
         for node in ("n1", "n2", "n3"):
@@ -278,11 +282,13 @@ class TestApplyReplicated:
         assert second.old_attrs is first.new_attrs
         assert peer_log.ops() == [first, second]
         assert peer_log.ops()[0] is first and peer_log.ops()[1] is second
-        assert edge_log.ops()[0] is first  # neither held the key: None is None
-        local = edge_log.ops()[1]
-        assert local is not second and local.old_attrs is None
-        assert local == second._replace(old_attrs=None)
+        assert edge_log.ops() == [] and edge.position == 0
         assert edge.get("k") is None and peer.get("k").attrs is second.new_attrs
+        origin.put(k, "j", {"size": 10})  # inside it
+        k.run_until_empty()
+        third = origin_log.ops()[2]
+        assert edge_log.ops()[0] is third  # neither held the key: None is None
+        assert edge.get("j").attrs is third.new_attrs
 
     def test_peer_receives_the_origins_op_object(self):
         """A write is built once: the replication message a peer receives is
@@ -427,10 +433,13 @@ class TestStateTransfer:
         0 before the first write; a second subscribes after `at` actions,
         from a position drawn up to the replica's current one. Below it, an
         index fed the second recorder's entries (state, then suffix) equals
-        one fed the first's (every entry from position 0), by
-        registry_bytes and tombstones, for a full, a placement and a
-        clipped region (on the edge, regions inside its placement). At it,
-        the second recorder gets exactly the entries appended after."""
+        one fed the first's (every entry from position 0) by registry_bytes,
+        for a full, a placement and a clipped region (on the edge, regions
+        inside its placement). The state carries the replica's tombstones,
+        and the log only removals of held keys, so the transferred index
+        holds each tombstone of the whole-log index at an equal or later
+        version, and may hold more. At it, the second recorder gets exactly
+        the entries appended after."""
         placement = make_region(size=(0, 50), genre=(None, None))
         k = Kernel(seed=0)
         for node in ("n1", "n2", "n3"):
@@ -478,7 +487,8 @@ class TestStateTransfer:
             for entry in late.entries:
                 transferred.apply(entry.op)
             assert registry_bytes(transferred) == registry_bytes(from_zero)
-            assert transferred.tombstones == from_zero.tombstones
+            for key, version in from_zero.tombstones.items():
+                assert transferred.tombstones[key] >= version
 
     def test_no_overwritten_attrs_stay_referenced(self):
         """A replica with a subscriber keeps no entry once it is sent, so
@@ -500,6 +510,65 @@ class TestStateTransfer:
         gc.collect()
         assert counter.seen == 200
         assert [type(r).__name__ for r in gc.get_referrers(*overwritten) if r is not overwritten] == []
+
+
+class TestLogIsTheChangeStream:
+    @settings(max_examples=200, deadline=None)
+    @given(TRANSFER_ACTIONS)
+    def test_the_log_carries_exactly_the_changes_to_the_objects(self, actions):
+        """Puts, overwrites (in and out of the edge's placement) and deletes
+        at two full replicas, replicated to each other and to an edge
+        replica. Replayed in order, each replica's log stores an object
+        (attrs inside its placement) or removes one it holds, with old attrs
+        that are the held object's own, and ends at the replica's objects.
+        An index over a region inside the replica's placement, fed the whole
+        log through `route`, holds exactly the replica's objects in that
+        region, by key and version."""
+        placement = make_region(size=(0, 50), genre=(None, None))
+        k = Kernel(seed=0)
+        for node in ("n1", "n2", "n3"):
+            k.add_node(node)
+        k.add_link("n1", "n2", 3)
+        k.add_link("n1", "n3", 2)
+        k.add_link("n2", "n3", 4)
+        reps = {
+            "dc1": DcReplica("dc1", SCHEMA, peers=("dc2", "edge")),
+            "dc2": DcReplica("dc2", SCHEMA, peers=("dc1", "edge")),
+            "edge": DcReplica("edge", SCHEMA, placement=placement),
+        }
+        for rep, node in zip(reps.values(), ("n1", "n2", "n3")):
+            k.register(rep, node)
+        logs = {dc: record_log(k, rep) for dc, rep in reps.items()}
+        for action in [*actions, ("deliver",)]:
+            if action[0] == "put":
+                _, dc, n, size, genre = action
+                reps[dc].put(k, f"k{n}", {"size": size, "genre": genre})
+            elif action[0] == "delete":
+                reps[action[1]].delete(k, f"k{action[2]}")
+            else:
+                k.run_until_empty()
+        for dc, rep in reps.items():
+            held = {}
+            for entry in logs[dc].entries:
+                op = entry.op
+                assert op.old_attrs is (held[op.key][0] if op.key in held else None)
+                if op.new_attrs is not None and (rep.placement is None or rep.placement.contains(op.new_attrs)):
+                    held[op.key] = (op.new_attrs, op.version)
+                else:
+                    assert op.key in held, f"{dc} logged the removal of {op.key}, which it did not hold"
+                    del held[op.key]
+            assert held == {key: (obj.attrs, obj.version) for key, obj in rep.objects.items()}
+            regions = [placement, make_region(size=(10, 30), genre=("b", None))]
+            if rep.placement is None:
+                regions.append(make_region(size=(None, None), genre=(None, None)))
+            indexers = [_Indexer(f"ix{i}@{dc}", region) for i, region in enumerate(regions)]
+            for indexer in indexers:
+                k.register(indexer, k.host_of(dc))
+            indexing.route(k, logs[dc].actor_id, logs[dc].entries, [(ix.actor_id, ix.index.region) for ix in indexers])
+            k.run_until_empty()
+            for ix in indexers:
+                expected = {key: obj.version for key, obj in rep.objects.items() if ix.index.region.contains(obj.attrs)}
+                assert {key: row[2] for key, row in ix.index.registry.items()} == expected
 
 
 class TestPlacement:
@@ -536,6 +605,19 @@ class _Sink(Actor):
     def on_message(self, k, msg):
         assert isinstance(msg, LogEntry)
         self.entries.append(msg)
+
+
+class _Indexer(Actor):
+    """Applies the IndexUpdate batches it is sent to a PostingIndex."""
+
+    def __init__(self, actor_id, region):
+        self.actor_id = actor_id
+        self.index = PostingIndex(region)
+
+    def on_message(self, k, msg):
+        assert isinstance(msg, indexing.IndexUpdate)
+        for entry in msg.entries:
+            self.index.apply(entry.op)
 
 
 class _Counter(Actor):
