@@ -38,7 +38,7 @@ class MetricsSink:
 
     def __init__(self, kernel: Kernel, meta: dict[str, Any] | None = None) -> None:
         self._kernel = kernel
-        self._shapes: dict[tuple[str, ...], tuple[str, ...]] = {_STALENESS: _STALENESS}
+        self._shapes: dict[tuple[str, ...], tuple[str, ...]] = {}
         self._rows: list[tuple] = []
         self._type2: list[tuple] = []
         self._summary = Summary()  # of the emitted records

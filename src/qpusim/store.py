@@ -234,16 +234,13 @@ class DcReplica(Actor):
 
     def _apply(self, k: Kernel, op: WriteOp, old: StoredObject | None) -> None:
         """Stores the op's object, or its tombstone, in place of `old`, and
-        counts the op as progress. It appends the op to the log only when it
-        stores an object or removes a held one: an op that only moves a
-        tombstone changes nothing an index fed from this replica holds.
-
-        The appended op carries the locally overwritten attrs. Attrs dicts
-        are shared, never copied, so where this replica held the key at the
-        same write as the origin (or neither held it) they are the op's own
-        `old_attrs`, and the op is appended as it is. It takes the next log
-        position, and a LogEntry is built and sent only to a replica that
-        has subscribers."""
+        counts the op as progress. Only an op that stores an object or
+        removes a held one is logged (see DcReplica), with the locally
+        overwritten attrs. Attrs dicts are shared, never copied, so where
+        this replica held the key at the same write as the origin (or
+        neither held it) they are the op's own `old_attrs`, and the op is
+        logged as it is. A LogEntry is built only when there are
+        subscribers."""
         k.probes.progress += 1
         key, new, version = op.key, op.new_attrs, op.version
         postings = self._postings

@@ -418,6 +418,37 @@ TRANSFER_ACTIONS = st.lists(
 )
 
 
+def two_full_and_an_edge(placement):
+    """Full replicas dc1 and dc2, replicating to each other and to an edge
+    replica over `placement`, each on its own node, the nodes linked."""
+    k = Kernel(seed=0)
+    for node in ("n1", "n2", "n3"):
+        k.add_node(node)
+    k.add_link("n1", "n2", 3)
+    k.add_link("n1", "n3", 2)
+    k.add_link("n2", "n3", 4)
+    reps = {
+        "dc1": DcReplica("dc1", SCHEMA, peers=("dc2", "edge")),
+        "dc2": DcReplica("dc2", SCHEMA, peers=("dc1", "edge")),
+        "edge": DcReplica("edge", SCHEMA, placement=placement),
+    }
+    for rep, node in zip(reps.values(), ("n1", "n2", "n3")):
+        k.register(rep, node)
+    return k, reps
+
+
+def play(k, reps, action):
+    """Performs one TRANSFER_ACTIONS action: a put, a delete, or delivering
+    everything in flight."""
+    if action[0] == "put":
+        _, dc, n, size, genre = action
+        reps[dc].put(k, f"k{n}", {"size": size, "genre": genre})
+    elif action[0] == "delete":
+        reps[action[1]].delete(k, f"k{action[2]}")
+    else:
+        k.run_until_empty()
+
+
 class TestStateTransfer:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -441,19 +472,7 @@ class TestStateTransfer:
         version, and may hold more. At it, the second recorder gets exactly
         the entries appended after."""
         placement = make_region(size=(0, 50), genre=(None, None))
-        k = Kernel(seed=0)
-        for node in ("n1", "n2", "n3"):
-            k.add_node(node)
-        k.add_link("n1", "n2", 3)
-        k.add_link("n1", "n3", 2)
-        k.add_link("n2", "n3", 4)
-        reps = {
-            "dc1": DcReplica("dc1", SCHEMA, peers=("dc2", "edge")),
-            "dc2": DcReplica("dc2", SCHEMA, peers=("dc1", "edge")),
-            "edge": DcReplica("edge", SCHEMA, placement=placement),
-        }
-        for rep, node in zip(reps.values(), ("n1", "n2", "n3")):
-            k.register(rep, node)
+        k, reps = two_full_and_an_edge(placement)
         fed = reps[fed_by]
         whole = record_log(k, fed)
         late = _Sink("late")
@@ -463,13 +482,7 @@ class TestStateTransfer:
                 position = fed.position
                 from_seq = pick % (position + 1)
                 fed.subscribe(k, "late", from_seq)
-            if action[0] == "put":
-                _, dc, n, size, genre = action
-                reps[dc].put(k, f"k{n}", {"size": size, "genre": genre})
-            elif action[0] == "delete":
-                reps[action[1]].delete(k, f"k{action[2]}")
-            else:
-                k.run_until_empty()
+            play(k, reps, action)
         suffix = [e for e in whole.entries if e.seq >= position]
         if from_seq == position:
             assert late.entries == suffix
@@ -525,28 +538,10 @@ class TestLogIsTheChangeStream:
         log through `route`, holds exactly the replica's objects in that
         region, by key and version."""
         placement = make_region(size=(0, 50), genre=(None, None))
-        k = Kernel(seed=0)
-        for node in ("n1", "n2", "n3"):
-            k.add_node(node)
-        k.add_link("n1", "n2", 3)
-        k.add_link("n1", "n3", 2)
-        k.add_link("n2", "n3", 4)
-        reps = {
-            "dc1": DcReplica("dc1", SCHEMA, peers=("dc2", "edge")),
-            "dc2": DcReplica("dc2", SCHEMA, peers=("dc1", "edge")),
-            "edge": DcReplica("edge", SCHEMA, placement=placement),
-        }
-        for rep, node in zip(reps.values(), ("n1", "n2", "n3")):
-            k.register(rep, node)
+        k, reps = two_full_and_an_edge(placement)
         logs = {dc: record_log(k, rep) for dc, rep in reps.items()}
         for action in [*actions, ("deliver",)]:
-            if action[0] == "put":
-                _, dc, n, size, genre = action
-                reps[dc].put(k, f"k{n}", {"size": size, "genre": genre})
-            elif action[0] == "delete":
-                reps[action[1]].delete(k, f"k{action[2]}")
-            else:
-                k.run_until_empty()
+            play(k, reps, action)
         for dc, rep in reps.items():
             held = {}
             for entry in logs[dc].entries:
