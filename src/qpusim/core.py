@@ -86,8 +86,9 @@ class StoredObject(NamedTuple):
     set it, shared with that write's op, the replica logs and index
     registries; no code mutates one in place. The only copy is taken where a
     client's dict enters the store (DcReplica.put). A NamedTuple, as are the
-    per-event records (see store.py), so the object is itself a result row
-    (qpunet.Entry): scans answer with it, and recheck keeps it."""
+    per-event records (see store.py), so the object is itself a row of the
+    replica's index and a result row (store.Entry): scans answer with it,
+    and recheck keeps it."""
 
     key: str
     attrs: dict[str, RawValue]

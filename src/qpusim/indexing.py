@@ -1,6 +1,7 @@
-"""Hyperspace-partitioned secondary indexes: per-region posting indexes, the
-filter units that stream store writes to them, merge units that build a global
-index from many ingest points, and the split and merge of an index unit."""
+"""Hyperspace-partitioned secondary indexes: the index units that each hold
+one region's rows in a store.PostingIndex, the filter units that stream store
+writes to them, merge units that build a global index from many ingest
+points, and the split and merge of an index unit."""
 
 from __future__ import annotations
 
@@ -8,22 +9,10 @@ from collections import deque
 from operator import itemgetter
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from .core import (
-    ZERO_VERSION,
-    HyperRegion,
-    RawValue,
-    Version,
-)
-from .qpunet import (
-    Connection,
-    Entry,
-    IndexSnapshot,
-    QpuBase,
-    QueryMsg,
-    SnapshotRequest,
-)
+from .core import HyperRegion, RawValue
+from .qpunet import Connection, QpuBase, QueryMsg, SnapshotRequest
 from .simkernel import Actor, Kernel, Tick
-from .store import DcReplica, LogEntry, PostingSets, WriteOp
+from .store import DcReplica, IndexSnapshot, LogEntry, PostingIndex
 
 
 class IndexUpdate(NamedTuple):
@@ -55,153 +44,6 @@ class ControlDone(NamedTuple):
     """A command's completion; the controller knows which command it was."""
 
     qpu: str
-
-
-class PostingIndex:
-    """A key registry for one region, with per-attribute posting sets.
-
-    The registry is authoritative; posting sets are a derived acceleration
-    structure and must always be rebuildable from it. They are built from
-    the registry at the first lookup that narrows by a side (`posting_sets`)
-    and kept current by every later apply, so an index that answers no
-    query (one that only feeds a merge unit or replica caches) keeps none.
-    Index-local tombstones keep late stale ops from resurrecting removed
-    keys, which makes the state a pure function of the set of ops applied.
-
-    Every effective apply bumps `seq`. Once the index has answered a pull,
-    it also moves the applied key to the end of an insertion-ordered
-    key -> seq map, so the keys changed after any sequence number are a
-    suffix of that map; indexes nobody pulls from keep no map. So pull
-    replies are deltas only: no key leaves the index without a tombstone,
-    and a split gives its unit a new index rather than emptying this one
-    (a pulled index never splits: `check-config` rejects a replica cache
-    that pulls from an adaptive root).
-
-    The registry maps each key to its result row (key, attrs, version),
-    built once by the apply that stores it and holding the op's own attrs
-    dict, the one the replicas store (see core.StoredObject). Nothing
-    mutates a row or its dict, so `lookup`, `snapshot` and `changes_since`
-    return the registry rows themselves and build rows only for tombstones.
-    """
-
-    def __init__(self, region: HyperRegion) -> None:
-        self.region = region
-        self.registry: dict[str, Entry] = {}
-        self.tombstones: dict[str, Version] = {}
-        self.seq = 0
-        self._changed: dict[str, int] | None = None  # built by the first changes_since
-        self._sets: PostingSets | None = None  # built by the first lookup that narrows
-
-    # -- mutation -----------------------------------------------------------
-
-    def apply(self, op: WriteOp, row: Entry | None = None) -> bool:
-        """Idempotent last-writer-wins apply. Removal uses the previous registry
-        snapshot, never the op's old coordinates, so delivery order cannot
-        desynchronise postings from the registry. The op is read by
-        position, so absorb_rows passes a plain (key, attrs, None, version)
-        tuple, with the row it holds already, which is stored as it is."""
-        key, new, _old, version = op
-        # apply keeps a key in the registry or in tombstones, never in both
-        prev = self.registry.get(key)
-        current = prev[2] if prev is not None else self.tombstones.get(key, ZERO_VERSION)
-        if version < current:
-            return False
-        lands_here = new is not None and self.region.contains(new)
-        # One op can surface twice when region-disjoint indexes are combined:
-        # as a removal tombstone where the key left and as an entry where it
-        # landed. The entry is strictly more informative, so an in-region put
-        # upgrades a tombstone of the same version; everything else at an
-        # equal version is a duplicate.
-        if version == current and not (lands_here and key in self.tombstones):
-            return False
-        sets = self._sets
-        if sets is not None and prev is not None:
-            sets.unpost(key, prev[1])
-        if lands_here:
-            self.registry[key] = row or (key, new, version)
-            self.tombstones.pop(key, None)
-            if sets is not None:
-                sets.post(key, new)
-        else:
-            self.registry.pop(key, None)
-            self.tombstones[key] = version
-        self.seq += 1
-        if self._changed is not None:
-            self._changed.pop(key, None)
-            self._changed[key] = self.seq
-        return True
-
-    # -- lookup ---------------------------------------------------------------
-
-    def posting_sets(self) -> PostingSets:
-        """The posting sets, built from the registry at the first call."""
-        sets = self._sets
-        if sets is None:
-            sets = self._sets = PostingSets(self.region.attrs)
-            for key, attrs, _v in self.registry.values():
-                sets.post(key, attrs)
-        return sets
-
-    def lookup(self, region: HyperRegion) -> tuple[list[Entry], HyperRegion | None]:
-        """The registry rows inside `region`, in key order, and
-        region.clip(self.region): None when the region misses this index's
-        region entirely, and then there are no rows.
-
-        The region is the one the caller holds (its query's region, or a
-        piece of it), so a hop maps its query to a region once and clips
-        it against this index once; the caller carves what lies outside
-        from the returned clip (HyperRegion.subtract). The rows come from
-        keys_in, exact without a per-row filter: every registry row lies in
-        this index's region, so only the clip's sides that cut it narrow,
-        not its own bounds, which a piece clipped to its coverage carries.
-        A region with sides that cut nothing covers it and gets every row;
-        one without sides, which no query maps to, matches no row."""
-        inside = region.clip(self.region)
-        if inside is None:
-            return [], None
-        registry = self.registry
-        sides, own = region.sides, self.region.sides
-        if own and sides:
-            sides = [side for side in inside.sides if side not in own]
-            if not sides:
-                return [registry[key] for key in sorted(registry)], inside
-        return [registry[key] for key in sorted(self.posting_sets().keys_in(sides))], inside
-
-    # -- snapshots ---------------------------------------------------------------
-
-    def snapshot(self) -> IndexSnapshot:
-        registry, tombstones = self.registry, self.tombstones
-        rows: list[tuple[str, dict | None, Version]] = [registry[key] for key in sorted(registry)]
-        rows.extend((key, None, tombstones[key]) for key in sorted(tombstones))
-        return IndexSnapshot(self.region, tuple(rows), self.seq)
-
-    def changes_since(self, since: int) -> IndexSnapshot:
-        """Pull reply for a requester that holds this index's state as of
-        sequence `since`: the current rows of the keys changed after it,
-        newest first, with tombstones as attrs=None. Costs O(changed keys).
-        The reply is always a delta: nothing removes a key without leaving
-        a tombstone, and an index that is pulled from is never replaced
-        (`check-config` rejects a replica cache that pulls from an adaptive
-        root, and only adaptive trees split)."""
-        registry, tombstones = self.registry, self.tombstones
-        if self._changed is None:
-            # every key present counts as changed at the current seq
-            self._changed = dict.fromkeys([*registry, *tombstones], self.seq)
-        rows: list[tuple[str, dict | None, Version]] = []
-        for key, seq in reversed(self._changed.items()):
-            if seq <= since:
-                break
-            rows.append(registry.get(key) or (key, None, tombstones[key]))
-        return IndexSnapshot(self.region, tuple(rows), self.seq)
-
-    def absorb_rows(self, rows: Iterable[tuple[str, dict | None, Version]]) -> int:
-        """Merges snapshot rows by replaying them as ops; LWW makes the result
-        independent of row order. Returns how many rows changed the index."""
-        changed = 0
-        for row in sorted(rows, key=itemgetter(0, 2)):
-            key, attrs, version = row
-            changed += self.apply((key, attrs, None, version), row)
-        return changed
 
 
 def route(k: Kernel, source: str, entries: Sequence[LogEntry], targets: Iterable[tuple[str, HyperRegion]]) -> None:

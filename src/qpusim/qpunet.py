@@ -7,28 +7,18 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .core import (
     HyperRegion,
     Query,
-    Version,
     canonical_query,
     query_is_empty,
     query_matcher,
     query_to_region,
 )
 from .simkernel import Actor, Kernel, Tick
-from .store import DcReplica
-
-if TYPE_CHECKING:
-    from .indexing import PostingIndex
-
-# A result row: (key, attrs, version), built once where its write is applied:
-# a replica's StoredObject or an index's registry row. Neither it nor its
-# attrs dict is ever mutated (see core.StoredObject), so units pass rows on
-# as they are, and no hop rebuilds or copies one.
-Entry = tuple[str, dict, Version]
+from .store import DcReplica, Entry, IndexSnapshot, PostingIndex
 
 
 class QueryMsg(NamedTuple):
@@ -68,23 +58,6 @@ class SnapshotRequest(NamedTuple):
 
     since: int
     reply_to: str
-
-
-class IndexSnapshot(NamedTuple):
-    """Index state on the wire: its region, and rows as (key, attrs,
-    version): the index's registry rows themselves, and a row built for
-    each index-local tombstone, with attrs=None. `seq` is the index's
-    change sequence when it was taken. A retiring child sends its parent a
-    snapshot of every row. A reply to a pull is always a delta: the rows of
-    the keys changed after the request's `since`, which the receiver merges
-    into what it holds. No pulled index is ever replaced, since only an
-    adaptive tree splits and `check-config` rejects a replica cache that
-    pulls from an adaptive root. Stream positions do not travel: each index
-    tracks its own."""
-
-    region: HyperRegion
-    entries: tuple[tuple[str, dict | None, Version], ...]
-    seq: int = 0
 
 
 class QueryTimeout(NamedTuple):
@@ -470,14 +443,22 @@ class DsQpu(QpuBase):
     that replica, so it has no recheck replica: its answers are neither
     rechecked nor audited, since either would test the scan against the
     replica it was just read from. Its rows are the replica's StoredObjects
-    themselves."""
+    themselves. An edge replica holds only its placement, so on one the
+    part of the query's region outside the placement is missing; a full
+    replica's scan does no region work."""
 
     def __init__(self, qpu_id: str, indexed_attrs: Iterable[str], replica: DcReplica, **kw) -> None:
         super().__init__(qpu_id, indexed_attrs, **kw)
         self.replica = replica
 
     def handle_query(self, k: Kernel, m: QueryMsg) -> None:
-        self.fan_out(k, m, [], local_parts=[self.replica.scan(m.query)])
+        q, replica = m.query, self.replica
+        missing: list[HyperRegion] = []
+        if replica.placement is not None:
+            region = q if type(q) is HyperRegion else query_to_region(q, self.indexed_attrs)
+            if region is not None:  # None: an attribute outside the schema, which nothing matches
+                missing = region.subtract(replica.placement)
+        self.fan_out(k, m, [], local_parts=[replica.scan(q)], missing=missing)
 
 
 class FederationQpu(QpuBase):
@@ -589,8 +570,6 @@ class CacheQpu(QpuBase):
         index = self.index
         first = index is None
         if first:
-            from .indexing import PostingIndex  # indexing imports this module
-
             index = self.index = PostingIndex(snap.region)
         if index.absorb_rows(snap.entries) or first:
             k.probes.progress += 1

@@ -1,9 +1,11 @@
 """Simulated geo-replicated key-value store: one replica per data centre,
-asynchronous last-writer-wins replication, and per-DC ordered update feeds."""
+asynchronous last-writer-wins replication and per-DC ordered update feeds,
+over the one row store every replica and index holds (PostingIndex)."""
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .core import (
@@ -20,6 +22,14 @@ from .core import (
     query_bounds,
 )
 from .simkernel import Actor, Kernel, SimError
+
+
+# A row of a PostingIndex and a result row: (key, attrs, version), built once
+# where its write is applied, a StoredObject in a replica's index and a plain
+# tuple in any other. Neither it nor its attrs dict is ever mutated (see
+# core.StoredObject), so units pass rows on as they are, and no hop rebuilds
+# or copies one.
+Entry = tuple[str, dict, Version]
 
 
 # The records below, and the messages and stored objects of the other
@@ -68,6 +78,22 @@ class ClientWrite(NamedTuple):
 
 class ClientDelete(NamedTuple):
     key: str
+
+
+class IndexSnapshot(NamedTuple):
+    """A PostingIndex's state on the wire: its region, and rows as (key,
+    attrs, version): the registry rows themselves, and a row built for each
+    tombstone, with attrs=None. `seq` is the index's change sequence when it
+    was taken. A retiring child sends its parent a snapshot of every row. A
+    reply to a pull is always a delta: the rows of the keys changed after
+    the request's `since`, which the receiver merges into what it holds. No
+    pulled index is ever replaced, since only an adaptive tree splits and
+    `check-config` rejects a replica cache that pulls from an adaptive
+    root. Stream positions do not travel: each index tracks its own."""
+
+    region: HyperRegion
+    entries: tuple[tuple[str, dict | None, Version], ...]
+    seq: int = 0
 
 
 class PostingSets:
@@ -137,13 +163,179 @@ class PostingSets:
         return keys or set()
 
 
+class PostingIndex:
+    """The last-writer-wins row store of one region (an LWW-element map): a
+    registry of key -> row, a tombstone for each removed key, and
+    per-attribute posting sets. Every holder of rows keeps its state in
+    one: a replica (DcReplica.index), an index or merge unit, a replica
+    cache.
+
+    `put` is the one writer of rows, tombstones and posting sets; a key is
+    in the registry or in tombstones, never in both. Each owner keeps its
+    own last-writer-wins rule and row type: a replica StoredObjects
+    (DcReplica.apply_replicated), an index plain tuples (`apply`).
+    Tombstones keep late stale ops from resurrecting removed keys, which
+    makes the state a pure function of the set of ops applied.
+
+    The registry is authoritative; posting sets are a derived acceleration
+    structure and must always be rebuildable from it. They are built from
+    the registry at the first call of `posting_sets` (a lookup that narrows
+    by a side, or a replica's scan) and kept current by every later put, so
+    a holder nobody narrows keeps none.
+
+    Every put bumps `seq`. Once the index has answered a pull, it also
+    moves the key to the end of an insertion-ordered key -> seq map, so the
+    keys changed after any sequence number are a suffix of that map;
+    indexes nobody pulls from keep no map. So pull replies are deltas only:
+    no key leaves the index without a tombstone, and a split gives its unit
+    a new index rather than emptying this one (a pulled index never splits:
+    `check-config` rejects a replica cache that pulls from an adaptive
+    root).
+
+    Rows hold the op's own attrs dict, the one the replicas store (see
+    core.StoredObject). Nothing mutates a row or its dict, so `lookup`,
+    `snapshot` and `changes_since` return the registry rows themselves and
+    build rows only for tombstones.
+    """
+
+    def __init__(self, region: HyperRegion) -> None:
+        self.region = region
+        self.registry: dict[str, Entry] = {}
+        self.tombstones: dict[str, Version] = {}
+        self.seq = 0
+        self._changed: dict[str, int] | None = None  # built by the first changes_since
+        self._sets: PostingSets | None = None  # built by the first posting_sets
+
+    # -- mutation -----------------------------------------------------------
+
+    def put(self, key: str, prev: Entry | None, row: Entry | None, version: Version) -> None:
+        """Stores `row` under `key`, or a tombstone at `version` when row is
+        None, in place of `prev`, the key's registry row or None. The caller
+        has already decided by its last-writer-wins rule that the op lands."""
+        sets = self._sets
+        if sets is not None and prev is not None:
+            sets.unpost(key, prev[1])
+        if row is not None:
+            self.registry[key] = row
+            self.tombstones.pop(key, None)
+            if sets is not None:
+                sets.post(key, row[1])
+        else:
+            if prev is not None:
+                del self.registry[key]
+            self.tombstones[key] = version
+        self.seq += 1
+        if self._changed is not None:
+            self._changed.pop(key, None)
+            self._changed[key] = self.seq
+
+    def apply(self, op: WriteOp, row: Entry | None = None) -> bool:
+        """An index's idempotent last-writer-wins apply. Removal uses the
+        registry row, never the op's old coordinates, so delivery order
+        cannot desynchronise postings from the registry. The op is read by
+        position, so absorb_rows passes a plain (key, attrs, None, version)
+        tuple, with the row it holds already, which is stored as it is."""
+        key, new, _old, version = op
+        prev = self.registry.get(key)
+        current = prev[2] if prev is not None else self.tombstones.get(key, ZERO_VERSION)
+        if version < current:
+            return False
+        lands_here = new is not None and self.region.contains(new)
+        # One op can surface twice when region-disjoint indexes are combined:
+        # as a removal tombstone where the key left and as an entry where it
+        # landed. The entry is strictly more informative, so an in-region put
+        # upgrades a tombstone of the same version; everything else at an
+        # equal version is a duplicate.
+        if version == current and not (lands_here and key in self.tombstones):
+            return False
+        self.put(key, prev, (row or (key, new, version)) if lands_here else None, version)
+        return True
+
+    # -- lookup ---------------------------------------------------------------
+
+    def posting_sets(self) -> PostingSets:
+        """The posting sets, built from the registry at the first call."""
+        sets = self._sets
+        if sets is None:
+            sets = self._sets = PostingSets(self.region.attrs)
+            for key, attrs, _v in self.registry.values():
+                sets.post(key, attrs)
+        return sets
+
+    def lookup(self, region: HyperRegion) -> tuple[list[Entry], HyperRegion | None]:
+        """The registry rows inside `region`, in key order, and
+        region.clip(self.region): None when the region misses this index's
+        region entirely, and then there are no rows.
+
+        The region is the one the caller holds (its query's region, or a
+        piece of it), so a hop maps its query to a region once and clips
+        it against this index once; the caller carves what lies outside
+        from the returned clip (HyperRegion.subtract). The rows come from
+        keys_in, exact without a per-row filter: every registry row lies in
+        this index's region, so only the clip's sides that cut it narrow,
+        not its own bounds, which a piece clipped to its coverage carries.
+        A region with sides that cut nothing covers it and gets every row;
+        one without sides, which no query maps to, matches no row."""
+        inside = region.clip(self.region)
+        if inside is None:
+            return [], None
+        registry = self.registry
+        sides, own = region.sides, self.region.sides
+        if own and sides:
+            sides = [side for side in inside.sides if side not in own]
+            if not sides:
+                return [registry[key] for key in sorted(registry)], inside
+        return [registry[key] for key in sorted(self.posting_sets().keys_in(sides))], inside
+
+    # -- snapshots ---------------------------------------------------------------
+
+    def snapshot(self) -> IndexSnapshot:
+        registry, tombstones = self.registry, self.tombstones
+        rows: list[tuple[str, dict | None, Version]] = [registry[key] for key in sorted(registry)]
+        rows.extend((key, None, tombstones[key]) for key in sorted(tombstones))
+        return IndexSnapshot(self.region, tuple(rows), self.seq)
+
+    def changes_since(self, since: int) -> IndexSnapshot:
+        """Pull reply for a requester that holds this index's state as of
+        sequence `since`: the current rows of the keys changed after it,
+        newest first, with tombstones as attrs=None. Costs O(changed keys).
+        The reply is always a delta: nothing removes a key without leaving
+        a tombstone, and an index that is pulled from is never replaced
+        (`check-config` rejects a replica cache that pulls from an adaptive
+        root, and only adaptive trees split)."""
+        registry, tombstones = self.registry, self.tombstones
+        if self._changed is None:
+            # every key present counts as changed at the current seq
+            self._changed = {key: self.seq for key in [*registry, *tombstones]}
+        rows: list[tuple[str, dict | None, Version]] = []
+        for key, seq in reversed(self._changed.items()):
+            if seq <= since:
+                break
+            rows.append(registry.get(key) or (key, None, tombstones[key]))
+        return IndexSnapshot(self.region, tuple(rows), self.seq)
+
+    def absorb_rows(self, rows: Iterable[tuple[str, dict | None, Version]]) -> int:
+        """Merges snapshot rows by replaying them as ops; LWW makes the result
+        independent of row order. Returns how many rows changed the index."""
+        changed = 0
+        for row in sorted(rows, key=itemgetter(0, 2)):
+            key, attrs, version = row
+            changed += self.apply((key, attrs, None, version), row)
+        return changed
+
+
 class DcReplica(Actor):
     """One data centre's replica.
 
     A replica without a placement region holds every object (a full
     replica); one with a placement (an edge replica) holds the subset whose
-    coordinates fall inside it. Conflicts resolve
-    last-writer-wins on (ts, origin).
+    coordinates fall inside it. Conflicts resolve last-writer-wins on
+    (ts, origin). Its state is `index`, a PostingIndex over the placement
+    or the full space, holding StoredObjects: `objects` is that index's
+    registry, and the index keeps the tombstones and the posting sets a
+    scan reads. The replica decides what lands (apply_replicated) and
+    stores it with PostingIndex.put, never PostingIndex.apply, whose rule
+    is an index's.
 
     The log is the change stream of the replica's objects: an applied op
     that stores an object or removes a held one takes the next log position
@@ -170,12 +362,11 @@ class DcReplica(Actor):
         self.schema = dict(schema)
         self.placement = placement
         self.peers = tuple(peers)
-        self.objects: dict[str, StoredObject] = {}
-        self.tombstones: dict[str, Version] = {}
+        self.index = PostingIndex(placement or HyperRegion.full(schema))
+        self.objects: dict[str, StoredObject] = self.index.registry
         self.position = 0  # log position of the next logged op
         self.clock = 0
         self._subscribers: list[str] = []
-        self._postings: PostingSets | None = None  # built by the first scan
 
     # -- message plane ------------------------------------------------------
 
@@ -225,7 +416,7 @@ class DcReplica(Actor):
         """Last-writer-wins; duplicates and dominated versions are ignored."""
         key, version = op.key, op.version
         old = self.objects.get(key)
-        if version <= (old.version if old is not None else self.tombstones.get(key, ZERO_VERSION)):
+        if version <= (old.version if old is not None else self.index.tombstones.get(key, ZERO_VERSION)):
             return False
         if version.ts > self.clock:
             self.clock = version.ts
@@ -233,8 +424,8 @@ class DcReplica(Actor):
         return True
 
     def _apply(self, k: Kernel, op: WriteOp, old: StoredObject | None) -> None:
-        """Stores the op's object, or its tombstone, in place of `old`, and
-        counts the op as progress. Only an op that stores an object or
+        """Stores the op's object, or its tombstone, in place of `old` with
+        PostingIndex.put, and counts the op as progress. Only an op that stores an object or
         removes a held one is logged (see DcReplica), with the locally
         overwritten attrs. Attrs dicts are shared, never copied, so where
         this replica held the key at the same write as the origin (or
@@ -243,20 +434,11 @@ class DcReplica(Actor):
         subscribers."""
         k.probes.progress += 1
         key, new, version = op.key, op.new_attrs, op.version
-        postings = self._postings
-        if postings is not None and old is not None:
-            postings.unpost(key, old.attrs)
         placement = self.placement
-        if new is not None and (placement is None or placement.contains(new)):
-            obj = self.objects[key] = StoredObject(key, new, version)
-            self.tombstones.pop(key, None)
-            if postings is not None:
-                postings.post(key, obj.attrs)
-        else:
-            self.tombstones[key] = version
-            if old is None:
-                return
-            del self.objects[key]
+        stored = new is not None and (placement is None or placement.contains(new))
+        self.index.put(key, old, StoredObject(key, new, version) if stored else None, version)
+        if old is None and not stored:
+            return
         old_attrs = old.attrs if old is not None else None
         if old_attrs is not op.old_attrs:
             op = WriteOp(key, new, old_attrs, version)
@@ -274,18 +456,12 @@ class DcReplica(Actor):
     def scan(self, q: Query | HyperRegion) -> list[StoredObject]:
         """Matching objects in key order, found with PostingSets.keys_in and
         never by visiting every object. A region's bounds are its bounded
-        sides (core.query_bounds). The posting sets are built from
-        `objects` at the first scan and kept current by every later write,
-        so a replica that is never scanned keeps none. A predicate on an
-        attribute outside the schema, or one no value satisfies, matches
-        nothing."""
-        postings = self._postings
-        if postings is None:
-            postings = self._postings = PostingSets(self.schema)
-            for key, obj in self.objects.items():
-                postings.post(key, obj.attrs)
+        sides (core.query_bounds). The index's posting sets are built at the
+        first scan, so a replica that is never scanned keeps none. A
+        predicate on an attribute outside the schema, or one no value
+        satisfies, matches nothing."""
         objects = self.objects
-        return [objects[key] for key in sorted(postings.keys_in(query_bounds(q)))]
+        return [objects[key] for key in sorted(self.index.posting_sets().keys_in(query_bounds(q)))]
 
     def state_fingerprint(self) -> tuple:
         """(objects, tombstones) content; equal fingerprints mean converged replicas."""
@@ -293,7 +469,7 @@ class DcReplica(Actor):
             (key, tuple(sorted(o.attrs.items())), o.version)
             for key, o in sorted(self.objects.items())
         )
-        tombs = tuple(sorted(self.tombstones.items()))
+        tombs = tuple(sorted(self.index.tombstones.items()))
         return objs, tombs
 
     # -- log feed ----------------------------------------------------------------
@@ -320,7 +496,7 @@ class DcReplica(Actor):
         if from_seq > self.position:
             raise SimError(f"subscribe from_seq {from_seq} beyond log length {self.position}")
         if from_seq < self.position:
-            objects, tombstones = self.objects, self.tombstones
+            objects, tombstones = self.objects, self.index.tombstones
             for key in sorted([*objects, *tombstones]):
                 obj = objects.get(key)
                 op = WriteOp(key, obj.attrs, None, obj.version) if obj else WriteOp(key, None, None, tombstones[key])

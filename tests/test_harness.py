@@ -17,10 +17,13 @@ import qpusim.store as store
 from qpusim.build import build
 from qpusim.cli import main as cli_main
 from qpusim.config import ConfigError, parse_topology, parse_workload
+from qpusim.core import query_matcher
 from qpusim.metrics import SCHEMA_VERSION, MetricsSink, parse_ndjson, percentile, summarize
 from qpusim.runner import run_scenario, validate_scenario
 from qpusim.scenarios import SCENARIOS, scenario, write_scenario
 from qpusim.workload import WorkloadDriver
+
+from conftest import Client, run_query
 
 
 def minimal_topology(**overrides):
@@ -571,6 +574,52 @@ def test_runtime_dependencies_stay_at_zero():
     assert {name: imports for name, imports in found.items() if imports} == {}
 
 
+def qpusim_imports(node: ast.AST) -> list[str]:
+    """The qpusim modules an import node names: relative imports are
+    qpusim's own, and `from . import x` names module x."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level:
+            return [node.module] if node.module else [alias.name for alias in node.names]
+        names = [node.module or ""]
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        return []
+    return [name.partition(".")[2] or name for name in names if name.partition(".")[0] == "qpusim"]
+
+
+def layering_violations(sources: dict[str, str]) -> list[str]:
+    """`module.py:line` of each import of a qpusim module inside a function,
+    and of each import in store of a qpusim module other than core and
+    simkernel. A function-local import hides an import cycle; the store's
+    own imports keep it below every unit that holds rows."""
+    found = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(f"{module}.py:{inner.lineno}" for inner in ast.walk(node) if qpusim_imports(inner))
+            elif module == "store" and any(name not in ("core", "simkernel") for name in qpusim_imports(node)):
+                found.add(f"{module}.py:{node.lineno}")
+    return sorted(found)
+
+
+def test_qpusim_modules_import_each_other_only_at_module_level():
+    """No qpusim import is made inside a function under src/, and store.py
+    imports only core and simkernel from qpusim, so no unit module can be
+    imported by the store and no import cycle is hidden in a function."""
+    sample = {
+        "store": "from .core import Version\nfrom . import qpunet\nimport qpusim.indexing\n",
+        "qpunet": "import json\ndef install():\n    import os\n    from .indexing import PostingIndex\n",
+        "runner": "from qpusim.store import DcReplica\n",
+    }
+    assert layering_violations(sample) == ["qpunet.py:4", "store.py:2", "store.py:3"]
+    src = Path(__file__).resolve().parent.parent / "src" / "qpusim"
+    sources = {path.stem: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert "store" in sources
+    assert layering_violations(sources) == []
+
+
 def unused_imports(source: str) -> list[str]:
     """Names a module imports and never reads: no load of the name, no
     attribute read through it, no mention in a string annotation, and no
@@ -929,6 +978,38 @@ class TestValidateMode:
                 report = validate_scenario(topology, workload, seed=seed)
                 assert report.ok, f"limit {limit}, seed {seed}: {report.describe()}"
                 assert report.queries_checked >= 50
+
+    def test_ds_on_a_partial_dc_marks_what_its_placement_lacks_missing(self):
+        """cdn with a ds unit on edge DC e1 (genre < "h") as the only query
+        origin, which check-config accepts. The scan answered "complete"
+        while missing every key outside the placement: validate found 98
+        mismatches at seed 0 and 89 at seed 1, all marked complete. Now each
+        mismatch is marked incomplete, and after a run every answer holds
+        only matching keys, names regions holding each absent one, and is
+        complete exactly when it names none."""
+        topology, workload = scenario("cdn")
+        topology["qpus"].append({"id": "dse", "class": "ds", "node": "edge1", "dc": "e1"})
+        for phase in workload["phases"]:
+            if "query_origin" in phase:
+                phase["query_origin"] = ["dse"]
+        report = validate_scenario(topology, workload, seed=0)
+        assert report.mismatches and report.converged
+        assert all(not m["complete"] and not m["extra"] for m in report.mismatches)
+        res = run_scenario(topology, workload, seed=0)
+        k, oracle = res.network.kernel, res.network.replicas["dc1"]
+        client = Client()
+        k.register(client, "edge1")
+        incomplete = 0
+        for query, origin in res.journal.queries:
+            resp = run_query(k, client, origin, query)
+            matches = query_matcher(query)
+            expected = {key for key, o in oracle.objects.items() if matches(o.attrs)}
+            got = {row[0] for row in resp.entries}
+            assert got <= expected
+            for key in expected - got:
+                assert any(region.contains(oracle.objects[key].attrs) for region in resp.missing)
+            incomplete += not resp.complete
+        assert 0 < incomplete < len(res.journal.queries)
 
     def test_negative_control_recheck_disabled_fails_with_type2(self):
         doc = minimal_topology(debug={"disable_recheck": True})

@@ -17,13 +17,12 @@ from qpusim.core import (
     Predicate,
     Query,
     StoredObject,
+    Version,
 )
 from qpusim.simkernel import Actor, Kernel, SimError
-from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, PostingSets
+from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, PostingIndex, PostingSets, WriteOp
 
-from qpusim.indexing import PostingIndex
-
-from conftest import LogRecorder, make_region, record_log, registry_bytes
+from conftest import LogRecorder, make_region, rebuilt_postings, record_log, registry_bytes
 
 SCHEMA = {"size": Kind.INT, "genre": Kind.TEXT}
 
@@ -118,7 +117,7 @@ class TestDelete:
         version = reps["dc1"].delete(k, "ghost")
         k.run_until(k.now)
         assert log.entries == [] and reps["dc1"].position == 0
-        assert reps["dc1"].tombstones["ghost"] == version
+        assert reps["dc1"].index.tombstones["ghost"] == version
         assert k.probes.progress == progress + 1
 
     def test_late_older_put_stays_deleted(self):
@@ -131,7 +130,7 @@ class TestDelete:
         # the delete won at every replica even where the put arrived later
         for rep in reps.values():
             assert rep.get("k1") is None
-            assert rep.tombstones["k1"] == v_del
+            assert rep.index.tombstones["k1"] == v_del
 
     def test_interleaved_put_delete_race_converges_to_max_version(self):
         k, reps = build(n_dcs=2, latency=9, jitter=6, seed=3)
@@ -564,6 +563,66 @@ class TestLogIsTheChangeStream:
             for ix in indexers:
                 expected = {key: obj.version for key, obj in rep.objects.items() if ix.index.region.contains(obj.attrs)}
                 assert {key: row[2] for key, row in ix.index.registry.items()} == expected
+
+
+STORE_ACTIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 4), st.integers(0, 99)),
+        st.tuples(st.just("delete"), st.integers(0, 4)),
+        st.tuples(
+            st.just("replicated"),
+            st.integers(0, 4),
+            st.integers(1, 6),
+            st.sampled_from(["o1", "o2"]),
+            st.one_of(st.none(), st.integers(0, 99)),
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestOneRowStore:
+    @settings(max_examples=200, deadline=None)
+    @given(STORE_ACTIONS, st.booleans())
+    def test_a_replica_holds_what_an_index_over_its_region_applies(self, actions, scanned):
+        """Local puts and deletes, and replicated ops (drawn from few
+        versions, so many are duplicates or dominated; a version names one
+        write of its key), at a full replica and at an edge replica, with
+        sizes in and out of the edge's placement. Each op also goes through
+        `PostingIndex.apply` to a bare index over the replica's region (the
+        full space, or the placement). The two last-writer-wins rules agree:
+        after every step the replica's objects and tombstones are the
+        index's, no key is in both, an op lands at the replica exactly when the index applies
+        it, and a local write always lands. A replica scanned before the
+        first op keeps its posting sets current through every put."""
+        placement = make_region(size=(0, 50), genre=(None, None))
+        k = Kernel(seed=0)
+        k.add_node("n")
+        reps = [DcReplica("full", SCHEMA), DcReplica("edge", SCHEMA, placement=placement)]
+        bare = [PostingIndex(make_region(size=(None, None), genre=(None, None))), PostingIndex(placement)]
+        for rep in reps:
+            k.register(rep, "n")
+            if scanned:
+                assert rep.scan(placement) == []
+        history = {}
+        for action in actions:
+            for rep, index in zip(reps, bare):
+                if action[0] == "replicated":
+                    _, n, ts, origin, size = action
+                    key, version = f"k{n}", Version(ts, origin)
+                    attrs = history.setdefault((key, version), None if size is None else {"size": size, "genre": "a"})
+                    op = WriteOp(key, attrs, None, version)
+                    assert rep.apply_replicated(k, op) == index.apply(op)
+                else:
+                    key = f"k{action[1]}"
+                    attrs = {"size": action[2], "genre": "a"} if action[0] == "put" else None
+                    version = rep.put(k, key, attrs) if attrs is not None else rep.delete(k, key)
+                    assert index.apply(WriteOp(key, attrs, None, version))
+                assert rep.objects == index.registry
+                assert rep.index.tombstones == index.tombstones
+                assert not rep.objects.keys() & index.tombstones.keys()
+        for rep in reps:
+            assert rep.index.posting_sets().postings == rebuilt_postings(rep.index)
 
 
 class TestPlacement:
