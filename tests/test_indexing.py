@@ -27,7 +27,6 @@ from qpusim.indexing import (
     IndexUpdate,
     MergeCmd,
     MergeQpu,
-    PostingIndex,
     SplitCmd,
     route,
 )
@@ -36,7 +35,7 @@ from qpusim.runner import run_scenario
 from qpusim.scenarios import scenario
 from qpusim.qpunet import CacheQpu, Connection, QueryMsg, decompose, dedupe_entries, recheck
 from qpusim.simkernel import Actor, Kernel
-from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, PostingSets, WriteOp
+from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, PostingIndex, PostingSets, WriteOp
 
 from conftest import (
     Client,

@@ -310,10 +310,10 @@ class TestApplyReplicated:
 
 # Records built per write, log append, hop or query (see store.py).
 RECORDS = [
-    store.WriteOp, store.LogEntry, store.ClientWrite, store.ClientDelete,
+    store.WriteOp, store.LogEntry, store.ClientWrite, store.ClientDelete, store.IndexSnapshot,
     indexing.IndexUpdate, indexing.SplitCmd, indexing.MergeCmd, indexing.Retire,
     indexing.ControlDone,
-    qpunet.QueryMsg, qpunet.ResponseMsg, qpunet.SnapshotRequest, qpunet.IndexSnapshot, qpunet.QueryTimeout,
+    qpunet.QueryMsg, qpunet.ResponseMsg, qpunet.SnapshotRequest, qpunet.QueryTimeout,
     workload.IssueQuery, workload.Heartbeat,
     StoredObject,
 ]
