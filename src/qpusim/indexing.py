@@ -225,7 +225,7 @@ class IndexQpu(QpuBase):
                     staleness(qpu_id, now - entry.applied_at)
                 pushed.append(entry)
         if pushed and self.push_to is not None:
-            k.send(self.qpu_id, self.push_to, IndexUpdate(tuple(pushed)))
+            k.send(self.qpu_id, self.push_to, u if len(pushed) == len(u.entries) else IndexUpdate(tuple(pushed)))
 
     # -- split ---------------------------------------------------------------------
 

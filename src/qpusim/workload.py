@@ -138,6 +138,7 @@ class WorkloadDriver:
         self.spec = spec
         self.journal = Journal()
         self.issuers: dict[str, QueryIssuer] = {}
+        self._keys: list[str] = []  # key n's name "k<n>", built once and shared by every write
         k = net.kernel
         effective = spec.seed if spec.seed is not None else seed
         self._write_rng = Random(f"{effective}|workload|writes")
@@ -178,6 +179,8 @@ class WorkloadDriver:
             for name, dist in sorted(phase.attributes.items())
         }
         if phase.write_rate > 0:
+            keys = self._keys
+            keys.extend(f"k{n}" for n in range(len(keys), phase.key_space))
             for i, t in enumerate(_op_times(start, phase.duration, phase.write_rate)):
                 events.append(self._make_write(phase, samplers, t, i))
         if phase.query_rate > 0:
@@ -190,8 +193,8 @@ class WorkloadDriver:
 
     def _pick_key(self, phase: PhaseSpec, i: int) -> str:
         if phase.key_mode == "sequential":
-            return f"k{i % phase.key_space}"
-        return f"k{self._write_rng.randrange(phase.key_space)}"
+            return self._keys[i % phase.key_space]
+        return self._keys[self._write_rng.randrange(phase.key_space)]
 
     def _make_write(self, phase: PhaseSpec, samplers, t: int, i: int) -> tuple[int, str, Any]:
         key = self._pick_key(phase, i)

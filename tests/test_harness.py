@@ -7,7 +7,9 @@ import importlib.util
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -708,10 +710,13 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
 # Read only by the tests: the predicate reference regions must agree with
 # (`Predicate.between`/`equals`, `query_matches`), the metrics re-derivation
 # (`summarize`, `parse_ndjson`) and single-stepping the kernel (`step`).
+# The stream as one string (`to_ndjson`) is read by the tests and by the
+# benchmark, which hashes it; `write` streams the same lines to a file.
 READ_BY_TESTS_ONLY = [
     "core.Predicate.between",
     "core.Predicate.equals",
     "core.query_matches",
+    "metrics.MetricsSink.to_ndjson",
     "metrics.parse_ndjson",
     "metrics.summarize",
     "simkernel.Kernel.step",
@@ -873,6 +878,91 @@ class TestMetricsRows:
 
         assert summarize(once()) == rederived_summary(body) == res.summary
         assert reads == [1]
+
+    # Each case is a list of steps: ("s", qpu, delta) takes a staleness
+    # sample, ("e", record) emits a record, ("t", now) moves the clock.
+    ORDER_CASES = {
+        "sample right after the header": [
+            ("s", "iq", 3),
+            ("s", "iq", 0),
+            ("t", 5),
+            ("e", {"type": "query", "origin": "iq", "latency": 4, "results": 1, "complete": True}),
+        ],
+        "runs between records": [
+            ("e", {"type": "heartbeat"}),
+            ("t", 300),
+            ("s", "iq1", 7),
+            ("s", "iq2", 1),
+            ("s", "iq1", 7),
+            ("e", {"type": "type2", "qpu": "iq1", "qid": "q1", "violations": ["k1"]}),
+            ("t", 301),
+            ("s", "iq2", 2),
+            ("e", {"type": "cache", "qpu": "c", "hit": False}),
+            ("e", {"type": "heartbeat"}),
+            ("s", "iq1", 0),
+            ("e", {"type": "type2", "qpu": "iq2", "qid": "q2", "violations": []}),
+        ],
+        "trailing run": [
+            ("e", {"type": "heartbeat"}),
+            ("t", 1000),
+            ("s", "iq", 4),
+            ("t", 1001),
+            ("s", "mq", 9),
+        ],
+        "no samples": [
+            ("e", {"type": "heartbeat"}),
+            ("t", 20),
+            ("e", {"type": "type2", "qpu": "iq", "qid": "q1", "violations": ["k2"]}),
+            ("e", {"type": "control", "action": "split", "qpu": "iq"}),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", ORDER_CASES)
+    def test_records_keep_emission_order_around_staleness_samples(self, case, tmp_path):
+        """However staleness samples and other records interleave, the sink
+        reads back and writes exactly what a dict-keeping log holds, before
+        and after `finish`; its type-2 records are the emitted ones."""
+        kernel = SimpleNamespace(now=0, probes=SimpleNamespace())
+        sink = DictLog(kernel, {"seed": "0"})
+        for step, *args in self.ORDER_CASES[case]:
+            if step == "s":
+                sink.staleness(*args)
+            elif step == "e":
+                sink.emit(dict(args[0]))
+            else:
+                kernel.now = args[0]
+
+        def check(expected):
+            assert [list(r.items()) for r in sink.records] == [list(r.items()) for r in expected]
+            lines = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in expected)
+            assert sink.to_ndjson() == lines
+            sink.write(tmp_path / "m.ndjson")
+            assert (tmp_path / "m.ndjson").read_bytes() == lines.encode()
+            assert sink.type2_records() == [r for r in expected if r["type"] == "type2"]
+
+        check(sink.dicts)
+        summary = sink.finish()
+        check([*sink.dicts, {"type": "summary", **summary}])
+        assert summary == rederived_summary(sink.dicts[1:])
+
+    def test_a_staleness_sample_costs_at_most_48_bytes(self):
+        """A sample is kept in columns, not as a row of Python objects: 20,000
+        of them, each stamped with its own int object for the time, grow the
+        traced heap by at most 48 bytes apiece."""
+        kernel = SimpleNamespace(now=0, probes=SimpleNamespace())
+        sink = MetricsSink(kernel)
+        qpus = ("iq1", "iq2", "mq")
+        samples = 20_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(samples):
+                kernel.now = 1_000 + i
+                sink.staleness(qpus[i % 3], i % 5)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown / samples <= 48, f"{grown / samples:.1f} B per sample"
 
     def test_type2_records_reach_type2_violations(self):
         doc = minimal_topology(debug={"disable_recheck": True})
