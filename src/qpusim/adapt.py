@@ -50,18 +50,17 @@ class LoadWindow:
         for idx in [i for i in self._buckets if i < floor]:
             del self._buckets[idx]
 
-    def record(self, now: int, region: HyperRegion | None) -> None:
+    def record(self, now: int, region: HyperRegion) -> None:
         self._prune(now)
         idx = now // self.bucket_ms
         bucket = self._buckets.get(idx)
         if bucket is None:
             bucket = self._buckets[idx] = _Bucket(idx)
         bucket.count += 1
-        if region is not None:
-            for name, iv in region:
-                mid = interval_midpoint(iv)
-                if mid is not None:
-                    bucket.samples.setdefault(name, []).append(mid)
+        for name, iv in region:
+            mid = interval_midpoint(iv)
+            if mid is not None:
+                bucket.samples.setdefault(name, []).append(mid)
 
     def load(self, now: int) -> int:
         self._prune(now)
@@ -83,7 +82,7 @@ class LoadTracker:
         self.bucket_ms = bucket_ms
         self.windows: dict[str, LoadWindow] = {}
 
-    def record(self, qpu_id: str, region: HyperRegion | None, now: int) -> None:
+    def record(self, qpu_id: str, region: HyperRegion, now: int) -> None:
         window = self.windows.get(qpu_id)
         if window is None:
             window = self.windows[qpu_id] = LoadWindow(self.window_buckets, self.bucket_ms)

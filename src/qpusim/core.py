@@ -203,7 +203,10 @@ class HyperRegion:
         """(attr, lo, hi), None unbounded, for every dimension bounded on at
         least one side, in attribute order; full dimensions drop out. These
         are the closed-open bounds query_bounds gives for
-        region_to_query(self)."""
+        region_to_query(self). The query path reads them as a region's
+        bounds: for contains, for a scan's posting-set lookup
+        (store.DcReplica.scan), and, with the query's limit, as a response
+        cache's key."""
         return tuple((name, iv.lo, iv.hi) for name, iv in self.dims if not iv.is_full)
 
     def contains(self, attrs: AttrMap) -> bool:
@@ -380,21 +383,18 @@ def query_is_empty(q: Query) -> bool:
     return False
 
 
-def query_bounds(q: Query | HyperRegion) -> Sequence[tuple[str, RawValue | None, RawValue | None]]:
+def query_bounds(q: Query) -> Sequence[tuple[str, RawValue | None, RawValue | None]]:
     """(attr, lo, hi) per predicate: the closed-open bounds of
-    _predicate_bounds, which may be empty but never raise. A region gives
-    its bounded sides (HyperRegion.sides)."""
-    if type(q) is HyperRegion:
-        return q.sides
-    return [_predicate_bounds(p) for p in q.predicates]  # type: ignore[union-attr]
+    _predicate_bounds, which may be empty but never raise."""
+    return [_predicate_bounds(p) for p in q.predicates]
 
 
-def query_matcher(q: Query | HyperRegion) -> Callable[[AttrMap], bool]:
+def query_matcher(q: Query) -> Callable[[AttrMap], bool]:
     """Compiles q once into closed-open bounds per attribute. The returned
     function answers as query_matches(q, attrs) does for values of the
-    bounds' type. A region is its own matcher (HyperRegion.contains)."""
-    if type(q) is HyperRegion:
-        return q.contains
+    bounds' type. The query path matches rows against regions
+    (HyperRegion.contains); this is the client-side oracle that `validate`
+    checks answers with."""
     bounds = query_bounds(q)
 
     def matches(attrs: AttrMap) -> bool:
@@ -410,7 +410,8 @@ def query_matcher(q: Query | HyperRegion) -> Callable[[AttrMap], bool]:
 def query_to_region(q: Query, indexed_attrs: Iterable[str]) -> HyperRegion | None:
     """Map a query onto the indexed attribute space, normalizing every bound to
     closed-open form. Returns None when the query constrains an attribute that
-    is not an indexed dimension (caller falls back to a scan)."""
+    is not an indexed dimension: no object holds one, so the unit the query
+    is issued to answers it complete and empty (qpunet.QpuBase.on_message)."""
     indexed = set(indexed_attrs)
     bounds: dict[str, Interval] = {}
     for p in q.predicates:
@@ -425,9 +426,10 @@ def query_to_region(q: Query, indexed_attrs: Iterable[str]) -> HyperRegion | Non
 
 def region_to_query(region: HyperRegion, limit: int | None = None) -> Query:
     """Inverse of query_to_region: every bounded side becomes a closed-open
-    predicate, fully unbounded dimensions drop out. Sub-queries travel as
-    their regions, so only tests use it, as the predicate reference that the
-    region's matcher, bounds and cache key must agree with."""
+    predicate, fully unbounded dimensions drop out. Queries travel as
+    their regions from the unit they are issued to on, so only tests use
+    it, as the predicate reference that a region's matcher and bounds must
+    agree with."""
     preds = []
     for name, iv in region:
         if iv.is_full:
@@ -438,16 +440,3 @@ def region_to_query(region: HyperRegion, limit: int | None = None) -> Query:
     if not preds:
         raise RegionError("region is unbounded on every dimension; cannot form a query")
     return Query.of(preds, limit)
-
-
-CanonicalQuery = tuple
-
-
-def canonical_query(q: Query | HyperRegion) -> CanonicalQuery:
-    """Stable hashable form: predicates sorted by attribute, bounds normalized
-    closed-open as (attr, lo, hi), so the response caches hash and compare
-    plain values. Used as the cache key. A region keys as
-    region_to_query(q) would: its bounded sides, with no limit."""
-    if type(q) is HyperRegion:
-        return (q.sides, None)
-    return (tuple(sorted(query_bounds(q))), q.limit)  # type: ignore[union-attr]

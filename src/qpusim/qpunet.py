@@ -9,31 +9,27 @@ from itertools import chain
 from operator import itemgetter
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from .core import (
-    HyperRegion,
-    Query,
-    canonical_query,
-    query_is_empty,
-    query_matcher,
-    query_to_region,
-)
+from .core import HyperRegion, Query, query_is_empty, query_to_region
 from .simkernel import Actor, Kernel, Tick
 from .store import DcReplica, Entry, IndexSnapshot, PostingIndex
 
 
 class QueryMsg(NamedTuple):
-    """A query on the wire. A client's is a Query. A sub-query is its
-    region: the HyperRegion piece a unit's decompose carved for that
-    neighbour, so no hop converts it to predicates and back. Every region
-    config parses spans the whole schema, so a region sub-query's
-    attributes always equal the receiver's indexed_attrs. `sub` marks a
-    query a unit sent (QpuBase.fan_out, the only sender that sets it),
-    whose answer is joined by that unit rather than read by a client."""
+    """A query on the wire. A client sends a Query; the unit it is issued
+    to rewrites it once as its region, with the query's `limit`
+    (QpuBase.on_message), and every hop from there on reads only that
+    form. A sub-query is the HyperRegion piece a unit's decompose carved
+    for that neighbour, with no limit. Every region config parses spans
+    the whole schema, so a region's attributes always equal the
+    receiver's indexed_attrs. `sub` marks a query a unit sent
+    (QpuBase.fan_out, the only sender that sets it), whose answer is
+    joined by that unit rather than read by a client."""
 
     qid: str
     query: Query | HyperRegion
     reply_to: str
     sub: bool = False
+    limit: int | None = None
 
 
 class ResponseMsg(NamedTuple):
@@ -121,23 +117,22 @@ def dedupe_entries(parts: list[Sequence[Entry]]) -> Sequence[Entry]:
     return list(best.values())
 
 
-def recheck(entries: Sequence[Entry], q: Query | HyperRegion, replica: DcReplica) -> list[Entry]:
+def recheck(entries: Sequence[Entry], region: HyperRegion, replica: DcReplica) -> list[Entry]:
     """Re-validates candidates against the replica's current objects; a row
     survives carrying the store's current attrs and version. Only the unit
     that answers a client query runs it, once, on the joined rows
-    (QpuBase._finish).
+    (QpuBase._finish), with the query's region.
 
-    Every candidate matched, with the attrs it carries, a query whose region
-    lies inside q's: a decompose piece, q itself on the scan fallback, or a
-    canonically equal query on a response-cache hit. A Version names one
-    write, so when the replica holds the key at the row's version it holds
-    the same attrs, and the row is kept as it is without matching. The
-    matcher runs only on rows whose version differs (for a region
-    sub-query, HyperRegion.contains), and a match is replaced by the
-    replica's StoredObject; absent keys drop.
+    Every candidate matched, with the attrs it carries, a region inside
+    `region`: a decompose piece, or an equal region on a response-cache
+    hit. A Version names one write, so when the replica holds the key at
+    the row's version it holds the same attrs, and the row is kept as it
+    is without matching. Only rows whose version differs are matched
+    (HyperRegion.contains), and a match is replaced by the replica's
+    StoredObject; absent keys drop.
     Values and bounds compare raw: the schema gives each attribute one
-    kind, checked where values enter, so a row and q agree on it."""
-    matches = query_matcher(q)
+    kind, checked where values enter, so a row and the region agree on it."""
+    matches = region.contains
     objects = replica.objects
     out: list[Entry] = []
     for entry in entries:
@@ -157,21 +152,22 @@ def audit_response(
     k: Kernel,
     qpu_id: str,
     qid: str,
-    q: Query | HyperRegion,
+    region: HyperRegion,
     entries: Sequence[Entry],
     complete: bool,
     replica: DcReplica | None,
 ) -> None:
-    """Emits a `type2` record naming the returned keys that fail the query
-    against `replica` at this instant, when there are any. The detector is
-    independent of the recheck filter so disabling recheck makes stale
-    results visible here. It audits a client's answer only, at the unit
-    that gives it: the type-2 contract is about that answer. Callers pass
-    no replica for a sub-query's answer, and when recheck just ran against
-    it: those entries match it at this instant by construction."""
+    """Emits a `type2` record naming the returned keys that lie outside the
+    query's region at `replica` at this instant, when there are any. The
+    detector is independent of the recheck filter so disabling recheck
+    makes stale results visible here. It audits a client's answer only, at
+    the unit that gives it: the type-2 contract is about that answer.
+    Callers pass no replica for a sub-query's answer, and when recheck just
+    ran against it: those entries match it at this instant by
+    construction."""
     if replica is None:
         return
-    matches = query_matcher(q)
+    matches = region.contains
     violations = []
     for key, _attrs, _ver in entries:
         obj = replica.get(key)
@@ -192,31 +188,31 @@ def audit_response(
 
 @dataclass
 class _Pending:
-    """Join state of one query. `parts` holds the row sequences collected so
-    far, each key-sorted with unique keys (sub-responses, lookups, scans).
-    `sub` is the query's QueryMsg.sub."""
+    """Join state of one query, the region QueryMsg `msg`. `parts` holds the
+    row sequences collected so far, each key-sorted with unique keys
+    (sub-responses, lookups, scans)."""
 
-    qid: str
-    reply_to: str
-    query: Query | HyperRegion
+    msg: QueryMsg
     outstanding: dict[str, HyperRegion]
     parts: list[Sequence[Entry]]
     missing: list[HyperRegion] = field(default_factory=list)
     chain: list[str] = field(default_factory=list)
-    sub: bool = False
 
 
 class QpuBase(Actor):
     """The query interface every unit implements, and its one query path.
 
-    `handle_query` maps a client query to a region of the indexed space; a
-    sub-query is a region already, taken as it arrives. A query that
-    constrains other attributes has none: it goes whole to the scan
-    fallback, or, without one, is answered with the full indexed space
-    missing. Otherwise the region is decomposed over this unit's own
-    connection list, the leftover goes to `answer_locally`, and `fan_out`
-    sends the sub-queries and joins their answers with the local rows. A
-    unit that answers without a sub-query records a load sample there.
+    `on_message` rewrites a client's Query once, as a QueryMsg of its
+    region of the indexed space that carries its limit; a sub-query is a
+    region already. A query that some predicate makes empty, or that names
+    an attribute outside `indexed_attrs`, matches nothing and is answered
+    complete and empty at once: in every network `build` wires,
+    `indexed_attrs` is the whole schema, and no object holds an attribute
+    outside it (check_attrs). `handle_query` decomposes the region over
+    this unit's own connection list, the leftover goes to `answer_locally`,
+    and `fan_out` sends the sub-queries and joins their answers with the
+    local rows. A unit that answers without a sub-query records a load
+    sample there.
     `_finish` dedupes, rechecks, applies the limit, audits and responds;
     an answer is incomplete exactly when it names a missing region. Only a
     client query's answer is rechecked and audited, at the unit the client
@@ -234,9 +230,10 @@ class QpuBase(Actor):
     root, and only adaptive trees split). Other units hold none.
 
     A client query becomes a region once, at the unit it is issued to,
-    in `handle_query`, and that region is handed on: to `decompose`, to
-    `answer_locally`, whose index lookups take it or its pieces, and to
-    `fan_out` for the load sample. Each piece `fan_out` sends is the
+    and from there on every hop reads only regions: `decompose`,
+    `answer_locally`, whose index lookups take the region or its pieces,
+    `fan_out`, whose load sample it is, and `_finish`, whose recheck and
+    audit match rows against it. Each piece `fan_out` sends is the
     sub-query itself, so the hops below read the same region objects.
     """
 
@@ -272,12 +269,15 @@ class QpuBase(Actor):
     def on_message(self, k: Kernel, msg: Any) -> None:
         if isinstance(msg, QueryMsg):
             q = msg.query
-            if type(q) is Query and query_is_empty(q):
-                # matches nothing anywhere: a complete empty answer, with no
-                # region to route, record load for or look up
-                self._finish(k, _Pending(msg.qid, msg.reply_to, q, {}, [], sub=msg.sub))
-            else:
-                self.handle_query(k, msg)
+            if type(q) is Query:
+                region = None if query_is_empty(q) else query_to_region(q, self.indexed_attrs)
+                if region is None:
+                    # matches nothing anywhere: a complete empty answer, with
+                    # no region to route, record load for or look up
+                    k.send(self.qpu_id, msg.reply_to, ResponseMsg(msg.qid, (), (), (self.qpu_id,)))
+                    return
+                msg = QueryMsg(msg.qid, region, msg.reply_to, limit=q.limit)
+            self.handle_query(k, msg)
         elif isinstance(msg, ResponseMsg):
             self._on_sub_response(k, msg)
         elif isinstance(msg, QueryTimeout):
@@ -286,25 +286,12 @@ class QpuBase(Actor):
             self.handle_other(k, msg)
 
     def handle_query(self, k: Kernel, m: QueryMsg) -> None:
-        q = m.query
-        region = q if type(q) is HyperRegion else query_to_region(q, self.indexed_attrs)
-        if region is None:
-            full = HyperRegion.full(self.indexed_attrs)
-            # the scan fallback: the first neighbour advertising the full space
-            fallback = next((c for c in self.connections if c.coverage.covers(full)), None)
-            if fallback is not None:
-                self.fan_out(k, m, [(fallback, full)], forward_whole=True)
-            else:
-                k.probes.emit({"type": "unindexable", "qpu": self.qpu_id, "qid": m.qid})
-                # the full space as the load sample: it has no midpoint to record
-                self.fan_out(k, m, [], missing=[full], region=full)
-            return
-        plan, leftover = decompose(region, self.connections)
-        local, missing = self.answer_locally(k, m, region, leftover)
-        self.fan_out(k, m, plan, local_parts=local, missing=missing, region=region)
+        plan, leftover = decompose(m.query, self.connections)
+        local, missing = self.answer_locally(k, m, leftover)
+        self.fan_out(k, m, plan, local_parts=local, missing=missing)
 
     def answer_locally(
-        self, k: Kernel, m: QueryMsg, region: HyperRegion, leftover: list[HyperRegion]
+        self, k: Kernel, m: QueryMsg, leftover: list[HyperRegion]
     ) -> tuple[list[Sequence[Entry]], list[HyperRegion]]:
         """Rows this unit holds itself for the leftover of the query region
         that no connection covers, and what of it stays missing. Each piece
@@ -318,7 +305,7 @@ class QpuBase(Actor):
         index = self.index
         if index is None:
             return [], leftover
-        whole = len(leftover) == 1 and leftover[0] is region
+        whole = len(leftover) == 1 and leftover[0] is m.query
         local: list[Sequence[Entry]] = []
         missing: list[HyperRegion] = []
         for piece in leftover:
@@ -350,41 +337,26 @@ class QpuBase(Actor):
         *,
         local_parts: list[Sequence[Entry]] | None = None,
         missing: list[HyperRegion] | None = None,
-        forward_whole: bool = False,
-        region: HyperRegion | None = None,
     ) -> _Pending | None:
         """Sends one sub-query per plan element and parks the join state,
         which it returns; with an empty plan the query is answered at once
-        from local_parts, counted toward this unit's load window, and None
-        is returned. The load sample is `region`, the query's region that
-        the caller already holds; a caller without one (a scan, a response
-        cache hit) leaves it None, and it is then the received sub-query's
-        region, or a client query's, computed here only when a load hook is
-        installed, so a run without one computes none.
-        With forward_whole the received query is passed on (scan fallback,
-        cache fill): a region unchanged, a client query's predicates
-        without its limit. Otherwise the sub-query is the plan's piece, the
-        HyperRegion itself. No sub-query carries the limit: the rows
-        recheck drops could hide others past it, so _finish applies it
-        once, after recheck. The join state takes over the
-        local_parts and missing lists; callers pass lists of their own."""
-        q = m.query
-        pend = _Pending(m.qid, m.reply_to, q, {}, local_parts or [], missing or [], sub=m.sub)
+        from local_parts, its region is this unit's load sample, and None
+        is returned. Each sub-query is the plan's piece, the HyperRegion
+        itself. No sub-query carries the limit: the rows recheck drops
+        could hide others past it, so _finish applies it once, after
+        recheck. The join state takes over the local_parts and missing
+        lists; callers pass lists of their own."""
+        pend = _Pending(m, {}, local_parts or [], missing or [])
         if not plan:
             if k.probes.load_hook is not None:
-                if region is None:
-                    region = q if type(q) is HyperRegion else query_to_region(q, self.indexed_attrs)
-                k.probes.load_hook(self.qpu_id, region, k.now)
+                k.probes.load_hook(self.qpu_id, m.query, k.now)
             self._finish(k, pend)
             return None
-        whole = None
-        if forward_whole:
-            whole = q if type(q) is HyperRegion else Query(q.predicates)
         for conn, piece in plan:
             sub_qid = self._next_qid()
             pend.outstanding[sub_qid] = piece
             self._sub_parent[sub_qid] = m.qid
-            k.send(self.qpu_id, conn.to, QueryMsg(sub_qid, piece if whole is None else whole, self.qpu_id, True))
+            k.send(self.qpu_id, conn.to, QueryMsg(sub_qid, piece, self.qpu_id, True))
         self._pending[m.qid] = pend
         if self.timeout is not None:
             k.schedule_in(self.timeout, self.qpu_id, QueryTimeout(m.qid))
@@ -421,21 +393,17 @@ class QpuBase(Actor):
         """Joins the parts and responds; a client query's answer is
         rechecked, or audited when recheck is disabled, and a sub-query's
         is neither."""
-        q = pend.query
+        m = pend.msg
         entries = dedupe_entries(pend.parts)
-        replica = None if pend.sub else self.recheck_replica
+        replica = None if m.sub else self.recheck_replica
         if replica is not None and self.recheck_enabled:
-            entries = recheck(entries, q, replica)
+            entries = recheck(entries, m.query, replica)
             replica = None
-        if type(q) is Query and q.limit is not None:
-            entries = entries[: q.limit]
-        audit_response(k, self.qpu_id, pend.qid, q, entries, not pend.missing, replica)
+        if m.limit is not None:
+            entries = entries[: m.limit]
+        audit_response(k, self.qpu_id, m.qid, m.query, entries, not pend.missing, replica)
         pend.chain.append(self.qpu_id)
-        k.send(
-            self.qpu_id,
-            pend.reply_to,
-            ResponseMsg(pend.qid, tuple(entries), tuple(pend.missing), tuple(pend.chain)),
-        )
+        k.send(self.qpu_id, m.reply_to, ResponseMsg(m.qid, tuple(entries), tuple(pend.missing), tuple(pend.chain)))
 
 
 class DsQpu(QpuBase):
@@ -443,22 +411,18 @@ class DsQpu(QpuBase):
     that replica, so it has no recheck replica: its answers are neither
     rechecked nor audited, since either would test the scan against the
     replica it was just read from. Its rows are the replica's StoredObjects
-    themselves. An edge replica holds only its placement, so on one the
-    part of the query's region outside the placement is missing; a full
-    replica's scan does no region work."""
+    themselves, scanned by the query's region. An edge replica holds only
+    its placement, so on one the part of the region outside the placement
+    is missing; a full replica's scan does no other region work."""
 
     def __init__(self, qpu_id: str, indexed_attrs: Iterable[str], replica: DcReplica, **kw) -> None:
         super().__init__(qpu_id, indexed_attrs, **kw)
         self.replica = replica
 
     def handle_query(self, k: Kernel, m: QueryMsg) -> None:
-        q, replica = m.query, self.replica
-        missing: list[HyperRegion] = []
-        if replica.placement is not None:
-            region = q if type(q) is HyperRegion else query_to_region(q, self.indexed_attrs)
-            if region is not None:  # None: an attribute outside the schema, which nothing matches
-                missing = region.subtract(replica.placement)
-        self.fan_out(k, m, [], local_parts=[replica.scan(q)], missing=missing)
+        region, replica = m.query, self.replica
+        missing = [] if replica.placement is None else region.subtract(replica.placement)
+        self.fan_out(k, m, [], local_parts=[replica.scan(region)], missing=missing)
 
 
 class FederationQpu(QpuBase):
@@ -467,10 +431,10 @@ class FederationQpu(QpuBase):
 
 
 class CacheQpu(QpuBase):
-    """Response cache (LRU + TTL over canonical queries; a region sub-query
-    keys as the predicates of its bounded sides would) in front of its one
-    connection, or, when it names `pull_from`, a replica cache: a passive
-    copy of that index or merge unit's index, refreshed every
+    """Response cache (LRU + TTL, keyed by the query's region sides and
+    limit, so every spelling of one query shares an entry) in front of its
+    one connection, or, when it names `pull_from`, a replica cache: a
+    passive copy of that index or merge unit's index, refreshed every
     `pull_interval` ms, with no connections.
 
     A replica cache answers through QpuBase's query path, from its own
@@ -527,7 +491,7 @@ class CacheQpu(QpuBase):
         if self.pull_from is not None:
             super().handle_query(k, m)
             return
-        ck = canonical_query(m.query)
+        ck = (m.query.sides, m.limit)
         hit = self._cache.get(ck)
         if hit is not None and k.now - hit[0] < self.ttl:
             self._cache.move_to_end(ck)
@@ -540,9 +504,8 @@ class CacheQpu(QpuBase):
             del self._cache[ck]  # expired
         self.misses += 1
         k.probes.emit({"type": "cache", "qpu": self.qpu_id, "hit": False})
-        conn = self.connections[0]
-        # the fill is sent unlimited; a hit or the fill is cut in _finish
-        pend = self.fan_out(k, m, [(conn, conn.coverage)], forward_whole=True)
+        # the fill is the query's region, sent unlimited; a hit or the fill is cut in _finish
+        pend = self.fan_out(k, m, [(self.connections[0], m.query)])
         self._fills[next(iter(pend.outstanding))] = ck
 
     def _on_sub_response(self, k: Kernel, r: ResponseMsg) -> None:

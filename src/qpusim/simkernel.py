@@ -261,9 +261,13 @@ class Kernel:
         node, as `schedule` would with the sender named; a send is never in
         the past, so it skips that check. An event sent at the instant being
         delivered joins the end of that instant's list. A link's deliveries
-        are FIFO by clamping; see `rebind`."""
+        are FIFO by clamping; see `rebind`. Either actor not registered
+        raises SimError."""
         hosts = self._hosts
-        src, dst = hosts[from_actor], hosts[to_actor]
+        try:
+            src, dst = hosts[from_actor], hosts[to_actor]
+        except KeyError as exc:
+            raise SimError(f"send {from_actor}->{to_actor}: unknown actor {exc.args[0]!r}") from None
         at = self.now
         if src != dst:
             try:

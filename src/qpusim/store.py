@@ -14,12 +14,10 @@ from .core import (
     HyperRegion,
     IngestError,
     Kind,
-    Query,
     RawValue,
     StoredObject,
     Version,
     check_attrs,
-    query_bounds,
 )
 from .simkernel import Actor, Kernel, SimError
 
@@ -128,9 +126,7 @@ class PostingSets:
             raw = attrs.get(a)
             if raw is None:
                 continue
-            bucket = self.postings[a].get(raw)
-            if bucket is None:
-                continue
+            bucket = self.postings[a][raw]
             bucket.discard(key)
             if not bucket:
                 del self.postings[a][raw]
@@ -453,15 +449,14 @@ class DcReplica(Actor):
     def get(self, key: str) -> StoredObject | None:
         return self.objects.get(key)
 
-    def scan(self, q: Query | HyperRegion) -> list[StoredObject]:
-        """Matching objects in key order, found with PostingSets.keys_in and
-        never by visiting every object. A region's bounds are its bounded
-        sides (core.query_bounds). The index's posting sets are built at the
-        first scan, so a replica that is never scanned keeps none. A
-        predicate on an attribute outside the schema, or one no value
-        satisfies, matches nothing."""
+    def scan(self, region: HyperRegion) -> list[StoredObject]:
+        """The objects inside the region, in key order, found with
+        PostingSets.keys_in on the region's bounded sides
+        (HyperRegion.sides) and never by visiting every object. The index's
+        posting sets are built at the first scan, so a replica that is
+        never scanned keeps none."""
         objects = self.objects
-        return [objects[key] for key in sorted(self.index.posting_sets().keys_in(query_bounds(q)))]
+        return [objects[key] for key in sorted(self.index.posting_sets().keys_in(region.sides))]
 
     def state_fingerprint(self) -> tuple:
         """(objects, tombstones) content; equal fingerprints mean converged replicas."""

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import qpusim.qpunet as qpunet
-from qpusim.core import HyperRegion, Interval, query_matches
+from qpusim.core import HyperRegion, Interval
 from qpusim.qpunet import QueryMsg
 from qpusim.simkernel import Actor
 
@@ -89,23 +89,21 @@ def audited_recheck(monkeypatch):
     after a recheck is skipped, so this is what shows a stale row escaping
     an entry unit. Returns `calls`, the number of responses rechecked, and
     `bad`, each kept row that the replica does not hold at that key and
-    version or that fails the query there at that instant. A region
-    sub-query is checked dimension by dimension with Interval.contains, not
-    with the compiled bounds recheck itself uses."""
+    version or that lies outside the query's region there at that instant.
+    The region is checked dimension by dimension with Interval.contains,
+    not with the compiled bounds recheck itself uses."""
     audit = SimpleNamespace(calls=0, bad=[])
     original = qpunet.recheck
 
-    def matches(q, attrs):
-        if isinstance(q, HyperRegion):
-            return all(iv.is_full or (name in attrs and iv.contains(attrs[name])) for name, iv in q.dims)
-        return query_matches(q, attrs)
+    def inside(region, attrs):
+        return all(iv.is_full or (name in attrs and iv.contains(attrs[name])) for name, iv in region.dims)
 
-    def checked(entries, q, replica):
-        out = original(entries, q, replica)
+    def checked(entries, region, replica):
+        out = original(entries, region, replica)
         audit.calls += 1
         for key, _attrs, version in out:
             obj = replica.objects.get(key)
-            if obj is None or obj.version != version or not matches(q, obj.attrs):
+            if obj is None or obj.version != version or not inside(region, obj.attrs):
                 audit.bad.append((key, version))
         return out
 

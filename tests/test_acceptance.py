@@ -78,7 +78,7 @@ class TestCriterion2NoType2:
         def counting(self, k, pend):
             before = audited_recheck.calls
             original(self, k, pend)
-            finished.append((self.qpu_id, pend.sub, audited_recheck.calls - before))
+            finished.append((self.qpu_id, pend.msg.sub, audited_recheck.calls - before))
 
         monkeypatch.setattr(QpuBase, "_finish", counting)
         topology, workload = scenario(name)

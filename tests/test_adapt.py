@@ -58,8 +58,8 @@ class TestLoadWindow:
 
     def test_rotation_drops_oldest_bucket(self):
         w = LoadWindow(window_buckets=3, bucket_ms=100)
-        w.record(0, None)
-        w.record(150, None)
+        w.record(0, region_of(q_point(7)))
+        w.record(150, region_of(q_point(7)))
         assert w.load(150) == 2
         assert w.load(399) == 1  # bucket 0 rotated out
         assert w.load(999) == 0

@@ -22,7 +22,6 @@ from qpusim.core import (
     StoredObject,
     Version,
     ZERO_VERSION,
-    canonical_query,
     check_attrs,
     check_value,
     predicate_matches,
@@ -326,7 +325,7 @@ class TestQueryToRegion:
         r = query_to_region(q, ["genre"])
         assert r.interval("genre") == iv("rock", "rock\x00")
 
-    def test_unindexed_attribute_marks_unindexable(self):
+    def test_unindexed_attribute_has_no_region(self):
         q = Query.of([Predicate.equals("color", "red")])
         assert query_to_region(q, ["size"]) is None
 
@@ -595,17 +594,22 @@ class TestRegionFuzzOracle:
             assert r.contains(amap) == expected
 
 
-class TestCanonicalQuery:
+def cache_key(q):
+    """A response cache's key for q: the sides of its region, and its limit."""
+    return (query_to_region(q, ["g", "x"]).sides, q.limit)
+
+
+class TestCacheKey:
     def test_predicate_order_does_not_matter(self):
         a = Query.of([Predicate.between("x", 0, 5), Predicate.equals("g", "a")])
         b = Query.of([Predicate.equals("g", "a"), Predicate.between("x", 0, 5)])
-        assert canonical_query(a) == canonical_query(b)
+        assert cache_key(a) == cache_key(b)
 
     def test_inclusive_and_exclusive_forms_normalize_equal(self):
         inclusive = Query.of([Predicate.between("x", 0, 5)])
         exclusive = Query.of([Predicate("x", 0, 6, upper_inclusive=False)])
-        assert canonical_query(inclusive) == canonical_query(exclusive)
+        assert cache_key(inclusive) == cache_key(exclusive)
 
     def test_limit_distinguishes(self):
         q = [Predicate.between("x", 0, 5)]
-        assert canonical_query(Query.of(q, limit=3)) != canonical_query(Query.of(q))
+        assert cache_key(Query.of(q, limit=3)) != cache_key(Query.of(q))

@@ -1,6 +1,7 @@
 """Posting index semantics, filter routing, merge convergence, recheck, and
 staleness measurement, each against an independent oracle."""
 
+import math
 import random
 from bisect import bisect_left
 
@@ -13,7 +14,6 @@ from qpusim.core import (
     Predicate,
     Query,
     Version,
-    canonical_query,
     query_bounds,
     query_is_empty,
     query_matcher,
@@ -732,6 +732,26 @@ def test_lookups_union_the_recorded_posting_keys(monkeypatch, name, keys):
     assert lookup_posting_keys(monkeypatch, name) == keys
 
 
+def other_spelling(q):
+    """q, whose bounds are closed-open, with each int or float bound spelled
+    the other way: a lower bound exclusive at the value below it, an upper
+    bound inclusive at the value below it. A text bound has no value right
+    below it, so it stays."""
+
+    def below(raw):
+        return raw - 1 if type(raw) is int else math.nextafter(raw, -math.inf)
+
+    preds = []
+    for p in q.predicates:
+        if MIXED_SCHEMA[p.attr] is Kind.TEXT:
+            preds.append(p)
+            continue
+        lower = None if p.lower is None else below(p.lower)
+        upper = None if p.upper is None else below(p.upper)
+        preds.append(Predicate(p.attr, lower, upper, lower_inclusive=False, upper_inclusive=True))
+    return Query.of(preds, q.limit)
+
+
 class TestRegionPathEqualsPredicatePath:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -739,20 +759,27 @@ class TestRegionPathEqualsPredicatePath:
         st.lists(st.fixed_dictionaries({}, optional=MIXED_VALUES), max_size=12),
     )
     def test_region_reads_as_its_predicates(self, region, objects):
-        """A sub-query travels as its region, where it once travelled as
-        region_to_query(region). The region's matcher, keys_in bounds and
-        cache key must answer as those predicates do, over objects that
-        hold each attribute or lack it."""
+        """A query travels as its region from the unit it is issued to on.
+        The region's matcher and keys_in bounds must answer as its
+        predicates, region_to_query(region), do, over objects that hold each
+        attribute or lack it. A response cache keys a query by its region's
+        sides and its limit: the inclusive and the exclusive spelling of one
+        query share that key, and a limit separates two keys."""
         assume(region.sides)  # no query maps to the full space, and region_to_query refuses it
         q = region_to_query(region)
         matches = query_matcher(q)
         for attrs in objects:
-            assert region.contains(attrs) == matches(attrs) == query_matcher(region)(attrs)
+            assert region.contains(attrs) == matches(attrs)
         postings = PostingSets(MIXED_SCHEMA)
         for n, attrs in enumerate(objects):
             postings.post(f"k{n}", attrs)
-        assert postings.keys_in(query_bounds(region)) == postings.keys_in(query_bounds(q))
-        assert canonical_query(region) == canonical_query(q)
+        assert postings.keys_in(region.sides) == postings.keys_in(query_bounds(q))
+
+        def cache_key(query):
+            return (query_to_region(query, MIXED_SCHEMA).sides, query.limit)
+
+        assert cache_key(q) == cache_key(other_spelling(q)) == (region.sides, None)
+        assert cache_key(Query.of(q.predicates, limit=3)) != cache_key(q)
 
 
 class TestExactPostingSets:
@@ -764,9 +791,9 @@ class TestExactPostingSets:
         edge replica. The first "scan" action builds each replica's posting
         sets from the objects written so far; from then on the queries run
         after every action, so every later write goes through posting
-        maintenance. Every scan, and every lookup of a full and a clipped
-        index fed by dc1's log, returns exactly the key-ordered rows a
-        query_matches loop selects."""
+        maintenance. Every scan of a query's region, and every lookup of it
+        in a full and a clipped index fed by dc1's log, returns exactly the
+        key-ordered rows a query_matches loop selects."""
         k = Kernel(seed=0)
         for node in ("n1", "n2", "n3"):
             k.add_node(node)
@@ -798,19 +825,20 @@ class TestExactPostingSets:
                     idx.apply(entry.op)
             fed = len(log.entries)
             for q in queries:
+                if query_is_empty(q):  # no value satisfies q: it has no region to scan or look up
+                    assert not any(query_matches(q, o.attrs) for rep in reps for o in rep.objects.values())
+                    continue
+                region = region_of(q, MIXED_SCHEMA)
                 for rep in reps:
                     expected = [o for _key, o in sorted(rep.objects.items()) if query_matches(q, o.attrs)]
-                    assert rep.scan(q) == expected
+                    assert rep.scan(region) == expected
                 for idx in indexes:
                     expected = [
                         (key, o.attrs, o.version)
                         for key, o in sorted(dc1.objects.items())
                         if idx.region.contains(o.attrs) and query_matches(q, o.attrs)
                     ]
-                    if query_is_empty(q):
-                        assert expected == []  # no value satisfies q: it has no region to look up
-                    else:
-                        assert idx.lookup(region_of(q, MIXED_SCHEMA))[0] == expected
+                    assert idx.lookup(region)[0] == expected
 
         built = False
         for action in actions:
@@ -969,19 +997,19 @@ class TestRecheck:
         rep.put(k, "k1", {"size": 7})
         k.run_until_empty()
         rep.delete(k, "k1")
-        q = Query.of([Predicate.between("size", 0, 10)])
-        entries, _ = iq.index.lookup(region_of(q))
+        region = region_of(Query.of([Predicate.between("size", 0, 10)]))
+        entries, _ = iq.index.lookup(region)
         assert entries, "index is briefly stale by construction"
-        assert recheck(entries, q, rep) == []
+        assert recheck(entries, region, rep) == []
 
     def test_updated_but_still_matching_kept_with_fresh_snapshot(self):
         k, rep, _, iq, cl = single_index_net()
         rep.put(k, "k1", {"size": 7})
         k.run_until_empty()
         v2 = rep.put(k, "k1", {"size": 9})
-        q = Query.of([Predicate.between("size", 0, 10)])
-        entries, _ = iq.index.lookup(region_of(q))
-        out = recheck(entries, q, rep)
+        region = region_of(Query.of([Predicate.between("size", 0, 10)]))
+        entries, _ = iq.index.lookup(region)
+        out = recheck(entries, region, rep)
         assert [(e[0], e[2]) for e in out] == [("k1", v2)]
         assert out[0][1]["size"] == 9
 
@@ -1045,7 +1073,8 @@ class TestRecheckFastPath:
     )
     def test_fast_path_equals_matcher_reference(self, writes, q, coverages, edge, data):
         """Candidates come from a random decomposition of q's region (or q's
-        whole region, as on the scan fallback and on a cache hit): for each
+        whole region, as at a unit answering from its own rows and on a
+        cache hit): for each
         piece, a key-sorted part of rows, each row one write of its key whose
         attrs match the piece's sub-query. The recheck replica, full or an
         edge placement, holds a random subset of the writes, so a row's
@@ -1087,7 +1116,7 @@ class TestRecheckFastPath:
             obj = rep.objects.get(key)
             if obj is not None and query_matches(q, obj.attrs):
                 expected.append((key, obj.attrs, obj.version))
-        assert recheck(entries, q, rep) == expected
+        assert recheck(entries, region, rep) == expected
 
 
 class TestStaleness:

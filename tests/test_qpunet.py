@@ -4,6 +4,8 @@ locality of routing decisions."""
 import random
 import sys
 
+import pytest
+
 import qpusim.qpunet as qpunet
 from qpusim.core import (
     HyperRegion,
@@ -148,7 +150,7 @@ class TestDsQpu:
         resp = run_query(k, cl, "ds1", Query.of([Predicate.between("size", 0, 9)], limit=3))
         assert len(resp.entries) == 3
 
-    def test_unindexable_query_is_scannable(self):
+    def test_text_query_is_scanned(self):
         k, rep, ds, cl = ds_net()
         rep.put(k, "k1", {"genre": "rock"})
         resp = run_query(k, cl, "ds1", Query.of([Predicate.equals("genre", "rock")]))
@@ -168,7 +170,7 @@ class TestDsQpu:
         rep.put(k, "moved", {"size": 2})
         held = [rep.objects["moved"], rep.objects["same"]]
         rep.put(k, "moved", {"size": 3})
-        kept, refreshed = recheck(held, q_size(0, 10), rep)[::-1]
+        kept, refreshed = recheck(held, query_to_region(q_size(0, 10), SCHEMA), rep)[::-1]
         assert kept is held[1] and refreshed is rep.objects["moved"]
 
 
@@ -245,17 +247,6 @@ class TestFederation:
         resp = run_query(k, cl, "fq", q_size(0, 100))
         assert not resp.complete
         assert resp.missing  # the >=50 half nobody covers
-
-    def test_unindexable_query_falls_back_to_scan_path(self):
-        k, rep, fq, cl = federation_net(with_ds=True)
-        rep.put(k, "k1", {"genre": "rock", "size": 1})
-        k.run_until_empty()
-        q = Query.of([Predicate.equals("color", "red")])
-        resp = run_query(k, cl, "fq", q)
-        assert resp.complete and resp.entries == ()
-        q2 = Query.of([Predicate.equals("genre", "rock"), Predicate.equals("color", "red")])
-        resp2 = run_query(k, cl, "fq", q2)
-        assert resp2.entries == ()  # object lacks 'color', scan says no
 
     def test_timeout_yields_incomplete_with_missing_region(self):
         class BlackHole(Actor):
@@ -521,14 +512,14 @@ class TestEmptyPredicate:
 
 
 class TestLimitAfterRecheck:
-    """A limited query forwarded whole reaches its responder without the
-    limit: the rows recheck drops could otherwise hide matching rows past
-    the limit, and the answer would come back short yet complete."""
+    """A limited query's region reaches its responder without the limit:
+    the rows recheck drops could otherwise hide matching rows past the
+    limit, and the answer would come back short yet complete."""
 
     @staticmethod
     def lagging_net(front):
         """dc2 lags dc1: it still holds k1, which dc1 no longer has. `front`
-        forwards whole to a scan of dc2 and rechecks against dc1."""
+        sends the query's region to a scan of dc2 and rechecks against dc1."""
         k = Kernel(seed=0)
         k.add_node("n")
         dc1, dc2 = DcReplica("dc1", SCHEMA), DcReplica("dc2", SCHEMA)
@@ -555,9 +546,8 @@ class TestLimitAfterRecheck:
             resp = run_query(k, cl, "cq", self.limited())
             assert [e[0] for e in resp.entries] == ["k2", "k3"] and resp.complete
 
-    def test_scan_fallback_keeps_the_limit_after_recheck(self):
-        # indexed on genre only: a size query is unindexable, so it is sent whole
-        k, cl = self.lagging_net(FederationQpu("fq", ["genre"]))
+    def test_federation_keeps_the_limit_after_recheck(self):
+        k, cl = self.lagging_net(FederationQpu("fq", SCHEMA))
         resp = run_query(k, cl, "fq", self.limited())
         assert [e[0] for e in resp.entries] == ["k2", "k3"] and resp.complete
 
@@ -619,39 +609,11 @@ class TestIncompleteNamesWhatIsMissing:
     """An answer is incomplete exactly when it names a missing region, and
     the region says what is absent."""
 
-    def test_unindexable_query_without_fallback_misses_the_full_space(self):
-        k, rep, fq, cl = federation_net(with_ds=False)
-        resp = run_query(k, cl, "fq", Query.of([Predicate.equals("color", "red")]))
-        assert not resp.complete and resp.entries == ()
-        assert resp.missing == (HyperRegion.full(SCHEMA),)
-
-    def test_unindexable_query_at_an_index_qpu_misses_its_full_space(self):
-        k = Kernel(seed=0)
-        k.add_node("n1")
-        iq = IndexQpu("iq", make_region(size=(0, 50)))
-        k.register(iq, "n1")
-        cl = Client()
-        k.register(cl, "n1")
-        resp = run_query(k, cl, "iq", Query.of([Predicate.equals("genre", "rock")]))
-        assert not resp.complete and resp.entries == ()
-        assert resp.missing == (HyperRegion.full(["size"]),)
-
     def test_replica_cache_before_its_first_pull_misses_the_query_region(self):
         k, rep, iq, cq, cl = replica_cache_net()
         resp = run_query(k, cl, "cq", q_size(0, 10))
         assert not resp.complete and resp.entries == ()
         assert resp.missing == (query_to_region(q_size(0, 10), cq.indexed_attrs),)
-
-    def test_unindexable_query_at_a_pulled_replica_cache_misses_its_full_space(self):
-        k, rep, iq, cq, cl = replica_cache_net()
-        rep.put(k, "k1", {"size": 5})
-        k.run_until_empty()
-        cq.pull_now(k)
-        k.run_until_empty()
-        assert set(cq.index.registry) == {"k1"}
-        resp = run_query(k, cl, "cq", Query.of([Predicate.equals("color", "red")]))
-        assert not resp.complete and resp.entries == ()
-        assert resp.missing == (HyperRegion.full(cq.indexed_attrs),)
 
     def test_replica_cache_misses_what_lies_outside_its_upstream_region(self):
         """A replica cache pulling from an index over size < 50 once marked
@@ -685,25 +647,49 @@ class TestIncompleteNamesWhatIsMissing:
         assert resp.entries == () and resp.missing == (region,)
         assert [(r["qpu"], r["qid"]) for r in records_of(k, "out_of_region")] == [("cq", resp.qid)]
 
-    def test_unindexable_query_at_a_replica_cache_is_recorded_as_at_every_unit(self):
-        k, rep, iq, cq, cl = replica_cache_net()
-        MetricsSink(k)
-        run_query(k, cl, "cq", Query.of([Predicate.equals("color", "red")]))
-        assert [(r["qpu"], r["qid"]) for r in records_of(k, "unindexable")] == [("cq", "client-q1")]
 
-    def test_index_qpu_sends_an_unindexable_query_whole_to_its_scan_fallback(self):
-        k = Kernel(seed=0)
-        k.add_node("n1")
-        rep = DcReplica("dc1", SCHEMA)
-        k.register(rep, "n1")
-        rep.put(k, "k1", {"size": 1, "genre": "rock"})
-        rep.put(k, "k2", {"size": 2, "genre": "jazz"})
-        k.register(DsQpu("ds1", SCHEMA, rep), "n1")
-        iq = IndexQpu("iq", make_region(size=(None, None)), recheck_replica=rep)
-        iq.connect(Connection("ds1", HyperRegion.full(["size"])))
-        k.register(iq, "n1")
-        cl = Client()
-        k.register(cl, "n1")
-        resp = run_query(k, cl, "iq", Query.of([Predicate.equals("genre", "rock")]))
-        assert [e[0] for e in resp.entries] == ["k1"] and resp.complete
-        assert resp.source_chain == ("ds1", "iq")
+def pulled_replica_cache_net():
+    """replica_cache_net after one pull, with k1 in the cache's index."""
+    k, rep, iq, cq, cl = replica_cache_net()
+    rep.put(k, "k1", {"size": 5, "genre": "rock"})
+    k.run_until_empty()
+    cq.pull_now(k)
+    k.run_until_empty()
+    assert set(cq.index.registry) == {"k1"}
+    return k, rep, iq, cq, cl
+
+
+# (network, the entry unit a query is issued to) for every entry class
+ENTRY_UNITS = {
+    "ds": (ds_net, "ds1"),
+    "federation-with-ds": (lambda: federation_net(with_ds=True), "fq"),
+    "federation-without-ds": (lambda: federation_net(with_ds=False), "fq"),
+    "index": (replica_cache_net, "iq"),
+    "response-cache": (cache_net, "cq"),
+    "replica-cache-unpulled": (replica_cache_net, "cq"),
+    "replica-cache-pulled": (pulled_replica_cache_net, "cq"),
+}
+
+
+class TestOutOfSchemaQueries:
+    """A query naming an attribute outside the schema matches no object,
+    since check_attrs rejects such an attribute at every write. The unit
+    it is issued to answers it complete and empty at once, whatever its
+    class, and records nothing: no unit behind it is asked."""
+
+    @pytest.mark.parametrize("entry", list(ENTRY_UNITS))
+    @pytest.mark.parametrize(
+        "preds",
+        [[Predicate.equals("color", "red")], [Predicate.equals("genre", "rock"), Predicate.equals("color", "red")]],
+        ids=["alone", "with-a-schema-attribute"],
+    )
+    def test_answered_complete_and_empty_at_the_entry_unit(self, entry, preds):
+        make, target = ENTRY_UNITS[entry]
+        k, rep, *_rest, cl = make()
+        rep.put(k, "k0", {"size": 5, "genre": "rock"})
+        k.run_until_empty()
+        sink = MetricsSink(k)
+        before = sink.records
+        resp = run_query(k, cl, target, Query.of(preds))
+        assert resp.entries == () and resp.complete and resp.source_chain == (target,)
+        assert sink.records == before

@@ -253,6 +253,14 @@ class TestLinks:
         with pytest.raises(SimError):
             k.send("a", "b", "x")
 
+    def test_send_to_or_from_an_unregistered_actor_is_a_sim_error(self):
+        k = kernel_with(Recorder("a"))
+        with pytest.raises(SimError, match="unknown actor 'gone'"):
+            k.send("a", "gone", "x")
+        with pytest.raises(SimError, match="unknown actor 'gone'"):
+            k.send("gone", "a", "x")
+        assert k.pending() == 0
+
     def test_jittered_sends_never_reorder_within_a_link(self):
         k = Kernel(seed=7)
         k.add_node("n1")

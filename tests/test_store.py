@@ -18,6 +18,7 @@ from qpusim.core import (
     Query,
     StoredObject,
     Version,
+    query_to_region,
 )
 from qpusim.simkernel import Actor, Kernel, SimError
 from qpusim.store import ClientDelete, ClientWrite, DcReplica, LogEntry, PostingIndex, PostingSets, WriteOp
@@ -151,6 +152,11 @@ class TestDelete:
             assert reps["dc1"].get("hot") is None
 
 
+def region_of(*preds):
+    """The region of the query of preds, the argument of DcReplica.scan."""
+    return query_to_region(Query.of(preds), SCHEMA)
+
+
 class TestGetScan:
     def test_get_never_written_key_absent(self):
         _, reps = build()
@@ -158,39 +164,23 @@ class TestGetScan:
 
     def test_scan_empty_store(self):
         _, reps = build()
-        q = Query.of([Predicate.between("size", 0, 100)])
-        assert reps["dc1"].scan(q) == []
+        assert reps["dc1"].scan(region_of(Predicate.between("size", 0, 100))) == []
 
     def test_scan_single_match(self):
         k, reps = build()
         reps["dc1"].put(k, "k1", {"size": 5})
         reps["dc1"].put(k, "k2", {"size": 500})
-        q = Query.of([Predicate.between("size", 0, 100)])
-        assert [o.key for o in reps["dc1"].scan(q)] == ["k1"]
-
-    def test_scan_empty_predicate_matches_nothing(self):
-        k, reps = build()
-        for size in (5, 6):
-            reps["dc1"].put(k, f"k{size}", {"size": size})
-        # the integers strictly between 5 and 6
-        q = Query.of([Predicate("size", 5, 6, False, False)])
-        assert reps["dc1"].scan(q) == []
-        assert reps["dc1"].scan(q) == []  # once more, from the built posting sets
-
-    def test_scan_attribute_outside_schema_matches_nothing(self):
-        k, reps = build()
-        reps["dc1"].put(k, "k1", {"size": 5})
-        assert reps["dc1"].scan(Query.of([Predicate.between("colour", 0, 10)])) == []
-        q = Query.of([Predicate.between("colour", 0, 10), Predicate.between("size", 0, 10)])
-        assert reps["dc1"].scan(q) == []
+        region = region_of(Predicate.between("size", 0, 100))
+        assert [o.key for o in reps["dc1"].scan(region)] == ["k1"]
+        assert [o.key for o in reps["dc1"].scan(region)] == ["k1"]  # once more, from the built posting sets
 
     def test_scan_predicate_of_another_kind_raises_once_values_exist(self):
         k, reps = build()
-        q = Query.of([Predicate.between("size", "a", "z")])
-        assert reps["dc1"].scan(q) == []
+        region = region_of(Predicate.between("size", "a", "z"))
+        assert reps["dc1"].scan(region) == []
         reps["dc1"].put(k, "k1", {"size": 5})
         with pytest.raises(TypeError):
-            reps["dc1"].scan(q)
+            reps["dc1"].scan(region)
 
     def test_scan_matches_independent_filter_loop(self):
         k, reps = build()
@@ -199,13 +189,13 @@ class TestGetScan:
             reps["dc1"].put(
                 k, f"k{i}", {"size": rng.randrange(100), "genre": rng.choice("abcdef")}
             )
-        q = Query.of([Predicate.between("size", 20, 70), Predicate.between("genre", "b", "d")])
+        region = region_of(Predicate.between("size", 20, 70), Predicate.between("genre", "b", "d"))
         expected = sorted(
             key
             for key, obj in reps["dc1"].objects.items()
             if 20 <= obj.attrs["size"] <= 70 and "b" <= obj.attrs["genre"] <= "d"
         )
-        assert [o.key for o in reps["dc1"].scan(q)] == expected
+        assert [o.key for o in reps["dc1"].scan(region)] == expected
 
 
 class TestApplyReplicated:
