@@ -514,6 +514,15 @@ class CacheQpu(QpuBase):
             self._store(k, ck, r)
         super()._on_sub_response(k, r)
 
+    def _on_timeout(self, k: Kernel, qid: str) -> None:
+        """Drops the fill of a query whose join times out with it, so a late
+        response is not stored."""
+        pend = self._pending.get(qid)
+        if pend is not None:
+            for sub_qid in pend.outstanding:
+                self._fills.pop(sub_qid, None)
+        super()._on_timeout(k, qid)
+
     def _store(self, k: Kernel, ck: tuple, resp: ResponseMsg) -> None:
         self._cache[ck] = (k.now, resp)
         self._cache.move_to_end(ck)

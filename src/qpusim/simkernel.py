@@ -4,9 +4,10 @@ delivery between each pair of actors, and the probes components report into."""
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, MutableSequence
 
 if TYPE_CHECKING:
     from .metrics import MetricsSink
@@ -87,6 +88,9 @@ class Probes:
         return self.metrics.type2_records()
 
 
+_NEVER = math.inf  # the next fed time when no fed event is left: later than any time
+
+
 @dataclass
 class _Link:
     base: int
@@ -121,14 +125,16 @@ class Kernel:
     delivered joins the end of that instant's list. Handlers must not call
     `run_until`, `step` or `feed`: the loop is not re-entrant.
 
-    The workload enters through `feed` as one time-ordered list, kept apart
-    from `_due`: it takes no bucket until the clock reaches its time. Then
-    `run_until` moves that time's fed events to the front of its bucket and
-    hands the bucket to `_deliver`, the one delivery body (`step` hands it
-    its single event). `_deliver` calls each handler, starts actors only
-    when one is waiting to start, and takes a separate branch for ticks,
-    dropped events and unknown actors. A bucket is freed once its time is
-    done.
+    The workload enters through `feed`, kept apart from `_due`: before
+    delivery the kernel holds only each fed event's time, in one int column,
+    and a source that makes each event's (target, msg) when it is pulled. A
+    fed time takes no bucket until the clock reaches it. Then `run_until`
+    pulls that time's fed events from the source, puts them at the front of
+    its bucket and hands the bucket to `_deliver`, the one delivery body
+    (`step` hands it its single event). `_deliver` calls each handler,
+    starts actors only when one is waiting to start, and takes a separate
+    branch for ticks, dropped events and unknown actors. A bucket is freed
+    once its time is done.
     """
 
     def __init__(self, seed: int | str = 0) -> None:
@@ -137,7 +143,9 @@ class Kernel:
         self.probes = Probes()
         self._due: dict[int, list[tuple]] = {}  # (target, msg); (target, msg, sender) from `send`; (None, None) if dropped
         self._times: list[int] = []
-        self._fed: list[tuple[int, str | None, Any]] = []  # fed (at, target, msg), latest first
+        self._fed_at: MutableSequence[int] = []  # fed times not yet delivered, latest first
+        self._fed_head: float = _NEVER  # the earliest of them, _NEVER when none is left
+        self._fed_next: Callable[[], tuple] | None = None  # pulls the next fed (target, msg)
         self._nodes: set[str] = set()
         self._links: dict[tuple[str, str], _Link] = {}
         self._actors: dict[str, Actor] = {}
@@ -187,7 +195,14 @@ class Kernel:
             self._unstarted.remove(actor_id)
         for events in self._due.values():  # in place: run_until may be walking one
             events[:] = [(None, None) if len(e) == 2 and e[0] == actor_id else e for e in events]
-        self._fed[:] = [(e[0], None, None) if e[1] == actor_id else e for e in self._fed]
+        if self._fed_at:
+            pull = self._fed_next
+
+            def pull_kept() -> tuple:
+                event = pull()
+                return (None, None) if event[0] == actor_id else event
+
+            self._fed_next = pull_kept
 
     def rebind(self, actor_id: str, node_id: str) -> None:
         """Moves an actor to another node, keeping each pair of actors FIFO:
@@ -234,24 +249,30 @@ class Kernel:
         else:
             events.append((target, msg))
 
-    def feed(self, events: list[tuple[int, str, Any]]) -> None:
-        """Queues a list of (at, target, msg) in time order, as `schedule`
-        would each in turn, and takes the list over: the kernel empties it
-        as the clock reaches each event, so a delivered event is freed. At
-        each time the fed events come first, then what was scheduled for
-        that time, which is the order of scheduling all of them up front
-        and the rest during the run. A list out of time order, with an
-        event before now, or fed before the last one is delivered, raises
-        SimError and is left as it was."""
-        if self._fed:
-            raise SimError(f"fed again with {len(self._fed)} fed events still to deliver")
+    def feed(self, times: MutableSequence[int], events: Iterable[tuple[str, Any]]) -> None:
+        """Queues one event per entry of `times`, in time order, as
+        `schedule` would each in turn. `events` yields each one's (target,
+        msg), in the same order, and is pulled only when the clock reaches
+        the event's time, so before delivery the kernel holds the times and
+        nothing of the messages. It takes the times column over, empties it
+        as they are delivered, and drops it and the source once the last one
+        is. At each time the fed events come first, then what was scheduled
+        for that time, which is the order of scheduling all of them up front
+        and the rest during the run. Times out of order, a time before now,
+        or a feed before the last fed event is delivered raises SimError
+        and leaves the kernel and the column as they were."""
+        if self._fed_at:
+            raise SimError(f"fed again with {len(self._fed_at)} fed events still to deliver")
         last = self.now
-        for at, _target, _msg in events:
+        for at in times:
             if at < last:
                 raise SimError(f"fed events out of time order or in the past: {at} < {last}")
             last = at
-        events.reverse()
-        self._fed = events
+        if times:
+            times.reverse()
+            self._fed_at = times
+            self._fed_head = times[-1]
+            self._fed_next = iter(events).__next__
 
     def schedule_in(self, delay: int, target: str, msg: Any) -> None:
         self.schedule(self.now + delay, target, msg)
@@ -344,6 +365,11 @@ class Kernel:
             del events[: i + 1]
             raise
 
+    def _end_feed(self) -> None:
+        """Drops the drained times column, which keeps its allocation as it
+        empties, and the source."""
+        self._fed_at, self._fed_head, self._fed_next = [], _NEVER, None
+
     def _drop_time(self, at: int, queued: bool = True) -> None:
         del self._due[at]
         if queued:
@@ -362,21 +388,31 @@ class Kernel:
             raise SimError(f"run_until({t_max}) is before now ({self.now})")
         self._start_pending()
         times, due = self._times, self._due
-        while times or self._fed:
-            fed = self._fed
-            at = fed[-1][0] if fed and (not times or fed[-1][0] < times[0]) else times[0]
+        while True:
+            head = self._fed_head
+            at = times[0] if times and times[0] < head else head
+            if at is _NEVER:
+                break
             if t_max is not None and at > t_max:
                 self.now = t_max
                 return self.now
             self.now = at
             events = due.get(at)
             queued = events is not None  # else `at` is a fed time only, not on the heap
-            if fed and fed[-1][0] == at:
+            if at == head:
+                fed, pull = self._fed_at, self._fed_next
                 arrived = []
-                while fed and fed[-1][0] == at:
-                    arrived.append(fed.pop()[1:])
+                while fed and fed[-1] == at:
+                    fed.pop()
+                    arrived.append(pull())
+                if fed:
+                    self._fed_head = fed[-1]
+                else:
+                    self._end_feed()
+                if queued:
+                    arrived += events
                 # what the fed events schedule at `at` joins this list
-                events = due[at] = arrived + events if queued else arrived
+                events = due[at] = arrived
             try:
                 self._deliver(events)
             except BaseException:
@@ -385,7 +421,9 @@ class Kernel:
                 elif not queued:
                     heapq.heappush(times, at)
                 raise
-            self._drop_time(at, queued)
+            del due[at]  # _drop_time, inlined: this runs once per instant
+            if queued:
+                heapq.heappop(times)
         if t_max is not None:
             self.now = t_max
         return self.now
@@ -396,21 +434,25 @@ class Kernel:
     def step(self) -> bool:
         """Processes exactly one event; False when the queue is empty."""
         self._start_pending()
-        times, fed = self._times, self._fed
-        if fed and (not times or fed[-1][0] <= times[0]):
-            at, target, msg = fed.pop()
-        elif times:
-            at = times[0]
+        times, fed, head = self._times, self._fed_at, self._fed_head
+        if times and times[0] < head:
+            at = self.now = times[0]
             events = self._due[at]
-            target, msg = events.pop(0)[:2]
+            event = events.pop(0)[:2]
             if not events:
                 self._drop_time(at)
+        elif head is not _NEVER:
+            self.now = fed.pop()
+            event = self._fed_next()
+            if fed:
+                self._fed_head = fed[-1]
+            else:
+                self._end_feed()
         else:
             return False
-        self.now = at
-        self._deliver([(target, msg)])
+        self._deliver([event])
         return True
 
     def pending(self) -> int:
         """Events queued and not yet delivered, fed ones included."""
-        return sum(map(len, self._due.values())) + len(self._fed)
+        return sum(map(len, self._due.values())) + len(self._fed_at)

@@ -138,11 +138,10 @@ class PostingSets:
         range [lo, hi), None being unbounded; no bounds match nothing.
         Bisects the bounds, takes the union of the posting sets in each range
         and intersects the unions, fewest distinct values first, stopping
-        once the result is empty. An attribute without posting sets, or an
-        empty range, matches nothing."""
+        once the result is empty. An empty range matches nothing."""
         spans = []
         for attr, lo, hi in bounds:
-            vals = self.sorted_values.get(attr, [])
+            vals = self.sorted_values[attr]
             i = 0 if lo is None else bisect_left(vals, lo)
             j = len(vals) if hi is None else bisect_left(vals, hi)
             spans.append((j - i, attr, i, j))

@@ -1,15 +1,18 @@
-"""Seeded workload generation: phase-structured write/query streams built up
-front as one time-ordered list that the kernel is fed and drains as it runs,
-issued through per-origin client actors, and journalled for the oracle replay
-in validation mode."""
+"""Seeded workload generation: phase-structured write/query streams drawn up
+front into compact columns, fed to the kernel as a time column and a source
+that builds each event's message when its time comes, issued through
+per-origin client actors, and journalled for the oracle replay in validation
+mode."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from random import Random
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 from .build import Network
 from .config import DistSpec, PhaseSpec, WorkloadSpec
@@ -121,17 +124,54 @@ class QueryIssuer(Actor):
             raise TypeError(f"issuer {self.actor_id} got {type(msg).__name__}")
 
 
-def _op_times(start: int, duration: int, rate: float) -> list[int]:
+def _op_times(start: int, duration: int, rate: float) -> Iterator[int]:
     """Evenly spaced op times; the count is exactly duration*rate/1000."""
     n = int(round(duration * rate / 1000.0))
-    return [start + int(round(i * 1000.0 / rate)) for i in range(n)]
+    return (start + int(round(i * 1000.0 / rate)) for i in range(n))
+
+
+class _Writes:
+    """One phase's drawn writes as columns, a few machine words per write:
+    the index of its key in the driver's key names, the index of its DC in
+    the phase's write-origin DCs, whether it deletes, and, for a write that
+    stores, its drawn values, one reference each, in `names` order."""
+
+    def __init__(self, dc_ids: list[str], names: tuple[str, ...]) -> None:
+        self.dc_ids = tuple(dc_ids)
+        self.names = names
+        self.keys = array("I")
+        self.dcs = array("H")
+        self.deletes = bytearray()
+        self.values: list[RawValue] = []
+
+    def events(self, key_names: list[str], marked: list[tuple[int, str | None, Any]]) -> Iterator[tuple[str, Any]]:
+        """Yields the phase's (target, msg) in delivery order: each (n,
+        target, msg) of `marked` yields the next n writes, then msg unless
+        target is None. A write's (DC, ClientWrite or ClientDelete) and its
+        attrs dict, whose keys are in `names` order, are built as it is
+        yielded."""
+        ops = zip(self.keys, self.dcs, self.deletes)
+        names, dc_ids = self.names, self.dc_ids
+        rows = zip(*[iter(self.values)] * len(names)) if names else repeat(())
+        new = tuple.__new__  # the namedtuples' own __new__ is a Python-level call
+        for before, target, msg in marked:
+            for key, dc, deleted in islice(ops, before):
+                if deleted:
+                    yield dc_ids[dc], new(ClientDelete, (key_names[key],))
+                else:
+                    yield dc_ids[dc], new(ClientWrite, (key_names[key], dict(zip(names, next(rows)))))
+            if target is not None:
+                yield target, msg
 
 
 class WorkloadDriver:
-    """Builds every phase's writes, queries and heartbeats up front and
-    feeds them to the kernel (`Kernel.feed`) as one list, so a finished
-    workload leaves no self-rescheduling events behind, and each event is
-    freed once it is delivered."""
+    """Draws every phase's writes, queries and heartbeats up front and feeds
+    them to the kernel (`Kernel.feed`), so a finished workload leaves no
+    self-rescheduling events behind. Before delivery the kernel holds one
+    int per event, its time. A write is held as a few machine words in its
+    phase's columns (key index, DC index, delete flag and one reference per
+    drawn value), and its ClientWrite or ClientDelete is built only when the
+    kernel pulls it; the few queries and heartbeats are held as built."""
 
     def __init__(self, net: Network, spec: WorkloadSpec, seed: int | str) -> None:
         self.net = net
@@ -153,72 +193,97 @@ class WorkloadDriver:
 
     def schedule_all(self) -> int:
         """Feeds the kernel every phase's events and returns the virtual end
-        time of the last phase. The events are drawn phase by phase, each
-        phase's writes, then its queries, then its heartbeats, and sorted
-        once by time; the sort is stable, so events at one time keep the
-        order they were drawn in."""
-        events: list[tuple[int, str, Any]] = []
+        time of the last phase. All draws are made here, phase by phase:
+        each phase's writes, then its queries, then its heartbeats. The
+        events are delivered in the order one stable sort by time of them
+        all, drawn in that order, gives: at one time, writes before queries
+        before heartbeats, and an earlier phase's events (whose last op time
+        can equal the next phase's start) before a later one's."""
+        times = array("q")
+        sources = []
         start = 0
         for phase in self.spec.phases:
-            self._draw_phase(events, phase, start)
+            sources.append(self._draw_phase(times, phase, start))
             start += phase.duration
-        events.sort(key=itemgetter(0))
-        self.net.kernel.feed(events)
+        self.net.kernel.feed(times, chain.from_iterable(sources))
         return start
 
     # -- one phase -----------------------------------------------------------
 
-    def _draw_phase(self, events: list, phase: PhaseSpec, start: int) -> None:
+    def _draw_phase(self, times: array, phase: PhaseSpec, start: int) -> Iterator[tuple[str, Any]]:
+        """Draws the phase, appends its events' times to `times` in delivery
+        order, and returns the source of its (target, msg) in that order."""
         schema = self.net.schema
-        samplers = {
-            name: Sampler(schema[name], dist, self._write_rng)
-            for name, dist in sorted(phase.attributes.items())
-        }
-        qsamplers = {
-            name: Sampler(schema[name], dist, self._query_rng)
-            for name, dist in sorted(phase.attributes.items())
-        }
+        dists = sorted(phase.attributes.items())
+        names = tuple(name for name, _ in dists)
+        samplers = [Sampler(schema[name], dist, self._write_rng) for name, dist in dists]
+        qsamplers = {name: Sampler(schema[name], dist, self._query_rng) for name, dist in dists}
+        writes = _Writes(phase.write_origin.dcs, names)
+        write_times = array("q")
         if phase.write_rate > 0:
-            keys = self._keys
-            keys.extend(f"k{n}" for n in range(len(keys), phase.key_space))
-            for i, t in enumerate(_op_times(start, phase.duration, phase.write_rate)):
-                events.append(self._make_write(phase, samplers, t, i))
+            write_times.extend(_op_times(start, phase.duration, phase.write_rate))
+            self._draw_writes(writes, phase, samplers, len(write_times))
+        others: list[tuple[int, str, Any]] = []
         if phase.query_rate > 0:
             origins = phase.query_origin
             for i, t in enumerate(_op_times(start, phase.duration, phase.query_rate)):
                 origin = origins[i % len(origins)]
                 query = self._make_query(phase, qsamplers)
-                events.append((t, self.issuers[origin].actor_id, IssueQuery(query)))
-        events.extend((t, Pulse.actor_id, Heartbeat()) for t in range(start, start + phase.duration, 1000))
+                others.append((t, self.issuers[origin].actor_id, IssueQuery(query)))
+        others.extend((t, Pulse.actor_id, Heartbeat()) for t in range(start, start + phase.duration, 1000))
+        others.sort(key=itemgetter(0))  # stable: a query before a heartbeat at one time
+        # each query and heartbeat marked with the number of writes between
+        # it and the one before, which are the writes at or before its time
+        marked: list[tuple[int, str | None, Any]] = []
+        done = 0
+        for t, target, msg in others:
+            cut = bisect_right(write_times, t, done)
+            times.extend(write_times[done:cut])
+            times.append(t)
+            marked.append((cut - done, target, msg))
+            done = cut
+        times.extend(write_times[done:])
+        marked.append((len(write_times) - done, None, None))
+        return writes.events(self._keys, marked)
 
-    def _pick_key(self, phase: PhaseSpec, i: int) -> str:
-        if phase.key_mode == "sequential":
-            return self._keys[i % phase.key_space]
-        return self._keys[self._write_rng.randrange(phase.key_space)]
+    def _draw_writes(self, writes: _Writes, phase: PhaseSpec, samplers: list[Sampler], count: int) -> None:
+        """Draws the phase's `count` writes in order: each one's key, then
+        whether it deletes (only a key written before can be deleted), then,
+        unless it deletes, its values in attribute-name order."""
+        rng, journal = self._write_rng, self.journal
+        written = journal.written_keys
+        keys = self._keys
+        keys.extend(f"k{n}" for n in range(len(keys), phase.key_space))
+        key_space, sequential = phase.key_space, phase.key_mode == "sequential"
+        for i in range(count):
+            index = i % key_space if sequential else rng.randrange(key_space)
+            key = keys[index]
+            if rng.random() < phase.delete_fraction and key in written:
+                journal.deletes += 1
+                row = None
+            else:
+                row = [s.sample() for s in samplers]
+                writes.values += row
+                journal.writes += 1
+                written.add(key)
+            writes.keys.append(index)
+            writes.dcs.append(self._route_write(phase, writes.names, row, i))
+            writes.deletes.append(row is None)
 
-    def _make_write(self, phase: PhaseSpec, samplers, t: int, i: int) -> tuple[int, str, Any]:
-        key = self._pick_key(phase, i)
-        is_delete = (
-            self._write_rng.random() < phase.delete_fraction and key in self.journal.written_keys
-        )
-        if is_delete:
-            self.journal.deletes += 1
-            return t, self._route_write(phase, None, i), ClientDelete(key)
-        attrs = {name: s.sample() for name, s in samplers.items()}
-        self.journal.writes += 1
-        self.journal.written_keys.add(key)
-        return t, self._route_write(phase, attrs, i), ClientWrite(key, attrs)
-
-    def _route_write(self, phase: PhaseSpec, attrs, i: int) -> str:
+    def _route_write(self, phase: PhaseSpec, names: tuple[str, ...], row: list | None, i: int) -> int:
+        """Index in the phase's write-origin DCs of the DC that takes write
+        i, whose drawn values are row in the order of names, None for a
+        delete."""
         dcs, mode = phase.write_origin.dcs, phase.write_origin.mode
         if mode == "fixed":
-            return dcs[0]
-        if mode == "by_placement" and attrs is not None:
-            for dc in dcs:
+            return 0
+        if mode == "by_placement" and row is not None:
+            attrs = dict(zip(names, row))
+            for j, dc in enumerate(dcs):
                 placement = self.net.replicas[dc].placement
                 if placement is None or placement.contains(attrs):
-                    return dc
-        return dcs[i % len(dcs)]
+                    return j
+        return i % len(dcs)
 
     def _make_query(self, phase: PhaseSpec, samplers) -> Query:
         shapes = phase.query_shapes

@@ -1,8 +1,11 @@
 """Shared helpers: a response-collecting client, query driving, recording a
 replica's update feed, reading the metrics log, oracles over a posting
-index's registry, and a recheck wrapper that checks every row it keeps."""
+index's registry, a recheck wrapper that checks every row it keeps, and the
+benchmark's workload configs."""
 
+import importlib.util
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -140,3 +143,12 @@ def make_region(**bounds):
 @pytest.fixture
 def client():
     return Client()
+
+
+def benchmark_workloads():
+    """The benchmark's workload module, benchmarks/workloads.py."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads

@@ -3,7 +3,6 @@ mode and its negative control, and the CLI contract."""
 
 import ast
 import hashlib
-import importlib.util
 import json
 import subprocess
 import sys
@@ -25,7 +24,7 @@ from qpusim.runner import run_scenario, validate_scenario
 from qpusim.scenarios import SCENARIOS, scenario, write_scenario
 from qpusim.workload import WorkloadDriver
 
-from conftest import Client, run_query
+from conftest import Client, benchmark_workloads, run_query
 
 
 def minimal_topology(**overrides):
@@ -410,15 +409,6 @@ GOLDEN_NDJSON_SHA256 = {
         "935b7e3812f30033df2493f2ffa6b216027b7f61bce44ff4868a88ede485876c",
     ),
 }
-
-
-def benchmark_workloads():
-    """The benchmark's workload module, benchmarks/workloads.py."""
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
 
 
 def golden_configs(name):

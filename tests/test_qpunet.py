@@ -40,6 +40,15 @@ def q_size(lo, hi):
     return Query.of([Predicate.between("size", lo, hi)])
 
 
+class BlackHole(Actor):
+    """A neighbour that never answers."""
+
+    actor_id = "hole"
+
+    def on_message(self, k, msg):
+        pass
+
+
 class TestDecompose:
     def test_single_neighbour_covering_everything(self):
         region = make_region(size=(0, 100), genre=(None, None))
@@ -249,12 +258,6 @@ class TestFederation:
         assert resp.missing  # the >=50 half nobody covers
 
     def test_timeout_yields_incomplete_with_missing_region(self):
-        class BlackHole(Actor):
-            actor_id = "hole"
-
-            def on_message(self, k, msg):
-                pass
-
         k = Kernel(seed=0)
         k.add_node("n1")
         rep = DcReplica("dc1", SCHEMA)
@@ -327,6 +330,46 @@ def cache_net(*, capacity=4, ttl=1000, seed=0):
 
 
 class TestResponseCache:
+    def test_a_timed_out_fill_leaves_no_join_state(self):
+        """Five distinct queries to a cache whose neighbour never answers
+        each time out incomplete, and leave no fill, join or sub-query
+        behind."""
+        k = Kernel(seed=0)
+        k.add_node("n1")
+        k.register(BlackHole(), "n1")
+        cq = CacheQpu("cq", SCHEMA, timeout=50)
+        cq.connect(Connection("hole", FULL))
+        k.register(cq, "n1")
+        cl = Client()
+        k.register(cl, "n1")
+        for lo in range(0, 50, 10):
+            assert not run_query(k, cl, "cq", q_size(lo, lo + 5)).complete
+        assert cq.misses == 5
+        assert cq._fills == {} and cq._pending == {} and cq._sub_parent == {}
+
+    def test_a_fill_answered_after_its_timeout_is_not_stored(self):
+        """The neighbour's complete answer arrives after the cache's timeout:
+        the client gets the incomplete answer, the late one is dropped
+        rather than cached, and the same query misses again."""
+        k = Kernel(seed=0)
+        k.add_node("n1")
+        k.add_node("n2")
+        k.add_link("n1", "n2", 100)
+        rep = DcReplica("dc1", SCHEMA)
+        k.register(rep, "n2")
+        k.register(DsQpu("ds1", SCHEMA, rep), "n2")
+        cq = CacheQpu("cq", SCHEMA, timeout=50)
+        cq.connect(Connection("ds1", FULL))
+        k.register(cq, "n1")
+        cl = Client()
+        k.register(cl, "n1")
+        rep.put(k, "k1", {"size": 5})
+        k.run_until_empty()
+        assert not run_query(k, cl, "cq", q_size(0, 10)).complete
+        assert cq._cache == {} and cq._fills == {}
+        run_query(k, cl, "cq", q_size(0, 10))
+        assert (cq.hits, cq.misses) == (0, 2)
+
     def test_second_identical_query_served_from_cache(self):
         k, rep, cq, cl = cache_net()
         rep.put(k, "k1", {"size": 5})

@@ -2,6 +2,8 @@
 
 import heapq
 import random
+import weakref
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -447,10 +449,24 @@ class TestOrderEquivalence:
         assert _scripted_trace(Kernel, p) == _scripted_trace(HeapKernel, p)
 
 
+def lazy_source(k, events):
+    """Yields the (target, msg) of each (at, target, msg) of events, and
+    checks that the kernel pulls each one only once its time has come."""
+    for at, target, msg in events:
+        assert k.now == at, f"event for {at} pulled at {k.now}"
+        yield target, msg
+
+
+def feed(k, events):
+    """Feeds a list of (at, target, msg): the times as an int column, and a
+    lazily pulled source of the rest."""
+    k.feed(array("q", [at for at, _target, _msg in events]), lazy_source(k, events))
+
+
 def _feed_even_schedule_odd(k, initial):
     """Feeds the even-numbered initial events, sorted stably by time, then
     schedules the odd-numbered ones."""
-    k.feed(sorted(initial[::2], key=lambda event: event[0]))
+    feed(k, sorted(initial[::2], key=lambda event: event[0]))
     for event in initial[1::2]:
         k.schedule(*event)
 
@@ -469,7 +485,8 @@ class TestFeed:
         """Fed events, events scheduled before the run, and what the
         handlers schedule and send during it, under any mix of run_until
         and step calls: the trace, the clocks and the pending counts equal
-        those of scheduling the fed events up front, ahead of the rest."""
+        those of scheduling the fed events up front, ahead of the rest. The
+        fed source is pulled lazily, each event when its time comes."""
         fed = _scripted_trace(Kernel, p, _feed_even_schedule_odd)
         assert fed == _scripted_trace(Kernel, p, _schedule_even_then_odd)
 
@@ -477,14 +494,14 @@ class TestFeed:
         rec = Recorder("r")
         k = kernel_with(rec)
         k.schedule(5, "r", "scheduled")
-        k.feed([(5, "r", "fed"), (6, "r", "later")])
+        feed(k, [(5, "r", "fed"), (6, "r", "later")])
         k.run_until_empty()
         assert rec.seen == [(5, "fed"), (5, "scheduled"), (6, "later")]
 
     def test_run_until_between_two_fed_times_stops_there(self):
         rec = Recorder("r")
         k = kernel_with(rec)
-        k.feed([(10, "r", "a"), (30, "r", "b")])
+        feed(k, [(10, "r", "a"), (30, "r", "b")])
         assert k.run_until(20) == 20
         assert rec.seen == [(10, "a")]
         assert k.pending() == 1
@@ -495,7 +512,7 @@ class TestFeed:
         rec = Recorder("r")
         k = kernel_with(rec)
         k.schedule(5, "r", "scheduled")
-        k.feed([(5, "r", "a"), (5, "r", "b"), (9, "r", "c")])
+        feed(k, [(5, "r", "a"), (5, "r", "b"), (9, "r", "c")])
         assert k.pending() == 4
         counts = []
         while k.step():
@@ -504,26 +521,32 @@ class TestFeed:
         assert counts == [3, 2, 1, 0]
 
     def test_delivered_events_leave_the_fed_list(self):
-        """The kernel keeps the list it was fed and drains it, so nothing
+        """The kernel keeps the times column it was fed and drains it, and
+        drops the source once the last fed event is delivered, so nothing
         holds an event once it is delivered."""
         rec = Recorder("r")
         k = kernel_with(rec)
-        events = [(t, "r", t) for t in range(0, 50, 10)]
-        k.feed(events)
+        times = array("q", range(0, 50, 10))
+        source = lazy_source(k, [(t, "r", t) for t in times])
+        held = weakref.ref(source)
+        k.feed(times, source)
+        del source
         k.run_until(25)
-        assert len(events) == k.pending() == 2
+        assert len(times) == k.pending() == 2
+        assert held() is not None
         k.run_until_empty()
-        assert events == []
+        assert not times and held() is None
+        assert [m for _, m in rec.seen] == [0, 10, 20, 30, 40]
 
     def test_a_second_feed_waits_until_the_first_is_delivered(self):
         rec = Recorder("r")
         k = kernel_with(rec)
-        k.feed([(10, "r", 1), (20, "r", 2)])
+        feed(k, [(10, "r", 1), (20, "r", 2)])
         k.run_until(10)
         with pytest.raises(SimError):
-            k.feed([(15, "r", 3)])
+            feed(k, [(15, "r", 3)])
         k.run_until(20)
-        k.feed([(20, "r", 4), (25, "r", 5)])
+        feed(k, [(20, "r", 4), (25, "r", 5)])
         k.run_until_empty()
         assert [m for _, m in rec.seen] == [1, 2, 4, 5]
 
@@ -539,17 +562,17 @@ class TestFeed:
         k = kernel_with(rec)
         k.schedule(4, "r", "x")
         k.run_until(4)
-        given_events = list(events)
+        times = array("q", [at for at, _target, _msg in events])
         with pytest.raises(SimError):
-            k.feed(events)
-        assert events == given_events
+            k.feed(times, lazy_source(k, events))
+        assert times == array("q", [at for at, _target, _msg in events])
         assert k.pending() == 0
         assert k.run_until_empty() == 4
 
     def test_unregister_drops_the_actors_fed_events_and_the_clock_still_reaches_them(self):
         dst, other = Recorder("dst"), Recorder("other")
         k = kernel_with(dst, other)
-        k.feed([(10, "dst", "a"), (20, "other", "b"), (40, "dst", "c")])
+        feed(k, [(10, "dst", "a"), (20, "other", "b"), (40, "dst", "c")])
         k.run_until(10)
         k.unregister("dst")
         assert k.run_until_empty() == 40
@@ -568,7 +591,7 @@ class TestFeed:
         if scheduled:
             k.schedule(5, "f", "scheduled")
         fed = [(5, "f", "a"), (5, "f", "boom")] if first == "a" else [(5, "f", "boom")]
-        k.feed([*fed, (5, "f", "c"), (7, "f", "e")])
+        feed(k, [*fed, (5, "f", "c"), (7, "f", "e")])
         with pytest.raises(ValueError):
             k.run_until_empty()
         after = ["scheduled"] * scheduled + ["d"] * (first == "a")

@@ -705,4 +705,3 @@ class TestRawPostingSets:
         sets.post("a", {"x": 1})
         sets.unpost("a", {"x": 1})
         assert sets.keys_in([("x", "a", None)]) == set()
-        assert sets.keys_in([("y", "a", None)]) == set()
