@@ -29,7 +29,6 @@ def interval_midpoint(iv: Interval) -> RawValue | None:
 
 @dataclass
 class _Bucket:
-    index: int
     count: int = 0
     samples: dict[str, list[RawValue]] = field(default_factory=dict)
 
@@ -55,7 +54,7 @@ class LoadWindow:
         idx = now // self.bucket_ms
         bucket = self._buckets.get(idx)
         if bucket is None:
-            bucket = self._buckets[idx] = _Bucket(idx)
+            bucket = self._buckets[idx] = _Bucket()
         bucket.count += 1
         for name, iv in region:
             mid = interval_midpoint(iv)

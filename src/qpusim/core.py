@@ -281,8 +281,8 @@ class HyperRegion:
 
 @dataclass(frozen=True)
 class Predicate:
-    """Range constraint on one attribute. A missing bound is unbounded on that
-    side; client queries normally bound both sides, decomposed sub-queries may not."""
+    """Range constraint on one attribute of a client query. A missing bound is
+    unbounded on that side; a sub-query is a region, not predicates."""
 
     attr: str
     lower: RawValue | None = None

@@ -337,21 +337,20 @@ class QpuBase(Actor):
         *,
         local_parts: list[Sequence[Entry]] | None = None,
         missing: list[HyperRegion] | None = None,
-    ) -> _Pending | None:
-        """Sends one sub-query per plan element and parks the join state,
-        which it returns; with an empty plan the query is answered at once
-        from local_parts, its region is this unit's load sample, and None
-        is returned. Each sub-query is the plan's piece, the HyperRegion
-        itself. No sub-query carries the limit: the rows recheck drops
-        could hide others past it, so _finish applies it once, after
-        recheck. The join state takes over the local_parts and missing
-        lists; callers pass lists of their own."""
+    ) -> None:
+        """Sends one sub-query per plan element and parks the join state;
+        with an empty plan the query is answered at once from local_parts,
+        and its region is this unit's load sample. Each sub-query is the
+        plan's piece, the HyperRegion itself. No sub-query carries the
+        limit: the rows recheck drops could hide others past it, so _finish
+        applies it once, after recheck. The join state takes over the
+        local_parts and missing lists; callers pass lists of their own."""
         pend = _Pending(m, {}, local_parts or [], missing or [])
         if not plan:
             if k.probes.load_hook is not None:
                 k.probes.load_hook(self.qpu_id, m.query, k.now)
             self._finish(k, pend)
-            return None
+            return
         for conn, piece in plan:
             sub_qid = self._next_qid()
             pend.outstanding[sub_qid] = piece
@@ -360,7 +359,6 @@ class QpuBase(Actor):
         self._pending[m.qid] = pend
         if self.timeout is not None:
             k.schedule_in(self.timeout, self.qpu_id, QueryTimeout(m.qid))
-        return pend
 
     def _on_sub_response(self, k: Kernel, r: ResponseMsg) -> None:
         parent_qid = self._sub_parent.pop(r.qid, None)
@@ -466,7 +464,6 @@ class CacheQpu(QpuBase):
         self.hits = 0
         self.misses = 0
         self._cache: OrderedDict[tuple, tuple[int, ResponseMsg]] = OrderedDict()
-        self._fills: dict[str, tuple] = {}
         self._snapshot: IndexSnapshot | None = None  # last installed pull reply
 
     # -- shared -------------------------------------------------------------
@@ -505,23 +502,16 @@ class CacheQpu(QpuBase):
         self.misses += 1
         k.probes.emit({"type": "cache", "qpu": self.qpu_id, "hit": False})
         # the fill is the query's region, sent unlimited; a hit or the fill is cut in _finish
-        pend = self.fan_out(k, m, [(self.connections[0], m.query)])
-        self._fills[next(iter(pend.outstanding))] = ck
+        self.fan_out(k, m, [(self.connections[0], m.query)])
 
     def _on_sub_response(self, k: Kernel, r: ResponseMsg) -> None:
-        ck = self._fills.pop(r.qid, None)
-        if ck is not None and r.complete:
-            self._store(k, ck, r)
+        """Stores a complete fill under its query's key. A join that timed
+        out has dropped its sub-queries, so a late fill is not stored."""
+        parent_qid = self._sub_parent.get(r.qid)
+        if parent_qid is not None and r.complete:
+            m = self._pending[parent_qid].msg
+            self._store(k, (m.query.sides, m.limit), r)
         super()._on_sub_response(k, r)
-
-    def _on_timeout(self, k: Kernel, qid: str) -> None:
-        """Drops the fill of a query whose join times out with it, so a late
-        response is not stored."""
-        pend = self._pending.get(qid)
-        if pend is not None:
-            for sub_qid in pend.outstanding:
-                self._fills.pop(sub_qid, None)
-        super()._on_timeout(k, qid)
 
     def _store(self, k: Kernel, ck: tuple, resp: ResponseMsg) -> None:
         self._cache[ck] = (k.now, resp)

@@ -4,7 +4,6 @@ delivery between each pair of actors, and the probes components report into."""
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, MutableSequence
@@ -88,7 +87,7 @@ class Probes:
         return self.metrics.type2_records()
 
 
-_NEVER = math.inf  # the next fed time when no fed event is left: later than any time
+_FED = (None, "fed")  # the marker of the next fed time: first in its bucket, never delivered
 
 
 @dataclass
@@ -125,16 +124,16 @@ class Kernel:
     delivered joins the end of that instant's list. Handlers must not call
     `run_until`, `step` or `feed`: the loop is not re-entrant.
 
-    The workload enters through `feed`, kept apart from `_due`: before
+    The workload enters through `feed` and takes one entry in the calendar:
+    the marker `_FED`, first in the bucket of the next fed time. Before
     delivery the kernel holds only each fed event's time, in one int column,
-    and a source that makes each event's (target, msg) when it is pulled. A
-    fed time takes no bucket until the clock reaches it. Then `run_until`
-    pulls that time's fed events from the source, puts them at the front of
-    its bucket and hands the bucket to `_deliver`, the one delivery body
-    (`step` hands it its single event). `_deliver` calls each handler,
-    starts actors only when one is waiting to start, and takes a separate
-    branch for ticks, dropped events and unknown actors. A bucket is freed
-    once its time is done.
+    and a source that makes each event's (target, msg) when it is pulled.
+    A bucket that starts with the marker gets that time's fed events in its
+    place (`_pull_fed`) and is delivered like any other by `_deliver`, the
+    one delivery body (`step` hands it a single event). `_deliver` calls
+    each handler, starts actors only when one is waiting to start, and takes
+    a separate branch for ticks, dropped events and unknown actors. A bucket
+    is freed once its time is done.
     """
 
     def __init__(self, seed: int | str = 0) -> None:
@@ -144,8 +143,8 @@ class Kernel:
         self._due: dict[int, list[tuple]] = {}  # (target, msg); (target, msg, sender) from `send`; (None, None) if dropped
         self._times: list[int] = []
         self._fed_at: MutableSequence[int] = []  # fed times not yet delivered, latest first
-        self._fed_head: float = _NEVER  # the earliest of them, _NEVER when none is left
         self._fed_next: Callable[[], tuple] | None = None  # pulls the next fed (target, msg)
+        self._fed_gone: set[str] = set()  # actors unregistered during the feed: their fed events drop
         self._nodes: set[str] = set()
         self._links: dict[tuple[str, str], _Link] = {}
         self._actors: dict[str, Actor] = {}
@@ -187,7 +186,8 @@ class Kernel:
         """Removes an actor. What was scheduled or fed for it without a
         sender (its own timeouts and ticks, its workload) is dropped when its
         time comes, which still advances the clock; a message `send`
-        addressed to it raises SimError."""
+        addressed to it raises SimError. While a feed is active the id joins
+        `_fed_gone`, whose fed events `_pull_fed` drops until that feed ends."""
         if self._actors.pop(actor_id, None) is None:
             raise SimError(f"unknown actor {actor_id!r}")
         del self._hosts[actor_id]
@@ -196,13 +196,7 @@ class Kernel:
         for events in self._due.values():  # in place: run_until may be walking one
             events[:] = [(None, None) if len(e) == 2 and e[0] == actor_id else e for e in events]
         if self._fed_at:
-            pull = self._fed_next
-
-            def pull_kept() -> tuple:
-                event = pull()
-                return (None, None) if event[0] == actor_id else event
-
-            self._fed_next = pull_kept
+            self._fed_gone.add(actor_id)
 
     def rebind(self, actor_id: str, node_id: str) -> None:
         """Moves an actor to another node, keeping each pair of actors FIFO:
@@ -253,14 +247,15 @@ class Kernel:
         """Queues one event per entry of `times`, in time order, as
         `schedule` would each in turn. `events` yields each one's (target,
         msg), in the same order, and is pulled only when the clock reaches
-        the event's time, so before delivery the kernel holds the times and
-        nothing of the messages. It takes the times column over, empties it
-        as they are delivered, and drops it and the source once the last one
-        is. At each time the fed events come first, then what was scheduled
-        for that time, which is the order of scheduling all of them up front
-        and the rest during the run. Times out of order, a time before now,
-        or a feed before the last fed event is delivered raises SimError
-        and leaves the kernel and the column as they were."""
+        the event's time, so before delivery the kernel holds the times, one
+        marker in the calendar at the first of them, and nothing of the
+        messages. It takes the times column over, empties it as they are
+        pulled, and drops it and the source once the last one is. At each
+        time the fed events come first, then what was scheduled for that
+        time, which is the order of scheduling all of them up front and the
+        rest during the run. Times out of order, a time before now, or a feed
+        before the last fed event is pulled raises SimError and leaves the
+        kernel and the column as they were."""
         if self._fed_at:
             raise SimError(f"fed again with {len(self._fed_at)} fed events still to deliver")
         last = self.now
@@ -271,8 +266,8 @@ class Kernel:
         if times:
             times.reverse()
             self._fed_at = times
-            self._fed_head = times[-1]
             self._fed_next = iter(events).__next__
+            self._mark_fed(times[-1])
 
     def schedule_in(self, delay: int, target: str, msg: Any) -> None:
         self.schedule(self.now + delay, target, msg)
@@ -365,15 +360,34 @@ class Kernel:
             del events[: i + 1]
             raise
 
-    def _end_feed(self) -> None:
-        """Drops the drained times column, which keeps its allocation as it
-        empties, and the source."""
-        self._fed_at, self._fed_head, self._fed_next = [], _NEVER, None
+    def _mark_fed(self, at: int) -> None:
+        """Puts the marker first in the bucket at `at`, ahead of what was
+        scheduled for that time."""
+        events = self._due.get(at)
+        if events is None:
+            self._due[at] = [_FED]
+            heapq.heappush(self._times, at)
+        else:
+            events.insert(0, _FED)
 
-    def _drop_time(self, at: int, queued: bool = True) -> None:
-        del self._due[at]
-        if queued:
-            heapq.heappop(self._times)
+    def _pull_fed(self, at: int) -> list[tuple]:
+        """The fed events at `at`, an unregistered actor's dropped; moves the
+        marker on, or after the last time drops the drained column (it keeps
+        its allocation as it empties), the source and `_fed_gone`."""
+        fed, pull = self._fed_at, self._fed_next
+        arrived = []
+        while fed and fed[-1] == at:
+            fed.pop()
+            arrived.append(pull())
+        gone = self._fed_gone
+        if gone:
+            arrived = [(None, None) if event[0] in gone else event for event in arrived]
+        if fed:
+            self._mark_fed(fed[-1])
+        else:
+            self._fed_at, self._fed_next = [], None
+            gone.clear()
+        return arrived
 
     def run_until(self, t_max: int | None = None) -> int:
         """Processes events until the queue empties or t_max is reached.
@@ -388,42 +402,24 @@ class Kernel:
             raise SimError(f"run_until({t_max}) is before now ({self.now})")
         self._start_pending()
         times, due = self._times, self._due
-        while True:
-            head = self._fed_head
-            at = times[0] if times and times[0] < head else head
-            if at is _NEVER:
-                break
+        while times:
+            at = times[0]
             if t_max is not None and at > t_max:
                 self.now = t_max
                 return self.now
             self.now = at
-            events = due.get(at)
-            queued = events is not None  # else `at` is a fed time only, not on the heap
-            if at == head:
-                fed, pull = self._fed_at, self._fed_next
-                arrived = []
-                while fed and fed[-1] == at:
-                    fed.pop()
-                    arrived.append(pull())
-                if fed:
-                    self._fed_head = fed[-1]
-                else:
-                    self._end_feed()
-                if queued:
-                    arrived += events
-                # what the fed events schedule at `at` joins this list
-                events = due[at] = arrived
+            events = due[at]
+            if events[0] is _FED:
+                events[:1] = self._pull_fed(at)
             try:
                 self._deliver(events)
             except BaseException:
                 if not events:
-                    self._drop_time(at, queued)
-                elif not queued:
-                    heapq.heappush(times, at)
+                    del due[at]
+                    heapq.heappop(times)
                 raise
-            del due[at]  # _drop_time, inlined: this runs once per instant
-            if queued:
-                heapq.heappop(times)
+            del due[at]
+            heapq.heappop(times)
         if t_max is not None:
             self.now = t_max
         return self.now
@@ -434,25 +430,22 @@ class Kernel:
     def step(self) -> bool:
         """Processes exactly one event; False when the queue is empty."""
         self._start_pending()
-        times, fed, head = self._times, self._fed_at, self._fed_head
-        if times and times[0] < head:
-            at = self.now = times[0]
-            events = self._due[at]
-            event = events.pop(0)[:2]
-            if not events:
-                self._drop_time(at)
-        elif head is not _NEVER:
-            self.now = fed.pop()
-            event = self._fed_next()
-            if fed:
-                self._fed_head = fed[-1]
-            else:
-                self._end_feed()
-        else:
+        times = self._times
+        if not times:
             return False
+        at = self.now = times[0]
+        events = self._due[at]
+        if events[0] is _FED:
+            events[:1] = self._pull_fed(at)
+        event = events.pop(0)[:2]
+        if not events:
+            del self._due[at]
+            heapq.heappop(times)
         self._deliver([event])
         return True
 
     def pending(self) -> int:
-        """Events queued and not yet delivered, fed ones included."""
-        return sum(map(len, self._due.values())) + len(self._fed_at)
+        """Events queued and not yet delivered, fed ones included, less the
+        one marker that stands for those not yet pulled."""
+        fed = self._fed_at
+        return sum(map(len, self._due.values())) + len(fed) - bool(fed)

@@ -22,6 +22,7 @@ from qpusim.core import query_matcher
 from qpusim.metrics import SCHEMA_VERSION, MetricsSink, parse_ndjson, percentile, summarize
 from qpusim.runner import run_scenario, validate_scenario
 from qpusim.scenarios import SCENARIOS, scenario, write_scenario
+from qpusim.simkernel import _FED
 from qpusim.workload import WorkloadDriver
 
 from conftest import Client, benchmark_workloads, run_query
@@ -769,7 +770,8 @@ class TestRunScenario:
 
     def test_the_workload_enters_the_kernel_as_one_fed_list(self):
         """schedule_all feeds the kernel every write, delete, query and
-        heartbeat, and schedules none of them."""
+        heartbeat, and schedules none of them: before the run the calendar
+        holds only the feed's marker, at the first fed time."""
         cfg = parse_topology(scenario("cdn")[0])
         spec = parse_workload(scenario("cdn")[1], cfg)
         net = build(cfg, 0)
@@ -778,7 +780,8 @@ class TestRunScenario:
         queries = sum(int(round(p.duration * p.query_rate / 1000.0)) for p in spec.phases)
         heartbeats = sum(-(-p.duration // 1000) for p in spec.phases)
         k = net.kernel
-        assert k._due == {} and k._times == []
+        first = k._fed_at[-1]
+        assert k._due == {first: [_FED]} and k._times == [first]
         assert k.pending() == driver.journal.writes + driver.journal.deletes + queries + heartbeats
         assert k.run_until(end) == end
         assert len(driver.journal.queries) == queries

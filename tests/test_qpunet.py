@@ -332,8 +332,7 @@ def cache_net(*, capacity=4, ttl=1000, seed=0):
 class TestResponseCache:
     def test_a_timed_out_fill_leaves_no_join_state(self):
         """Five distinct queries to a cache whose neighbour never answers
-        each time out incomplete, and leave no fill, join or sub-query
-        behind."""
+        each time out incomplete, and leave no join or sub-query behind."""
         k = Kernel(seed=0)
         k.add_node("n1")
         k.register(BlackHole(), "n1")
@@ -345,7 +344,7 @@ class TestResponseCache:
         for lo in range(0, 50, 10):
             assert not run_query(k, cl, "cq", q_size(lo, lo + 5)).complete
         assert cq.misses == 5
-        assert cq._fills == {} and cq._pending == {} and cq._sub_parent == {}
+        assert cq._pending == {} and cq._sub_parent == {}
 
     def test_a_fill_answered_after_its_timeout_is_not_stored(self):
         """The neighbour's complete answer arrives after the cache's timeout:
@@ -366,7 +365,7 @@ class TestResponseCache:
         rep.put(k, "k1", {"size": 5})
         k.run_until_empty()
         assert not run_query(k, cl, "cq", q_size(0, 10)).complete
-        assert cq._cache == {} and cq._fills == {}
+        assert cq._cache == {}
         run_query(k, cl, "cq", q_size(0, 10))
         assert (cq.hits, cq.misses) == (0, 2)
 

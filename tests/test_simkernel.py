@@ -580,6 +580,31 @@ class TestFeed:
         assert other.seen == [(20, "b")]
         assert k.pending() == 0
 
+    def test_an_unregister_drops_the_fed_events_of_the_active_feed_only(self):
+        """An actor unregistered during a feed loses the rest of that feed's
+        events, even once registered again under its id; the actor
+        registered under that id receives a later feed's events. An
+        unregister with no feed active drops nothing fed later."""
+        first, other = Recorder("r"), Recorder("o")
+        k = kernel_with(first, other)
+        feed(k, [(10, "r", "a"), (20, "o", "b"), (30, "r", "c")])
+        k.run_until(10)
+        k.unregister("r")
+        second = Recorder("r")
+        k.register(second, "n1")
+        k.run_until(30)
+        feed(k, [(40, "r", "d")])
+        k.run_until(40)
+        k.unregister("o")
+        third = Recorder("o")
+        k.register(third, "n1")
+        feed(k, [(50, "o", "e")])
+        assert k.run_until_empty() == 50
+        assert first.seen == [(10, "a")]
+        assert second.seen == [(40, "d")]
+        assert other.seen == [(20, "b")]
+        assert third.seen == [(50, "e")]
+
     @pytest.mark.parametrize("scheduled", [True, False])
     @pytest.mark.parametrize("first", ["a", "boom"])
     def test_a_raising_fed_handler_consumes_its_event(self, scheduled, first):
